@@ -14,12 +14,12 @@ the merged text's token count, which keeps the packing bound safe.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from lexrag.corpus import Document
+from lexrag.textutils import read_jsonl, write_jsonl
 
 _NONSPACE = re.compile(r"\S+")
 
@@ -247,15 +247,8 @@ def split_recursive(doc: Document, cfg: ChunkConfig | None = None) -> list[Chunk
 
 def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
     """Write chunks as JSON-lines, one chunk per line with all fields."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(json.dumps(chunk.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl((chunk.to_dict() for chunk in chunks), path)
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    chunks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                chunks.append(Chunk.from_dict(json.loads(line)))
-    return chunks
+    return [Chunk.from_dict(row) for row in read_jsonl(path)]

@@ -43,7 +43,7 @@ from lexrag.evaluator import (
     render_table,
     sweep,
 )
-from lexrag.index import build_dense, build_sparse, load_indexes, save_indexes
+from lexrag.index import build_dense, build_sparse, load_indexes, save_indexes, sha256_file
 from lexrag.preference import (
     RefusalConfig,
     SplitSpec,
@@ -56,7 +56,8 @@ from lexrag.preference import (
     token_f1,
 )
 from lexrag.remote import RemoteConfig
-from lexrag.retriever import FusionConfig, RetrievalContext, dump_results
+from lexrag.retriever import FusionConfig, RetrievalContext, RetrievalResult, dump_results
+from lexrag.textutils import read_jsonl, write_jsonl
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +67,6 @@ def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _write_run_manifest(out_dir: Path, config: dict, inputs: list[Path]) -> None:
@@ -87,7 +80,7 @@ def _write_run_manifest(out_dir: Path, config: dict, inputs: list[Path]) -> None
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
         "inputs": {
-            str(p): _sha256_file(p) for p in inputs if p is not None and Path(p).is_file()
+            str(p): sha256_file(p) for p in inputs if p is not None and Path(p).is_file()
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -143,14 +136,8 @@ def _parse_k_list(raw: str) -> list[int]:
 
 
 def _load_any_chunks(path: Path) -> list:
-    """Load a chunk JSONL that may be base or enriched (sniffed per file)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    if first and "full_text" in json.loads(first):
+    """Load a chunk JSONL that may be base or enriched (sniffed from its first row)."""
+    if "full_text" in next(read_jsonl(path), {}):
         return load_enriched(path)
     return load_chunks(path)
 
@@ -204,17 +191,15 @@ class ContextResult:
     n_used: int
 
 
-def end_to_end_context(question: str, ctx: RetrievalContext,
-                       chunk_texts: dict[str, str], n: int = 4,
-                       query_id: str = "") -> ContextResult:
+def end_to_end_context(result: RetrievalResult, chunk_table: dict[str, tuple[str, int, int]],
+                       chunk_texts: dict[str, str], n: int = 4) -> ContextResult:
     """Concatenate the top-n retrieved base chunk texts for downstream QA.
 
     Chunks appear in rank order, separated by blank lines, each prefixed with
     its source document id. Enriched headers never enter generated contexts.
     """
-    result = ctx.retrieve(question, query_id=query_id)
     top = result.ranked[:n]
-    blocks = [f"[{ctx.chunk_table[rc.chunk_id][0]}]\n{chunk_texts[rc.chunk_id]}"
+    blocks = [f"[{chunk_table[rc.chunk_id][0]}]\n{chunk_texts[rc.chunk_id]}"
               for rc in top]
     return ContextResult(text="\n\n".join(blocks), short_context=len(top) < n,
                          n_used=len(top))
@@ -325,9 +310,7 @@ def cmd_index(args) -> None:
     dense = build_dense(chunks, embedder)
     save_indexes(out_dir, sparse, dense)
     # canonical copy so the index directory is self-contained for retrieval
-    with open(out_dir / "chunks.jsonl", "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(json.dumps(chunk.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl((chunk.to_dict() for chunk in chunks), out_dir / "chunks.jsonl")
     _write_run_manifest(out_dir, _command_config(args), [chunks_path])
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
@@ -346,9 +329,9 @@ def cmd_retrieve(args) -> None:
     results = []
     contexts = []
     for record in records:
-        results.append(ctx.retrieve(record.question, query_id=record.query_id))
-        context = end_to_end_context(record.question, ctx, chunk_texts, n=top,
-                                     query_id=record.query_id)
+        result = ctx.retrieve(record.question, query_id=record.query_id)
+        results.append(result)
+        context = end_to_end_context(result, ctx.chunk_table, chunk_texts, n=top)
         contexts.append({
             "query_id": record.query_id,
             "context": context.text,
@@ -356,9 +339,7 @@ def cmd_retrieve(args) -> None:
             "n_used": context.n_used,
         })
     dump_results(results, out_dir / "results.jsonl")
-    with open(out_dir / "contexts.jsonl", "w", encoding="utf-8") as fh:
-        for entry in contexts:
-            fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(contexts, out_dir / "contexts.jsonl")
     _write_run_manifest(out_dir, _command_config(args),
                         [Path(_cfg(args, "qa")), index_dir / "index_meta.json"])
     print(json.dumps({"queries": len(results), "load_errors": len(errors)}, sort_keys=True))

@@ -13,7 +13,6 @@ metrics always score against the original document positions.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Protocol
 
 from lexrag.chunker import Chunk, count_tokens
 from lexrag.corpus import DocumentMeta
-from lexrag.textutils import split_sentences
+from lexrag.textutils import read_jsonl, split_sentences, write_jsonl
 
 SUMMARY_TOKEN_CAP = 200
 DEFAULT_WINDOW = 4
@@ -261,15 +260,8 @@ def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
 
 
 def dump_enriched(chunks: list[EnrichedChunk], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(json.dumps(chunk.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl((chunk.to_dict() for chunk in chunks), path)
 
 
 def load_enriched(path: str | Path) -> list[EnrichedChunk]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(EnrichedChunk.from_dict(json.loads(line)))
-    return out
+    return [EnrichedChunk.from_dict(row) for row in read_jsonl(path)]

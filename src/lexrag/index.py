@@ -124,8 +124,7 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
     refs = np.concatenate(refs_parts)
     tfs = np.concatenate(tfs_parts)
     idfs = np.concatenate(idfs_parts)
-    scores = np.zeros(index.N, dtype=np.float64)
-    kernels.bm25_accumulate(scores, refs, tfs, idfs, index.norms, index.k1)
+    scores = kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
     hit_rows = np.nonzero(scores)[0]
     order = hit_rows[np.lexsort((index.id_array[hit_rows], -scores[hit_rows]))]
     return [(int(r), float(scores[r])) for r in order]
@@ -197,7 +196,8 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, n: int) -> list[tuple
 # ---------------------------------------------------------------------------
 # persistence
 
-def _sha256(path: Path) -> str:
+def sha256_file(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -241,8 +241,8 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex) 
         "dim": dense.dim,
         "embedder_backend": dense.backend,
         "files": {
-            "sparse": {"path": sparse_path.name, "sha256": _sha256(sparse_path)},
-            "dense": {"path": dense_path.name, "sha256": _sha256(dense_path)},
+            "sparse": {"path": sparse_path.name, "sha256": sha256_file(sparse_path)},
+            "dense": {"path": dense_path.name, "sha256": sha256_file(dense_path)},
         },
     }
     meta_path = directory / "index_meta.json"
@@ -258,7 +258,7 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
         raise ValueError(f"unsupported index format version {meta['format_version']}")
     for entry in meta["files"].values():
         path = directory / entry["path"]
-        actual = _sha256(path)
+        actual = sha256_file(path)
         if actual != entry["sha256"]:
             raise ValueError(f"checksum mismatch for {path.name}: "
                              f"expected {entry['sha256']}, got {actual}")

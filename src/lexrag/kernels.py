@@ -1,72 +1,74 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numeric kernels: token hashing, BM25 accumulation, overlap counting, resample means.
 
-Every kernel here exists twice: a ``@njit`` version and a numpy/Python
-fallback. The active path is chosen once at import time:
-
-* ``LEXRAG_PURE_NUMPY=1`` in the environment forces the fallback path;
-* otherwise numba is used when importable, falling back silently if not.
-
-The integer kernels (token hashing, overlap counting) produce bit-identical
-results on both paths. The floating-point kernels are written so both paths
-apply the same operations in the same order; BM25 accumulation is bitwise
-reproducible across paths, while ``gather_means`` may differ by a few ULPs
-because numpy's ``mean`` uses pairwise summation. Callers that compare paths
-should allow ~1e-12.
-
-``benchmarks/bench_kernels.py`` times both paths side by side.
+Each kernel is one whole-array numpy implementation. The integer kernels
+(token hashing, overlap counting) are exact; BM25 accumulation sums each
+chunk's contributions in posting order, so it is bitwise equal to a
+per-posting loop. ``gather_means`` uses numpy's pairwise ``mean`` and may
+differ from a sequential sum by a few ULPs, while staying exactly
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FNV_OFFSET_1 = np.uint64(0xCBF29CE484222325)
-_FNV_OFFSET_2 = np.uint64(0x84222325CBF29CE4)
+# The two FNV-1a streams' offset bases, one row each.
+_FNV_OFFSETS = np.array([[0xCBF29CE484222325], [0x84222325CBF29CE4]], dtype=np.uint64)
 _FNV_PRIME = np.uint64(0x100000001B3)
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+# The prime is odd, so multiplying by it can be undone modulo 2**64.
+_FNV_PRIME_INV = np.uint64(pow(0x100000001B3, -1, 1 << 64))
+
+# Its only reader is perfbench/launch.py, which records it in the benchmark's
+# environment block.
+NUMBA_ENABLED = False
 
 
-def _flag_set(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
+def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """FNV-1a hash a batch of tokens into (bucket, sign) pairs.
+
+    ``token_bytes`` is the UTF-8 concatenation of all tokens and ``offsets``
+    (len = n_tokens + 1) delimits each token within it. Bucket comes from one
+    64-bit FNV-1a stream modulo ``dim``; the sign comes from the parity of a
+    second stream with a different offset basis. Deterministic across runs
+    and platforms.
+
+    All tokens advance together, one byte position per step, as a (2, n)
+    uint64 array whose multiplication wraps modulo 2**64 as FNV-1a requires.
+    Tokens shorter than the longest are padded with zero bytes. A zero byte
+    only multiplies the state by the prime, so the padding is undone at the
+    end by multiplying once by the prime's inverse per padding byte.
+    """
+    lengths = np.diff(offsets)
+    width = int(lengths.max(initial=0))
+    positions = np.arange(width)[:, None]
+    data = np.frombuffer(token_bytes + bytes(width), dtype=np.uint8)
+    columns = data[offsets[:-1] + positions]  # (width, n): byte at each position
+    columns[positions >= lengths] = 0
+    state = np.repeat(_FNV_OFFSETS, lengths.shape[0], axis=1)
+    for column in columns:
+        state ^= column
+        state *= _FNV_PRIME
+    state *= _FNV_PRIME_INV ** (width - lengths).astype(np.uint64)
+    buckets = (state[0] % np.uint64(dim)).astype(np.int64)
+    signs = np.where(state[1] & np.uint64(1), -1.0, 1.0)
+    return buckets, signs
 
 
-PURE_NUMPY = _flag_set("LEXRAG_PURE_NUMPY")
+def bm25_accumulate(refs: np.ndarray, tfs: np.ndarray, idfs: np.ndarray,
+                    norms: np.ndarray, k1: float) -> np.ndarray:
+    """Per-chunk BM25 scores summed from per-posting contributions.
 
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        PURE_NUMPY = True
-
-NUMBA_ENABLED = not PURE_NUMPY
-
-
-# ---------------------------------------------------------------------------
-# pure numpy / python implementations
-
-def _hash_tokens_np(data: np.ndarray, offsets: np.ndarray, dim: int,
-                    buckets: np.ndarray, signs: np.ndarray) -> None:
-    for t in range(offsets.shape[0] - 1):
-        h1 = 0xCBF29CE484222325
-        h2 = 0x84222325CBF29CE4
-        for j in range(offsets[t], offsets[t + 1]):
-            b = int(data[j])
-            h1 = ((h1 ^ b) * 0x100000001B3) & _U64_MASK
-            h2 = ((h2 ^ b) * 0x100000001B3) & _U64_MASK
-        buckets[t] = h1 % dim
-        signs[t] = 1.0 if (h2 & 1) == 0 else -1.0
-
-
-def _bm25_accumulate_np(scores: np.ndarray, refs: np.ndarray, tfs: np.ndarray,
-                        idfs: np.ndarray, norms: np.ndarray, k1: float) -> None:
+    ``refs``/``tfs``/``idfs`` are parallel posting arrays (chunk row, term
+    frequency, query-term idf); ``norms`` is the precomputed per-chunk length
+    normalization k1*(1-b+b*len/avg_len) and sets the output length.
+    """
     contrib = idfs * tfs * (k1 + 1.0) / (tfs + norms[refs])
-    np.add.at(scores, refs, contrib)
+    return np.bincount(refs, weights=contrib, minlength=norms.shape[0])
 
 
-def _overlap_pairs_np(span_docs: np.ndarray, span_starts: np.ndarray, span_ends: np.ndarray,
-                      chunk_docs: np.ndarray, chunk_starts: np.ndarray, chunk_ends: np.ndarray) -> int:
+def overlap_pairs(span_docs: np.ndarray, span_starts: np.ndarray, span_ends: np.ndarray,
+                  chunk_docs: np.ndarray, chunk_starts: np.ndarray, chunk_ends: np.ndarray) -> int:
+    """Count (span, chunk) pairs in the same document with >= 1 char overlap."""
     if span_docs.shape[0] == 0 or chunk_docs.shape[0] == 0:
         return 0
     same_doc = span_docs[:, None] == chunk_docs[None, :]
@@ -75,110 +77,6 @@ def _overlap_pairs_np(span_docs: np.ndarray, span_starts: np.ndarray, span_ends:
     return int(np.count_nonzero(same_doc & (hi - lo >= 1)))
 
 
-def _gather_means_np(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return values[idx].mean(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _hash_tokens_nb(data, offsets, dim, buckets, signs):  # pragma: no cover - jitted
-        for t in range(offsets.shape[0] - 1):
-            h1 = _FNV_OFFSET_1
-            h2 = _FNV_OFFSET_2
-            for j in range(offsets[t], offsets[t + 1]):
-                b = np.uint64(data[j])
-                h1 = (h1 ^ b) * _FNV_PRIME
-                h2 = (h2 ^ b) * _FNV_PRIME
-            buckets[t] = h1 % np.uint64(dim)
-            signs[t] = 1.0 if (h2 & np.uint64(1)) == np.uint64(0) else -1.0
-
-    @njit(cache=True)
-    def _bm25_accumulate_nb(scores, refs, tfs, idfs, norms, k1):  # pragma: no cover - jitted
-        for i in range(refs.shape[0]):
-            r = refs[i]
-            tf = tfs[i]
-            scores[r] += idfs[i] * tf * (k1 + 1.0) / (tf + norms[r])
-
-    @njit(cache=True)
-    def _overlap_pairs_nb(span_docs, span_starts, span_ends,
-                          chunk_docs, chunk_starts, chunk_ends):  # pragma: no cover - jitted
-        count = 0
-        for i in range(span_docs.shape[0]):
-            for j in range(chunk_docs.shape[0]):
-                if span_docs[i] == chunk_docs[j]:
-                    lo = max(span_starts[i], chunk_starts[j])
-                    hi = min(span_ends[i], chunk_ends[j])
-                    if hi - lo >= 1:
-                        count += 1
-        return count
-
-    @njit(cache=True)
-    def _gather_means_nb(values, idx):  # pragma: no cover - jitted
-        out = np.empty(idx.shape[0], dtype=np.float64)
-        n = idx.shape[1]
-        for i in range(idx.shape[0]):
-            s = 0.0
-            for j in range(n):
-                s += values[idx[i, j]]
-            out[i] = s / n
-        return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-
-def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """FNV-1a hash a batch of tokens into (bucket, sign) pairs.
-
-    ``token_bytes`` is the UTF-8 concatenation of all tokens and ``offsets``
-    (len = n_tokens + 1) delimits each token within it. Bucket comes from one
-    64-bit FNV-1a stream modulo ``dim``; the sign comes from the parity of a
-    second stream with a different offset basis. Deterministic across runs,
-    platforms, and kernel paths.
-    """
-    n = offsets.shape[0] - 1
-    buckets = np.empty(n, dtype=np.int64)
-    signs = np.empty(n, dtype=np.float64)
-    data = np.frombuffer(token_bytes, dtype=np.uint8)
-    if NUMBA_ENABLED:
-        _hash_tokens_nb(data, offsets, dim, buckets, signs)
-    else:
-        _hash_tokens_np(data, offsets, dim, buckets, signs)
-    return buckets, signs
-
-
-def bm25_accumulate(scores: np.ndarray, refs: np.ndarray, tfs: np.ndarray,
-                    idfs: np.ndarray, norms: np.ndarray, k1: float) -> None:
-    """Accumulate per-posting BM25 contributions into ``scores`` in place.
-
-    ``refs``/``tfs``/``idfs`` are parallel posting arrays (chunk row, term
-    frequency, query-term idf); ``norms`` is the precomputed per-chunk length
-    normalization k1*(1-b+b*len/avg_len).
-    """
-    if refs.shape[0] == 0:
-        return
-    if NUMBA_ENABLED:
-        _bm25_accumulate_nb(scores, refs, tfs, idfs, norms, k1)
-    else:
-        _bm25_accumulate_np(scores, refs, tfs, idfs, norms, k1)
-
-
-def overlap_pairs(span_docs: np.ndarray, span_starts: np.ndarray, span_ends: np.ndarray,
-                  chunk_docs: np.ndarray, chunk_starts: np.ndarray, chunk_ends: np.ndarray) -> int:
-    """Count (span, chunk) pairs in the same document with >= 1 char overlap."""
-    if NUMBA_ENABLED:
-        return int(_overlap_pairs_nb(span_docs, span_starts, span_ends,
-                                     chunk_docs, chunk_starts, chunk_ends))
-    return _overlap_pairs_np(span_docs, span_starts, span_ends,
-                             chunk_docs, chunk_starts, chunk_ends)
-
-
 def gather_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Mean of ``values[idx[i]]`` per resample row ``i``."""
-    if NUMBA_ENABLED:
-        return _gather_means_nb(values, idx)
-    return _gather_means_np(values, idx)
+    return values[idx].mean(axis=1)

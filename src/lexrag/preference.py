@@ -16,7 +16,6 @@ refusals.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,13 @@ import numpy as np
 
 from lexrag.corpus import QueryRecord
 from lexrag.stats import bootstrap_ci
-from lexrag.textutils import normalize_for_match, strip_terminal_punctuation, tokenize
+from lexrag.textutils import (
+    normalize_for_match,
+    read_jsonl,
+    strip_terminal_punctuation,
+    tokenize,
+    write_jsonl,
+)
 
 REFUSAL_STRING = "Given context is not sufficient to answer."
 
@@ -241,30 +246,23 @@ def dump_pairs(pairs: list[PreferencePair], path: str | Path,
     preference trainers consume); ``conversation`` wraps the prompt in a
     single-turn conversation structure.
     """
-    if style not in ("plain", "conversation"):
+    if style == "plain":
+        rows = (pair.to_dict() for pair in pairs)
+    elif style == "conversation":
+        rows = ({
+            "pair_id": pair.pair_id,
+            "conversations": [{"from": "human", "value": pair.prompt}],
+            "chosen": {"from": "gpt", "value": pair.chosen},
+            "rejected": {"from": "gpt", "value": pair.rejected},
+            "set_tag": pair.set_tag,
+            "source_query_id": pair.source_query_id,
+        } for pair in pairs)
+    else:
         raise ValueError(f"unknown export style: {style!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            if style == "plain":
-                row = pair.to_dict()
-            else:
-                row = {
-                    "pair_id": pair.pair_id,
-                    "conversations": [{"from": "human", "value": pair.prompt}],
-                    "chosen": {"from": "gpt", "value": pair.chosen},
-                    "rejected": {"from": "gpt", "value": pair.rejected},
-                    "set_tag": pair.set_tag,
-                    "source_query_id": pair.source_query_id,
-                }
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(rows, path)
 
 
 def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
     """Read model-output JSON-lines: {query_id, set_tag, output}."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append((rec["query_id"], rec.get("set_tag", "set1"), rec["output"]))
-    return out
+    return [(rec["query_id"], rec.get("set_tag", "set1"), rec["output"])
+            for rec in read_jsonl(path)]

@@ -8,13 +8,13 @@ The fused score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from lexrag.embedding import EmbeddingProvider
 from lexrag.index import DenseIndex, SparseIndex, bm25_scores, dense_search, embed
+from lexrag.textutils import read_jsonl, write_jsonl
 
 
 @dataclass
@@ -140,15 +140,8 @@ class RetrievalContext:
 
 def dump_results(results: Sequence[RetrievalResult], path: str | Path) -> None:
     """JSON-lines, one RetrievalResult per query with per-component scores."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps(result.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl((result.to_dict() for result in results), path)
 
 
 def load_results(path: str | Path) -> list[RetrievalResult]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(RetrievalResult.from_dict(json.loads(line)))
-    return out
+    return [RetrievalResult.from_dict(row) for row in read_jsonl(path)]

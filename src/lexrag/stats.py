@@ -2,7 +2,8 @@
 
 Resampling is driven by a seeded numpy Generator so every interval is exactly
 reproducible; index generation happens in blocks to bound memory, and the
-gather-and-mean inner loop runs through the dual-path kernels.
+gather-and-mean inner loop runs through ``kernels.gather_means``. The t-test
+tail comes from ``scipy.special.stdtr``, imported on first use.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from lexrag import kernels
 
@@ -74,8 +74,12 @@ def paired_ttest(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> tu
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
+    # Imported here, not at module level: every lexrag command imports this
+    # module, and only comparisons need the t tail (cold start).
+    from scipy.special import stdtr
+
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), n - 1))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return t, min(p, 1.0)
 
 

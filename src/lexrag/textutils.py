@@ -1,4 +1,5 @@
-"""Shared text helpers: tokenization, whitespace normalization, sentence splitting.
+"""Shared text helpers: tokenization, whitespace normalization, sentence splitting,
+and the JSON-lines reader/writer pair for the ``*.jsonl`` files the pipeline writes.
 
 Two distinct token notions coexist in this package and must not be mixed up:
 
@@ -10,7 +11,10 @@ Two distinct token notions coexist in this package and must not be mixed up:
 
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
+from typing import Iterable, Iterator
 
 _WS_RUN = re.compile(r"\s+")
 _WORD = re.compile(r"\w+", re.UNICODE)
@@ -28,11 +32,6 @@ def tokenize(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """[start, end) offsets of maximal non-whitespace runs, in order."""
-    return [m.span() for m in re.finditer(r"\S+", text)]
-
-
 def split_sentences(text: str) -> list[str]:
     """Split on sentence-final punctuation followed by whitespace."""
     stripped = text.strip()
@@ -48,3 +47,18 @@ def normalize_for_match(text: str) -> str:
 
 def strip_terminal_punctuation(text: str) -> str:
     return _TERMINAL_PUNCT.sub("", text)
+
+
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
+    """One JSON object per line, keys sorted and non-ASCII kept, so reruns are byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the objects of a JSON-lines file in order, skipping blank lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)

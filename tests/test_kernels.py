@@ -1,18 +1,14 @@
-"""Cross-path equivalence of the numba and numpy kernel implementations."""
+"""The numpy kernels against plain-Python loop references."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 
+import lexrag
 from lexrag import kernels
-from lexrag.kernels import (
-    _bm25_accumulate_np,
-    _gather_means_np,
-    _hash_tokens_np,
-    _overlap_pairs_np,
-)
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                 reason="numba path disabled in this run")
 
 
 def _token_blob(tokens: list[str]) -> tuple[bytes, np.ndarray]:
@@ -23,53 +19,51 @@ def _token_blob(tokens: list[str]) -> tuple[bytes, np.ndarray]:
 
 
 def test_hash_tokens_matches_python_fnv_reference():
-    tokens = ["hello", "world", "a", "jurisdiction", "nsw", "éclair"]
-    blob, offsets = _token_blob(tokens)
-    buckets, signs = kernels.hash_tokens(blob, offsets, 64)
-
-    # independent FNV-1a reference
-    for t, bucket, sign in zip(tokens, buckets, signs):
-        h1 = 0xCBF29CE484222325
-        h2 = 0x84222325CBF29CE4
-        for byte in t.encode("utf-8"):
-            h1 = ((h1 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            h2 = ((h2 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        assert bucket == h1 % 64
-        assert sign == (1.0 if (h2 & 1) == 0 else -1.0)
-
-
-@needs_numba
-def test_hash_tokens_paths_identical():
     rng = np.random.default_rng(7)
-    tokens = ["".join(chr(97 + int(rng.integers(0, 26))) for _ in range(int(rng.integers(1, 14))))
-              for _ in range(500)]
-    blob, offsets = _token_blob(tokens)
-    data = np.frombuffer(blob, dtype=np.uint8)
-    nb_buckets, nb_signs = kernels.hash_tokens(blob, offsets, 256)
-    np_buckets = np.empty(len(tokens), dtype=np.int64)
-    np_signs = np.empty(len(tokens), dtype=np.float64)
-    _hash_tokens_np(data, offsets, 256, np_buckets, np_signs)
-    assert np.array_equal(nb_buckets, np_buckets)
-    assert np.array_equal(nb_signs, np_signs)
+    random_tokens = ["".join(chr(97 + int(rng.integers(0, 26))) for _ in range(int(rng.integers(1, 14))))
+                     for _ in range(500)]
+    multibyte = ["éclair", "straße", "§", "数据", "žluťoučký", "🙂ok", "ü" * 40]
+    tokens = ["hello", "world", "a", "jurisdiction", "nsw", "", *multibyte, *random_tokens]
+    for dim in (64, 256, 1000):
+        blob, offsets = _token_blob(tokens)
+        buckets, signs = kernels.hash_tokens(blob, offsets, dim)
+        assert buckets.dtype == np.int64 and signs.dtype == np.float64
+        assert buckets.shape == signs.shape == (len(tokens),)
+
+        # independent FNV-1a reference
+        for t, bucket, sign in zip(tokens, buckets, signs):
+            h1 = 0xCBF29CE484222325
+            h2 = 0x84222325CBF29CE4
+            for byte in t.encode("utf-8"):
+                h1 = ((h1 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+                h2 = ((h2 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            assert bucket == h1 % dim
+            assert sign == (1.0 if (h2 & 1) == 0 else -1.0)
 
 
-@needs_numba
-def test_bm25_accumulate_paths_bitwise_identical():
+def test_hash_tokens_empty_batch():
+    buckets, signs = kernels.hash_tokens(b"", np.zeros(1, dtype=np.int64), 64)
+    assert buckets.shape == signs.shape == (0,)
+
+
+def test_bm25_accumulate_bitwise_matches_posting_loop():
     rng = np.random.default_rng(11)
     n_chunks, n_postings = 80, 5000
     refs = rng.integers(0, n_chunks, n_postings).astype(np.int64)
     tfs = rng.integers(1, 12, n_postings).astype(np.float64)
     idfs = rng.random(n_postings)
     norms = rng.random(n_chunks) + 0.3
-    s_nb = np.zeros(n_chunks)
-    kernels.bm25_accumulate(s_nb, refs, tfs, idfs, norms, 1.2)
-    s_np = np.zeros(n_chunks)
-    _bm25_accumulate_np(s_np, refs, tfs, idfs, norms, 1.2)
-    assert np.array_equal(s_nb, s_np)
+    k1 = 1.2
+    got = kernels.bm25_accumulate(refs, tfs, idfs, norms, k1)
+
+    expected = np.zeros(n_chunks)
+    for r, tf, idf in zip(refs, tfs, idfs):
+        expected[r] += idf * tf * (k1 + 1.0) / (tf + norms[r])
+    assert got.shape == (n_chunks,)
+    assert np.array_equal(got, expected)
 
 
-@needs_numba
-def test_overlap_pairs_paths_identical_and_match_brute_force():
+def test_overlap_pairs_match_brute_force():
     rng = np.random.default_rng(13)
     s_doc = rng.integers(0, 4, 30).astype(np.int64)
     s_start = rng.integers(0, 500, 30).astype(np.int64)
@@ -79,29 +73,18 @@ def test_overlap_pairs_paths_identical_and_match_brute_force():
     c_end = c_start + rng.integers(1, 120, 50)
 
     got = kernels.overlap_pairs(s_doc, s_start, s_end, c_doc, c_start, c_end)
-    np_got = _overlap_pairs_np(s_doc, s_start, s_end, c_doc, c_start, c_end)
     brute = sum(
         1
         for i in range(30)
         for j in range(50)
         if s_doc[i] == c_doc[j] and min(s_end[i], c_end[j]) - max(s_start[i], c_start[j]) >= 1
     )
-    assert got == np_got == brute
+    assert got == brute
 
 
 def test_overlap_pairs_empty_inputs():
     empty = np.zeros(0, dtype=np.int64)
     assert kernels.overlap_pairs(empty, empty, empty, empty, empty, empty) == 0
-
-
-@needs_numba
-def test_gather_means_paths_close():
-    rng = np.random.default_rng(17)
-    values = rng.random(200)
-    idx = rng.integers(0, 200, size=(1000, 200))
-    nb = kernels.gather_means(values, idx)
-    np_means = _gather_means_np(values, idx)
-    np.testing.assert_allclose(nb, np_means, rtol=0, atol=1e-9)
 
 
 def test_gather_means_matches_loop_reference():
@@ -111,3 +94,15 @@ def test_gather_means_matches_loop_reference():
     got = kernels.gather_means(values, idx)
     expected = np.array([values[row].sum() / len(row) for row in idx])
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # Every lexrag command pays for what importing the CLI loads; scipy is
+    # imported lazily by the one function that needs it.
+    code = ("import sys; before = set(sys.modules); import lexrag.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(lexrag.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["lexrag", "numpy"]
