@@ -1,6 +1,9 @@
 """Hot numeric kernels: token hashing, BM25 accumulation, overlap counting, resample means.
 
-Each kernel is one whole-array numpy implementation. The integer kernels
+Each kernel has one implementation. ``hash_tokens`` is a per-byte loop over
+Python ints, which wrap modulo 2**64 by masking; the embedder calls it with a
+dozen or so unseen terms per text, too few for a whole-array form to pay off.
+The others are whole-array numpy. The integer kernels
 (token hashing, overlap counting) are exact; BM25 accumulation sums each
 chunk's contributions in posting order, so it is bitwise equal to a
 per-posting loop. ``gather_means`` uses numpy's pairwise ``mean`` and may
@@ -12,15 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# The two FNV-1a streams' offset bases, one row each.
-_FNV_OFFSETS = np.array([[0xCBF29CE484222325], [0x84222325CBF29CE4]], dtype=np.uint64)
-_FNV_PRIME = np.uint64(0x100000001B3)
-# The prime is odd, so multiplying by it can be undone modulo 2**64.
-_FNV_PRIME_INV = np.uint64(pow(0x100000001B3, -1, 1 << 64))
-
 # Its only reader is perfbench/launch.py, which records it in the benchmark's
 # environment block.
 NUMBA_ENABLED = False
+
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -31,26 +30,18 @@ def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.n
     64-bit FNV-1a stream modulo ``dim``; the sign comes from the parity of a
     second stream with a different offset basis. Deterministic across runs
     and platforms.
-
-    All tokens advance together, one byte position per step, as a (2, n)
-    uint64 array whose multiplication wraps modulo 2**64 as FNV-1a requires.
-    Tokens shorter than the longest are padded with zero bytes. A zero byte
-    only multiplies the state by the prime, so the padding is undone at the
-    end by multiplying once by the prime's inverse per padding byte.
     """
-    lengths = np.diff(offsets)
-    width = int(lengths.max(initial=0))
-    positions = np.arange(width)[:, None]
-    data = np.frombuffer(token_bytes + bytes(width), dtype=np.uint8)
-    columns = data[offsets[:-1] + positions]  # (width, n): byte at each position
-    columns[positions >= lengths] = 0
-    state = np.repeat(_FNV_OFFSETS, lengths.shape[0], axis=1)
-    for column in columns:
-        state ^= column
-        state *= _FNV_PRIME
-    state *= _FNV_PRIME_INV ** (width - lengths).astype(np.uint64)
-    buckets = (state[0] % np.uint64(dim)).astype(np.int64)
-    signs = np.where(state[1] & np.uint64(1), -1.0, 1.0)
+    n = offsets.shape[0] - 1
+    buckets = np.empty(n, dtype=np.int64)
+    signs = np.empty(n, dtype=np.float64)
+    for t in range(n):
+        h1 = 0xCBF29CE484222325
+        h2 = 0x84222325CBF29CE4
+        for b in token_bytes[offsets[t]:offsets[t + 1]]:
+            h1 = ((h1 ^ b) * 0x100000001B3) & _U64_MASK
+            h2 = ((h2 ^ b) * 0x100000001B3) & _U64_MASK
+        buckets[t] = h1 % dim
+        signs[t] = 1.0 if (h2 & 1) == 0 else -1.0
     return buckets, signs
 
 
