@@ -10,7 +10,8 @@ covering one span push it above 1.0 by design.
 Sweeps evaluate nested ranking prefixes, so one retrieval pass per query
 serves every k. Confidence intervals come from seeded percentile bootstrap;
 min-max ranges across the resampled means are reported alongside, labeled
-distinctly.
+distinctly. Every metric x k cell of a sweep (every delta of a comparison)
+has the same seed and sample size, so all of them share one resample draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import numpy as np
 from lexrag.corpus import QueryRecord
 from lexrag import kernels
 from lexrag.retriever import RetrievalContext, RetrievalResult
-from lexrag.stats import bonferroni, bootstrap_ci, bootstrap_minmax, paired_delta_ci, paired_ttest
+# bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
+# perfbench's tracer wraps them under this module's name.
+from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F401
+                          paired_delta_ci, paired_ttest, percentile_ci, shared_bootstrap_means)
 
 DEFAULT_KS = [1, 2, 4, 8, 16, 32, 64]
 
@@ -197,20 +201,22 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
                        for k in ks}
         report.per_query[record.query_id] = {"drm": drm_by_k, "span_recall": recall_by_k}
 
-    for k in ks:
+    metrics = ("drm", "span_recall")
+    qids = list(report.per_query)
+    if not qids:
+        report.per_k = {k: {f"{metric}_mean": None for metric in metrics} for k in ks}
+        return report
+    values = np.array([[[report.per_query[q][metric][k] for q in qids] for metric in metrics]
+                       for k in ks], dtype=np.float64)
+    means = shared_bootstrap_means(values.reshape(-1, len(qids)), iterations, seed)
+    means = means.reshape(len(ks), len(metrics), iterations)
+    for k, values_k, means_k in zip(ks, values, means):
         entry: dict[str, object] = {}
-        for metric in ("drm", "span_recall"):
-            values = [report.per_query[qid][metric][k] for qid in report.per_query]
-            if not values:
-                entry[f"{metric}_mean"] = None
-                continue
-            arr = np.asarray(values, dtype=np.float64)
-            entry[f"{metric}_mean"] = float(arr.mean())
-            entry[f"{metric}_ci"] = list(bootstrap_ci(arr, iterations=iterations, seed=seed))
-            entry[f"{metric}_minmax"] = list(bootstrap_minmax(arr, iterations=iterations, seed=seed))
-        drm_values = [report.per_query[qid]["drm"][k] for qid in report.per_query]
-        if drm_values:
-            entry["drm_query_mean"] = float(np.mean([1.0 if v > 0 else 0.0 for v in drm_values]))
+        for metric, vals, resampled in zip(metrics, values_k, means_k):
+            entry[f"{metric}_mean"] = float(vals.mean())
+            entry[f"{metric}_ci"] = list(percentile_ci(resampled))
+            entry[f"{metric}_minmax"] = [float(resampled.min()), float(resampled.max())]
+        entry["drm_query_mean"] = float(np.mean(values_k[0] > 0))
         report.per_k[k] = entry
     return report
 
@@ -228,26 +234,29 @@ def compare_reports(baseline: MetricReport, enhanced: MetricReport,
     if not shared_queries or not shared_ks:
         return []
     m = len(shared_ks) * len(metrics)
+    cells = [(metric, k) for metric in metrics for k in shared_ks]
+    base_vals = np.array([[baseline.per_query[q][metric][k] for q in shared_queries]
+                          for metric, k in cells])
+    enh_vals = np.array([[enhanced.per_query[q][metric][k] for q in shared_queries]
+                         for metric, k in cells])
+    deltas = enh_vals - base_vals
+    means = shared_bootstrap_means(deltas, iterations, seed)
     comparisons = []
-    for metric in metrics:
-        for k in shared_ks:
-            base_vals = np.array([baseline.per_query[q][metric][k] for q in shared_queries])
-            enh_vals = np.array([enhanced.per_query[q][metric][k] for q in shared_queries])
-            deltas = enh_vals - base_vals
-            if len(shared_queries) >= 2:
-                t, p = paired_ttest(enh_vals, base_vals)
-            else:
-                t, p = 0.0, 1.0
-            comparisons.append(PairedComparison(
-                metric=metric,
-                k=k,
-                delta_mean=float(deltas.mean()),
-                delta_ci=paired_delta_ci(deltas, iterations=iterations, seed=seed),
-                p_value=p,
-                p_adjusted=bonferroni(p, m),
-                n=len(shared_queries),
-                degenerate_variance=math.isinf(t),
-            ))
+    for (metric, k), base, enh, delta, resampled in zip(cells, base_vals, enh_vals, deltas, means):
+        if len(shared_queries) >= 2:
+            t, p = paired_ttest(enh, base)
+        else:
+            t, p = 0.0, 1.0
+        comparisons.append(PairedComparison(
+            metric=metric,
+            k=k,
+            delta_mean=float(delta.mean()),
+            delta_ci=percentile_ci(resampled),
+            p_value=p,
+            p_adjusted=bonferroni(p, m),
+            n=len(shared_queries),
+            degenerate_variance=math.isinf(t),
+        ))
     return comparisons
 
 

@@ -3,8 +3,20 @@
 Both indexes are immutable after build and safe for concurrent queries.
 Dense search is exact brute-force inner product over unit vectors; corpora
 here stay in the low hundreds of thousands of chunks, and exactness keeps
-metric results reproducible. Indexes persist to versioned binary files with
-a JSON header carrying dimensions, counts, backend tag, and checksums.
+metric results reproducible.
+
+Scores are N-length float64 arrays indexed by chunk row (``bm25_score_array``,
+``vectors @ q``); ``bm25_scores`` and ``dense_search`` are list views of them.
+Ties break by chunk_id ascending through ``id_rank``, each row's position in
+the sorted chunk ids, computed once per index: rows are stored in chunk order,
+which is not id order (``doc#10`` sorts before ``doc#2``), and an integer key
+keeps string comparisons out of every ranking.
+
+Indexes persist to versioned ``.npz`` files with a JSON header carrying
+dimensions, counts, backend tag, and checksums. Strings (terms, chunk ids) are
+stored as one UTF-8 byte blob plus int64 offsets, so loading never unpickles:
+a checksum recomputed by whoever wrote the directory cannot make a load run
+code.
 """
 
 from __future__ import annotations
@@ -25,7 +37,30 @@ from lexrag.embedding import EmbeddingProvider
 from lexrag.enricher import EnrichedChunk
 from lexrag.textutils import tokenize
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+
+
+def id_ranks(chunk_ids: Sequence[str]) -> np.ndarray:
+    """Position of each row's chunk_id in the stably sorted id list, as int64."""
+    order = sorted(range(len(chunk_ids)), key=chunk_ids.__getitem__)
+    rank = np.empty(len(chunk_ids), dtype=np.int64)
+    rank[order] = np.arange(len(chunk_ids), dtype=np.int64)
+    return rank
+
+
+def top_rows(scores: np.ndarray, n: int, id_rank: np.ndarray) -> np.ndarray:
+    """Positions of the ``n`` highest scores, by score descending then id_rank.
+
+    Equal to the first ``n`` of a full ``lexsort((id_rank, -scores))``, but only
+    the entries scoring at or above the n-th highest value are sorted.
+    """
+    size = scores.shape[0]
+    if n < size:
+        kth = np.partition(scores, size - n)[size - n]
+        rows = np.flatnonzero(scores >= kth)
+    else:
+        rows = np.arange(size)
+    return rows[np.lexsort((id_rank[rows], -scores[rows]))][:n]
 
 
 def chunk_text_for_indexing(chunk: Chunk | EnrichedChunk) -> str:
@@ -53,7 +88,7 @@ class SparseIndex:
     k1: float = 1.2
     b: float = 0.75
     norms: np.ndarray = field(default=None, repr=False)
-    id_array: np.ndarray = field(default=None, repr=False)
+    id_rank: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.norms is None:
@@ -62,8 +97,8 @@ class SparseIndex:
             else:
                 rel = np.zeros_like(self.doc_lengths, dtype=np.float64)
             self.norms = self.k1 * (1.0 - self.b + self.b * rel)
-        if self.id_array is None:
-            self.id_array = np.asarray(self.chunk_ids)
+        if self.id_rank is None:
+            self.id_rank = id_ranks(self.chunk_ids)
 
     def idf(self, term: str) -> float:
         post = self.postings.get(term)
@@ -98,20 +133,16 @@ def build_sparse(chunks: Sequence[Chunk | EnrichedChunk],
                        N=len(chunks), chunk_ids=chunk_ids, k1=k1, b=b)
 
 
-def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
-    """Okapi BM25 scores for every chunk matching at least one query term.
+def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
+    """Okapi BM25 score of every chunk row for ``query``, as an N-length array.
 
     score(q, d) = sum over query term occurrences of
     idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * len/avg_len)), with
-    idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Zero-score chunks are
-    omitted; the result is sorted by score descending, ties by chunk_id
-    ascending.
+    idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
+    term score 0. Returns None when no query term is in the vocabulary.
     """
-    terms = tokenize(query)
-    if not terms:
-        return []
     refs_parts, tfs_parts, idfs_parts = [], [], []
-    for term in terms:
+    for term in tokenize(query):
         post = index.postings.get(term)
         if post is None:
             continue
@@ -120,13 +151,24 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
         tfs_parts.append(tfs)
         idfs_parts.append(np.full(rows.shape[0], index.idf(term)))
     if not refs_parts:
-        return []
+        return None
     refs = np.concatenate(refs_parts)
     tfs = np.concatenate(tfs_parts)
     idfs = np.concatenate(idfs_parts)
-    scores = kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
-    hit_rows = np.nonzero(scores)[0]
-    order = hit_rows[np.lexsort((index.id_array[hit_rows], -scores[hit_rows]))]
+    return kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
+
+
+def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
+    """(row, score) for every chunk matching at least one query term.
+
+    Scores are ``bm25_score_array``'s; zero-score chunks are omitted and the
+    list is sorted by score descending, ties by chunk_id ascending.
+    """
+    scores = bm25_score_array(index, query)
+    if scores is None:
+        return []
+    hit_rows = np.flatnonzero(scores)
+    order = hit_rows[np.lexsort((index.id_rank[hit_rows], -scores[hit_rows]))]
     return [(int(r), float(scores[r])) for r in order]
 
 
@@ -137,11 +179,11 @@ class DenseIndex:
     vectors: np.ndarray
     chunk_ids: list[str]
     backend: str
-    id_array: np.ndarray = field(default=None, repr=False)
+    id_rank: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.id_array is None:
-            self.id_array = np.asarray(self.chunk_ids)
+        if self.id_rank is None:
+            self.id_rank = id_ranks(self.chunk_ids)
 
     @property
     def dim(self) -> int:
@@ -189,7 +231,7 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, n: int) -> list[tuple
     if query_vec.shape[0] != index.dim:
         raise ValueError(f"query dimension {query_vec.shape[0]} != index dimension {index.dim}")
     scores = index.vectors @ query_vec
-    order = np.lexsort((index.id_array, -scores))[:n]
+    order = top_rows(scores, n, index.id_rank)
     return [(int(r), float(scores[r])) for r in order]
 
 
@@ -205,6 +247,20 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 blob (uint8) and int64 offsets (len + 1) delimiting each string in it."""
+    encoded = [text.encode("utf-8") for text in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    raw = blob.tobytes()
+    bounds = offsets.tolist()
+    return [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+
+
 def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex) -> Path:
     """Write sparse.npz, dense.npz, and the index_meta.json header."""
     directory = Path(directory)
@@ -218,22 +274,22 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex) 
             if terms else np.zeros(0, dtype=np.int64))
     tfs = (np.concatenate([sparse.postings[t][1] for t in terms])
            if terms else np.zeros(0, dtype=np.float64))
+    term_bytes, term_offsets = _pack_strings(terms)
+    id_bytes, id_offsets = _pack_strings(sparse.chunk_ids)
     sparse_path = directory / "sparse.npz"
     np.savez_compressed(
         sparse_path,
-        terms=np.asarray(terms, dtype=object) if terms else np.zeros(0, dtype=object),
+        term_bytes=term_bytes, term_offsets=term_offsets,
         offsets=offsets, refs=refs, tfs=tfs,
         doc_lengths=sparse.doc_lengths,
-        chunk_ids=np.asarray(sparse.chunk_ids, dtype=object),
+        chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
         params=np.asarray([sparse.k1, sparse.b, sparse.avg_len], dtype=np.float64),
     )
 
+    id_bytes, id_offsets = _pack_strings(dense.chunk_ids)
     dense_path = directory / "dense.npz"
-    np.savez_compressed(
-        dense_path,
-        vectors=dense.vectors,
-        chunk_ids=np.asarray(dense.chunk_ids, dtype=object),
-    )
+    np.savez_compressed(dense_path, vectors=dense.vectors,
+                        chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
 
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
@@ -251,11 +307,13 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex) 
 
 
 def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
-    """Load and checksum-verify a persisted index pair."""
+    """Load and checksum-verify a persisted index pair; never unpickles."""
     directory = Path(directory)
     meta = json.loads((directory / "index_meta.json").read_text(encoding="utf-8"))
     if meta["format_version"] != INDEX_FORMAT_VERSION:
-        raise ValueError(f"unsupported index format version {meta['format_version']}")
+        raise ValueError(f"unsupported index format version {meta['format_version']} "
+                         f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
+                         f"rebuild with `lexrag index`")
     for entry in meta["files"].values():
         path = directory / entry["path"]
         actual = sha256_file(path)
@@ -263,23 +321,27 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
             raise ValueError(f"checksum mismatch for {path.name}: "
                              f"expected {entry['sha256']}, got {actual}")
 
-    with np.load(directory / meta["files"]["sparse"]["path"], allow_pickle=True) as data:
-        terms = [str(t) for t in data["terms"]]
+    with np.load(directory / meta["files"]["sparse"]["path"], allow_pickle=False) as data:
+        terms = _unpack_strings(data["term_bytes"], data["term_offsets"])
         offsets = data["offsets"]
         refs = data["refs"]
         tfs = data["tfs"]
         doc_lengths = data["doc_lengths"]
-        chunk_ids = [str(c) for c in data["chunk_ids"]]
+        chunk_ids = _unpack_strings(data["chunk_id_bytes"], data["chunk_id_offsets"])
         k1, b, avg_len = (float(v) for v in data["params"])
+    bounds = offsets.tolist()
+    if len(bounds) != len(terms) + 1:
+        raise ValueError(f"sparse index holds {len(terms)} terms but {len(bounds)} offsets")
     postings = {
-        term: (refs[offsets[i]:offsets[i + 1]], tfs[offsets[i]:offsets[i + 1]])
-        for i, term in enumerate(terms)
+        term: (refs[lo:hi], tfs[lo:hi])
+        for term, lo, hi in zip(terms, bounds, bounds[1:])
     }
     sparse = SparseIndex(postings=postings, doc_lengths=doc_lengths, avg_len=avg_len,
                          N=len(chunk_ids), chunk_ids=chunk_ids, k1=k1, b=b)
 
-    with np.load(directory / meta["files"]["dense"]["path"], allow_pickle=True) as data:
+    with np.load(directory / meta["files"]["dense"]["path"], allow_pickle=False) as data:
         dense = DenseIndex(vectors=data["vectors"],
-                           chunk_ids=[str(c) for c in data["chunk_ids"]],
+                           chunk_ids=_unpack_strings(data["chunk_id_bytes"],
+                                                     data["chunk_id_offsets"]),
                            backend=meta["embedder_backend"])
     return sparse, dense

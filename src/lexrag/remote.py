@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 
@@ -32,6 +30,12 @@ def post_json(cfg: RemoteConfig, payload: dict) -> dict:
     Retries ``cfg.retries`` times on transport errors and 5xx responses with
     linear backoff; anything else raises RemoteError immediately.
     """
+    # Imported here, not at module level: every lexrag command imports this
+    # module, and urllib.request pulls in http.client, ssl and email, which
+    # only the remote backends need (cold start).
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if cfg.auth_token:

@@ -1,9 +1,16 @@
 """Hybrid retrieval: fuse normalized dense and sparse scores into one ranking.
 
 Dense cosines and unbounded BM25 scores are made commensurable by per-query
-min-max normalization over each retriever's candidate list; a candidate
-missing from one list contributes 0 on that side rather than being re-scored.
-The fused score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
+min-max normalization over the candidate union (the top ``candidate_pool``
+dense rows plus every nonzero BM25 row); a candidate missing from one side
+enters that side's min-max as raw 0 rather than being re-scored. The fused
+score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
+
+Each query's scores stay N-length float64 arrays from scoring to top-k: the
+candidate union is a boolean mask, both sides are normalized over the masked
+rows, and only the rows tied at or above the k-th fused score are sorted, by
+score descending then the index's integer ``id_rank`` (chunk_id ascending).
+``RankedChunk`` objects are built for the top k alone.
 """
 
 from __future__ import annotations
@@ -12,8 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from lexrag.embedding import EmbeddingProvider
-from lexrag.index import DenseIndex, SparseIndex, bm25_scores, dense_search, embed
+# bm25_scores and dense_search are unused here, but perfbench's tracer wraps
+# them under this module's name, so the names must stay importable from it.
+from lexrag.index import (DenseIndex, SparseIndex, bm25_score_array, bm25_scores,  # noqa: F401
+                          dense_search, embed, top_rows)
 from lexrag.textutils import read_jsonl, write_jsonl
 
 
@@ -64,20 +76,24 @@ class RetrievalResult:
                    ranked=[RankedChunk(*row) for row in d["ranked"]])
 
 
-def normalize_scores(scores: Sequence[tuple[int | str, float]]) -> list[tuple[int | str, float]]:
-    """Min-max normalize to [0, 1] over the given list.
+def minmax_normalize(values: np.ndarray) -> np.ndarray:
+    """Min-max normalize a float64 array to [0, 1].
 
-    When all scores are equal every entry maps to 1.0, so a degenerate list
+    When all values are equal every entry maps to 1.0, so a degenerate side
     still ranks above candidates the retriever did not return at all.
     """
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        return np.ones_like(values)
+    return (values - lo) / (hi - lo)
+
+
+def normalize_scores(scores: Sequence[tuple[int | str, float]]) -> list[tuple[int | str, float]]:
+    """``minmax_normalize`` over a list of (ref, score) pairs."""
     if not scores:
         return []
-    values = [s for _, s in scores]
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [(ref, 1.0) for ref, _ in scores]
-    span = hi - lo
-    return [(ref, (s - lo) / span) for ref, s in scores]
+    normed = minmax_normalize(np.array([s for _, s in scores], dtype=np.float64))
+    return [(ref, value) for (ref, _), value in zip(scores, normed.tolist())]
 
 
 def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
@@ -94,33 +110,32 @@ def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
         raise ValueError(f"index size mismatch: sparse N={sparse.N}, dense N={dense.N}")
     query_vec = embed(embedder, [question])[0]
 
-    dense_hits = dict(dense_search(dense, query_vec, min(cfg.candidate_pool, dense.N)))
-    sparse_hits = dict(bm25_scores(sparse, question))
-    candidates = sorted(set(dense_hits) | set(sparse_hits))
+    dense_scores = dense.vectors @ query_vec
+    in_pool = np.zeros(dense.N, dtype=bool)
+    in_pool[top_rows(dense_scores, min(cfg.candidate_pool, dense.N), dense.id_rank)] = True
+    bm25 = bm25_score_array(sparse, question)
+    if bm25 is None:
+        bm25 = np.zeros(dense.N)
+    in_bm25 = bm25 != 0
+    rows = np.flatnonzero(in_pool | in_bm25)
 
-    def side_norms(hits: dict[int, float]) -> dict[int, float]:
-        # a side with no hits contributes 0 everywhere; otherwise candidates the
-        # side never returned enter the min-max as raw 0, so present hits keep
-        # their relative order and never collapse onto the absent ones
-        if not hits:
-            return {row: 0.0 for row in candidates}
-        extended = [(row, hits.get(row, 0.0)) for row in candidates]
-        return dict(normalize_scores(extended))
+    # Candidates a side never returned enter its min-max as raw 0, so present
+    # hits keep their relative order and never collapse onto the absent ones;
+    # a side with no hits at all (only BM25 can have none) contributes 0.
+    dense_norm = minmax_normalize(np.where(in_pool[rows], dense_scores[rows], 0.0))
+    if in_bm25.any():
+        sparse_norm = minmax_normalize(bm25[rows])
+    else:
+        sparse_norm = np.zeros(rows.shape[0])
+    fused = cfg.alpha * dense_norm + (1.0 - cfg.alpha) * sparse_norm
 
-    dense_norm = side_norms(dense_hits)
-    sparse_norm = side_norms(sparse_hits)
-
-    fused = [
-        RankedChunk(
-            chunk_id=dense.chunk_ids[row],
-            fused=cfg.alpha * dense_norm[row] + (1.0 - cfg.alpha) * sparse_norm[row],
-            dense_norm=dense_norm[row],
-            sparse_norm=sparse_norm[row],
-        )
-        for row in candidates
+    top = top_rows(fused, cfg.k, dense.id_rank[rows])
+    ranked = [
+        RankedChunk(chunk_id=dense.chunk_ids[row], fused=f, dense_norm=d, sparse_norm=s)
+        for row, f, d, s in zip(rows[top].tolist(), fused[top].tolist(),
+                                dense_norm[top].tolist(), sparse_norm[top].tolist())
     ]
-    fused.sort(key=lambda rc: (-rc.fused, rc.chunk_id))
-    return RetrievalResult(query_id=query_id, ranked=fused[:cfg.k], k=cfg.k)
+    return RetrievalResult(query_id=query_id, ranked=ranked, k=cfg.k)
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 Resampling is driven by a seeded numpy Generator so every interval is exactly
 reproducible; index generation happens in blocks to bound memory, and the
-gather-and-mean inner loop runs through ``kernels.gather_means``. The t-test
+gather-and-mean inner loop runs through ``kernels.gather_means``. Intervals
+that share a seed and a sample size share one draw: ``shared_bootstrap_means``
+applies each index block to every value row, which is how a sweep or a
+comparison gets all its metric x k intervals from one resample matrix. The t-test
 tail comes from ``scipy.special.stdtr``, imported on first use.
 """
 
@@ -20,30 +23,48 @@ _BLOCK_ITERATIONS = 2048
 def bootstrap_means(values: list[float] | np.ndarray, iterations: int,
                     seed: int) -> np.ndarray:
     """Means of ``iterations`` with-replacement resamples of the full sample."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    return shared_bootstrap_means(np.asarray(values, dtype=np.float64)[None, :],
+                                  iterations, seed)[0]
+
+
+def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.ndarray:
+    """Resampled means of every row of an (m, n) array under one shared draw.
+
+    Each 2048-resample index block is drawn once and applied to every row in
+    turn, so row ``i`` of the (m, iterations) result equals
+    ``bootstrap_means(rows[i], iterations, seed)`` bit for bit. Rows are
+    gathered one at a time: an (m, block, n) gather would hold m times the
+    memory for no arithmetic saved.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("values must be nonempty")
+    n = rows.shape[1]
     rng = np.random.default_rng(seed)
-    n = values.size
-    out = np.empty(iterations, dtype=np.float64)
+    out = np.empty((rows.shape[0], iterations), dtype=np.float64)
     done = 0
     while done < iterations:
         block = min(_BLOCK_ITERATIONS, iterations - done)
         idx = rng.integers(0, n, size=(block, n))
-        out[done:done + block] = kernels.gather_means(values, idx)
+        for values, means in zip(rows, out):
+            means[done:done + block] = kernels.gather_means(values, idx)
         done += block
     return out
+
+
+def percentile_ci(means: np.ndarray, level: float = 0.95) -> tuple[float, float]:
+    """Percentile interval of resampled means (2.5th/97.5th pct at level 0.95)."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must be in (0, 1)")
+    tail = (1.0 - level) / 2.0 * 100.0
+    lo, hi = np.percentile(means, [tail, 100.0 - tail])
+    return float(lo), float(hi)
 
 
 def bootstrap_ci(values: list[float] | np.ndarray, iterations: int = 10000,
                  level: float = 0.95, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap CI of the mean (2.5th/97.5th pct at level 0.95)."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be in (0, 1)")
-    means = bootstrap_means(values, iterations, seed)
-    tail = (1.0 - level) / 2.0 * 100.0
-    lo, hi = np.percentile(means, [tail, 100.0 - tail])
-    return float(lo), float(hi)
+    return percentile_ci(bootstrap_means(values, iterations, seed), level)
 
 
 def bootstrap_minmax(values: list[float] | np.ndarray, iterations: int = 10000,

@@ -418,6 +418,14 @@ def test_full_pipeline_determinism(tmp_path):
             ["eval-retrieval", "--index", str(base / "index"), "--qa", str(qa_path),
              "--format", "snippet_qa", "--k", "1,2,4,8", "--seed", "0",
              "--bootstrap-iterations", "500", "--out", str(base / "eval")],
+            ["index", "--chunks", str(base / "chunks" / "chunks.jsonl"),
+             "--embedder", "deterministic", "--dim", "128", "--out", str(base / "index_baseline")],
+            ["eval-retrieval", "--index", str(base / "index_baseline"), "--qa", str(qa_path),
+             "--format", "snippet_qa", "--k", "1,2,4,8", "--seed", "0", "--variant", "baseline",
+             "--bootstrap-iterations", "500", "--out", str(base / "eval_baseline")],
+            ["compare", "--baseline", str(base / "eval_baseline" / "metric_report.json"),
+             "--enhanced", str(base / "eval" / "metric_report.json"), "--seed", "0",
+             "--bootstrap-iterations", "500", "--out", str(base / "compare")],
         ]
         for step in steps:
             assert cli_main(step) == 0

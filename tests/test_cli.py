@@ -1,9 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexrag.cli import main
+from lexrag.index import sha256_file
 from lexrag.preference import REFUSAL_STRING
 from tests.conftest import write_jsonl
 from tests.synthcorpus import build_aus_corpus, build_legal_corpus
@@ -143,6 +146,58 @@ def test_eval_retrieval_and_compare_and_report(built_pipeline, capsys):
     assert code == 0
     table = (base / "table.txt").read_text()
     assert "DRM (%)" in table and "k=8" in table
+
+
+class _CreatesFileWhenUnpickled:
+    def __init__(self, path: Path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _retrieve_from(index_dir: Path, built_pipeline, out: Path) -> int:
+    return run(["retrieve", "--index", str(index_dir), "--qa", str(built_pipeline["qa"]),
+                "--format", "snippet_qa", "--out", str(out)])
+
+
+def test_tampered_index_with_pickled_payload_rejected_without_running_it(
+        built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    sentinel = tmp_path / "sentinel"
+    sparse_path = index_dir / "sparse.npz"
+    payload = np.array([_CreatesFileWhenUnpickled(sentinel)], dtype=object)
+    with np.load(sparse_path) as data:
+        names = data.files
+    np.savez(sparse_path, **{name: payload for name in names})
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["files"]["sparse"]["sha256"] = sha256_file(sparse_path)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert not sentinel.exists()
+    # the payload is live: a loader that unpickles would have run it
+    with np.load(sparse_path, allow_pickle=True) as data:
+        data[names[0]]
+    assert sentinel.exists()
+
+
+def test_version_1_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["format_version"] = 1
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "version 1" in err["message"] and "rebuild with `lexrag index`" in err["message"]
 
 
 def test_align_spans_command(tmp_path):

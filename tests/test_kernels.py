@@ -97,12 +97,17 @@ def test_gather_means_matches_loop_reference():
 
 
 def test_cli_import_loads_no_third_party_module_but_numpy():
-    # Every lexrag command pays for what importing the CLI loads; scipy is
-    # imported lazily by the one function that needs it.
+    # Every lexrag command pays for what importing the CLI loads; scipy and the
+    # HTTP stack (urllib.request -> http.client, ssl) are imported lazily by the
+    # functions that need them.
     code = ("import sys; before = set(sys.modules); import lexrag.cli; "
-            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))")
+            "new = set(sys.modules) - before; "
+            "print(' '.join(sorted({m.split('.')[0] for m in new}"
+            " - set(sys.stdlib_module_names)))); "
+            "print(' '.join(sorted(new & {'urllib.request', 'http.client', 'ssl'})))")
     env = dict(os.environ, PYTHONPATH=str(Path(lexrag.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.split() == ["lexrag", "numpy"]
+    third_party, http_stack = out.stdout.split("\n")[:2]
+    assert third_party.split() == ["lexrag", "numpy"]
+    assert http_stack.split() == []

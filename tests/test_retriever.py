@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from lexrag.chunker import Chunk
 from lexrag.embedding import HashedBowEmbedder
-from lexrag.index import build_dense, build_sparse, bm25_scores, dense_search, embed
-from lexrag.retriever import FusionConfig, RetrievalContext, hybrid_retrieve, normalize_scores
+from lexrag.index import DenseIndex, build_dense, build_sparse, bm25_scores, dense_search, embed
+from lexrag.retriever import (
+    FusionConfig,
+    RankedChunk,
+    RetrievalContext,
+    RetrievalResult,
+    hybrid_retrieve,
+    normalize_scores,
+)
 from tests.conftest import make_chunk, random_document_text
 
 
@@ -177,3 +185,119 @@ class TestHybridRetrieve:
         result = ctx.retrieve(chunks[0].text, query_id="q9")
         assert result.query_id == "q9"
         assert len(result.ranked) == 4
+
+
+def reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id=""):
+    """The dict/list fusion that the array path replaced, kept as its oracle.
+
+    Rankings come from Python sorts keyed on chunk_id strings, not from the
+    index's id_rank; BM25 hits come from ``bm25_scores``, used as a dict.
+    """
+    query_vec = embed(embedder, [question])[0]
+    scores = dense.vectors @ query_vec
+    by_dense = sorted(range(dense.N), key=lambda r: (-scores[r], dense.chunk_ids[r]))
+    dense_hits = {r: float(scores[r]) for r in by_dense[:min(cfg.candidate_pool, dense.N)]}
+    sparse_hits = dict(bm25_scores(sparse, question))
+    candidates = sorted(set(dense_hits) | set(sparse_hits))
+
+    def side_norms(hits):
+        if not hits:
+            return {row: 0.0 for row in candidates}
+        values = [hits.get(row, 0.0) for row in candidates]
+        lo, hi = min(values), max(values)
+        if hi == lo:
+            return {row: 1.0 for row in candidates}
+        return {row: (v - lo) / (hi - lo) for row, v in zip(candidates, values)}
+
+    dense_norm = side_norms(dense_hits)
+    sparse_norm = side_norms(sparse_hits)
+    fused = [
+        RankedChunk(chunk_id=dense.chunk_ids[row],
+                    fused=cfg.alpha * dense_norm[row] + (1.0 - cfg.alpha) * sparse_norm[row],
+                    dense_norm=dense_norm[row], sparse_norm=sparse_norm[row])
+        for row in candidates
+    ]
+    fused.sort(key=lambda rc: (-rc.fused, rc.chunk_id))
+    return RetrievalResult(query_id=query_id, ranked=fused[:cfg.k], k=cfg.k)
+
+
+class FixedEmbedder:
+    """Returns one preset unit vector for every text."""
+
+    backend = "deterministic-test"
+
+    def __init__(self, vector):
+        self.vector = vector
+        self.dim = vector.shape[0]
+
+    def embed(self, texts):
+        return np.tile(self.vector, (len(texts), 1))
+
+
+def tie_heavy_corpus(rng, n):
+    """Chunks over a 5-word vocabulary and vectors from 3 directions, so scores tie.
+
+    Chunk ids are unpadded (``d1#2`` sorts after ``d1#10``) and shuffled, so
+    row order, id order and ordinal order all differ; one in ten corpora
+    repeats an id.
+    """
+    vocab = ["alpha", "beta", "gamma", "delta", "eps"]
+    ids = [f"d{int(rng.integers(0, 3))}#{i}" for i in rng.permutation(n)]
+    if rng.random() < 0.1 and n > 1:
+        ids[-1] = ids[0]
+    chunks = [Chunk(chunk_id=cid, doc_id=cid.split("#")[0], start=0, end=1,
+                    text=" ".join(rng.choice(vocab, size=int(rng.integers(1, 5)))),
+                    ordinal=i, core_start=0)
+              for i, cid in enumerate(ids)]
+    directions = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+    dense = DenseIndex(vectors=directions[rng.integers(0, 3, size=n)],
+                       chunk_ids=ids, backend="deterministic-test")
+    return build_sparse(chunks), dense
+
+
+def test_hybrid_retrieve_matches_reference_fusion():
+    rng = np.random.default_rng(20)
+    queries = ["alpha", "beta gamma", "eps eps delta", "zebra", "alpha zebra beta"]
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        sparse, dense = tie_heavy_corpus(rng, n)
+        angle = float(rng.choice([0.0, 0.3, np.pi / 4, 1.2]))
+        embedder = FixedEmbedder(np.array([np.cos(angle), np.sin(angle)]))
+        k = int(rng.integers(1, n + 6))
+        pool = int(rng.choice([k, k + 1, n, n + 5, 100]))
+        alpha = float(rng.choice([0.0, 0.3, 0.8, 1.0]))
+        cfg = FusionConfig(k=k, alpha=alpha, candidate_pool=max(pool, k))
+        question = queries[int(rng.integers(0, len(queries)))]
+        got = hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id="q")
+        want = reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id="q")
+        assert got == want, (question, dense.chunk_ids, cfg)
+
+
+def test_hybrid_retrieve_matches_reference_on_prose():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        chunks, sparse, dense, embedder = build_corpus(rng, n_chunks=40)
+        for pool, k in ((3, 3), (10, 5), (40, 40), (200, 64)):
+            query = " ".join(chunks[int(rng.integers(0, 40))].text.split()[:4])
+            cfg = FusionConfig(k=k, alpha=0.8, candidate_pool=pool)
+            assert hybrid_retrieve(query, sparse, dense, embedder, cfg) == \
+                reference_hybrid_retrieve(query, sparse, dense, embedder, cfg)
+
+
+def test_list_scorers_keep_row_score_pairs_ranked_by_score_then_chunk_id():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        n = int(rng.integers(1, 25))
+        sparse, dense = tie_heavy_corpus(rng, n)
+        hits = bm25_scores(sparse, "alpha beta")
+        assert all(type(r) is int and type(s) is float for r, s in hits)
+        scores = dict(hits)
+        assert [r for r, _ in hits] == sorted(
+            sorted(scores), key=lambda r: (-scores[r], sparse.chunk_ids[r]))
+        query = np.array([0.8, 0.6])
+        m = int(rng.integers(1, n + 3))
+        hits = dense_search(dense, query, m)
+        assert all(type(r) is int and type(s) is float for r, s in hits)
+        scores = dense.vectors @ query
+        expected = sorted(range(n), key=lambda r: (-scores[r], dense.chunk_ids[r]))[:m]
+        assert hits == [(r, float(scores[r])) for r in expected]

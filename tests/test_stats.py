@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lexrag.stats import bonferroni, bootstrap_ci, bootstrap_means, bootstrap_minmax, paired_ttest
+from lexrag.stats import (
+    bonferroni,
+    bootstrap_ci,
+    bootstrap_means,
+    bootstrap_minmax,
+    paired_delta_ci,
+    paired_ttest,
+    percentile_ci,
+    shared_bootstrap_means,
+)
 
 
 def t_pdf(x: float, df: int) -> float:
@@ -65,6 +74,43 @@ class TestBootstrap:
             lo, hi = bootstrap_ci(sample, iterations=1500, seed=1000 + i)
             hits += lo <= 0.0 <= hi
         assert 0.85 <= hits / trials <= 1.0
+
+
+def reference_bootstrap_means(values, iterations, seed, block_size=2048):
+    """One sample's resampled means, drawn block by block as a per-sample loop would."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < iterations:
+        block = min(block_size, iterations - len(out))
+        idx = rng.integers(0, len(values), size=(block, len(values)))
+        out.extend(np.asarray(values)[idx].mean(axis=1))
+    return np.array(out)
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("iterations", [1, 2047, 2049, 4500])
+    def test_rows_match_per_row_bootstrap_bit_for_bit(self, n, iterations):
+        rng = np.random.default_rng(n * 10000 + iterations)
+        rows = np.vstack([rng.random(n), np.full(n, 0.25), rng.integers(0, 2, n) * 1.0,
+                          rng.normal(size=n)])
+        shared = shared_bootstrap_means(rows, iterations, seed=7)
+        assert shared.shape == (rows.shape[0], iterations)
+        for row, means in zip(rows, shared):
+            assert np.array_equal(means, reference_bootstrap_means(row, iterations, 7))
+            assert np.array_equal(means, bootstrap_means(row, iterations, seed=7))
+            assert percentile_ci(means) == bootstrap_ci(row, iterations=iterations, seed=7)
+            assert percentile_ci(means) == paired_delta_ci(row, iterations=iterations, seed=7)
+            assert (float(means.min()), float(means.max())) == \
+                bootstrap_minmax(row, iterations=iterations, seed=7)
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError):
+            shared_bootstrap_means(np.zeros((3, 0)), 10, seed=0)
+
+    def test_level_validated(self):
+        with pytest.raises(ValueError):
+            percentile_ci(np.arange(5.0), level=1.0)
 
 
 class TestPairedTtest:
