@@ -199,11 +199,13 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     ``Question``, ``document URL``, ``Context``, and ``Answer`` keys; its
     gold spans start empty and are filled later by alignment.
 
-    Malformed records become error entries with their index; loading
-    continues. Span integers are read as character offsets; datasets
-    annotated in UTF-8 byte offsets are converted afterwards with
-    ``convert_spans_to_char`` (ingest's --span-unit byte), which needs the
-    loaded documents.
+    Malformed records (a JSON-lines line that does not parse included)
+    become error entries with their index; loading continues. A record whose
+    ``query_id`` (given, or the ``q{i:05d}`` fallback) repeats an earlier one
+    is an error entry too; the first keeps the id. Span integers are read as
+    character offsets; datasets annotated in UTF-8 byte offsets are converted
+    afterwards with ``convert_spans_to_char`` (ingest's --span-unit byte),
+    which needs the loaded documents.
     """
     if format not in {"snippet_qa", "aus_legal_qa"}:
         raise ValueError(f"unknown dataset format: {format!r}")
@@ -218,8 +220,16 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     return _parse_aus_legal_qa(raw_text)
 
 
+def _keep_first(records: dict[str, QueryRecord], errors: list[LoadError], where: str,
+                record: QueryRecord) -> None:
+    if record.query_id in records:
+        errors.append(LoadError(where, f"duplicate query_id: {record.query_id!r}"))
+    else:
+        records[record.query_id] = record
+
+
 def _parse_snippet_qa(payload: list) -> tuple[list[QueryRecord], list[LoadError]]:
-    records: list[QueryRecord] = []
+    records: dict[str, QueryRecord] = {}
     errors: list[LoadError] = []
     for i, rec in enumerate(payload):
         where = f"record[{i}]"
@@ -250,13 +260,13 @@ def _parse_snippet_qa(payload: list) -> tuple[list[QueryRecord], list[LoadError]
                 break
         if bad:
             continue
-        records.append(QueryRecord(
+        _keep_first(records, errors, where, QueryRecord(
             query_id=rec.get("query_id", f"q{i:05d}"),
             question=question,
             gold_spans=spans,
             gold_answer=rec.get("answer", ""),
         ))
-    return records, errors
+    return list(records.values()), errors
 
 
 def _parse_aus_legal_qa(raw_text: str) -> tuple[list[QueryRecord], list[LoadError]]:
@@ -264,13 +274,16 @@ def _parse_aus_legal_qa(raw_text: str) -> tuple[list[QueryRecord], list[LoadErro
     if stripped.startswith("["):
         rows = json.loads(raw_text)
     else:
-        rows = [json.loads(line) for line in raw_text.splitlines() if line.strip()]
+        rows = [_json_line(line) for line in raw_text.splitlines() if line.strip()]
 
-    records: list[QueryRecord] = []
+    records: dict[str, QueryRecord] = {}
     errors: list[LoadError] = []
     required = ("Question", "document URL", "Context", "Answer")
     for i, rec in enumerate(rows):
         where = f"record[{i}]"
+        if isinstance(rec, json.JSONDecodeError):
+            errors.append(LoadError(where, f"invalid JSON: {rec}"))
+            continue
         if not isinstance(rec, dict):
             errors.append(LoadError(where, "record is not an object"))
             continue
@@ -282,7 +295,7 @@ def _parse_aus_legal_qa(raw_text: str) -> tuple[list[QueryRecord], list[LoadErro
         if not isinstance(question, str) or not question.strip():
             errors.append(LoadError(where, "question empty"))
             continue
-        records.append(QueryRecord(
+        _keep_first(records, errors, where, QueryRecord(
             query_id=rec.get("query_id", f"q{i:05d}"),
             question=question,
             gold_spans=[],
@@ -290,7 +303,15 @@ def _parse_aus_legal_qa(raw_text: str) -> tuple[list[QueryRecord], list[LoadErro
             context_text=rec["Context"],
             source_doc_id=url_to_doc_id(rec["document URL"]),
         ))
-    return records, errors
+    return list(records.values()), errors
+
+
+def _json_line(line: str):
+    """The parsed line, or the decode error so the caller can record it and go on."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        return exc
 
 
 def convert_spans_to_char(records: list[QueryRecord], docs: DocumentCollection) -> list[LoadError]:

@@ -128,9 +128,6 @@ class MetricReport:
     bootstrap_iterations: int = 10000
     bootstrap_seed: int = 0
 
-    def query_values(self, metric: str, k: int) -> dict[str, float]:
-        return {qid: per_metric[metric][k] for qid, per_metric in self.per_query.items()}
-
     def to_dict(self) -> dict:
         return {
             "dataset": self.dataset,

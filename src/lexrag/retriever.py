@@ -26,7 +26,7 @@ from lexrag.embedding import EmbeddingProvider
 # them under this module's name, so the names must stay importable from it.
 from lexrag.index import (DenseIndex, SparseIndex, bm25_score_array, bm25_scores,  # noqa: F401
                           dense_search, embed, top_rows)
-from lexrag.textutils import read_jsonl, write_jsonl
+from lexrag.textutils import write_jsonl
 
 
 @dataclass
@@ -156,7 +156,3 @@ class RetrievalContext:
 def dump_results(results: Sequence[RetrievalResult], path: str | Path) -> None:
     """JSON-lines, one RetrievalResult per query with per-component scores."""
     write_jsonl((result.to_dict() for result in results), path)
-
-
-def load_results(path: str | Path) -> list[RetrievalResult]:
-    return [RetrievalResult.from_dict(row) for row in read_jsonl(path)]

@@ -343,6 +343,32 @@ def test_config_file_supplies_defaults(tmp_path, workspace):
     assert all(count_tokens(r["text"]) <= 48 for r in rows)
 
 
+def test_manifest_records_config_file_values(tmp_path, workspace):
+    manifests = []
+    for target in (48, 64):
+        config_path = tmp_path / f"config_{target}.json"
+        config_path.write_text(json.dumps({"target": target, "overlap": 10}), encoding="utf-8")
+        out_dir = tmp_path / f"chunks_{target}"
+        assert run(["chunk", "--root", str(workspace["root"]),
+                    "--config", str(config_path), "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["config"]["target"] == target
+        assert manifest["inputs"][str(config_path)] == sha256_file(config_path)
+        manifests.append(manifest)
+    assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
+
+
+def test_flag_overrides_config_file_value(tmp_path, workspace):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"target": 64, "overlap": 10}), encoding="utf-8")
+    out_dir = tmp_path / "chunks"
+    assert run(["chunk", "--root", str(workspace["root"]), "--target", "32",
+                "--config", str(config_path), "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["config"]["target"] == 32
+    assert "config" not in manifest["config"]
+
+
 def _pipeline_once(base: Path, root, manifest, qa) -> dict[str, bytes]:
     for step in (
         ["chunk", "--root", str(root), "--manifest", str(manifest),

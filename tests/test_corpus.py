@@ -156,6 +156,49 @@ def test_load_aus_legal_qa_missing_key(tmp_path):
     assert len(errors) == 1 and "missing required key" in errors[0].message
 
 
+def _aus_row(question: str, **extra) -> dict:
+    return {"Question": question, "document URL": "https://example.au/case.txt",
+            "Context": "context", "Answer": "answer", **extra}
+
+
+def test_load_aus_legal_qa_malformed_line_keeps_loading(tmp_path):
+    path = tmp_path / "aus.jsonl"
+    path.write_text("\n".join([json.dumps(_aus_row("first?")), '{"Question": "cut off',
+                               "", json.dumps(_aus_row("third?"))]) + "\n", encoding="utf-8")
+    records, errors = load_qa_dataset(path, "aus_legal_qa")
+    assert [r.question for r in records] == ["first?", "third?"]
+    assert [r.query_id for r in records] == ["q00000", "q00002"]
+    assert len(errors) == 1
+    assert errors[0].where == "record[1]" and "invalid JSON" in errors[0].message
+
+
+def test_load_snippet_qa_duplicate_query_ids_keep_first(tmp_path):
+    snippets = [{"file_path": "d", "span": [0, 4], "answer": "a"}]
+    payload = [
+        {"query_id": "q00002", "query": "first?", "snippets": snippets},
+        {"query_id": "q00002", "query": "repeat?", "snippets": snippets},
+        {"query": "fallback collides?", "snippets": snippets},  # falls back to q00002
+        {"query": "own id?", "snippets": snippets},
+    ]
+    path = tmp_path / "qa.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    records, errors = load_qa_dataset(path, "snippet_qa")
+    assert [(r.query_id, r.question) for r in records] == [("q00002", "first?"),
+                                                           ("q00003", "own id?")]
+    assert [e.where for e in errors] == ["record[1]", "record[2]"]
+    assert all("duplicate query_id" in e.message for e in errors)
+
+
+def test_load_aus_legal_qa_duplicate_query_ids_keep_first(tmp_path):
+    rows = [_aus_row("first?", query_id="q00001"), _aus_row("fallback collides?"),
+            _aus_row("repeat?", query_id="q00001")]
+    path = tmp_path / "aus.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    records, errors = load_qa_dataset(path, "aus_legal_qa")
+    assert [(r.query_id, r.question) for r in records] == [("q00001", "first?")]
+    assert [e.where for e in errors] == ["record[1]", "record[2]"]
+
+
 def test_validate_annotations_clean_and_out_of_bounds():
     docs = DocumentCollection([make_doc("d", "0123456789")])
     clean = QueryRecord("q1", "q?", [GoldSpan("d", 0, 5, "01234")])
