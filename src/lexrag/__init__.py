@@ -20,7 +20,7 @@ from lexrag.corpus import (
     validate_annotations,
 )
 from lexrag.chunker import Chunk, ChunkConfig, count_tokens, split_recursive
-from lexrag.enricher import EnrichedChunk, WindowSummary, enrich_chunk, window_summaries
+from lexrag.enricher import WindowSummary, enrich_chunk, window_summaries
 from lexrag.index import DenseIndex, SparseIndex, bm25_scores, build_dense, build_sparse, dense_search
 from lexrag.retriever import FusionConfig, RetrievalResult, hybrid_retrieve, normalize_scores
 from lexrag.evaluator import MetricReport, PairedComparison, drm, span_recall, sweep
@@ -39,7 +39,6 @@ __all__ = [
     "ChunkConfig",
     "count_tokens",
     "split_recursive",
-    "EnrichedChunk",
     "WindowSummary",
     "enrich_chunk",
     "window_summaries",

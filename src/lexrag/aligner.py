@@ -77,7 +77,10 @@ def _normalized_view(text: str) -> tuple[str, list[int]]:
             pending_space_at = -1
         chars.append(ch.lower())
         offsets.append(i)
-    return "".join(chars), offsets
+    norm = "".join(chars)
+    if len(norm) != len(offsets):  # some character lowers to several code points ("İ")
+        offsets = [offset for piece, offset in zip(chars, offsets) for _ in piece]
+    return norm, offsets
 
 
 def align_answer(doc: Document, answer: str,

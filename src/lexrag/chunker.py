@@ -48,6 +48,14 @@ class ChunkConfig:
 
 @dataclass
 class Chunk:
+    """One chunk record, bare or enriched.
+
+    A bare chunk has ``header_text`` None. Enrichment (``enricher.enrich_chunk``)
+    sets the header and its token share and leaves every other field as is, so
+    ``text`` stays the exact document slice while ``full_text`` is what gets
+    indexed.
+    """
+
     chunk_id: str
     doc_id: str
     start: int
@@ -56,9 +64,16 @@ class Chunk:
     ordinal: int
     core_start: int = 0  # where this chunk's own (non-overlap) region begins
     hard_split: bool = False
+    header_text: str | None = None
+    metadata_fraction: float = 0.0
+    summary_fallback: bool = False
+
+    @property
+    def full_text(self) -> str:
+        return self.header_text + "\n" + self.text if self.header_text else self.text
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "chunk_id": self.chunk_id,
             "doc_id": self.doc_id,
             "start": self.start,
@@ -68,15 +83,29 @@ class Chunk:
             "core_start": self.core_start,
             "hard_split": self.hard_split,
         }
+        if self.header_text is not None:
+            d.update(header_text=self.header_text, full_text=self.full_text,
+                     metadata_fraction=self.metadata_fraction,
+                     summary_fallback=self.summary_fallback)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        return cls(
+        chunk = cls(
             chunk_id=d["chunk_id"], doc_id=d["doc_id"], start=d["start"], end=d["end"],
             text=d["text"], ordinal=d["ordinal"],
             core_start=d.get("core_start", d["start"]),
             hard_split=d.get("hard_split", False),
         )
+        if "header_text" not in d and "full_text" not in d:
+            return chunk
+        chunk.header_text = d["header_text"]
+        chunk.metadata_fraction = d["metadata_fraction"]
+        chunk.summary_fallback = d.get("summary_fallback", False)
+        if d["full_text"] != chunk.full_text:
+            raise ValueError(f"chunk {chunk.chunk_id!r}: stored full_text is not "
+                             f"header_text + newline + text")
+        return chunk
 
 
 @dataclass
@@ -251,4 +280,11 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    return [Chunk.from_dict(row) for row in read_jsonl(path)]
+    """Read a bare or enriched chunk file; a repeated chunk_id is a ValueError."""
+    chunks = [Chunk.from_dict(row) for row in read_jsonl(path)]
+    seen: set[str] = set()
+    for chunk in chunks:
+        if chunk.chunk_id in seen:
+            raise ValueError(f"repeated chunk_id {chunk.chunk_id!r} in {path}")
+        seen.add(chunk.chunk_id)
+    return chunks

@@ -24,6 +24,7 @@ import lexrag
 from lexrag.aligner import AlignConfig, reconstruct_dataset, save_aligned_dataset
 from lexrag.chunker import Chunk, ChunkConfig, dump_chunks, load_chunks, split_recursive
 from lexrag.corpus import (
+    DocumentCollection,
     convert_spans_to_char,
     dataset_counts,
     load_documents,
@@ -31,8 +32,9 @@ from lexrag.corpus import (
     validate_annotations,
 )
 from lexrag.embedding import get_embedder
-from lexrag.enricher import (
-    EnrichedChunk,
+# load_enriched is unused here, but perfbench's tracer wraps it under this
+# module's name, so the name must stay importable from it.
+from lexrag.enricher import (  # noqa: F401
     ExtractiveSummarizer,
     RemoteSummarizer,
     dump_enriched,
@@ -60,7 +62,7 @@ from lexrag.preference import (
 )
 from lexrag.remote import RemoteConfig
 from lexrag.retriever import FusionConfig, RetrievalContext, dump_results
-from lexrag.textutils import read_jsonl, write_jsonl
+from lexrag.textutils import write_jsonl
 
 # config-file keys naming inputs; each must exist when the file is read
 PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
@@ -128,21 +130,17 @@ def _parse_k_list(raw: str) -> list[int]:
     return ks
 
 
-def _load_any_chunks(path: Path) -> list:
-    """Load a chunk JSONL that may be base or enriched (sniffed from its first row)."""
-    if "full_text" in next(read_jsonl(path), {}):
-        return load_enriched(path)
-    return load_chunks(path)
+def _corpus_inputs(settings: dict, docs: DocumentCollection) -> list:
+    """The --manifest sidecar and every document file loaded from --root."""
+    root = Path(settings["root"])
+    return [settings.get("manifest"), *(root / doc.doc_id for doc in docs)]
 
 
 def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[str, Chunk]]:
-    """Open the index under --index; also return its base chunks by chunk_id."""
+    """Open the index under --index; also return its chunks by chunk_id."""
     index_dir = Path(settings["index"])
     sparse, dense = load_indexes(index_dir)
-    chunks = {}
-    for chunk in _load_any_chunks(index_dir / "chunks.jsonl"):
-        base = chunk.base if isinstance(chunk, EnrichedChunk) else chunk
-        chunks[base.chunk_id] = base
+    chunks = {c.chunk_id: c for c in load_chunks(index_dir / "chunks.jsonl")}
     meta = json.loads((index_dir / "index_meta.json").read_text(encoding="utf-8"))
     if meta["embedder_backend"] == "remote":
         remote = _remote_config(settings,
@@ -164,8 +162,7 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
 # summary and returns the input paths its run manifest checksums
 
 def cmd_ingest(settings: dict, out_dir: Path) -> list:
-    manifest = settings.get("manifest")
-    docs = load_documents(Path(settings["root"]), manifest)
+    docs = load_documents(Path(settings["root"]), settings.get("manifest"))
     report = {
         "documents": len(docs),
         "document_errors": [e.to_dict() for e in docs.errors],
@@ -182,7 +179,7 @@ def cmd_ingest(settings: dict, out_dir: Path) -> list:
     _write_json(out_dir / "ingest_report.json", report)
     print(json.dumps({k: v for k, v in report.items() if k in ("documents", "qa")},
                      sort_keys=True))
-    return [manifest, qa_path]
+    return [*_corpus_inputs(settings, docs), qa_path]
 
 
 def cmd_chunk(settings: dict, out_dir: Path) -> list:
@@ -192,7 +189,7 @@ def cmd_chunk(settings: dict, out_dir: Path) -> list:
     all_chunks = [chunk for doc in docs for chunk in split_recursive(doc, cfg)]
     dump_chunks(all_chunks, out_dir / "chunks.jsonl")
     print(json.dumps({"documents": len(docs), "chunks": len(all_chunks)}, sort_keys=True))
-    return []
+    return _corpus_inputs(settings, docs)
 
 
 def cmd_enrich(settings: dict, out_dir: Path) -> list:
@@ -220,12 +217,12 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
     dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
-    return [settings["chunks"]]
+    return [*_corpus_inputs(settings, docs), settings["chunks"]]
 
 
 def cmd_index(settings: dict, out_dir: Path) -> list:
     chunks_path = Path(settings["chunks"])
-    chunks = _load_any_chunks(chunks_path)
+    chunks = load_chunks(chunks_path)
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
     dim = settings.get("dim", 256)
@@ -239,7 +236,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     dense = build_dense(chunks, embedder)
     save_indexes(out_dir, sparse, dense)
     # canonical copy so the index directory is self-contained for retrieval
-    write_jsonl((chunk.to_dict() for chunk in chunks), out_dir / "chunks.jsonl")
+    dump_chunks(chunks, out_dir / "chunks.jsonl")
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
     return [chunks_path]
@@ -254,8 +251,8 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     for record in records:
         result = ctx.retrieve(record.question, query_id=record.query_id)
         results.append(result)
-        # the top base chunks in rank order, each under its document id, for
-        # downstream QA; enriched headers never enter generated contexts
+        # the top chunks' body text in rank order, each under its document id,
+        # for downstream QA; enriched headers never enter generated contexts
         used = [chunks[rc.chunk_id] for rc in result.ranked[:top]]
         contexts.append({
             "query_id": record.query_id,
@@ -296,7 +293,7 @@ def cmd_align_spans(settings: dict, out_dir: Path) -> list:
     _write_json(out_dir / "alignment_report.json", align_report.to_dict())
     print(json.dumps({"aligned": align_report.aligned, "failed": align_report.failed,
                       "load_errors": len(errors)}, sort_keys=True))
-    return [settings["qa"]]
+    return [*_corpus_inputs(settings, docs), settings["qa"]]
 
 
 def cmd_dpo_build(settings: dict, out_dir: Path) -> list:

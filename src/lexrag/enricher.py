@@ -1,26 +1,27 @@
 """Metadata enrichment of chunks: document header plus local window summaries.
 
 Each chunk gets a header of the form ``[DOC] title | jurisdiction | type
-[SUMMARY] <local summary>`` prepended to its text. Summaries describe
-overlapping windows of 4 consecutive chunks; each chunk takes the summary of
-the window whose center is nearest its ordinal. The header is truncated from
-the summary end so it never exceeds the configured fraction of the enriched
-chunk's tokens (default 25%).
+[SUMMARY] <local summary>``, which ``Chunk.full_text`` puts before its text.
+Summaries describe overlapping windows of 4 consecutive chunks; each chunk
+takes the summary of the window whose center is nearest its ordinal. The
+header is truncated from the summary end so it never exceeds the configured
+fraction of the enriched chunk's tokens (default 25%).
 
-Enrichment never touches the underlying chunk offsets or text, so retrieval
-metrics always score against the original document positions.
+Enrichment returns a copy of the chunk with only the header fields set; it
+never touches offsets or text, so retrieval metrics always score against the
+original document positions.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
-from lexrag.chunker import Chunk, count_tokens
+from lexrag.chunker import Chunk, count_tokens, dump_chunks, load_chunks
 from lexrag.corpus import DocumentMeta
-from lexrag.textutils import read_jsonl, split_sentences, write_jsonl
+from lexrag.textutils import split_sentences
 
 SUMMARY_TOKEN_CAP = 200
 DEFAULT_WINDOW = 4
@@ -43,35 +44,6 @@ class WindowSummary:
     summary_text: str
     token_count: int
     fallback: bool = False
-
-
-@dataclass
-class EnrichedChunk:
-    base: Chunk
-    header_text: str
-    full_text: str
-    metadata_fraction: float
-    summary_fallback: bool = False
-
-    def to_dict(self) -> dict:
-        d = self.base.to_dict()
-        d.update({
-            "header_text": self.header_text,
-            "full_text": self.full_text,
-            "metadata_fraction": self.metadata_fraction,
-            "summary_fallback": self.summary_fallback,
-        })
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnrichedChunk":
-        return cls(
-            base=Chunk.from_dict(d),
-            header_text=d["header_text"],
-            full_text=d["full_text"],
-            metadata_fraction=d["metadata_fraction"],
-            summary_fallback=d.get("summary_fallback", False),
-        )
 
 
 class ExtractiveSummarizer:
@@ -211,8 +183,8 @@ def build_header(meta: DocumentMeta, summary_text: str) -> str:
 
 
 def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None,
-                 max_fraction: float = 0.25) -> EnrichedChunk:
-    """Prepend the metadata header, truncated to the token-fraction budget.
+                 max_fraction: float = 0.25) -> Chunk:
+    """Set the metadata header, truncated to the token-fraction budget.
 
     Header tokens are dropped from the end until
     ``header_tokens / (header_tokens + body_tokens) <= max_fraction``.
@@ -229,14 +201,11 @@ def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None
     if header_tokens and header_tokens[-1] in ("[SUMMARY]", "[DOC]"):
         header_tokens.pop()  # do not leave a dangling section marker
     header = " ".join(header_tokens)
-    full_text = header + "\n" + chunk.text if header else chunk.text
     n_header = len(header_tokens)
-    fraction = n_header / (n_header + body_tokens) if n_header else 0.0
-    return EnrichedChunk(
-        base=chunk,
+    return replace(
+        chunk,
         header_text=header,
-        full_text=full_text,
-        metadata_fraction=fraction,
+        metadata_fraction=n_header / (n_header + body_tokens) if n_header else 0.0,
         summary_fallback=summary.fallback if summary is not None else False,
     )
 
@@ -245,7 +214,7 @@ def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
                            provider: SummarizerProvider,
                            window: int = DEFAULT_WINDOW, stride: int = 1,
                            max_fraction: float = 0.25,
-                           max_workers: int = 1) -> list[EnrichedChunk]:
+                           max_workers: int = 1) -> list[Chunk]:
     """Full enrichment for one document's chunk list."""
     if not chunks:
         return []
@@ -259,9 +228,11 @@ def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
     return enriched
 
 
-def dump_enriched(chunks: list[EnrichedChunk], path: str | Path) -> None:
-    write_jsonl((chunk.to_dict() for chunk in chunks), path)
+# The enriched file has its own reader/writer names because perfbench's tracer
+# times them as enrichment I/O; both are the chunk file pair.
+def dump_enriched(chunks: list[Chunk], path: str | Path) -> None:
+    dump_chunks(chunks, path)
 
 
-def load_enriched(path: str | Path) -> list[EnrichedChunk]:
-    return [EnrichedChunk.from_dict(row) for row in read_jsonl(path)]
+def load_enriched(path: str | Path) -> list[Chunk]:
+    return load_chunks(path)

@@ -34,7 +34,6 @@ import numpy as np
 from lexrag import kernels
 from lexrag.chunker import Chunk
 from lexrag.embedding import EmbeddingProvider
-from lexrag.enricher import EnrichedChunk
 from lexrag.textutils import tokenize
 
 INDEX_FORMAT_VERSION = 2
@@ -61,19 +60,6 @@ def top_rows(scores: np.ndarray, n: int, id_rank: np.ndarray) -> np.ndarray:
     else:
         rows = np.arange(size)
     return rows[np.lexsort((id_rank[rows], -scores[rows]))][:n]
-
-
-def chunk_text_for_indexing(chunk: Chunk | EnrichedChunk) -> str:
-    """Enriched chunks index their full (header + body) text; bare chunks their slice."""
-    if isinstance(chunk, EnrichedChunk):
-        return chunk.full_text
-    return chunk.text
-
-
-def chunk_identity(chunk: Chunk | EnrichedChunk) -> str:
-    if isinstance(chunk, EnrichedChunk):
-        return chunk.base.chunk_id
-    return chunk.chunk_id
 
 
 @dataclass
@@ -108,17 +94,16 @@ class SparseIndex:
         return math.log((self.N - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
-def build_sparse(chunks: Sequence[Chunk | EnrichedChunk],
-                 k1: float = 1.2, b: float = 0.75) -> SparseIndex:
-    """Build the BM25 index over lowercased, punctuation-stripped terms."""
+def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75) -> SparseIndex:
+    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text."""
     if not chunks:
         raise ValueError("cannot build a sparse index over an empty chunk list")
-    chunk_ids = [chunk_identity(c) for c in chunks]
+    chunk_ids = [c.chunk_id for c in chunks]
     doc_lengths = np.zeros(len(chunks), dtype=np.float64)
     term_rows: dict[str, list[int]] = {}
     term_tfs: dict[str, list[int]] = {}
     for row, chunk in enumerate(chunks):
-        terms = tokenize(chunk_text_for_indexing(chunk))
+        terms = tokenize(chunk.full_text)
         doc_lengths[row] = len(terms)
         for term, tf in sorted(Counter(terms).items()):
             term_rows.setdefault(term, []).append(row)
@@ -208,15 +193,13 @@ def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
     return vectors
 
 
-def build_dense(chunks: Sequence[Chunk | EnrichedChunk],
-                provider: EmbeddingProvider) -> DenseIndex:
-    """Embed chunk texts in ordinal order into an exact-search matrix."""
+def build_dense(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> DenseIndex:
+    """Embed each chunk's full_text, in order, into an exact-search matrix."""
     if not chunks:
         raise ValueError("cannot build a dense index over an empty chunk list")
-    texts = [chunk_text_for_indexing(c) for c in chunks]
+    texts = [c.full_text for c in chunks]
     vectors = embed(provider, texts)
-    return DenseIndex(vectors=vectors,
-                      chunk_ids=[chunk_identity(c) for c in chunks],
+    return DenseIndex(vectors=vectors, chunk_ids=[c.chunk_id for c in chunks],
                       backend=provider.backend)
 
 
@@ -344,4 +327,6 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
                            chunk_ids=_unpack_strings(data["chunk_id_bytes"],
                                                      data["chunk_id_offsets"]),
                            backend=meta["embedder_backend"])
+    if sparse.chunk_ids != dense.chunk_ids:
+        raise ValueError("sparse and dense indexes list different chunk ids")
     return sparse, dense

@@ -62,6 +62,14 @@ class TestAlignAnswer:
         piece = doc.text[span.start:span.end]
         assert normalize_whitespace(piece) == normalize_whitespace(perturbed)
 
+    def test_whitespace_match_after_multi_code_point_lowercase(self):
+        # "İ".lower() is two code points; offsets after it must not drift
+        doc = make_doc("d", "İstanbul court.  The   tenant shall pay rent monthly.")
+        span = align_answer(doc, "the tenant shall  pay rent")
+        assert isinstance(span, GoldSpan)
+        assert (span.start, span.end) == (17, 44)
+        assert doc.text[span.start:span.end] == "The   tenant shall pay rent"
+
     def test_answer_longer_than_document(self):
         doc = make_doc("d", "short text")
         result = align_answer(doc, "x" * 100)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lexrag.chunker import dump_chunks, load_chunks
 from lexrag.cli import main
 from lexrag.index import sha256_file
 from lexrag.preference import REFUSAL_STRING
@@ -198,6 +200,135 @@ def test_version_1_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert "version 1" in err["message"] and "rebuild with `lexrag index`" in err["message"]
+
+
+def test_index_with_mismatched_chunk_id_lists_rejected(built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    dense_path = index_dir / "dense.npz"
+    with np.load(dense_path) as data:
+        arrays = {name: data[name] for name in data.files}
+    blob = arrays["chunk_id_bytes"].tobytes()
+    bounds = arrays["chunk_id_offsets"].tolist()
+    ids = [blob[lo:hi] for lo, hi in zip(bounds, bounds[1:])][::-1]
+    arrays["chunk_id_bytes"] = np.frombuffer(b"".join(ids), dtype=np.uint8)
+    arrays["chunk_id_offsets"] = np.cumsum([0] + [len(i) for i in ids]).astype(np.int64)
+    np.savez_compressed(dense_path, **arrays)
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["files"]["dense"]["sha256"] = sha256_file(dense_path)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "different chunk ids" in err["message"]
+
+
+def _repeat_first_row(path: Path) -> str:
+    """Append a copy of the first line of a chunk file; return its chunk_id."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines) + lines[0], encoding="utf-8")
+    return json.loads(lines[0])["chunk_id"]
+
+
+def test_repeated_chunk_id_rejected(built_pipeline, tmp_path, capsys):
+    chunks_path = tmp_path / "chunks.jsonl"
+    shutil.copy(built_pipeline["chunks"] / "chunks.jsonl", chunks_path)
+    repeated = _repeat_first_row(chunks_path)
+    index_dir = tmp_path / "tampered_index"
+    shutil.copytree(built_pipeline["index_baseline"], index_dir)
+    assert _repeat_first_row(index_dir / "chunks.jsonl") == repeated
+    commands = {
+        "index": ["index", "--chunks", str(chunks_path), "--dim", "64",
+                  "--out", str(tmp_path / "index")],
+        "enrich": ["enrich", "--root", str(built_pipeline["root"]),
+                   "--chunks", str(chunks_path), "--out", str(tmp_path / "enriched")],
+        "retrieve": ["retrieve", "--index", str(index_dir), "--qa", str(built_pipeline["qa"]),
+                     "--format", "snippet_qa", "--out", str(tmp_path / "retrieved")],
+    }
+    for name, argv in commands.items():
+        assert run(argv) == 1, name
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError", name
+        assert repeated in err["message"], name
+    assert not (tmp_path / "retrieved" / "contexts.jsonl").exists()
+
+
+def test_manifest_checksums_corpus_and_sidecar(built_pipeline, tmp_path):
+    root, sidecar = built_pipeline["root"], built_pipeline["manifest"]
+    expected = {str(sidecar): sha256_file(sidecar)}
+    expected.update((str(root / doc_id), sha256_file(root / doc_id))
+                    for doc_id in built_pipeline["doc_ids"])
+    chunks_path = built_pipeline["chunks"] / "chunks.jsonl"
+    for argv in (["ingest"], ["chunk"], ["enrich", "--chunks", str(chunks_path)]):
+        out_dir = tmp_path / argv[0]
+        assert run([*argv, "--root", str(root), "--manifest", str(sidecar),
+                    "--out", str(out_dir)]) == 0
+        inputs = json.loads((out_dir / "run_manifest.json").read_text())["inputs"]
+        corpus = {path: digest for path, digest in inputs.items() if path != str(chunks_path)}
+        assert corpus == expected, argv[0]
+
+    root, qa_path = build_aus_corpus(tmp_path / "aus", n_records=6, n_docs=3, seed=1)
+    assert run(["align-spans", "--root", str(root), "--qa", str(qa_path),
+                "--out", str(tmp_path / "aligned")]) == 0
+    inputs = json.loads((tmp_path / "aligned" / "run_manifest.json").read_text())["inputs"]
+    docs = sorted(p for p in root.rglob("*") if p.is_file())
+    assert docs and all(inputs[str(p)] == sha256_file(p) for p in docs)
+
+
+def test_chunk_manifest_inputs_differ_when_one_corpus_byte_does(workspace, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(workspace["root"], root)
+    doc = root / workspace["doc_ids"][3]
+
+    def chunk_inputs(out_name: str) -> dict:
+        assert run(["chunk", "--root", str(root), "--out", str(tmp_path / out_name)]) == 0
+        return json.loads((tmp_path / out_name / "run_manifest.json").read_text())["inputs"]
+
+    before = chunk_inputs("a")
+    raw = bytearray(doc.read_bytes())
+    raw[10] = ord("X") if raw[10] != ord("X") else ord("Y")
+    doc.write_bytes(bytes(raw))
+    after = chunk_inputs("b")
+    assert before != after
+    assert before.keys() == after.keys()
+    assert [path for path in before if before[path] != after[path]] == [str(doc)]
+
+
+# SHA-256 over the NUL-joined full_text values of the built pipeline's
+# enriched.jsonl, as written when full_text was a stored field of its own
+ENRICHED_FULL_TEXT_SHA256 = "292c16705ff6571d9ecbec7d31159f4fe41c51e3ad0e8156db5c20ce583e17b3"
+
+
+@pytest.mark.parametrize("name,n_keys", [("chunks", 8), ("enriched", 12)])
+def test_chunk_file_round_trips_byte_for_byte(built_pipeline, tmp_path, name, n_keys):
+    path = built_pipeline[name] / f"{name}.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert {len(row) for row in rows} == {n_keys}
+    chunks = load_chunks(path)
+    dump_chunks(chunks, tmp_path / "copy.jsonl")
+    assert (tmp_path / "copy.jsonl").read_bytes() == path.read_bytes()
+    assert [c.full_text for c in chunks] == [row.get("full_text", row["text"]) for row in rows]
+    assert all((c.header_text is None) == (n_keys == 8) for c in chunks)
+
+
+def test_enriched_full_text_unchanged(built_pipeline):
+    chunks = load_chunks(built_pipeline["enriched"] / "enriched.jsonl")
+    joined = "\x00".join(c.full_text for c in chunks).encode("utf-8")
+    assert hashlib.sha256(joined).hexdigest() == ENRICHED_FULL_TEXT_SHA256
+
+
+def test_tampered_full_text_rejected(built_pipeline, tmp_path, capsys):
+    path = tmp_path / "enriched.jsonl"
+    rows = [json.loads(line) for line in
+            (built_pipeline["enriched"] / "enriched.jsonl").read_text().splitlines()]
+    rows[3]["full_text"] = rows[3]["full_text"].replace("\n", " ", 1)
+    write_jsonl(path, rows)
+    with pytest.raises(ValueError, match=rows[3]["chunk_id"]):
+        load_chunks(path)
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
 
 
 def test_align_spans_command(tmp_path):

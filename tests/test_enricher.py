@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,13 @@ from lexrag.enricher import (
     window_summaries,
 )
 from tests.conftest import make_chunk
+
+BASE_FIELDS = ("chunk_id", "doc_id", "start", "end", "text", "ordinal", "core_start",
+               "hard_split")
+
+
+def base_fields(chunk) -> dict:
+    return {name: getattr(chunk, name) for name in BASE_FIELDS}
 
 
 class FailingSummarizer:
@@ -149,7 +158,8 @@ class TestEnrichChunk:
         chunk = make_chunk(0, "the original slice\nwith newline")
         enriched = enrich_chunk(chunk, DocumentMeta(title="T"), summary_of("s."))
         assert enriched.full_text.endswith(chunk.text)
-        assert enriched.base == chunk
+        assert base_fields(enriched) == base_fields(chunk)
+        assert chunk.header_text is None
 
     def test_no_dangling_section_marker(self):
         chunk = make_chunk(0, "a b c")  # 3 body tokens -> header budget 1 token
@@ -168,10 +178,12 @@ class TestEnrichChunk:
 
 class TestEnrichDocumentChunks:
     def test_offsets_and_text_untouched(self):
-        chunks = [make_chunk(i, f"chunk {i} body.", start=i * 20) for i in range(6)]
+        chunks = [replace(make_chunk(i, f"chunk {i} body.", start=i * 20),
+                          core_start=i * 20 + 3, hard_split=i % 2 == 1) for i in range(6)]
         enriched = enrich_document_chunks(chunks, DocumentMeta(title="T"),
                                           ExtractiveSummarizer())
-        assert [e.base for e in enriched] == chunks
+        assert [base_fields(e) for e in enriched] == [base_fields(c) for c in chunks]
+        assert all(e.header_text is not None for e in enriched)
 
     def test_empty_header_keeps_texts_identical(self):
         class Silent:

@@ -1,11 +1,11 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lexrag.embedding import HashedBowEmbedder
-from lexrag.enricher import EnrichedChunk
 from lexrag.index import (
     SparseIndex,
     bm25_scores,
@@ -54,11 +54,11 @@ class TestBuildSparse:
 
     def test_enriched_chunks_index_full_text(self):
         base = make_chunk(0, "body words")
-        enriched = EnrichedChunk(base=base, header_text="[DOC] casetitle",
-                                 full_text="[DOC] casetitle\nbody words",
-                                 metadata_fraction=0.2)
+        enriched = replace(base, header_text="[DOC] casetitle", metadata_fraction=0.2)
+        assert enriched.full_text == "[DOC] casetitle\nbody words"
         idx = build_sparse([enriched])
         assert "casetitle" in idx.postings
+        assert idx.chunk_ids == [base.chunk_id]
 
     def test_empty_chunk_list_rejected(self):
         with pytest.raises(ValueError):
