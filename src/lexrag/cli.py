@@ -5,9 +5,9 @@ exits 0 on success or nonzero with a machine-readable error JSON on stderr.
 Identical config and seeds produce byte-identical outputs; wall-clock
 timestamps appear only in each run's run_manifest.json.
 
-``main`` merges the given flags over the --config file into one settings
-dict, creates the output directory, runs the command and writes the run
-manifest from the settings and the input paths the command returns.
+Each command's settings are declared once, in ``COMMANDS``: the table builds
+the command's flags, checks its --config file values and fills the settings
+dict that ``main`` hands the command and hashes into the run manifest.
 """
 
 from __future__ import annotations
@@ -19,47 +19,25 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import lexrag
 from lexrag.aligner import AlignConfig, reconstruct_dataset, save_aligned_dataset
 from lexrag.chunker import Chunk, ChunkConfig, dump_chunks, load_chunks, split_recursive
-from lexrag.corpus import (
-    DocumentCollection,
-    convert_spans_to_char,
-    dataset_counts,
-    load_documents,
-    load_qa_dataset,
-    validate_annotations,
-)
+from lexrag.corpus import (DocumentCollection, convert_spans_to_char, dataset_counts,
+                           load_documents, load_qa_dataset, validate_annotations)
 from lexrag.embedding import get_embedder
 # load_enriched is unused here, but perfbench's tracer wraps it under this
 # module's name, so the name must stay importable from it.
-from lexrag.enricher import (  # noqa: F401
-    ExtractiveSummarizer,
-    RemoteSummarizer,
-    dump_enriched,
-    enrich_document_chunks,
-    load_enriched,
-)
-from lexrag.evaluator import (
-    MetricReport,
-    compare_reports,
-    render_comparison_table,
-    render_table,
-    sweep,
-)
+from lexrag.enricher import (DEFAULT_WINDOW, ExtractiveSummarizer, RemoteSummarizer,  # noqa: F401
+                             dump_enriched, enrich_document_chunks, load_enriched)
+from lexrag.evaluator import (MetricReport, compare_reports, render_comparison_table,
+                              render_table, sweep)
 from lexrag.index import build_dense, build_sparse, load_indexes, save_indexes, sha256_file
-from lexrag.preference import (
-    RefusalConfig,
-    SplitSpec,
-    build_preference_pairs,
-    dump_pairs,
-    load_model_outputs,
-    mean_score_with_delta_ci,
-    refusal_rates,
-    split_dataset,
-    token_f1,
-)
+from lexrag.preference import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
+                               RefusalConfig, SplitSpec, build_preference_pairs, dump_pairs,
+                               load_model_outputs, mean_score_with_delta_ci, refusal_rates,
+                               split_dataset, token_f1)
 from lexrag.remote import RemoteConfig
 from lexrag.retriever import FusionConfig, RetrievalContext, dump_results
 from lexrag.textutils import write_jsonl
@@ -70,28 +48,7 @@ PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
 
 
 # ---------------------------------------------------------------------------
-# settings, manifest and small shared helpers
-
-def _settings(args: argparse.Namespace) -> dict:
-    """The --config file's keys with every given flag over them.
-
-    Keys mirror flag dests (target, overlap, alpha, k, seed, out, ...); a key
-    that neither sets falls back to the command's built-in default. Seeding
-    is always explicit: defaults are fixed constants, never wall clock.
-    """
-    settings = {}
-    if args.config:
-        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(settings, dict):
-            raise ValueError(f"config file must hold a JSON object: {args.config}")
-        for key in PATH_KEYS:
-            value = settings.get(key)
-            if value and not Path(value).exists():
-                raise FileNotFoundError(f"config key {key!r}: path does not exist: {value}")
-    settings.update((key, value) for key, value in vars(args).items()
-                    if value is not None and key not in ("func", "config"))
-    return settings
-
+# manifest and small shared helpers
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
@@ -115,12 +72,11 @@ def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
 
 
 def _remote_config(settings: dict, missing_endpoint: str) -> RemoteConfig:
-    endpoint = settings.get("endpoint")
-    if not endpoint:
+    if not settings["endpoint"]:
         raise ValueError(missing_endpoint)
-    return RemoteConfig(endpoint=endpoint, auth_token=os.environ.get("LEXRAG_API_TOKEN"),
-                        timeout_seconds=settings.get("timeout", 30.0),
-                        retries=settings.get("retries", 2))
+    return RemoteConfig(endpoint=settings["endpoint"],
+                        auth_token=os.environ.get("LEXRAG_API_TOKEN"),
+                        timeout_seconds=settings["timeout"], retries=settings["retries"])
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -133,14 +89,22 @@ def _parse_k_list(raw: str) -> list[int]:
 def _corpus_inputs(settings: dict, docs: DocumentCollection) -> list:
     """The --manifest sidecar and every document file loaded from --root."""
     root = Path(settings["root"])
-    return [settings.get("manifest"), *(root / doc.doc_id for doc in docs)]
+    return [settings["manifest"], *(root / doc.doc_id for doc in docs)]
 
 
 def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[str, Chunk]]:
-    """Open the index under --index; also return its chunks by chunk_id."""
+    """Open the index under --index; also return its chunks by chunk_id.
+
+    The index's chunks.jsonl must hold exactly the chunk ids of its index files.
+    """
     index_dir = Path(settings["index"])
     sparse, dense = load_indexes(index_dir)
     chunks = {c.chunk_id: c for c in load_chunks(index_dir / "chunks.jsonl")}
+    stray = sorted(chunks.keys() ^ set(sparse.chunk_ids))
+    if stray:
+        where = "only in chunks.jsonl" if stray[0] in chunks else "missing from chunks.jsonl"
+        raise ValueError(f"index directory {index_dir} is inconsistent: chunk id "
+                         f"{stray[0]!r} is {where} ({len(stray)} id(s) differ)")
     meta = json.loads((index_dir / "index_meta.json").read_text(encoding="utf-8"))
     if meta["embedder_backend"] == "remote":
         remote = _remote_config(settings,
@@ -150,8 +114,7 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
         embedder = get_embedder("deterministic", dim=meta["dim"])
     ctx = RetrievalContext(
         sparse=sparse, dense=dense, embedder=embedder,
-        fusion=FusionConfig(k=k, alpha=settings.get("alpha", 0.8),
-                            candidate_pool=settings.get("pool") or 0),
+        fusion=FusionConfig(k=k, alpha=settings["alpha"], candidate_pool=settings["pool"]),
         chunk_table={cid: (c.doc_id, c.start, c.end) for cid, c in chunks.items()},
     )
     return ctx, chunks
@@ -162,15 +125,15 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
 # summary and returns the input paths its run manifest checksums
 
 def cmd_ingest(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings.get("manifest"))
+    docs = load_documents(Path(settings["root"]), settings["manifest"])
     report = {
         "documents": len(docs),
         "document_errors": [e.to_dict() for e in docs.errors],
     }
-    qa_path = settings.get("qa")
+    qa_path = settings["qa"]
     if qa_path:
-        records, errors = load_qa_dataset(qa_path, settings.get("format", "snippet_qa"))
-        if settings.get("span_unit", "char") == "byte":
+        records, errors = load_qa_dataset(qa_path, settings["format"])
+        if settings["span_unit"] == "byte":
             errors = errors + convert_spans_to_char(records, docs)
         validation = validate_annotations(records, docs)
         report["qa"] = dataset_counts(records)
@@ -183,9 +146,8 @@ def cmd_ingest(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_chunk(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings.get("manifest"))
-    cfg = ChunkConfig(target_tokens=settings.get("target", 256),
-                      overlap_tokens=settings.get("overlap", 50))
+    docs = load_documents(Path(settings["root"]), settings["manifest"])
+    cfg = ChunkConfig(target_tokens=settings["target"], overlap_tokens=settings["overlap"])
     all_chunks = [chunk for doc in docs for chunk in split_recursive(doc, cfg)]
     dump_chunks(all_chunks, out_dir / "chunks.jsonl")
     print(json.dumps({"documents": len(docs), "chunks": len(all_chunks)}, sort_keys=True))
@@ -193,9 +155,9 @@ def cmd_chunk(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_enrich(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings.get("manifest"))
+    docs = load_documents(Path(settings["root"]), settings["manifest"])
     chunks = load_chunks(Path(settings["chunks"]))
-    if settings.get("summarizer", "extractive") == "remote":
+    if settings["summarizer"] == "remote":
         provider = RemoteSummarizer(
             _remote_config(settings, "remote summarizer requires --endpoint"))
     else:
@@ -211,9 +173,8 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
-            window=settings.get("window", 4), stride=settings.get("stride", 1),
-            max_fraction=settings.get("max_fraction", 0.25),
-            max_workers=settings.get("workers", 1)))
+            window=settings["window"], stride=settings["stride"],
+            max_fraction=settings["max_fraction"], max_workers=settings["workers"]))
     dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
@@ -225,14 +186,13 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     chunks = load_chunks(chunks_path)
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
-    dim = settings.get("dim", 256)
-    if settings.get("embedder", "deterministic") == "remote":
-        embedder = get_embedder("remote", dim=dim, remote=_remote_config(
+    if settings["embedder"] == "remote":
+        embedder = get_embedder("remote", dim=settings["dim"], remote=_remote_config(
             settings, "remote embedder requires --endpoint"))
-        embedder.max_workers = settings.get("workers", 4)
+        embedder.max_workers = settings["workers"]
     else:
-        embedder = get_embedder("deterministic", dim=dim)
-    sparse = build_sparse(chunks, k1=settings.get("k1", 1.2), b=settings.get("b", 0.75))
+        embedder = get_embedder("deterministic", dim=settings["dim"])
+    sparse = build_sparse(chunks, k1=settings["k1"], b=settings["b"])
     dense = build_dense(chunks, embedder)
     save_indexes(out_dir, sparse, dense)
     # canonical copy so the index directory is self-contained for retrieval
@@ -243,9 +203,9 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_retrieve(settings: dict, out_dir: Path) -> list:
-    top = settings.get("top", 4)
-    ctx, chunks = _retrieval_context(settings, k=max(settings.get("k", 10), top))
-    records, errors = load_qa_dataset(settings["qa"], settings.get("format", "snippet_qa"))
+    top = settings["top"]
+    ctx, chunks = _retrieval_context(settings, k=max(settings["k"], top))
+    records, errors = load_qa_dataset(settings["qa"], settings["format"])
     results = []
     contexts = []
     for record in records:
@@ -267,15 +227,15 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
-    ks = _parse_k_list(settings.get("k", "1,2,4,8,16,32,64"))
+    ks = _parse_k_list(settings["k"])
     ctx, _ = _retrieval_context(settings, k=max(ks))
     qa_path = settings["qa"]
-    records, _ = load_qa_dataset(qa_path, settings.get("format", "snippet_qa"))
+    records, _ = load_qa_dataset(qa_path, settings["format"])
     report = sweep(records, ctx, ks,
-                   dataset=settings.get("dataset_name", Path(qa_path).stem),
-                   variant=settings.get("variant", "baseline"),
-                   seed=settings.get("seed", 0),
-                   iterations=settings.get("bootstrap_iterations", 10000))
+                   dataset=settings["dataset_name"] or Path(qa_path).stem,
+                   variant=settings["variant"],
+                   seed=settings["seed"],
+                   iterations=settings["bootstrap_iterations"])
     _write_json(out_dir / "metric_report.json", report.to_dict())
     (out_dir / "metric_report.txt").write_text(render_table(report) + "\n", encoding="utf-8")
     print(render_table(report))
@@ -283,11 +243,10 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings.get("manifest"))
+    docs = load_documents(Path(settings["root"]), settings["manifest"])
     records, errors = load_qa_dataset(settings["qa"], "aus_legal_qa")
-    cfg = AlignConfig(shingle_size=settings.get("shingle_size", 3),
-                      min_score=settings.get("min_score", 0.6),
-                      max_window_slack=settings.get("slack", 0.3))
+    cfg = AlignConfig(shingle_size=settings["shingle_size"], min_score=settings["min_score"],
+                      max_window_slack=settings["slack"])
     aligned, align_report = reconstruct_dataset(records, docs, cfg)
     save_aligned_dataset([r for r in aligned if r.gold_spans], out_dir / "aligned_dataset.json")
     _write_json(out_dir / "alignment_report.json", align_report.to_dict())
@@ -298,17 +257,15 @@ def cmd_align_spans(settings: dict, out_dir: Path) -> list:
 
 def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
     records, errors = load_qa_dataset(settings["qa"], "aus_legal_qa")
-    seed = settings.get("seed", 0)
-    spec = SplitSpec(train=settings.get("train", 1918),
-                     validation=settings.get("validation", 50),
-                     test=settings.get("test", 150), seed=seed)
+    seed = settings["seed"]
+    spec = SplitSpec(train=settings["train"], validation=settings["validation"],
+                     test=settings["test"], seed=seed)
     train, validation, test = split_dataset(records, spec)
-    template = settings.get("template", "with_refusal_instruction")
-    style = settings.get("export_style", "plain")
     counts = {}
     for name, split in (("train", train), ("validation", validation), ("test", test)):
-        pairs = build_preference_pairs(split, seed=seed, template=template) if split else []
-        dump_pairs(pairs, out_dir / f"{name}.jsonl", style=style)
+        pairs = (build_preference_pairs(split, seed=seed, template=settings["template"])
+                 if split else [])
+        dump_pairs(pairs, out_dir / f"{name}.jsonl", style=settings["export_style"])
         counts[name] = {"records": len(split), "pairs": len(pairs)}
     _write_json(out_dir / "dpo_manifest.json", {"splits": counts, "seed": seed,
                                                 "load_errors": len(errors)})
@@ -318,7 +275,7 @@ def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
 
 def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
     outputs = load_model_outputs(Path(settings["outputs"]))
-    mode = settings.get("mode", "both")
+    mode = settings["mode"]
     report: dict = {"outputs": len(outputs)}
     for m in (("strict", "soft") if mode == "both" else (mode,)):
         rates = refusal_rates(outputs, RefusalConfig(mode=m))
@@ -332,7 +289,7 @@ def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
-    records, _ = load_qa_dataset(settings["qa"], settings.get("format", "aus_legal_qa"))
+    records, _ = load_qa_dataset(settings["qa"], settings["format"])
     references = {r.query_id: r.gold_answer for r in records}
 
     def score_file(path: Path) -> list[tuple[str, float]]:
@@ -349,13 +306,13 @@ def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
         "outputs": len(scores_a),
         "mean_f1": float(sum(s for _, s in scores_a) / len(scores_a)) if scores_a else None,
     }
-    compare_path = settings.get("compare_with")
+    compare_path = settings["compare_with"]
     if compare_path:
         scores_b = score_file(Path(compare_path))
         report["comparison"] = mean_score_with_delta_ci(
             scores_a, scores_b,
-            iterations=settings.get("bootstrap_iterations", 10000),
-            seed=settings.get("seed", 0))
+            iterations=settings["bootstrap_iterations"],
+            seed=settings["seed"])
     _write_json(out_dir / "answer_report.json", report)
     print(json.dumps(report, sort_keys=True))
     return [settings["outputs"]]
@@ -369,8 +326,8 @@ def cmd_compare(settings: dict, out_dir: Path) -> list:
     baseline = _read_report(settings["baseline"])
     enhanced = _read_report(settings["enhanced"])
     comparisons = compare_reports(baseline, enhanced,
-                                  iterations=settings.get("bootstrap_iterations", 10000),
-                                  seed=settings.get("seed", 0))
+                                  iterations=settings["bootstrap_iterations"],
+                                  seed=settings["seed"])
     payload = {
         "baseline": {"dataset": baseline.dataset, "variant": baseline.variant},
         "enhanced": {"dataset": enhanced.dataset, "variant": enhanced.variant},
@@ -387,7 +344,7 @@ def cmd_compare(settings: dict, out_dir: Path) -> list:
 def cmd_report(settings: dict) -> None:
     """Render a metric report; --out here names the text file, not a run directory."""
     table = render_table(_read_report(settings["report"]))
-    out = settings.get("out")
+    out = settings["out"]
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(table + "\n", encoding="utf-8")
@@ -395,105 +352,147 @@ def cmd_report(settings: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the settings table, and the parser and settings dict built from it
+
+class Setting(NamedTuple):
+    """One setting of one command: its key is the flag's dest and the config-file key."""
+    key: str
+    type: type = str  # int, float or str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+    flag: bool = True  # False: set only from the config file
+
+
+class Command(NamedTuple):
+    func: Callable
+    help: str
+    settings: tuple[Setting, ...]
+
+
+OUT = Setting("out", default=".", help="output directory")
+SEED = Setting("seed", int, 0, help="explicit RNG seed")
+CORPUS = (Setting("root", required=True), Setting("manifest"))
+QA = Setting("qa", required=True)
+QA_FORMAT = Setting("format", default="snippet_qa", choices=("snippet_qa", "aus_legal_qa"))
+REMOTE = (Setting("endpoint"),
+          Setting("timeout", float, RemoteConfig.timeout_seconds, flag=False),
+          Setting("retries", int, RemoteConfig.retries, flag=False))
+SEARCH = (Setting("index", required=True), Setting("alpha", float, FusionConfig.alpha),
+          Setting("pool", int, FusionConfig.candidate_pool, help="0 means max(100, k)"),
+          QA, QA_FORMAT, *REMOTE)
+BOOTSTRAP = Setting("bootstrap_iterations", int, 10000)
+
+COMMANDS = {
+    "ingest": Command(cmd_ingest, "load corpus + QA dataset, validate annotations", (
+        OUT, *CORPUS, QA_FORMAT, Setting("qa"),
+        Setting("span_unit", default="char", choices=("char", "byte")))),
+    "chunk": Command(cmd_chunk, "recursively split documents into chunks", (
+        OUT, *CORPUS, Setting("target", int, ChunkConfig.target_tokens),
+        Setting("overlap", int, ChunkConfig.overlap_tokens))),
+    "enrich": Command(cmd_enrich, "add metadata headers and window summaries", (
+        OUT, *CORPUS, *REMOTE, Setting("chunks", required=True),
+        Setting("summarizer", default="extractive", choices=("extractive", "remote")),
+        Setting("window", int, DEFAULT_WINDOW), Setting("stride", int, 1),
+        Setting("max_fraction", float, 0.25), Setting("workers", int, 1))),
+    "index": Command(cmd_index, "build sparse and dense indexes over chunks", (
+        OUT, *REMOTE, Setting("chunks", required=True),
+        Setting("embedder", default="deterministic", choices=("deterministic", "remote")),
+        Setting("dim", int, 256),
+        Setting("workers", int, 4, help="concurrent remote embedding batches"),
+        Setting("k1", float, 1.2), Setting("b", float, 0.75))),
+    "retrieve": Command(cmd_retrieve, "run hybrid retrieval and emit contexts", (
+        OUT, *SEARCH, Setting("k", int, 10),
+        Setting("top", int, 4, help="chunks per generated context"))),
+    "eval-retrieval": Command(cmd_eval_retrieval, "DRM / span-recall sweep over k", (
+        OUT, SEED, *SEARCH, BOOTSTRAP,
+        Setting("k", default="1,2,4,8,16,32,64", help="comma-separated depths"),
+        Setting("variant", default="baseline", choices=("baseline", "enhanced")),
+        Setting("dataset_name", help="dataset label (default: the --qa file's stem)"))),
+    "align-spans": Command(cmd_align_spans, "reconstruct gold spans from answer text", (
+        OUT, *CORPUS, QA, Setting("min_score", float, AlignConfig.min_score),
+        Setting("shingle_size", int, AlignConfig.shingle_size),
+        Setting("slack", float, AlignConfig.max_window_slack))),
+    "dpo-build": Command(cmd_dpo_build, "build preference pairs and dataset splits", (
+        OUT, SEED, QA, Setting("train", int, SplitSpec.train),
+        Setting("validation", int, SplitSpec.validation), Setting("test", int, SplitSpec.test),
+        Setting("template", default=WITH_REFUSAL_INSTRUCTION,
+                choices=(WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION)),
+        Setting("export_style", default="plain", choices=("plain", "conversation")))),
+    "eval-refusal": Command(cmd_eval_refusal, "refusal rates from model outputs", (
+        OUT, Setting("outputs", required=True),
+        Setting("mode", default="both", choices=("strict", "soft", "both")))),
+    "eval-answers": Command(cmd_eval_answers, "token-F1 answer scoring", (
+        OUT, SEED, QA, QA_FORMAT._replace(default="aus_legal_qa"), BOOTSTRAP,
+        Setting("outputs", required=True), Setting("compare_with"))),
+    "compare": Command(cmd_compare, "paired comparison of two metric reports", (
+        OUT, SEED, BOOTSTRAP, Setting("baseline", required=True),
+        Setting("enhanced", required=True))),
+    "report": Command(cmd_report, "render a metric report as a text table", (
+        Setting("out", help="text file for the table"), Setting("report", required=True))),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``COMMANDS`` entry and one flag per setting that has one.
+
+    Flags default to None, so ``_settings`` can tell a given flag from an
+    absent one; the help text shows the table's default.
+    """
     parser = argparse.ArgumentParser(
         prog="lexrag",
         description="Hybrid retrieval and evaluation pipeline for long legal documents")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def flags(*specs: tuple[str, dict]) -> argparse.ArgumentParser:
-        """A parent parser holding flags that several commands share."""
-        group = argparse.ArgumentParser(add_help=False)
-        for flag, options in specs:
-            group.add_argument(flag, **options)
-        return group
-
-    common = flags(("--config", {"help": "JSON config file; flags override its keys"}),
-                   ("--out", {"help": "output directory"}),
-                   ("--seed", {"type": int, "help": "explicit RNG seed (default 0)"}))
-    corpus = flags(("--root", {"required": True}), ("--manifest", {}))
-    qa = flags(("--qa", {"required": True}))
-    qa_format = flags(("--format", {"choices": ["snippet_qa", "aus_legal_qa"]}))
-    endpoint = flags(("--endpoint", {}))
-    bootstrap = flags(("--bootstrap-iterations", {"type": int}))
-    search = flags(("--index", {"required": True}), ("--alpha", {"type": float}),
-                   ("--pool", {"type": int}))
-
-    def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help, parents=[*parents, common])
-        sub.set_defaults(func=func)
-        return sub
-
-    p = command("ingest", cmd_ingest, "load corpus + QA dataset, validate annotations",
-                corpus, qa_format)
-    p.add_argument("--qa")
-    p.add_argument("--span-unit", choices=["char", "byte"])
-
-    p = command("chunk", cmd_chunk, "recursively split documents into chunks", corpus)
-    p.add_argument("--target", type=int)
-    p.add_argument("--overlap", type=int)
-
-    p = command("enrich", cmd_enrich, "add metadata headers and window summaries",
-                corpus, endpoint)
-    p.add_argument("--chunks", required=True)
-    p.add_argument("--summarizer", choices=["extractive", "remote"])
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--max-fraction", type=float)
-    p.add_argument("--workers", type=int)
-
-    p = command("index", cmd_index, "build sparse and dense indexes over chunks", endpoint)
-    p.add_argument("--chunks", required=True)
-    p.add_argument("--embedder", choices=["deterministic", "remote"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--workers", type=int, help="concurrent remote embedding batches")
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
-
-    p = command("retrieve", cmd_retrieve, "run hybrid retrieval and emit contexts",
-                search, qa, qa_format, endpoint)
-    p.add_argument("--k", type=int)
-    p.add_argument("--top", type=int, help="chunks per generated context (default 4)")
-
-    p = command("eval-retrieval", cmd_eval_retrieval, "DRM / span-recall sweep over k",
-                search, qa, qa_format, endpoint, bootstrap)
-    p.add_argument("--k", help="comma-separated depths, default 1,2,4,8,16,32,64")
-    p.add_argument("--variant", choices=["baseline", "enhanced"])
-    p.add_argument("--dataset-name")
-
-    p = command("align-spans", cmd_align_spans, "reconstruct gold spans from answer text",
-                corpus, qa)
-    p.add_argument("--min-score", type=float)
-    p.add_argument("--shingle-size", type=int)
-    p.add_argument("--slack", type=float)
-
-    p = command("dpo-build", cmd_dpo_build, "build preference pairs and dataset splits", qa)
-    p.add_argument("--train", type=int)
-    p.add_argument("--validation", type=int)
-    p.add_argument("--test", type=int)
-    p.add_argument("--template", choices=["with_refusal_instruction",
-                                          "without_refusal_instruction"])
-    p.add_argument("--export-style", choices=["plain", "conversation"])
-
-    p = command("eval-refusal", cmd_eval_refusal, "refusal rates from model outputs")
-    p.add_argument("--outputs", required=True)
-    p.add_argument("--mode", choices=["strict", "soft", "both"])
-
-    p = command("eval-answers", cmd_eval_answers, "token-F1 answer scoring",
-                qa, qa_format, bootstrap)
-    p.add_argument("--outputs", required=True)
-    p.add_argument("--compare-with")
-
-    p = command("compare", cmd_compare, "paired comparison of two metric reports", bootstrap)
-    p.add_argument("--baseline", required=True)
-    p.add_argument("--enhanced", required=True)
-
-    p = command("report", cmd_report, "render a metric report as a text table")
-    p.add_argument("--report", required=True)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON config file; flags override its keys")
+        for s in filter(lambda s: s.flag, command.settings):
+            default = None if s.default is None else f"(default: {s.default})"
+            help = " ".join(filter(None, (s.help, default))) or None
+            sub.add_argument("--" + s.key.replace("_", "-"),
+                             type=None if s.type is str else s.type,
+                             choices=s.choices, required=s.required, help=help)
     return parser
+
+
+def _checked(setting: Setting, value):
+    """A config-file value, held to its flag's type and choices check.
+
+    null means "not set" where the default is None, as in a run manifest's config.
+    """
+    if value is None and setting.default is None:
+        return None
+    if setting.type is float and type(value) is int:
+        value = float(value)
+    if type(value) is not setting.type or (setting.choices and value not in setting.choices):
+        wanted = f"one of {list(setting.choices)}" if setting.choices else setting.type.__name__
+        raise ValueError(f"config key {setting.key!r} must be {wanted}, not {value!r}")
+    return value
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's effective settings: defaults, then the --config file, then flags.
+
+    Keys are the table's; a config-file key that the command does not read is
+    left out. Seeding is always explicit: defaults are fixed constants, never
+    wall clock.
+    """
+    config = {}
+    if args.config:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError(f"config file must hold a JSON object: {args.config}")
+    settings = {"command": args.command}
+    for s in COMMANDS[args.command].settings:
+        value = _checked(s, config[s.key]) if s.key in config else s.default
+        flag = getattr(args, s.key, None)
+        settings[s.key] = value if flag is None else flag
+    for key in PATH_KEYS:
+        value = config.get(key)
+        if isinstance(value, str) and value and not Path(value).exists():
+            raise FileNotFoundError(f"config key {key!r}: path does not exist: {value}")
+    return settings
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -503,9 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             cmd_report(settings)
         else:
-            out_dir = Path(settings.get("out", "."))
+            out_dir = Path(settings["out"])
             out_dir.mkdir(parents=True, exist_ok=True)
-            inputs = args.func(settings, out_dir)
+            inputs = COMMANDS[args.command].func(settings, out_dir)
             _write_run_manifest(out_dir, settings, [*inputs, args.config])
     except Exception as exc:  # surface every failure as machine-readable JSON
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -289,10 +289,7 @@ def test_directional_metadata_enhancement_effect(tmp_path):
 
     def run_variant(chunks, variant):
         embedder = HashedBowEmbedder(dim=256)
-        table = {}
-        for c in chunks:
-            base = c.base if hasattr(c, "base") else c
-            table[base.chunk_id] = (base.doc_id, base.start, base.end)
+        table = {c.chunk_id: (c.doc_id, c.start, c.end) for c in chunks}
         ctx = RetrievalContext(
             sparse=build_sparse(chunks), dense=build_dense(chunks, embedder),
             embedder=embedder, fusion=FusionConfig(k=max(ks), alpha=0.8),

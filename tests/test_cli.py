@@ -225,6 +225,36 @@ def test_index_with_mismatched_chunk_id_lists_rejected(built_pipeline, tmp_path,
     assert "different chunk ids" in err["message"]
 
 
+def _drop_first_row(path: Path) -> str:
+    """Delete the first line of a chunk file; return its chunk_id."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[1:]), encoding="utf-8")
+    return json.loads(lines[0])["chunk_id"]
+
+
+def _add_renamed_row(path: Path) -> str:
+    """Append a copy of the last line of a chunk file under a new chunk_id; return it."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[-1])
+    row["chunk_id"] += "-extra"
+    path.write_text("".join(lines) + json.dumps(row) + "\n", encoding="utf-8")
+    return row["chunk_id"]
+
+
+@pytest.mark.parametrize("tamper,where", [(_drop_first_row, "missing from chunks.jsonl"),
+                                          (_add_renamed_row, "only in chunks.jsonl")])
+def test_index_chunks_file_disagreeing_with_index_rejected(
+        built_pipeline, tmp_path, capsys, tamper, where):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    chunk_id = tamper(index_dir / "chunks.jsonl")
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert repr(chunk_id) in err["message"] and where in err["message"]
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
+
 def _repeat_first_row(path: Path) -> str:
     """Append a copy of the first line of a chunk file; return its chunk_id."""
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -435,6 +465,39 @@ def test_eval_answers_command(tmp_path):
     assert report["comparison"]["delta"] == 1.0
 
 
+def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
+    """chunk -> enrich -> index -> retrieve over files a careless loader trips on."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "empty.txt").write_bytes(b"")
+    (root / "blank.txt").write_text(" \n\t \r\n  \n", encoding="utf-8")
+    (root / "one_token.txt").write_text("x" * 1_000_000, encoding="utf-8")
+    (root / "odd_chars.txt").write_text(
+        "Clause 1\x00 binds the parties. \U0001d518\U0001d52b\U0001d526 \U0001f600 "
+        "applies\x00\x00 here.\n\nClause 2 \U00010348 follows.", encoding="utf-8")
+    (root / "bad_utf8.txt").write_bytes(b"Clause 3 \xff\xfe applies \xc3\x28 today.")
+    qa_path = tmp_path / "qa.json"
+    qa_path.write_text(json.dumps([{"query": "which clause binds the parties?", "snippets": [
+        {"file_path": "odd_chars.txt", "span": [0, 8], "answer": "Clause 1"}]}]),
+        encoding="utf-8")
+    steps = [
+        ["chunk", "--root", str(root), "--out", str(tmp_path / "chunks")],
+        ["enrich", "--root", str(root), "--chunks", str(tmp_path / "chunks" / "chunks.jsonl"),
+         "--out", str(tmp_path / "enriched")],
+        ["index", "--chunks", str(tmp_path / "enriched" / "enriched.jsonl"), "--dim", "64",
+         "--out", str(tmp_path / "index")],
+        ["retrieve", "--index", str(tmp_path / "index"), "--qa", str(qa_path),
+         "--out", str(tmp_path / "retrieved")],
+    ]
+    for argv in steps:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err, argv[0]
+        assert code in (0, 1), argv[0]
+        if code == 1:
+            assert set(json.loads(err.strip())) == {"error", "message"}, argv[0]
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -498,6 +561,69 @@ def test_flag_overrides_config_file_value(tmp_path, workspace):
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     assert manifest["config"]["target"] == 32
     assert "config" not in manifest["config"]
+
+
+def test_equal_chunk_runs_hash_equally(tmp_path, workspace):
+    """A default, the same value as a flag and the same value in a config file."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"target": 256}), encoding="utf-8")
+    out_dir = tmp_path / "chunks"
+    manifests = []
+    for extra in ([], ["--target", "256"], ["--config", str(config_path)]):
+        assert run(["chunk", "--root", str(workspace["root"]), *extra,
+                    "--out", str(out_dir)]) == 0
+        manifests.append(json.loads((out_dir / "run_manifest.json").read_text()))
+    assert manifests[0]["config"]["target"] == 256
+    assert [m["config"] for m in manifests[1:]] == [manifests[0]["config"]] * 2
+    assert len({m["config_sha256"] for m in manifests}) == 1
+    assert str(config_path) in manifests[2]["inputs"]
+    # a manifest's config, fed back as the config file, reproduces itself
+    config_path.write_text(json.dumps(manifests[0]["config"]), encoding="utf-8")
+    assert run(["chunk", "--root", str(workspace["root"]), "--config", str(config_path)]) == 0
+    replayed = json.loads((out_dir / "run_manifest.json").read_text())
+    assert replayed["config_sha256"] == manifests[0]["config_sha256"]
+
+
+def test_manifest_config_leaves_out_keys_the_command_does_not_read(tmp_path, workspace):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"alpha": 0.5, "variant": "enhanced"}), encoding="utf-8")
+    out_dir = tmp_path / "chunks"
+    assert run(["chunk", "--root", str(workspace["root"]), "--config", str(config_path),
+                "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert "alpha" not in manifest["config"] and "variant" not in manifest["config"]
+    assert manifest["inputs"][str(config_path)] == sha256_file(config_path)
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("chunk", {"target": True, "overlap": 0}, "target"),
+    ("chunk", {"target": 64.5}, "target"),
+    ("retrieve", {"alpha": "0.5"}, "alpha"),
+    ("eval-retrieval", {"variant": "nonsense"}, "variant"),
+    ("eval-retrieval", {"k": 8}, "k"),
+])
+def test_bad_config_value_rejected_naming_its_key(
+        built_pipeline, tmp_path, capsys, command, config, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    if command == "chunk":
+        inputs = ["--root", str(built_pipeline["root"])]
+    else:
+        inputs = ["--index", str(built_pipeline["index_baseline"]),
+                  "--qa", str(built_pipeline["qa"])]
+    out_dir = tmp_path / "out"
+    assert run([command, *inputs, "--config", str(config_path), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"config key {key!r}" in err["message"]
+    assert not out_dir.exists()
+
+
+def test_seed_is_a_usage_error_where_nothing_is_seeded(tmp_path, workspace):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["chunk", "--root", str(workspace["root"]), "--seed", "1",
+              "--out", str(tmp_path / "chunks")])
+    assert exc_info.value.code == 2
 
 
 def _pipeline_once(base: Path, root, manifest, qa) -> dict[str, bytes]:
