@@ -91,18 +91,23 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        chunk = cls(
-            chunk_id=d["chunk_id"], doc_id=d["doc_id"], start=d["start"], end=d["end"],
-            text=d["text"], ordinal=d["ordinal"],
-            core_start=d.get("core_start", d["start"]),
-            hard_split=d.get("hard_split", False),
-        )
-        if "header_text" not in d and "full_text" not in d:
-            return chunk
-        chunk.header_text = d["header_text"]
-        chunk.metadata_fraction = d["metadata_fraction"]
+        """The chunk a ``to_dict`` row holds; a missing key is a ValueError naming it."""
+        try:
+            chunk = cls(
+                chunk_id=d["chunk_id"], doc_id=d["doc_id"], start=d["start"], end=d["end"],
+                text=d["text"], ordinal=d["ordinal"],
+                core_start=d.get("core_start", d["start"]),
+                hard_split=d.get("hard_split", False),
+            )
+            if "header_text" not in d and "full_text" not in d:
+                return chunk
+            chunk.header_text = d["header_text"]
+            chunk.metadata_fraction = d["metadata_fraction"]
+            full_text = d["full_text"]
+        except KeyError as exc:
+            raise ValueError(f"chunk {d.get('chunk_id')!r}: missing key {exc.args[0]!r}") from None
         chunk.summary_fallback = d.get("summary_fallback", False)
-        if d["full_text"] != chunk.full_text:
+        if full_text != chunk.full_text:
             raise ValueError(f"chunk {chunk.chunk_id!r}: stored full_text is not "
                              f"header_text + newline + text")
         return chunk
@@ -280,11 +285,16 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    """Read a bare or enriched chunk file; a repeated chunk_id is a ValueError."""
-    chunks = [Chunk.from_dict(row) for row in read_jsonl(path)]
+    """Read a bare or enriched chunk file; a bad row or a repeated chunk_id is a ValueError."""
+    chunks = []
     seen: set[str] = set()
-    for chunk in chunks:
+    for number, row in read_jsonl(path):
+        try:
+            chunk = Chunk.from_dict(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
         if chunk.chunk_id in seen:
             raise ValueError(f"repeated chunk_id {chunk.chunk_id!r} in {path}")
         seen.add(chunk.chunk_id)
+        chunks.append(chunk)
     return chunks

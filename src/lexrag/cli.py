@@ -33,7 +33,8 @@ from lexrag.enricher import (DEFAULT_WINDOW, ExtractiveSummarizer, RemoteSummari
                              dump_enriched, enrich_document_chunks, load_enriched)
 from lexrag.evaluator import (MetricReport, compare_reports, render_comparison_table,
                               render_table, sweep)
-from lexrag.index import build_dense, build_sparse, load_indexes, save_indexes, sha256_file
+from lexrag.index import (META_FILE, build_dense, build_sparse, load_index_chunks, load_indexes,
+                          save_indexes, sha256_file)
 from lexrag.preference import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
                                RefusalConfig, SplitSpec, build_preference_pairs, dump_pairs,
                                load_model_outputs, mean_score_with_delta_ci, refusal_rates,
@@ -99,21 +100,17 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
     """
     index_dir = Path(settings["index"])
     sparse, dense = load_indexes(index_dir)
-    chunks = {c.chunk_id: c for c in load_chunks(index_dir / "chunks.jsonl")}
+    chunks = {c.chunk_id: c for c in load_index_chunks(index_dir)}
     stray = sorted(chunks.keys() ^ set(sparse.chunk_ids))
     if stray:
         where = "only in chunks.jsonl" if stray[0] in chunks else "missing from chunks.jsonl"
         raise ValueError(f"index directory {index_dir} is inconsistent: chunk id "
                          f"{stray[0]!r} is {where} ({len(stray)} id(s) differ)")
-    meta = json.loads((index_dir / "index_meta.json").read_text(encoding="utf-8"))
-    if meta["embedder_backend"] == "remote":
-        remote = _remote_config(settings,
-                                "index was built with the remote embedder; pass --endpoint")
-        embedder = get_embedder("remote", dim=meta["dim"], remote=remote)
-    else:
-        embedder = get_embedder("deterministic", dim=meta["dim"])
+    remote = (_remote_config(settings, "index was built with the remote embedder; "
+                             "pass --endpoint") if dense.backend == "remote" else None)
     ctx = RetrievalContext(
-        sparse=sparse, dense=dense, embedder=embedder,
+        sparse=sparse, dense=dense,
+        embedder=get_embedder(dense.backend, dim=dense.dim, remote=remote),
         fusion=FusionConfig(k=k, alpha=settings["alpha"], candidate_pool=settings["pool"]),
         chunk_table={cid: (c.doc_id, c.start, c.end) for cid, c in chunks.items()},
     )
@@ -194,9 +191,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
         embedder = get_embedder("deterministic", dim=settings["dim"])
     sparse = build_sparse(chunks, k1=settings["k1"], b=settings["b"])
     dense = build_dense(chunks, embedder)
-    save_indexes(out_dir, sparse, dense)
-    # canonical copy so the index directory is self-contained for retrieval
-    dump_chunks(chunks, out_dir / "chunks.jsonl")
+    save_indexes(out_dir, sparse, dense, chunks)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
     return [chunks_path]
@@ -223,7 +218,7 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     dump_results(results, out_dir / "results.jsonl")
     write_jsonl(contexts, out_dir / "contexts.jsonl")
     print(json.dumps({"queries": len(results), "load_errors": len(errors)}, sort_keys=True))
-    return [settings["qa"], Path(settings["index"]) / "index_meta.json"]
+    return [settings["qa"], Path(settings["index"]) / META_FILE]
 
 
 def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
@@ -239,7 +234,7 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
     _write_json(out_dir / "metric_report.json", report.to_dict())
     (out_dir / "metric_report.txt").write_text(render_table(report) + "\n", encoding="utf-8")
     print(render_table(report))
-    return [qa_path, Path(settings["index"]) / "index_meta.json"]
+    return [qa_path, Path(settings["index"]) / META_FILE]
 
 
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:

@@ -14,6 +14,7 @@ original document positions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -107,15 +108,17 @@ def window_positions(n_chunks: int, window: int, stride: int) -> list[int]:
 
 
 def nearest_window_index(ordinal: int, positions: list[int], window: int) -> int:
-    """Index of the window whose center is nearest the ordinal; ties go earlier."""
-    best = 0
-    best_dist = None
-    for i, p in enumerate(positions):
-        center = p + (window - 1) / 2.0
-        dist = abs(ordinal - center)
-        if best_dist is None or dist < best_dist:
-            best, best_dist = i, dist
-    return best
+    """Index of the window whose center is nearest the ordinal; ties go earlier.
+
+    ``positions`` (window start ordinals) must be ascending. A window's center
+    is its start plus (window - 1) / 2, so the nearest center belongs to the
+    start nearest ``ordinal - (window - 1) / 2``: one of the two around it.
+    """
+    target = ordinal - (window - 1) / 2.0
+    i = bisect_left(positions, target)
+    if i > 0 and (i == len(positions) or target - positions[i - 1] <= positions[i] - target):
+        i = bisect_left(positions, positions[i - 1])  # the first of equal starts
+    return i
 
 
 def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,

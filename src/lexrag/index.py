@@ -12,11 +12,16 @@ the sorted chunk ids, computed once per index: rows are stored in chunk order,
 which is not id order (``doc#10`` sorts before ``doc#2``), and an integer key
 keeps string comparisons out of every ranking.
 
-Indexes persist to versioned ``.npz`` files with a JSON header carrying
-dimensions, counts, backend tag, and checksums. Strings (terms, chunk ids) are
-stored as one UTF-8 byte blob plus int64 offsets, so loading never unpickles:
-a checksum recomputed by whoever wrote the directory cannot make a load run
-code.
+The sparse index is held in the CSR layout it is stored in: the postings of
+``terms[i]`` (sorted) are ``refs`` (int64 chunk rows, ascending) and ``tfs``
+(float64) at ``offsets[i]:offsets[i + 1]``; ``postings`` maps terms to views.
+
+This module alone writes and reads an index directory: ``sparse.npz``,
+``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header with the
+format version, dimensions, backend tag and each file's sha256, checked on
+load. Strings (terms, chunk ids) are stored as one UTF-8 byte blob plus int64
+offsets, so loading never unpickles: a checksum recomputed by whoever wrote
+the directory cannot make a load run code.
 """
 
 from __future__ import annotations
@@ -24,19 +29,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from lexrag import kernels
-from lexrag.chunker import Chunk
+from lexrag.chunker import Chunk, dump_chunks, load_chunks
 from lexrag.embedding import EmbeddingProvider
 from lexrag.textutils import tokenize
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
+META_FILE = "index_meta.json"
+CHUNKS_FILE = "chunks.jsonl"
 
 
 def id_ranks(chunk_ids: Sequence[str]) -> np.ndarray:
@@ -64,58 +73,70 @@ def top_rows(scores: np.ndarray, n: int, id_rank: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SparseIndex:
-    """Inverted index with per-term postings and BM25 parameters."""
+    """Inverted index in CSR form with BM25 parameters (see the module docstring)."""
 
-    postings: dict[str, tuple[np.ndarray, np.ndarray]]  # term -> (chunk rows, tfs)
+    terms: list[str]  # sorted
+    offsets: np.ndarray  # int64, len(terms) + 1
+    refs: np.ndarray  # int64 chunk rows, ascending within each term
+    tfs: np.ndarray  # float64
     doc_lengths: np.ndarray
     avg_len: float
     N: int
     chunk_ids: list[str]
     k1: float = 1.2
     b: float = 0.75
-    norms: np.ndarray = field(default=None, repr=False)
-    id_rank: np.ndarray = field(default=None, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
+    id_rank: np.ndarray = field(init=False, repr=False)
+    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.norms is None:
-            if self.avg_len > 0:
-                rel = self.doc_lengths / self.avg_len
-            else:
-                rel = np.zeros_like(self.doc_lengths, dtype=np.float64)
-            self.norms = self.k1 * (1.0 - self.b + self.b * rel)
-        if self.id_rank is None:
-            self.id_rank = id_ranks(self.chunk_ids)
+        bounds = self.offsets.tolist()
+        if len(bounds) != len(self.terms) + 1:
+            raise ValueError(f"sparse index holds {len(self.terms)} terms but {len(bounds)} offsets")
+        # term -> (chunk rows, tfs), each a view into refs / tfs
+        self.postings = {term: (self.refs[lo:hi], self.tfs[lo:hi])
+                         for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+        rel = (self.doc_lengths / self.avg_len if self.avg_len > 0
+               else np.zeros_like(self.doc_lengths, dtype=np.float64))
+        self.norms = self.k1 * (1.0 - self.b + self.b * rel)
+        self.id_rank = id_ranks(self.chunk_ids)
 
     def idf(self, term: str) -> float:
-        post = self.postings.get(term)
-        if post is None:
+        if term not in self.postings:
             return 0.0
-        n_t = post[0].shape[0]
+        n_t = self.postings[term][0].shape[0]
         return math.log((self.N - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
 def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75) -> SparseIndex:
-    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text."""
+    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text.
+
+    Terms get first-seen int ids chunk by chunk, then sorted-term ids; one
+    ``np.unique`` over ``term * N + row`` keys gives the CSR postings and tfs.
+    """
     if not chunks:
         raise ValueError("cannot build a sparse index over an empty chunk list")
-    chunk_ids = [c.chunk_id for c in chunks]
-    doc_lengths = np.zeros(len(chunks), dtype=np.float64)
-    term_rows: dict[str, list[int]] = {}
-    term_tfs: dict[str, list[int]] = {}
+    n = len(chunks)
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
+    token_ids = array("q")
+    lengths = np.empty(n, dtype=np.int64)
     for row, chunk in enumerate(chunks):
         terms = tokenize(chunk.full_text)
-        doc_lengths[row] = len(terms)
-        for term, tf in sorted(Counter(terms).items()):
-            term_rows.setdefault(term, []).append(row)
-            term_tfs.setdefault(term, []).append(tf)
-    postings = {
-        term: (np.asarray(term_rows[term], dtype=np.int64),
-               np.asarray(term_tfs[term], dtype=np.float64))
-        for term in sorted(term_rows)
-    }
-    avg_len = float(doc_lengths.mean()) if len(chunks) else 0.0
-    return SparseIndex(postings=postings, doc_lengths=doc_lengths, avg_len=avg_len,
-                       N=len(chunks), chunk_ids=chunk_ids, k1=k1, b=b)
+        lengths[row] = len(terms)
+        token_ids.extend(map(vocab.__getitem__, terms))
+    first_seen = list(vocab)
+    keys = id_ranks(first_seen)[np.frombuffer(token_ids, dtype=np.int64)]
+    del token_ids  # before np.unique's sort copies, to keep the build's peak memory down
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    offsets = np.zeros(len(first_seen) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(first_seen)), out=offsets[1:])
+    doc_lengths = lengths.astype(np.float64)
+    return SparseIndex(terms=sorted(first_seen), offsets=offsets, refs=keys % n,
+                       tfs=tfs.astype(np.float64), doc_lengths=doc_lengths,
+                       avg_len=float(doc_lengths.mean()), N=n,
+                       chunk_ids=[c.chunk_id for c in chunks], k1=k1, b=b)
 
 
 def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
@@ -126,21 +147,14 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
     term score 0. Returns None when no query term is in the vocabulary.
     """
-    refs_parts, tfs_parts, idfs_parts = [], [], []
-    for term in tokenize(query):
-        post = index.postings.get(term)
-        if post is None:
-            continue
-        rows, tfs = post
-        refs_parts.append(rows)
-        tfs_parts.append(tfs)
-        idfs_parts.append(np.full(rows.shape[0], index.idf(term)))
-    if not refs_parts:
+    hits = [index.postings[term] + (index.idf(term),)
+            for term in tokenize(query) if term in index.postings]
+    if not hits:
         return None
-    refs = np.concatenate(refs_parts)
-    tfs = np.concatenate(tfs_parts)
-    idfs = np.concatenate(idfs_parts)
-    return kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
+    refs, tfs, idfs = zip(*hits)
+    idfs = np.repeat(idfs, [rows.shape[0] for rows in refs])
+    return kernels.bm25_accumulate(np.concatenate(refs), np.concatenate(tfs), idfs,
+                                   index.norms, index.k1)
 
 
 def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
@@ -164,11 +178,10 @@ class DenseIndex:
     vectors: np.ndarray
     chunk_ids: list[str]
     backend: str
-    id_rank: np.ndarray = field(default=None, repr=False)
+    id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.id_rank is None:
-            self.id_rank = id_ranks(self.chunk_ids)
+        self.id_rank = id_ranks(self.chunk_ids)
 
     @property
     def dim(self) -> int:
@@ -244,55 +257,52 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
     return [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
 
 
-def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex) -> Path:
-    """Write sparse.npz, dense.npz, and the index_meta.json header."""
+def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
+                 chunks: Sequence[Chunk] | None = None) -> Path:
+    """Write sparse.npz, dense.npz, ``chunks`` (in row order) as chunks.jsonl, and the
+    index_meta.json header listing each written file with its sha256."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    files = {}
 
-    terms = sorted(sparse.postings)
-    lengths = [sparse.postings[t][0].shape[0] for t in terms]
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    refs = (np.concatenate([sparse.postings[t][0] for t in terms])
-            if terms else np.zeros(0, dtype=np.int64))
-    tfs = (np.concatenate([sparse.postings[t][1] for t in terms])
-           if terms else np.zeros(0, dtype=np.float64))
-    term_bytes, term_offsets = _pack_strings(terms)
+    term_bytes, term_offsets = _pack_strings(sparse.terms)
     id_bytes, id_offsets = _pack_strings(sparse.chunk_ids)
-    sparse_path = directory / "sparse.npz"
+    files["sparse"] = directory / "sparse.npz"
     np.savez_compressed(
-        sparse_path,
+        files["sparse"],
         term_bytes=term_bytes, term_offsets=term_offsets,
-        offsets=offsets, refs=refs, tfs=tfs,
+        offsets=sparse.offsets, refs=sparse.refs, tfs=sparse.tfs,
         doc_lengths=sparse.doc_lengths,
         chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
         params=np.asarray([sparse.k1, sparse.b, sparse.avg_len], dtype=np.float64),
     )
 
     id_bytes, id_offsets = _pack_strings(dense.chunk_ids)
-    dense_path = directory / "dense.npz"
-    np.savez_compressed(dense_path, vectors=dense.vectors,
+    files["dense"] = directory / "dense.npz"
+    np.savez_compressed(files["dense"], vectors=dense.vectors,
                         chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
+
+    if chunks is not None:
+        files["chunks"] = directory / CHUNKS_FILE
+        dump_chunks(chunks, files["chunks"])
 
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
         "n_chunks": sparse.N,
         "dim": dense.dim,
         "embedder_backend": dense.backend,
-        "files": {
-            "sparse": {"path": sparse_path.name, "sha256": sha256_file(sparse_path)},
-            "dense": {"path": dense_path.name, "sha256": sha256_file(dense_path)},
-        },
+        "files": {name: {"path": path.name, "sha256": sha256_file(path)}
+                  for name, path in files.items()},
     }
-    meta_path = directory / "index_meta.json"
+    meta_path = directory / META_FILE
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return meta_path
 
 
 def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
-    """Load and checksum-verify a persisted index pair; never unpickles."""
+    """Load a persisted index pair after checking every file its header lists; never unpickles."""
     directory = Path(directory)
-    meta = json.loads((directory / "index_meta.json").read_text(encoding="utf-8"))
+    meta = json.loads((directory / META_FILE).read_text(encoding="utf-8"))
     if meta["format_version"] != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {meta['format_version']} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
@@ -305,22 +315,12 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
                              f"expected {entry['sha256']}, got {actual}")
 
     with np.load(directory / meta["files"]["sparse"]["path"], allow_pickle=False) as data:
-        terms = _unpack_strings(data["term_bytes"], data["term_offsets"])
-        offsets = data["offsets"]
-        refs = data["refs"]
-        tfs = data["tfs"]
-        doc_lengths = data["doc_lengths"]
         chunk_ids = _unpack_strings(data["chunk_id_bytes"], data["chunk_id_offsets"])
         k1, b, avg_len = (float(v) for v in data["params"])
-    bounds = offsets.tolist()
-    if len(bounds) != len(terms) + 1:
-        raise ValueError(f"sparse index holds {len(terms)} terms but {len(bounds)} offsets")
-    postings = {
-        term: (refs[lo:hi], tfs[lo:hi])
-        for term, lo, hi in zip(terms, bounds, bounds[1:])
-    }
-    sparse = SparseIndex(postings=postings, doc_lengths=doc_lengths, avg_len=avg_len,
-                         N=len(chunk_ids), chunk_ids=chunk_ids, k1=k1, b=b)
+        sparse = SparseIndex(terms=_unpack_strings(data["term_bytes"], data["term_offsets"]),
+                             offsets=data["offsets"], refs=data["refs"], tfs=data["tfs"],
+                             doc_lengths=data["doc_lengths"], avg_len=avg_len,
+                             N=len(chunk_ids), chunk_ids=chunk_ids, k1=k1, b=b)
 
     with np.load(directory / meta["files"]["dense"]["path"], allow_pickle=False) as data:
         dense = DenseIndex(vectors=data["vectors"],
@@ -330,3 +330,8 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
     if sparse.chunk_ids != dense.chunk_ids:
         raise ValueError("sparse and dense indexes list different chunk ids")
     return sparse, dense
+
+
+def load_index_chunks(directory: str | Path) -> list[Chunk]:
+    """The chunks saved with the index, in row order; ``load_indexes`` checks their sha256."""
+    return load_chunks(Path(directory) / CHUNKS_FILE)

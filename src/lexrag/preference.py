@@ -265,4 +265,4 @@ def dump_pairs(pairs: list[PreferencePair], path: str | Path,
 def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
     """Read model-output JSON-lines: {query_id, set_tag, output}."""
     return [(rec["query_id"], rec.get("set_tag", "set1"), rec["output"])
-            for rec in read_jsonl(path)]
+            for _, rec in read_jsonl(path)]

@@ -56,9 +56,9 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield the objects of a JSON-lines file in order, skipping blank lines."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each nonblank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                yield json.loads(line)
+                yield number, json.loads(line)

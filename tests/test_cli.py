@@ -241,6 +241,15 @@ def _add_renamed_row(path: Path) -> str:
     return row["chunk_id"]
 
 
+def _rehash_chunks(index_dir: Path) -> None:
+    """Record the index's edited chunks.jsonl checksum in index_meta.json, so a load
+    gets past the checksum check to the chunk id checks."""
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["files"]["chunks"]["sha256"] = sha256_file(index_dir / "chunks.jsonl")
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
 @pytest.mark.parametrize("tamper,where", [(_drop_first_row, "missing from chunks.jsonl"),
                                           (_add_renamed_row, "only in chunks.jsonl")])
 def test_index_chunks_file_disagreeing_with_index_rejected(
@@ -248,6 +257,7 @@ def test_index_chunks_file_disagreeing_with_index_rejected(
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     chunk_id = tamper(index_dir / "chunks.jsonl")
+    _rehash_chunks(index_dir)
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
@@ -269,6 +279,7 @@ def test_repeated_chunk_id_rejected(built_pipeline, tmp_path, capsys):
     index_dir = tmp_path / "tampered_index"
     shutil.copytree(built_pipeline["index_baseline"], index_dir)
     assert _repeat_first_row(index_dir / "chunks.jsonl") == repeated
+    _rehash_chunks(index_dir)
     commands = {
         "index": ["index", "--chunks", str(chunks_path), "--dim", "64",
                   "--out", str(tmp_path / "index")],
@@ -359,6 +370,36 @@ def test_tampered_full_text_rejected(built_pipeline, tmp_path, capsys):
         load_chunks(path)
     assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+
+
+def test_chunk_row_missing_a_key_named_with_file_and_line(built_pipeline, tmp_path, capsys):
+    path = tmp_path / "enriched.jsonl"
+    rows = [json.loads(line) for line in
+            (built_pipeline["enriched"] / "enriched.jsonl").read_text().splitlines()]
+    del rows[5]["full_text"]
+    write_jsonl(path, rows)
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    for named in (f"{path}, line 6", repr(rows[5]["chunk_id"]), "'full_text'"):
+        assert named in err["message"]
+
+
+def test_index_chunk_text_edited_with_id_kept_rejected(built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    chunks_path = index_dir / "chunks.jsonl"
+    rows = [json.loads(line) for line in chunks_path.read_text().splitlines()]
+    row = rows[2]
+    row["text"] = row["text"].replace("tribunal", "registrar")
+    row["full_text"] = row["header_text"] + "\n" + row["text"]
+    assert row["text"] != load_chunks(chunks_path)[2].text
+    write_jsonl(chunks_path, rows)
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "checksum mismatch for chunks.jsonl" in err["message"]
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
 def test_align_spans_command(tmp_path):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,17 @@ class TestWindowSummaries:
         assert serial == threaded
 
 
+def scan_nearest_window_index(ordinal: int, positions: list[int], window: int) -> int:
+    """Reference: the linear scan over every window center, first minimum wins."""
+    best = 0
+    best_dist = None
+    for i, p in enumerate(positions):
+        dist = abs(ordinal - (p + (window - 1) / 2.0))
+        if best_dist is None or dist < best_dist:
+            best, best_dist = i, dist
+    return best
+
+
 class TestNearestWindow:
     def test_ties_prefer_earlier_window(self):
         # centers at 1.5, 2.5; ordinal 2 is equidistant
@@ -105,6 +117,18 @@ class TestNearestWindow:
         mapping = [nearest_window_index(o, positions, 4) for o in range(8)]
         # equidistant ordinals (2, 3, 4, 5) fall to the earlier window
         assert mapping == [0, 0, 0, 1, 2, 3, 4, 4]
+
+    def test_matches_linear_scan(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n, window, stride = (int(v) for v in rng.integers(1, [60, 12, 9]))
+            positions = window_positions(n, window, stride)
+            if rng.random() < 0.2:  # ascending starts with repeats
+                positions = sorted(int(v) for v in rng.integers(0, n, rng.integers(1, 8)))
+            for ordinal in range(-2, n + window):
+                assert (nearest_window_index(ordinal, positions, window)
+                        == scan_nearest_window_index(ordinal, positions, window)), \
+                    (ordinal, positions, window)
 
 
 class TestExtractiveFallback:

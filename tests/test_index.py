@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexrag.embedding import HashedBowEmbedder
 from lexrag.index import (
@@ -19,7 +21,52 @@ from lexrag.textutils import tokenize
 from tests.conftest import make_chunk
 
 
+def reference_csr(texts: list[str]):
+    """CSR arrays from per-chunk Counters: sorted terms, rows ascending in each term."""
+    counts = [Counter(tokenize(text)) for text in texts]
+    terms = sorted(set().union(*counts))
+    offsets, refs, tfs = [0], [], []
+    for term in terms:
+        for row, counter in enumerate(counts):
+            if term in counter:
+                refs.append(row)
+                tfs.append(counter[term])
+        offsets.append(len(refs))
+    return (terms, np.asarray(offsets, dtype=np.int64), np.asarray(refs, dtype=np.int64),
+            np.asarray(tfs, dtype=np.float64))
+
+
+def assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# repeated, non-ASCII and punctuation-only words; "..." alone yields no term
+WORDS = ["a", "b", "Court", "court", "straße", "Ärger", "日本語", "İstanbul", "x1", "...", "—"]
+
+
 class TestBuildSparse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+                    min_size=1, max_size=12))
+    def test_csr_arrays_match_counter_reference(self, texts):
+        idx = build_sparse([make_chunk(i, text) for i, text in enumerate(texts)])
+        terms, offsets, refs, tfs = reference_csr(texts)
+        assert idx.terms == terms
+        assert_same_array(idx.offsets, offsets)
+        assert_same_array(idx.refs, refs)
+        assert_same_array(idx.tfs, tfs)
+        assert list(idx.postings) == terms
+        for term, lo, hi in zip(terms, offsets, offsets[1:]):
+            assert_same_array(idx.postings[term][0], refs[lo:hi])
+            assert_same_array(idx.postings[term][1], tfs[lo:hi])
+
+    def test_terms_and_offsets_must_agree(self):
+        idx = build_sparse([make_chunk(0, "a b")])
+        with pytest.raises(ValueError, match="2 terms but 2 offsets"):
+            replace(idx, offsets=idx.offsets[:-1])
+
     def test_single_chunk(self):
         idx = build_sparse([make_chunk(0, "a b")])
         assert idx.N == 1
@@ -194,6 +241,9 @@ class TestPersistence:
         assert set(sparse2.postings) == set(sparse.postings)
         for term in sparse.postings:
             assert np.array_equal(sparse2.postings[term][0], sparse.postings[term][0])
+        assert sparse2.terms == sparse.terms
+        for name in ("offsets", "refs", "tfs", "doc_lengths"):
+            assert_same_array(getattr(sparse2, name), getattr(sparse, name))
         assert np.array_equal(dense2.vectors, dense.vectors)
         assert dense2.backend == dense.backend
         query = "alpha"
