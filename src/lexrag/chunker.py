@@ -284,11 +284,12 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
     write_jsonl((chunk.to_dict() for chunk in chunks), path)
 
 
-def load_chunks(path: str | Path) -> list[Chunk]:
-    """Read a bare or enriched chunk file; a bad row or a repeated chunk_id is a ValueError."""
+def load_chunks(path: str | Path, data: bytes | None = None) -> list[Chunk]:
+    """Read a bare or enriched chunk file (from ``data``, its bytes, when given);
+    a bad row or a repeated chunk_id is a ValueError."""
     chunks = []
     seen: set[str] = set()
-    for number, row in read_jsonl(path):
+    for number, row in read_jsonl(path, data):
         try:
             chunk = Chunk.from_dict(row)
         except ValueError as exc:

@@ -17,16 +17,17 @@ The sparse index is held in the CSR layout it is stored in: the postings of
 (float64) at ``offsets[i]:offsets[i + 1]``; ``postings`` maps terms to views.
 
 This module alone writes and reads an index directory: ``sparse.npz``,
-``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header with the
-format version, dimensions, backend tag and each file's sha256, checked on
-load. Strings (terms, chunk ids) are stored as one UTF-8 byte blob plus int64
-offsets, so loading never unpickles: a checksum recomputed by whoever wrote
-the directory cannot make a load run code.
+``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header holding
+format version, dimensions, backend tag and each file's sha256, checked on the
+bytes a load parses. Strings (terms, chunk ids) are stored as one UTF-8 byte
+blob plus int64 offsets, so loading never unpickles: a checksum recomputed by
+whoever wrote the directory cannot make a load run code.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from array import array
@@ -87,13 +88,12 @@ class SparseIndex:
     b: float = 0.75
     norms: np.ndarray = field(init=False, repr=False)
     id_rank: np.ndarray = field(init=False, repr=False)
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)  # views
 
     def __post_init__(self) -> None:
         bounds = self.offsets.tolist()
         if len(bounds) != len(self.terms) + 1:
             raise ValueError(f"sparse index holds {len(self.terms)} terms but {len(bounds)} offsets")
-        # term -> (chunk rows, tfs), each a view into refs / tfs
         self.postings = {term: (self.refs[lo:hi], self.tfs[lo:hi])
                          for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
         rel = (self.doc_lengths / self.avg_len if self.avg_len > 0
@@ -102,18 +102,17 @@ class SparseIndex:
         self.id_rank = id_ranks(self.chunk_ids)
 
     def idf(self, term: str) -> float:
-        if term not in self.postings:
+        post = self.postings.get(term)
+        if post is None:
             return 0.0
-        n_t = self.postings[term][0].shape[0]
+        n_t = post[0].shape[0]
         return math.log((self.N - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
 def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75) -> SparseIndex:
-    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text.
-
-    Terms get first-seen int ids chunk by chunk, then sorted-term ids; one
-    ``np.unique`` over ``term * N + row`` keys gives the CSR postings and tfs.
-    """
+    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text."""
+    # first-seen term ids chunk by chunk, remapped to sorted-term order; one np.unique
+    # over term * N + row keys then gives the CSR postings and their tfs
     if not chunks:
         raise ValueError("cannot build a sparse index over an empty chunk list")
     n = len(chunks)
@@ -147,14 +146,21 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
     term score 0. Returns None when no query term is in the vocabulary.
     """
-    hits = [index.postings[term] + (index.idf(term),)
-            for term in tokenize(query) if term in index.postings]
-    if not hits:
+    refs_parts, tfs_parts, idfs_parts = [], [], []
+    for term in tokenize(query):
+        post = index.postings.get(term)
+        if post is None:
+            continue
+        rows, tfs = post
+        refs_parts.append(rows)
+        tfs_parts.append(tfs)
+        idfs_parts.append(np.full(rows.shape[0], index.idf(term)))
+    if not refs_parts:
         return None
-    refs, tfs, idfs = zip(*hits)
-    idfs = np.repeat(idfs, [rows.shape[0] for rows in refs])
-    return kernels.bm25_accumulate(np.concatenate(refs), np.concatenate(tfs), idfs,
-                                   index.norms, index.k1)
+    refs = np.concatenate(refs_parts)
+    tfs = np.concatenate(tfs_parts)
+    idfs = np.concatenate(idfs_parts)
+    return kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
 
 
 def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
@@ -258,7 +264,7 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
 
 
 def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
-                 chunks: Sequence[Chunk] | None = None) -> Path:
+                 chunks: Sequence[Chunk]) -> Path:
     """Write sparse.npz, dense.npz, ``chunks`` (in row order) as chunks.jsonl, and the
     index_meta.json header listing each written file with its sha256."""
     directory = Path(directory)
@@ -282,9 +288,8 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     np.savez_compressed(files["dense"], vectors=dense.vectors,
                         chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
 
-    if chunks is not None:
-        files["chunks"] = directory / CHUNKS_FILE
-        dump_chunks(chunks, files["chunks"])
+    files["chunks"] = directory / CHUNKS_FILE
+    dump_chunks(chunks, files["chunks"])
 
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
@@ -299,22 +304,31 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     return meta_path
 
 
-def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
-    """Load a persisted index pair after checking every file its header lists; never unpickles."""
-    directory = Path(directory)
-    meta = json.loads((directory / META_FILE).read_text(encoding="utf-8"))
+def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
+    """The index_meta.json header and the bytes of its ``name`` file, after checking the
+    format version, that all three index files are listed, and the returned bytes' sha256."""
+    meta_path = directory / META_FILE
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta["format_version"] != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {meta['format_version']} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
                          f"rebuild with `lexrag index`")
-    for entry in meta["files"].values():
-        path = directory / entry["path"]
-        actual = sha256_file(path)
-        if actual != entry["sha256"]:
-            raise ValueError(f"checksum mismatch for {path.name}: "
-                             f"expected {entry['sha256']}, got {actual}")
+    missing = sorted({"sparse", "dense", "chunks"} - meta["files"].keys())
+    if missing:
+        raise ValueError(f"{meta_path} lists no {missing[0]} file; rebuild with `lexrag index`")
+    entry = meta["files"][name]
+    data = (directory / entry["path"]).read_bytes()
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != entry["sha256"]:
+        raise ValueError(f"checksum mismatch for {entry['path']}: "
+                         f"expected {entry['sha256']}, got {actual}")
+    return meta, data
 
-    with np.load(directory / meta["files"]["sparse"]["path"], allow_pickle=False) as data:
+
+def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
+    """Load a persisted index pair, each file checked against its sha256; never unpickles."""
+    directory = Path(directory)
+    with np.load(io.BytesIO(_read_checked(directory, "sparse")[1]), allow_pickle=False) as data:
         chunk_ids = _unpack_strings(data["chunk_id_bytes"], data["chunk_id_offsets"])
         k1, b, avg_len = (float(v) for v in data["params"])
         sparse = SparseIndex(terms=_unpack_strings(data["term_bytes"], data["term_offsets"]),
@@ -322,7 +336,8 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
                              doc_lengths=data["doc_lengths"], avg_len=avg_len,
                              N=len(chunk_ids), chunk_ids=chunk_ids, k1=k1, b=b)
 
-    with np.load(directory / meta["files"]["dense"]["path"], allow_pickle=False) as data:
+    meta, raw = _read_checked(directory, "dense")
+    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
         dense = DenseIndex(vectors=data["vectors"],
                            chunk_ids=_unpack_strings(data["chunk_id_bytes"],
                                                      data["chunk_id_offsets"]),
@@ -333,5 +348,6 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
 
 
 def load_index_chunks(directory: str | Path) -> list[Chunk]:
-    """The chunks saved with the index, in row order; ``load_indexes`` checks their sha256."""
-    return load_chunks(Path(directory) / CHUNKS_FILE)
+    """The chunks saved with the index, in row order, checked against their sha256."""
+    meta, raw = _read_checked(Path(directory), "chunks")
+    return load_chunks(Path(directory) / meta["files"]["chunks"]["path"], raw)

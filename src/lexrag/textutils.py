@@ -11,6 +11,7 @@ Two distinct token notions coexist in this package and must not be mixed up:
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from pathlib import Path
@@ -56,9 +57,23 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each nonblank line of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_jsonl(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each nonblank line of a JSON-lines file.
+
+    ``data``, when given, is the file's content already read; ``path`` then only
+    names it in errors. A line that is not a JSON object is a ValueError naming
+    the path and the line number.
+    """
+    with (open(path, "r", encoding="utf-8") if data is None
+          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
         for number, line in enumerate(fh, 1):
-            if line.strip():
-                yield number, json.loads(line)
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not valid JSON "
+                                 f"({exc.msg}, column {exc.colno})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}, line {number}: not a JSON object")
+            yield number, row

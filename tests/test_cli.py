@@ -402,6 +402,34 @@ def test_index_chunk_text_edited_with_id_kept_rejected(built_pipeline, tmp_path,
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
+def test_index_header_without_chunks_entry_rejected(built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["files"]["chunks"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"{meta_path} lists no chunks file" in err["message"]
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
+
+@pytest.mark.parametrize("line,problem", [('{"chunk_id": "x", oops}', "not valid JSON"),
+                                          ('["not", "an", "object"]', "not a JSON object")])
+def test_chunk_file_line_that_is_no_object_named_with_file_and_line(
+        built_pipeline, tmp_path, capsys, line, problem):
+    path = tmp_path / "chunks.jsonl"
+    lines = (built_pipeline["chunks"] / "chunks.jsonl").read_text().splitlines(keepends=True)
+    lines[4] = line + "\n"
+    path.write_text("".join(lines))
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"{path}, line 5: {problem}" in err["message"]
+
+
 def test_align_spans_command(tmp_path):
     root, qa_path = build_aus_corpus(tmp_path, n_records=12, n_docs=4, seed=1)
     out_dir = tmp_path / "aligned"

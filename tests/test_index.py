@@ -229,11 +229,11 @@ class TestPersistence:
         chunks = [make_chunk(i, f"docwords {i} alpha beta gamma"[:40]) for i in range(5)]
         sparse = build_sparse(chunks)
         dense = build_dense(chunks, HashedBowEmbedder(dim=32))
-        return sparse, dense
+        return chunks, sparse, dense
 
     def test_round_trip(self, tmp_path):
-        sparse, dense = self._build()
-        save_indexes(tmp_path, sparse, dense)
+        chunks, sparse, dense = self._build()
+        save_indexes(tmp_path, sparse, dense, chunks)
         sparse2, dense2 = load_indexes(tmp_path)
         assert sparse2.N == sparse.N
         assert sparse2.chunk_ids == sparse.chunk_ids
@@ -250,8 +250,8 @@ class TestPersistence:
         assert bm25_scores(sparse2, query) == bm25_scores(sparse, query)
 
     def test_checksum_mismatch_detected(self, tmp_path):
-        sparse, dense = self._build()
-        save_indexes(tmp_path, sparse, dense)
+        chunks, sparse, dense = self._build()
+        save_indexes(tmp_path, sparse, dense, chunks)
         payload = (tmp_path / "dense.npz").read_bytes()
         (tmp_path / "dense.npz").write_bytes(payload[:-2] + b"xx")
         with pytest.raises(ValueError, match="checksum"):
