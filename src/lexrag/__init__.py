@@ -22,7 +22,7 @@ from lexrag.corpus import (
 from lexrag.chunker import Chunk, ChunkConfig, count_tokens, split_recursive
 from lexrag.enricher import WindowSummary, enrich_chunk, window_summaries
 from lexrag.index import DenseIndex, SparseIndex, bm25_scores, build_dense, build_sparse, dense_search
-from lexrag.retriever import FusionConfig, RetrievalResult, hybrid_retrieve, normalize_scores
+from lexrag.retriever import FusionConfig, RetrievalResult, hybrid_retrieve, minmax_normalize
 from lexrag.evaluator import MetricReport, PairedComparison, drm, span_recall, sweep
 from lexrag.stats import bonferroni, bootstrap_ci, paired_ttest
 
@@ -50,7 +50,7 @@ __all__ = [
     "dense_search",
     "FusionConfig",
     "RetrievalResult",
-    "normalize_scores",
+    "minmax_normalize",
     "hybrid_retrieve",
     "MetricReport",
     "PairedComparison",

@@ -15,7 +15,7 @@ the merged text's token count, which keeps the packing bound safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from lexrag.corpus import Document
@@ -28,22 +28,19 @@ DEFAULT_SEPARATORS = ["\n\n", "\n", ". ", " ", ""]
 
 def count_tokens(text: str) -> int:
     """Number of maximal nonempty whitespace-delimited segments."""
-    return sum(1 for _ in _NONSPACE.finditer(text))
+    return len(text.split())
 
 
 @dataclass
 class ChunkConfig:
     target_tokens: int = 256
     overlap_tokens: int = 50
-    separators: list[str] = field(default_factory=lambda: list(DEFAULT_SEPARATORS))
 
     def __post_init__(self) -> None:
         if self.target_tokens <= 0:
             raise ValueError("target_tokens must be positive")
         if not (0 <= self.overlap_tokens < self.target_tokens):
             raise ValueError("overlap_tokens must satisfy 0 <= overlap < target")
-        if not self.separators or self.separators[-1] != "":
-            raise ValueError('separators must end with "" (character-level fallback)')
 
 
 @dataclass
@@ -249,7 +246,7 @@ def split_recursive(doc: Document, cfg: ChunkConfig | None = None) -> list[Chunk
         return []
 
     packer = _CorePacker(cfg.target_tokens, cfg.overlap_tokens)
-    _emit_cores(text, 0, len(text), cfg.separators, cfg.target_tokens, packer)
+    _emit_cores(text, 0, len(text), DEFAULT_SEPARATORS, cfg.target_tokens, packer)
     packer.flush(force=True)
 
     chunks: list[Chunk] = []

@@ -129,6 +129,24 @@ def url_to_doc_id(url: str) -> str:
     return _UNSAFE_ID_CHARS.sub("_", stripped).strip("/")
 
 
+def _sidecar_meta(path: Path, doc_id: str, entry) -> DocumentMeta:
+    """DocumentMeta from one sidecar entry; a mistyped value is a ValueError
+    naming the sidecar, the doc_id and the key."""
+    where = f"{path}: entry {doc_id!r}"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    title, extra = entry.get("title", ""), entry.get("extra", {})
+    optional = {key: entry.get(key) for key in ("jurisdiction", "doc_type", "source_url")}
+    if not isinstance(title, str):
+        raise ValueError(f"{where}: key 'title' must be a string")
+    for key, value in optional.items():
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{where}: key {key!r} must be a string or null")
+    if not isinstance(extra, dict) or not all(isinstance(v, str) for v in extra.values()):
+        raise ValueError(f"{where}: key 'extra' must map strings to strings")
+    return DocumentMeta(title=title, extra=dict(extra), **optional)
+
+
 def load_documents(root: str | Path, manifest: str | Path | None = None) -> DocumentCollection:
     """Load every file under ``root`` as one Document.
 
@@ -145,14 +163,10 @@ def load_documents(root: str | Path, manifest: str | Path | None = None) -> Docu
     manifest_path = Path(manifest).resolve() if manifest else None
     if manifest_path is not None:
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{manifest_path}: not a JSON object of doc_id -> meta objects")
         for doc_id, entry in raw.items():
-            meta_by_id[doc_id] = DocumentMeta(
-                title=entry.get("title", ""),
-                jurisdiction=entry.get("jurisdiction"),
-                doc_type=entry.get("doc_type"),
-                source_url=entry.get("source_url"),
-                extra=dict(entry.get("extra", {})),
-            )
+            meta_by_id[doc_id] = _sidecar_meta(manifest_path, doc_id, entry)
 
     documents: list[Document] = []
     errors: list[LoadError] = []

@@ -5,7 +5,9 @@ that do not originate from any gold-evidence document; a query-level variant
 (share of queries with at least one mismatched chunk) is emitted alongside.
 Span recall counts (gold span, retrieved chunk) pairs with same-document
 character overlap, divided by the number of gold spans; multiple chunks
-covering one span push it above 1.0 by design.
+covering one span push it above 1.0 by design. Both metrics read a ranked
+chunk's document and character offsets only from the chunk table,
+``chunk_id -> (doc_id, start, end)``, that the index's ``chunks.jsonl`` fills.
 
 Sweeps evaluate nested ranking prefixes, so one retrieval pass per query
 serves every k. Confidence intervals come from seeded percentile bootstrap;
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lexrag.corpus import QueryRecord
-from lexrag import kernels
 from lexrag.retriever import RetrievalContext, RetrievalResult
 # bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
 # perfbench's tracer wraps them under this module's name.
@@ -30,58 +31,40 @@ from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F
                           paired_delta_ci, paired_ttest, percentile_ci, shared_bootstrap_means)
 
 DEFAULT_KS = [1, 2, 4, 8, 16, 32, 64]
+# The metrics every sweep reports and every comparison tests, in output order.
+METRICS = ("drm", "span_recall")
 
 
-def chunk_doc_id(chunk_id: str) -> str:
-    """Document part of a chunk id (``doc_id#ordinal``)."""
-    return chunk_id.rsplit("#", 1)[0]
-
-
-def drm(result: RetrievalResult, gold_docs: set[str], k: int,
-        doc_of: dict[str, str] | None = None) -> float:
+def drm(result: RetrievalResult, gold_docs: set[str],
+        chunk_table: dict[str, tuple[str, int, int]], k: int) -> float:
     """Proportion of the top-min(k, |ranked|) chunks from non-gold documents."""
     if not gold_docs:
         raise ValueError("gold_docs must be nonempty")
     if not result.ranked:
         raise ValueError("DRM is undefined for an empty ranking")
-    top = result.ranked[:min(k, len(result.ranked))]
+    top = result.ranked[:k]
     mismatched = 0
     for ranked_chunk in top:
-        doc = (doc_of or {}).get(ranked_chunk.chunk_id) or chunk_doc_id(ranked_chunk.chunk_id)
-        if doc not in gold_docs:
+        if chunk_table[ranked_chunk.chunk_id][0] not in gold_docs:
             mismatched += 1
     return mismatched / len(top)
 
 
-def span_recall(result: RetrievalResult, gold_spans, chunk_table: dict[str, tuple[str, int, int]],
-                k: int) -> float:
-    """Overlapping (gold span, top-k chunk) pair count divided by span count."""
+def span_recall(result: RetrievalResult, gold_spans,
+                chunk_table: dict[str, tuple[str, int, int]], k: int) -> float:
+    """Overlapping (gold span, top-k chunk) pair count divided by span count.
+
+    A pair overlaps when span and chunk share a document and at least one
+    character.
+    """
     if not gold_spans:
         raise ValueError("gold_spans must be nonempty")
-    top = result.ranked[:min(k, len(result.ranked))]
-    doc_codes: dict[str, int] = {}
-
-    def code(doc_id: str) -> int:
-        return doc_codes.setdefault(doc_id, len(doc_codes))
-
-    span_docs = np.array([code(s.doc_id) for s in gold_spans], dtype=np.int64)
-    span_starts = np.array([s.start for s in gold_spans], dtype=np.int64)
-    span_ends = np.array([s.end for s in gold_spans], dtype=np.int64)
-
-    chunk_docs, chunk_starts, chunk_ends = [], [], []
-    for ranked_chunk in top:
-        entry = chunk_table.get(ranked_chunk.chunk_id)
-        if entry is None:
-            continue
-        doc_id, start, end = entry
-        chunk_docs.append(code(doc_id))
-        chunk_starts.append(start)
-        chunk_ends.append(end)
-    pairs = kernels.overlap_pairs(
-        span_docs, span_starts, span_ends,
-        np.array(chunk_docs, dtype=np.int64),
-        np.array(chunk_starts, dtype=np.int64),
-        np.array(chunk_ends, dtype=np.int64))
+    pairs = 0
+    for ranked_chunk in result.ranked[:k]:
+        doc_id, start, end = chunk_table[ranked_chunk.chunk_id]
+        for span in gold_spans:
+            if span.doc_id == doc_id and min(span.end, end) - max(span.start, start) >= 1:
+                pairs += 1
     return pairs / len(gold_spans)
 
 
@@ -176,8 +159,6 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
     report = MetricReport(dataset=dataset, variant=variant, ks=ks,
                           bootstrap_iterations=iterations, bootstrap_seed=seed)
     corpus_docs = {doc_id for doc_id, _, _ in ctx.chunk_table.values()}
-    doc_of = {cid: entry[0] for cid, entry in ctx.chunk_table.items()}
-    max_k = max(ks)
 
     for record in records:
         if not record.gold_spans:
@@ -188,28 +169,25 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
             report.excluded.append({"query_id": record.query_id, "reason": "no_resolvable_gold_docs"})
             continue
         result = ctx.retrieve(record.question, query_id=record.query_id)
-        result = RetrievalResult(query_id=result.query_id,
-                                 ranked=result.ranked[:max_k], k=max_k)
         if not result.ranked:
             report.excluded.append({"query_id": record.query_id, "reason": "empty_ranking"})
             continue
-        drm_by_k = {k: drm(result, gold_docs, k, doc_of=doc_of) for k in ks}
+        drm_by_k = {k: drm(result, gold_docs, ctx.chunk_table, k) for k in ks}
         recall_by_k = {k: span_recall(result, record.gold_spans, ctx.chunk_table, k)
                        for k in ks}
         report.per_query[record.query_id] = {"drm": drm_by_k, "span_recall": recall_by_k}
 
-    metrics = ("drm", "span_recall")
     qids = list(report.per_query)
     if not qids:
-        report.per_k = {k: {f"{metric}_mean": None for metric in metrics} for k in ks}
+        report.per_k = {k: {f"{metric}_mean": None for metric in METRICS} for k in ks}
         return report
-    values = np.array([[[report.per_query[q][metric][k] for q in qids] for metric in metrics]
+    values = np.array([[[report.per_query[q][metric][k] for q in qids] for metric in METRICS]
                        for k in ks], dtype=np.float64)
     means = shared_bootstrap_means(values.reshape(-1, len(qids)), iterations, seed)
-    means = means.reshape(len(ks), len(metrics), iterations)
+    means = means.reshape(len(ks), len(METRICS), iterations)
     for k, values_k, means_k in zip(ks, values, means):
         entry: dict[str, object] = {}
-        for metric, vals, resampled in zip(metrics, values_k, means_k):
+        for metric, vals, resampled in zip(METRICS, values_k, means_k):
             entry[f"{metric}_mean"] = float(vals.mean())
             entry[f"{metric}_ci"] = list(percentile_ci(resampled))
             entry[f"{metric}_minmax"] = [float(resampled.min()), float(resampled.max())]
@@ -219,7 +197,6 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
 
 
 def compare_reports(baseline: MetricReport, enhanced: MetricReport,
-                    metrics: tuple[str, ...] = ("drm", "span_recall"),
                     iterations: int = 10000, seed: int = 0) -> list[PairedComparison]:
     """Paired per-query comparison over shared queries: delta = enhanced - baseline.
 
@@ -230,8 +207,8 @@ def compare_reports(baseline: MetricReport, enhanced: MetricReport,
     shared_ks = sorted(set(baseline.ks) & set(enhanced.ks))
     if not shared_queries or not shared_ks:
         return []
-    m = len(shared_ks) * len(metrics)
-    cells = [(metric, k) for metric in metrics for k in shared_ks]
+    m = len(shared_ks) * len(METRICS)
+    cells = [(metric, k) for metric in METRICS for k in shared_ks]
     base_vals = np.array([[baseline.per_query[q][metric][k] for q in shared_queries]
                           for metric, k in cells])
     enh_vals = np.array([[enhanced.per_query[q][metric][k] for q in shared_queries]

@@ -1,11 +1,10 @@
-"""Hot numeric kernels: token hashing, BM25 accumulation, overlap counting, resample means.
+"""Hot numeric kernels: token hashing, BM25 accumulation, resample means.
 
 Each kernel has one implementation. ``hash_tokens`` is a per-byte loop over
 Python ints, which wrap modulo 2**64 by masking; the embedder calls it with a
 dozen or so unseen terms per text, too few for a whole-array form to pay off.
-The others are whole-array numpy. The integer kernels
-(token hashing, overlap counting) are exact; BM25 accumulation sums each
-chunk's contributions in posting order, so it is bitwise equal to a
+The others are whole-array numpy. Token hashing is exact; BM25 accumulation
+sums each chunk's contributions in posting order, so it is bitwise equal to a
 per-posting loop. ``gather_means`` uses numpy's pairwise ``mean`` and may
 differ from a sequential sum by a few ULPs, while staying exactly
 deterministic for a fixed input.
@@ -55,17 +54,6 @@ def bm25_accumulate(refs: np.ndarray, tfs: np.ndarray, idfs: np.ndarray,
     """
     contrib = idfs * tfs * (k1 + 1.0) / (tfs + norms[refs])
     return np.bincount(refs, weights=contrib, minlength=norms.shape[0])
-
-
-def overlap_pairs(span_docs: np.ndarray, span_starts: np.ndarray, span_ends: np.ndarray,
-                  chunk_docs: np.ndarray, chunk_starts: np.ndarray, chunk_ends: np.ndarray) -> int:
-    """Count (span, chunk) pairs in the same document with >= 1 char overlap."""
-    if span_docs.shape[0] == 0 or chunk_docs.shape[0] == 0:
-        return 0
-    same_doc = span_docs[:, None] == chunk_docs[None, :]
-    lo = np.maximum(span_starts[:, None], chunk_starts[None, :])
-    hi = np.minimum(span_ends[:, None], chunk_ends[None, :])
-    return int(np.count_nonzero(same_doc & (hi - lo >= 1)))
 
 
 def gather_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ refusals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,6 @@ WITHOUT_REFUSAL_INSTRUCTION = "without_refusal_instruction"
 
 @dataclass
 class RefusalConfig:
-    refusal_string: str = REFUSAL_STRING
-    soft_patterns: list[str] = field(default_factory=lambda: list(DEFAULT_SOFT_PATTERNS))
     mode: str = "strict"
 
     def __post_init__(self) -> None:
@@ -163,15 +161,15 @@ def detect_refusal(output: str, cfg: RefusalConfig | None = None) -> bool:
     """True when the output is (or contains) the canonical refusal.
 
     Normalization: lowercase, collapse whitespace, strip terminal punctuation.
-    Soft mode additionally accepts configured hedge patterns.
+    Soft mode additionally accepts the hedge patterns in ``DEFAULT_SOFT_PATTERNS``.
     """
     cfg = cfg or RefusalConfig()
     normalized = strip_terminal_punctuation(normalize_for_match(output))
-    canonical = strip_terminal_punctuation(normalize_for_match(cfg.refusal_string))
+    canonical = strip_terminal_punctuation(normalize_for_match(REFUSAL_STRING))
     if canonical in normalized:
         return True
     if cfg.mode == "soft":
-        return any(normalize_for_match(p) in normalized for p in cfg.soft_patterns)
+        return any(normalize_for_match(p) in normalized for p in DEFAULT_SOFT_PATTERNS)
     return False
 
 
@@ -263,6 +261,18 @@ def dump_pairs(pairs: list[PreferencePair], path: str | Path,
 
 
 def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
-    """Read model-output JSON-lines: {query_id, set_tag, output}."""
-    return [(rec["query_id"], rec.get("set_tag", "set1"), rec["output"])
-            for _, rec in read_jsonl(path)]
+    """Read model-output JSON-lines: {query_id, set_tag, output}.
+
+    ``query_id`` and ``output`` are required strings; ``set_tag`` is an
+    optional string (default "set1"). A row that breaks this is a ValueError
+    naming the path, the line and the key.
+    """
+    outputs = []
+    for number, rec in read_jsonl(path):
+        row = (rec.get("query_id"), rec.get("set_tag", "set1"), rec.get("output"))
+        for key, value in zip(("query_id", "set_tag", "output"), row):
+            if not isinstance(value, str):
+                problem = "not a string" if key in rec else "missing"
+                raise ValueError(f"{path}, line {number}: key {key!r} is {problem}")
+        outputs.append(row)
+    return outputs

@@ -80,20 +80,15 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
     """Min-max normalize a float64 array to [0, 1].
 
     When all values are equal every entry maps to 1.0, so a degenerate side
-    still ranks above candidates the retriever did not return at all.
+    still ranks above candidates the retriever did not return at all. An
+    empty array maps to an empty array.
     """
+    if values.size == 0:
+        return values.copy()
     lo, hi = values.min(), values.max()
     if hi == lo:
         return np.ones_like(values)
     return (values - lo) / (hi - lo)
-
-
-def normalize_scores(scores: Sequence[tuple[int | str, float]]) -> list[tuple[int | str, float]]:
-    """``minmax_normalize`` over a list of (ref, score) pairs."""
-    if not scores:
-        return []
-    normed = minmax_normalize(np.array([s for _, s in scores], dtype=np.float64))
-    return [(ref, value) for (ref, _), value in zip(scores, normed.tolist())]
 
 
 def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,

@@ -52,19 +52,19 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
     return out
 
 
-def percentile_ci(means: np.ndarray, level: float = 0.95) -> tuple[float, float]:
-    """Percentile interval of resampled means (2.5th/97.5th pct at level 0.95)."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be in (0, 1)")
-    tail = (1.0 - level) / 2.0 * 100.0
+def percentile_ci(means: np.ndarray) -> tuple[float, float]:
+    """95% percentile interval of resampled means (2.5th/97.5th pct)."""
+    # This expression gives 2.500000000000002, not 2.5; every stored CI was
+    # computed with it, and a literal 2.5 can move np.percentile.
+    tail = (1.0 - 0.95) / 2.0 * 100.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)
 
 
 def bootstrap_ci(values: list[float] | np.ndarray, iterations: int = 10000,
-                 level: float = 0.95, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap CI of the mean (2.5th/97.5th pct at level 0.95)."""
-    return percentile_ci(bootstrap_means(values, iterations, seed), level)
+                 seed: int = 0) -> tuple[float, float]:
+    """95% percentile bootstrap CI of the mean."""
+    return percentile_ci(bootstrap_means(values, iterations, seed))
 
 
 def bootstrap_minmax(values: list[float] | np.ndarray, iterations: int = 10000,
@@ -114,6 +114,6 @@ def bonferroni(p: float, m: int) -> float:
 
 
 def paired_delta_ci(deltas: list[float] | np.ndarray, iterations: int = 10000,
-                    level: float = 0.95, seed: int = 0) -> tuple[float, float]:
-    """Percentile CI of the mean of paired per-item deltas."""
-    return bootstrap_ci(deltas, iterations=iterations, level=level, seed=seed)
+                    seed: int = 0) -> tuple[float, float]:
+    """95% percentile CI of the mean of paired per-item deltas."""
+    return bootstrap_ci(deltas, iterations=iterations, seed=seed)

@@ -29,15 +29,18 @@ class TestCountTokens:
         fragment = "...at a price per share of $22.00 (the Offer Price),\nnet to the holder ..."
         assert count_tokens(fragment) == 15
 
+    @given(st.text(alphabet=st.sampled_from(
+        ["a", "Z", "é", "数", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u1680",
+         "\u2000", "\u2028", "\u2029", "\u202f", "\u3000", " ", "\u200b", "\ufeff"])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_regex_run_count_on_unicode_whitespace(self, text):
+        assert count_tokens(text) == len(re.findall(r"\S+", text))
+
 
 class TestChunkConfig:
     def test_overlap_must_be_smaller_than_target(self):
         with pytest.raises(ValueError):
             ChunkConfig(target_tokens=50, overlap_tokens=50)
-
-    def test_separators_must_end_with_char_fallback(self):
-        with pytest.raises(ValueError):
-            ChunkConfig(separators=["\n\n", " "])
 
 
 class TestSplitExamples:

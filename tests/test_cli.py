@@ -534,6 +534,39 @@ def test_eval_answers_command(tmp_path):
     assert report["comparison"]["delta"] == 1.0
 
 
+@pytest.mark.parametrize("row,key,problem", [
+    ({"query_id": "q1", "set_tag": "set1_correct_context"}, "output", "missing"),
+    ({"query_id": "q1", "set_tag": "set1_correct_context", "output": 7}, "output", "not a string"),
+])
+def test_model_output_row_named_with_file_line_and_key(tmp_path, capsys, row, key, problem):
+    _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
+    good = {"query_id": "q0", "set_tag": "set1_correct_context", "output": "An answer."}
+    path = tmp_path / "outputs.jsonl"
+    write_jsonl(path, [good, good, row])
+    for argv in (["eval-refusal", "--outputs", str(path)],
+                 ["eval-answers", "--outputs", str(path), "--qa", str(qa_path),
+                  "--format", "aus_legal_qa"]):
+        assert run([*argv, "--out", str(tmp_path / argv[0])]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError", argv[0]
+        assert f"{path}, line 3: key {key!r} is {problem}" in err["message"], argv[0]
+
+
+def test_bad_manifest_sidecar_named_with_doc_id_and_key(workspace, tmp_path, capsys):
+    sidecar = tmp_path / "sidecar.json"
+    doc_id = workspace["doc_ids"][0]
+    cases = [(["a"], "not a JSON object"),
+             ({doc_id: {"title": 5}}, f"entry {doc_id!r}: key 'title'"),
+             ({doc_id: {"extra": {"court": 3}}}, f"entry {doc_id!r}: key 'extra'")]
+    for i, (content, named) in enumerate(cases):
+        sidecar.write_text(json.dumps(content), encoding="utf-8")
+        assert run(["chunk", "--root", str(workspace["root"]), "--manifest", str(sidecar),
+                    "--out", str(tmp_path / f"chunks{i}")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError", content
+        assert str(sidecar) in err["message"] and named in err["message"], content
+
+
 def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
     """chunk -> enrich -> index -> retrieve over files a careless loader trips on."""
     root = tmp_path / "corpus"

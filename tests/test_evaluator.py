@@ -7,7 +7,6 @@ from lexrag.corpus import GoldSpan, QueryRecord
 from lexrag.embedding import HashedBowEmbedder
 from lexrag.evaluator import (
     MetricReport,
-    chunk_doc_id,
     compare_reports,
     drm,
     render_comparison_table,
@@ -27,34 +26,34 @@ def ranked(*chunk_ids: str) -> RetrievalResult:
                 for i, cid in enumerate(chunk_ids)])
 
 
+def table_for(*chunk_ids: str) -> dict[str, tuple[str, int, int]]:
+    """Chunk table whose document is the id part before "#"."""
+    return {cid: (cid.split("#")[0], 0, 100) for cid in chunk_ids}
+
+
 class TestDrm:
+    table = table_for("g#000000", "g#000001", "g#000002", "g#000003",
+                      "a#000000", "b#000001", "c#000000", "d#000000", "x#000000")
+
     def test_all_top_chunks_from_gold_doc(self):
         result = ranked("g#000000", "g#000001", "g#000002", "g#000003")
-        assert drm(result, {"g"}, 4) == 0.0
+        assert drm(result, {"g"}, self.table, 4) == 0.0
 
     def test_no_top_chunks_from_gold_docs(self):
         result = ranked("a#000000", "b#000001", "c#000000", "d#000000")
-        assert drm(result, {"g"}, 4) == 1.0
+        assert drm(result, {"g"}, self.table, 4) == 1.0
 
     def test_one_of_four_mismatched(self):
         result = ranked("g#000000", "g#000001", "x#000000", "g#000002")
-        assert drm(result, {"g"}, 4) == 0.25
+        assert drm(result, {"g"}, self.table, 4) == 0.25
 
     def test_k_larger_than_ranking_uses_available(self):
         result = ranked("g#000000", "x#000000")
-        assert drm(result, {"g"}, 10) == 0.5
+        assert drm(result, {"g"}, self.table, 10) == 0.5
 
     def test_empty_ranking_is_undefined(self):
         with pytest.raises(ValueError):
-            drm(RetrievalResult("q", [], 4), {"g"}, 4)
-
-    def test_doc_of_mapping_overrides_id_parsing(self):
-        result = ranked("weird-id")
-        assert drm(result, {"g"}, 1, doc_of={"weird-id": "g"}) == 0.0
-
-    def test_chunk_doc_id_parsing(self):
-        assert chunk_doc_id("maud/file.txt#000004") == "maud/file.txt"
-        assert chunk_doc_id("dir#2/doc#000011") == "dir#2/doc"
+            drm(RetrievalResult("q", [], 4), {"g"}, self.table, 4)
 
 
 class TestSpanRecall:
@@ -92,6 +91,31 @@ class TestSpanRecall:
     def test_empty_gold_spans_rejected(self):
         with pytest.raises(ValueError):
             span_recall(ranked("g#000000"), [], self.table, 1)
+
+    def test_random_intervals_match_brute_force(self):
+        rng = np.random.default_rng(13)
+        s_doc = rng.integers(0, 4, 30)
+        s_start = rng.integers(0, 500, 30)
+        s_end = s_start + rng.integers(1, 80, 30)
+        c_doc = rng.integers(0, 4, 50)
+        c_start = rng.integers(0, 500, 50)
+        c_end = c_start + rng.integers(1, 120, 50)
+        spans = [GoldSpan(f"d{s_doc[i]}", int(s_start[i]), int(s_end[i]), "a")
+                 for i in range(30)]
+        table = {f"d{c_doc[j]}#{j:06d}": (f"d{c_doc[j]}", int(c_start[j]), int(c_end[j]))
+                 for j in range(50)}
+
+        brute = sum(
+            1
+            for i in range(30)
+            for j in range(50)
+            if s_doc[i] == c_doc[j] and min(s_end[i], c_end[j]) - max(s_start[i], c_start[j]) >= 1
+        )
+        assert span_recall(ranked(*table), spans, table, 50) == brute / 30
+
+    def test_empty_ranking_gives_zero(self):
+        spans = [GoldSpan("g", 10, 50, "a")]
+        assert span_recall(RetrievalResult("q", [], 4), spans, self.table, 4) == 0.0
 
 
 def build_context(rng, n_docs=5, chunks_per_doc=6, dim=96):

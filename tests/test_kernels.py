@@ -63,30 +63,6 @@ def test_bm25_accumulate_bitwise_matches_posting_loop():
     assert np.array_equal(got, expected)
 
 
-def test_overlap_pairs_match_brute_force():
-    rng = np.random.default_rng(13)
-    s_doc = rng.integers(0, 4, 30).astype(np.int64)
-    s_start = rng.integers(0, 500, 30).astype(np.int64)
-    s_end = s_start + rng.integers(1, 80, 30)
-    c_doc = rng.integers(0, 4, 50).astype(np.int64)
-    c_start = rng.integers(0, 500, 50).astype(np.int64)
-    c_end = c_start + rng.integers(1, 120, 50)
-
-    got = kernels.overlap_pairs(s_doc, s_start, s_end, c_doc, c_start, c_end)
-    brute = sum(
-        1
-        for i in range(30)
-        for j in range(50)
-        if s_doc[i] == c_doc[j] and min(s_end[i], c_end[j]) - max(s_start[i], c_start[j]) >= 1
-    )
-    assert got == brute
-
-
-def test_overlap_pairs_empty_inputs():
-    empty = np.zeros(0, dtype=np.int64)
-    assert kernels.overlap_pairs(empty, empty, empty, empty, empty, empty) == 0
-
-
 def test_gather_means_matches_loop_reference():
     rng = np.random.default_rng(19)
     values = rng.random(30)

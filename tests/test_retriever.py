@@ -10,26 +10,26 @@ from lexrag.retriever import (
     RetrievalContext,
     RetrievalResult,
     hybrid_retrieve,
-    normalize_scores,
+    minmax_normalize,
 )
 from tests.conftest import make_chunk, random_document_text
 
 
 class TestNormalizeScores:
     def test_two_values(self):
-        assert normalize_scores([("a", 2.0), ("b", 4.0)]) == [("a", 0.0), ("b", 1.0)]
+        assert minmax_normalize(np.array([2.0, 4.0])).tolist() == [0.0, 1.0]
 
     def test_constant_scores_map_to_one(self):
-        assert normalize_scores([("a", 3.0), ("b", 3.0)]) == [("a", 1.0), ("b", 1.0)]
+        assert minmax_normalize(np.array([3.0, 3.0])).tolist() == [1.0, 1.0]
 
     def test_three_values(self):
-        out = dict(normalize_scores([("a", 1.0), ("b", 2.0), ("c", 4.0)]))
-        assert out["a"] == 0.0
-        assert abs(out["b"] - 1 / 3) < 1e-12
-        assert out["c"] == 1.0
+        out = minmax_normalize(np.array([1.0, 2.0, 4.0]))
+        assert out[0] == 0.0
+        assert abs(out[1] - 1 / 3) < 1e-12
+        assert out[2] == 1.0
 
     def test_empty(self):
-        assert normalize_scores([]) == []
+        assert minmax_normalize(np.array([])).tolist() == []
 
 
 class TestFusionConfig:

@@ -108,10 +108,6 @@ class TestSharedDraw:
         with pytest.raises(ValueError):
             shared_bootstrap_means(np.zeros((3, 0)), 10, seed=0)
 
-    def test_level_validated(self):
-        with pytest.raises(ValueError):
-            percentile_ci(np.arange(5.0), level=1.0)
-
 
 class TestPairedTtest:
     def test_identical_series_gives_p_one(self):
