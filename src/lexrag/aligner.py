@@ -17,12 +17,11 @@ the failure carries the best score seen so it can be audited per dataset.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
-from lexrag.textutils import normalize_for_match
+from lexrag.textutils import normalize_for_match, write_json
 
 
 @dataclass
@@ -160,10 +159,6 @@ class AlignmentEntry:
     score: float = 0.0
     span: list | None = None
 
-    def to_dict(self) -> dict:
-        return {"query_id": self.query_id, "status": self.status,
-                "score": self.score, "span": self.span}
-
 
 @dataclass
 class AlignmentReport:
@@ -180,7 +175,7 @@ class AlignmentReport:
 
     def to_dict(self) -> dict:
         return {"min_score": self.min_score, "aligned": self.aligned,
-                "failed": self.failed, "entries": [e.to_dict() for e in self.entries]}
+                "failed": self.failed, "entries": [asdict(e) for e in self.entries]}
 
 
 def _alignment_score(doc: Document, span: GoldSpan, cfg: AlignConfig) -> float:
@@ -242,7 +237,4 @@ def records_to_snippet_json(records: list[QueryRecord]) -> list[dict]:
 
 
 def save_aligned_dataset(records: list[QueryRecord], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(records_to_snippet_json(records), ensure_ascii=False,
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(records_to_snippet_json(records), path)

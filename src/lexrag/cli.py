@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -41,7 +42,7 @@ from lexrag.preference import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUC
                                split_dataset, token_f1)
 from lexrag.remote import RemoteConfig
 from lexrag.retriever import FusionConfig, RetrievalContext, dump_results
-from lexrag.textutils import write_jsonl
+from lexrag.textutils import read_json, write_json, write_jsonl
 
 # config-file keys naming inputs; each must exist when the file is read
 PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
@@ -50,11 +51,6 @@ PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
 
 # ---------------------------------------------------------------------------
 # manifest and small shared helpers
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
 
 def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
     """Reproducibility record: effective config, its hash, input checksums, version.
@@ -69,7 +65,7 @@ def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
         "inputs": {str(Path(p)): sha256_file(p) for p in inputs if p and Path(p).is_file()},
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out_dir / "run_manifest.json", manifest)
+    write_json(manifest, out_dir / "run_manifest.json")
 
 
 def _remote_config(settings: dict, missing_endpoint: str) -> RemoteConfig:
@@ -125,7 +121,7 @@ def cmd_ingest(settings: dict, out_dir: Path) -> list:
     docs = load_documents(Path(settings["root"]), settings["manifest"])
     report = {
         "documents": len(docs),
-        "document_errors": [e.to_dict() for e in docs.errors],
+        "document_errors": [asdict(e) for e in docs.errors],
     }
     qa_path = settings["qa"]
     if qa_path:
@@ -134,9 +130,9 @@ def cmd_ingest(settings: dict, out_dir: Path) -> list:
             errors = errors + convert_spans_to_char(records, docs)
         validation = validate_annotations(records, docs)
         report["qa"] = dataset_counts(records)
-        report["qa_errors"] = [e.to_dict() for e in errors]
+        report["qa_errors"] = [asdict(e) for e in errors]
         report["validation"] = validation.to_dict()
-    _write_json(out_dir / "ingest_report.json", report)
+    write_json(report, out_dir / "ingest_report.json")
     print(json.dumps({k: v for k, v in report.items() if k in ("documents", "qa")},
                      sort_keys=True))
     return [*_corpus_inputs(settings, docs), qa_path]
@@ -231,7 +227,7 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
                    variant=settings["variant"],
                    seed=settings["seed"],
                    iterations=settings["bootstrap_iterations"])
-    _write_json(out_dir / "metric_report.json", report.to_dict())
+    write_json(report.to_dict(), out_dir / "metric_report.json")
     (out_dir / "metric_report.txt").write_text(render_table(report) + "\n", encoding="utf-8")
     print(render_table(report))
     return [qa_path, Path(settings["index"]) / META_FILE]
@@ -244,7 +240,7 @@ def cmd_align_spans(settings: dict, out_dir: Path) -> list:
                       max_window_slack=settings["slack"])
     aligned, align_report = reconstruct_dataset(records, docs, cfg)
     save_aligned_dataset([r for r in aligned if r.gold_spans], out_dir / "aligned_dataset.json")
-    _write_json(out_dir / "alignment_report.json", align_report.to_dict())
+    write_json(align_report.to_dict(), out_dir / "alignment_report.json")
     print(json.dumps({"aligned": align_report.aligned, "failed": align_report.failed,
                       "load_errors": len(errors)}, sort_keys=True))
     return [*_corpus_inputs(settings, docs), settings["qa"]]
@@ -262,8 +258,8 @@ def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
                  if split else [])
         dump_pairs(pairs, out_dir / f"{name}.jsonl", style=settings["export_style"])
         counts[name] = {"records": len(split), "pairs": len(pairs)}
-    _write_json(out_dir / "dpo_manifest.json", {"splits": counts, "seed": seed,
-                                                "load_errors": len(errors)})
+    write_json({"splits": counts, "seed": seed, "load_errors": len(errors)},
+               out_dir / "dpo_manifest.json")
     print(json.dumps(counts, sort_keys=True))
     return [settings["qa"]]
 
@@ -278,7 +274,7 @@ def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
             key: (None if value is None else {"exact": value, "rendered": f"{value:.1f}%"})
             for key, value in rates.items()
         }
-    _write_json(out_dir / "refusal_report.json", report)
+    write_json(report, out_dir / "refusal_report.json")
     print(json.dumps(report, sort_keys=True))
     return [settings["outputs"]]
 
@@ -308,13 +304,13 @@ def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
             scores_a, scores_b,
             iterations=settings["bootstrap_iterations"],
             seed=settings["seed"])
-    _write_json(out_dir / "answer_report.json", report)
+    write_json(report, out_dir / "answer_report.json")
     print(json.dumps(report, sort_keys=True))
     return [settings["outputs"]]
 
 
 def _read_report(path: str) -> MetricReport:
-    return MetricReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return MetricReport.from_dict(read_json(path), where=path)
 
 
 def cmd_compare(settings: dict, out_dir: Path) -> list:
@@ -327,9 +323,9 @@ def cmd_compare(settings: dict, out_dir: Path) -> list:
         "baseline": {"dataset": baseline.dataset, "variant": baseline.variant},
         "enhanced": {"dataset": enhanced.dataset, "variant": enhanced.variant},
         "m": len(comparisons),
-        "comparisons": [c.to_dict() for c in comparisons],
+        "comparisons": [asdict(c) for c in comparisons],
     }
-    _write_json(out_dir / "comparison.json", payload)
+    write_json(payload, out_dir / "comparison.json")
     table = render_comparison_table(comparisons)
     (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
@@ -473,11 +469,7 @@ def _settings(args: argparse.Namespace) -> dict:
     left out. Seeding is always explicit: defaults are fixed constants, never
     wall clock.
     """
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise ValueError(f"config file must hold a JSON object: {args.config}")
+    config = read_json(args.config) if args.config else {}
     settings = {"command": args.command}
     for s in COMMANDS[args.command].settings:
         value = _checked(s, config[s.key]) if s.key in config else s.default

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from lexrag.textutils import normalize_whitespace
+from lexrag.textutils import normalize_whitespace, read_json
 
 _URL_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 _UNSAFE_ID_CHARS = re.compile(r"[^A-Za-z0-9._/-]+")
@@ -71,9 +71,6 @@ class QueryRecord:
 class LoadError:
     where: str
     message: str
-
-    def to_dict(self) -> dict:
-        return {"where": self.where, "message": self.message}
 
 
 class DuplicateDocumentError(ValueError):
@@ -153,7 +150,9 @@ def load_documents(root: str | Path, manifest: str | Path | None = None) -> Docu
     doc_id is the POSIX relative path. Unreadable or empty files become
     per-file error entries and loading continues. An optional sidecar
     manifest (JSON object doc_id -> meta fields) populates DocumentMeta;
-    documents without an entry get a default title of their file name.
+    documents without an entry get a default title of their file name. A
+    sidecar entry naming no file under ``root`` is a ValueError naming the
+    sidecar and the doc_id; an empty or unreadable file counts as named.
     """
     root = Path(root)
     if not root.is_dir():
@@ -162,18 +161,20 @@ def load_documents(root: str | Path, manifest: str | Path | None = None) -> Docu
     meta_by_id: dict[str, DocumentMeta] = {}
     manifest_path = Path(manifest).resolve() if manifest else None
     if manifest_path is not None:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError(f"{manifest_path}: not a JSON object of doc_id -> meta objects")
-        for doc_id, entry in raw.items():
+        for doc_id, entry in read_json(manifest_path).items():
             meta_by_id[doc_id] = _sidecar_meta(manifest_path, doc_id, entry)
+
+    files = {path.relative_to(root).as_posix(): path
+             for path in sorted(p for p in root.rglob("*") if p.is_file())
+             if manifest_path is None or path.resolve() != manifest_path}
+    unmatched = sorted(meta_by_id.keys() - files.keys())
+    if unmatched:
+        raise ValueError(f"{manifest_path}: entry {unmatched[0]!r} names no file under "
+                         f"{root} ({len(unmatched)} of {len(meta_by_id)} entries unmatched)")
 
     documents: list[Document] = []
     errors: list[LoadError] = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        if manifest_path is not None and path.resolve() == manifest_path:
-            continue
-        doc_id = path.relative_to(root).as_posix()
+    for doc_id, path in files.items():
         try:
             text = path.read_text(encoding="utf-8")
         except (UnicodeDecodeError, OSError) as exc:
@@ -223,15 +224,13 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     """
     if format not in {"snippet_qa", "aus_legal_qa"}:
         raise ValueError(f"unknown dataset format: {format!r}")
-    path = Path(path)
-    raw_text = path.read_text(encoding="utf-8")
-
     if format == "snippet_qa":
-        payload = json.loads(raw_text)
-        if not isinstance(payload, list):
-            raise ValueError("snippet_qa dataset must be a JSON array")
-        return _parse_snippet_qa(payload)
-    return _parse_aus_legal_qa(raw_text)
+        return _parse_snippet_qa(read_json(path, list))
+    raw_text = Path(path).read_text(encoding="utf-8")
+    if raw_text.lstrip().startswith("["):
+        return _parse_aus_legal_qa(read_json(path, list))
+    return _parse_aus_legal_qa([_json_line(line) for line in raw_text.splitlines()
+                                if line.strip()])
 
 
 def _keep_first(records: dict[str, QueryRecord], errors: list[LoadError], where: str,
@@ -283,13 +282,7 @@ def _parse_snippet_qa(payload: list) -> tuple[list[QueryRecord], list[LoadError]
     return list(records.values()), errors
 
 
-def _parse_aus_legal_qa(raw_text: str) -> tuple[list[QueryRecord], list[LoadError]]:
-    stripped = raw_text.lstrip()
-    if stripped.startswith("["):
-        rows = json.loads(raw_text)
-    else:
-        rows = [_json_line(line) for line in raw_text.splitlines() if line.strip()]
-
+def _parse_aus_legal_qa(rows: list) -> tuple[list[QueryRecord], list[LoadError]]:
     records: dict[str, QueryRecord] = {}
     errors: list[LoadError] = []
     required = ("Question", "document URL", "Context", "Answer")
@@ -361,18 +354,6 @@ class SpanFinding:
     loose_equal: bool = False
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "span_index": self.span_index,
-            "doc_id": self.doc_id,
-            "kind": self.kind,
-            "raw_equal": self.raw_equal,
-            "normalized_equal": self.normalized_equal,
-            "loose_equal": self.loose_equal,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -396,7 +377,7 @@ class ValidationReport:
             "errors": self.error_count,
             "warnings": self.warning_count,
             "clean_records": self.clean_records,
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": [asdict(f) for f in self.findings],
         }
 
 

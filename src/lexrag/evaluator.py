@@ -19,7 +19,7 @@ has the same seed and sample size, so all of them share one resample draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class PairedComparison:
     n: int
     degenerate_variance: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "k": self.k,
-            "delta_mean": self.delta_mean,
-            "delta_ci": list(self.delta_ci),
-            "p_value": self.p_value,
-            "p_adjusted": self.p_adjusted,
-            "n": self.n,
-            "degenerate_variance": self.degenerate_variance,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PairedComparison":
         return cls(metric=d["metric"], k=d["k"], delta_mean=d["delta_mean"],
@@ -123,13 +111,18 @@ class MetricReport:
                 for qid, metrics in self.per_query.items()
             },
             "excluded": self.excluded,
-            "comparisons": [c.to_dict() for c in self.comparisons],
+            "comparisons": [asdict(c) for c in self.comparisons],
             "bootstrap_iterations": self.bootstrap_iterations,
             "bootstrap_seed": self.bootstrap_seed,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
+    def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
+        """The report a ``to_dict`` payload holds; a missing key is a ValueError
+        naming ``where`` (the report's file) and the key."""
+        for key in ("dataset", "variant", "ks", "per_k", "per_query"):
+            if key not in d:
+                raise ValueError(f"{where}: key {key!r} is missing")
         return cls(
             dataset=d["dataset"],
             variant=d["variant"],

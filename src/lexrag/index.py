@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import math
 from array import array
 from collections import defaultdict
@@ -39,10 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from lexrag import kernels
 from lexrag.chunker import Chunk, dump_chunks, load_chunks
 from lexrag.embedding import EmbeddingProvider
-from lexrag.textutils import tokenize
+from lexrag.textutils import read_json, tokenize, write_json
 
 INDEX_FORMAT_VERSION = 3
 META_FILE = "index_meta.json"
@@ -145,6 +143,8 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * len/avg_len)), with
     idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
     term score 0. Returns None when no query term is in the vocabulary.
+    ``np.bincount`` sums each chunk's contributions in posting order, so the
+    result is bitwise equal to a per-posting loop.
     """
     refs_parts, tfs_parts, idfs_parts = [], [], []
     for term in tokenize(query):
@@ -160,7 +160,8 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     refs = np.concatenate(refs_parts)
     tfs = np.concatenate(tfs_parts)
     idfs = np.concatenate(idfs_parts)
-    return kernels.bm25_accumulate(refs, tfs, idfs, index.norms, index.k1)
+    contrib = idfs * tfs * (index.k1 + 1.0) / (tfs + index.norms[refs])
+    return np.bincount(refs, weights=contrib, minlength=index.norms.shape[0])
 
 
 def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
@@ -300,15 +301,19 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
                   for name, path in files.items()},
     }
     meta_path = directory / META_FILE
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(meta, meta_path)
     return meta_path
 
 
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     """The index_meta.json header and the bytes of its ``name`` file, after checking the
-    format version, that all three index files are listed, and the returned bytes' sha256."""
+    header's keys, the format version, that all three index files are listed, and the
+    returned bytes' sha256."""
     meta_path = directory / META_FILE
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = read_json(meta_path)
+    for key in ("format_version", "embedder_backend", "files"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: key {key!r} is missing; rebuild with `lexrag index`")
     if meta["format_version"] != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {meta['format_version']} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "

@@ -1,13 +1,8 @@
-"""Hot numeric kernels: token hashing, BM25 accumulation, resample means.
+"""Token hashing for the deterministic embedder.
 
-Each kernel has one implementation. ``hash_tokens`` is a per-byte loop over
-Python ints, which wrap modulo 2**64 by masking; the embedder calls it with a
-dozen or so unseen terms per text, too few for a whole-array form to pay off.
-The others are whole-array numpy. Token hashing is exact; BM25 accumulation
-sums each chunk's contributions in posting order, so it is bitwise equal to a
-per-posting loop. ``gather_means`` uses numpy's pairwise ``mean`` and may
-differ from a sequential sum by a few ULPs, while staying exactly
-deterministic for a fixed input.
+``hash_tokens`` is a per-byte loop over Python ints, which wrap modulo 2**64
+by masking; the embedder calls it with a dozen or so unseen terms per text,
+too few for a whole-array form to pay off. It is exact and platform-independent.
 """
 
 from __future__ import annotations
@@ -43,19 +38,3 @@ def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.n
         signs[t] = 1.0 if (h2 & 1) == 0 else -1.0
     return buckets, signs
 
-
-def bm25_accumulate(refs: np.ndarray, tfs: np.ndarray, idfs: np.ndarray,
-                    norms: np.ndarray, k1: float) -> np.ndarray:
-    """Per-chunk BM25 scores summed from per-posting contributions.
-
-    ``refs``/``tfs``/``idfs`` are parallel posting arrays (chunk row, term
-    frequency, query-term idf); ``norms`` is the precomputed per-chunk length
-    normalization k1*(1-b+b*len/avg_len) and sets the output length.
-    """
-    contrib = idfs * tfs * (k1 + 1.0) / (tfs + norms[refs])
-    return np.bincount(refs, weights=contrib, minlength=norms.shape[0])
-
-
-def gather_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Mean of ``values[idx[i]]`` per resample row ``i``."""
-    return values[idx].mean(axis=1)

@@ -17,7 +17,7 @@ refusals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +72,6 @@ class PreferencePair:
     rejected: str
     set_tag: str  # "set1_correct_context" | "set2_incorrect_context"
     source_query_id: str
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "prompt": self.prompt,
-            "chosen": self.chosen,
-            "rejected": self.rejected,
-            "set_tag": self.set_tag,
-            "source_query_id": self.source_query_id,
-        }
 
 
 def split_dataset(records: list[QueryRecord],
@@ -245,7 +235,7 @@ def dump_pairs(pairs: list[PreferencePair], path: str | Path,
     single-turn conversation structure.
     """
     if style == "plain":
-        rows = (pair.to_dict() for pair in pairs)
+        rows = (asdict(pair) for pair in pairs)
     elif style == "conversation":
         rows = ({
             "pair_id": pair.pair_id,
@@ -265,9 +255,11 @@ def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
 
     ``query_id`` and ``output`` are required strings; ``set_tag`` is an
     optional string (default "set1"). A row that breaks this is a ValueError
-    naming the path, the line and the key.
+    naming the path, the line and the key. Once every row has passed, a
+    repeated (query_id, set_tag) is a ValueError naming the path and both lines.
     """
     outputs = []
+    numbers = []
     for number, rec in read_jsonl(path):
         row = (rec.get("query_id"), rec.get("set_tag", "set1"), rec.get("output"))
         for key, value in zip(("query_id", "set_tag", "output"), row):
@@ -275,4 +267,11 @@ def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
                 problem = "not a string" if key in rec else "missing"
                 raise ValueError(f"{path}, line {number}: key {key!r} is {problem}")
         outputs.append(row)
+        numbers.append(number)
+    first_line: dict[tuple[str, str], int] = {}
+    for number, (query_id, set_tag, _) in zip(numbers, outputs):
+        first = first_line.setdefault((query_id, set_tag), number)
+        if first != number:
+            raise ValueError(f"{path}, lines {first} and {number}: query_id {query_id!r} "
+                             f"repeats under set_tag {set_tag!r}")
     return outputs

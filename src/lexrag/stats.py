@@ -1,8 +1,9 @@
 """Bootstrap confidence intervals, paired t-tests, and multiple-comparison correction.
 
 Resampling is driven by a seeded numpy Generator so every interval is exactly
-reproducible; index generation happens in blocks to bound memory, and the
-gather-and-mean inner loop runs through ``kernels.gather_means``. Intervals
+reproducible; index generation happens in blocks to bound memory, and each
+block's resample means are one numpy gather and pairwise ``mean``, which may
+differ from a sequential sum by a few ULPs but is exactly deterministic. Intervals
 that share a seed and a sample size share one draw: ``shared_bootstrap_means``
 applies each index block to every value row, which is how a sweep or a
 comparison gets all its metric x k intervals from one resample matrix. The t-test
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from lexrag import kernels
 
 _BLOCK_ITERATIONS = 2048
 
@@ -47,7 +46,7 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
         block = min(_BLOCK_ITERATIONS, iterations - done)
         idx = rng.integers(0, n, size=(block, n))
         for values, means in zip(rows, out):
-            means[done:done + block] = kernels.gather_means(values, idx)
+            means[done:done + block] = values[idx].mean(axis=1)
         done += block
     return out
 

@@ -1,5 +1,11 @@
 """Shared text helpers: tokenization, whitespace normalization, sentence splitting,
-and the JSON-lines reader/writer pair for the ``*.jsonl`` files the pipeline writes.
+and the only code that knows how the pipeline's JSON files look on disk:
+
+* ``write_jsonl`` / ``read_jsonl`` -- JSON-lines files, one object per line;
+* ``write_json`` / ``read_json`` -- whole-file JSON (reports, headers, configs).
+
+Both writers sort keys and keep non-ASCII text, so reruns are byte-identical;
+both readers raise a ValueError naming the file (and line) for bad input.
 
 Two distinct token notions coexist in this package and must not be mixed up:
 
@@ -55,6 +61,28 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Pretty JSON (indent 2, keys sorted, non-ASCII kept) plus a trailing newline."""
+    Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+                          + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path, kind: type = dict):
+    """The JSON value a whole file holds, which must be a ``kind`` (dict or list).
+
+    Invalid JSON is a ValueError naming the path, line and column; a top-level
+    value of another type is a ValueError naming the path.
+    """
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}, line {exc.lineno}: not valid JSON "
+                         f"({exc.msg}, column {exc.colno})") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: not a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def read_jsonl(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, dict]]:

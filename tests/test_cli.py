@@ -552,6 +552,45 @@ def test_model_output_row_named_with_file_line_and_key(tmp_path, capsys, row, ke
         assert f"{path}, line 3: key {key!r} is {problem}" in err["message"], argv[0]
 
 
+@pytest.mark.parametrize("command", ["eval-refusal", "eval-answers"])
+def test_repeated_model_output_row_named_with_file_and_both_lines(tmp_path, capsys, command):
+    # counted twice, the aus-000 row would make set1_rate 66.7% (eval-refusal) or
+    # mean_f1 0.667 (eval-answers without --compare-with) instead of 50% or 0.5
+    _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
+    records = [json.loads(line) for line in qa_path.read_text().splitlines()]
+    first = {"query_id": "aus-000", "set_tag": "set1_correct_context",
+             "output": REFUSAL_STRING if command == "eval-refusal" else records[0]["Answer"]}
+    miss = {"query_id": "aus-001", "set_tag": "set1_correct_context", "output": "Unrelated."}
+    path = tmp_path / "outputs.jsonl"
+    write_jsonl(path, [first, miss, first])
+    extra = ["--qa", str(qa_path)] if command == "eval-answers" else []
+    out_dir = tmp_path / "out"
+    assert run([command, "--outputs", str(path), *extra, "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert (f"{path}, lines 1 and 3: query_id 'aus-000' repeats under set_tag "
+            f"'set1_correct_context'") in err["message"]
+    assert not list(out_dir.glob("*_report.json"))
+
+
+def test_sidecar_entry_naming_no_file_rejected(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "a.txt").write_text("The court held the appeal was allowed.", encoding="utf-8")
+    (root / "empty.txt").write_bytes(b"")  # a LoadError, but a file the sidecar may name
+    sidecar = tmp_path / "sidecar.json"
+    sidecar.write_text(json.dumps({"a.txt": {"title": "A"}, "b.txt": {"title": "B"},
+                                   "c.txt": {"title": "C"}, "empty.txt": {"title": "E"}}),
+                       encoding="utf-8")
+    assert run(["chunk", "--root", str(root), "--manifest", str(sidecar),
+                "--out", str(tmp_path / "chunks")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert str(sidecar) in err["message"]
+    assert "entry 'b.txt' names no file" in err["message"]
+    assert "2 of 4 entries unmatched" in err["message"]
+
+
 def test_bad_manifest_sidecar_named_with_doc_id_and_key(workspace, tmp_path, capsys):
     sidecar = tmp_path / "sidecar.json"
     doc_id = workspace["doc_ids"][0]
@@ -598,6 +637,70 @@ def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
         assert code in (0, 1), argv[0]
         if code == 1:
             assert set(json.loads(err.strip())) == {"error", "message"}, argv[0]
+
+
+_NO_DATASET = json.dumps({"variant": "baseline", "ks": [1], "per_k": {}, "per_query": {}})
+_NO_FILES = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test"})
+_TRUNCATED = ", line 2: not valid JSON"
+
+
+@pytest.mark.parametrize("target,command,content,problem", [
+    pytest.param("config", "report", '{"top": 4,\n', _TRUNCATED, id="config-truncated"),
+    pytest.param("config", "report", "[4]", ": not a JSON object", id="config-array"),
+    pytest.param("sidecar", "chunk", '{"a.txt": {},\n', _TRUNCATED, id="sidecar-truncated"),
+    pytest.param("sidecar", "chunk", '"a.txt"', ": not a JSON object", id="sidecar-string"),
+    pytest.param("snippet_qa", "retrieve", '[{"query": "q"},\n', _TRUNCATED,
+                 id="snippet_qa-truncated"),
+    pytest.param("snippet_qa", "retrieve", '{"query": "q"}', ": not a JSON array",
+                 id="snippet_qa-object"),
+    # an aus_legal_qa file opening with "[" is the array form, any other is JSON lines
+    pytest.param("aus_legal_qa", "retrieve", '[{"Question": "q"},\n', _TRUNCATED,
+                 id="aus_legal_qa-truncated"),
+    pytest.param("metric_report", "compare", '{"ks": [1],\n', _TRUNCATED,
+                 id="compare-truncated"),
+    pytest.param("metric_report", "compare", "[]", ": not a JSON object", id="compare-array"),
+    pytest.param("metric_report", "compare", _NO_DATASET, ": key 'dataset' is missing",
+                 id="compare-no-dataset"),
+    pytest.param("metric_report", "report", '{"ks": [1],\n', _TRUNCATED,
+                 id="report-truncated"),
+    pytest.param("metric_report", "report", "[]", ": not a JSON object", id="report-array"),
+    pytest.param("metric_report", "report", _NO_DATASET, ": key 'dataset' is missing",
+                 id="report-no-dataset"),
+    pytest.param("index_meta", "retrieve", '{"dim": 128,\n', _TRUNCATED,
+                 id="index_meta-truncated"),
+    pytest.param("index_meta", "retrieve", "[]", ": not a JSON object", id="index_meta-array"),
+    pytest.param("index_meta", "retrieve", _NO_FILES, ": key 'files' is missing",
+                 id="index_meta-no-files"),
+])
+def test_bad_whole_file_json_input_named_with_its_path(
+        built_pipeline, tmp_path, capsys, target, command, content, problem):
+    """Each whole-file JSON input, truncated, of the wrong top-level type or
+    missing a key, fails with a ValueError naming the file."""
+    index_dir = built_pipeline["index_enhanced"]
+    if target == "index_meta":
+        index_dir = tmp_path / "index"
+        shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+        path = index_dir / "index_meta.json"
+    else:
+        path = tmp_path / f"{target}.json"
+    path.write_text(content, encoding="utf-8")
+    qa = ["--qa", str(built_pipeline["qa"])]
+    if target in ("snippet_qa", "aus_legal_qa"):
+        qa = ["--qa", str(path), "--format", target]
+    argv = {
+        "report": ["report", "--report", str(path)],
+        "compare": ["compare", "--baseline", str(path), "--enhanced", str(path)],
+        "chunk": ["chunk", "--root", str(built_pipeline["root"]), "--manifest", str(path)],
+        "retrieve": ["retrieve", "--index", str(index_dir), *qa],
+    }[command]
+    if target == "config":
+        argv += ["--config", str(path)]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"{path}{problem}" in err["message"]
+    assert not any(out.glob("*"))
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,5 +1,7 @@
-"""The numpy kernels against plain-Python loop references."""
+"""The numeric kernels (token hashing, BM25 accumulation, resample means)
+against plain-Python loop references."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 import lexrag
-from lexrag import kernels
+from lexrag import kernels, stats
+from lexrag.index import SparseIndex, bm25_score_array
 
 
 def _token_blob(tokens: list[str]) -> tuple[bytes, np.ndarray]:
@@ -46,29 +49,48 @@ def test_hash_tokens_empty_batch():
     assert buckets.shape == signs.shape == (0,)
 
 
-def test_bm25_accumulate_bitwise_matches_posting_loop():
+def test_bm25_score_array_bitwise_matches_posting_loop():
     rng = np.random.default_rng(11)
-    n_chunks, n_postings = 80, 5000
-    refs = rng.integers(0, n_chunks, n_postings).astype(np.int64)
-    tfs = rng.integers(1, 12, n_postings).astype(np.float64)
-    idfs = rng.random(n_postings)
-    norms = rng.random(n_chunks) + 0.3
-    k1 = 1.2
-    got = kernels.bm25_accumulate(refs, tfs, idfs, norms, k1)
+    n_chunks, n_terms, k1, b = 80, 40, 1.2, 0.75
+    terms = sorted(f"t{i}" for i in range(n_terms))
+    rows = [np.sort(rng.choice(n_chunks, int(rng.integers(1, n_chunks)), replace=False))
+            for _ in terms]
+    offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    refs = np.concatenate(rows).astype(np.int64)
+    tfs = rng.integers(1, 12, refs.shape[0]).astype(np.float64)
+    doc_lengths = rng.integers(5, 300, n_chunks).astype(np.float64)
+    avg_len = float(doc_lengths.mean())
+    index = SparseIndex(terms=terms, offsets=offsets, refs=refs, tfs=tfs,
+                        doc_lengths=doc_lengths, avg_len=avg_len, N=n_chunks,
+                        chunk_ids=[f"doc#{i:03d}" for i in range(n_chunks)], k1=k1, b=b)
+    query = "t3 T7 t3 unseen t19 t0 t3"
+    got = bm25_score_array(index, query)
 
     expected = np.zeros(n_chunks)
-    for r, tf, idf in zip(refs, tfs, idfs):
-        expected[r] += idf * tf * (k1 + 1.0) / (tf + norms[r])
+    for term in ["t3", "t7", "t3", "t19", "t0", "t3"]:
+        lo, hi = offsets[terms.index(term)], offsets[terms.index(term) + 1]
+        n_t = hi - lo
+        idf = math.log((n_chunks - n_t + 0.5) / (n_t + 0.5) + 1.0)
+        for r, tf in zip(refs[lo:hi], tfs[lo:hi]):
+            norm = k1 * (1.0 - b + b * (doc_lengths[r] / avg_len))
+            expected[r] += idf * tf * (k1 + 1.0) / (tf + norm)
     assert got.shape == (n_chunks,)
+    assert np.count_nonzero(got) > n_chunks // 2
     assert np.array_equal(got, expected)
 
 
-def test_gather_means_matches_loop_reference():
+def test_shared_bootstrap_means_match_loop_reference():
     rng = np.random.default_rng(19)
-    values = rng.random(30)
-    idx = rng.integers(0, 30, size=(50, 30))
-    got = kernels.gather_means(values, idx)
-    expected = np.array([values[row].sum() / len(row) for row in idx])
+    values = rng.random((2, 30))
+    iterations, seed = stats._BLOCK_ITERATIONS + 52, 3  # a full block and a partial one
+    got = stats.shared_bootstrap_means(values, iterations, seed)
+
+    draw = np.random.default_rng(seed)
+    idx = np.concatenate([draw.integers(0, 30, size=(block, 30))
+                          for block in (stats._BLOCK_ITERATIONS, 52)])
+    expected = np.array([[sum(float(row_values[j]) for j in row) / len(row) for row in idx]
+                         for row_values in values])
+    assert got.shape == (2, iterations)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 

@@ -44,8 +44,13 @@ def make_inputs(base: Path) -> dict[str, Path]:
     for name, rows in (("good", good), ("bad", bad)):
         lines = (json.dumps(row) + "\n" for row in rows)
         (base / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+    # settings for one retrieve run; "index" resolves against the run directory, and the
+    # required settings are repeated as flags, which argparse insists on
+    config = {"index": "index", "qa": str(qa), "format": "snippet_qa", "top": 8, "alpha": 0.3}
+    (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
     return {"root": root, "manifest": manifest, "qa": qa, "aus_root": aus_root,
-            "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl"}
+            "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl",
+            "config": base / "config.json"}
 
 
 def commands(i: dict[str, Path]) -> list[list[str]]:
@@ -70,11 +75,17 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["retrieve", "--index", "index", *qa, "--top", "16", "--alpha", "0.5",
          "--out", "retrieved_top16"],
         ["retrieve", "--index", "index", *qa, "--pool", "10", "--out", "retrieved_pool10"],
+        ["retrieve", "--config", str(i["config"]), "--index", "index", "--qa", str(i["qa"]),
+         "--out", "retrieved_config"],
         ["report", "--report", "eval/metric_report.json", "--out", "report/metric_report.txt"],
+        ["ingest", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
+         "--format", "aus_legal_qa", "--out", "ingest_aus"],
         ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
          "--out", "aligned"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "5", "--out", "dpo"],
+        ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
+         "--test", "4", "--seed", "5", "--export-style", "conversation", "--out", "dpo_conv"],
         ["eval-refusal", "--outputs", str(i["good"]), "--out", "refusal"],
         ["eval-answers", "--outputs", str(i["good"]), "--qa", str(i["aus_qa"]),
          "--compare-with", str(i["bad"]), "--bootstrap-iterations", "300", "--out", "answers"],
