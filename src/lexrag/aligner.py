@@ -13,15 +13,34 @@ Matching runs in three tiers, cheapest first:
 
 A span is returned only when the final score clears ``min_score``; otherwise
 the failure carries the best score seen so it can be audited per dataset.
+
+Tiers 2 and 3 read a ``DocumentView``, built the first time a record of the
+document misses tier 1 and shared by the document's later records. It holds
+the normalized text, its raw-offset map and, for tier 3, one integer id per
+shingle position. A raw window maps to a normalized range by two binary
+searches on the offsets, and its distinct shingles are the positions whose
+previous occurrence of the same id lies before the range, so a window is
+scored without building any string. The score is the same integer ratio as
+the Jaccard of the window's normalized text, hence the same float. The one
+exception is a document containing a capital sigma "Σ": ``str.lower`` lowers
+it by context (word-final "ς"), so lowering a window can differ from lowering
+the document, and such a document is scored on the window strings instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
 from lexrag.textutils import normalize_for_match, write_json
+
+# window characters per scoring call in the coarse scan: bounds its temporaries
+# (a 2D pass over all windows at once grows peak memory with document length)
+_SCAN_CELLS = 1 << 15
 
 
 @dataclass
@@ -60,31 +79,127 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
-def _normalized_view(text: str) -> tuple[str, list[int]]:
-    """Lowercased whitespace-collapsed text plus normalized->raw offset map."""
-    chars: list[str] = []
-    offsets: list[int] = []
-    pending_space_at = -1
-    for i, ch in enumerate(text):
+def _normalized_view(text: str) -> tuple[str, np.ndarray]:
+    """Lowercased whitespace-collapsed text plus normalized->raw offset map.
+
+    The text is ``normalize_for_match(text)``. Lowering it whole lowers each
+    non-space run as a unit, since a space ends the context by which a
+    word-final "Σ" lowers to "ς". Each non-space character maps to its raw
+    offset, each collapsed space to the first character of its run, and a
+    character that lowers to several code points ("İ") maps each of them to
+    its offset.
+    """
+    norm = normalize_for_match(text)
+    codes = _code_points(text)
+    space = np.zeros(len(codes), dtype=bool)
+    for ch in set(text):
         if ch.isspace():
-            if chars and pending_space_at < 0:
-                pending_space_at = i
-            continue
-        if pending_space_at >= 0:
-            chars.append(" ")
-            offsets.append(pending_space_at)
-            pending_space_at = -1
-        chars.append(ch.lower())
-        offsets.append(i)
-    norm = "".join(chars)
-    if len(norm) != len(offsets):  # some character lowers to several code points ("İ")
-        offsets = [offset for piece, offset in zip(chars, offsets) for _ in piece]
+            space |= codes == ord(ch)
+    keep = ~space
+    keep[1:] |= space[1:] & ~space[:-1]
+    offsets = np.flatnonzero(keep)
+    if len(offsets) and space[offsets[-1]]:  # trailing whitespace collapses to nothing
+        offsets = offsets[:-1]
+    if len(offsets) != len(norm):
+        offsets = np.repeat(offsets, [len(text[i].lower()) for i in offsets.tolist()])
     return norm, offsets
 
 
-def align_answer(doc: Document, answer: str,
-                 cfg: AlignConfig | None = None) -> GoldSpan | AlignmentFailure:
-    """Find the minimal contiguous span of ``doc`` best matching ``answer``."""
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+class DocumentView:
+    """What tiers 2 and 3 read of one document, each part built on first use.
+
+    ``normalized`` is ``_normalized_view(text)``. ``shingle_ids`` gives, for each
+    normalized position ``p`` that starts a full shingle, the int32 id of
+    ``norm[p:p + shingle_size]`` (equal strings, equal ids), the last earlier
+    position holding the same id (-1 for none) and the first position of each
+    id; it is None for a text containing "Σ" (see the module docstring).
+    """
+
+    def __init__(self, text: str, shingle_size: int):
+        self.text = text
+        self.shingle_size = shingle_size
+
+    @cached_property
+    def normalized(self) -> tuple[str, np.ndarray]:
+        return _normalized_view(self.text)
+
+    @cached_property
+    def shingle_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        if "Σ" in self.text:
+            return None
+        norm, size = self.normalized[0], self.shingle_size
+        codes = _code_points(norm).astype(np.int64)
+        count = max(0, len(norm) - size + 1)
+        # each shingle as a number, its code points the digits; renumbered densely
+        # whenever the next digit could overflow int64
+        base = int(codes.max(initial=0)) + 1
+        keys, bound = codes[:count], base
+        for j in range(1, size):
+            if bound * base >= 2 ** 63:
+                distinct, keys = np.unique(keys, return_inverse=True)
+                bound = len(distinct)
+            keys = keys * base + codes[j:j + count]
+            bound *= base
+        order = np.argsort(keys, kind="stable")
+        starts_id = np.ones(count, dtype=bool)  # in sorted order: the first of its id
+        starts_id[1:] = keys[order[1:]] != keys[order[:-1]]
+        ids = np.empty(count, dtype=np.int32)
+        ids[order] = np.cumsum(starts_id) - 1
+        prev = np.full(count, -1, dtype=np.int32)
+        prev[order[1:][~starts_id[1:]]] = order[:-1][~starts_id[1:]]
+        return ids, prev, order[starts_id].astype(np.int32)
+
+
+def _string_scorer(text: str, answer_shingles: frozenset[str], size: int):
+    """Jaccard of each raw window's normalized text, built as a string."""
+    def score(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        return np.array([
+            _jaccard(_shingles(normalize_for_match(text[lo:hi]), size), answer_shingles)
+            for lo, hi in zip(los.tolist(), his.tolist())], dtype=np.float64)
+    return score
+
+
+def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
+    """The same scores as ``_string_scorer``, counted on the view's shingle ids."""
+    norm, offsets = view.normalized
+    ids, prev, first = view.shingle_ids
+    size, n_answer = view.shingle_size, len(answer_shingles)
+    in_answer = np.fromiter((norm[p:p + size] in answer_shingles for p in first.tolist()),
+                            dtype=bool, count=len(first))[ids]
+    # one False past the end, so the edge tests below may index len(norm) and -1
+    space = np.append(_code_points(norm) == ord(" "), False)
+
+    def score(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        a = np.searchsorted(offsets, los)
+        b = np.searchsorted(offsets, his)
+        a += (a < b) & space[a]  # strip() drops one collapsed space at each edge
+        b -= (b > a) & space[b - 1]
+        short = b - a <= size
+        ends = np.where(short, a, b - size + 1)  # full shingles start in [a, ends)
+        pos = a[:, None] + np.arange(int((ends - a).max(initial=0)))
+        new = (pos < ends[:, None]) & (prev.take(pos, mode="clip") < a[:, None])
+        distinct = np.count_nonzero(new, axis=1)
+        inter = np.count_nonzero(new & in_answer.take(pos, mode="clip"), axis=1)
+        for i in np.flatnonzero(short):  # the whole window is one shingle, or none
+            window = norm[a[i]:b[i]]
+            distinct[i], inter[i] = bool(window), window in answer_shingles
+        if not n_answer:
+            return (distinct == 0).astype(np.float64)
+        return np.where(distinct == 0, 0.0, inter / (n_answer + distinct - inter))
+    return score
+
+
+def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
+                 view: DocumentView | None = None) -> GoldSpan | AlignmentFailure:
+    """Find the minimal contiguous span of ``doc`` best matching ``answer``.
+
+    ``view``, when given, is a ``DocumentView`` of ``doc.text`` at the config's
+    shingle size, shared with other answers in the same document.
+    """
     cfg = cfg or AlignConfig()
     if not answer:
         raise ValueError("answer must be nonempty")
@@ -99,21 +214,23 @@ def align_answer(doc: Document, answer: str,
                         answer_text=answer)
 
     # tier 2: whitespace-insensitive occurrence
-    norm_doc, offsets = _normalized_view(text)
+    if view is None:
+        view = DocumentView(text, cfg.shingle_size)
+    elif view.text != text or view.shingle_size != cfg.shingle_size:
+        raise ValueError("view is not of this document at this shingle size")
+    norm_doc, offsets = view.normalized
     norm_answer = normalize_for_match(answer)
     if norm_answer:
         npos = norm_doc.find(norm_answer)
         if npos != -1:
-            start = offsets[npos]
-            end = offsets[npos + len(norm_answer) - 1] + 1
+            start = int(offsets[npos])
+            end = int(offsets[npos + len(norm_answer) - 1]) + 1
             return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
 
     # tier 3: fuzzy shingle scan
     answer_shingles = _shingles(norm_answer, cfg.shingle_size)
-
-    def score_range(lo: int, hi: int) -> float:
-        return _jaccard(_shingles(normalize_for_match(text[lo:hi]), cfg.shingle_size),
-                        answer_shingles)
+    score_windows = (_string_scorer(text, answer_shingles, cfg.shingle_size)
+                     if view.shingle_ids is None else _array_scorer(view, answer_shingles))
 
     base = len(answer)
     lengths = sorted({
@@ -126,24 +243,26 @@ def align_answer(doc: Document, answer: str,
     best_lo, best_hi = 0, min(base, len(text))
     for length in lengths:
         last_start = max(0, len(text) - length)
-        starts = list(range(0, last_start + 1, step))
+        starts = np.arange(0, last_start + 1, step)
         if starts[-1] != last_start:
-            starts.append(last_start)
-        for lo in starts:
-            s = score_range(lo, lo + length)
-            if s > best_score:
-                best_score, best_lo, best_hi = s, lo, lo + length
+            starts = np.append(starts, last_start)
+        block = max(1, _SCAN_CELLS // length)
+        for first in range(0, len(starts), block):
+            los = starts[first:first + block]
+            scores = score_windows(los, los + length)
+            i = int(np.argmax(scores))  # the first best window, as a scan in order keeps it
+            if scores[i] > best_score:
+                best_score, best_lo, best_hi = float(scores[i]), int(los[i]), int(los[i]) + length
 
     lo, hi, score = best_lo, best_hi, best_score
     while hi - lo > 1:
-        score_right = score_range(lo, hi - 1)
-        score_left = score_range(lo + 1, hi)
+        score_right, score_left = score_windows(np.array([lo, lo + 1]), np.array([hi - 1, hi]))
         if score_right >= score and score_right >= score_left:
             hi -= 1
-            score = score_right
+            score = float(score_right)
         elif score_left >= score:
             lo += 1
-            score = score_left
+            score = float(score_left)
         else:
             break
 
@@ -195,6 +314,7 @@ def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
     cfg = cfg or AlignConfig()
     out_records: list[QueryRecord] = []
     entries: list[AlignmentEntry] = []
+    view = None  # of the last document aligned; at most one is kept
     for record in records:
         if not record.context_text:
             entries.append(AlignmentEntry(record.query_id, "missing_context"))
@@ -205,7 +325,9 @@ def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
             entries.append(AlignmentEntry(record.query_id, "missing_document"))
             out_records.append(record)
             continue
-        aligned = align_answer(doc, record.context_text, cfg)
+        if view is None or view.text is not doc.text:
+            view = DocumentView(doc.text, cfg.shingle_size)
+        aligned = align_answer(doc, record.context_text, cfg, view=view)
         if isinstance(aligned, AlignmentFailure):
             entries.append(AlignmentEntry(record.query_id, "below_threshold",
                                           score=aligned.score))

@@ -429,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     """One subcommand per ``COMMANDS`` entry and one flag per setting that has one.
 
     Flags default to None, so ``_settings`` can tell a given flag from an
-    absent one; the help text shows the table's default.
+    absent one; the help text shows the table's default. No flag is required
+    here, since a --config file may supply it; ``main`` checks the merged
+    settings instead, through the subcommand's ``error``.
     """
     parser = argparse.ArgumentParser(
         prog="lexrag",
@@ -437,14 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)
+        sub.set_defaults(error=sub.error)
         sub.add_argument("--config", help="JSON config file; flags override its keys")
         for s in filter(lambda s: s.flag, command.settings):
-            default = None if s.default is None else f"(default: {s.default})"
+            default = ("(required)" if s.required else
+                       None if s.default is None else f"(default: {s.default})")
             help = " ".join(filter(None, (s.help, default))) or None
-            sub.add_argument("--" + s.key.replace("_", "-"),
-                             type=None if s.type is str else s.type,
-                             choices=s.choices, required=s.required, help=help)
+            sub.add_argument(_flag(s), type=None if s.type is str else s.type,
+                             choices=s.choices, help=help)
     return parser
+
+
+def _flag(setting: Setting) -> str:
+    return "--" + setting.key.replace("_", "-")
 
 
 def _checked(setting: Setting, value):
@@ -486,6 +493,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _settings(args)
+        missing = [_flag(s) for s in COMMANDS[args.command].settings
+                   if s.required and settings[s.key] is None]
+        if missing:
+            args.error(f"the following arguments are required: {', '.join(missing)}")
         if args.command == "report":
             cmd_report(settings)
         else:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from lexrag.textutils import normalize_whitespace, read_json
+from lexrag.textutils import normalize_whitespace, read_json, read_text
 
 _URL_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
 _UNSAFE_ID_CHARS = re.compile(r"[^A-Za-z0-9._/-]+")
@@ -226,7 +226,7 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
         raise ValueError(f"unknown dataset format: {format!r}")
     if format == "snippet_qa":
         return _parse_snippet_qa(read_json(path, list))
-    raw_text = Path(path).read_text(encoding="utf-8")
+    raw_text = read_text(path)
     if raw_text.lstrip().startswith("["):
         return _parse_aus_legal_qa(read_json(path, list))
     return _parse_aus_legal_qa([_json_line(line) for line in raw_text.splitlines()

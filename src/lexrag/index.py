@@ -307,8 +307,8 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
 
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     """The index_meta.json header and the bytes of its ``name`` file, after checking the
-    header's keys, the format version, that all three index files are listed, and the
-    returned bytes' sha256."""
+    header's keys, the format version, that all three index files are listed, each with
+    a string path and sha256, and the returned bytes' sha256."""
     meta_path = directory / META_FILE
     meta = read_json(meta_path)
     for key in ("format_version", "embedder_backend", "files"):
@@ -318,10 +318,18 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
         raise ValueError(f"unsupported index format version {meta['format_version']} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
                          f"rebuild with `lexrag index`")
-    missing = sorted({"sparse", "dense", "chunks"} - meta["files"].keys())
-    if missing:
-        raise ValueError(f"{meta_path} lists no {missing[0]} file; rebuild with `lexrag index`")
-    entry = meta["files"][name]
+    files = meta["files"]
+    if not isinstance(files, dict):
+        raise ValueError(f"{meta_path}: key 'files' is not an object; rebuild with `lexrag index`")
+    for key in ("chunks", "dense", "sparse"):
+        if key not in files:
+            raise ValueError(f"{meta_path} lists no {key} file; rebuild with `lexrag index`")
+        entry = files[key]
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)):
+            raise ValueError(f"{meta_path}: files entry {key!r} is not an object with string "
+                             f"'path' and 'sha256'; rebuild with `lexrag index`")
+    entry = files[name]
     data = (directory / entry["path"]).read_bytes()
     actual = hashlib.sha256(data).hexdigest()
     if actual != entry["sha256"]:

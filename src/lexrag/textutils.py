@@ -5,7 +5,8 @@ and the only code that knows how the pipeline's JSON files look on disk:
 * ``write_json`` / ``read_json`` -- whole-file JSON (reports, headers, configs).
 
 Both writers sort keys and keep non-ASCII text, so reruns are byte-identical;
-both readers raise a ValueError naming the file (and line) for bad input.
+both readers, and ``read_text`` under them, raise a ValueError naming the file
+(and line) for bad input, bytes that are not UTF-8 included.
 
 Two distinct token notions coexist in this package and must not be mixed up:
 
@@ -27,6 +28,8 @@ _WS_RUN = re.compile(r"\s+")
 _WORD = re.compile(r"\w+", re.UNICODE)
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
 _TERMINAL_PUNCT = re.compile(r"[\s.,;:!?'\"…]+$")
+# what errors="surrogateescape" decodes a byte that is not UTF-8 to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def normalize_whitespace(text: str) -> str:
@@ -69,14 +72,34 @@ def write_json(payload, path: str | Path) -> None:
                           + "\n", encoding="utf-8")
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's content, with universal newlines.
+
+    A byte that is not UTF-8 is a ValueError naming the path and its line.
+    """
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    _check_utf8(text, path)
+    return text
+
+
+def _check_utf8(text: str, path: str | Path, line: int = 1) -> None:
+    """Raise the ValueError for the first byte that was not UTF-8 in ``text``,
+    which was read with errors="surrogateescape" and starts on line ``line``."""
+    bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
+    if bad:
+        line += text.count("\n", 0, bad.start())
+        raise ValueError(f"{path}, line {line}: not UTF-8 text "
+                         f"(byte 0x{ord(bad.group()) - 0xDC00:02x})")
+
+
 def read_json(path: str | Path, kind: type = dict):
     """The JSON value a whole file holds, which must be a ``kind`` (dict or list).
 
-    Invalid JSON is a ValueError naming the path, line and column; a top-level
-    value of another type is a ValueError naming the path.
+    Text that is not UTF-8 or not valid JSON is a ValueError naming the path and
+    line; a top-level value of another type is a ValueError naming the path.
     """
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
+        value = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}, line {exc.lineno}: not valid JSON "
                          f"({exc.msg}, column {exc.colno})") from None
@@ -89,12 +112,14 @@ def read_jsonl(path: str | Path, data: bytes | None = None) -> Iterator[tuple[in
     """Yield (1-based line number, object) for each nonblank line of a JSON-lines file.
 
     ``data``, when given, is the file's content already read; ``path`` then only
-    names it in errors. A line that is not a JSON object is a ValueError naming
-    the path and the line number.
+    names it in errors. A line that is not UTF-8 or not a JSON object is a
+    ValueError naming the path and the line number.
     """
-    with (open(path, "r", encoding="utf-8") if data is None
-          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if data is None
+          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                errors="surrogateescape")) as fh:
         for number, line in enumerate(fh, 1):
+            _check_utf8(line, path, number)
             if not line.strip():
                 continue
             try:

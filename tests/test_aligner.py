@@ -2,17 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lexrag import aligner
 from lexrag.aligner import (
     AlignConfig,
     AlignmentFailure,
+    DocumentView,
+    _normalized_view,
     align_answer,
     records_to_snippet_json,
     reconstruct_dataset,
     save_aligned_dataset,
 )
-from lexrag.corpus import DocumentCollection, GoldSpan, QueryRecord, load_qa_dataset
-from lexrag.textutils import normalize_whitespace
+from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord, load_qa_dataset
+from lexrag.textutils import normalize_for_match, normalize_whitespace
 from tests.conftest import make_doc, random_document_text
 
 
@@ -111,6 +116,191 @@ class TestAlignAnswer:
         doc = make_doc("d", body)
         span = align_answer(doc, "THE HOLDING IS X.")
         assert span.start == body.index("THE HOLDING IS X.")
+
+
+def _ref_shingles(text: str, size: int) -> frozenset[str]:
+    if len(text) <= size:
+        return frozenset((text,)) if text else frozenset()
+    return frozenset(text[i:i + size] for i in range(len(text) - size + 1))
+
+
+def _ref_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
+
+
+def reference_align_answer(doc: Document, answer: str,
+                           cfg: AlignConfig | None = None) -> GoldSpan | AlignmentFailure:
+    """Oracle for ``align_answer``: tiers 1 and 2 alike, and tier 3 as it was
+    before shingle ids, normalizing and shingling the text of every window."""
+    cfg = cfg or AlignConfig()
+    if not answer:
+        raise ValueError("answer must be nonempty")
+    text = doc.text
+    if len(answer) > len(text):
+        return AlignmentFailure(score=0.0, reason="answer longer than document")
+
+    # tier 1: verbatim occurrence
+    pos = text.find(answer)
+    if pos != -1:
+        return GoldSpan(doc_id=doc.doc_id, start=pos, end=pos + len(answer),
+                        answer_text=answer)
+
+    # tier 2: whitespace-insensitive occurrence
+    norm_doc, offsets = _normalized_view(text)
+    norm_answer = normalize_for_match(answer)
+    if norm_answer:
+        npos = norm_doc.find(norm_answer)
+        if npos != -1:
+            start = int(offsets[npos])
+            end = int(offsets[npos + len(norm_answer) - 1]) + 1
+            return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
+
+    # tier 3: fuzzy shingle scan
+    answer_shingles = _ref_shingles(norm_answer, cfg.shingle_size)
+
+    def score_range(lo: int, hi: int) -> float:
+        return _ref_jaccard(_ref_shingles(normalize_for_match(text[lo:hi]), cfg.shingle_size),
+                            answer_shingles)
+
+    base = len(answer)
+    lengths = sorted({
+        max(1, round(base * (1.0 - cfg.max_window_slack))),
+        base,
+        min(len(text), round(base * (1.0 + cfg.max_window_slack))),
+    })
+    step = max(1, base // 10)
+    best_score = -1.0
+    best_lo, best_hi = 0, min(base, len(text))
+    for length in lengths:
+        last_start = max(0, len(text) - length)
+        starts = list(range(0, last_start + 1, step))
+        if starts[-1] != last_start:
+            starts.append(last_start)
+        for lo in starts:
+            s = score_range(lo, lo + length)
+            if s > best_score:
+                best_score, best_lo, best_hi = s, lo, lo + length
+
+    lo, hi, score = best_lo, best_hi, best_score
+    while hi - lo > 1:
+        score_right = score_range(lo, hi - 1)
+        score_left = score_range(lo + 1, hi)
+        if score_right >= score and score_right >= score_left:
+            hi -= 1
+            score = score_right
+        elif score_left >= score:
+            lo += 1
+            score = score_left
+        else:
+            break
+
+    if score >= cfg.min_score:
+        return GoldSpan(doc_id=doc.doc_id, start=lo, end=hi, answer_text=answer)
+    return AlignmentFailure(score=max(score, 0.0), reason="best window below min_score")
+
+
+# lowercase and uppercase letters, characters whose lowercase differs in length
+# ("İ") or that are already lowercase ligatures ("ß", "ﬁ"), the Kelvin sign,
+# both Greek sigmas, and four kinds of whitespace
+_ALPHABET = "aAbBc .İßﬁ\u212aσς\u00a0\t\n"
+
+
+@st.composite
+def alignment_cases(draw):
+    # "Σ" lowers by context, so only some documents may hold it
+    alphabet = draw(st.sampled_from([_ALPHABET, _ALPHABET + "Σ"]))
+    text = draw(st.text(alphabet, min_size=1, max_size=300))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, len(text) - 1))
+        chars = list(text[lo:draw(st.integers(lo + 1, len(text)))])
+        for _ in range(draw(st.integers(0, 3))):
+            chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(alphabet))
+        answer = "".join(chars)
+    else:
+        answer = draw(st.text(alphabet, min_size=1, max_size=80))
+    cfg = AlignConfig(shingle_size=draw(st.integers(1, 5)),
+                      min_score=draw(st.sampled_from([0.05, 0.3, 0.6, 1.0])),
+                      max_window_slack=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return make_doc("d", text), answer, cfg
+
+
+def zipf_document(rng: np.random.Generator, n_chars: int) -> str:
+    """Zipf(1.15) words over a 3,000-word vocabulary, with sentence and line breaks."""
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=int(rng.integers(2, 10))))
+             for _ in range(3000)]
+    weights = 1.0 / np.arange(1, len(vocab) + 1) ** 1.15
+    picks = rng.choice(len(vocab), size=n_chars // 4, p=weights / weights.sum())
+    breaks = rng.choice([" ", ". ", "\n"], size=len(picks), p=[0.9, 0.07, 0.03])
+    return "".join(vocab[w] + b for w, b in zip(picks, breaks))[:n_chars]
+
+
+class TestShingleIdScorer:
+    """Tier 3 on shingle ids returns exactly what scoring window strings returns."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(alignment_cases())
+    # windows of two lengths tie at the best score: the shorter, scanned first, wins
+    @example((make_doc("d", "BAB "), "BB", AlignConfig(shingle_size=1, min_score=0.05)))
+    def test_same_result_as_string_scorer(self, case):
+        doc, answer, cfg = case
+        assert align_answer(doc, answer, cfg) == reference_align_answer(doc, answer, cfg)
+
+    def test_same_spans_on_long_zipf_documents(self):
+        rng = np.random.default_rng(11)
+        docs = [make_doc(f"case/{i}.txt", zipf_document(rng, 28_000)) for i in range(2)]
+        records = []
+        for i in range(4):  # two excerpts per document, each with two words replaced
+            doc = docs[i // 2]
+            lo = doc.text.index(" ", int(rng.integers(0, len(doc.text) - 600))) + 1
+            words = doc.text[lo:doc.text.index(" ", lo + 500)].split(" ")
+            for j in rng.choice(np.arange(1, len(words) - 1), size=2, replace=False):
+                words[j] = "zz" + words[j]
+            excerpt = " ".join(words) if i % 2 else "\n ".join(words)
+            records.append(QueryRecord(f"q{i}", "?", context_text=excerpt,
+                                       source_doc_id=doc.doc_id))
+        for cfg in (AlignConfig(), AlignConfig(shingle_size=5, max_window_slack=0.0)):
+            out, _ = reconstruct_dataset(records, DocumentCollection(docs), cfg)
+            for record, result in zip(records, out):
+                expected = reference_align_answer(
+                    docs[int(record.query_id[1:]) // 2], record.context_text, cfg)
+                assert isinstance(expected, GoldSpan)
+                assert result.gold_spans == [expected]
+
+    def test_capital_sigma_document_scored_on_window_strings(self):
+        # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα": only the window's
+        # own string gives the match
+        doc = make_doc("d", "ΑΣΑ ΒΒΒ")
+        cfg = AlignConfig(shingle_size=2)
+        assert DocumentView(doc.text, 2).shingle_ids is None
+        span = align_answer(doc, "ας", cfg)
+        assert span == reference_align_answer(doc, "ας", cfg)
+        assert (span.start, span.end) == (0, 2)
+
+    def test_view_of_another_document_rejected(self):
+        doc = make_doc("d", "alpha beta gamma")
+        with pytest.raises(ValueError):
+            align_answer(doc, "beta  gamma", view=DocumentView("other text", 3))
+
+
+class TestNormalizedView:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("aΑΣσς İ\u00a0\t\nb.", max_size=60))
+    def test_text_is_normalize_for_match(self, text):
+        assert _normalized_view(text)[0] == normalize_for_match(text)
+
+    def test_reflowed_greek_excerpt_found_by_whitespace_tier(self, monkeypatch):
+        def no_fuzzy_scan(*args):
+            raise AssertionError("tier 3 reached")
+        monkeypatch.setattr(aligner, "_shingles", no_fuzzy_scan)
+        body = "Προοίμιο. Ο ΝΟΜΟΣ ΚΑΙ Η ΤΑΞΗ ορίζουν τα όρια της εξουσίας."
+        doc = make_doc("d", body)
+        span = align_answer(doc, "Ο ΝΟΜΟΣ  ΚΑΙ Η\nΤΑΞΗ ορίζουν")
+        assert doc.text[span.start:span.end] == "Ο ΝΟΜΟΣ ΚΑΙ Η ΤΑΞΗ ορίζουν"
 
 
 def aus_records(docs: list, rng: np.random.Generator, n: int = 10,

@@ -416,14 +416,17 @@ def test_index_header_without_chunks_entry_rejected(built_pipeline, tmp_path, ca
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
-@pytest.mark.parametrize("line,problem", [('{"chunk_id": "x", oops}', "not valid JSON"),
-                                          ('["not", "an", "object"]', "not a JSON object")])
+@pytest.mark.parametrize("line,problem", [
+    (b'{"chunk_id": "x", oops}', "not valid JSON"),
+    (b'["not", "an", "object"]', "not a JSON object"),
+    (b'{"chunk_id": "caf\xe9"}', "not UTF-8 text (byte 0xe9)"),
+])
 def test_chunk_file_line_that_is_no_object_named_with_file_and_line(
         built_pipeline, tmp_path, capsys, line, problem):
     path = tmp_path / "chunks.jsonl"
-    lines = (built_pipeline["chunks"] / "chunks.jsonl").read_text().splitlines(keepends=True)
-    lines[4] = line + "\n"
-    path.write_text("".join(lines))
+    lines = (built_pipeline["chunks"] / "chunks.jsonl").read_bytes().splitlines(keepends=True)
+    lines[4] = line + b"\n"
+    path.write_bytes(b"".join(lines))
     assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
@@ -641,7 +644,16 @@ def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
 
 _NO_DATASET = json.dumps({"variant": "baseline", "ks": [1], "per_k": {}, "per_query": {}})
 _NO_FILES = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test"})
+_FILES_LIST = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
+                          "files": ["sparse", "dense", "chunks"]})
+_ENTRY = {"path": "x", "sha256": "0" * 64}
+_NO_SHA = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
+                      "files": {"sparse": _ENTRY, "dense": _ENTRY, "chunks": {"path": "x"}}})
+_PATH_NUMBER = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
+                           "files": {"sparse": {**_ENTRY, "path": 7}, "dense": _ENTRY,
+                                     "chunks": _ENTRY}})
 _TRUNCATED = ", line 2: not valid JSON"
+_NOT_UTF8 = b'{"top": 4,\n "dataset": "caf\xe9"}\n'  # Latin-1, not UTF-8
 
 
 @pytest.mark.parametrize("target,command,content,problem", [
@@ -671,11 +683,31 @@ _TRUNCATED = ", line 2: not valid JSON"
     pytest.param("index_meta", "retrieve", "[]", ": not a JSON object", id="index_meta-array"),
     pytest.param("index_meta", "retrieve", _NO_FILES, ": key 'files' is missing",
                  id="index_meta-no-files"),
+    pytest.param("index_meta", "retrieve", _FILES_LIST, ": key 'files' is not an object",
+                 id="index_meta-files-list"),
+    pytest.param("index_meta", "retrieve", _NO_SHA,
+                 ": files entry 'chunks' is not an object with string 'path' and 'sha256'",
+                 id="index_meta-no-sha256"),
+    pytest.param("index_meta", "retrieve", _PATH_NUMBER,
+                 ": files entry 'sparse' is not an object with string 'path' and 'sha256'",
+                 id="index_meta-path-number"),
+    pytest.param("config", "report", b"\xff" + _NOT_UTF8, ", line 1: not UTF-8 text (byte 0xff)",
+                 id="config-not-utf8"),
+    pytest.param("sidecar", "chunk", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",
+                 id="sidecar-not-utf8"),
+    pytest.param("snippet_qa", "retrieve", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",
+                 id="snippet_qa-not-utf8"),
+    pytest.param("aus_legal_qa", "retrieve", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",
+                 id="aus_legal_qa-not-utf8"),
+    pytest.param("metric_report", "compare", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",
+                 id="compare-not-utf8"),
+    pytest.param("index_meta", "retrieve", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",
+                 id="index_meta-not-utf8"),
 ])
 def test_bad_whole_file_json_input_named_with_its_path(
         built_pipeline, tmp_path, capsys, target, command, content, problem):
-    """Each whole-file JSON input, truncated, of the wrong top-level type or
-    missing a key, fails with a ValueError naming the file."""
+    """Each whole-file JSON input, truncated, not UTF-8, of the wrong top-level
+    type or missing a key, fails with a ValueError naming the file."""
     index_dir = built_pipeline["index_enhanced"]
     if target == "index_meta":
         index_dir = tmp_path / "index"
@@ -683,7 +715,7 @@ def test_bad_whole_file_json_input_named_with_its_path(
         path = index_dir / "index_meta.json"
     else:
         path = tmp_path / f"{target}.json"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     qa = ["--qa", str(built_pipeline["qa"])]
     if target in ("snippet_qa", "aus_legal_qa"):
         qa = ["--qa", str(path), "--format", target]
@@ -787,6 +819,30 @@ def test_equal_chunk_runs_hash_equally(tmp_path, workspace):
     assert run(["chunk", "--root", str(workspace["root"]), "--config", str(config_path)]) == 0
     replayed = json.loads((out_dir / "run_manifest.json").read_text())
     assert replayed["config_sha256"] == manifests[0]["config_sha256"]
+
+
+def test_manifest_config_replays_a_run_with_required_settings(built_pipeline, tmp_path):
+    """retrieve's required --index and --qa may come from the config file alone."""
+    out_dir = tmp_path / "retrieved"
+    assert _retrieve_from(built_pipeline["index_enhanced"], built_pipeline, out_dir) == 0
+    first = (out_dir / "results.jsonl").read_bytes()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(json.loads(
+        (out_dir / "run_manifest.json").read_text())["config"]), encoding="utf-8")
+    (out_dir / "results.jsonl").unlink()
+    assert run(["retrieve", "--config", str(config_path)]) == 0
+    assert (out_dir / "results.jsonl").read_bytes() == first
+
+
+def test_required_setting_missing_from_flags_and_config_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"k": 5, "index": None}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["retrieve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert exc_info.value.code == 2
+    assert ("lexrag retrieve: error: the following arguments are required: --index, --qa"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_config_leaves_out_keys_the_command_does_not_read(tmp_path, workspace):
