@@ -254,13 +254,12 @@ def split_recursive(doc: Document, cfg: ChunkConfig | None = None) -> list[Chunk
     for ordinal, core in enumerate(packer.cores):
         start = core.start
         if prev is not None and cfg.overlap_tokens > 0:
-            prev_token_starts = [m.start() + prev.start
-                                 for m in _NONSPACE.finditer(prev.text)]
-            borrow = min(cfg.overlap_tokens,
-                         len(prev_token_starts) - 1,
-                         cfg.target_tokens - core.weight)
+            # rsplit scans from the end, so only the borrowed tail is looked at
+            tail = prev.text.rsplit(None, cfg.overlap_tokens)
+            borrow = min(len(tail) - 1, cfg.target_tokens - core.weight)
             if borrow > 0:
-                start = prev_token_starts[-borrow]
+                head = prev.text.rsplit(None, borrow)[0]  # ends at the last unborrowed token
+                start = _NONSPACE.search(text, prev.start + len(head)).start()
         chunk = Chunk(
             chunk_id=f"{doc.doc_id}#{ordinal:06d}",
             doc_id=doc.doc_id,

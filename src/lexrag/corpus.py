@@ -229,7 +229,9 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     raw_text = read_text(path)
     if raw_text.lstrip().startswith("["):
         return _parse_aus_legal_qa(read_json(path, list))
-    return _parse_aus_legal_qa([_json_line(line) for line in raw_text.splitlines()
+    # split at "\n" alone, as read_jsonl does: str.splitlines would also break at
+    # U+2028, U+2029 and U+0085, which JSON strings may hold raw
+    return _parse_aus_legal_qa([_json_line(line) for line in raw_text.split("\n")
                                 if line.strip()])
 
 

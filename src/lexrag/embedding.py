@@ -1,10 +1,11 @@
 """Embedding providers: a deterministic offline backend and a remote HTTP backend.
 
-The deterministic backend is a hashed bag-of-words: every term is hashed to
-one of D buckets with a ±1 sign from a second hash stream, occurrences are
-summed, and the vector is L2-normalized. It has no network dependency, is
-bit-stable across runs and platforms, and preserves enough lexical-similarity
-structure for offline evaluation of the retrieval stack.
+The deterministic backend is a hashed bag-of-words (Weinberger et al., 2009):
+every term is hashed to one of D buckets with a ±1 sign from a second hash
+stream, occurrences are summed, and the vector is L2-normalized. It has no
+network dependency, is bit-stable across runs and platforms, and preserves
+enough lexical-similarity structure for offline evaluation of the retrieval
+stack. Queries and chunks take the same path: a query is a batch of one.
 
 Remote wire contract: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
 """
@@ -18,7 +19,10 @@ import numpy as np
 
 from lexrag import kernels
 from lexrag.remote import RemoteConfig, RemoteError, post_json
-from lexrag.textutils import tokenize
+from lexrag.textutils import TermRows, term_rows
+
+# rows of the count matrix filled per np.bincount call
+_BLOCK_ROWS = 256
 
 
 class EmbeddingError(RuntimeError):
@@ -28,16 +32,27 @@ class EmbeddingError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    """Batch of texts -> batch of unit-norm vectors, one per text."""
+    """Batch of texts -> batch of unit-norm vectors, one per text.
+
+    ``rows``, when given, is ``term_rows(texts)`` already computed; a provider
+    that embeds terms may read it instead of tokenizing again.
+    """
 
     backend: str
     dim: int
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str], rows: TermRows | None = None) -> np.ndarray: ...
 
 
 class HashedBowEmbedder:
-    """Deterministic test embedder over hashed bag-of-words term counts."""
+    """Deterministic test embedder over hashed bag-of-words term counts.
+
+    Each call hashes every distinct term of its batch once (terms seen by an
+    earlier call come from a cache), then fills the ``n x dim`` count matrix
+    with one ``np.bincount`` over ``row * dim + bucket`` keys weighted by the
+    term signs. The counts are sums of +-1, integers far below 2**53, so the
+    order of summation cannot change a bit of them.
+    """
 
     backend = "deterministic-test"
 
@@ -45,35 +60,43 @@ class HashedBowEmbedder:
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
-        self._cache: dict[str, tuple[int, float]] = {}
+        self._buckets: dict[str, int] = {}  # every term hashed so far
+        self._signs: dict[str, float] = {}
 
-    def _hash_terms(self, terms: list[str]) -> None:
-        missing = sorted({t for t in terms if t not in self._cache})
-        if not missing:
-            return
-        blob = b"".join(t.encode("utf-8") for t in missing)
-        offsets = np.zeros(len(missing) + 1, dtype=np.int64)
-        np.cumsum([len(t.encode("utf-8")) for t in missing], out=offsets[1:])
-        buckets, signs = kernels.hash_tokens(blob, offsets, self.dim)
-        for term, bucket, sign in zip(missing, buckets, signs):
-            self._cache[term] = (int(bucket), float(sign))
+    def _hash_vocab(self, vocab: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(bucket int64, sign float64) arrays, one entry per vocabulary term."""
+        missing = [t for t in vocab if t not in self._buckets]
+        if missing:
+            encoded = [t.encode("utf-8") for t in missing]
+            offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+            np.cumsum([len(e) for e in encoded], out=offsets[1:])
+            buckets, signs = kernels.hash_tokens(b"".join(encoded), offsets, self.dim)
+            self._buckets.update(zip(missing, buckets.tolist()))
+            self._signs.update(zip(missing, signs.tolist()))
+        return (np.fromiter(map(self._buckets.__getitem__, vocab), np.int64, len(vocab)),
+                np.fromiter(map(self._signs.__getitem__, vocab), np.float64, len(vocab)))
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        vectors = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in enumerate(texts):
-            terms = tokenize(text)
-            self._hash_terms(terms)
-            if terms:
-                buckets = np.fromiter((self._cache[t][0] for t in terms), dtype=np.int64,
-                                      count=len(terms))
-                signs = np.fromiter((self._cache[t][1] for t in terms), dtype=np.float64,
-                                    count=len(terms))
-                np.add.at(vectors[row], buckets, signs)
-            norm = np.linalg.norm(vectors[row])
-            if norm > 0:
-                vectors[row] /= norm
-            else:
-                vectors[row, 0] = 1.0  # degenerate text: fixed unit vector
+    def embed(self, texts: Sequence[str], rows: TermRows | None = None) -> np.ndarray:
+        if rows is None:
+            rows = term_rows(texts)
+        buckets, signs = self._hash_vocab(rows.vocab)
+        n, dim = rows.lengths.shape[0], self.dim
+        vectors = np.empty((n, dim), dtype=np.float64)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(rows.lengths, out=bounds[1:])
+        for lo in range(0, n, _BLOCK_ROWS):  # blocks bound the keys array's memory
+            hi = min(lo + _BLOCK_ROWS, n)
+            ids = rows.ids[bounds[lo]:bounds[hi]]
+            keys = np.repeat(np.arange(0, (hi - lo) * dim, dim, dtype=np.int64),
+                             rows.lengths[lo:hi])
+            keys += buckets[ids]
+            vectors[lo:hi] = np.bincount(keys, weights=signs[ids],
+                                         minlength=(hi - lo) * dim).reshape(hi - lo, dim)
+        norms = np.linalg.norm(vectors, axis=1)
+        empty = norms == 0
+        vectors[empty, 0] = 1.0  # degenerate text: fixed unit vector
+        norms[empty] = 1.0
+        vectors /= norms[:, None]
         return vectors
 
 
@@ -100,7 +123,8 @@ class RemoteEmbedder:
         norms[norms == 0] = 1.0
         return vectors / norms
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str], rows: TermRows | None = None) -> np.ndarray:
+        """Embed ``texts`` remotely; ``rows`` is not read, the endpoint gets the texts."""
         batches = [(i, texts[i:i + self.batch_size])
                    for i in range(0, len(texts), self.batch_size)]
         results: dict[int, np.ndarray] = {}

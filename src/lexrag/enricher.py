@@ -77,17 +77,28 @@ def extractive_fallback_summary(texts: list[str], budget_tokens: int) -> str:
     input order, until the token budget is reached. Deterministic; returns ""
     when every text is empty.
     """
+    return _round_robin_summary([_counted_sentences(t) for t in texts], budget_tokens)
+
+
+def _counted_sentences(text: str) -> tuple[list[str], list[int]]:
+    """A text's sentences and the token count of each."""
+    sentences = split_sentences(text)
+    return sentences, [count_tokens(s) for s in sentences]
+
+
+def _round_robin_summary(split_texts: list[tuple[list[str], list[int]]],
+                         budget_tokens: int) -> str:
+    """``extractive_fallback_summary`` over texts already split by ``_counted_sentences``."""
     if budget_tokens < 1:
         raise ValueError("budget_tokens must be >= 1")
-    sentence_lists = [split_sentences(t) for t in texts]
     picked: list[str] = []
     total = 0
-    for round_idx in range(max((len(s) for s in sentence_lists), default=0)):
-        for sentences in sentence_lists:
+    for round_idx in range(max((len(s) for s, _ in split_texts), default=0)):
+        for sentences, counts in split_texts:
             if round_idx >= len(sentences):
                 continue
             picked.append(sentences[round_idx])
-            total += count_tokens(sentences[round_idx])
+            total += counts[round_idx]
             if total >= budget_tokens:
                 break
         if total >= budget_tokens:
@@ -143,13 +154,23 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
         raise ValueError("window and stride must be >= 1")
 
     positions = window_positions(len(chunks), window, stride)
+    # each chunk's sentences, split on first use and shared by the windows holding it
+    split_texts: list[tuple[list[str], list[int]] | None] = [None] * len(chunks)
+
+    def extractive_at(pos: int) -> str:
+        for i in range(pos, min(pos + window, len(chunks))):
+            if split_texts[i] is None:
+                split_texts[i] = _counted_sentences(chunks[i].text)
+        return _round_robin_summary(split_texts[pos:pos + window], SUMMARY_TOKEN_CAP)
 
     def summarize_at(pos: int) -> tuple[str, bool]:
-        texts = [c.text for c in chunks[pos:pos + window]]
+        if isinstance(provider, ExtractiveSummarizer):
+            return extractive_at(pos), False
         try:
-            return provider.summarize(texts, SUMMARY_TOKEN_CAP), False
+            return provider.summarize([c.text for c in chunks[pos:pos + window]],
+                                      SUMMARY_TOKEN_CAP), False
         except Exception:
-            return extractive_fallback_summary(texts, SUMMARY_TOKEN_CAP), True
+            return extractive_at(pos), True
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -185,26 +206,40 @@ def build_header(meta: DocumentMeta, summary_text: str) -> str:
     return " ".join(parts)
 
 
+def header_budget(n_header: int, body_tokens: int, max_fraction: float) -> int:
+    """The most header tokens, at most ``n_header``, that keep the header's share
+    ``h / (h + body_tokens)`` at or below ``max_fraction``, or 0 if none do.
+
+    Starts from the real-valued bound ``max_fraction * body / (1 - max_fraction)``
+    and settles the boundary with the float test itself. The computed share
+    rises with h (rounding is monotone), so the answer is where the test flips.
+    """
+    h = min(n_header, int(max_fraction * body_tokens / (1 - max_fraction)))
+    while h < n_header and (h + 1) / (h + 1 + body_tokens) <= max_fraction:
+        h += 1
+    while h and h / (h + body_tokens) > max_fraction:
+        h -= 1
+    return h
+
+
 def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None,
                  max_fraction: float = 0.25) -> Chunk:
     """Set the metadata header, truncated to the token-fraction budget.
 
     Header tokens are dropped from the end until
-    ``header_tokens / (header_tokens + body_tokens) <= max_fraction``.
+    ``header_tokens / (header_tokens + body_tokens) <= max_fraction``
+    (``header_budget``).
     An empty header yields full_text identical to the chunk text.
     """
     if not (0 < max_fraction < 1):
         raise ValueError("max_fraction must be in (0, 1)")
     summary_text = summary.summary_text if summary is not None else ""
-    header = build_header(meta, summary_text)
+    header_tokens = build_header(meta, summary_text).split()
     body_tokens = count_tokens(chunk.text)
-    header_tokens = header.split()
-    while header_tokens and len(header_tokens) / (len(header_tokens) + body_tokens) > max_fraction:
-        header_tokens.pop()
-    if header_tokens and header_tokens[-1] in ("[SUMMARY]", "[DOC]"):
-        header_tokens.pop()  # do not leave a dangling section marker
-    header = " ".join(header_tokens)
-    n_header = len(header_tokens)
+    n_header = header_budget(len(header_tokens), body_tokens, max_fraction)
+    if n_header and header_tokens[n_header - 1] in ("[SUMMARY]", "[DOC]"):
+        n_header -= 1  # do not leave a dangling section marker
+    header = " ".join(header_tokens[:n_header])
     return replace(
         chunk,
         header_text=header,

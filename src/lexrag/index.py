@@ -29,10 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +37,7 @@ import numpy as np
 
 from lexrag.chunker import Chunk, dump_chunks, load_chunks
 from lexrag.embedding import EmbeddingProvider
-from lexrag.textutils import read_json, tokenize, write_json
+from lexrag.textutils import TermRows, read_json, term_rows, tokenize, write_json
 
 INDEX_FORMAT_VERSION = 3
 META_FILE = "index_meta.json"
@@ -107,30 +104,31 @@ class SparseIndex:
         return math.log((self.N - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
-def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75) -> SparseIndex:
-    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text."""
-    # first-seen term ids chunk by chunk, remapped to sorted-term order; one np.unique
-    # over term * N + row keys then gives the CSR postings and their tfs
+def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
+                 rows: TermRows | None = None) -> SparseIndex:
+    """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text.
+
+    ``rows``, when given, is ``term_rows`` of the chunks' full_text, already computed.
+    """
+    # first-seen term ids remapped to sorted-term order; sorting the term * N + row
+    # keys then gives the CSR postings, and each distinct key's run length its tf
     if not chunks:
         raise ValueError("cannot build a sparse index over an empty chunk list")
     n = len(chunks)
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
-    token_ids = array("q")
-    lengths = np.empty(n, dtype=np.int64)
-    for row, chunk in enumerate(chunks):
-        terms = tokenize(chunk.full_text)
-        lengths[row] = len(terms)
-        token_ids.extend(map(vocab.__getitem__, terms))
-    first_seen = list(vocab)
-    keys = id_ranks(first_seen)[np.frombuffer(token_ids, dtype=np.int64)]
-    del token_ids  # before np.unique's sort copies, to keep the build's peak memory down
+    if rows is None:
+        rows = term_rows([c.full_text for c in chunks])
+    keys = id_ranks(rows.vocab)[rows.ids]
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keys, tfs = np.unique(keys, return_counts=True)
-    offsets = np.zeros(len(first_seen) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=len(first_seen)), out=offsets[1:])
-    doc_lengths = lengths.astype(np.float64)
-    return SparseIndex(terms=sorted(first_seen), offsets=offsets, refs=keys % n,
+    keys += np.repeat(np.arange(n, dtype=np.int64), rows.lengths)
+    keys.sort()  # in place: np.unique would sort a copy
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    tfs = np.diff(np.flatnonzero(first), append=keys.shape[0])
+    keys = keys[first]
+    offsets = np.zeros(len(rows.vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
+    doc_lengths = rows.lengths.astype(np.float64)
+    return SparseIndex(terms=sorted(rows.vocab), offsets=offsets, refs=keys % n,
                        tfs=tfs.astype(np.float64), doc_lengths=doc_lengths,
                        avg_len=float(doc_lengths.mean()), N=n,
                        chunk_ids=[c.chunk_id for c in chunks], k1=k1, b=b)
@@ -199,26 +197,35 @@ class DenseIndex:
         return int(self.vectors.shape[0])
 
 
-def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
-    """Embed texts through a provider, enforcing the unit-norm contract."""
+def embed(provider: EmbeddingProvider, texts: Sequence[str],
+          rows: TermRows | None = None) -> np.ndarray:
+    """Embed texts through a provider, enforcing the unit-norm contract.
+
+    ``rows``, when given, is ``term_rows(texts)``, passed on to the provider.
+    """
     if any(not isinstance(t, str) or not t for t in texts):
         raise ValueError("texts must be nonempty strings")
-    vectors = provider.embed(texts)
+    vectors = provider.embed(texts) if rows is None else provider.embed(texts, rows)
     if vectors.shape != (len(texts), provider.dim):
         raise ValueError(f"provider returned shape {vectors.shape}, "
                          f"expected {(len(texts), provider.dim)}")
-    norms = np.linalg.norm(vectors, axis=1)
-    if len(texts) and not np.allclose(norms, 1.0, atol=1e-6):
+    # np.allclose(norms, 1.0, atol=1e-6) as one expression: allclose's own checks cost
+    # more than the rest of a one-query embedding
+    if not np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-6 + 1e-5):
         raise ValueError("provider returned non-unit vectors")
     return vectors
 
 
-def build_dense(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> DenseIndex:
-    """Embed each chunk's full_text, in order, into an exact-search matrix."""
+def build_dense(chunks: Sequence[Chunk], provider: EmbeddingProvider,
+                rows: TermRows | None = None) -> DenseIndex:
+    """Embed each chunk's full_text, in order, into an exact-search matrix.
+
+    ``rows``, when given, is ``term_rows`` of those texts, already computed.
+    """
     if not chunks:
         raise ValueError("cannot build a dense index over an empty chunk list")
     texts = [c.full_text for c in chunks]
-    vectors = embed(provider, texts)
+    vectors = embed(provider, texts, rows)
     return DenseIndex(vectors=vectors, chunk_ids=[c.chunk_id for c in chunks],
                       backend=provider.backend)
 
@@ -308,7 +315,8 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     """The index_meta.json header and the bytes of its ``name`` file, after checking the
     header's keys, the format version, that all three index files are listed, each with
-    a string path and sha256, and the returned bytes' sha256."""
+    a string sha256 and a string path that is a plain file name in ``directory`` (no
+    separator, not "." or ".."), and the returned bytes' sha256."""
     meta_path = directory / META_FILE
     meta = read_json(meta_path)
     for key in ("format_version", "embedder_backend", "files"):
@@ -329,6 +337,9 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
                 and isinstance(entry.get("sha256"), str)):
             raise ValueError(f"{meta_path}: files entry {key!r} is not an object with string "
                              f"'path' and 'sha256'; rebuild with `lexrag index`")
+        if entry["path"] in ("", ".", "..") or "/" in entry["path"] or "\\" in entry["path"]:
+            raise ValueError(f"{meta_path}: files entry {key!r} path {entry['path']!r} is not a "
+                             f"file name inside the index directory; rebuild with `lexrag index`")
     entry = files[name]
     data = (directory / entry["path"]).read_bytes()
     actual = hashlib.sha256(data).hexdigest()

@@ -1,8 +1,13 @@
 """Token hashing for the deterministic embedder.
 
+The embedder hashes each distinct term of a batch once, with one
+``hash_tokens`` call for the terms it has not seen before: an index build
+sends its whole vocabulary in that call, a query its dozen or so terms.
 ``hash_tokens`` is a per-byte loop over Python ints, which wrap modulo 2**64
-by masking; the embedder calls it with a dozen or so unseen terms per text,
-too few for a whole-array form to pay off. It is exact and platform-independent.
+by masking; it is exact and platform-independent. A whole-array form (one
+numpy step per byte position across all terms) gives the same hashes and is
+~20x faster on a build vocabulary of ~14k terms, but ~3x slower on a query's
+dozen, and queries are most of this function's calls.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ Two distinct token notions coexist in this package and must not be mixed up:
   sizing and overlap (see ``chunker.count_tokens``);
 * index terms -- lowercased alphanumeric runs, used by the sparse index,
   the deterministic embedder, and token-level F1 (``tokenize`` below).
+  ``term_rows`` tokenizes a batch of texts once into integer term ids, which
+  the sparse index build and the deterministic embedder both read.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from __future__ import annotations
 import io
 import json
 import re
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 _WS_RUN = re.compile(r"\s+")
 _WORD = re.compile(r"\w+", re.UNICODE)
@@ -40,6 +48,32 @@ def normalize_whitespace(text: str) -> str:
 def tokenize(text: str) -> list[str]:
     """Lowercased, punctuation-stripped terms for indexing and scoring."""
     return _WORD.findall(text.lower())
+
+
+@dataclass
+class TermRows:
+    """A batch of texts as index terms.
+
+    ``vocab`` lists the distinct terms in first-seen order; ``ids`` (int64) holds
+    each text's terms as positions in ``vocab``, text after text; ``lengths``
+    (int64) is each text's term count.
+    """
+
+    vocab: list[str]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def term_rows(texts: Sequence[str]) -> TermRows:
+    """``tokenize`` each text once and number the terms in first-seen order."""
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
+    ids = array("q")
+    lengths = np.empty(len(texts), dtype=np.int64)
+    for row, text in enumerate(texts):
+        terms = tokenize(text)
+        lengths[row] = len(terms)
+        ids.extend(map(vocab.__getitem__, terms))
+    return TermRows(vocab=list(vocab), ids=np.frombuffer(ids, dtype=np.int64), lengths=lengths)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -188,6 +188,29 @@ def test_tampered_index_with_pickled_payload_rejected_without_running_it(
     assert sentinel.exists()
 
 
+@pytest.mark.parametrize("path", ["../outside_chunks.jsonl", "sub/chunks.jsonl", "..", ".", "",
+                                  "ABSOLUTE"])
+def test_index_file_path_outside_the_directory_rejected(built_pipeline, tmp_path, capsys, path):
+    """A listed path must be a plain file name inside the index directory, even when the
+    file it names exists and matches the recorded sha256."""
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    outside = tmp_path / "outside_chunks.jsonl"
+    shutil.move(index_dir / "chunks.jsonl", outside)
+    (index_dir / "sub").mkdir()
+    shutil.copy(outside, index_dir / "sub" / "chunks.jsonl")
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["files"]["chunks"]["path"] = str(outside) if path == "ABSOLUTE" else path
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "files entry 'chunks'" in err["message"]
+    assert "not a file name inside the index directory" in err["message"]
+
+
 def test_version_1_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)

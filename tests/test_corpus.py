@@ -172,6 +172,19 @@ def test_load_aus_legal_qa_malformed_line_keeps_loading(tmp_path):
     assert errors[0].where == "record[1]" and "invalid JSON" in errors[0].message
 
 
+def test_load_aus_legal_qa_line_separator_inside_a_string_is_not_a_line_break(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside strings; str.splitlines breaks there
+    context = "first part\u2028second\u2029third\u0085fourth"
+    path = tmp_path / "aus.jsonl"
+    path.write_text("\n".join(json.dumps(row, ensure_ascii=False) for row in [
+        _aus_row("first?", Context=context), _aus_row("second?")]) + "\n", encoding="utf-8")
+    records, errors = load_qa_dataset(path, "aus_legal_qa")
+    assert errors == []
+    assert [(r.query_id, r.question) for r in records] == [("q00000", "first?"),
+                                                           ("q00001", "second?")]
+    assert records[0].context_text == context
+
+
 def test_load_snippet_qa_duplicate_query_ids_keep_first(tmp_path):
     snippets = [{"file_path": "d", "span": [0, 4], "answer": "a"}]
     payload = [

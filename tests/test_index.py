@@ -14,6 +14,7 @@ from lexrag.index import (
     build_dense,
     build_sparse,
     dense_search,
+    embed,
     load_indexes,
     save_indexes,
 )
@@ -207,6 +208,22 @@ class TestDenseSearch:
         chunks = [make_chunk(i, f"words {i} more") for i in range(4)]
         dense = build_dense(chunks, HashedBowEmbedder(dim=64))
         np.testing.assert_allclose(np.linalg.norm(dense.vectors, axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("scale,accepted", [(1.0, True), (1.0 + 1e-5, True),
+                                                (1.0 - 1e-5, True), (1.0 + 2e-5, False),
+                                                (0.5, False), (np.nan, False)])
+    def test_embed_accepts_unit_vectors_within_allclose_tolerance(self, scale, accepted):
+        class Scaled(HashedBowEmbedder):
+            def embed(self, texts, rows=None):
+                return super().embed(texts, rows) * scale
+
+        vectors = np.array([[1.0, 0.0], [0.6, 0.8]]) * scale
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6) == accepted
+        if accepted:
+            embed(Scaled(dim=8), ["alpha", "beta gamma"])
+        else:
+            with pytest.raises(ValueError, match="non-unit vectors"):
+                embed(Scaled(dim=8), ["alpha", "beta gamma"])
 
 
 class TestDeterminism:

@@ -11,6 +11,10 @@ runs one fixed sequence of ``lexrag`` commands per tree, each in a fresh
 ``run_manifest.json`` (the one artifact allowed to hold a timestamp), plus
 each command's stdout and exit code. It prints what differs (for JSON files,
 the differing keys) and exits 1 if anything does, 0 if nothing does.
+
+Every process runs under its own random ``PYTHONHASHSEED``, so comparing a tree
+with itself (``python3 tools/same_outputs.py .``) catches outputs that depend on
+set or hash order.
 """
 
 from __future__ import annotations
@@ -94,7 +98,9 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
 
 def run_tree(tree: Path, run_dir: Path, sequence: list[list[str]]) -> list[tuple[int, str]]:
     run_dir.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    # each process draws its own string-hash seed, so an output that follows set or
+    # dict-of-hash order differs between runs and shows up as a difference
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "random"}
     ran = []
     for argv in sequence:
         done = subprocess.run([sys.executable, "-m", "lexrag.cli", *argv], cwd=run_dir, env=env,
