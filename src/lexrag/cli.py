@@ -16,13 +16,26 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import lexrag
+# One BLAS thread per lexrag process, set before the first lexrag import loads
+# numpy. numpy's OpenBLAS starts a worker pool when it loads; starting it and
+# letting its worker spin cost every command 0.07-0.24 s of CPU on a 2-core VM,
+# 31-49% of the command's CPU. The only BLAS call on a command path is one GEMV
+# per query (`dense.vectors @ query_vec`): at 49,399 x 256, two threads halve its
+# wall time (3.0 -> 1.6 ms) but spend more CPU (3.0 -> 3.3-4.1 ms), with
+# bitwise-equal scores. scipy's bundled OpenBLAS reads the same variable. A
+# caller's own OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy  # noqa: E402  (the pin above must run first)
+
+import lexrag  # noqa: E402
 from lexrag.aligner import AlignConfig, reconstruct_dataset, save_aligned_dataset
 from lexrag.chunker import Chunk, ChunkConfig, dump_chunks, load_chunks, split_recursive
 from lexrag.corpus import (DocumentCollection, convert_spans_to_char, dataset_counts,
@@ -53,12 +66,16 @@ PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
 # manifest and small shared helpers
 
 def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
-    """Reproducibility record: effective config, its hash, input checksums, version.
+    """Reproducibility record: effective config, its hash, input checksums, version and
+    the environment that scores depend on (dense scores are bitwise-stable only per
+    BLAS kernel and thread count).
 
     This is the only artifact allowed to contain a timestamp.
     """
     manifest = {
         "version": lexrag.__version__,
+        "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
+                        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
         "config": settings,
         "config_sha256": hashlib.sha256(
             json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest(),
@@ -176,7 +193,12 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
 
 def cmd_index(settings: dict, out_dir: Path) -> list:
     chunks_path = Path(settings["chunks"])
-    chunks = load_chunks(chunks_path)
+    # the index stores this file as its chunks.jsonl, as given; holding its bytes
+    # only while parsing keeps them out of the build's peak memory
+    chunks_data = chunks_path.read_bytes()
+    chunks = load_chunks(chunks_path, chunks_data)
+    chunks_sha256 = hashlib.sha256(chunks_data).hexdigest()
+    del chunks_data
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
     if settings["embedder"] == "remote":
@@ -191,7 +213,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     dense = build_dense(chunks, embedder, rows=rows)
     sparse = build_sparse(chunks, k1=settings["k1"], b=settings["b"], rows=rows)
     del rows
-    save_indexes(out_dir, sparse, dense, chunks)
+    save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
     return [chunks_path]

@@ -29,13 +29,14 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from lexrag.chunker import Chunk, dump_chunks, load_chunks
+from lexrag.chunker import Chunk, load_chunks
 from lexrag.embedding import EmbeddingProvider
 from lexrag.textutils import TermRows, read_json, term_rows, tokenize, write_json
 
@@ -272,9 +273,14 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
 
 
 def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
-                 chunks: Sequence[Chunk]) -> Path:
-    """Write sparse.npz, dense.npz, ``chunks`` (in row order) as chunks.jsonl, and the
-    index_meta.json header listing each written file with its sha256."""
+                 chunks_file: str | Path, chunks_sha256: str) -> Path:
+    """Write sparse.npz, dense.npz, a byte copy of ``chunks_file`` (the chunk file the
+    indexes were built from, so its rows are in row order) as chunks.jsonl, and the
+    index_meta.json header listing each written file with its sha256.
+
+    ``chunks_sha256`` is the sha256 of the bytes the indexes were built from; a copy
+    with another one (the file changed since) is a ValueError and writes no header.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -297,14 +303,19 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
                         chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
 
     files["chunks"] = directory / CHUNKS_FILE
-    dump_chunks(chunks, files["chunks"])
+    if not (files["chunks"].exists() and files["chunks"].samefile(chunks_file)):
+        shutil.copyfile(chunks_file, files["chunks"])
 
+    digests = {name: sha256_file(path) for name, path in files.items()}
+    if digests["chunks"] != chunks_sha256:
+        raise ValueError(f"{chunks_file} changed while the index was built; "
+                         f"rerun `lexrag index`")
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
         "n_chunks": sparse.N,
         "dim": dense.dim,
         "embedder_backend": dense.backend,
-        "files": {name: {"path": path.name, "sha256": sha256_file(path)}
+        "files": {name: {"path": path.name, "sha256": digests[name]}
                   for name, path in files.items()},
     }
     meta_path = directory / META_FILE

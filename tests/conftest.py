@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexrag
 from lexrag.chunker import Chunk
 from lexrag.corpus import Document, DocumentMeta
 
@@ -15,6 +17,16 @@ def tiny_corpus(tmp_path: Path) -> Path:
     (root / "a.txt").write_text("x", encoding="utf-8")
     (root / "b.txt").write_text("y", encoding="utf-8")
     return root
+
+
+def child_env(blas_threads: str | None = None) -> dict[str, str]:
+    """The environment for a fresh Python process that imports this lexrag: it sees
+    OPENBLAS_NUM_THREADS only when ``blas_threads`` is given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lexrag.__file__).parents[1])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
 
 
 def make_chunk(ordinal: int, text: str, doc_id: str = "doc", start: int = 0) -> Chunk:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from lexrag.chunker import dump_chunks, load_chunks
 from lexrag.cli import main
 from lexrag.index import sha256_file
 from lexrag.preference import REFUSAL_STRING
-from tests.conftest import write_jsonl
+from tests.conftest import child_env, write_jsonl
 from tests.synthcorpus import build_aus_corpus, build_legal_corpus
 
 
@@ -375,6 +378,42 @@ def test_chunk_file_round_trips_byte_for_byte(built_pipeline, tmp_path, name, n_
     assert (tmp_path / "copy.jsonl").read_bytes() == path.read_bytes()
     assert [c.full_text for c in chunks] == [row.get("full_text", row["text"]) for row in rows]
     assert all((c.header_text is None) == (n_keys == 8) for c in chunks)
+
+
+@pytest.mark.parametrize("name,index", [("chunks", "index_baseline"),
+                                        ("enriched", "index_enhanced")])
+def test_index_stores_its_chunk_file_as_given(built_pipeline, name, index):
+    stored = (built_pipeline[index] / "chunks.jsonl").read_bytes()
+    assert stored == (built_pipeline[name] / f"{name}.jsonl").read_bytes()
+
+
+def test_index_over_key_reordered_chunk_file_retrieves_the_same(built_pipeline, tmp_path):
+    source = built_pipeline["enriched"] / "enriched.jsonl"
+    path = tmp_path / "reordered.jsonl"
+    rows = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(dict(reversed(row.items()))) + "\n" for row in rows),
+                    encoding="utf-8")
+    assert path.read_bytes() != source.read_bytes()
+    index_dir = tmp_path / "index"
+    assert run(["index", "--chunks", str(path), "--embedder", "deterministic", "--dim", "128",
+                "--out", str(index_dir)]) == 0
+    assert (index_dir / "chunks.jsonl").read_bytes() == path.read_bytes()
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "reordered_out") == 0
+    assert _retrieve_from(built_pipeline["index_enhanced"], built_pipeline,
+                          tmp_path / "canonical_out") == 0
+    for name in ("results.jsonl", "contexts.jsonl"):
+        assert ((tmp_path / "reordered_out" / name).read_bytes()
+                == (tmp_path / "canonical_out" / name).read_bytes())
+
+
+def test_index_rebuilt_in_place_from_its_own_chunk_file(built_pipeline, tmp_path):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    assert run(["index", "--chunks", str(index_dir / "chunks.jsonl"), "--embedder",
+                "deterministic", "--dim", "128", "--out", str(index_dir)]) == 0
+    for name in ("chunks.jsonl", "sparse.npz", "dense.npz", "index_meta.json"):
+        assert ((index_dir / name).read_bytes()
+                == (built_pipeline["index_enhanced"] / name).read_bytes())
 
 
 def test_enriched_full_text_unchanged(built_pipeline):
@@ -798,16 +837,23 @@ def test_config_file_supplies_defaults(tmp_path, workspace):
 
 
 def test_manifest_records_config_file_values(tmp_path, workspace):
+    """Each run is a fresh `lexrag` process: by default it pins BLAS to one thread,
+    and a caller's OPENBLAS_NUM_THREADS is kept and recorded."""
     manifests = []
-    for target in (48, 64):
+    for target, blas_threads in ((48, None), (64, "2")):
         config_path = tmp_path / f"config_{target}.json"
         config_path.write_text(json.dumps({"target": target, "overlap": 10}), encoding="utf-8")
         out_dir = tmp_path / f"chunks_{target}"
-        assert run(["chunk", "--root", str(workspace["root"]),
-                    "--config", str(config_path), "--out", str(out_dir)]) == 0
+        subprocess.run([sys.executable, "-m", "lexrag.cli", "chunk",
+                        "--root", str(workspace["root"]), "--config", str(config_path),
+                        "--out", str(out_dir)],
+                       env=child_env(blas_threads), check=True, capture_output=True)
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["config"]["target"] == target
         assert manifest["inputs"][str(config_path)] == sha256_file(config_path)
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": blas_threads or "1"}
         manifests.append(manifest)
     assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
 

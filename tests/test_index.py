@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexrag.chunker import dump_chunks
 from lexrag.embedding import HashedBowEmbedder
 from lexrag.index import (
     SparseIndex,
@@ -17,6 +18,7 @@ from lexrag.index import (
     embed,
     load_indexes,
     save_indexes,
+    sha256_file,
 )
 from lexrag.textutils import tokenize
 from tests.conftest import make_chunk
@@ -242,15 +244,18 @@ class TestDeterminism:
 
 
 class TestPersistence:
-    def _build(self):
+    def _build(self, tmp_path):
+        """The indexes and the chunk file they were built from, with its sha256."""
         chunks = [make_chunk(i, f"docwords {i} alpha beta gamma"[:40]) for i in range(5)]
         sparse = build_sparse(chunks)
         dense = build_dense(chunks, HashedBowEmbedder(dim=32))
-        return chunks, sparse, dense
+        path = tmp_path / "input_chunks.jsonl"
+        dump_chunks(chunks, path)
+        return sparse, dense, path, sha256_file(path)
 
     def test_round_trip(self, tmp_path):
-        chunks, sparse, dense = self._build()
-        save_indexes(tmp_path, sparse, dense, chunks)
+        sparse, dense, path, digest = self._build(tmp_path)
+        save_indexes(tmp_path, sparse, dense, path, digest)
         sparse2, dense2 = load_indexes(tmp_path)
         assert sparse2.N == sparse.N
         assert sparse2.chunk_ids == sparse.chunk_ids
@@ -267,12 +272,19 @@ class TestPersistence:
         assert bm25_scores(sparse2, query) == bm25_scores(sparse, query)
 
     def test_checksum_mismatch_detected(self, tmp_path):
-        chunks, sparse, dense = self._build()
-        save_indexes(tmp_path, sparse, dense, chunks)
+        sparse, dense, path, digest = self._build(tmp_path)
+        save_indexes(tmp_path, sparse, dense, path, digest)
         payload = (tmp_path / "dense.npz").read_bytes()
         (tmp_path / "dense.npz").write_bytes(payload[:-2] + b"xx")
         with pytest.raises(ValueError, match="checksum"):
             load_indexes(tmp_path)
+
+    def test_chunk_file_changed_since_the_build_rejected(self, tmp_path):
+        sparse, dense, path, digest = self._build(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(ValueError, match="changed while the index was built"):
+            save_indexes(tmp_path / "index", sparse, dense, path, digest)
+        assert not (tmp_path / "index" / "index_meta.json").exists()
 
 
 class TestIdfSmoothing:

@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lexrag
 from lexrag import kernels, stats
 from lexrag.index import SparseIndex, bm25_score_array
+from tests.conftest import child_env
 
 
 def _token_blob(tokens: list[str]) -> tuple[bytes, np.ndarray]:
@@ -109,3 +111,35 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
     third_party, http_stack = out.stdout.split("\n")[:2]
     assert third_party.split() == ["lexrag", "numpy"]
     assert http_stack.split() == []
+
+
+def _python(code: str, blas_threads: str | None = None) -> list[str]:
+    """The stdout lines of ``python -c code`` in a fresh process (see ``child_env``)."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env(blas_threads))
+    return out.stdout.split("\n")
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    # OpenBLAS starts its worker pool when numpy loads; pinned, the process keeps
+    # its one thread
+    code = ("import os; import lexrag.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "task = '/proc/self/task'; "
+            "print(len(os.listdir(task)) if os.path.isdir(task) else 'no ' + task)")
+    value, tasks = _python(code)[:2]
+    assert value == "1"
+    if tasks.startswith("no "):
+        pytest.skip(f"{tasks[3:]} is absent; cannot count this process's threads")
+    assert tasks == "1"
+
+
+def test_callers_blas_thread_count_wins():
+    code = "import os; import lexrag.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, blas_threads="2")[0] == "2"
+
+
+def test_library_import_loads_no_numpy_early_and_leaves_environment_alone():
+    code = ("import os, sys; before = dict(os.environ); import lexrag; "
+            "print('numpy' in sys.modules); import lexrag.index; "
+            "print(dict(os.environ) == before)")
+    assert _python(code)[:2] == ["False", "True"]
