@@ -26,11 +26,16 @@ from typing import Callable, NamedTuple
 # One BLAS thread per lexrag process, set before the first lexrag import loads
 # numpy. numpy's OpenBLAS starts a worker pool when it loads; starting it and
 # letting its worker spin cost every command 0.07-0.24 s of CPU on a 2-core VM,
-# 31-49% of the command's CPU. The only BLAS call on a command path is one GEMV
-# per query (`dense.vectors @ query_vec`): at 49,399 x 256, two threads halve its
-# wall time (3.0 -> 1.6 ms) but spend more CPU (3.0 -> 3.3-4.1 ms), with
-# bitwise-equal scores. scipy's bundled OpenBLAS reads the same variable. A
-# caller's own OPENBLAS_NUM_THREADS wins.
+# 31-49% of the command's CPU. The only BLAS call on a command path is one matrix
+# product per block of queries (`index.dense_scores`): at 49,399 x 256 and 200
+# queries, two threads cut its wall time (78-90 -> 51-53 ms) but spend more CPU
+# (101-109 ms). Over the deterministic embedder's integer counts the scores are
+# the same bits under any thread count or BLAS kernel; remote vectors are floats,
+# whose scores hold only per kernel and thread count. scipy's bundled OpenBLAS
+# reads the same variable. A caller's own OPENBLAS_NUM_THREADS wins. The variable
+# sizes the pool only if numpy is not loaded yet; the run manifest records whether
+# it was (a caller that imported numpy first keeps the pool it started).
+BLAS_ENV_IN_EFFECT = "numpy" not in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy  # noqa: E402  (the pin above must run first)
@@ -67,15 +72,17 @@ PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
 
 def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
     """Reproducibility record: effective config, its hash, input checksums, version and
-    the environment that scores depend on (dense scores are bitwise-stable only per
-    BLAS kernel and thread count).
+    the environment: python and numpy versions, OPENBLAS_NUM_THREADS and whether it
+    sized the BLAS pool that ran (remote-embedder scores depend on that pool and the
+    BLAS kernel; deterministic-embedder scores do not).
 
     This is the only artifact allowed to contain a timestamp.
     """
     manifest = {
         "version": lexrag.__version__,
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
-                        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
+                        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                        "OPENBLAS_NUM_THREADS_in_effect": BLAS_ENV_IN_EFFECT},
         "config": settings,
         "config_sha256": hashlib.sha256(
             json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest(),
@@ -207,12 +214,13 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
         embedder.max_workers = settings["workers"]
     else:
         embedder = get_embedder("deterministic", dim=settings["dim"])
-    # one tokenize pass serves both indexes; building dense first and dropping the
-    # term rows before saving measured the lowest peak memory
-    rows = term_rows([c.full_text for c in chunks])
-    dense = build_dense(chunks, embedder, rows=rows)
+    # one full_text list and one tokenize pass serve both indexes; building dense
+    # first and dropping the term rows before saving measured the lowest peak memory
+    texts = [c.full_text for c in chunks]
+    rows = term_rows(texts)
+    dense = build_dense(chunks, embedder, rows=rows, texts=texts)
     sparse = build_sparse(chunks, k1=settings["k1"], b=settings["b"], rows=rows)
-    del rows
+    del rows, texts
     save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
@@ -223,11 +231,10 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     top = settings["top"]
     ctx, chunks = _retrieval_context(settings, k=max(settings["k"], top))
     records, errors = load_qa_dataset(settings["qa"], settings["format"])
-    results = []
+    results = list(ctx.retrieve_many([r.question for r in records],
+                                     [r.query_id for r in records]))
     contexts = []
-    for record in records:
-        result = ctx.retrieve(record.question, query_id=record.query_id)
-        results.append(result)
+    for record, result in zip(records, results):
         # the top chunks' body text in rank order, each under its document id,
         # for downstream QA; enriched headers never enter generated contexts
         used = [chunks[rc.chunk_id] for rc in result.ranked[:top]]

@@ -2,10 +2,12 @@
 
 The deterministic backend is a hashed bag-of-words (Weinberger et al., 2009):
 every term is hashed to one of D buckets with a ±1 sign from a second hash
-stream, occurrences are summed, and the vector is L2-normalized. It has no
-network dependency, is bit-stable across runs and platforms, and preserves
-enough lexical-similarity structure for offline evaluation of the retrieval
-stack. Queries and chunks take the same path: a query is a batch of one.
+stream, and occurrences are summed. The vector is those integer counts, left
+unnormalized: the dense index divides by the norms when it scores, so every
+dot product it takes is an exact integer. It has no network dependency, is
+bit-stable across runs and platforms, and preserves enough lexical-similarity
+structure for offline evaluation of the retrieval stack. Queries and chunks
+take the same path: a block of queries is one batch.
 
 Remote wire contract: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
 """
@@ -32,7 +34,8 @@ class EmbeddingError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    """Batch of texts -> batch of unit-norm vectors, one per text.
+    """Batch of texts -> batch of finite, nonzero vectors, one per text; scores are
+    cosines, so a vector's length does not matter.
 
     ``rows``, when given, is ``term_rows(texts)`` already computed; a provider
     that embeds terms may read it instead of tokenizing again.
@@ -51,7 +54,9 @@ class HashedBowEmbedder:
     earlier call come from a cache), then fills the ``n x dim`` count matrix
     with one ``np.bincount`` over ``row * dim + bucket`` keys weighted by the
     term signs. The counts are sums of +-1, integers far below 2**53, so the
-    order of summation cannot change a bit of them.
+    order of summation cannot change a bit of them. ``embed`` returns them as
+    float64, unnormalized; a text without terms (or whose signs all cancel)
+    gets the fixed vector e0, a count of 1 in bucket 0.
     """
 
     backend = "deterministic-test"
@@ -92,11 +97,7 @@ class HashedBowEmbedder:
             keys += buckets[ids]
             vectors[lo:hi] = np.bincount(keys, weights=signs[ids],
                                          minlength=(hi - lo) * dim).reshape(hi - lo, dim)
-        norms = np.linalg.norm(vectors, axis=1)
-        empty = norms == 0
-        vectors[empty, 0] = 1.0  # degenerate text: fixed unit vector
-        norms[empty] = 1.0
-        vectors /= norms[:, None]
+        vectors[~vectors.any(axis=1), 0] = 1.0  # degenerate text: fixed vector e0
         return vectors
 
 

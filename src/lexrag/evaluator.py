@@ -146,25 +146,32 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
     """Evaluate DRM and span recall for every query at every k.
 
     Queries whose gold documents never appear in the indexed corpus, or whose
-    retrieval comes back empty, are excluded and logged in the report.
+    retrieval comes back empty, are excluded and logged in the report. The other
+    queries are retrieved in blocks (``RetrievalContext.retrieve_many``).
     """
     ks = sorted(ks or DEFAULT_KS)
     report = MetricReport(dataset=dataset, variant=variant, ks=ks,
                           bootstrap_iterations=iterations, bootstrap_seed=seed)
     corpus_docs = {doc_id for doc_id, _, _ in ctx.chunk_table.values()}
 
-    for record in records:
+    def exclusion(record: QueryRecord) -> str | None:
         if not record.gold_spans:
-            report.excluded.append({"query_id": record.query_id, "reason": "no_gold_spans"})
+            return "no_gold_spans"
+        if not ({s.doc_id for s in record.gold_spans} & corpus_docs):
+            return "no_resolvable_gold_docs"
+        return None
+
+    reasons = [exclusion(record) for record in records]
+    kept = [record for record, reason in zip(records, reasons) if reason is None]
+    results = ctx.retrieve_many([r.question for r in kept], [r.query_id for r in kept])
+    for record, reason in zip(records, reasons):
+        result = next(results) if reason is None else None
+        if result is not None and not result.ranked:
+            reason = "empty_ranking"
+        if reason is not None:
+            report.excluded.append({"query_id": record.query_id, "reason": reason})
             continue
         gold_docs = {s.doc_id for s in record.gold_spans}
-        if not (gold_docs & corpus_docs):
-            report.excluded.append({"query_id": record.query_id, "reason": "no_resolvable_gold_docs"})
-            continue
-        result = ctx.retrieve(record.question, query_id=record.query_id)
-        if not result.ranked:
-            report.excluded.append({"query_id": record.query_id, "reason": "empty_ranking"})
-            continue
         drm_by_k = {k: drm(result, gold_docs, ctx.chunk_table, k) for k in ks}
         recall_by_k = {k: span_recall(result, record.gold_spans, ctx.chunk_table, k)
                        for k in ks}

@@ -1,27 +1,39 @@
 """Sparse (Okapi BM25) and dense (exact cosine) indexes over chunks.
 
 Both indexes are immutable after build and safe for concurrent queries.
-Dense search is exact brute-force inner product over unit vectors; corpora
-here stay in the low hundreds of thousands of chunks, and exactness keeps
-metric results reproducible.
+Dense search is exact brute-force cosine; corpora here stay in the low
+hundreds of thousands of chunks, and exactness keeps metric results
+reproducible.
 
-Scores are N-length float64 arrays indexed by chunk row (``bm25_score_array``,
-``vectors @ q``); ``bm25_scores`` and ``dense_search`` are list views of them.
+Scores are float64 arrays indexed by chunk row (``bm25_score_array``,
+``dense_scores``); ``bm25_scores`` and ``dense_search`` are list views of them.
+Dense scores come from one expression, ``(Q @ V.T) / (|q| ⊗ norms)``, for one
+query or a block of them. The deterministic embedder's vectors are integer
+term counts, so every product and partial sum is an exact integer: a query's
+scores are the same bits alone or in a block, under any BLAS kernel or thread
+count. Remote (float) vectors keep that guarantee only per kernel.
 Ties break by chunk_id ascending through ``id_rank``, each row's position in
 the sorted chunk ids, computed once per index: rows are stored in chunk order,
 which is not id order (``doc#10`` sorts before ``doc#2``), and an integer key
 keeps string comparisons out of every ranking.
 
 The sparse index is held in the CSR layout it is stored in: the postings of
-``terms[i]`` (sorted) are ``refs`` (int64 chunk rows, ascending) and ``tfs``
-(float64) at ``offsets[i]:offsets[i + 1]``; ``postings`` maps terms to views.
+``terms[i]`` (sorted) are ``refs`` (chunk rows, ascending) and ``tfs`` at
+``offsets[i]:offsets[i + 1]``. ``offsets``, ``refs``, ``tfs`` and
+``doc_lengths`` are each in the narrowest unsigned dtype that holds their
+values; numpy promotes them to float64 exactly wherever BM25 computes.
 
-This module alone writes and reads an index directory: ``sparse.npz``,
-``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header holding
-format version, dimensions, backend tag and each file's sha256, checked on the
-bytes a load parses. Strings (terms, chunk ids) are stored as one UTF-8 byte
-blob plus int64 offsets, so loading never unpickles: a checksum recomputed by
-whoever wrote the directory cannot make a load run code.
+This module alone writes and reads an index directory (format v4):
+``sparse.npz``, ``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json``
+header holding format version, dimensions, backend tag and each file's sha256,
+checked on the bytes a load parses. The npz files are stored uncompressed and
+hold only exact values: the CSR arrays, and dense vectors in the narrowest
+signed dtype (float64 for remote vectors); row norms are derived on load.
+Strings (terms, chunk ids) are stored as one UTF-8 byte blob plus int64
+offsets, so loading never unpickles: a checksum recomputed by whoever wrote
+the directory cannot make a load run code. A load also checks every array's
+dtype, shape and the CSR invariants, so a tampered file fails with a
+ValueError instead of ranking wrongly.
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ import hashlib
 import io
 import math
 import shutil
+from bisect import bisect_left
+from functools import cached_property
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -40,9 +54,34 @@ from lexrag.chunker import Chunk, load_chunks
 from lexrag.embedding import EmbeddingProvider
 from lexrag.textutils import TermRows, read_json, term_rows, tokenize, write_json
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 META_FILE = "index_meta.json"
 CHUNKS_FILE = "chunks.jsonl"
+REMOTE_BACKEND = "remote"  # the one backend whose vectors are stored as floats
+_CSR_ARRAYS = ("offsets", "refs", "tfs", "doc_lengths")
+_UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
+_SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
+
+
+def _narrowest(values: np.ndarray, signed: bool = False) -> np.ndarray:
+    """``values`` in the narrowest unsigned (or signed) integer dtype that holds each
+    one exactly; a ValueError when one is not an integer that any of them holds."""
+    lo, hi = (values.min(), values.max()) if values.size else (0, 0)
+    for dtype in _SIGNED if signed else _UNSIGNED:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            out = values.astype(dtype, copy=False)
+            if values.dtype.kind in "iu" or np.array_equal(out, values):
+                return out
+            break
+    raise ValueError(f"values in [{lo}, {hi}] do not all fit one "
+                     f"{'signed' if signed else 'unsigned'} integer dtype exactly")
+
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D float64 array; exact-integer rows give
+    exact sums of squares, so the norms do not depend on summation order."""
+    return np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
 
 
 def id_ranks(chunk_ids: Sequence[str]) -> np.ndarray:
@@ -73,9 +112,9 @@ class SparseIndex:
     """Inverted index in CSR form with BM25 parameters (see the module docstring)."""
 
     terms: list[str]  # sorted
-    offsets: np.ndarray  # int64, len(terms) + 1
-    refs: np.ndarray  # int64 chunk rows, ascending within each term
-    tfs: np.ndarray  # float64
+    offsets: np.ndarray  # len(terms) + 1
+    refs: np.ndarray  # chunk rows, ascending within each term
+    tfs: np.ndarray
     doc_lengths: np.ndarray
     avg_len: float
     N: int
@@ -84,25 +123,40 @@ class SparseIndex:
     b: float = 0.75
     norms: np.ndarray = field(init=False, repr=False)
     id_rank: np.ndarray = field(init=False, repr=False)
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)  # views
 
     def __post_init__(self) -> None:
-        bounds = self.offsets.tolist()
-        if len(bounds) != len(self.terms) + 1:
-            raise ValueError(f"sparse index holds {len(self.terms)} terms but {len(bounds)} offsets")
-        self.postings = {term: (self.refs[lo:hi], self.tfs[lo:hi])
-                         for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+        if self.offsets.shape[0] != len(self.terms) + 1:
+            raise ValueError(f"sparse index holds {len(self.terms)} terms but "
+                             f"{self.offsets.shape[0]} offsets")
         rel = (self.doc_lengths / self.avg_len if self.avg_len > 0
                else np.zeros_like(self.doc_lengths, dtype=np.float64))
         self.norms = self.k1 * (1.0 - self.b + self.b * rel)
         self.id_rank = id_ranks(self.chunk_ids)
 
+    @cached_property
+    def postings(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """term -> (refs, tfs) views of its CSR slice, built on first read. Scoring
+        finds a term with ``term_span`` (bisection over the sorted terms), so neither
+        a build nor a load makes this dict; the benchmark's posting counter and the
+        layout tests read it."""
+        bounds = self.offsets.tolist()
+        return {term: (self.refs[lo:hi], self.tfs[lo:hi])
+                for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+
+    def term_span(self, term: str) -> tuple[int, int] | None:
+        """(lo, hi) of ``term``'s postings in ``refs`` and ``tfs``; None if absent."""
+        i = bisect_left(self.terms, term)
+        if i == len(self.terms) or self.terms[i] != term:
+            return None
+        return int(self.offsets[i]), int(self.offsets[i + 1])
+
     def idf(self, term: str) -> float:
-        post = self.postings.get(term)
-        if post is None:
-            return 0.0
-        n_t = post[0].shape[0]
-        return math.log((self.N - n_t + 0.5) / (n_t + 0.5) + 1.0)
+        span = self.term_span(term)
+        return 0.0 if span is None else _idf(self.N, span[1] - span[0])
+
+
+def _idf(n: int, n_t: int) -> float:
+    return math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
 def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
@@ -128,10 +182,10 @@ def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
     keys = keys[first]
     offsets = np.zeros(len(rows.vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
-    doc_lengths = rows.lengths.astype(np.float64)
-    return SparseIndex(terms=sorted(rows.vocab), offsets=offsets, refs=keys % n,
-                       tfs=tfs.astype(np.float64), doc_lengths=doc_lengths,
-                       avg_len=float(doc_lengths.mean()), N=n,
+    return SparseIndex(terms=sorted(rows.vocab), offsets=_narrowest(offsets),
+                       refs=_narrowest(keys % n), tfs=_narrowest(tfs),
+                       doc_lengths=_narrowest(rows.lengths),
+                       avg_len=float(rows.lengths.mean()), N=n,
                        chunk_ids=[c.chunk_id for c in chunks], k1=k1, b=b)
 
 
@@ -145,20 +199,12 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     ``np.bincount`` sums each chunk's contributions in posting order, so the
     result is bitwise equal to a per-posting loop.
     """
-    refs_parts, tfs_parts, idfs_parts = [], [], []
-    for term in tokenize(query):
-        post = index.postings.get(term)
-        if post is None:
-            continue
-        rows, tfs = post
-        refs_parts.append(rows)
-        tfs_parts.append(tfs)
-        idfs_parts.append(np.full(rows.shape[0], index.idf(term)))
-    if not refs_parts:
+    spans = [span for span in map(index.term_span, tokenize(query)) if span is not None]
+    if not spans:
         return None
-    refs = np.concatenate(refs_parts)
-    tfs = np.concatenate(tfs_parts)
-    idfs = np.concatenate(idfs_parts)
+    refs = np.concatenate([index.refs[lo:hi] for lo, hi in spans])
+    tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans])
+    idfs = np.concatenate([np.full(hi - lo, _idf(index.N, hi - lo)) for lo, hi in spans])
     contrib = idfs * tfs * (index.k1 + 1.0) / (tfs + index.norms[refs])
     return np.bincount(refs, weights=contrib, minlength=index.norms.shape[0])
 
@@ -179,14 +225,18 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
 
 @dataclass
 class DenseIndex:
-    """Unit-norm vector matrix with row -> chunk_id mapping."""
+    """Embedding matrix (float64; integer counts from the deterministic embedder),
+    its row norms and the row -> chunk_id mapping."""
 
     vectors: np.ndarray
     chunk_ids: list[str]
     backend: str
+    norms: np.ndarray = field(init=False, repr=False)
     id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.norms = _row_norms(self.vectors)
         self.id_rank = id_ranks(self.chunk_ids)
 
     @property
@@ -200,7 +250,8 @@ class DenseIndex:
 
 def embed(provider: EmbeddingProvider, texts: Sequence[str],
           rows: TermRows | None = None) -> np.ndarray:
-    """Embed texts through a provider, enforcing the unit-norm contract.
+    """Embed texts through a provider: one row per text, each with a finite,
+    nonzero norm (so NaN, inf and all-zero rows are rejected).
 
     ``rows``, when given, is ``term_rows(texts)``, passed on to the provider.
     """
@@ -210,38 +261,55 @@ def embed(provider: EmbeddingProvider, texts: Sequence[str],
     if vectors.shape != (len(texts), provider.dim):
         raise ValueError(f"provider returned shape {vectors.shape}, "
                          f"expected {(len(texts), provider.dim)}")
-    # np.allclose(norms, 1.0, atol=1e-6) as one expression: allclose's own checks cost
-    # more than the rest of a one-query embedding
-    if not np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-6 + 1e-5):
-        raise ValueError("provider returned non-unit vectors")
+    norms = _row_norms(vectors)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError("provider returned a vector with a zero, NaN or infinite norm")
     return vectors
 
 
 def build_dense(chunks: Sequence[Chunk], provider: EmbeddingProvider,
-                rows: TermRows | None = None) -> DenseIndex:
+                rows: TermRows | None = None,
+                texts: Sequence[str] | None = None) -> DenseIndex:
     """Embed each chunk's full_text, in order, into an exact-search matrix.
 
-    ``rows``, when given, is ``term_rows`` of those texts, already computed.
+    ``texts``, when given, is that list of full_text strings, and ``rows`` its
+    ``term_rows``, already computed.
     """
     if not chunks:
         raise ValueError("cannot build a dense index over an empty chunk list")
-    texts = [c.full_text for c in chunks]
+    if texts is None:
+        texts = [c.full_text for c in chunks]
     vectors = embed(provider, texts, rows)
     return DenseIndex(vectors=vectors, chunk_ids=[c.chunk_id for c in chunks],
                       backend=provider.backend)
 
 
+def dense_scores(index: DenseIndex, query_vecs: np.ndarray) -> np.ndarray:
+    """Cosine of each query vector (a row of ``query_vecs``) with every chunk row:
+    the (queries, N) array ``(Q @ V.T) / (|q| ⊗ norms)``.
+
+    Every dense score comes from here, one query or a block. Over integer counts
+    the products are exact, so each score is one correctly rounded division of
+    exact values: the same bits whatever the block, BLAS kernel or thread count.
+    The scores are the only (queries, N) array; the division runs row by row.
+    """
+    queries = np.asarray(query_vecs, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError(f"query dimension {queries.shape[-1]} != index dimension {index.dim}")
+    scores = queries @ index.vectors.T
+    for row, norm in zip(scores, _row_norms(queries)):
+        np.divide(row, norm * index.norms, out=row)
+    return scores
+
+
 def dense_search(index: DenseIndex, query_vec: np.ndarray, n: int) -> list[tuple[int, float]]:
-    """Exact top-n rows by inner product (cosine over unit vectors).
+    """Exact top-n rows by cosine (``dense_scores`` of one query).
 
     Ties break by chunk_id ascending. n >= N returns all rows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    query_vec = np.asarray(query_vec, dtype=np.float64).reshape(-1)
-    if query_vec.shape[0] != index.dim:
-        raise ValueError(f"query dimension {query_vec.shape[0]} != index dimension {index.dim}")
-    scores = index.vectors @ query_vec
+    scores = dense_scores(index, np.asarray(query_vec).reshape(1, -1))[0]
     order = top_rows(scores, n, index.id_rank)
     return [(int(r), float(scores[r])) for r in order]
 
@@ -278,6 +346,10 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     indexes were built from, so its rows are in row order) as chunks.jsonl, and the
     index_meta.json header listing each written file with its sha256.
 
+    Both npz files are uncompressed. The CSR arrays go in their narrowest unsigned
+    dtype, and the vectors in their narrowest signed dtype (a ValueError if one is
+    not an integer), or as float64 for the remote backend.
+
     ``chunks_sha256`` is the sha256 of the bytes the indexes were built from; a copy
     with another one (the file changed since) is a ValueError and writes no header.
     """
@@ -288,19 +360,17 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     term_bytes, term_offsets = _pack_strings(sparse.terms)
     id_bytes, id_offsets = _pack_strings(sparse.chunk_ids)
     files["sparse"] = directory / "sparse.npz"
-    np.savez_compressed(
-        files["sparse"],
-        term_bytes=term_bytes, term_offsets=term_offsets,
-        offsets=sparse.offsets, refs=sparse.refs, tfs=sparse.tfs,
-        doc_lengths=sparse.doc_lengths,
-        chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
-        params=np.asarray([sparse.k1, sparse.b, sparse.avg_len], dtype=np.float64),
-    )
+    np.savez(files["sparse"], term_bytes=term_bytes, term_offsets=term_offsets,
+             **{name: _narrowest(getattr(sparse, name)) for name in _CSR_ARRAYS},
+             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
+             params=np.asarray([sparse.k1, sparse.b, sparse.avg_len], dtype=np.float64))
 
     id_bytes, id_offsets = _pack_strings(dense.chunk_ids)
     files["dense"] = directory / "dense.npz"
-    np.savez_compressed(files["dense"], vectors=dense.vectors,
-                        chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
+    vectors = (dense.vectors if dense.backend == REMOTE_BACKEND
+               else _narrowest(dense.vectors, signed=True))
+    np.savez(files["dense"], vectors=vectors,
+             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
 
     files["chunks"] = directory / CHUNKS_FILE
     if not (files["chunks"].exists() and files["chunks"].samefile(chunks_file)):
@@ -360,23 +430,79 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     return meta, data
 
 
+def _invalid(path: Path, why: str) -> ValueError:
+    return ValueError(f"{path}: {why}; rebuild with `lexrag index`")
+
+
+def _check_sparse(path: Path, arrays: dict[str, np.ndarray], n: int) -> None:
+    """The CSR arrays of a loaded sparse.npz: each 1-D in its narrowest unsigned dtype;
+    offsets start at 0, never decrease and end at len(refs); 0 <= refs < n; tfs >= 1;
+    one doc length per chunk; finite parameters."""
+    for name in _CSR_ARRAYS:
+        values = arrays[name]
+        if values.ndim != 1 or values.dtype.kind != "u" or _narrowest(values) is not values:
+            raise _invalid(path, f"{name} is not a 1-D array in its narrowest unsigned dtype")
+    offsets, refs, tfs, doc_lengths = (arrays[name] for name in _CSR_ARRAYS)
+    if (offsets.shape[0] == 0 or offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1])
+            or offsets[-1] != refs.shape[0]):
+        raise _invalid(path, "offsets do not start at 0, rise and end at len(refs)")
+    if tfs.shape != refs.shape:
+        raise _invalid(path, f"{tfs.shape[0]} tfs for {refs.shape[0]} refs")
+    if refs.size and refs.max() >= n:
+        raise _invalid(path, f"refs hold a row outside [0, {n})")
+    if tfs.size and tfs.min() < 1:
+        raise _invalid(path, "tfs hold a term frequency below 1")
+    if doc_lengths.shape[0] != n:
+        raise _invalid(path, f"{doc_lengths.shape[0]} doc lengths for {n} chunks")
+    params = arrays["params"]
+    if params.shape != (3,) or params.dtype != np.float64 or not np.isfinite(params).all():
+        raise _invalid(path, "params is not 3 finite float64 values (k1, b, avg_len)")
+
+
 def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
-    """Load a persisted index pair, each file checked against its sha256; never unpickles."""
+    """Load a persisted index pair, each file checked against its sha256 and its arrays
+    against the format (see ``_check_sparse``; vectors must be (n_chunks, dim) in the
+    dtype ``save_indexes`` writes, each row finite with a nonzero norm); never unpickles.
+    """
     directory = Path(directory)
-    with np.load(io.BytesIO(_read_checked(directory, "sparse")[1]), allow_pickle=False) as data:
-        chunk_ids = _unpack_strings(data["chunk_id_bytes"], data["chunk_id_offsets"])
-        k1, b, avg_len = (float(v) for v in data["params"])
-        sparse = SparseIndex(terms=_unpack_strings(data["term_bytes"], data["term_offsets"]),
-                             offsets=data["offsets"], refs=data["refs"], tfs=data["tfs"],
-                             doc_lengths=data["doc_lengths"], avg_len=avg_len,
-                             N=len(chunk_ids), chunk_ids=chunk_ids, k1=k1, b=b)
+    meta, raw = _read_checked(directory, "sparse")
+    if not all(type(meta.get(key)) is int and meta[key] >= 0 for key in ("n_chunks", "dim")):
+        raise _invalid(directory / META_FILE, "key 'n_chunks' or 'dim' is not a count")
+    n = meta["n_chunks"]
+    path = directory / meta["files"]["sparse"]["path"]
+    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+        arrays = dict(data)  # each member read once: an NpzFile reads on every lookup
+    _check_sparse(path, arrays, n)
+    chunk_ids = _unpack_strings(arrays["chunk_id_bytes"], arrays["chunk_id_offsets"])
+    terms = _unpack_strings(arrays["term_bytes"], arrays["term_offsets"])
+    if len(chunk_ids) != n:
+        raise _invalid(path, f"{len(chunk_ids)} chunk ids for {n} chunks")
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise _invalid(path, "terms are not strictly ascending")
+    k1, b, avg_len = arrays["params"].tolist()
+    sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
+                         avg_len=avg_len, N=n, chunk_ids=chunk_ids, k1=k1, b=b)
 
     meta, raw = _read_checked(directory, "dense")
+    path = directory / meta["files"]["dense"]["path"]
     with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-        dense = DenseIndex(vectors=data["vectors"],
+        vectors = data["vectors"]
+        if meta["embedder_backend"] == REMOTE_BACKEND:
+            exact = vectors.dtype == np.float64
+        else:
+            exact = vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors
+        if not exact:
+            raise _invalid(path, f"vectors of the {meta['embedder_backend']!r} backend are "
+                                 f"stored as {vectors.dtype}")
+        if vectors.shape != (n, meta["dim"]):
+            raise _invalid(path, f"vectors have shape {vectors.shape}, the header gives "
+                                 f"{(n, meta['dim'])}")
+        dense = DenseIndex(vectors=vectors,
                            chunk_ids=_unpack_strings(data["chunk_id_bytes"],
                                                      data["chunk_id_offsets"]),
                            backend=meta["embedder_backend"])
+    if not np.all(np.isfinite(dense.norms) & (dense.norms > 0)):
+        raise _invalid(path, "a vector is not finite or has norm 0")
     if sparse.chunk_ids != dense.chunk_ids:
         raise ValueError("sparse and dense indexes list different chunk ids")
     return sparse, dense

@@ -2,12 +2,15 @@
 
 The embedder hashes each distinct term of a batch once, with one
 ``hash_tokens`` call for the terms it has not seen before: an index build
-sends its whole vocabulary in that call, a query its dozen or so terms.
-``hash_tokens`` is a per-byte loop over Python ints, which wrap modulo 2**64
-by masking; it is exact and platform-independent. A whole-array form (one
-numpy step per byte position across all terms) gives the same hashes and is
-~20x faster on a build vocabulary of ~14k terms, but ~3x slower on a query's
-dozen, and queries are most of this function's calls.
+sends its whole vocabulary in that call, a block of queries their few hundred
+terms. ``hash_tokens`` runs FNV-1a over the whole batch at once, one numpy step
+per byte position: uint64 arithmetic wraps modulo 2**64 exactly as the
+definition does, so the hashes are exact and platform-independent. The step
+count is the batch's longest term in bytes, not its term count: a whole build
+vocabulary (~14k terms) hashes in ~3 ms, but one 100 kB word takes ~0.5 s,
+~15x a per-byte loop over Python ints. Chunk terms stay short, since the
+chunker hard-splits any run longer than its token budget; only a query can
+carry such a word.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 # environment block.
 NUMBA_ENABLED = False
 
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+_FNV_PRIME = np.uint64(0x100000001B3)
+_BASIS_BUCKET = np.uint64(0xCBF29CE484222325)
+_BASIS_SIGN = np.uint64(0x84222325CBF29CE4)
 
 
 def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,16 +35,22 @@ def hash_tokens(token_bytes: bytes, offsets: np.ndarray, dim: int) -> tuple[np.n
     second stream with a different offset basis. Deterministic across runs
     and platforms.
     """
-    n = offsets.shape[0] - 1
-    buckets = np.empty(n, dtype=np.int64)
-    signs = np.empty(n, dtype=np.float64)
-    for t in range(n):
-        h1 = 0xCBF29CE484222325
-        h2 = 0x84222325CBF29CE4
-        for b in token_bytes[offsets[t]:offsets[t + 1]]:
-            h1 = ((h1 ^ b) * 0x100000001B3) & _U64_MASK
-            h2 = ((h2 ^ b) * 0x100000001B3) & _U64_MASK
-        buckets[t] = h1 % dim
-        signs[t] = 1.0 if (h2 & 1) == 0 else -1.0
+    lengths = np.diff(offsets)
+    # longest token first, so the tokens still hashing at byte p are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = offsets[:-1][order], lengths[order]
+    data = np.frombuffer(token_bytes, dtype=np.uint8)
+    # row 0 is the bucket stream, row 1 the sign stream
+    h = np.repeat(np.array([[_BASIS_BUCKET], [_BASIS_SIGN]]), order.shape[0], axis=1)
+    longest = int(lengths[0]) if lengths.size else 0
+    # tokens longer than p, for each byte position p
+    active = np.searchsorted(-lengths, -np.arange(longest), side="left")
+    for p, n in enumerate(active.tolist()):
+        live = h[:, :n]
+        live ^= data[starts[:n] + p]
+        live *= _FNV_PRIME
+    buckets = np.empty(order.shape[0], dtype=np.int64)
+    buckets[order] = (h[0] % np.uint64(dim)).astype(np.int64)
+    signs = np.empty(order.shape[0], dtype=np.float64)
+    signs[order] = np.where(h[1] & np.uint64(1), -1.0, 1.0)
     return buckets, signs
-

@@ -6,18 +6,23 @@ dense rows plus every nonzero BM25 row); a candidate missing from one side
 enters that side's min-max as raw 0 rather than being re-scored. The fused
 score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
 
-Each query's scores stay N-length float64 arrays from scoring to top-k: the
-candidate union is a boolean mask, both sides are normalized over the masked
-rows, and only the rows tied at or above the k-th fused score are sorted, by
-score descending then the index's integer ``id_rank`` (chunk_id ascending).
-``RankedChunk`` objects are built for the top k alone.
+Queries are retrieved in blocks of ``QUERY_BLOCK``: one embedding call and
+one ``index.dense_scores`` matrix product per block, then BM25 and fusion per
+query. ``hybrid_retrieve`` is a block of one, and since a query's dense scores
+are the same bits in any block (deterministic embedder), a query gets the
+same result alone or in a batch. Each query's scores stay N-length float64
+arrays from scoring to top-k: the candidate union is a boolean mask, both
+sides are normalized over the masked rows, and only the rows tied at or above
+the k-th fused score are sorted, by score descending then the index's integer
+``id_rank`` (chunk_id ascending). ``RankedChunk`` objects are built for the
+top k alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +30,12 @@ from lexrag.embedding import EmbeddingProvider
 # bm25_scores and dense_search are unused here, but perfbench's tracer wraps
 # them under this module's name, so the names must stay importable from it.
 from lexrag.index import (DenseIndex, SparseIndex, bm25_score_array, bm25_scores,  # noqa: F401
-                          dense_search, embed, top_rows)
+                          dense_scores, dense_search, embed, top_rows)
 from lexrag.textutils import write_jsonl
+
+# queries per embedding call and dense matrix product; a block's dense scores take
+# QUERY_BLOCK x N x 8 bytes (12.8 MB at 50k chunks)
+QUERY_BLOCK = 32
 
 
 @dataclass
@@ -91,23 +100,39 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def retrieve_many(questions: Sequence[str], sparse: SparseIndex, dense: DenseIndex,
+                  embedder: EmbeddingProvider, cfg: FusionConfig,
+                  query_ids: Sequence[str]) -> Iterator[RetrievalResult]:
+    """``hybrid_retrieve`` of each question in turn, dense-scored QUERY_BLOCK at a time."""
+    if dense.N == 0:
+        for query_id in query_ids:
+            yield RetrievalResult(query_id=query_id, ranked=[], k=cfg.k)
+        return
+    if sparse.N != dense.N:
+        raise ValueError(f"index size mismatch: sparse N={sparse.N}, dense N={dense.N}")
+    for lo in range(0, len(questions), QUERY_BLOCK):
+        block = questions[lo:lo + QUERY_BLOCK]
+        scores = dense_scores(dense, embed(embedder, block))
+        for question, query_id, row in zip(block, query_ids[lo:lo + QUERY_BLOCK], scores):
+            yield _fuse(question, row, sparse, dense, cfg, query_id)
+
+
 def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
                     embedder: EmbeddingProvider, cfg: FusionConfig,
                     query_id: str = "") -> RetrievalResult:
-    """Retrieve top-k chunks by fused dense+sparse score.
+    """Retrieve top-k chunks by fused dense+sparse score (a block of one query).
 
     Candidates are the union of the top ``candidate_pool`` dense hits and all
     nonzero BM25 hits. Ties break by chunk_id ascending for reproducibility.
     """
-    if dense.N == 0:
-        return RetrievalResult(query_id=query_id, ranked=[], k=cfg.k)
-    if sparse.N != dense.N:
-        raise ValueError(f"index size mismatch: sparse N={sparse.N}, dense N={dense.N}")
-    query_vec = embed(embedder, [question])[0]
+    return next(retrieve_many([question], sparse, dense, embedder, cfg, [query_id]))
 
-    dense_scores = dense.vectors @ query_vec
+
+def _fuse(question: str, dense_row: np.ndarray, sparse: SparseIndex, dense: DenseIndex,
+          cfg: FusionConfig, query_id: str) -> RetrievalResult:
+    """One query's ranking from its dense scores (``dense_row``) and its BM25 scores."""
     in_pool = np.zeros(dense.N, dtype=bool)
-    in_pool[top_rows(dense_scores, min(cfg.candidate_pool, dense.N), dense.id_rank)] = True
+    in_pool[top_rows(dense_row, min(cfg.candidate_pool, dense.N), dense.id_rank)] = True
     bm25 = bm25_score_array(sparse, question)
     if bm25 is None:
         bm25 = np.zeros(dense.N)
@@ -117,7 +142,7 @@ def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
     # Candidates a side never returned enter its min-max as raw 0, so present
     # hits keep their relative order and never collapse onto the absent ones;
     # a side with no hits at all (only BM25 can have none) contributes 0.
-    dense_norm = minmax_normalize(np.where(in_pool[rows], dense_scores[rows], 0.0))
+    dense_norm = minmax_normalize(np.where(in_pool[rows], dense_row[rows], 0.0))
     if in_bm25.any():
         sparse_norm = minmax_normalize(bm25[rows])
     else:
@@ -146,6 +171,11 @@ class RetrievalContext:
     def retrieve(self, question: str, query_id: str = "") -> RetrievalResult:
         return hybrid_retrieve(question, self.sparse, self.dense, self.embedder,
                                self.fusion, query_id=query_id)
+
+    def retrieve_many(self, questions: Sequence[str],
+                      query_ids: Sequence[str]) -> Iterator[RetrievalResult]:
+        return retrieve_many(questions, self.sparse, self.dense, self.embedder,
+                             self.fusion, query_ids)
 
 
 def dump_results(results: Sequence[RetrievalResult], path: str | Path) -> None:

@@ -36,7 +36,8 @@ WORDS = ["offer", "price", "share", "Gericht", "straße", "élan", "naïve", "Ω
 # references
 
 def reference_embed(texts: list[str], dim: int) -> np.ndarray:
-    """Hash each text's unseen terms, then add its ±1 signs into its row one text at a time."""
+    """Hash each text's unseen terms, then add its ±1 signs into its row one text at a
+    time; a row left all zero gets the fixed vector e0."""
     cache: dict[str, tuple[int, float]] = {}
     vectors = np.zeros((len(texts), dim), dtype=np.float64)
     for row, text in enumerate(texts):
@@ -53,10 +54,7 @@ def reference_embed(texts: list[str], dim: int) -> np.ndarray:
             buckets = np.fromiter((cache[t][0] for t in terms), dtype=np.int64, count=len(terms))
             signs = np.fromiter((cache[t][1] for t in terms), dtype=np.float64, count=len(terms))
             np.add.at(vectors[row], buckets, signs)
-        norm = np.linalg.norm(vectors[row])
-        if norm > 0:
-            vectors[row] /= norm
-        else:
+        if not vectors[row].any():
             vectors[row, 0] = 1.0
     return vectors
 

@@ -11,7 +11,7 @@ import pytest
 
 from lexrag.chunker import dump_chunks, load_chunks
 from lexrag.cli import main
-from lexrag.index import sha256_file
+from lexrag.index import INDEX_FORMAT_VERSION, sha256_file
 from lexrag.preference import REFUSAL_STRING
 from tests.conftest import child_env, write_jsonl
 from tests.synthcorpus import build_aus_corpus, build_legal_corpus
@@ -226,6 +226,100 @@ def test_version_1_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert "version 1" in err["message"] and "rebuild with `lexrag index`" in err["message"]
+
+
+def test_version_3_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["format_version"] = 3
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "version 3" in err["message"] and "rebuild with `lexrag index`" in err["message"]
+
+
+def _set(name: str, index, value, dtype=None):
+    """An edit that sets ``arrays[name][index] = value``, first widened to ``dtype``."""
+    def edit(arrays, meta):
+        values = arrays[name].astype(dtype or arrays[name].dtype)
+        values[index] = value
+        arrays[name] = values
+    return edit
+
+
+def _swap_rising_offsets(arrays, meta):
+    offsets = arrays["offsets"].copy()
+    i = int(np.flatnonzero(offsets[1:] > offsets[:-1])[0])
+    offsets[i], offsets[i + 1] = offsets[i + 1], offsets[i]
+    arrays["offsets"] = offsets
+
+
+def _ref_past_the_last_row(arrays, meta):
+    n = meta["n_chunks"]
+    _set("refs", 0, n, np.min_scalar_type(n))(arrays, meta)
+
+
+def _drop_last_dim(arrays, meta):
+    arrays["vectors"] = arrays["vectors"][:, :-1]
+
+
+def _as(name: str, dtype):
+    def edit(arrays, meta):
+        arrays[name] = arrays[name].astype(dtype)
+    return edit
+
+
+def _remote_with_inf(arrays, meta):
+    meta["embedder_backend"] = "remote"
+    _set("vectors", (0, 0), np.inf, np.float64)(arrays, meta)
+
+
+_SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
+
+
+@pytest.mark.parametrize("name,edit,problem", [
+    pytest.param("sparse", _set("offsets", 0, 1), _SPARSE_ORDER, id="offsets-start"),
+    pytest.param("sparse", _swap_rising_offsets, _SPARSE_ORDER, id="offsets-decrease"),
+    pytest.param("sparse", _set("offsets", -1, 0), _SPARSE_ORDER, id="offsets-end"),
+    pytest.param("sparse", _ref_past_the_last_row, "refs hold a row outside [0, ",
+                 id="refs-range"),
+    pytest.param("sparse", _set("tfs", 0, 0), "tfs hold a term frequency below 1", id="tfs-zero"),
+    pytest.param("sparse", _as("refs", np.int64),
+                 "refs is not a 1-D array in its narrowest unsigned dtype", id="refs-dtype"),
+    pytest.param("sparse", _as("tfs", np.float64),
+                 "tfs is not a 1-D array in its narrowest unsigned dtype", id="tfs-dtype"),
+    pytest.param("sparse", _set("params", 2, np.nan), "params is not 3 finite float64 values",
+                 id="params-nan"),
+    pytest.param("dense", _drop_last_dim, "vectors have shape", id="dense-shape"),
+    pytest.param("dense", _as("vectors", np.float64), "stored as float64", id="dense-dtype"),
+    pytest.param("dense", _set("vectors", 0, 0), "a vector is not finite or has norm 0",
+                 id="dense-zero-row"),
+    pytest.param("dense", _remote_with_inf, "a vector is not finite or has norm 0",
+                 id="dense-inf"),
+])
+def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, name, edit, problem):
+    """An npz member edited to break the format, its sha256 recomputed in the header,
+    fails the load with the error JSON naming the file and the broken invariant."""
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    path = index_dir / f"{name}.npz"
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays, meta)
+    np.savez(path, **arrays)
+    meta["files"][name]["sha256"] = sha256_file(path)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"{name}.npz: " in err["message"] and problem in err["message"]
+    assert err["message"].endswith("rebuild with `lexrag index`")
 
 
 def test_index_with_mismatched_chunk_id_lists_rejected(built_pipeline, tmp_path, capsys):
@@ -705,13 +799,13 @@ def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
 
 
 _NO_DATASET = json.dumps({"variant": "baseline", "ks": [1], "per_k": {}, "per_query": {}})
-_NO_FILES = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test"})
-_FILES_LIST = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
-                          "files": ["sparse", "dense", "chunks"]})
+_HEADER = {"format_version": INDEX_FORMAT_VERSION, "embedder_backend": "deterministic-test"}
+_NO_FILES = json.dumps(_HEADER)
+_FILES_LIST = json.dumps({**_HEADER, "files": ["sparse", "dense", "chunks"]})
 _ENTRY = {"path": "x", "sha256": "0" * 64}
-_NO_SHA = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
+_NO_SHA = json.dumps({**_HEADER,
                       "files": {"sparse": _ENTRY, "dense": _ENTRY, "chunks": {"path": "x"}}})
-_PATH_NUMBER = json.dumps({"format_version": 3, "embedder_backend": "deterministic-test",
+_PATH_NUMBER = json.dumps({**_HEADER,
                            "files": {"sparse": {**_ENTRY, "path": 7}, "dense": _ENTRY,
                                      "chunks": _ENTRY}})
 _TRUNCATED = ", line 2: not valid JSON"
@@ -853,7 +947,7 @@ def test_manifest_records_config_file_values(tmp_path, workspace):
         assert manifest["inputs"][str(config_path)] == sha256_file(config_path)
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "OPENBLAS_NUM_THREADS": blas_threads or "1"}
+            "OPENBLAS_NUM_THREADS": blas_threads or "1", "OPENBLAS_NUM_THREADS_in_effect": True}
         manifests.append(manifest)
     assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,20 @@ def test_same_text_same_vector():
     assert np.array_equal(v[0], v[1])
 
 
+# sha256 of the unit vectors HashedBowEmbedder(dim=64) returned for UNIT_TEXTS while it
+# still normalized them (index format v3)
+UNIT_TEXTS = ["alpha beta gamma", "one", "a b c d e f g", "...", "alpha alpha alpha beta"]
+UNIT_SHA256 = "8da1f7262a019b30e9be2f17321da9e9b763fb16aa1881c87897b379b39314e7"
+
+
 def test_vectors_are_unit_norm():
-    emb = HashedBowEmbedder(dim=64)
-    v = emb.embed(["alpha beta gamma", "one", "a b c d e f g"])
-    np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6)
+    """The embedder returns integer counts; counts / sqrt(sum(counts**2)) are unit
+    vectors, bit for bit the ones it returned when it normalized them itself."""
+    counts = HashedBowEmbedder(dim=64).embed(UNIT_TEXTS)
+    assert np.array_equal(counts, np.rint(counts))
+    unit = counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
+    np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-6)
+    assert hashlib.sha256(unit.tobytes()).hexdigest() == UNIT_SHA256
 
 
 def test_unrelated_texts_not_collinear():
@@ -24,7 +36,7 @@ def test_unrelated_texts_not_collinear():
                    "termination fees representations warranties",
                    b + " advertising opt out profile deletion export gdpr controller "
                    "processor storage"])
-    cosine = float(v[0] @ v[1])
+    cosine = float(v[0] @ v[1] / (np.linalg.norm(v[0]) * np.linalg.norm(v[1])))
     assert cosine < 0.99
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import zipfile
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from lexrag.chunker import dump_chunks
 from lexrag.embedding import HashedBowEmbedder
 from lexrag.index import (
+    DenseIndex,
     SparseIndex,
     bm25_scores,
     build_dense,
@@ -24,8 +27,14 @@ from lexrag.textutils import tokenize
 from tests.conftest import make_chunk
 
 
+def _narrow(values: list[int]) -> np.ndarray:
+    """The values in the narrowest unsigned dtype that holds their maximum."""
+    return np.asarray(values, dtype=np.min_scalar_type(max(values, default=0)))
+
+
 def reference_csr(texts: list[str]):
-    """CSR arrays from per-chunk Counters: sorted terms, rows ascending in each term."""
+    """CSR arrays from per-chunk Counters: sorted terms, rows ascending in each term,
+    each array in the narrowest unsigned dtype that holds it (index format v4)."""
     counts = [Counter(tokenize(text)) for text in texts]
     terms = sorted(set().union(*counts))
     offsets, refs, tfs = [0], [], []
@@ -35,8 +44,7 @@ def reference_csr(texts: list[str]):
                 refs.append(row)
                 tfs.append(counter[term])
         offsets.append(len(refs))
-    return (terms, np.asarray(offsets, dtype=np.int64), np.asarray(refs, dtype=np.int64),
-            np.asarray(tfs, dtype=np.float64))
+    return terms, _narrow(offsets), _narrow(refs), _narrow(tfs)
 
 
 def assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -207,24 +215,32 @@ class TestDenseSearch:
             dense_search(dense, np.zeros(8), 1)
 
     def test_rows_are_unit_norm(self):
+        """Rows are integer counts; divided by the index's norms they are unit vectors,
+        bit for bit the rows a format-v3 index held (sha256 taken then)."""
         chunks = [make_chunk(i, f"words {i} more") for i in range(4)]
         dense = build_dense(chunks, HashedBowEmbedder(dim=64))
-        np.testing.assert_allclose(np.linalg.norm(dense.vectors, axis=1), 1.0, atol=1e-6)
+        assert np.array_equal(dense.vectors, np.rint(dense.vectors))
+        unit = dense.vectors / dense.norms[:, None]
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-6)
+        assert hashlib.sha256(unit.tobytes()).hexdigest() == (
+            "0c9ae36369c80c4cd7a4d599a9ace00c60b617e3d36aece122283e045e387c6b")
 
     @pytest.mark.parametrize("scale,accepted", [(1.0, True), (1.0 + 1e-5, True),
-                                                (1.0 - 1e-5, True), (1.0 + 2e-5, False),
-                                                (0.5, False), (np.nan, False)])
-    def test_embed_accepts_unit_vectors_within_allclose_tolerance(self, scale, accepted):
+                                                (1.0 - 1e-5, True), (1.0 + 2e-5, True),
+                                                (0.5, True), (np.nan, False),
+                                                (np.inf, False), (0.0, False)])
+    def test_embed_accepts_finite_nonzero_rows_only(self, scale, accepted):
         class Scaled(HashedBowEmbedder):
             def embed(self, texts, rows=None):
-                return super().embed(texts, rows) * scale
+                vectors = super().embed(texts, rows)
+                with np.errstate(invalid="ignore"):  # inf * 0 is nan
+                    vectors[1] *= scale  # one row scaled, the other left as counts
+                return vectors
 
-        vectors = np.array([[1.0, 0.0], [0.6, 0.8]]) * scale
-        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6) == accepted
         if accepted:
             embed(Scaled(dim=8), ["alpha", "beta gamma"])
         else:
-            with pytest.raises(ValueError, match="non-unit vectors"):
+            with pytest.raises(ValueError, match="a zero, NaN or infinite norm"):
                 embed(Scaled(dim=8), ["alpha", "beta gamma"])
 
 
@@ -285,6 +301,41 @@ class TestPersistence:
         with pytest.raises(ValueError, match="changed while the index was built"):
             save_indexes(tmp_path / "index", sparse, dense, path, digest)
         assert not (tmp_path / "index" / "index_meta.json").exists()
+
+
+    def test_counts_of_300_get_a_wider_dtype_and_round_trip_exactly(self, tmp_path):
+        """A tf and a vector count of 300 (past uint8/int8) are stored in 16 bits,
+        uncompressed, and load back equal, never wrapped."""
+        chunks = [make_chunk(0, "a " * 300 + "b"), make_chunk(1, "b c")]
+        sparse = build_sparse(chunks)
+        dense = build_dense(chunks, HashedBowEmbedder(dim=32))
+        path = tmp_path / "input_chunks.jsonl"
+        dump_chunks(chunks, path)
+        save_indexes(tmp_path, sparse, dense, path, sha256_file(path))
+        for name in ("sparse", "dense"):
+            with zipfile.ZipFile(tmp_path / f"{name}.npz") as archive:
+                assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "sparse.npz") as data:
+            assert data["tfs"].dtype == np.uint16 and data["tfs"].max() == 300
+            assert data["refs"].dtype == data["offsets"].dtype == np.uint8
+        with np.load(tmp_path / "dense.npz") as data:
+            assert data["vectors"].dtype == np.int16
+            assert np.abs(data["vectors"]).max() >= 300
+        sparse2, dense2 = load_indexes(tmp_path)
+        assert sparse2.postings["a"][1].tolist() == [300]
+        assert np.array_equal(dense2.vectors, dense.vectors)
+        assert bm25_scores(sparse2, "a b") == bm25_scores(sparse, "a b")
+        query = embed(HashedBowEmbedder(dim=32), ["a b"])[0]
+        assert dense_search(dense2, query, 2) == dense_search(dense, query, 2)
+
+    def test_remote_vectors_stored_as_float64(self, tmp_path):
+        sparse, dense, path, digest = self._build(tmp_path)
+        remote = DenseIndex(vectors=dense.vectors / dense.norms[:, None],
+                            chunk_ids=dense.chunk_ids, backend="remote")
+        save_indexes(tmp_path, sparse, remote, path, digest)
+        with np.load(tmp_path / "dense.npz") as data:
+            assert data["vectors"].dtype == np.float64
+        assert np.array_equal(load_indexes(tmp_path)[1].vectors, remote.vectors)
 
 
 class TestIdfSmoothing:

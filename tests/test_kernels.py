@@ -1,6 +1,7 @@
 """The numeric kernels (token hashing, BM25 accumulation, resample means)
 against plain-Python loop references."""
 
+import json
 import math
 import os
 import subprocess
@@ -23,6 +24,21 @@ def _token_blob(tokens: list[str]) -> tuple[bytes, np.ndarray]:
     return blob, offsets
 
 
+def reference_hash_tokens(tokens: list[str], dim: int) -> tuple[list[int], list[float]]:
+    """FNV-1a one token and one byte at a time over Python ints masked to 64 bits: the
+    loop ``kernels.hash_tokens`` ran before it hashed whole batches."""
+    buckets, signs = [], []
+    for t in tokens:
+        h1 = 0xCBF29CE484222325
+        h2 = 0x84222325CBF29CE4
+        for byte in t.encode("utf-8"):
+            h1 = ((h1 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            h2 = ((h2 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        buckets.append(h1 % dim)
+        signs.append(1.0 if (h2 & 1) == 0 else -1.0)
+    return buckets, signs
+
+
 def test_hash_tokens_matches_python_fnv_reference():
     rng = np.random.default_rng(7)
     random_tokens = ["".join(chr(97 + int(rng.integers(0, 26))) for _ in range(int(rng.integers(1, 14))))
@@ -34,16 +50,19 @@ def test_hash_tokens_matches_python_fnv_reference():
         buckets, signs = kernels.hash_tokens(blob, offsets, dim)
         assert buckets.dtype == np.int64 and signs.dtype == np.float64
         assert buckets.shape == signs.shape == (len(tokens),)
+        assert (buckets.tolist(), signs.tolist()) == reference_hash_tokens(tokens, dim)
 
-        # independent FNV-1a reference
-        for t, bucket, sign in zip(tokens, buckets, signs):
-            h1 = 0xCBF29CE484222325
-            h2 = 0x84222325CBF29CE4
-            for byte in t.encode("utf-8"):
-                h1 = ((h1 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-                h2 = ((h2 ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            assert bucket == h1 % dim
-            assert sign == (1.0 if (h2 & 1) == 0 else -1.0)
+
+def test_hash_tokens_whole_batch_matches_reference_at_every_length():
+    # lengths 0-300 in shuffled order, repeats included: the batch is hashed longest
+    # first, and each token must still get its own hash in its own place
+    rng = np.random.default_rng(8)
+    alphabet = list("abcdefghijklmnopqrstuvwxyzäß数")
+    tokens = ["".join(rng.choice(alphabet, size=int(n))) for n in rng.integers(0, 301, 400)]
+    tokens += tokens[:50]
+    blob, offsets = _token_blob(tokens)
+    buckets, signs = kernels.hash_tokens(blob, offsets, 97)
+    assert (buckets.tolist(), signs.tolist()) == reference_hash_tokens(tokens, 97)
 
 
 def test_hash_tokens_empty_batch():
@@ -136,6 +155,22 @@ def test_cli_import_pins_blas_to_one_thread():
 def test_callers_blas_thread_count_wins():
     code = "import os; import lexrag.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code, blas_threads="2")[0] == "2"
+
+
+@pytest.mark.parametrize("imports,in_effect", [("lexrag.cli", True),
+                                               ("numpy, lexrag.cli", False)])
+def test_manifest_records_whether_the_blas_pin_took_effect(tmp_path, imports, in_effect):
+    """A process that loads numpy before lexrag.cli keeps the BLAS pool numpy started;
+    its run manifest says the variable was not in effect."""
+    root, out = tmp_path / "docs", tmp_path / "out"
+    root.mkdir()
+    (root / "a.txt").write_text("Some words here.", encoding="utf-8")
+    argv = ["chunk", "--root", str(root), "--out", str(out)]
+    code = f"import {imports}; import sys; sys.exit(lexrag.cli.main({argv!r}))"
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+    environment = json.loads((out / "run_manifest.json").read_text())["environment"]
+    assert environment["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["OPENBLAS_NUM_THREADS_in_effect"] is in_effect
 
 
 def test_library_import_loads_no_numpy_early_and_leaves_environment_alone():

@@ -1,16 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lexrag.chunker import Chunk
 from lexrag.embedding import HashedBowEmbedder
-from lexrag.index import DenseIndex, build_dense, build_sparse, bm25_scores, dense_search, embed
+from lexrag.index import (DenseIndex, build_dense, build_sparse, bm25_scores, dense_scores,
+                          dense_search, embed)
 from lexrag.retriever import (
+    QUERY_BLOCK,
     FusionConfig,
     RankedChunk,
     RetrievalContext,
     RetrievalResult,
     hybrid_retrieve,
     minmax_normalize,
+    retrieve_many,
 )
 from tests.conftest import make_chunk, random_document_text
 
@@ -191,10 +196,11 @@ def reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id="
     """The dict/list fusion that the array path replaced, kept as its oracle.
 
     Rankings come from Python sorts keyed on chunk_id strings, not from the
-    index's id_rank; BM25 hits come from ``bm25_scores``, used as a dict.
+    index's id_rank; BM25 hits come from ``bm25_scores``, used as a dict. Dense
+    scores come from ``dense_scores`` (pinned by the exact-cosine tie oracle).
     """
     query_vec = embed(embedder, [question])[0]
-    scores = dense.vectors @ query_vec
+    scores = dense_scores(dense, query_vec[None, :])[0]
     by_dense = sorted(range(dense.N), key=lambda r: (-scores[r], dense.chunk_ids[r]))
     dense_hits = {r: float(scores[r]) for r in by_dense[:min(cfg.candidate_pool, dense.N)]}
     sparse_hits = dict(bm25_scores(sparse, question))
@@ -301,3 +307,59 @@ def test_list_scorers_keep_row_score_pairs_ranked_by_score_then_chunk_id():
         scores = dense.vectors @ query
         expected = sorted(range(n), key=lambda r: (-scores[r], dense.chunk_ids[r]))[:m]
         assert hits == [(r, float(scores[r])) for r in expected]
+
+
+def _cosine_key(row: np.ndarray, query: np.ndarray) -> Fraction:
+    """sign(dot) * dot**2 / (|row|**2 * |query|**2): orders rows as their cosines do,
+    exactly, for integer vectors."""
+    row_ints, query_ints = [int(v) for v in row], [int(v) for v in query]
+    dot = sum(a * b for a, b in zip(row_ints, query_ints))
+    return Fraction((dot > 0) - (dot < 0)) * Fraction(
+        dot * dot, sum(a * a for a in row_ints) * sum(b * b for b in query_ints))
+
+
+def test_tied_cosines_rank_as_the_exact_rational_oracle():
+    """Duplicate and reordered chunks (equal count vectors) and rows orthogonal to a
+    query tie exactly; every dense path ranks them as exact rationals do, chunk_id
+    breaking ties."""
+    texts = ["alpha beta gamma", "gamma alpha beta", "alpha beta gamma", "delta epsilon",
+             "beta", "zeta eta theta", "beta beta alpha", "epsilon delta", "alpha", "iota"]
+    order = [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]  # row order is not chunk_id order
+    chunks = [make_chunk(i, texts[i]) for i in order]
+    embedder = HashedBowEmbedder(dim=256)
+    sparse, dense = build_sparse(chunks), build_dense(chunks, embedder)
+    questions = ["alpha beta gamma", "beta", "delta", "alpha zeta", "kappa"]
+    queries = embed(embedder, questions)
+    orthogonal = [q for q in queries if any(row @ q == 0 for row in dense.vectors)]
+    assert len(orthogonal) >= 3
+    cfg = FusionConfig(k=dense.N, alpha=1.0, candidate_pool=dense.N)
+    batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, questions))
+    block = dense_scores(dense, queries)
+    for question, query, from_batch, scores in zip(questions, queries, batch, block):
+        keys = [_cosine_key(row, query) for row in dense.vectors]
+        oracle = sorted(range(dense.N), key=lambda r: (-keys[r], dense.chunk_ids[r]))
+        want = [dense.chunk_ids[r] for r in oracle]
+        assert [dense.chunk_ids[r] for r, _ in dense_search(dense, query, dense.N)] == want
+        assert hybrid_retrieve(question, sparse, dense, embedder, cfg,
+                               query_id=question).chunk_ids() == want
+        assert from_batch.chunk_ids() == want
+        alone = dense_scores(dense, query[None, :])[0]
+        assert alone.tobytes() == scores.tobytes()
+
+
+def test_batch_equals_one_query_at_a_time_across_blocks():
+    """retrieve_many over more than two blocks gives each query exactly the result
+    hybrid_retrieve gives it alone, and each score row the same bits."""
+    rng = np.random.default_rng(23)
+    chunks, sparse, dense, embedder = build_corpus(rng, n_chunks=60)
+    questions = [" ".join(chunks[int(rng.integers(0, 60))].text.split()[:5])
+                 for _ in range(2 * QUERY_BLOCK + 7)]
+    query_ids = [f"q{i}" for i in range(len(questions))]
+    cfg = FusionConfig(k=10, alpha=0.8, candidate_pool=20)
+    batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, query_ids))
+    assert batch == [hybrid_retrieve(q, sparse, dense, embedder, cfg, query_id=i)
+                     for q, i in zip(questions, query_ids)]
+    queries = embed(embedder, questions)
+    together = dense_scores(dense, queries)
+    for query, row in zip(queries, together):
+        assert dense_scores(dense, query[None, :])[0].tobytes() == row.tobytes()

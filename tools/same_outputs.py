@@ -12,9 +12,11 @@ runs one fixed sequence of ``lexrag`` commands per tree, each in a fresh
 each command's stdout and exit code. It prints what differs (for JSON files,
 the differing keys) and exits 1 if anything does, 0 if nothing does.
 
-Every process runs under its own random ``PYTHONHASHSEED``, so comparing a tree
-with itself (``python3 tools/same_outputs.py .``) catches outputs that depend on
-set or hash order.
+Every process runs under its own random ``PYTHONHASHSEED``, and every process of
+the second tree under ``OPENBLAS_CORETYPE=Prescott`` (numpy's OpenBLAS then runs
+its generic SSE3 kernels, whatever the CPU offers). So comparing a tree with
+itself (``python3 tools/same_outputs.py .``) catches outputs that depend on set
+or hash order, or on which BLAS kernel summed a dot product.
 """
 
 from __future__ import annotations
@@ -96,11 +98,14 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
     ]
 
 
-def run_tree(tree: Path, run_dir: Path, sequence: list[list[str]]) -> list[tuple[int, str]]:
+def run_tree(tree: Path, run_dir: Path, sequence: list[list[str]],
+             blas_core: str | None = None) -> list[tuple[int, str]]:
     run_dir.mkdir(parents=True)
     # each process draws its own string-hash seed, so an output that follows set or
     # dict-of-hash order differs between runs and shows up as a difference
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "random"}
+    if blas_core:
+        env["OPENBLAS_CORETYPE"] = blas_core
     ran = []
     for argv in sequence:
         done = subprocess.run([sys.executable, "-m", "lexrag.cli", *argv], cwd=run_dir, env=env,
@@ -131,8 +136,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         base = Path(tmp)
         sequence = commands(make_inputs(base / "inputs"))
-        parent, change = (run_tree(tree, base / name, sequence)
-                          for tree, name in zip(trees, ("parent", "change")))
+        parent = run_tree(trees[0], base / "parent", sequence)
+        change = run_tree(trees[1], base / "change", sequence, blas_core="Prescott")
         differ = []
         for argv_, (code_a, out_a), (code_b, out_b) in zip(sequence, parent, change):
             if (code_a, out_a) != (code_b, out_b):
