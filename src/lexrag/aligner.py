@@ -35,27 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
+from lexrag.configs import AlignConfig
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
 from lexrag.textutils import normalize_for_match, write_json
 
 # window characters per scoring call in the coarse scan: bounds its temporaries
 # (a 2D pass over all windows at once grows peak memory with document length)
 _SCAN_CELLS = 1 << 15
-
-
-@dataclass
-class AlignConfig:
-    shingle_size: int = 3
-    min_score: float = 0.6
-    max_window_slack: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.shingle_size < 1:
-            raise ValueError("shingle_size must be >= 1")
-        if not (0.0 < self.min_score <= 1.0):
-            raise ValueError("min_score must be in (0, 1]")
-        if self.max_window_slack < 0.0:
-            raise ValueError("max_window_slack must be >= 0")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -21,46 +22,70 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# One BLAS thread per lexrag process, set before the first lexrag import loads
-# numpy. numpy's OpenBLAS starts a worker pool when it loads; starting it and
-# letting its worker spin cost every command 0.07-0.24 s of CPU on a 2-core VM,
-# 31-49% of the command's CPU. The only BLAS call on a command path is one matrix
-# product per block of queries (`index.dense_scores`): at 49,399 x 256 and 200
-# queries, two threads cut its wall time (78-90 -> 51-53 ms) but spend more CPU
-# (101-109 ms). Over the deterministic embedder's integer counts the scores are
-# the same bits under any thread count or BLAS kernel; remote vectors are floats,
-# whose scores hold only per kernel and thread count. scipy's bundled OpenBLAS
-# reads the same variable. A caller's own OPENBLAS_NUM_THREADS wins. The variable
-# sizes the pool only if numpy is not loaded yet; the run manifest records whether
-# it was (a caller that imported numpy first keeps the pool it started).
+# One BLAS thread per lexrag process, set before any lexrag module loads numpy.
+# This module loads none: numpy loads with the first command module that needs
+# it (`_LAZY` below), so ingest, chunk and enrich never load it. numpy's OpenBLAS
+# starts a worker pool when it loads; starting it and letting its worker spin
+# cost every command 0.07-0.24 s of CPU on a 2-core VM, 31-49% of the command's
+# CPU. The only BLAS call on a command path is one matrix product per block of
+# queries (`index.dense_scores`): at 49,399 x 256 and 200 queries, two threads cut
+# its wall time (78-90 -> 51-53 ms) but spend more CPU (101-109 ms). Over the
+# deterministic embedder's integer counts the scores are the same bits under any
+# thread count or BLAS kernel; remote vectors are floats, whose scores hold only
+# per kernel and thread count. scipy's bundled OpenBLAS reads the same variable.
+# A caller's own OPENBLAS_NUM_THREADS wins. The variable sizes the pool only if
+# numpy is not loaded yet; the run manifest records whether it was (a caller that
+# imported numpy first keeps the pool it started).
 BLAS_ENV_IN_EFFECT = "numpy" not in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy  # noqa: E402  (the pin above must run first)
-
 import lexrag  # noqa: E402
-from lexrag.aligner import AlignConfig, reconstruct_dataset, save_aligned_dataset
 from lexrag.chunker import Chunk, ChunkConfig, dump_chunks, load_chunks, split_recursive
+from lexrag.configs import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
+                            AlignConfig, FusionConfig, SplitSpec)
 from lexrag.corpus import (DocumentCollection, convert_spans_to_char, dataset_counts,
                            load_documents, load_qa_dataset, validate_annotations)
-from lexrag.embedding import get_embedder
 # load_enriched is unused here, but perfbench's tracer wraps it under this
 # module's name, so the name must stay importable from it.
 from lexrag.enricher import (DEFAULT_WINDOW, ExtractiveSummarizer, RemoteSummarizer,  # noqa: F401
                              dump_enriched, enrich_document_chunks, load_enriched)
-from lexrag.evaluator import (MetricReport, compare_reports, render_comparison_table,
-                              render_table, sweep)
-from lexrag.index import (META_FILE, build_dense, build_sparse, load_index_chunks, load_indexes,
-                          save_indexes, sha256_file)
-from lexrag.preference import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
-                               RefusalConfig, SplitSpec, build_preference_pairs, dump_pairs,
-                               load_model_outputs, mean_score_with_delta_ci, refusal_rates,
-                               split_dataset, token_f1)
 from lexrag.remote import RemoteConfig
-from lexrag.retriever import FusionConfig, RetrievalContext, dump_results
-from lexrag.textutils import read_json, term_rows, write_json, write_jsonl
+from lexrag.textutils import read_json, sha256_file, write_json, write_jsonl
+
+if TYPE_CHECKING:
+    from lexrag.evaluator import MetricReport
+    from lexrag.retriever import RetrievalContext
+
+# Names from the modules that load numpy, each imported on first use by this
+# module's __getattr__ (PEP 562), so a command loads only the modules it runs.
+# Commands read them as attributes of this module (`_cli.<name>`) when they run:
+# a wrapper set on `lexrag.cli.<name>` (perfbench's tracer) is then what they
+# call. `_cli` is this module also under `python -m lexrag.cli`, where importing
+# `lexrag.cli` instead would load the module a second time.
+_LAZY = {name: module for module, names in (
+    ("lexrag.aligner", ("reconstruct_dataset", "save_aligned_dataset")),
+    ("lexrag.embedding", ("get_embedder", "term_rows")),
+    ("lexrag.evaluator", ("MetricReport", "compare_reports", "render_comparison_table",
+                          "render_table", "sweep")),
+    ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "load_index_chunks",
+                      "load_indexes", "save_indexes")),
+    ("lexrag.preference", ("RefusalConfig", "build_preference_pairs", "dump_pairs",
+                           "load_model_outputs", "mean_score_with_delta_ci", "refusal_rates",
+                           "split_dataset", "token_f1")),
+    ("lexrag.retriever", ("RetrievalContext", "dump_results")),
+) for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
 
 # config-file keys naming inputs; each must exist when the file is read
 PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
@@ -72,15 +97,18 @@ PATH_KEYS = ("root", "manifest", "qa", "chunks", "index", "outputs",
 
 def _write_run_manifest(out_dir: Path, settings: dict, inputs: list) -> None:
     """Reproducibility record: effective config, its hash, input checksums, version and
-    the environment: python and numpy versions, OPENBLAS_NUM_THREADS and whether it
-    sized the BLAS pool that ran (remote-embedder scores depend on that pool and the
-    BLAS kernel; deterministic-embedder scores do not).
+    the environment: python and numpy versions (numpy null when the process never
+    loaded it), OPENBLAS_NUM_THREADS and whether it sized the BLAS pool that ran
+    (remote-embedder scores depend on that pool and the BLAS kernel;
+    deterministic-embedder scores do not).
 
     This is the only artifact allowed to contain a timestamp.
     """
+    numpy = sys.modules.get("numpy")
     manifest = {
         "version": lexrag.__version__,
-        "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
+        "environment": {"python": platform.python_version(),
+                        "numpy": numpy.__version__ if numpy else None,
                         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                         "OPENBLAS_NUM_THREADS_in_effect": BLAS_ENV_IN_EFFECT},
         "config": settings,
@@ -119,8 +147,8 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
     The index's chunks.jsonl must hold exactly the chunk ids of its index files.
     """
     index_dir = Path(settings["index"])
-    sparse, dense = load_indexes(index_dir)
-    chunks = {c.chunk_id: c for c in load_index_chunks(index_dir)}
+    sparse, dense = _cli.load_indexes(index_dir)
+    chunks = {c.chunk_id: c for c in _cli.load_index_chunks(index_dir)}
     stray = sorted(chunks.keys() ^ set(sparse.chunk_ids))
     if stray:
         where = "only in chunks.jsonl" if stray[0] in chunks else "missing from chunks.jsonl"
@@ -128,9 +156,9 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
                          f"{stray[0]!r} is {where} ({len(stray)} id(s) differ)")
     remote = (_remote_config(settings, "index was built with the remote embedder; "
                              "pass --endpoint") if dense.backend == "remote" else None)
-    ctx = RetrievalContext(
+    ctx = _cli.RetrievalContext(
         sparse=sparse, dense=dense,
-        embedder=get_embedder(dense.backend, dim=dense.dim, remote=remote),
+        embedder=_cli.get_embedder(dense.backend, dim=dense.dim, remote=remote),
         fusion=FusionConfig(k=k, alpha=settings["alpha"], candidate_pool=settings["pool"]),
         chunk_table={cid: (c.doc_id, c.start, c.end) for cid, c in chunks.items()},
     )
@@ -209,19 +237,19 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
     if settings["embedder"] == "remote":
-        embedder = get_embedder("remote", dim=settings["dim"], remote=_remote_config(
+        embedder = _cli.get_embedder("remote", dim=settings["dim"], remote=_remote_config(
             settings, "remote embedder requires --endpoint"))
         embedder.max_workers = settings["workers"]
     else:
-        embedder = get_embedder("deterministic", dim=settings["dim"])
+        embedder = _cli.get_embedder("deterministic", dim=settings["dim"])
     # one full_text list and one tokenize pass serve both indexes; building dense
     # first and dropping the term rows before saving measured the lowest peak memory
     texts = [c.full_text for c in chunks]
-    rows = term_rows(texts)
-    dense = build_dense(chunks, embedder, rows=rows, texts=texts)
-    sparse = build_sparse(chunks, k1=settings["k1"], b=settings["b"], rows=rows)
+    rows = _cli.term_rows(texts)
+    dense = _cli.build_dense(chunks, embedder, rows=rows, texts=texts)
+    sparse = _cli.build_sparse(chunks, k1=settings["k1"], b=settings["b"], rows=rows)
     del rows, texts
-    save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
+    _cli.save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
     return [chunks_path]
@@ -244,10 +272,10 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
             "short_context": len(used) < top,
             "n_used": len(used),
         })
-    dump_results(results, out_dir / "results.jsonl")
+    _cli.dump_results(results, out_dir / "results.jsonl")
     write_jsonl(contexts, out_dir / "contexts.jsonl")
     print(json.dumps({"queries": len(results), "load_errors": len(errors)}, sort_keys=True))
-    return [settings["qa"], Path(settings["index"]) / META_FILE]
+    return [settings["qa"], Path(settings["index"]) / _cli.META_FILE]
 
 
 def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
@@ -255,15 +283,15 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
     ctx, _ = _retrieval_context(settings, k=max(ks))
     qa_path = settings["qa"]
     records, _ = load_qa_dataset(qa_path, settings["format"])
-    report = sweep(records, ctx, ks,
-                   dataset=settings["dataset_name"] or Path(qa_path).stem,
-                   variant=settings["variant"],
-                   seed=settings["seed"],
-                   iterations=settings["bootstrap_iterations"])
+    report = _cli.sweep(records, ctx, ks,
+                        dataset=settings["dataset_name"] or Path(qa_path).stem,
+                        variant=settings["variant"],
+                        seed=settings["seed"],
+                        iterations=settings["bootstrap_iterations"])
     write_json(report.to_dict(), out_dir / "metric_report.json")
-    (out_dir / "metric_report.txt").write_text(render_table(report) + "\n", encoding="utf-8")
-    print(render_table(report))
-    return [qa_path, Path(settings["index"]) / META_FILE]
+    (out_dir / "metric_report.txt").write_text(_cli.render_table(report) + "\n", encoding="utf-8")
+    print(_cli.render_table(report))
+    return [qa_path, Path(settings["index"]) / _cli.META_FILE]
 
 
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:
@@ -271,8 +299,9 @@ def cmd_align_spans(settings: dict, out_dir: Path) -> list:
     records, errors = load_qa_dataset(settings["qa"], "aus_legal_qa")
     cfg = AlignConfig(shingle_size=settings["shingle_size"], min_score=settings["min_score"],
                       max_window_slack=settings["slack"])
-    aligned, align_report = reconstruct_dataset(records, docs, cfg)
-    save_aligned_dataset([r for r in aligned if r.gold_spans], out_dir / "aligned_dataset.json")
+    aligned, align_report = _cli.reconstruct_dataset(records, docs, cfg)
+    _cli.save_aligned_dataset([r for r in aligned if r.gold_spans],
+                              out_dir / "aligned_dataset.json")
     write_json(align_report.to_dict(), out_dir / "alignment_report.json")
     print(json.dumps({"aligned": align_report.aligned, "failed": align_report.failed,
                       "load_errors": len(errors)}, sort_keys=True))
@@ -284,12 +313,12 @@ def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
     seed = settings["seed"]
     spec = SplitSpec(train=settings["train"], validation=settings["validation"],
                      test=settings["test"], seed=seed)
-    train, validation, test = split_dataset(records, spec)
+    train, validation, test = _cli.split_dataset(records, spec)
     counts = {}
     for name, split in (("train", train), ("validation", validation), ("test", test)):
-        pairs = (build_preference_pairs(split, seed=seed, template=settings["template"])
+        pairs = (_cli.build_preference_pairs(split, seed=seed, template=settings["template"])
                  if split else [])
-        dump_pairs(pairs, out_dir / f"{name}.jsonl", style=settings["export_style"])
+        _cli.dump_pairs(pairs, out_dir / f"{name}.jsonl", style=settings["export_style"])
         counts[name] = {"records": len(split), "pairs": len(pairs)}
     write_json({"splits": counts, "seed": seed, "load_errors": len(errors)},
                out_dir / "dpo_manifest.json")
@@ -298,11 +327,11 @@ def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
-    outputs = load_model_outputs(Path(settings["outputs"]))
+    outputs = _cli.load_model_outputs(Path(settings["outputs"]))
     mode = settings["mode"]
     report: dict = {"outputs": len(outputs)}
     for m in (("strict", "soft") if mode == "both" else (mode,)):
-        rates = refusal_rates(outputs, RefusalConfig(mode=m))
+        rates = _cli.refusal_rates(outputs, _cli.RefusalConfig(mode=m))
         report[m] = {
             key: (None if value is None else {"exact": value, "rendered": f"{value:.1f}%"})
             for key, value in rates.items()
@@ -317,12 +346,12 @@ def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
     references = {r.query_id: r.gold_answer for r in records}
 
     def score_file(path: Path) -> list[tuple[str, float]]:
-        outputs = load_model_outputs(path)
+        outputs = _cli.load_model_outputs(path)
         scored = []
         for query_id, _tag, output_text in outputs:
             if query_id not in references:
                 raise ValueError(f"output {query_id!r} has no reference record")
-            scored.append((query_id, token_f1(output_text, references[query_id])))
+            scored.append((query_id, _cli.token_f1(output_text, references[query_id])))
         return scored
 
     scores_a = score_file(Path(settings["outputs"]))
@@ -333,7 +362,7 @@ def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
     compare_path = settings["compare_with"]
     if compare_path:
         scores_b = score_file(Path(compare_path))
-        report["comparison"] = mean_score_with_delta_ci(
+        report["comparison"] = _cli.mean_score_with_delta_ci(
             scores_a, scores_b,
             iterations=settings["bootstrap_iterations"],
             seed=settings["seed"])
@@ -343,15 +372,15 @@ def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
 
 
 def _read_report(path: str) -> MetricReport:
-    return MetricReport.from_dict(read_json(path), where=path)
+    return _cli.MetricReport.from_dict(read_json(path), where=path)
 
 
 def cmd_compare(settings: dict, out_dir: Path) -> list:
     baseline = _read_report(settings["baseline"])
     enhanced = _read_report(settings["enhanced"])
-    comparisons = compare_reports(baseline, enhanced,
-                                  iterations=settings["bootstrap_iterations"],
-                                  seed=settings["seed"])
+    comparisons = _cli.compare_reports(baseline, enhanced,
+                                       iterations=settings["bootstrap_iterations"],
+                                       seed=settings["seed"])
     payload = {
         "baseline": {"dataset": baseline.dataset, "variant": baseline.variant},
         "enhanced": {"dataset": enhanced.dataset, "variant": enhanced.variant},
@@ -359,7 +388,7 @@ def cmd_compare(settings: dict, out_dir: Path) -> list:
         "comparisons": [asdict(c) for c in comparisons],
     }
     write_json(payload, out_dir / "comparison.json")
-    table = render_comparison_table(comparisons)
+    table = _cli.render_comparison_table(comparisons)
     (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return [settings["baseline"], settings["enhanced"]]
@@ -367,7 +396,7 @@ def cmd_compare(settings: dict, out_dir: Path) -> list:
 
 def cmd_report(settings: dict) -> None:
     """Render a metric report; --out here names the text file, not a run directory."""
-    table = render_table(_read_report(settings["report"]))
+    table = _cli.render_table(_read_report(settings["report"]))
     out = settings["out"]
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,6 @@
-"""Embedding providers: a deterministic offline backend and a remote HTTP backend.
+"""Embedding providers: a deterministic offline backend and a remote HTTP backend,
+and ``term_rows``, which tokenizes a batch of texts once into integer term ids
+that the deterministic backend and the sparse index build both read.
 
 The deterministic backend is a hashed bag-of-words (Weinberger et al., 2009):
 every term is hashed to one of D buckets with a ±1 sign from a second hash
@@ -14,17 +16,46 @@ Remote wire contract: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import count
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from lexrag import kernels
 from lexrag.remote import RemoteConfig, RemoteError, post_json
-from lexrag.textutils import TermRows, term_rows
+from lexrag.textutils import tokenize
 
 # rows of the count matrix filled per np.bincount call
 _BLOCK_ROWS = 256
+
+
+@dataclass
+class TermRows:
+    """A batch of texts as index terms.
+
+    ``vocab`` lists the distinct terms in first-seen order; ``ids`` (int64) holds
+    each text's terms as positions in ``vocab``, text after text; ``lengths``
+    (int64) is each text's term count.
+    """
+
+    vocab: list[str]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def term_rows(texts: Sequence[str]) -> TermRows:
+    """``tokenize`` each text once and number the terms in first-seen order."""
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
+    ids = array("q")
+    lengths = np.empty(len(texts), dtype=np.int64)
+    for row, text in enumerate(texts):
+        terms = tokenize(text)
+        lengths[row] = len(terms)
+        ids.extend(map(vocab.__getitem__, terms))
+    return TermRows(vocab=list(vocab), ids=np.frombuffer(ids, dtype=np.int64), lengths=lengths)
 
 
 class EmbeddingError(RuntimeError):
@@ -139,6 +170,8 @@ class RemoteEmbedder:
                 failed.extend(range(start, start + len(batch)))
 
         if self.max_workers > 1 and len(batches) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 list(pool.map(run, batches))
         else:

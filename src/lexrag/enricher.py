@@ -15,7 +15,6 @@ original document positions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
@@ -173,6 +172,8 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
             return extractive_at(pos), True
 
     if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(summarize_at, positions))
     else:

@@ -51,8 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from lexrag.chunker import Chunk, load_chunks
-from lexrag.embedding import EmbeddingProvider
-from lexrag.textutils import TermRows, read_json, term_rows, tokenize, write_json
+from lexrag.embedding import EmbeddingProvider, TermRows, term_rows
+from lexrag.textutils import read_json, sha256_file, tokenize, write_json
 
 INDEX_FORMAT_VERSION = 4
 META_FILE = "index_meta.json"
@@ -316,15 +316,6 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, n: int) -> list[tuple
 
 # ---------------------------------------------------------------------------
 # persistence
-
-def sha256_file(path: Path) -> str:
-    """Hex SHA-256 of a file, read in 1 MiB blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
 
 def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """UTF-8 blob (uint8) and int64 offsets (len + 1) delimiting each string in it."""

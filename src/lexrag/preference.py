@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lexrag.configs import WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, SplitSpec
 from lexrag.corpus import QueryRecord
 from lexrag.stats import bootstrap_ci
 from lexrag.textutils import (
@@ -39,9 +40,6 @@ DEFAULT_SOFT_PATTERNS = [
     "no information in the context",
 ]
 
-WITH_REFUSAL_INSTRUCTION = "with_refusal_instruction"
-WITHOUT_REFUSAL_INSTRUCTION = "without_refusal_instruction"
-
 
 @dataclass
 class RefusalConfig:
@@ -50,18 +48,6 @@ class RefusalConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("strict", "soft"):
             raise ValueError("mode must be 'strict' or 'soft'")
-
-
-@dataclass
-class SplitSpec:
-    train: int = 1918
-    validation: int = 50
-    test: int = 150
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.train, self.validation, self.test) < 0:
-            raise ValueError("split sizes must be >= 0")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from lexrag.configs import FusionConfig
 from lexrag.embedding import EmbeddingProvider
 # bm25_scores and dense_search are unused here, but perfbench's tracer wraps
 # them under this module's name, so the names must stay importable from it.
@@ -36,23 +37,6 @@ from lexrag.textutils import write_jsonl
 # queries per embedding call and dense matrix product; a block's dense scores take
 # QUERY_BLOCK x N x 8 bytes (12.8 MB at 50k chunks)
 QUERY_BLOCK = 32
-
-
-@dataclass
-class FusionConfig:
-    k: int
-    alpha: float = 0.8
-    candidate_pool: int = 0  # 0 -> max(100, k)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must be in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.candidate_pool == 0:
-            self.candidate_pool = max(100, self.k)
-        if self.candidate_pool < self.k:
-            raise ValueError("candidate_pool must be >= k")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared text helpers: tokenization, whitespace normalization, sentence splitting,
-and the only code that knows how the pipeline's JSON files look on disk:
+file checksums, and the only code that knows how the pipeline's JSON files look
+on disk:
 
 * ``write_jsonl`` / ``read_jsonl`` -- JSON-lines files, one object per line;
 * ``write_json`` / ``read_json`` -- whole-file JSON (reports, headers, configs).
@@ -14,26 +15,23 @@ Two distinct token notions coexist in this package and must not be mixed up:
   sizing and overlap (see ``chunker.count_tokens``);
 * index terms -- lowercased alphanumeric runs, used by the sparse index,
   the deterministic embedder, and token-level F1 (``tokenize`` below).
-  ``term_rows`` tokenizes a batch of texts once into integer term ids, which
-  the sparse index build and the deterministic embedder both read.
+  ``embedding.term_rows`` tokenizes a batch of texts once into integer term
+  ids, which the sparse index build and the deterministic embedder both read.
+
+This module loads no numpy, so the commands that only read and write text
+(ingest, chunk, enrich) never load it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
-from array import array
-from collections import defaultdict
-from dataclasses import dataclass
-from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator
 
 _WS_RUN = re.compile(r"\s+")
-_WORD = re.compile(r"\w+", re.UNICODE)
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
 _TERMINAL_PUNCT = re.compile(r"[\s.,;:!?'\"…]+$")
 # what errors="surrogateescape" decodes a byte that is not UTF-8 to
@@ -45,35 +43,29 @@ def normalize_whitespace(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip()
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased, punctuation-stripped terms for indexing and scoring."""
-    return _WORD.findall(text.lower())
+class _WordTable(dict):
+    """``str.translate`` table that keeps word characters and maps every other
+    code point to a space, filled as code points are first seen.
 
-
-@dataclass
-class TermRows:
-    """A batch of texts as index terms.
-
-    ``vocab`` lists the distinct terms in first-seen order; ``ids`` (int64) holds
-    each text's terms as positions in ``vocab``, text after text; ``lengths``
-    (int64) is each text's term count.
+    A word character is one that ``re``'s Unicode ``\\w`` matches: alphanumeric
+    (``str.isalnum``) or the underscore. No word character is whitespace, so
+    ``split()`` on the translated text yields exactly the ``\\w+`` runs.
     """
 
-    vocab: list[str]
-    ids: np.ndarray
-    lengths: np.ndarray
+    def __missing__(self, code_point: int) -> int:
+        char = chr(code_point)
+        value = code_point if char.isalnum() or char == "_" else ord(" ")
+        self[code_point] = value
+        return value
 
 
-def term_rows(texts: Sequence[str]) -> TermRows:
-    """``tokenize`` each text once and number the terms in first-seen order."""
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
-    ids = array("q")
-    lengths = np.empty(len(texts), dtype=np.int64)
-    for row, text in enumerate(texts):
-        terms = tokenize(text)
-        lengths[row] = len(terms)
-        ids.extend(map(vocab.__getitem__, terms))
-    return TermRows(vocab=list(vocab), ids=np.frombuffer(ids, dtype=np.int64), lengths=lengths)
+_WORD_TABLE = _WordTable()
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased, punctuation-stripped terms for indexing and scoring: the
+    ``\\w+`` runs of the lowercased text."""
+    return text.lower().translate(_WORD_TABLE).split()
 
 
 def split_sentences(text: str) -> list[str]:
@@ -104,6 +96,15 @@ def write_json(payload, path: str | Path) -> None:
     """Pretty JSON (indent 2, keys sorted, non-ASCII kept) plus a trailing newline."""
     Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
                           + "\n", encoding="utf-8")
+
+
+def sha256_file(path: str | Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def read_text(path: str | Path) -> str:

@@ -2,9 +2,10 @@
 
 The references below are the earlier implementations, kept here only as
 oracles: the per-text embedding loop, the per-chunk ``finditer`` overlap, the
-header truncation that pops one token at a time, and the summary that splits
-every window's chunks into sentences again. On seeded inputs each rewritten
-stage must give exactly what its reference gives, bit for bit.
+header truncation that pops one token at a time, the summary that splits
+every window's chunks into sentences again, and the ``\\w+`` regex tokenizer.
+On seeded inputs each rewritten stage must give exactly what its reference
+gives, bit for bit.
 """
 
 import re
@@ -19,12 +20,12 @@ from lexrag import kernels
 from lexrag.chunker import (DEFAULT_SEPARATORS, ChunkConfig, _CorePacker, _emit_cores,
                             count_tokens, split_recursive)
 from lexrag.corpus import Document, DocumentMeta
-from lexrag.embedding import HashedBowEmbedder
+from lexrag.embedding import HashedBowEmbedder, term_rows
 from lexrag.enricher import (ExtractiveSummarizer, WindowSummary, build_header, enrich_chunk,
                              enrich_document_chunks, extractive_fallback_summary,
                              header_budget, window_summaries)
 from lexrag.index import build_dense, build_sparse, embed
-from lexrag.textutils import split_sentences, term_rows, tokenize
+from lexrag.textutils import _WordTable, split_sentences, tokenize
 from tests.conftest import make_chunk, random_document_text
 
 _NONSPACE = re.compile(r"\S+")
@@ -375,3 +376,31 @@ def test_extractive_summary_equals_reference_at_every_budget():
         texts = [sentence_text(rng) for _ in range(int(rng.integers(0, 6)))]
         for budget in (1, 2, 7, 40, 200):
             assert extractive_fallback_summary(texts, budget) == reference_summary(texts, budget)
+
+
+# ---------------------------------------------------------------------------
+# (e) tokenize: a translate table and a split against the regex findall
+
+_WORD = re.compile(r"\w+")
+# cased, titlecase, expanding lowercase, digits of other scripts, marks,
+# connector punctuation and unusual whitespace
+TRICKY = list("aZ_09 \t\n\x0b\x1c\x85\xa0\u2028\u3000.-'İıẞßΣςǅﬁ²٣Ⅻ①\u0301\u200d‿⁀法")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    return _WORD.findall(text.lower())
+
+
+def test_word_table_keeps_exactly_the_regex_word_characters():
+    """Every code point, in blocks so that no table grows large."""
+    block = 1 << 16
+    for lo in range(0, 0x110000, block):
+        chars = "".join(map(chr, range(lo, lo + block)))
+        assert chars.translate(_WordTable()) == re.sub(r"\W", " ", chars), hex(lo)
+        assert not any(c.isspace() for c in _WORD.findall(chars)), hex(lo)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet=TRICKY, max_size=80) | st.text(max_size=80))
+def test_tokenize_equals_regex_findall(text):
+    assert tokenize(text) == reference_tokenize(text)

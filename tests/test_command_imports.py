@@ -1,0 +1,163 @@
+"""What each lexrag command loads, and that wrappers set on ``lexrag.cli`` names fire.
+
+``import lexrag.cli`` loads no numpy: the modules that need it are imported
+when a command first reads one of their names from ``lexrag.cli``. Each load
+check runs its command in a fresh process, since this one has loaded them all.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from lexrag import cli
+from tests.conftest import child_env, write_jsonl
+from tests.synthcorpus import build_aus_corpus, build_legal_corpus
+
+# every lexrag module that imports numpy
+NUMPY_SIDE = {f"lexrag.{name}" for name in ("aligner", "embedding", "evaluator", "index",
+                                            "kernels", "preference", "retriever", "stats")}
+
+
+def _fresh_process(code: str) -> list[str]:
+    """The stdout lines of ``python -c code`` in a fresh process that imports this lexrag."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env())
+    return out.stdout.splitlines()
+
+
+def _run_in_fresh_process(argv: list[str]) -> set[str]:
+    """Run one command through ``lexrag.cli.main`` in a fresh process; the modules
+    loaded when it ends."""
+    code = ("import sys, lexrag.cli; rc = lexrag.cli.main(%r); "
+            "print(rc); print(' '.join(sorted(sys.modules)))" % (argv,))
+    rc, modules = _fresh_process(code)[-2:]  # after the command's own output
+    assert rc == "0"
+    return set(modules.split())
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A legal corpus chunked, enriched and indexed, and an aus corpus with model outputs."""
+    base = tmp_path_factory.mktemp("commands")
+    root, manifest, qa, _ = build_legal_corpus(base, n_docs=3, seed=0)
+    aus_root, aus_qa = build_aus_corpus(base / "aus", n_records=4, n_docs=2, seed=1)
+    records = [json.loads(line) for line in aus_qa.read_text(encoding="utf-8").splitlines()]
+    outputs = base / "outputs.jsonl"
+    write_jsonl(outputs, [{"query_id": r["query_id"], "set_tag": "set1_correct_context",
+                           "output": r["Answer"]} for r in records])
+    corpus = ["--root", str(root), "--manifest", str(manifest)]
+    assert cli.main(["chunk", *corpus, "--out", str(base / "chunks")]) == 0
+    chunks = base / "chunks" / "chunks.jsonl"
+    assert cli.main(["index", "--chunks", str(chunks), "--out", str(base / "index")]) == 0
+    argvs = {
+        "ingest": ["ingest", *corpus, "--qa", str(qa)],
+        "chunk": ["chunk", *corpus],
+        "enrich": ["enrich", *corpus, "--chunks", str(chunks)],
+        "index": ["index", "--chunks", str(chunks)],
+        "retrieve": ["retrieve", "--index", str(base / "index"), "--qa", str(qa)],
+        "eval-retrieval": ["eval-retrieval", "--index", str(base / "index"), "--qa", str(qa),
+                           "--k", "1,4", "--bootstrap-iterations", "50"],
+        "align-spans": ["align-spans", "--root", str(aus_root), "--qa", str(aus_qa)],
+        "eval-refusal": ["eval-refusal", "--outputs", str(outputs)],
+    }
+    return base, argvs
+
+
+def _argv(inputs, command: str, out: str) -> list[str]:
+    base, argvs = inputs
+    return [*argvs[command], "--out", str(base / out)]
+
+
+def test_cli_import_loads_no_third_party_or_numpy_side_module():
+    # Every lexrag command pays for what importing the CLI loads; numpy and the
+    # modules that need it, scipy, thread pools and the HTTP stack (urllib.request
+    # -> http.client, ssl) are imported by the code that uses them.
+    code = ("import sys; before = set(sys.modules); import lexrag.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    new = set(_fresh_process(code)[-1].split())
+    assert {m.split(".")[0] for m in new} - set(sys.stdlib_module_names) == {"lexrag"}
+    assert not new & NUMPY_SIDE
+    assert not new & {"concurrent.futures", "urllib.request", "http.client", "ssl"}
+
+
+@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich"])
+def test_text_commands_never_load_numpy(inputs, command):
+    base = inputs[0]
+    loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))
+    assert "numpy" not in loaded and not loaded & NUMPY_SIDE
+    manifest = json.loads((base / f"fresh_{command}" / "run_manifest.json").read_text())
+    assert manifest["environment"]["numpy"] is None
+
+
+@pytest.mark.parametrize("command,needed", [
+    ("index", {"lexrag.embedding", "lexrag.index", "lexrag.kernels"}),
+    ("retrieve", {"lexrag.embedding", "lexrag.index", "lexrag.kernels", "lexrag.retriever"}),
+    ("align-spans", {"lexrag.aligner"}),
+])
+def test_array_commands_load_only_their_own_modules(inputs, command, needed):
+    base = inputs[0]
+    loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))
+    assert loaded & NUMPY_SIDE == needed
+    assert "scipy" not in loaded
+    manifest = json.loads((base / f"fresh_{command}" / "run_manifest.json").read_text())
+    assert manifest["environment"]["numpy"] == np.__version__
+
+
+def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):
+    # the pin is set when lexrag.cli is imported and must still size the pool that
+    # starts when `index` first loads numpy
+    code = ("import os, sys, lexrag.cli; rc = lexrag.cli.main(%r); "
+            "task = '/proc/self/task'; print(rc, 'numpy' in sys.modules); "
+            "print(len(os.listdir(task)) if os.path.isdir(task) else 'no ' + task)"
+            % (_argv(inputs, "index", "fresh_index_threads"),))
+    ran, tasks = _fresh_process(code)[-2:]
+    assert ran == "0 True"
+    if tasks.startswith("no "):
+        pytest.skip(f"{tasks[3:]} is absent; cannot count this process's threads")
+    assert tasks == "1"
+
+
+def test_python_m_runs_the_cli_module_once(inputs):
+    # under -m the module runs as __main__; importing lexrag.cli as well would run
+    # it a second time, which -X importtime would list
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "lexrag.cli",
+                          *_argv(inputs, "chunk", "fresh_chunk_m")],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "lexrag.chunker" in imported
+    assert "lexrag.cli" not in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("name,command", [
+    ("reconstruct_dataset", "align-spans"),  # lexrag.aligner
+    ("term_rows", "index"),  # lexrag.embedding
+    ("sweep", "eval-retrieval"),  # lexrag.evaluator
+    ("load_indexes", "retrieve"),  # lexrag.index
+    ("refusal_rates", "eval-refusal"),  # lexrag.preference
+    ("dump_results", "retrieve"),  # lexrag.retriever
+])
+def test_wrapper_set_on_a_cli_name_is_what_the_command_calls(inputs, monkeypatch,
+                                                             name, command):
+    calls = []
+    wrapped = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert cli.main(_argv(inputs, command, f"wrapped_{name}")) == 0
+    assert calls
+
+
+def test_lazy_names_resolve_to_their_modules_objects():
+    for name, module in cli._LAZY.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(module), name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name

@@ -3,15 +3,12 @@ against plain-Python loop references."""
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lexrag
 from lexrag import kernels, stats
 from lexrag.index import SparseIndex, bm25_score_array
 from tests.conftest import child_env
@@ -113,23 +110,6 @@ def test_shared_bootstrap_means_match_loop_reference():
                          for row_values in values])
     assert got.shape == (2, iterations)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-
-def test_cli_import_loads_no_third_party_module_but_numpy():
-    # Every lexrag command pays for what importing the CLI loads; scipy and the
-    # HTTP stack (urllib.request -> http.client, ssl) are imported lazily by the
-    # functions that need them.
-    code = ("import sys; before = set(sys.modules); import lexrag.cli; "
-            "new = set(sys.modules) - before; "
-            "print(' '.join(sorted({m.split('.')[0] for m in new}"
-            " - set(sys.stdlib_module_names)))); "
-            "print(' '.join(sorted(new & {'urllib.request', 'http.client', 'ssl'})))")
-    env = dict(os.environ, PYTHONPATH=str(Path(lexrag.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    third_party, http_stack = out.stdout.split("\n")[:2]
-    assert third_party.split() == ["lexrag", "numpy"]
-    assert http_stack.split() == []
 
 
 def _python(code: str, blas_threads: str | None = None) -> list[str]:
