@@ -7,9 +7,10 @@ Matching runs in three tiers, cheapest first:
    with an offset map back to raw positions (score 1.0);
 3. fuzzy scan: candidate windows with lengths within a slack of the answer
    length slide across the document at a coarse step, scored by Jaccard
-   similarity of character 3-gram shingles over normalized lowercased text;
-   the best window is then shrunk greedily from both ends while the score
-   does not decrease (ties shrink from the right first).
+   similarity of character 3-gram shingles over the normalized text
+   (``normalize_for_match``: lowercased, whitespace-collapsed, final sigma
+   folded); the best window is then shrunk greedily from both ends while the
+   score does not decrease (ties shrink from the right first).
 
 A span is returned only when the final score clears ``min_score``; otherwise
 the failure carries the best score seen so it can be audited per dataset.
@@ -20,11 +21,10 @@ the normalized text, its raw-offset map and, for tier 3, one integer id per
 shingle position. A raw window maps to a normalized range by two binary
 searches on the offsets, and its distinct shingles are the positions whose
 previous occurrence of the same id lies before the range, so a window is
-scored without building any string. The score is the same integer ratio as
-the Jaccard of the window's normalized text, hence the same float. The one
-exception is a document containing a capital sigma "Σ": ``str.lower`` lowers
-it by context (word-final "ς"), so lowering a window can differ from lowering
-the document, and such a document is scored on the window strings instead.
+scored without building any string. ``normalize_for_match`` treats each
+character alone, so a window's normalized text is its slice of the document's;
+the score is therefore the same integer ratio as the Jaccard of that text,
+hence the same float, for every document.
 """
 
 from __future__ import annotations
@@ -68,11 +68,9 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 def _normalized_view(text: str) -> tuple[str, np.ndarray]:
     """Lowercased whitespace-collapsed text plus normalized->raw offset map.
 
-    The text is ``normalize_for_match(text)``. Lowering it whole lowers each
-    non-space run as a unit, since a space ends the context by which a
-    word-final "Σ" lowers to "ς". Each non-space character maps to its raw
-    offset, each collapsed space to the first character of its run, and a
-    character that lowers to several code points ("İ") maps each of them to
+    The text is ``normalize_for_match(text)``. Each non-space character maps to
+    its raw offset, each collapsed space to the first character of its run, and
+    a character that lowers to several code points ("İ") maps each of them to
     its offset.
     """
     norm = normalize_for_match(text)
@@ -102,7 +100,7 @@ class DocumentView:
     normalized position ``p`` that starts a full shingle, the int32 id of
     ``norm[p:p + shingle_size]`` (equal strings, equal ids), the last earlier
     position holding the same id (-1 for none) and the first position of each
-    id; it is None for a text containing "Σ" (see the module docstring).
+    id.
     """
 
     def __init__(self, text: str, shingle_size: int):
@@ -114,9 +112,7 @@ class DocumentView:
         return _normalized_view(self.text)
 
     @cached_property
-    def shingle_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        if "Σ" in self.text:
-            return None
+    def shingle_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         norm, size = self.normalized[0], self.shingle_size
         codes = _code_points(norm).astype(np.int64)
         count = max(0, len(norm) - size + 1)
@@ -140,17 +136,9 @@ class DocumentView:
         return ids, prev, order[starts_id].astype(np.int32)
 
 
-def _string_scorer(text: str, answer_shingles: frozenset[str], size: int):
-    """Jaccard of each raw window's normalized text, built as a string."""
-    def score(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        return np.array([
-            _jaccard(_shingles(normalize_for_match(text[lo:hi]), size), answer_shingles)
-            for lo, hi in zip(los.tolist(), his.tolist())], dtype=np.float64)
-    return score
-
-
 def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
-    """The same scores as ``_string_scorer``, counted on the view's shingle ids."""
+    """Jaccard of each raw window's normalized text with ``answer_shingles``,
+    counted on the view's shingle ids."""
     norm, offsets = view.normalized
     ids, prev, first = view.shingle_ids
     size, n_answer = view.shingle_size, len(answer_shingles)
@@ -214,9 +202,7 @@ def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
             return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
 
     # tier 3: fuzzy shingle scan
-    answer_shingles = _shingles(norm_answer, cfg.shingle_size)
-    score_windows = (_string_scorer(text, answer_shingles, cfg.shingle_size)
-                     if view.shingle_ids is None else _array_scorer(view, answer_shingles))
+    score_windows = _array_scorer(view, _shingles(norm_answer, cfg.shingle_size))
 
     base = len(answer)
     lengths = sorted({

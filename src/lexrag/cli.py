@@ -257,6 +257,8 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
 
 def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     top = settings["top"]
+    if top < 1:
+        raise ValueError(f"top must be >= 1, not {top}")
     ctx, chunks = _retrieval_context(settings, k=max(settings["k"], top))
     records, errors = load_qa_dataset(settings["qa"], settings["format"])
     results = list(ctx.retrieve_many([r.question for r in records],

@@ -107,9 +107,6 @@ class DocumentCollection:
     def get(self, doc_id: str) -> Document | None:
         return self._docs.get(doc_id)
 
-    def ids(self) -> list[str]:
-        return list(self._docs.keys())
-
 
 def _sanitize(value: str) -> str:
     """Drop control characters; metadata values must be plain text."""

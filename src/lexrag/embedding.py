@@ -9,7 +9,8 @@ unnormalized: the dense index divides by the norms when it scores, so every
 dot product it takes is an exact integer. It has no network dependency, is
 bit-stable across runs and platforms, and preserves enough lexical-similarity
 structure for offline evaluation of the retrieval stack. Queries and chunks
-take the same path: a block of queries is one batch.
+take the same path: a block of queries is one batch, and each batch hashes
+its own distinct terms, with no cache kept between calls.
 
 Remote wire contract: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
 """
@@ -81,10 +82,10 @@ class EmbeddingProvider(Protocol):
 class HashedBowEmbedder:
     """Deterministic test embedder over hashed bag-of-words term counts.
 
-    Each call hashes every distinct term of its batch once (terms seen by an
-    earlier call come from a cache), then fills the ``n x dim`` count matrix
-    with one ``np.bincount`` over ``row * dim + bucket`` keys weighted by the
-    term signs. The counts are sums of +-1, integers far below 2**53, so the
+    Each call hashes every distinct term of its batch once, in one
+    ``kernels.hash_tokens`` call, then fills the ``n x dim`` count matrix with
+    one ``np.bincount`` over ``row * dim + bucket`` keys weighted by the term
+    signs. The counts are sums of +-1, integers far below 2**53, so the
     order of summation cannot change a bit of them. ``embed`` returns them as
     float64, unnormalized; a text without terms (or whose signs all cancel)
     gets the fixed vector e0, a count of 1 in bucket 0.
@@ -96,26 +97,14 @@ class HashedBowEmbedder:
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
-        self._buckets: dict[str, int] = {}  # every term hashed so far
-        self._signs: dict[str, float] = {}
-
-    def _hash_vocab(self, vocab: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(bucket int64, sign float64) arrays, one entry per vocabulary term."""
-        missing = [t for t in vocab if t not in self._buckets]
-        if missing:
-            encoded = [t.encode("utf-8") for t in missing]
-            offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-            np.cumsum([len(e) for e in encoded], out=offsets[1:])
-            buckets, signs = kernels.hash_tokens(b"".join(encoded), offsets, self.dim)
-            self._buckets.update(zip(missing, buckets.tolist()))
-            self._signs.update(zip(missing, signs.tolist()))
-        return (np.fromiter(map(self._buckets.__getitem__, vocab), np.int64, len(vocab)),
-                np.fromiter(map(self._signs.__getitem__, vocab), np.float64, len(vocab)))
 
     def embed(self, texts: Sequence[str], rows: TermRows | None = None) -> np.ndarray:
         if rows is None:
             rows = term_rows(texts)
-        buckets, signs = self._hash_vocab(rows.vocab)
+        encoded = [term.encode("utf-8") for term in rows.vocab]
+        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum([len(e) for e in encoded], dtype=np.int64, out=offsets[1:])
+        buckets, signs = kernels.hash_tokens(b"".join(encoded), offsets, self.dim)
         n, dim = rows.lengths.shape[0], self.dim
         vectors = np.empty((n, dim), dtype=np.float64)
         bounds = np.zeros(n + 1, dtype=np.int64)

@@ -38,11 +38,8 @@ class SummarizerProvider(Protocol):
 
 @dataclass
 class WindowSummary:
-    doc_id: str
     window_start_ordinal: int
-    window_len: int
     summary_text: str
-    token_count: int
     fallback: bool = False
 
 
@@ -180,20 +177,12 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
         results = [summarize_at(p) for p in positions]
 
     summaries = []
-    doc_id = chunks[0].doc_id
     for pos, (text, fell_back) in zip(positions, results):
         tokens = text.split()
         if len(tokens) > SUMMARY_TOKEN_CAP:
             text = " ".join(tokens[:SUMMARY_TOKEN_CAP])
-            tokens = tokens[:SUMMARY_TOKEN_CAP]
-        summaries.append(WindowSummary(
-            doc_id=doc_id,
-            window_start_ordinal=chunks[pos].ordinal,
-            window_len=min(window, len(chunks) - pos),
-            summary_text=text,
-            token_count=len(tokens),
-            fallback=fell_back,
-        ))
+        summaries.append(WindowSummary(window_start_ordinal=chunks[pos].ordinal,
+                                       summary_text=text, fallback=fell_back))
     return summaries
 
 

@@ -12,10 +12,13 @@ query or a block of them. The deterministic embedder's vectors are integer
 term counts, so every product and partial sum is an exact integer: a query's
 scores are the same bits alone or in a block, under any BLAS kernel or thread
 count. Remote (float) vectors keep that guarantee only per kernel.
-Ties break by chunk_id ascending through ``id_rank``, each row's position in
-the sorted chunk ids, computed once per index: rows are stored in chunk order,
-which is not id order (``doc#10`` sorts before ``doc#2``), and an integer key
-keeps string comparisons out of every ranking.
+Ties among bitwise-equal scores break by chunk_id ascending through
+``id_rank``, each row's position in the sorted chunk ids, computed once per
+index: rows are stored in chunk order, which is not id order (``doc#10``
+sorts before ``doc#2``), and an integer key keeps string comparisons out of
+every ranking. Cosines equal only in exact arithmetic, such as those of
+proportional count vectors v and 3v, can differ in the last bit, and that
+bit, not the chunk_id, orders them.
 
 The sparse index is held in the CSR layout it is stored in: the postings of
 ``terms[i]`` (sorted) are ``refs`` (chunk rows, ascending) and ``tfs`` at
@@ -125,6 +128,12 @@ class SparseIndex:
     id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # built or loaded, every index passes here: a negative or infinite k1 zeroes
+        # or breaks every score, and b outside [0, 1] can make a length norm negative
+        if not 0.0 <= self.k1 < math.inf:
+            raise ValueError(f"BM25 k1 must be >= 0 and finite, not {self.k1}")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError(f"BM25 b must be in [0, 1], not {self.b}")
         if self.offsets.shape[0] != len(self.terms) + 1:
             raise ValueError(f"sparse index holds {len(self.terms)} terms but "
                              f"{self.offsets.shape[0]} offsets")
@@ -149,10 +158,6 @@ class SparseIndex:
         if i == len(self.terms) or self.terms[i] != term:
             return None
         return int(self.offsets[i]), int(self.offsets[i + 1])
-
-    def idf(self, term: str) -> float:
-        span = self.term_span(term)
-        return 0.0 if span is None else _idf(self.N, span[1] - span[0])
 
 
 def _idf(n: int, n_t: int) -> float:
@@ -471,8 +476,11 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise _invalid(path, "terms are not strictly ascending")
     k1, b, avg_len = arrays["params"].tolist()
-    sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
-                         avg_len=avg_len, N=n, chunk_ids=chunk_ids, k1=k1, b=b)
+    try:
+        sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
+                             avg_len=avg_len, N=n, chunk_ids=chunk_ids, k1=k1, b=b)
+    except ValueError as exc:
+        raise _invalid(path, str(exc)) from None
 
     meta, raw = _read_checked(directory, "dense")
     path = directory / meta["files"]["dense"]["path"]

@@ -1,9 +1,9 @@
 """Token hashing for the deterministic embedder.
 
 The embedder hashes each distinct term of a batch once, with one
-``hash_tokens`` call for the terms it has not seen before: an index build
-sends its whole vocabulary in that call, a block of queries their few hundred
-terms. ``hash_tokens`` runs FNV-1a over the whole batch at once, one numpy step
+``hash_tokens`` call per batch and no cache across calls: an index build sends
+its whole vocabulary, a block of queries their few hundred terms.
+``hash_tokens`` runs FNV-1a over the whole batch at once, one numpy step
 per byte position: uint64 arithmetic wraps modulo 2**64 exactly as the
 definition does, so the hashes are exact and platform-independent. The step
 count is the batch's longest term in bytes, not its term count: a whole build

@@ -56,17 +56,9 @@ class RetrievalResult:
     ranked: list[RankedChunk]
     k: int
 
-    def chunk_ids(self) -> list[str]:
-        return [r.chunk_id for r in self.ranked]
-
     def to_dict(self) -> dict:
         return {"query_id": self.query_id, "k": self.k,
                 "ranked": [r.to_list() for r in self.ranked]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RetrievalResult":
-        return cls(query_id=d["query_id"], k=d["k"],
-                   ranked=[RankedChunk(*row) for row in d["ranked"]])
 
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -107,7 +99,7 @@ def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
     """Retrieve top-k chunks by fused dense+sparse score (a block of one query).
 
     Candidates are the union of the top ``candidate_pool`` dense hits and all
-    nonzero BM25 hits. Ties break by chunk_id ascending for reproducibility.
+    nonzero BM25 hits. Bitwise-equal fused scores break ties by chunk_id ascending.
     """
     return next(retrieve_many([question], sparse, dense, embedder, cfg, [query_id]))
 
@@ -151,10 +143,6 @@ class RetrievalContext:
     embedder: EmbeddingProvider
     fusion: FusionConfig
     chunk_table: dict[str, tuple[str, int, int]] = field(default_factory=dict)
-
-    def retrieve(self, question: str, query_id: str = "") -> RetrievalResult:
-        return hybrid_retrieve(question, self.sparse, self.dense, self.embedder,
-                               self.fusion, query_id=query_id)
 
     def retrieve_many(self, questions: Sequence[str],
                       query_ids: Sequence[str]) -> Iterator[RetrievalResult]:

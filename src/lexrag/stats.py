@@ -38,6 +38,8 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("values must be nonempty")
+    if iterations < 1:
+        raise ValueError(f"bootstrap iterations must be >= 1, not {iterations}")
     n = rows.shape[1]
     rng = np.random.default_rng(seed)
     out = np.empty((rows.shape[0], iterations), dtype=np.float64)

@@ -77,8 +77,13 @@ def split_sentences(text: str) -> list[str]:
 
 
 def normalize_for_match(text: str) -> str:
-    """Lowercased whitespace-collapsed form used by fuzzy matching and refusal checks."""
-    return normalize_whitespace(text).lower()
+    """Lowercased, whitespace-collapsed form used by fuzzy matching and refusal checks.
+
+    Word-final "ς" is folded to "σ": ``str.lower`` lowers "Σ" to either by its
+    neighbours, and with the fold every character lowers alone, so the form of a
+    slice of a text is the matching slice of the text's form (whitespace aside).
+    """
+    return normalize_whitespace(text).lower().replace("ς", "σ")
 
 
 def strip_terminal_punctuation(text: str) -> str:

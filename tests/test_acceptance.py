@@ -168,13 +168,13 @@ def test_fusion_degeneration():
                                      FusionConfig(k=k, alpha=1.0))
         qv = embed(embedder, [query])[0]
         expected_dense = [dense.chunk_ids[r] for r, _ in dense_search(dense, qv, k)]
-        assert dense_only.chunk_ids() == expected_dense, f"alpha=1 trial {trial}"
+        assert [r.chunk_id for r in dense_only.ranked] == expected_dense, f"alpha=1 trial {trial}"
 
         sparse_only = hybrid_retrieve(query, sparse, dense, embedder,
                                       FusionConfig(k=k, alpha=0.0))
         bm25 = [sparse.chunk_ids[r] for r, _ in bm25_scores(sparse, query)]
         m = min(k, len(bm25))
-        assert sparse_only.chunk_ids()[:m] == bm25[:m], f"alpha=0 trial {trial}"
+        assert [r.chunk_id for r in sparse_only.ranked][:m] == bm25[:m], f"alpha=0 trial {trial}"
     elapsed = time.time() - start
     assert elapsed < 60
     report("fusion degeneration", elapsed)
@@ -237,8 +237,9 @@ def test_metric_oracle_equivalence():
                 gold_spans=[span]))
         ks = [1, 2, 4, 8, 16]
         swept = sweep(records, ctx, ks=ks, iterations=50)
-        for record in records:
-            result = ctx.retrieve(record.question, query_id=record.query_id)
+        results = ctx.retrieve_many([r.question for r in records],
+                                    [r.query_id for r in records])
+        for record, result in zip(records, results):
             gold_docs = {s.doc_id for s in record.gold_spans}
             for k in ks:
                 top = result.ranked[:min(k, len(result.ranked))]

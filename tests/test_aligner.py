@@ -1,4 +1,5 @@
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ _ALPHABET = "aAbBc .İßﬁ\u212aσς\u00a0\t\n"
 
 @st.composite
 def alignment_cases(draw):
-    # "Σ" lowers by context, so only some documents may hold it
+    # "Σ" lowers by context ("σ", or "ς" at a word's end): half the documents hold it
     alphabet = draw(st.sampled_from([_ALPHABET, _ALPHABET + "Σ"]))
     text = draw(st.text(alphabet, min_size=1, max_size=300))
     if draw(st.booleans()):
@@ -271,12 +272,12 @@ class TestShingleIdScorer:
                 assert isinstance(expected, GoldSpan)
                 assert result.gold_spans == [expected]
 
-    def test_capital_sigma_document_scored_on_window_strings(self):
-        # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα": only the window's
-        # own string gives the match
+    def test_capital_sigma_document_has_shingle_ids(self):
+        # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα"; with "ς" folded to
+        # "σ" both match, and the document gets shingle ids like any other
         doc = make_doc("d", "ΑΣΑ ΒΒΒ")
         cfg = AlignConfig(shingle_size=2)
-        assert DocumentView(doc.text, 2).shingle_ids is None
+        assert DocumentView(doc.text, 2).shingle_ids is not None
         span = align_answer(doc, "ας", cfg)
         assert span == reference_align_answer(doc, "ας", cfg)
         assert (span.start, span.end) == (0, 2)
@@ -288,6 +289,18 @@ class TestShingleIdScorer:
 
 
 class TestNormalizedView:
+    @pytest.mark.parametrize("separator", ["Α", "Σ"])
+    def test_normalize_for_match_works_per_character(self, separator):
+        # every code point but surrogates and whitespace (which collapses), each
+        # between two separators, so "Σ" meets every neighbour on both sides
+        chars = [chr(c) for c in range(0x110000)
+                 if not 0xD800 <= c <= 0xDFFF and not chr(c).isspace()]
+        whole = normalize_for_match(separator.join(chars))
+        parts = normalize_for_match(separator).join(map(normalize_for_match, chars))
+        if whole != parts:  # report a few characters: a diff of 2M would take minutes
+            at = next(i for i, (x, y) in enumerate(zip_longest(whole, parts)) if x != y)
+            pytest.fail(f"forms differ at {at}: {whole[at:at + 8]!r} != {parts[at:at + 8]!r}")
+
     @settings(max_examples=300, deadline=None)
     @given(st.text("aΑΣσς İ\u00a0\t\nb.", max_size=60))
     def test_text_is_normalize_for_match(self, text):

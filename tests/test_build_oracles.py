@@ -331,8 +331,7 @@ def test_enrich_chunk_equals_pop_loop():
         summary_words = [WORDS[int(rng.integers(len(WORDS)))]
                          for _ in range(int(rng.integers(0, 30)))]
         summary = (None if i % 7 == 0 else
-                   WindowSummary("doc", 0, 4, " ".join(summary_words), len(summary_words),
-                                 fallback=bool(i % 2)))
+                   WindowSummary(0, " ".join(summary_words), fallback=bool(i % 2)))
         meta = metas[i % len(metas)]
         for f in (0.25, 0.1, 1 / 3, 0.5):
             assert enrich_chunk(chunk, meta, summary, f) == \

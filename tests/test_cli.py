@@ -108,6 +108,52 @@ def test_retrieve_emits_results_and_contexts(built_pipeline):
         assert len(res["ranked"][0]) == 4  # chunk_id + three score components
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_retrieve_top_below_one_rejected(built_pipeline, tmp_path, capsys, top):
+    out_dir = tmp_path / "out"
+    code = run(["retrieve", "--index", str(built_pipeline["index_baseline"]),
+                "--qa", str(built_pipeline["qa"]), "--format", "snippet_qa",
+                "--top", top, "--k", "4", "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"top must be >= 1, not {top}"}
+    assert not any(out_dir.glob("*"))
+
+
+@pytest.mark.parametrize("flag,value,problem", [
+    ("--k1", "-1", "BM25 k1 must be >= 0"),
+    ("--k1", "inf", "BM25 k1 must be >= 0"),
+    ("--k1", "nan", "BM25 k1 must be >= 0"),
+    ("--b", "3", "BM25 b must be in [0, 1]"),
+    ("--b", "-0.5", "BM25 b must be in [0, 1]"),
+])
+def test_index_bm25_parameter_out_of_range_rejected(built_pipeline, tmp_path, capsys,
+                                                     flag, value, problem):
+    out_dir = tmp_path / "index"
+    code = run(["index", "--chunks", str(built_pipeline["chunks"] / "chunks.jsonl"),
+                "--dim", "16", flag, value, "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and problem in err["message"]
+    assert not (out_dir / "index_meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "compare"])
+def test_zero_bootstrap_iterations_rejected(built_pipeline, tmp_path, capsys, command):
+    search = ["--index", str(built_pipeline["index_baseline"]), "--qa", str(built_pipeline["qa"]),
+              "--k", "1,2"]
+    report = tmp_path / "eval" / "metric_report.json"
+    assert run(["eval-retrieval", *search, "--bootstrap-iterations", "20",
+                "--out", str(report.parent)]) == 0
+    args = search if command == "eval-retrieval" else ["--baseline", str(report),
+                                                       "--enhanced", str(report)]
+    code = run([command, *args, "--bootstrap-iterations", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "bootstrap iterations must be >= 1" in err["message"]
+
+
 def test_retrieve_short_context_flag(built_pipeline):
     out_dir = built_pipeline["base"] / "retrieve_short"
     code = run(["retrieve", "--index", str(built_pipeline["index_baseline"]),
@@ -293,6 +339,8 @@ _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
                  "tfs is not a 1-D array in its narrowest unsigned dtype", id="tfs-dtype"),
     pytest.param("sparse", _set("params", 2, np.nan), "params is not 3 finite float64 values",
                  id="params-nan"),
+    pytest.param("sparse", _set("params", 0, -1.0), "BM25 k1 must be >= 0", id="params-k1"),
+    pytest.param("sparse", _set("params", 1, 3.0), "BM25 b must be in [0, 1]", id="params-b"),
     pytest.param("dense", _drop_last_dim, "vectors have shape", id="dense-shape"),
     pytest.param("dense", _as("vectors", np.float64), "stored as float64", id="dense-dtype"),
     pytest.param("dense", _set("vectors", 0, 0), "a vector is not finite or has norm 0",

@@ -21,7 +21,7 @@ from tests.conftest import make_doc
 def test_load_documents_enumerates_files(tiny_corpus):
     docs = load_documents(tiny_corpus)
     assert len(docs) == 2
-    assert docs.ids() == ["a.txt", "b.txt"]
+    assert [d.doc_id for d in docs] == ["a.txt", "b.txt"]
     assert docs["a.txt"].text == "x"
     assert not docs.errors
 
@@ -32,7 +32,7 @@ def test_load_documents_nested_path_doc_id(tmp_path):
     (root / "maud" / "Michaels_Companies_Apollo.txt").write_text("agreement text",
                                                                  encoding="utf-8")
     docs = load_documents(root)
-    assert docs.ids() == ["maud/Michaels_Companies_Apollo.txt"]
+    assert [d.doc_id for d in docs] == ["maud/Michaels_Companies_Apollo.txt"]
 
 
 def test_load_documents_empty_directory(tmp_path):
@@ -50,7 +50,7 @@ def test_load_documents_bad_files_become_errors(tmp_path):
     (root / "binary.bin").write_bytes(b"\xff\xfe\x00\x80\xff")
     (root / "empty.txt").write_text("", encoding="utf-8")
     docs = load_documents(root)
-    assert docs.ids() == ["good.txt"]
+    assert [d.doc_id for d in docs] == ["good.txt"]
     assert {e.where for e in docs.errors} == {"binary.bin", "empty.txt"}
 
 
@@ -277,6 +277,6 @@ def test_load_documents_deterministic_order(tmp_path):
     root.mkdir()
     for name in ["z.txt", "a.txt", "m.txt"]:
         (root / name).write_text(name, encoding="utf-8")
-    first = load_documents(root).ids()
-    second = load_documents(root).ids()
+    first = [d.doc_id for d in load_documents(root)]
+    second = [d.doc_id for d in load_documents(root)]
     assert first == second == ["a.txt", "m.txt", "z.txt"]

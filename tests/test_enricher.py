@@ -61,13 +61,14 @@ class TestWindowSummaries:
         assert len(result) == 5
         assert [s.window_start_ordinal for s in result] == [0, 1, 2, 3, 4]
         assert all(not s.fallback for s in result)
-        assert all(1 <= s.token_count <= 200 for s in result)
+        assert all(1 <= len(s.summary_text.split()) <= 200 for s in result)
 
     def test_single_chunk_window_covers_it(self):
         chunks = [make_chunk(0, "only chunk here.")]
-        result = window_summaries(chunks, RecordingSummarizer())
+        provider = RecordingSummarizer()
+        result = window_summaries(chunks, provider)
         assert len(result) == 1
-        assert result[0].window_len == 1
+        assert provider.calls == [["only chunk here."]]
 
     def test_provider_failure_falls_back_everywhere(self):
         chunks = [make_chunk(i, f"sentence {i}.") for i in range(6)]
@@ -82,7 +83,7 @@ class TestWindowSummaries:
                 return " ".join(f"t{i}" for i in range(500))
 
         result = window_summaries([make_chunk(0, "x.")], Verbose())
-        assert result[0].token_count == 200
+        assert len(result[0].summary_text.split()) == 200
 
     def test_mixed_documents_rejected(self):
         chunks = [make_chunk(0, "a", doc_id="d1"), make_chunk(1, "b", doc_id="d2")]
@@ -150,8 +151,7 @@ class TestExtractiveFallback:
 
 
 def summary_of(text: str) -> WindowSummary:
-    return WindowSummary(doc_id="doc", window_start_ordinal=0, window_len=4,
-                         summary_text=text, token_count=count_tokens(text))
+    return WindowSummary(window_start_ordinal=0, summary_text=text)
 
 
 class TestEnrichChunk:

@@ -168,8 +168,9 @@ class TestSweep:
         records = records_for(chunks, rng)
         ks = [1, 2, 4, 8]
         report = sweep(records, ctx, ks=ks, iterations=100)
-        for record in records:
-            result = ctx.retrieve(record.question, query_id=record.query_id)
+        results = ctx.retrieve_many([r.question for r in records],
+                                    [r.query_id for r in records])
+        for record, result in zip(records, results):
             gold_docs = {s.doc_id for s in record.gold_spans}
             for k in ks:
                 top = result.ranked[:min(k, len(result.ranked))]

@@ -77,7 +77,7 @@ class TestHybridRetrieve:
                                      FusionConfig(k=k, alpha=1.0))
             qv = embed(embedder, [query])[0]
             expected = [dense.chunk_ids[r] for r, _ in dense_search(dense, qv, k)]
-            assert result.chunk_ids() == expected
+            assert [r.chunk_id for r in result.ranked] == expected
 
     def test_alpha_zero_matches_bm25_ranking(self):
         rng = np.random.default_rng(1)
@@ -89,7 +89,7 @@ class TestHybridRetrieve:
                                      FusionConfig(k=k, alpha=0.0))
             bm25 = [sparse.chunk_ids[r] for r, _ in bm25_scores(sparse, query)]
             m = min(k, len(bm25))
-            assert result.chunk_ids()[:m] == bm25[:m]
+            assert [r.chunk_id for r in result.ranked][:m] == bm25[:m]
 
     def test_fused_scores_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -125,14 +125,16 @@ class TestHybridRetrieve:
         with pytest.raises(ValueError, match="mismatch"):
             hybrid_retrieve("q", short_sparse, dense, embedder, FusionConfig(k=2))
 
-    def test_result_serialization_round_trip(self):
+    def test_result_to_dict_keys(self):
         rng = np.random.default_rng(6)
         chunks, sparse, dense, embedder = build_corpus(rng)
         result = hybrid_retrieve(chunks[0].text, sparse, dense, embedder,
                                  FusionConfig(k=5), query_id="q1")
-        from lexrag.retriever import RetrievalResult
-        round_tripped = RetrievalResult.from_dict(result.to_dict())
-        assert round_tripped == result
+        assert result.to_dict() == {
+            "query_id": "q1", "k": 5,
+            "ranked": [[r.chunk_id, r.fused, r.dense_norm, r.sparse_norm]
+                       for r in result.ranked]}
+        assert len(result.ranked) == 5
 
     def test_raising_dense_score_never_causes_inversion(self):
         # fixed query direction; chunk vectors with controlled cosines
@@ -187,7 +189,7 @@ class TestHybridRetrieve:
         ctx = RetrievalContext(
             sparse=sparse, dense=dense, embedder=embedder, fusion=FusionConfig(k=4),
             chunk_table={c.chunk_id: (c.doc_id, c.start, c.end) for c in chunks})
-        result = ctx.retrieve(chunks[0].text, query_id="q9")
+        result, = ctx.retrieve_many([chunks[0].text], ["q9"])
         assert result.query_id == "q9"
         assert len(result.ranked) == 4
 
@@ -340,9 +342,9 @@ def test_tied_cosines_rank_as_the_exact_rational_oracle():
         oracle = sorted(range(dense.N), key=lambda r: (-keys[r], dense.chunk_ids[r]))
         want = [dense.chunk_ids[r] for r in oracle]
         assert [dense.chunk_ids[r] for r, _ in dense_search(dense, query, dense.N)] == want
-        assert hybrid_retrieve(question, sparse, dense, embedder, cfg,
-                               query_id=question).chunk_ids() == want
-        assert from_batch.chunk_ids() == want
+        alone_result = hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id=question)
+        assert [r.chunk_id for r in alone_result.ranked] == want
+        assert [r.chunk_id for r in from_batch.ranked] == want
         alone = dense_scores(dense, query[None, :])[0]
         assert alone.tobytes() == scores.tobytes()
 

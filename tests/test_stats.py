@@ -108,6 +108,11 @@ class TestSharedDraw:
         with pytest.raises(ValueError):
             shared_bootstrap_means(np.zeros((3, 0)), 10, seed=0)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_fewer_than_one_iteration_rejected(self, iterations):
+        with pytest.raises(ValueError, match="bootstrap iterations must be >= 1"):
+            shared_bootstrap_means(np.ones((2, 3)), iterations, seed=0)
+
 
 class TestPairedTtest:
     def test_identical_series_gives_p_one(self):

@@ -4,7 +4,10 @@
 
 CHANGE_TREE defaults to the tree this script sits in. The script generates
 one set of inputs with ``tests/synthcorpus.py`` (a near-duplicate legal corpus
-with a snippet-QA file, and an Aus-format corpus with model outputs), then
+with a snippet-QA file, and an Aus-format corpus with model outputs), adds one
+Greek decision to both corpora (capital and final sigmas, curly quotes, "§"),
+so the tokenizer and the aligner also see non-ASCII text, and one Aus-format
+record whose reworded excerpt of it aligns only by the fuzzy tier, then
 runs one fixed sequence of ``lexrag`` commands per tree, each in a fresh
 ``python -m lexrag.cli`` process with that tree's ``src`` alone on
 ``PYTHONPATH``. It compares every file the commands wrote, except
@@ -30,6 +33,26 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
+GREEK_DECISION = """ΑΠΟΦΑΣΗ ΤΟΥ ΔΙΟΙΚΗΤΙΚΟΥ ΕΦΕΤΕΙΟΥ ΑΘΗΝΩΝ
+
+§ 1. Ο ΝΟΜΟΣ ΤΗΣ ΠΟΛΕΩΣ ορίζει ότι η «αίτηση ακυρώσεως» του ενάγοντος κατατίθεται
+εντός της προθεσμίας. Το Δικαστήριο σημειώνει ότι ο όρος “προθεσμία” ερμηνεύεται
+στενά, και ότι η ΣΥΜΒΑΣΗ ΜΙΣΘΩΣΕΩΣ δεν μεταβάλλει τον κανόνα.
+
+§ 2. Ο εναγόμενος ισχυρίστηκε ότι η ‘ειδοποίηση’ επιδόθηκε νομίμως. ΟΙ ΙΣΧΥΡΙΣΜΟΙ ΤΟΥ
+ΕΝΑΓΟΜΕΝΟΥ ΑΠΟΡΡΙΠΤΟΝΤΑΙ, διότι η επίδοση έγινε σε λάθος διεύθυνση και ο ΟΡΟΣ ΤΗΣ
+ΣΥΜΒΑΣΕΩΣ για τις κοινοποιήσεις δεν τηρήθηκε.
+
+§ 3. ΓΙΑ ΤΟΥΣ ΛΟΓΟΥΣ ΑΥΤΟΥΣ το Δικαστήριο δέχεται την αίτηση, ακυρώνει την πράξη και
+επιβάλλει στον εναγόμενο τη δικαστική δαπάνη του ενάγοντος.
+"""
+GREEK_DOC = "greek_decision.txt"
+# § 2, its line breaks reflowed and one word replaced ("λάθος" -> "άλλη"), so
+# neither the verbatim nor the whitespace-insensitive tier finds it
+GREEK_EXCERPT = ("Ο εναγόμενος ισχυρίστηκε ότι η ‘ειδοποίηση’ επιδόθηκε νομίμως. ΟΙ ΙΣΧΥΡΙΣΜΟΙ "
+                 "ΤΟΥ ΕΝΑΓΟΜΕΝΟΥ ΑΠΟΡΡΙΠΤΟΝΤΑΙ, διότι η επίδοση έγινε σε άλλη διεύθυνση και "
+                 "ο ΟΡΟΣ ΤΗΣ ΣΥΜΒΑΣΕΩΣ για τις κοινοποιήσεις δεν τηρήθηκε.")
+
 
 def make_inputs(base: Path) -> dict[str, Path]:
     sys.path.insert(0, str(HERE))
@@ -37,7 +60,15 @@ def make_inputs(base: Path) -> dict[str, Path]:
 
     root, manifest, qa, _ = build_legal_corpus(base / "legal", n_docs=6, seed=0)
     aus_root, aus_qa = build_aus_corpus(base / "aus", n_records=24, n_docs=6, seed=2)
+    for cases in (root / "cases", aus_root / "courts.example.au" / "cases"):
+        (cases / GREEK_DOC).write_text(GREEK_DECISION, encoding="utf-8")
     records = [json.loads(line) for line in aus_qa.read_text(encoding="utf-8").splitlines()]
+    records.append({"query_id": "aus-greek", "Question": "Γιατί απορρίφθηκαν οι ισχυρισμοί;",
+                    "document URL": f"https://courts.example.au/cases/{GREEK_DOC}",
+                    "Context": GREEK_EXCERPT, "Document MetaData": "απόφαση εφετείου",
+                    "Answer": "Η επίδοση έγινε σε λάθος διεύθυνση."})
+    aus_qa.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in records),
+                      encoding="utf-8")
     # every fifth output a refusal, canonical or hedged, under both set tags
     refusals = ["Given context is not sufficient to answer.",
                 "I'm afraid the given context is not sufficient to answer this."]
