@@ -60,10 +60,11 @@ if TYPE_CHECKING:
 
 # Names from the modules that load numpy, each imported on first use by this
 # module's __getattr__ (PEP 562), so a command loads only the modules it runs.
-# Commands read them as attributes of this module (`_cli.<name>`) when they run:
-# a wrapper set on `lexrag.cli.<name>` (perfbench's tracer) is then what they
-# call. `_cli` is this module also under `python -m lexrag.cli`, where importing
-# `lexrag.cli` instead would load the module a second time.
+# Commands read them as `_cli.<name>` when they run, which looks in the namespace
+# this code runs in: a wrapper set on `lexrag.cli.<name>` (perfbench's tracer) is
+# then what they call. That namespace is this module's, or under runpy (`python -m
+# lexrag.cli`, `python -m cProfile -m lexrag.cli`) the dict runpy made, which need
+# not be any module in sys.modules.
 _LAZY = {name: module for module, names in (
     ("lexrag.aligner", ("reconstruct_dataset", "save_aligned_dataset")),
     ("lexrag.embedding", ("get_embedder", "term_rows")),
@@ -76,7 +77,6 @@ _LAZY = {name: module for module, names in (
                            "split_dataset", "token_f1")),
     ("lexrag.retriever", ("RetrievalContext", "dump_results")),
 ) for name in names}
-_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
@@ -85,6 +85,17 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(_LAZY[name]), name)
     globals()[name] = value  # later lookups find it without this hook
     return value
+
+
+class _Globals:
+    """This code's global names as attributes, the lazy ones loaded on first use."""
+
+    def __getattr__(self, name: str):
+        # the module-level __getattr__ above, not this method
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+_cli = _Globals()
 
 
 # config-file keys naming inputs; each must exist when the file is read
@@ -144,7 +155,7 @@ def _corpus_inputs(settings: dict, docs: DocumentCollection) -> list:
 def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[str, Chunk]]:
     """Open the index under --index; also return its chunks by chunk_id.
 
-    The index's chunks.jsonl must hold exactly the chunk ids of its index files.
+    The index's chunks.jsonl must hold exactly the chunk ids of its index.npz.
     """
     index_dir = Path(settings["index"])
     sparse, dense = _cli.load_indexes(index_dir)

@@ -19,7 +19,7 @@ has the same seed and sample size, so all of them share one resample draw.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class PairedComparison:
     n: int
     degenerate_variance: bool = False
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairedComparison":
-        return cls(metric=d["metric"], k=d["k"], delta_mean=d["delta_mean"],
-                   delta_ci=tuple(d["delta_ci"]), p_value=d["p_value"],
-                   p_adjusted=d["p_adjusted"], n=d["n"],
-                   degenerate_variance=d.get("degenerate_variance", False))
-
 
 @dataclass
 class MetricReport:
@@ -95,7 +88,6 @@ class MetricReport:
     per_k: dict[int, dict[str, object]] = field(default_factory=dict)
     per_query: dict[str, dict[str, dict[int, float]]] = field(default_factory=dict)
     excluded: list[dict] = field(default_factory=list)
-    comparisons: list[PairedComparison] = field(default_factory=list)
     bootstrap_iterations: int = 10000
     bootstrap_seed: int = 0
 
@@ -111,7 +103,6 @@ class MetricReport:
                 for qid, metrics in self.per_query.items()
             },
             "excluded": self.excluded,
-            "comparisons": [asdict(c) for c in self.comparisons],
             "bootstrap_iterations": self.bootstrap_iterations,
             "bootstrap_seed": self.bootstrap_seed,
         }
@@ -134,7 +125,6 @@ class MetricReport:
                 for qid, metrics in d["per_query"].items()
             },
             excluded=list(d.get("excluded", [])),
-            comparisons=[PairedComparison.from_dict(c) for c in d.get("comparisons", [])],
             bootstrap_iterations=d.get("bootstrap_iterations", 10000),
             bootstrap_seed=d.get("bootstrap_seed", 0),
         )

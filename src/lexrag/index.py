@@ -22,21 +22,22 @@ bit, not the chunk_id, orders them.
 
 The sparse index is held in the CSR layout it is stored in: the postings of
 ``terms[i]`` (sorted) are ``refs`` (chunk rows, ascending) and ``tfs`` at
-``offsets[i]:offsets[i + 1]``. ``offsets``, ``refs``, ``tfs`` and
-``doc_lengths`` are each in the narrowest unsigned dtype that holds their
-values; numpy promotes them to float64 exactly wherever BM25 computes.
+``offsets[i]:offsets[i + 1]``, each array in the narrowest unsigned dtype
+that holds its values; numpy promotes them to float64 exactly wherever BM25
+computes. Chunk lengths (sums of tfs), their mean and the length norms are
+derived from them, on a build and a load alike, so no stored value sets them.
 
-This module alone writes and reads an index directory (format v4):
-``sparse.npz``, ``dense.npz``, ``chunks.jsonl`` and the ``index_meta.json``
-header holding format version, dimensions, backend tag and each file's sha256,
-checked on the bytes a load parses. The npz files are stored uncompressed and
-hold only exact values: the CSR arrays, and dense vectors in the narrowest
-signed dtype (float64 for remote vectors); row norms are derived on load.
-Strings (terms, chunk ids) are stored as one UTF-8 byte blob plus int64
-offsets, so loading never unpickles: a checksum recomputed by whoever wrote
-the directory cannot make a load run code. A load also checks every array's
-dtype, shape and the CSR invariants, so a tampered file fails with a
-ValueError instead of ranking wrongly.
+This module alone writes and reads an index directory (format v5):
+``index.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header holding
+format version, dimensions, backend tag and each file's sha256, checked on the
+bytes a load parses. ``index.npz`` is uncompressed and holds only what cannot
+be derived: terms, chunk ids, the CSR arrays, the vectors in the narrowest
+signed dtype (float64 for remote vectors) and ``params`` = [k1, b]. Strings
+are stored as one UTF-8 byte blob plus int64 offsets, so loading never
+unpickles: a checksum recomputed by whoever wrote the directory cannot make a
+load run code. A load also checks the member names, every array's dtype and
+shape and the CSR invariants, so a tampered file fails with a ValueError
+instead of ranking wrongly.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ from lexrag.chunker import Chunk, load_chunks
 from lexrag.embedding import EmbeddingProvider, TermRows, term_rows
 from lexrag.textutils import read_json, sha256_file, tokenize, write_json
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 META_FILE = "index_meta.json"
+INDEX_FILE = "index.npz"
 CHUNKS_FILE = "chunks.jsonl"
 REMOTE_BACKEND = "remote"  # the one backend whose vectors are stored as floats
-_CSR_ARRAYS = ("offsets", "refs", "tfs", "doc_lengths")
+_CSR_ARRAYS = ("offsets", "refs", "tfs")
+_MEMBERS = frozenset({"term_bytes", "term_offsets", "chunk_id_bytes", "chunk_id_offsets",
+                      *_CSR_ARRAYS, "vectors", "params"})
 _UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
 _SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
 
@@ -112,18 +116,19 @@ def top_rows(scores: np.ndarray, n: int, id_rank: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SparseIndex:
-    """Inverted index in CSR form with BM25 parameters (see the module docstring)."""
+    """Inverted index in CSR form with BM25 parameters (see the module docstring);
+    the fields not taken by the constructor are derived from those it takes."""
 
     terms: list[str]  # sorted
     offsets: np.ndarray  # len(terms) + 1
     refs: np.ndarray  # chunk rows, ascending within each term
     tfs: np.ndarray
-    doc_lengths: np.ndarray
-    avg_len: float
-    N: int
     chunk_ids: list[str]
     k1: float = 1.2
     b: float = 0.75
+    N: int = field(init=False)
+    doc_lengths: np.ndarray = field(init=False, repr=False)  # float64 term counts
+    avg_len: float = field(init=False)
     norms: np.ndarray = field(init=False, repr=False)
     id_rank: np.ndarray = field(init=False, repr=False)
 
@@ -134,11 +139,16 @@ class SparseIndex:
             raise ValueError(f"BM25 k1 must be >= 0 and finite, not {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"BM25 b must be in [0, 1], not {self.b}")
+        if not self.chunk_ids:
+            raise ValueError("a sparse index holds no chunks")
         if self.offsets.shape[0] != len(self.terms) + 1:
             raise ValueError(f"sparse index holds {len(self.terms)} terms but "
                              f"{self.offsets.shape[0]} offsets")
-        rel = (self.doc_lengths / self.avg_len if self.avg_len > 0
-               else np.zeros_like(self.doc_lengths, dtype=np.float64))
+        self.N = len(self.chunk_ids)
+        # sums and mean of integer counts, exact in float64 in any summation order
+        self.doc_lengths = np.bincount(self.refs, weights=self.tfs, minlength=self.N)
+        self.avg_len = float(self.doc_lengths.mean())
+        rel = self.doc_lengths / self.avg_len if self.avg_len > 0 else np.zeros(self.N)
         self.norms = self.k1 * (1.0 - self.b + self.b * rel)
         self.id_rank = id_ranks(self.chunk_ids)
 
@@ -189,8 +199,6 @@ def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
     np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
     return SparseIndex(terms=sorted(rows.vocab), offsets=_narrowest(offsets),
                        refs=_narrowest(keys % n), tfs=_narrowest(tfs),
-                       doc_lengths=_narrowest(rows.lengths),
-                       avg_len=float(rows.lengths.mean()), N=n,
                        chunk_ids=[c.chunk_id for c in chunks], k1=k1, b=b)
 
 
@@ -338,37 +346,31 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
 
 def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
                  chunks_file: str | Path, chunks_sha256: str) -> Path:
-    """Write sparse.npz, dense.npz, a byte copy of ``chunks_file`` (the chunk file the
-    indexes were built from, so its rows are in row order) as chunks.jsonl, and the
-    index_meta.json header listing each written file with its sha256.
+    """Write index.npz, a byte copy of ``chunks_file`` (the chunk file the indexes were
+    built from, so its rows are in row order) as chunks.jsonl, and the index_meta.json
+    header listing both with their sha256.
 
-    Both npz files are uncompressed. The CSR arrays go in their narrowest unsigned
-    dtype, and the vectors in their narrowest signed dtype (a ValueError if one is
-    not an integer), or as float64 for the remote backend.
+    index.npz is uncompressed. The CSR arrays go in their narrowest unsigned dtype, and
+    the vectors in their narrowest signed dtype (a ValueError if one is not an
+    integer), or as float64 for the remote backend. The chunk ids are the sparse
+    index's; both indexes are built over the same chunks.
 
     ``chunks_sha256`` is the sha256 of the bytes the indexes were built from; a copy
     with another one (the file changed since) is a ValueError and writes no header.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {}
+    files = {"index": directory / INDEX_FILE, "chunks": directory / CHUNKS_FILE}
 
     term_bytes, term_offsets = _pack_strings(sparse.terms)
     id_bytes, id_offsets = _pack_strings(sparse.chunk_ids)
-    files["sparse"] = directory / "sparse.npz"
-    np.savez(files["sparse"], term_bytes=term_bytes, term_offsets=term_offsets,
-             **{name: _narrowest(getattr(sparse, name)) for name in _CSR_ARRAYS},
-             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
-             params=np.asarray([sparse.k1, sparse.b, sparse.avg_len], dtype=np.float64))
-
-    id_bytes, id_offsets = _pack_strings(dense.chunk_ids)
-    files["dense"] = directory / "dense.npz"
     vectors = (dense.vectors if dense.backend == REMOTE_BACKEND
                else _narrowest(dense.vectors, signed=True))
-    np.savez(files["dense"], vectors=vectors,
-             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets)
+    np.savez(files["index"], term_bytes=term_bytes, term_offsets=term_offsets,
+             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
+             **{name: _narrowest(getattr(sparse, name)) for name in _CSR_ARRAYS},
+             vectors=vectors, params=np.asarray([sparse.k1, sparse.b], dtype=np.float64))
 
-    files["chunks"] = directory / CHUNKS_FILE
     if not (files["chunks"].exists() and files["chunks"].samefile(chunks_file)):
         shutil.copyfile(chunks_file, files["chunks"])
 
@@ -391,9 +393,9 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
 
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     """The index_meta.json header and the bytes of its ``name`` file, after checking the
-    header's keys, the format version, that all three index files are listed, each with
-    a string sha256 and a string path that is a plain file name in ``directory`` (no
-    separator, not "." or ".."), and the returned bytes' sha256."""
+    header's keys, the format version, that both files are listed, each with a string
+    sha256 and a string path that is a plain file name in ``directory`` (no separator,
+    not "." or ".."), and the returned bytes' sha256."""
     meta_path = directory / META_FILE
     meta = read_json(meta_path)
     for key in ("format_version", "embedder_backend", "files"):
@@ -406,7 +408,7 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     files = meta["files"]
     if not isinstance(files, dict):
         raise ValueError(f"{meta_path}: key 'files' is not an object; rebuild with `lexrag index`")
-    for key in ("chunks", "dense", "sparse"):
+    for key in ("chunks", "index"):
         if key not in files:
             raise ValueError(f"{meta_path} lists no {key} file; rebuild with `lexrag index`")
         entry = files[key]
@@ -430,15 +432,19 @@ def _invalid(path: Path, why: str) -> ValueError:
     return ValueError(f"{path}: {why}; rebuild with `lexrag index`")
 
 
-def _check_sparse(path: Path, arrays: dict[str, np.ndarray], n: int) -> None:
-    """The CSR arrays of a loaded sparse.npz: each 1-D in its narrowest unsigned dtype;
-    offsets start at 0, never decrease and end at len(refs); 0 <= refs < n; tfs >= 1;
-    one doc length per chunk; finite parameters."""
+def _check_arrays(path: Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """index.npz's members: the format's names; each CSR array 1-D in its narrowest
+    unsigned dtype; offsets start at 0, never decrease and end at len(refs); 0 <= refs
+    < n_chunks; tfs >= 1; two finite params; (n_chunks, dim) vectors as saved."""
+    if arrays.keys() != _MEMBERS:
+        odd = sorted(arrays.keys() ^ _MEMBERS)
+        raise _invalid(path, f"members {odd} are missing or not part of the format")
     for name in _CSR_ARRAYS:
         values = arrays[name]
         if values.ndim != 1 or values.dtype.kind != "u" or _narrowest(values) is not values:
             raise _invalid(path, f"{name} is not a 1-D array in its narrowest unsigned dtype")
-    offsets, refs, tfs, doc_lengths = (arrays[name] for name in _CSR_ARRAYS)
+    offsets, refs, tfs = (arrays[name] for name in _CSR_ARRAYS)
+    n = meta["n_chunks"]
     if (offsets.shape[0] == 0 or offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1])
             or offsets[-1] != refs.shape[0]):
         raise _invalid(path, "offsets do not start at 0, rise and end at len(refs)")
@@ -448,62 +454,49 @@ def _check_sparse(path: Path, arrays: dict[str, np.ndarray], n: int) -> None:
         raise _invalid(path, f"refs hold a row outside [0, {n})")
     if tfs.size and tfs.min() < 1:
         raise _invalid(path, "tfs hold a term frequency below 1")
-    if doc_lengths.shape[0] != n:
-        raise _invalid(path, f"{doc_lengths.shape[0]} doc lengths for {n} chunks")
     params = arrays["params"]
-    if params.shape != (3,) or params.dtype != np.float64 or not np.isfinite(params).all():
-        raise _invalid(path, "params is not 3 finite float64 values (k1, b, avg_len)")
+    if params.shape != (2,) or params.dtype != np.float64 or not np.isfinite(params).all():
+        raise _invalid(path, "params is not 2 finite float64 values (k1, b)")
+    vectors, backend = arrays["vectors"], meta["embedder_backend"]
+    if backend == REMOTE_BACKEND:
+        exact = vectors.dtype == np.float64
+    else:
+        exact = vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors
+    if not exact:
+        raise _invalid(path, f"vectors of the {backend!r} backend are stored as {vectors.dtype}")
+    if vectors.shape != (n, meta["dim"]):
+        raise _invalid(path, f"vectors have shape {vectors.shape}, the header gives "
+                             f"{(n, meta['dim'])}")
 
 
 def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
-    """Load a persisted index pair, each file checked against its sha256 and its arrays
-    against the format (see ``_check_sparse``; vectors must be (n_chunks, dim) in the
-    dtype ``save_indexes`` writes, each row finite with a nonzero norm); never unpickles.
-    """
+    """Load a persisted index pair from index.npz, checked against its sha256 and the
+    format (see ``_check_arrays``; each vector must also be finite with a nonzero
+    norm); never unpickles."""
     directory = Path(directory)
-    meta, raw = _read_checked(directory, "sparse")
+    meta, raw = _read_checked(directory, "index")
     if not all(type(meta.get(key)) is int and meta[key] >= 0 for key in ("n_chunks", "dim")):
         raise _invalid(directory / META_FILE, "key 'n_chunks' or 'dim' is not a count")
-    n = meta["n_chunks"]
-    path = directory / meta["files"]["sparse"]["path"]
+    path = directory / meta["files"]["index"]["path"]
     with np.load(io.BytesIO(raw), allow_pickle=False) as data:
         arrays = dict(data)  # each member read once: an NpzFile reads on every lookup
-    _check_sparse(path, arrays, n)
+    _check_arrays(path, arrays, meta)
     chunk_ids = _unpack_strings(arrays["chunk_id_bytes"], arrays["chunk_id_offsets"])
     terms = _unpack_strings(arrays["term_bytes"], arrays["term_offsets"])
-    if len(chunk_ids) != n:
-        raise _invalid(path, f"{len(chunk_ids)} chunk ids for {n} chunks")
+    if len(chunk_ids) != meta["n_chunks"]:
+        raise _invalid(path, f"{len(chunk_ids)} chunk ids for {meta['n_chunks']} chunks")
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise _invalid(path, "terms are not strictly ascending")
-    k1, b, avg_len = arrays["params"].tolist()
+    k1, b = arrays["params"].tolist()
     try:
         sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
-                             avg_len=avg_len, N=n, chunk_ids=chunk_ids, k1=k1, b=b)
+                             chunk_ids=chunk_ids, k1=k1, b=b)
     except ValueError as exc:
         raise _invalid(path, str(exc)) from None
-
-    meta, raw = _read_checked(directory, "dense")
-    path = directory / meta["files"]["dense"]["path"]
-    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-        vectors = data["vectors"]
-        if meta["embedder_backend"] == REMOTE_BACKEND:
-            exact = vectors.dtype == np.float64
-        else:
-            exact = vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors
-        if not exact:
-            raise _invalid(path, f"vectors of the {meta['embedder_backend']!r} backend are "
-                                 f"stored as {vectors.dtype}")
-        if vectors.shape != (n, meta["dim"]):
-            raise _invalid(path, f"vectors have shape {vectors.shape}, the header gives "
-                                 f"{(n, meta['dim'])}")
-        dense = DenseIndex(vectors=vectors,
-                           chunk_ids=_unpack_strings(data["chunk_id_bytes"],
-                                                     data["chunk_id_offsets"]),
-                           backend=meta["embedder_backend"])
+    dense = DenseIndex(vectors=arrays["vectors"], chunk_ids=chunk_ids,
+                       backend=meta["embedder_backend"])
     if not np.all(np.isfinite(dense.norms) & (dense.norms > 0)):
         raise _invalid(path, "a vector is not finite or has norm 0")
-    if sparse.chunk_ids != dense.chunk_ids:
-        raise ValueError("sparse and dense indexes list different chunk ids")
     return sparse, dense
 
 

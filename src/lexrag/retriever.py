@@ -80,10 +80,6 @@ def retrieve_many(questions: Sequence[str], sparse: SparseIndex, dense: DenseInd
                   embedder: EmbeddingProvider, cfg: FusionConfig,
                   query_ids: Sequence[str]) -> Iterator[RetrievalResult]:
     """``hybrid_retrieve`` of each question in turn, dense-scored QUERY_BLOCK at a time."""
-    if dense.N == 0:
-        for query_id in query_ids:
-            yield RetrievalResult(query_id=query_id, ranked=[], k=cfg.k)
-        return
     if sparse.N != dense.N:
         raise ValueError(f"index size mismatch: sparse N={sparse.N}, dense N={dense.N}")
     for lo in range(0, len(questions), QUERY_BLOCK):

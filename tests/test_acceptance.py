@@ -270,9 +270,9 @@ def test_metric_oracle_equivalence():
     report("metric oracle equivalence (incl. >100% span recall)", elapsed)
 
 
-def test_directional_metadata_enhancement_effect(tmp_path):
-    start = time.time()
-    root, manifest, qa_path, _ = build_legal_corpus(tmp_path, n_docs=12, seed=0)
+def _directional_effect(tmp_path, n_docs: int) -> tuple[int, dict, dict]:
+    """Chunk count and the baseline and enhanced per-k reports on the legal corpus."""
+    root, manifest, qa_path, _ = build_legal_corpus(tmp_path, n_docs=n_docs, seed=0)
     docs = load_documents(root, manifest)
     records, errors = load_qa_dataset(qa_path, "snippet_qa")
     assert not errors
@@ -299,16 +299,36 @@ def test_directional_metadata_enhancement_effect(tmp_path):
 
     baseline = run_variant(baseline_chunks, "baseline")
     enhanced = run_variant(enhanced_chunks, "enhanced")
+    return len(baseline_chunks), baseline.per_k, enhanced.per_k
 
+
+def test_directional_metadata_enhancement_effect(tmp_path):
+    start = time.time()
+    _, baseline, enhanced = _directional_effect(tmp_path, n_docs=12)
     for k in (2, 4, 8):
-        assert enhanced.per_k[k]["drm_mean"] < baseline.per_k[k]["drm_mean"], \
-            f"DRM not improved at k={k}"
+        assert enhanced[k]["drm_mean"] < baseline[k]["drm_mean"], f"DRM not improved at k={k}"
     for k in (4, 8):
-        assert enhanced.per_k[k]["span_recall_mean"] > baseline.per_k[k]["span_recall_mean"], \
+        assert enhanced[k]["span_recall_mean"] > baseline[k]["span_recall_mean"], \
             f"span recall not improved at k={k}"
     elapsed = time.time() - start
     assert elapsed < 120
     report("directional metadata-enhancement effect", elapsed)
+
+
+def test_directional_effect_with_more_chunks_than_the_dense_pool(tmp_path):
+    """48 documents give more chunks than the fusion's dense pool, so rows outside the
+    pool enter fusion with a raw dense score of 0; enrichment still lowers DRM."""
+    start = time.time()
+    n_chunks, baseline, enhanced = _directional_effect(tmp_path, n_docs=48)
+    assert n_chunks > FusionConfig.candidate_pool
+    for k in (1, 2, 4, 8):
+        assert enhanced[k]["drm_mean"] < baseline[k]["drm_mean"], f"DRM not improved at k={k}"
+    for k in (4, 8):
+        assert enhanced[k]["span_recall_mean"] > baseline[k]["span_recall_mean"], \
+            f"span recall not improved at k={k}"
+    elapsed = time.time() - start
+    assert elapsed < 120
+    report("directional effect, N > dense pool", elapsed)
 
 
 def test_statistics_criteria():

@@ -86,9 +86,10 @@ def test_index_directory_self_contained(built_pipeline):
     meta = json.loads((index_dir / "index_meta.json").read_text())
     assert meta["embedder_backend"] == "deterministic-test"
     assert meta["dim"] == 128
-    assert (index_dir / "chunks.jsonl").exists()
-    assert (index_dir / "sparse.npz").exists()
-    assert (index_dir / "dense.npz").exists()
+    assert meta["format_version"] == 5
+    assert sorted(meta["files"]) == ["chunks", "index"]
+    assert sorted(path.name for path in index_dir.iterdir()) == [
+        "chunks.jsonl", "index.npz", "index_meta.json", "run_manifest.json"]
 
 
 def test_retrieve_emits_results_and_contexts(built_pipeline):
@@ -176,6 +177,8 @@ def test_eval_retrieval_and_compare_and_report(built_pipeline, capsys):
                     "--out", str(base / f"eval_{variant}")])
         assert code == 0
         report = json.loads((base / f"eval_{variant}" / "metric_report.json").read_text())
+        assert set(report) == {"dataset", "variant", "ks", "per_k", "per_query", "excluded",
+                               "bootstrap_iterations", "bootstrap_seed"}
         assert set(report["per_k"]) == {"1", "2", "4", "8"}
         assert report["variant"] == variant
 
@@ -217,14 +220,14 @@ def test_tampered_index_with_pickled_payload_rejected_without_running_it(
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     sentinel = tmp_path / "sentinel"
-    sparse_path = index_dir / "sparse.npz"
+    index_path = index_dir / "index.npz"
     payload = np.array([_CreatesFileWhenUnpickled(sentinel)], dtype=object)
-    with np.load(sparse_path) as data:
+    with np.load(index_path) as data:
         names = data.files
-    np.savez(sparse_path, **{name: payload for name in names})
+    np.savez(index_path, **{name: payload for name in names})
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["files"]["sparse"]["sha256"] = sha256_file(sparse_path)
+    meta["files"]["index"]["sha256"] = sha256_file(index_path)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
@@ -232,7 +235,7 @@ def test_tampered_index_with_pickled_payload_rejected_without_running_it(
     assert err["error"] == "ValueError"
     assert not sentinel.exists()
     # the payload is live: a loader that unpickles would have run it
-    with np.load(sparse_path, allow_pickle=True) as data:
+    with np.load(index_path, allow_pickle=True) as data:
         data[names[0]]
     assert sentinel.exists()
 
@@ -287,6 +290,23 @@ def test_version_3_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     assert "version 3" in err["message"] and "rebuild with `lexrag index`" in err["message"]
 
 
+def test_version_4_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    """A v4 directory (sparse.npz and dense.npz) is refused by its header."""
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    entry = meta["files"].pop("index")
+    meta["format_version"] = 4
+    meta["files"].update(sparse=entry, dense=entry)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "version 4" in err["message"] and "rebuild with `lexrag index`" in err["message"]
+
+
 def _set(name: str, index, value, dtype=None):
     """An edit that sets ``arrays[name][index] = value``, first widened to ``dtype``."""
     def edit(arrays, meta):
@@ -323,74 +343,72 @@ def _remote_with_inf(arrays, meta):
     _set("vectors", (0, 0), np.inf, np.float64)(arrays, meta)
 
 
+def _avg_len_param(arrays, meta):
+    arrays["params"] = np.array([1.2, 0.75, -1.0])
+
+
+def _reversed_doc_lengths(arrays, meta):
+    lengths = np.bincount(arrays["refs"], weights=arrays["tfs"]).astype(np.uint16)
+    arrays["doc_lengths"] = lengths[::-1]
+
+
+def _no_chunks(arrays, meta):
+    meta["n_chunks"] = 0
+    arrays.update(chunk_id_bytes=np.zeros(0, np.uint8), chunk_id_offsets=np.zeros(1, np.int64),
+                  offsets=np.zeros(arrays["offsets"].shape, np.uint8), refs=np.zeros(0, np.uint8),
+                  tfs=np.zeros(0, np.uint8), vectors=np.zeros((0, meta["dim"]), np.int8))
+
+
 _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
 
 
-@pytest.mark.parametrize("name,edit,problem", [
-    pytest.param("sparse", _set("offsets", 0, 1), _SPARSE_ORDER, id="offsets-start"),
-    pytest.param("sparse", _swap_rising_offsets, _SPARSE_ORDER, id="offsets-decrease"),
-    pytest.param("sparse", _set("offsets", -1, 0), _SPARSE_ORDER, id="offsets-end"),
-    pytest.param("sparse", _ref_past_the_last_row, "refs hold a row outside [0, ",
-                 id="refs-range"),
-    pytest.param("sparse", _set("tfs", 0, 0), "tfs hold a term frequency below 1", id="tfs-zero"),
-    pytest.param("sparse", _as("refs", np.int64),
+@pytest.mark.parametrize("edit,problem", [
+    pytest.param(_set("offsets", 0, 1), _SPARSE_ORDER, id="offsets-start"),
+    pytest.param(_swap_rising_offsets, _SPARSE_ORDER, id="offsets-decrease"),
+    pytest.param(_set("offsets", -1, 0), _SPARSE_ORDER, id="offsets-end"),
+    pytest.param(_ref_past_the_last_row, "refs hold a row outside [0, ", id="refs-range"),
+    pytest.param(_set("tfs", 0, 0), "tfs hold a term frequency below 1", id="tfs-zero"),
+    pytest.param(_as("refs", np.int64),
                  "refs is not a 1-D array in its narrowest unsigned dtype", id="refs-dtype"),
-    pytest.param("sparse", _as("tfs", np.float64),
+    pytest.param(_as("tfs", np.float64),
                  "tfs is not a 1-D array in its narrowest unsigned dtype", id="tfs-dtype"),
-    pytest.param("sparse", _set("params", 2, np.nan), "params is not 3 finite float64 values",
+    pytest.param(_set("params", 1, np.nan), "params is not 2 finite float64 values",
                  id="params-nan"),
-    pytest.param("sparse", _set("params", 0, -1.0), "BM25 k1 must be >= 0", id="params-k1"),
-    pytest.param("sparse", _set("params", 1, 3.0), "BM25 b must be in [0, 1]", id="params-b"),
-    pytest.param("dense", _drop_last_dim, "vectors have shape", id="dense-shape"),
-    pytest.param("dense", _as("vectors", np.float64), "stored as float64", id="dense-dtype"),
-    pytest.param("dense", _set("vectors", 0, 0), "a vector is not finite or has norm 0",
+    pytest.param(_set("params", 0, -1.0), "BM25 k1 must be >= 0", id="params-k1"),
+    pytest.param(_set("params", 1, 3.0), "BM25 b must be in [0, 1]", id="params-b"),
+    # BM25's chunk lengths and their mean are derived from refs and tfs, never read:
+    # at format v4, both of these loaded and changed every BM25 score
+    pytest.param(_avg_len_param, "params is not 2 finite float64 values", id="params-avg-len"),
+    pytest.param(_reversed_doc_lengths, "members ['doc_lengths'] are missing or not part of",
+                 id="doc-lengths-member"),
+    pytest.param(_no_chunks, "a sparse index holds no chunks", id="no-chunks"),
+    pytest.param(_drop_last_dim, "vectors have shape", id="dense-shape"),
+    pytest.param(_as("vectors", np.float64), "stored as float64", id="dense-dtype"),
+    pytest.param(_set("vectors", 0, 0), "a vector is not finite or has norm 0",
                  id="dense-zero-row"),
-    pytest.param("dense", _remote_with_inf, "a vector is not finite or has norm 0",
-                 id="dense-inf"),
+    pytest.param(_remote_with_inf, "a vector is not finite or has norm 0", id="dense-inf"),
 ])
-def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, name, edit, problem):
-    """An npz member edited to break the format, its sha256 recomputed in the header,
-    fails the load with the error JSON naming the file and the broken invariant."""
+def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, edit, problem):
+    """An index.npz member edited to break the format, its sha256 recomputed in the
+    header, fails the load with the error JSON naming the file and the broken
+    invariant. (The name dates from format v4; the cases are format v5's.)"""
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
-    path = index_dir / f"{name}.npz"
+    path = index_dir / "index.npz"
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     edit(arrays, meta)
     np.savez(path, **arrays)
-    meta["files"][name]["sha256"] = sha256_file(path)
+    meta["files"]["index"]["sha256"] = sha256_file(path)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
-    assert f"{name}.npz: " in err["message"] and problem in err["message"]
+    assert "index.npz: " in err["message"] and problem in err["message"]
     assert err["message"].endswith("rebuild with `lexrag index`")
-
-
-def test_index_with_mismatched_chunk_id_lists_rejected(built_pipeline, tmp_path, capsys):
-    index_dir = tmp_path / "index"
-    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
-    dense_path = index_dir / "dense.npz"
-    with np.load(dense_path) as data:
-        arrays = {name: data[name] for name in data.files}
-    blob = arrays["chunk_id_bytes"].tobytes()
-    bounds = arrays["chunk_id_offsets"].tolist()
-    ids = [blob[lo:hi] for lo, hi in zip(bounds, bounds[1:])][::-1]
-    arrays["chunk_id_bytes"] = np.frombuffer(b"".join(ids), dtype=np.uint8)
-    arrays["chunk_id_offsets"] = np.cumsum([0] + [len(i) for i in ids]).astype(np.int64)
-    np.savez_compressed(dense_path, **arrays)
-    meta_path = index_dir / "index_meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["files"]["dense"]["sha256"] = sha256_file(dense_path)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-
-    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError"
-    assert "different chunk ids" in err["message"]
 
 
 def _drop_first_row(path: Path) -> str:
@@ -553,7 +571,7 @@ def test_index_rebuilt_in_place_from_its_own_chunk_file(built_pipeline, tmp_path
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     assert run(["index", "--chunks", str(index_dir / "chunks.jsonl"), "--embedder",
                 "deterministic", "--dim", "128", "--out", str(index_dir)]) == 0
-    for name in ("chunks.jsonl", "sparse.npz", "dense.npz", "index_meta.json"):
+    for name in ("chunks.jsonl", "index.npz", "index_meta.json"):
         assert ((index_dir / name).read_bytes()
                 == (built_pipeline["index_enhanced"] / name).read_bytes())
 
@@ -849,13 +867,11 @@ def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
 _NO_DATASET = json.dumps({"variant": "baseline", "ks": [1], "per_k": {}, "per_query": {}})
 _HEADER = {"format_version": INDEX_FORMAT_VERSION, "embedder_backend": "deterministic-test"}
 _NO_FILES = json.dumps(_HEADER)
-_FILES_LIST = json.dumps({**_HEADER, "files": ["sparse", "dense", "chunks"]})
+_FILES_LIST = json.dumps({**_HEADER, "files": ["index", "chunks"]})
 _ENTRY = {"path": "x", "sha256": "0" * 64}
-_NO_SHA = json.dumps({**_HEADER,
-                      "files": {"sparse": _ENTRY, "dense": _ENTRY, "chunks": {"path": "x"}}})
+_NO_SHA = json.dumps({**_HEADER, "files": {"index": _ENTRY, "chunks": {"path": "x"}}})
 _PATH_NUMBER = json.dumps({**_HEADER,
-                           "files": {"sparse": {**_ENTRY, "path": 7}, "dense": _ENTRY,
-                                     "chunks": _ENTRY}})
+                           "files": {"index": {**_ENTRY, "path": 7}, "chunks": _ENTRY}})
 _TRUNCATED = ", line 2: not valid JSON"
 _NOT_UTF8 = b'{"top": 4,\n "dataset": "caf\xe9"}\n'  # Latin-1, not UTF-8
 
@@ -893,7 +909,7 @@ _NOT_UTF8 = b'{"top": 4,\n "dataset": "caf\xe9"}\n'  # Latin-1, not UTF-8
                  ": files entry 'chunks' is not an object with string 'path' and 'sha256'",
                  id="index_meta-no-sha256"),
     pytest.param("index_meta", "retrieve", _PATH_NUMBER,
-                 ": files entry 'sparse' is not an object with string 'path' and 'sha256'",
+                 ": files entry 'index' is not an object with string 'path' and 'sha256'",
                  id="index_meta-path-number"),
     pytest.param("config", "report", b"\xff" + _NOT_UTF8, ", line 1: not UTF-8 text (byte 0xff)",
                  id="config-not-utf8"),

@@ -134,6 +134,19 @@ def test_python_m_runs_the_cli_module_once(inputs):
     assert "lexrag.cli" not in imported and "numpy" not in imported
 
 
+@pytest.mark.parametrize("command", ["index", "retrieve"])
+def test_commands_run_under_cprofile(inputs, tmp_path, command):
+    # cProfile runs the module through runpy, in a namespace that is not the module
+    # sys.modules["__main__"] names, so lazily loaded names must resolve through the
+    # namespace the code runs in. cProfile drops the exit code: read stderr instead.
+    base = inputs[0]
+    out = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"),
+                          "-m", "lexrag.cli", *_argv(inputs, command, f"profiled_{command}")],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert (base / f"profiled_{command}" / "run_manifest.json").exists()
+
+
 @pytest.mark.parametrize("name,command", [
     ("reconstruct_dataset", "align-spans"),  # lexrag.aligner
     ("term_rows", "index"),  # lexrag.embedding

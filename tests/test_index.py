@@ -35,7 +35,7 @@ def _narrow(values: list[int]) -> np.ndarray:
 
 def reference_csr(texts: list[str]):
     """CSR arrays from per-chunk Counters: sorted terms, rows ascending in each term,
-    each array in the narrowest unsigned dtype that holds it (index format v4)."""
+    each array in the narrowest unsigned dtype that holds it (index format v5)."""
     counts = [Counter(tokenize(text)) for text in texts]
     terms = sorted(set().union(*counts))
     offsets, refs, tfs = [0], [], []
@@ -288,11 +288,46 @@ class TestPersistence:
         query = "alpha"
         assert bm25_scores(sparse2, query) == bm25_scores(sparse, query)
 
+    def test_one_file_holds_only_what_cannot_be_derived(self, tmp_path):
+        sparse, dense, path, digest = self._build(tmp_path)
+        save_indexes(tmp_path, sparse, dense, path, digest)
+        with np.load(tmp_path / "index.npz") as data:
+            assert sorted(data.files) == [
+                "chunk_id_bytes", "chunk_id_offsets", "offsets", "params", "refs",
+                "term_bytes", "term_offsets", "tfs", "vectors"]
+            assert data["params"].tolist() == [1.2, 0.75]
+
+    def test_loaded_norms_follow_from_refs_and_tfs(self, tmp_path):
+        """Each chunk's length is the sum of its tfs and avg_len their mean, on a build
+        and on a load alike; "alpha beta" scores as the BM25 formula on the texts."""
+        texts = ["alpha beta gamma", "alpha delta epsilon zeta eta", "beta theta"]
+        chunks = [make_chunk(i, text) for i, text in enumerate(texts)]
+        path = tmp_path / "input_chunks.jsonl"
+        dump_chunks(chunks, path)
+        save_indexes(tmp_path, build_sparse(chunks), build_dense(chunks, HashedBowEmbedder(dim=8)),
+                     path, sha256_file(path))
+        sparse = load_indexes(tmp_path)[0]
+        lengths = np.bincount(sparse.refs, weights=sparse.tfs, minlength=sparse.N)
+        assert lengths.tolist() == [3.0, 5.0, 2.0]
+        assert_same_array(sparse.doc_lengths, lengths)
+        assert sparse.avg_len == 10 / 3
+        assert_same_array(sparse.norms, 1.2 * (1.0 - 0.75 + 0.75 * (lengths / (10 / 3))))
+        expected = []
+        for text in texts:
+            words, score = text.split(), 0.0
+            for term in ("alpha", "beta"):
+                n_t = sum(term in other.split() for other in texts)
+                idf = math.log((3 - n_t + 0.5) / (n_t + 0.5) + 1)
+                tf = words.count(term)
+                score += idf * tf * 2.2 / (tf + 1.2 * (0.25 + 0.75 * len(words) / (10 / 3)))
+            expected.append(score)
+        assert np.allclose(bm25_score_array(sparse, "alpha beta"), expected, rtol=1e-12, atol=0)
+
     def test_checksum_mismatch_detected(self, tmp_path):
         sparse, dense, path, digest = self._build(tmp_path)
         save_indexes(tmp_path, sparse, dense, path, digest)
-        payload = (tmp_path / "dense.npz").read_bytes()
-        (tmp_path / "dense.npz").write_bytes(payload[:-2] + b"xx")
+        payload = (tmp_path / "index.npz").read_bytes()
+        (tmp_path / "index.npz").write_bytes(payload[:-2] + b"xx")
         with pytest.raises(ValueError, match="checksum"):
             load_indexes(tmp_path)
 
@@ -313,13 +348,11 @@ class TestPersistence:
         path = tmp_path / "input_chunks.jsonl"
         dump_chunks(chunks, path)
         save_indexes(tmp_path, sparse, dense, path, sha256_file(path))
-        for name in ("sparse", "dense"):
-            with zipfile.ZipFile(tmp_path / f"{name}.npz") as archive:
-                assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
-        with np.load(tmp_path / "sparse.npz") as data:
+        with zipfile.ZipFile(tmp_path / "index.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "index.npz") as data:
             assert data["tfs"].dtype == np.uint16 and data["tfs"].max() == 300
             assert data["refs"].dtype == data["offsets"].dtype == np.uint8
-        with np.load(tmp_path / "dense.npz") as data:
             assert data["vectors"].dtype == np.int16
             assert np.abs(data["vectors"]).max() >= 300
         sparse2, dense2 = load_indexes(tmp_path)
@@ -334,7 +367,7 @@ class TestPersistence:
         remote = DenseIndex(vectors=dense.vectors / dense.norms[:, None],
                             chunk_ids=dense.chunk_ids, backend="remote")
         save_indexes(tmp_path, sparse, remote, path, digest)
-        with np.load(tmp_path / "dense.npz") as data:
+        with np.load(tmp_path / "index.npz") as data:
             assert data["vectors"].dtype == np.float64
         assert np.array_equal(load_indexes(tmp_path)[1].vectors, remote.vectors)
 

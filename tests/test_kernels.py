@@ -76,11 +76,12 @@ def test_bm25_score_array_bitwise_matches_posting_loop():
     offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
     refs = np.concatenate(rows).astype(np.int64)
     tfs = rng.integers(1, 12, refs.shape[0]).astype(np.float64)
-    doc_lengths = rng.integers(5, 300, n_chunks).astype(np.float64)
-    avg_len = float(doc_lengths.mean())
     index = SparseIndex(terms=terms, offsets=offsets, refs=refs, tfs=tfs,
-                        doc_lengths=doc_lengths, avg_len=avg_len, N=n_chunks,
                         chunk_ids=[f"doc#{i:03d}" for i in range(n_chunks)], k1=k1, b=b)
+    doc_lengths = [0.0] * n_chunks
+    for r, tf in zip(refs, tfs):
+        doc_lengths[r] += tf
+    avg_len = sum(doc_lengths) / n_chunks
     query = "t3 T7 t3 unseen t19 t0 t3"
     got = bm25_score_array(index, query)
 
