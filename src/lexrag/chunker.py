@@ -25,6 +25,12 @@ _NONSPACE = re.compile(r"\S+")
 
 DEFAULT_SEPARATORS = ["\n\n", "\n", ". ", " ", ""]
 
+# the types a chunk row's keys may hold, matched exactly: JSON true is no int
+_ROW_TYPES = {**dict.fromkeys(("chunk_id", "doc_id", "text", "header_text", "full_text"), (str,)),
+              **dict.fromkeys(("start", "end", "ordinal", "core_start"), (int,)),
+              **dict.fromkeys(("hard_split", "summary_fallback"), (bool,)),
+              "metadata_fraction": (int, float)}
+
 
 def count_tokens(text: str) -> int:
     """Number of maximal nonempty whitespace-delimited segments."""
@@ -88,7 +94,12 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        """The chunk a ``to_dict`` row holds; a missing key is a ValueError naming it."""
+        """The chunk a ``to_dict`` row holds; a missing key, or one holding a value of
+        another type, is a ValueError naming it."""
+        for key, kinds in _ROW_TYPES.items():
+            if key in d and type(d[key]) not in kinds:
+                raise ValueError(f"chunk {d.get('chunk_id')!r}: key {key!r} holds "
+                                 f"{type(d[key]).__name__}, not {kinds[-1].__name__}")
         try:
             chunk = cls(
                 chunk_id=d["chunk_id"], doc_id=d["doc_id"], start=d["start"], end=d["end"],

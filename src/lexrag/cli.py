@@ -58,7 +58,7 @@ if TYPE_CHECKING:
     from lexrag.evaluator import MetricReport
     from lexrag.retriever import RetrievalContext
 
-# Names from the modules that load numpy, each imported on first use by this
+# Names from the modules that use numpy, each imported on first use by this
 # module's __getattr__ (PEP 562), so a command loads only the modules it runs.
 # Commands read them as `_cli.<name>` when they run, which looks in the namespace
 # this code runs in: a wrapper set on `lexrag.cli.<name>` (perfbench's tracer) is

@@ -27,17 +27,18 @@ that holds its values; numpy promotes them to float64 exactly wherever BM25
 computes. Chunk lengths (sums of tfs), their mean and the length norms are
 derived from them, on a build and a load alike, so no stored value sets them.
 
-This module alone writes and reads an index directory (format v5):
-``index.npz``, ``chunks.jsonl`` and the ``index_meta.json`` header holding
-format version, dimensions, backend tag and each file's sha256, checked on the
-bytes a load parses. ``index.npz`` is uncompressed and holds only what cannot
-be derived: terms, chunk ids, the CSR arrays, the vectors in the narrowest
-signed dtype (float64 for remote vectors) and ``params`` = [k1, b]. Strings
-are stored as one UTF-8 byte blob plus int64 offsets, so loading never
+This module alone writes and reads an index directory (format v6): the fixed
+file names ``index.npz`` and ``chunks.jsonl``, and the ``index_meta.json``
+header holding format version, backend tag and each file's sha256, checked on
+the bytes a load parses. ``index.npz`` is uncompressed and holds only what
+cannot be derived: terms and chunk ids, each as one uint8 array of their UTF-8
+with NUL between them, the CSR arrays, the vectors in the narrowest signed
+dtype (float64 for remote vectors) and ``params`` = [k1, b]; the chunk count
+comes from the chunk ids and the dimension from the vectors. Loading never
 unpickles: a checksum recomputed by whoever wrote the directory cannot make a
 load run code. A load also checks the member names, every array's dtype and
-shape and the CSR invariants, so a tampered file fails with a ValueError
-instead of ranking wrongly.
+shape, that the strings decode and the CSR invariants, so a tampered file
+fails with a ValueError instead of ranking wrongly.
 """
 
 from __future__ import annotations
@@ -58,14 +59,13 @@ from lexrag.chunker import Chunk, load_chunks
 from lexrag.embedding import EmbeddingProvider, TermRows, term_rows
 from lexrag.textutils import read_json, sha256_file, tokenize, write_json
 
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
 META_FILE = "index_meta.json"
 INDEX_FILE = "index.npz"
 CHUNKS_FILE = "chunks.jsonl"
 REMOTE_BACKEND = "remote"  # the one backend whose vectors are stored as floats
 _CSR_ARRAYS = ("offsets", "refs", "tfs")
-_MEMBERS = frozenset({"term_bytes", "term_offsets", "chunk_id_bytes", "chunk_id_offsets",
-                      *_CSR_ARRAYS, "vectors", "params"})
+_MEMBERS = frozenset({"terms", "chunk_ids", *_CSR_ARRAYS, "vectors", "params"})
 _UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
 _SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
 
@@ -330,101 +330,80 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, n: int) -> list[tuple
 # ---------------------------------------------------------------------------
 # persistence
 
-def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 blob (uint8) and int64 offsets (len + 1) delimiting each string in it."""
-    encoded = [text.encode("utf-8") for text in strings]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(e) for e in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
-
-
-def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-    raw = blob.tobytes()
-    bounds = offsets.tolist()
-    return [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+def _nul_joined(strings: Sequence[str], what: str) -> np.ndarray:
+    """The UTF-8 of ``strings`` with NUL between them, as one uint8 array (empty for an
+    empty list); a string that is empty or holds NUL or a lone surrogate is a ValueError."""
+    for text in strings:
+        if not text or "\0" in text:
+            raise ValueError(f"{what} {text!r} is empty or holds NUL; an index cannot store it")
+    joined = "\0".join(strings)
+    try:
+        return np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        text = strings[joined.count("\0", 0, exc.start)]
+        raise ValueError(f"{what} {text!r} holds a lone surrogate, which is not "
+                         f"Unicode text; an index cannot store it") from None
 
 
 def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
                  chunks_file: str | Path, chunks_sha256: str) -> Path:
     """Write index.npz, a byte copy of ``chunks_file`` (the chunk file the indexes were
     built from, so its rows are in row order) as chunks.jsonl, and the index_meta.json
-    header listing both with their sha256.
+    header giving the sha256 of both.
 
     index.npz is uncompressed. The CSR arrays go in their narrowest unsigned dtype, and
     the vectors in their narrowest signed dtype (a ValueError if one is not an
     integer), or as float64 for the remote backend. The chunk ids are the sparse
-    index's; both indexes are built over the same chunks.
+    index's; both indexes are built over the same chunks. A term or chunk id that
+    ``_nul_joined`` cannot store is a ValueError naming it.
 
     ``chunks_sha256`` is the sha256 of the bytes the indexes were built from; a copy
     with another one (the file changed since) is a ValueError and writes no header.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {"index": directory / INDEX_FILE, "chunks": directory / CHUNKS_FILE}
-
-    term_bytes, term_offsets = _pack_strings(sparse.terms)
-    id_bytes, id_offsets = _pack_strings(sparse.chunk_ids)
     vectors = (dense.vectors if dense.backend == REMOTE_BACKEND
                else _narrowest(dense.vectors, signed=True))
-    np.savez(files["index"], term_bytes=term_bytes, term_offsets=term_offsets,
-             chunk_id_bytes=id_bytes, chunk_id_offsets=id_offsets,
+    np.savez(directory / INDEX_FILE, terms=_nul_joined(sparse.terms, "term"),
+             chunk_ids=_nul_joined(sparse.chunk_ids, "chunk id"),
              **{name: _narrowest(getattr(sparse, name)) for name in _CSR_ARRAYS},
              vectors=vectors, params=np.asarray([sparse.k1, sparse.b], dtype=np.float64))
 
-    if not (files["chunks"].exists() and files["chunks"].samefile(chunks_file)):
-        shutil.copyfile(chunks_file, files["chunks"])
+    chunks_copy = directory / CHUNKS_FILE
+    if not (chunks_copy.exists() and chunks_copy.samefile(chunks_file)):
+        shutil.copyfile(chunks_file, chunks_copy)
 
-    digests = {name: sha256_file(path) for name, path in files.items()}
-    if digests["chunks"] != chunks_sha256:
+    digests = {name: sha256_file(directory / name) for name in (INDEX_FILE, CHUNKS_FILE)}
+    if digests[CHUNKS_FILE] != chunks_sha256:
         raise ValueError(f"{chunks_file} changed while the index was built; "
                          f"rerun `lexrag index`")
-    meta = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "n_chunks": sparse.N,
-        "dim": dense.dim,
-        "embedder_backend": dense.backend,
-        "files": {name: {"path": path.name, "sha256": digests[name]}
-                  for name, path in files.items()},
-    }
     meta_path = directory / META_FILE
-    write_json(meta, meta_path)
+    write_json({"format_version": INDEX_FORMAT_VERSION, "embedder_backend": dense.backend,
+                "sha256": digests}, meta_path)
     return meta_path
 
 
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
-    """The index_meta.json header and the bytes of its ``name`` file, after checking the
-    header's keys, the format version, that both files are listed, each with a string
-    sha256 and a string path that is a plain file name in ``directory`` (no separator,
-    not "." or ".."), and the returned bytes' sha256."""
+    """The index_meta.json header and the bytes of the file ``name`` in ``directory``,
+    after checking the format version, the backend tag, a string sha256 for each
+    fixed file name, and the returned bytes' sha256."""
     meta_path = directory / META_FILE
     meta = read_json(meta_path)
-    for key in ("format_version", "embedder_backend", "files"):
-        if key not in meta:
-            raise ValueError(f"{meta_path}: key {key!r} is missing; rebuild with `lexrag index`")
-    if meta["format_version"] != INDEX_FORMAT_VERSION:
-        raise ValueError(f"unsupported index format version {meta['format_version']} "
+    if meta.get("format_version") != INDEX_FORMAT_VERSION:
+        raise ValueError(f"unsupported index format version {meta.get('format_version')} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
                          f"rebuild with `lexrag index`")
-    files = meta["files"]
-    if not isinstance(files, dict):
-        raise ValueError(f"{meta_path}: key 'files' is not an object; rebuild with `lexrag index`")
-    for key in ("chunks", "index"):
-        if key not in files:
-            raise ValueError(f"{meta_path} lists no {key} file; rebuild with `lexrag index`")
-        entry = files[key]
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("sha256"), str)):
-            raise ValueError(f"{meta_path}: files entry {key!r} is not an object with string "
-                             f"'path' and 'sha256'; rebuild with `lexrag index`")
-        if entry["path"] in ("", ".", "..") or "/" in entry["path"] or "\\" in entry["path"]:
-            raise ValueError(f"{meta_path}: files entry {key!r} path {entry['path']!r} is not a "
-                             f"file name inside the index directory; rebuild with `lexrag index`")
-    entry = files[name]
-    data = (directory / entry["path"]).read_bytes()
+    if not isinstance(meta.get("embedder_backend"), str):
+        raise _invalid(meta_path, "key 'embedder_backend' is not a string")
+    digests = meta.get("sha256")
+    for listed in (INDEX_FILE, CHUNKS_FILE):
+        if not (isinstance(digests, dict) and isinstance(digests.get(listed), str)):
+            raise _invalid(meta_path, f"key 'sha256' gives no string for {listed}")
+    data = (directory / name).read_bytes()
     actual = hashlib.sha256(data).hexdigest()
-    if actual != entry["sha256"]:
-        raise ValueError(f"checksum mismatch for {entry['path']}: "
-                         f"expected {entry['sha256']}, got {actual}")
+    if actual != digests[name]:
+        raise ValueError(f"checksum mismatch for {name}: "
+                         f"expected {digests[name]}, got {actual}")
     return meta, data
 
 
@@ -432,19 +411,28 @@ def _invalid(path: Path, why: str) -> ValueError:
     return ValueError(f"{path}: {why}; rebuild with `lexrag index`")
 
 
-def _check_arrays(path: Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """index.npz's members: the format's names; each CSR array 1-D in its narrowest
+def _nul_split(path: Path, arrays: dict[str, np.ndarray], name: str) -> list[str]:
+    """The strings ``_nul_joined`` stored as index.npz's member ``name``."""
+    blob = arrays[name]
+    if blob.ndim != 1 or blob.dtype != np.uint8:
+        raise _invalid(path, f"{name} is not a 1-D uint8 array")
+    try:
+        text = blob.tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise _invalid(path, f"{name} is not UTF-8 text") from None
+    return text.split("\0") if text else []
+
+
+def _check_arrays(path: Path, arrays: dict[str, np.ndarray], n: int, backend: str) -> None:
+    """index.npz's numeric members for ``n`` chunks: each CSR array 1-D in its narrowest
     unsigned dtype; offsets start at 0, never decrease and end at len(refs); 0 <= refs
-    < n_chunks; tfs >= 1; two finite params; (n_chunks, dim) vectors as saved."""
-    if arrays.keys() != _MEMBERS:
-        odd = sorted(arrays.keys() ^ _MEMBERS)
-        raise _invalid(path, f"members {odd} are missing or not part of the format")
+    < n; tfs >= 1; two finite params; n rows of vectors in the dtype the backend's
+    vectors are saved in."""
     for name in _CSR_ARRAYS:
         values = arrays[name]
         if values.ndim != 1 or values.dtype.kind != "u" or _narrowest(values) is not values:
             raise _invalid(path, f"{name} is not a 1-D array in its narrowest unsigned dtype")
     offsets, refs, tfs = (arrays[name] for name in _CSR_ARRAYS)
-    n = meta["n_chunks"]
     if (offsets.shape[0] == 0 or offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1])
             or offsets[-1] != refs.shape[0]):
         raise _invalid(path, "offsets do not start at 0, rise and end at len(refs)")
@@ -457,36 +445,32 @@ def _check_arrays(path: Path, arrays: dict[str, np.ndarray], meta: dict) -> None
     params = arrays["params"]
     if params.shape != (2,) or params.dtype != np.float64 or not np.isfinite(params).all():
         raise _invalid(path, "params is not 2 finite float64 values (k1, b)")
-    vectors, backend = arrays["vectors"], meta["embedder_backend"]
-    if backend == REMOTE_BACKEND:
-        exact = vectors.dtype == np.float64
-    else:
-        exact = vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors
-    if not exact:
+    vectors = arrays["vectors"]
+    if not (vectors.dtype == np.float64 if backend == REMOTE_BACKEND else
+            vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors):
         raise _invalid(path, f"vectors of the {backend!r} backend are stored as {vectors.dtype}")
-    if vectors.shape != (n, meta["dim"]):
-        raise _invalid(path, f"vectors have shape {vectors.shape}, the header gives "
-                             f"{(n, meta['dim'])}")
+    if vectors.ndim != 2 or vectors.shape[0] != n:
+        raise _invalid(path, f"vectors have shape {vectors.shape}, not {n} rows")
 
 
 def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
     """Load a persisted index pair from index.npz, checked against its sha256 and the
-    format (see ``_check_arrays``; each vector must also be finite with a nonzero
-    norm); never unpickles."""
+    format (the member names, ``_nul_split``, ``_check_arrays``, terms strictly
+    ascending, chunk ids distinct, vectors finite and nonzero); never unpickles."""
     directory = Path(directory)
-    meta, raw = _read_checked(directory, "index")
-    if not all(type(meta.get(key)) is int and meta[key] >= 0 for key in ("n_chunks", "dim")):
-        raise _invalid(directory / META_FILE, "key 'n_chunks' or 'dim' is not a count")
-    path = directory / meta["files"]["index"]["path"]
+    meta, raw = _read_checked(directory, INDEX_FILE)
+    path = directory / INDEX_FILE
     with np.load(io.BytesIO(raw), allow_pickle=False) as data:
         arrays = dict(data)  # each member read once: an NpzFile reads on every lookup
-    _check_arrays(path, arrays, meta)
-    chunk_ids = _unpack_strings(arrays["chunk_id_bytes"], arrays["chunk_id_offsets"])
-    terms = _unpack_strings(arrays["term_bytes"], arrays["term_offsets"])
-    if len(chunk_ids) != meta["n_chunks"]:
-        raise _invalid(path, f"{len(chunk_ids)} chunk ids for {meta['n_chunks']} chunks")
+    if arrays.keys() != _MEMBERS:
+        odd = sorted(arrays.keys() ^ _MEMBERS)
+        raise _invalid(path, f"members {odd} are missing or not part of the format")
+    terms, chunk_ids = (_nul_split(path, arrays, name) for name in ("terms", "chunk_ids"))
+    _check_arrays(path, arrays, len(chunk_ids), meta["embedder_backend"])
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise _invalid(path, "terms are not strictly ascending")
+    if len(set(chunk_ids)) < len(chunk_ids):
+        raise _invalid(path, "a chunk id repeats")
     k1, b = arrays["params"].tolist()
     try:
         sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
@@ -502,5 +486,5 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
 
 def load_index_chunks(directory: str | Path) -> list[Chunk]:
     """The chunks saved with the index, in row order, checked against their sha256."""
-    meta, raw = _read_checked(Path(directory), "chunks")
-    return load_chunks(Path(directory) / meta["files"]["chunks"]["path"], raw)
+    _, raw = _read_checked(Path(directory), CHUNKS_FILE)
+    return load_chunks(Path(directory) / CHUNKS_FILE, raw)

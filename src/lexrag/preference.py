@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from lexrag.configs import WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, SplitSpec
 from lexrag.corpus import QueryRecord
 from lexrag.stats import bootstrap_ci
@@ -63,6 +61,7 @@ class PreferencePair:
 def split_dataset(records: list[QueryRecord],
                   spec: SplitSpec) -> tuple[list[QueryRecord], list[QueryRecord], list[QueryRecord]]:
     """Seeded shuffle, then contiguous train/validation/test slices."""
+    import numpy as np
     total = spec.train + spec.validation + spec.test
     if total > len(records):
         raise ValueError(f"split sizes sum to {total} but only {len(records)} records exist")
@@ -101,6 +100,7 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
     document differs; a corpus with a single source document cannot support
     set 2 and raises.
     """
+    import numpy as np
     for record in records:
         if not record.question or not record.context_text or not record.gold_answer:
             raise ValueError(f"record {record.query_id!r} lacks question/context/answer")
@@ -192,6 +192,7 @@ def token_f1(prediction: str, reference: str) -> float:
 def mean_score_with_delta_ci(pairs_a: list[tuple[str, float]], pairs_b: list[tuple[str, float]],
                              iterations: int = 10000, seed: int = 0) -> dict:
     """Paired bootstrap comparison of two per-query score sets (a - b)."""
+    import numpy as np
     by_id_a = dict(pairs_a)
     by_id_b = dict(pairs_b)
     if len(by_id_a) != len(pairs_a) or len(by_id_b) != len(pairs_b):

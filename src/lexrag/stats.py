@@ -7,14 +7,17 @@ differ from a sequential sum by a few ULPs but is exactly deterministic. Interva
 that share a seed and a sample size share one draw: ``shared_bootstrap_means``
 applies each index block to every value row, which is how a sweep or a
 comparison gets all its metric x k intervals from one resample matrix. The t-test
-tail comes from ``scipy.special.stdtr``, imported on first use.
+tail comes from ``scipy.special.stdtr``. numpy and scipy are imported on first
+use, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK_ITERATIONS = 2048
 
@@ -22,8 +25,7 @@ _BLOCK_ITERATIONS = 2048
 def bootstrap_means(values: list[float] | np.ndarray, iterations: int,
                     seed: int) -> np.ndarray:
     """Means of ``iterations`` with-replacement resamples of the full sample."""
-    return shared_bootstrap_means(np.asarray(values, dtype=np.float64)[None, :],
-                                  iterations, seed)[0]
+    return shared_bootstrap_means([values], iterations, seed)[0]
 
 
 def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.ndarray:
@@ -35,6 +37,7 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
     gathered one at a time: an (m, block, n) gather would hold m times the
     memory for no arithmetic saved.
     """
+    import numpy as np
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("values must be nonempty")
@@ -55,6 +58,7 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
 
 def percentile_ci(means: np.ndarray) -> tuple[float, float]:
     """95% percentile interval of resampled means (2.5th/97.5th pct)."""
+    import numpy as np
     # This expression gives 2.500000000000002, not 2.5; every stored CI was
     # computed with it, and a literal 2.5 can move np.percentile.
     tail = (1.0 - 0.95) / 2.0 * 100.0
@@ -82,6 +86,7 @@ def paired_ttest(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> tu
     differences are degenerate: t is ±inf and p is 0; callers can detect the
     condition with ``math.isinf(t)``.
     """
+    import numpy as np
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -96,9 +101,7 @@ def paired_ttest(a: list[float] | np.ndarray, b: list[float] | np.ndarray) -> tu
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
-    # Imported here, not at module level: every lexrag command imports this
-    # module, and only comparisons need the t tail (cold start).
-    from scipy.special import stdtr
+    from scipy.special import stdtr  # only comparisons need the t tail
 
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(stdtr(n - 1, -abs(t)))

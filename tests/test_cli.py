@@ -85,9 +85,11 @@ def test_index_directory_self_contained(built_pipeline):
     index_dir = built_pipeline["index_baseline"]
     meta = json.loads((index_dir / "index_meta.json").read_text())
     assert meta["embedder_backend"] == "deterministic-test"
-    assert meta["dim"] == 128
-    assert meta["format_version"] == 5
-    assert sorted(meta["files"]) == ["chunks", "index"]
+    assert meta["format_version"] == 6
+    assert sorted(meta) == ["embedder_backend", "format_version", "sha256"]
+    assert sorted(meta["sha256"]) == ["chunks.jsonl", "index.npz"]
+    with np.load(index_dir / "index.npz") as data:
+        assert data["vectors"].shape[1] == 128
     assert sorted(path.name for path in index_dir.iterdir()) == [
         "chunks.jsonl", "index.npz", "index_meta.json", "run_manifest.json"]
 
@@ -227,7 +229,7 @@ def test_tampered_index_with_pickled_payload_rejected_without_running_it(
     np.savez(index_path, **{name: payload for name in names})
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["files"]["index"]["sha256"] = sha256_file(index_path)
+    meta["sha256"]["index.npz"] = sha256_file(index_path)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
@@ -243,8 +245,9 @@ def test_tampered_index_with_pickled_payload_rejected_without_running_it(
 @pytest.mark.parametrize("path", ["../outside_chunks.jsonl", "sub/chunks.jsonl", "..", ".", "",
                                   "ABSOLUTE"])
 def test_index_file_path_outside_the_directory_rejected(built_pipeline, tmp_path, capsys, path):
-    """A listed path must be a plain file name inside the index directory, even when the
-    file it names exists and matches the recorded sha256."""
+    """The loader reads only the fixed file names inside the index directory: a header
+    entry (as format v5 wrote) pointing elsewhere, at a file that exists and matches
+    the recorded sha256, is never followed."""
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     outside = tmp_path / "outside_chunks.jsonl"
@@ -253,14 +256,15 @@ def test_index_file_path_outside_the_directory_rejected(built_pipeline, tmp_path
     shutil.copy(outside, index_dir / "sub" / "chunks.jsonl")
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["files"]["chunks"]["path"] = str(outside) if path == "ABSOLUTE" else path
+    meta["files"] = {"chunks": {"path": str(outside) if path == "ABSOLUTE" else path,
+                                "sha256": meta["sha256"]["chunks.jsonl"]}}
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError"
-    assert "files entry 'chunks'" in err["message"]
-    assert "not a file name inside the index directory" in err["message"]
+    assert err["error"] == "FileNotFoundError"
+    assert str(index_dir / "chunks.jsonl") in err["message"]
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
 def test_version_1_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
@@ -290,21 +294,38 @@ def test_version_3_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     assert "version 3" in err["message"] and "rebuild with `lexrag index`" in err["message"]
 
 
-def test_version_4_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
-    """A v4 directory (sparse.npz and dense.npz) is refused by its header."""
+def _earlier_header(version: int, meta: dict) -> dict:
+    """The index_meta.json a format v4 (sparse.npz and dense.npz) or v5 (index.npz)
+    directory holds: counts in the header, and a path and sha256 per file."""
+    names = {4: ("sparse", "dense"), 5: ("index",)}[version]
+    return {"format_version": version, "n_chunks": 3, "dim": 128,
+            "embedder_backend": meta["embedder_backend"],
+            "files": {name: {"path": f"{name}.npz", "sha256": "0" * 64} for name in names}
+            | {"chunks": {"path": "chunks.jsonl", "sha256": meta["sha256"]["chunks.jsonl"]}}}
+
+
+def _assert_earlier_version_refused(built_pipeline, tmp_path, capsys, version: int) -> None:
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    entry = meta["files"].pop("index")
-    meta["format_version"] = 4
-    meta["files"].update(sparse=entry, dense=entry)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    meta_path.write_text(json.dumps(_earlier_header(version, meta)), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
-    assert "version 4" in err["message"] and "rebuild with `lexrag index`" in err["message"]
+    assert f"version {version}" in err["message"]
+    assert "rebuild with `lexrag index`" in err["message"]
+
+
+def test_version_4_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    """A v4 directory (sparse.npz and dense.npz) is refused by its header."""
+    _assert_earlier_version_refused(built_pipeline, tmp_path, capsys, 4)
+
+
+def test_version_5_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    """A v5 directory (file paths and counts in its header) is refused by its header."""
+    _assert_earlier_version_refused(built_pipeline, tmp_path, capsys, 5)
 
 
 def _set(name: str, index, value, dtype=None):
@@ -324,12 +345,18 @@ def _swap_rising_offsets(arrays, meta):
 
 
 def _ref_past_the_last_row(arrays, meta):
-    n = meta["n_chunks"]
+    n = arrays["vectors"].shape[0]
     _set("refs", 0, n, np.min_scalar_type(n))(arrays, meta)
 
 
-def _drop_last_dim(arrays, meta):
-    arrays["vectors"] = arrays["vectors"][:, :-1]
+def _drop_last_row(arrays, meta):
+    arrays["vectors"] = arrays["vectors"][:-1]
+
+
+def _repeat_first_chunk_id(arrays, meta):
+    ids = arrays["chunk_ids"].tobytes().split(b"\0")
+    ids[1] = ids[0]
+    arrays["chunk_ids"] = np.frombuffer(b"\0".join(ids), dtype=np.uint8)
 
 
 def _as(name: str, dtype):
@@ -353,10 +380,9 @@ def _reversed_doc_lengths(arrays, meta):
 
 
 def _no_chunks(arrays, meta):
-    meta["n_chunks"] = 0
-    arrays.update(chunk_id_bytes=np.zeros(0, np.uint8), chunk_id_offsets=np.zeros(1, np.int64),
+    arrays.update(chunk_ids=np.zeros(0, np.uint8),
                   offsets=np.zeros(arrays["offsets"].shape, np.uint8), refs=np.zeros(0, np.uint8),
-                  tfs=np.zeros(0, np.uint8), vectors=np.zeros((0, meta["dim"]), np.int8))
+                  tfs=np.zeros(0, np.uint8), vectors=arrays["vectors"][:0].astype(np.int8))
 
 
 _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
@@ -382,7 +408,14 @@ _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
     pytest.param(_reversed_doc_lengths, "members ['doc_lengths'] are missing or not part of",
                  id="doc-lengths-member"),
     pytest.param(_no_chunks, "a sparse index holds no chunks", id="no-chunks"),
-    pytest.param(_drop_last_dim, "vectors have shape", id="dense-shape"),
+    pytest.param(_drop_last_row, "vectors have shape", id="dense-shape"),
+    # the term and chunk id blobs; at format v5 a repeated chunk id loaded, and a
+    # term blob starting with 0xff failed with a bare UnicodeDecodeError
+    pytest.param(_set("terms", 0, 0xFF), "terms is not UTF-8 text", id="terms-not-utf8"),
+    pytest.param(_as("terms", np.int64), "terms is not a 1-D uint8 array", id="terms-dtype"),
+    pytest.param(_as("chunk_ids", np.uint16), "chunk_ids is not a 1-D uint8 array",
+                 id="chunk-ids-dtype"),
+    pytest.param(_repeat_first_chunk_id, "a chunk id repeats", id="chunk-id-repeats"),
     pytest.param(_as("vectors", np.float64), "stored as float64", id="dense-dtype"),
     pytest.param(_set("vectors", 0, 0), "a vector is not finite or has norm 0",
                  id="dense-zero-row"),
@@ -391,7 +424,7 @@ _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
 def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, edit, problem):
     """An index.npz member edited to break the format, its sha256 recomputed in the
     header, fails the load with the error JSON naming the file and the broken
-    invariant. (The name dates from format v4; the cases are format v5's.)"""
+    invariant. (The name dates from format v4; the cases are format v6's.)"""
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     path = index_dir / "index.npz"
@@ -401,7 +434,7 @@ def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, edit, pro
         arrays = {key: data[key] for key in data.files}
     edit(arrays, meta)
     np.savez(path, **arrays)
-    meta["files"]["index"]["sha256"] = sha256_file(path)
+    meta["sha256"]["index.npz"] = sha256_file(path)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
@@ -432,7 +465,7 @@ def _rehash_chunks(index_dir: Path) -> None:
     gets past the checksum check to the chunk id checks."""
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["files"]["chunks"]["sha256"] = sha256_file(index_dir / "chunks.jsonl")
+    meta["sha256"]["chunks.jsonl"] = sha256_file(index_dir / "chunks.jsonl")
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
@@ -607,6 +640,41 @@ def test_chunk_row_missing_a_key_named_with_file_and_line(built_pipeline, tmp_pa
         assert named in err["message"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("chunk_id", 7), ("text", ["hello"]), ("start", True), ("ordinal", 2.0),
+    ("hard_split", 1), ("metadata_fraction", "0.1"), ("header_text", None)])
+def test_chunk_row_key_of_another_type_named_with_file_and_line(
+        built_pipeline, tmp_path, capsys, key, value):
+    path = tmp_path / "enriched.jsonl"
+    rows = [json.loads(line) for line in
+            (built_pipeline["enriched"] / "enriched.jsonl").read_text().splitlines()]
+    rows[5][key] = value
+    write_jsonl(path, rows)
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    for named in (f"{path}, line 6", repr(rows[5]["chunk_id"]), repr(key)):
+        assert named in err["message"]
+
+
+@pytest.mark.parametrize("new_id,problem", [("{}\ud800", "holds a lone surrogate"),
+                                            ("{}\x00", "is empty or holds NUL"),
+                                            ("", "is empty or holds NUL")])
+def test_chunk_id_an_index_cannot_store_named(built_pipeline, tmp_path, capsys, new_id, problem):
+    """A chunk id holding NUL or a lone surrogate (legal JSON escapes), or an empty one,
+    fails `index` with a ValueError naming it, not with an encoding error."""
+    path = tmp_path / "chunks.jsonl"
+    lines = (built_pipeline["chunks"] / "chunks.jsonl").read_text().splitlines(keepends=True)
+    row = json.loads(lines[3])
+    row["chunk_id"] = new_id.format(row["chunk_id"])
+    lines[3] = json.dumps(row) + "\n"  # ASCII: the character as a JSON escape
+    path.write_text("".join(lines), encoding="utf-8")
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert f"chunk id {row['chunk_id']!r} {problem}" in err["message"]
+
+
 def test_index_chunk_text_edited_with_id_kept_rejected(built_pipeline, tmp_path, capsys):
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
@@ -629,12 +697,12 @@ def test_index_header_without_chunks_entry_rejected(built_pipeline, tmp_path, ca
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     meta_path = index_dir / "index_meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["files"]["chunks"]
+    del meta["sha256"]["chunks.jsonl"]
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
-    assert f"{meta_path} lists no chunks file" in err["message"]
+    assert f"{meta_path}: key 'sha256' gives no string for chunks.jsonl" in err["message"]
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
@@ -867,11 +935,10 @@ def test_hostile_corpus_fails_cleanly_or_not_at_all(tmp_path, capsys):
 _NO_DATASET = json.dumps({"variant": "baseline", "ks": [1], "per_k": {}, "per_query": {}})
 _HEADER = {"format_version": INDEX_FORMAT_VERSION, "embedder_backend": "deterministic-test"}
 _NO_FILES = json.dumps(_HEADER)
-_FILES_LIST = json.dumps({**_HEADER, "files": ["index", "chunks"]})
-_ENTRY = {"path": "x", "sha256": "0" * 64}
-_NO_SHA = json.dumps({**_HEADER, "files": {"index": _ENTRY, "chunks": {"path": "x"}}})
-_PATH_NUMBER = json.dumps({**_HEADER,
-                           "files": {"index": {**_ENTRY, "path": 7}, "chunks": _ENTRY}})
+_FILES_LIST = json.dumps({**_HEADER, "sha256": ["index.npz", "chunks.jsonl"]})
+_NO_SHA = json.dumps({**_HEADER, "sha256": {"index.npz": "0" * 64}})
+_SHA_NUMBER = json.dumps({**_HEADER, "sha256": {"index.npz": 7, "chunks.jsonl": "0" * 64}})
+_NO_FILE_LISTED = ": key 'sha256' gives no string for "
 _TRUNCATED = ", line 2: not valid JSON"
 _NOT_UTF8 = b'{"top": 4,\n "dataset": "caf\xe9"}\n'  # Latin-1, not UTF-8
 
@@ -901,16 +968,14 @@ _NOT_UTF8 = b'{"top": 4,\n "dataset": "caf\xe9"}\n'  # Latin-1, not UTF-8
     pytest.param("index_meta", "retrieve", '{"dim": 128,\n', _TRUNCATED,
                  id="index_meta-truncated"),
     pytest.param("index_meta", "retrieve", "[]", ": not a JSON object", id="index_meta-array"),
-    pytest.param("index_meta", "retrieve", _NO_FILES, ": key 'files' is missing",
+    pytest.param("index_meta", "retrieve", _NO_FILES, _NO_FILE_LISTED + "index.npz",
                  id="index_meta-no-files"),
-    pytest.param("index_meta", "retrieve", _FILES_LIST, ": key 'files' is not an object",
+    pytest.param("index_meta", "retrieve", _FILES_LIST, _NO_FILE_LISTED + "index.npz",
                  id="index_meta-files-list"),
-    pytest.param("index_meta", "retrieve", _NO_SHA,
-                 ": files entry 'chunks' is not an object with string 'path' and 'sha256'",
+    pytest.param("index_meta", "retrieve", _NO_SHA, _NO_FILE_LISTED + "chunks.jsonl",
                  id="index_meta-no-sha256"),
-    pytest.param("index_meta", "retrieve", _PATH_NUMBER,
-                 ": files entry 'index' is not an object with string 'path' and 'sha256'",
-                 id="index_meta-path-number"),
+    pytest.param("index_meta", "retrieve", _SHA_NUMBER, _NO_FILE_LISTED + "index.npz",
+                 id="index_meta-sha256-number"),
     pytest.param("config", "report", b"\xff" + _NOT_UTF8, ", line 1: not UTF-8 text (byte 0xff)",
                  id="config-not-utf8"),
     pytest.param("sidecar", "chunk", _NOT_UTF8, ", line 2: not UTF-8 text (byte 0xe9)",

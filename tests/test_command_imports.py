@@ -19,7 +19,7 @@ from tests.synthcorpus import build_aus_corpus, build_legal_corpus
 
 # every lexrag module that imports numpy
 NUMPY_SIDE = {f"lexrag.{name}" for name in ("aligner", "embedding", "evaluator", "index",
-                                            "kernels", "preference", "retriever", "stats")}
+                                            "kernels", "retriever")}
 
 
 def _fresh_process(code: str) -> list[str]:
@@ -63,6 +63,8 @@ def inputs(tmp_path_factory):
                            "--k", "1,4", "--bootstrap-iterations", "50"],
         "align-spans": ["align-spans", "--root", str(aus_root), "--qa", str(aus_qa)],
         "eval-refusal": ["eval-refusal", "--outputs", str(outputs)],
+        "eval-answers": ["eval-answers", "--outputs", str(outputs), "--qa", str(aus_qa),
+                         "--format", "aus_legal_qa"],
     }
     return base, argvs
 
@@ -84,7 +86,8 @@ def test_cli_import_loads_no_third_party_or_numpy_side_module():
     assert not new & {"concurrent.futures", "urllib.request", "http.client", "ssl"}
 
 
-@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich"])
+@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "eval-refusal",
+                                     "eval-answers"])
 def test_text_commands_never_load_numpy(inputs, command):
     base = inputs[0]
     loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))

@@ -1,12 +1,15 @@
 import hashlib
+import json
 import math
+import tempfile
 import zipfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexrag.chunker import dump_chunks
@@ -35,7 +38,7 @@ def _narrow(values: list[int]) -> np.ndarray:
 
 def reference_csr(texts: list[str]):
     """CSR arrays from per-chunk Counters: sorted terms, rows ascending in each term,
-    each array in the narrowest unsigned dtype that holds it (index format v5)."""
+    each array in the narrowest unsigned dtype that holds it (index format v6)."""
     counts = [Counter(tokenize(text)) for text in texts]
     terms = sorted(set().union(*counts))
     offsets, refs, tfs = [0], [], []
@@ -56,6 +59,8 @@ def assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
 
 # repeated, non-ASCII and punctuation-only words; "..." alone yields no term
 WORDS = ["a", "b", "Court", "court", "straße", "Ärger", "日本語", "İstanbul", "x1", "...", "—"]
+# any character UTF-8 can encode (no lone surrogate) but NUL, which separates ids
+STORABLE = st.characters(codec="utf-8", exclude_characters="\0")
 
 
 class TestBuildSparse:
@@ -293,9 +298,37 @@ class TestPersistence:
         save_indexes(tmp_path, sparse, dense, path, digest)
         with np.load(tmp_path / "index.npz") as data:
             assert sorted(data.files) == [
-                "chunk_id_bytes", "chunk_id_offsets", "offsets", "params", "refs",
-                "term_bytes", "term_offsets", "tfs", "vectors"]
+                "chunk_ids", "offsets", "params", "refs", "terms", "tfs", "vectors"]
             assert data["params"].tolist() == [1.2, 0.75]
+            assert data["chunk_ids"].tobytes() == "\0".join(sparse.chunk_ids).encode()
+        meta = json.loads((tmp_path / "index_meta.json").read_text(encoding="utf-8"))
+        assert meta == {"format_version": 6, "embedder_backend": dense.backend,
+                        "sha256": {"index.npz": sha256_file(tmp_path / "index.npz"),
+                                   "chunks.jsonl": digest}}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.text(STORABLE, min_size=1),
+                              st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)),
+                    min_size=1, max_size=6, unique_by=lambda row: row[0]))
+    @example([("§ 1#0", "..."), ("日本#1", "— ...")])  # chunks without a single term
+    def test_round_trip_of_any_storable_strings(self, rows):
+        """Non-ASCII terms and chunk ids, and an index without terms, load back equal."""
+        chunks = [replace(make_chunk(i, text), chunk_id=chunk_id)
+                  for i, (chunk_id, text) in enumerate(rows)]
+        sparse = build_sparse(chunks)
+        # integer rows with nonzero norms; a chunk without terms embeds to zero
+        dense = DenseIndex(vectors=np.arange(1, 3 * len(rows) + 1).reshape(-1, 3),
+                           chunk_ids=sparse.chunk_ids, backend="deterministic-test")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input_chunks.jsonl"
+            dump_chunks(chunks, path)
+            save_indexes(Path(tmp) / "index", sparse, dense, path, sha256_file(path))
+            sparse2, dense2 = load_indexes(Path(tmp) / "index")
+        assert sparse2.terms == sparse.terms
+        assert sparse2.chunk_ids == dense2.chunk_ids == [cid for cid, _ in rows]
+        for name in ("offsets", "refs", "tfs"):
+            assert_same_array(getattr(sparse2, name), getattr(sparse, name))
+        assert np.array_equal(dense2.vectors, dense.vectors)
 
     def test_loaded_norms_follow_from_refs_and_tfs(self, tmp_path):
         """Each chunk's length is the sum of its tfs and avg_len their mean, on a build
