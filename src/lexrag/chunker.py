@@ -94,8 +94,9 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        """The chunk a ``to_dict`` row holds; a missing key, or one holding a value of
-        another type, is a ValueError naming it."""
+        """The chunk a ``to_dict`` row holds; a missing key, one holding a value of
+        another type, or one whose value ``_check_values`` rejects is a ValueError
+        naming it."""
         for key, kinds in _ROW_TYPES.items():
             if key in d and type(d[key]) not in kinds:
                 raise ValueError(f"chunk {d.get('chunk_id')!r}: key {key!r} holds "
@@ -107,18 +108,39 @@ class Chunk:
                 core_start=d.get("core_start", d["start"]),
                 hard_split=d.get("hard_split", False),
             )
-            if "header_text" not in d and "full_text" not in d:
-                return chunk
-            chunk.header_text = d["header_text"]
-            chunk.metadata_fraction = d["metadata_fraction"]
-            full_text = d["full_text"]
+            if "header_text" in d or "full_text" in d:
+                chunk.header_text = d["header_text"]
+                chunk.metadata_fraction = d["metadata_fraction"]
+                chunk.summary_fallback = d.get("summary_fallback", False)
+                if d["full_text"] != chunk.full_text:
+                    raise ValueError(f"chunk {chunk.chunk_id!r}: stored full_text is not "
+                                     f"header_text + newline + text")
         except KeyError as exc:
             raise ValueError(f"chunk {d.get('chunk_id')!r}: missing key {exc.args[0]!r}") from None
-        chunk.summary_fallback = d.get("summary_fallback", False)
-        if full_text != chunk.full_text:
-            raise ValueError(f"chunk {chunk.chunk_id!r}: stored full_text is not "
-                             f"header_text + newline + text")
+        chunk._check_values()
         return chunk
+
+    def _check_values(self) -> None:
+        """Offsets 0 <= start <= core_start <= end, text of length end - start,
+        ordinal >= 0 and metadata_fraction in [0, 1], as the chunker and the
+        enricher write them."""
+        if self.start < 0:
+            raise self._bad("start", "below 0")
+        if self.end < self.start:
+            raise self._bad("end", f"below start {self.start}")
+        if not self.start <= self.core_start <= self.end:
+            raise self._bad("core_start", f"outside [start, end] = [{self.start}, {self.end}]")
+        if len(self.text) != self.end - self.start:
+            raise ValueError(f"chunk {self.chunk_id!r}: key 'text' holds {len(self.text)} "
+                             f"characters, not end - start = {self.end - self.start}")
+        if self.ordinal < 0:
+            raise self._bad("ordinal", "below 0")
+        if not 0.0 <= self.metadata_fraction <= 1.0:  # NaN fails too
+            raise self._bad("metadata_fraction", "not in [0, 1]")
+
+    def _bad(self, key: str, why: str) -> ValueError:
+        return ValueError(f"chunk {self.chunk_id!r}: key {key!r} holds "
+                          f"{getattr(self, key)!r}, {why}")
 
 
 @dataclass

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # its wall time (78-90 -> 51-53 ms) but spend more CPU (101-109 ms). Over the
 # deterministic embedder's integer counts the scores are the same bits under any
 # thread count or BLAS kernel; remote vectors are floats, whose scores hold only
-# per kernel and thread count. scipy's bundled OpenBLAS reads the same variable.
+# per kernel and thread count.
 # A caller's own OPENBLAS_NUM_THREADS wins. The variable sizes the pool only if
 # numpy is not loaded yet; the run manifest records whether it was (a caller that
 # imported numpy first keeps the pool it started).

@@ -386,9 +386,13 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
 def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     """The index_meta.json header and the bytes of the file ``name`` in ``directory``,
     after checking the format version, the backend tag, a string sha256 for each
-    fixed file name, and the returned bytes' sha256."""
+    fixed file name, and the returned bytes' sha256. A missing file is a ValueError
+    naming it."""
     meta_path = directory / META_FILE
-    meta = read_json(meta_path)
+    try:
+        meta = read_json(meta_path)
+    except FileNotFoundError:
+        raise _invalid(meta_path, "file is missing") from None
     if meta.get("format_version") != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {meta.get('format_version')} "
                          f"(this lexrag reads version {INDEX_FORMAT_VERSION}); "
@@ -399,7 +403,10 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     for listed in (INDEX_FILE, CHUNKS_FILE):
         if not (isinstance(digests, dict) and isinstance(digests.get(listed), str)):
             raise _invalid(meta_path, f"key 'sha256' gives no string for {listed}")
-    data = (directory / name).read_bytes()
+    try:
+        data = (directory / name).read_bytes()
+    except FileNotFoundError:
+        raise _invalid(directory / name, "file is missing") from None
     actual = hashlib.sha256(data).hexdigest()
     if actual != digests[name]:
         raise ValueError(f"checksum mismatch for {name}: "

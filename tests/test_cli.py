@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import platform
 import shutil
 import subprocess
@@ -262,8 +263,21 @@ def test_index_file_path_outside_the_directory_rejected(built_pipeline, tmp_path
 
     assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "FileNotFoundError"
+    assert err["error"] == "ValueError"
     assert str(index_dir / "chunks.jsonl") in err["message"]
+    assert err["message"].endswith("rebuild with `lexrag index`")
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
+
+@pytest.mark.parametrize("name", ["index_meta.json", "index.npz", "chunks.jsonl"])
+def test_index_missing_a_file_asks_for_rebuild(built_pipeline, tmp_path, capsys, name):
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    (index_dir / name).unlink()
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{index_dir / name}: file is missing; rebuild with `lexrag index`"
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
@@ -655,6 +669,43 @@ def test_chunk_row_key_of_another_type_named_with_file_and_line(
     assert err["error"] == "ValueError"
     for named in (f"{path}, line 6", repr(rows[5]["chunk_id"]), repr(key)):
         assert named in err["message"]
+
+
+@pytest.mark.parametrize("edit,key", [
+    pytest.param(lambda row: {"start": -1}, "start", id="start-below-0"),
+    pytest.param(lambda row: {"start": 50, "end": -3}, "end", id="end-before-start"),
+    pytest.param(lambda row: {"core_start": row["end"] + 1}, "core_start",
+                 id="core-start-past-end"),
+    pytest.param(lambda row: {"core_start": row["start"] - 1}, "core_start",
+                 id="core-start-before-start"),
+    pytest.param(lambda row: {"end": row["end"] - 1}, "text", id="text-longer-than-span"),
+    pytest.param(lambda row: {"ordinal": -7}, "ordinal", id="ordinal-below-0"),
+    pytest.param(lambda row: {"metadata_fraction": math.nan}, "metadata_fraction",
+                 id="fraction-nan"),
+    pytest.param(lambda row: {"metadata_fraction": math.inf}, "metadata_fraction",
+                 id="fraction-inf"),
+    pytest.param(lambda row: {"metadata_fraction": 1.5}, "metadata_fraction",
+                 id="fraction-above-1"),
+    pytest.param(lambda row: {"metadata_fraction": -0.25}, "metadata_fraction",
+                 id="fraction-below-0"),
+])
+def test_chunk_row_value_out_of_range_named_with_file_and_line(
+        built_pipeline, tmp_path, capsys, edit, key):
+    """Offsets that are not 0 <= start <= core_start <= end, text whose length is not
+    end - start, a negative ordinal or a metadata_fraction outside [0, 1] fail `index`."""
+    path = tmp_path / "enriched.jsonl"
+    rows = [json.loads(line) for line in
+            (built_pipeline["enriched"] / "enriched.jsonl").read_text().splitlines()]
+    row = rows[5]
+    assert 0 < row["start"] < row["core_start"] < row["end"]
+    row.update(edit(row))
+    write_jsonl(path, rows)
+    assert run(["index", "--chunks", str(path), "--out", str(tmp_path / "index")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    for named in (f"{path}, line 6", repr(row["chunk_id"]), repr(key)):
+        assert named in err["message"]
+    assert not (tmp_path / "index" / "index_meta.json").exists()
 
 
 @pytest.mark.parametrize("new_id,problem", [("{}\ud800", "holds a lone surrogate"),

@@ -49,10 +49,20 @@ def inputs(tmp_path_factory):
     outputs = base / "outputs.jsonl"
     write_jsonl(outputs, [{"query_id": r["query_id"], "set_tag": "set1_correct_context",
                            "output": r["Answer"]} for r in records])
+    other_outputs = base / "other_outputs.jsonl"
+    write_jsonl(other_outputs, [{"query_id": r["query_id"], "set_tag": "set1_correct_context",
+                                 "output": r["Question"]} for r in records])
     corpus = ["--root", str(root), "--manifest", str(manifest)]
     assert cli.main(["chunk", *corpus, "--out", str(base / "chunks")]) == 0
     chunks = base / "chunks" / "chunks.jsonl"
     assert cli.main(["index", "--chunks", str(chunks), "--out", str(base / "index")]) == 0
+    assert cli.main(["enrich", *corpus, "--chunks", str(chunks), "--out", str(base / "enriched")]) == 0
+    assert cli.main(["index", "--chunks", str(base / "enriched" / "enriched.jsonl"),
+                     "--out", str(base / "index_enriched")]) == 0
+    for variant, index in (("baseline", "index"), ("enhanced", "index_enriched")):
+        assert cli.main(["eval-retrieval", "--index", str(base / index), "--qa", str(qa),
+                         "--k", "1,4", "--bootstrap-iterations", "50", "--variant", variant,
+                         "--out", str(base / f"eval_{variant}")]) == 0
     argvs = {
         "ingest": ["ingest", *corpus, "--qa", str(qa)],
         "chunk": ["chunk", *corpus],
@@ -65,7 +75,12 @@ def inputs(tmp_path_factory):
         "eval-refusal": ["eval-refusal", "--outputs", str(outputs)],
         "eval-answers": ["eval-answers", "--outputs", str(outputs), "--qa", str(aus_qa),
                          "--format", "aus_legal_qa"],
+        "compare": ["compare", "--bootstrap-iterations", "50",
+                    "--baseline", str(base / "eval_baseline" / "metric_report.json"),
+                    "--enhanced", str(base / "eval_enhanced" / "metric_report.json")],
     }
+    argvs["eval-answers --compare-with"] = [*argvs["eval-answers"], "--bootstrap-iterations",
+                                            "50", "--compare-with", str(other_outputs)]
     return base, argvs
 
 
@@ -108,6 +123,22 @@ def test_array_commands_load_only_their_own_modules(inputs, command, needed):
     assert "scipy" not in loaded
     manifest = json.loads((base / f"fresh_{command}" / "run_manifest.json").read_text())
     assert manifest["environment"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("command", ["compare", "eval-answers --compare-with"])
+def test_comparisons_load_numpy_and_no_scipy(inputs, command):
+    # the paired t-test's tail is stdlib arithmetic; numpy draws the bootstrap
+    base = inputs[0]
+    out = f"fresh_{command.replace(' --', '_')}"
+    loaded = _run_in_fresh_process(_argv(inputs, command, out))
+    assert "numpy" in loaded and "scipy" not in loaded
+    if command == "compare":
+        p_values = [c["p_value"] for c in
+                    json.loads((base / out / "comparison.json").read_text())["comparisons"]]
+        assert any(0.0 < p < 1.0 for p in p_values)  # the tail itself ran
+    else:
+        report = json.loads((base / out / "answer_report.json").read_text())
+        assert "comparison" in report
 
 
 def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):

@@ -1,10 +1,13 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from lexrag.stats import (
+    _two_sided_t_tail,
     bonferroni,
     bootstrap_ci,
     bootstrap_means,
@@ -153,6 +156,70 @@ class TestPairedTtest:
             paired_ttest([1.0], [2.0])
         with pytest.raises(ValueError):
             paired_ttest([1.0, 2.0], [1.0])
+
+
+def exact_two_sided_p(t: float, df: int) -> mpmath.mpf:
+    """I_x(df/2, 1/2) at x = df/(df + t^2) with the float t taken exactly, at 40 digits."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(df)
+        t2 = mpmath.mpf(t) ** 2
+        return mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t2), regularized=True)
+
+
+def relative_error(t: float, df: int) -> float:
+    """The tail's relative error against mpmath; 0 when both are below 1e-300, where
+    p underflows and a relative error says nothing."""
+    exact = exact_two_sided_p(t, df)
+    p = _two_sided_t_tail(t, df)
+    if exact < 1e-300:
+        return 0.0 if p < 1e-290 else math.inf
+    return float(abs(p - exact) / exact)
+
+
+class TestTwoSidedTail:
+    def test_seeded_pairs_match_mpmath(self):
+        # df log-uniform in [1, 1e5], |t| log-uniform in [1e-3, 40]
+        rng = random.Random(708)
+        worst = {True: 0.0, False: 0.0}
+        for _ in range(1000):
+            df = round(10 ** rng.uniform(0, 5))
+            t = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, math.log10(40))
+            p = _two_sided_t_tail(t, df)
+            assert 0.0 <= p <= 1.0
+            assert _two_sided_t_tail(-t, df) == p
+            worst[df <= 1000] = max(worst[df <= 1000], relative_error(t, df))
+        assert worst[True] <= 2e-13
+        assert worst[False] <= 1e-11
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 100, 10**5])
+    def test_zero_t_gives_exactly_one(self, df):
+        assert _two_sided_t_tail(0.0, df) == 1.0
+        assert _two_sided_t_tail(-0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10**5])
+    @pytest.mark.parametrize("t", [1e-300, 1e-12, 0.5, 1.0, 2.0, 10.0, 40.0])
+    def test_fixed_cases_match_mpmath(self, t, df):
+        assert 0.0 <= _two_sided_t_tail(t, df) <= 1.0
+        assert relative_error(t, df) <= 2e-13
+
+    def test_tiny_t_rounds_to_one(self):
+        # 1 - p is about 1e-300 and 6e-13: the first rounds away, the second does not
+        assert _two_sided_t_tail(1e-300, 1) == 1.0
+        assert math.isclose(1.0 - _two_sided_t_tail(1e-12, 1), 2e-12 / math.pi, rel_tol=1e-3)
+
+    @pytest.mark.parametrize("t", [1e-6, 0.25, 1.0, 3.0, 1e8])
+    def test_closed_forms(self, t):
+        # df 1 is the Cauchy distribution, p = (2/pi) atan(1/t); df 2 has
+        # p = 1 - t / r with r = sqrt(2 + t^2), written here without the cancellation
+        r = math.sqrt(2 + t * t)
+        assert math.isclose(_two_sided_t_tail(t, 1), 2 / math.pi * math.atan(1 / t),
+                            rel_tol=1e-14)
+        assert math.isclose(_two_sided_t_tail(t, 2), 2 / (r * (r + t)), rel_tol=1e-14)
+
+    def test_unbounded_t(self):
+        assert _two_sided_t_tail(math.inf, 5) == 0.0
+        assert math.isclose(_two_sided_t_tail(1e200, 1), 2 / math.pi / 1e200, rel_tol=1e-12)
+        assert math.isnan(_two_sided_t_tail(math.nan, 5))
 
 
 class TestBonferroni:
