@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from lexrag.configs import ChunkConfig
 from lexrag.corpus import Document
 from lexrag.textutils import read_jsonl, write_jsonl
 
@@ -35,18 +36,6 @@ _ROW_TYPES = {**dict.fromkeys(("chunk_id", "doc_id", "text", "header_text", "ful
 def count_tokens(text: str) -> int:
     """Number of maximal nonempty whitespace-delimited segments."""
     return len(text.split())
-
-
-@dataclass
-class ChunkConfig:
-    target_tokens: int = 256
-    overlap_tokens: int = 50
-
-    def __post_init__(self) -> None:
-        if self.target_tokens <= 0:
-            raise ValueError("target_tokens must be positive")
-        if not (0 <= self.overlap_tokens < self.target_tokens):
-            raise ValueError("overlap_tokens must satisfy 0 <= overlap < target")
 
 
 @dataclass

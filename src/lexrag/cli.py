@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # One BLAS thread per lexrag process, set before any lexrag module loads numpy.
 # This module loads none: numpy loads with the first command module that needs
-# it (`_LAZY` below), so ingest, chunk and enrich never load it. numpy's OpenBLAS
+# it (`_LAZY` below), so the text-only commands never load it. numpy's OpenBLAS
 # starts a worker pool when it loads; starting it and letting its worker spin
 # cost every command 0.07-0.24 s of CPU on a 2-core VM, 31-49% of the command's
 # CPU. The only BLAS call on a command path is one matrix product per block of
@@ -42,32 +42,34 @@ BLAS_ENV_IN_EFFECT = "numpy" not in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import lexrag  # noqa: E402
-from lexrag.chunker import Chunk, ChunkConfig, dump_chunks, load_chunks, split_recursive
-from lexrag.configs import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
-                            AlignConfig, FusionConfig, SplitSpec)
-from lexrag.corpus import (DocumentCollection, convert_spans_to_char, dataset_counts,
-                           load_documents, load_qa_dataset, validate_annotations)
-# load_enriched is unused here, but perfbench's tracer wraps it under this
-# module's name, so the name must stay importable from it.
-from lexrag.enricher import (DEFAULT_WINDOW, ExtractiveSummarizer, RemoteSummarizer,  # noqa: F401
-                             dump_enriched, enrich_document_chunks, load_enriched)
-from lexrag.remote import RemoteConfig
+from lexrag.configs import (DEFAULT_WINDOW, WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
+                            AlignConfig, ChunkConfig, FusionConfig, RemoteConfig, SplitSpec)
 from lexrag.textutils import read_json, sha256_file, write_json, write_jsonl
 
 if TYPE_CHECKING:
+    from lexrag.chunker import Chunk
+    from lexrag.corpus import DocumentCollection
     from lexrag.evaluator import MetricReport
     from lexrag.retriever import RetrievalContext
 
-# Names from the modules that use numpy, each imported on first use by this
-# module's __getattr__ (PEP 562), so a command loads only the modules it runs.
-# Commands read them as `_cli.<name>` when they run, which looks in the namespace
-# this code runs in: a wrapper set on `lexrag.cli.<name>` (perfbench's tracer) is
-# then what they call. That namespace is this module's, or under runpy (`python -m
-# lexrag.cli`, `python -m cProfile -m lexrag.cli`) the dict runpy made, which need
-# not be any module in sys.modules.
+# The names commands use from every lexrag module but configs and textutils, each
+# module imported on first use by this module's __getattr__ (PEP 562), so a command
+# compiles and runs only the modules it calls, and numpy loads only with the
+# modules that compute arrays. Commands read these names as `_cli.<name>` when
+# they run, which looks in the namespace this code runs in: a wrapper set on
+# `lexrag.cli.<name>` (perfbench's tracer) is then what they call. That namespace
+# is this module's, or under runpy (`python -m lexrag.cli`, `python -m cProfile -m
+# lexrag.cli`) the dict runpy made, which need not be any module in sys.modules.
+# load_enriched is unused here, but perfbench's tracer wraps it under this
+# module's name, so the name must stay importable from it.
 _LAZY = {name: module for module, names in (
     ("lexrag.aligner", ("reconstruct_dataset", "save_aligned_dataset")),
+    ("lexrag.chunker", ("dump_chunks", "load_chunks", "split_recursive")),
+    ("lexrag.corpus", ("convert_spans_to_char", "dataset_counts", "load_documents",
+                       "load_qa_dataset", "validate_annotations")),
     ("lexrag.embedding", ("get_embedder", "term_rows")),
+    ("lexrag.enricher", ("ExtractiveSummarizer", "RemoteSummarizer", "dump_enriched",
+                         "enrich_document_chunks", "load_enriched")),
     ("lexrag.evaluator", ("MetricReport", "compare_reports", "render_comparison_table",
                           "render_table", "sweep")),
     ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "load_index_chunks",
@@ -181,18 +183,18 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
 # summary and returns the input paths its run manifest checksums
 
 def cmd_ingest(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings["manifest"])
+    docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     report = {
         "documents": len(docs),
         "document_errors": [asdict(e) for e in docs.errors],
     }
     qa_path = settings["qa"]
     if qa_path:
-        records, errors = load_qa_dataset(qa_path, settings["format"])
+        records, errors = _cli.load_qa_dataset(qa_path, settings["format"])
         if settings["span_unit"] == "byte":
-            errors = errors + convert_spans_to_char(records, docs)
-        validation = validate_annotations(records, docs)
-        report["qa"] = dataset_counts(records)
+            errors = errors + _cli.convert_spans_to_char(records, docs)
+        validation = _cli.validate_annotations(records, docs)
+        report["qa"] = _cli.dataset_counts(records)
         report["qa_errors"] = [asdict(e) for e in errors]
         report["validation"] = validation.to_dict()
     write_json(report, out_dir / "ingest_report.json")
@@ -202,22 +204,22 @@ def cmd_ingest(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_chunk(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings["manifest"])
+    docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     cfg = ChunkConfig(target_tokens=settings["target"], overlap_tokens=settings["overlap"])
-    all_chunks = [chunk for doc in docs for chunk in split_recursive(doc, cfg)]
-    dump_chunks(all_chunks, out_dir / "chunks.jsonl")
+    all_chunks = [chunk for doc in docs for chunk in _cli.split_recursive(doc, cfg)]
+    _cli.dump_chunks(all_chunks, out_dir / "chunks.jsonl")
     print(json.dumps({"documents": len(docs), "chunks": len(all_chunks)}, sort_keys=True))
     return _corpus_inputs(settings, docs)
 
 
 def cmd_enrich(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings["manifest"])
-    chunks = load_chunks(Path(settings["chunks"]))
+    docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
+    chunks = _cli.load_chunks(Path(settings["chunks"]))
     if settings["summarizer"] == "remote":
-        provider = RemoteSummarizer(
+        provider = _cli.RemoteSummarizer(
             _remote_config(settings, "remote summarizer requires --endpoint"))
     else:
-        provider = ExtractiveSummarizer()
+        provider = _cli.ExtractiveSummarizer()
 
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -227,11 +229,11 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
         doc = docs.get(doc_id)
         if doc is None:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
-        enriched.extend(enrich_document_chunks(
+        enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
             window=settings["window"], stride=settings["stride"],
             max_fraction=settings["max_fraction"], max_workers=settings["workers"]))
-    dump_enriched(enriched, out_dir / "enriched.jsonl")
+    _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
     return [*_corpus_inputs(settings, docs), settings["chunks"]]
@@ -242,7 +244,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     # the index stores this file as its chunks.jsonl, as given; holding its bytes
     # only while parsing keeps them out of the build's peak memory
     chunks_data = chunks_path.read_bytes()
-    chunks = load_chunks(chunks_path, chunks_data)
+    chunks = _cli.load_chunks(chunks_path, chunks_data)
     chunks_sha256 = hashlib.sha256(chunks_data).hexdigest()
     del chunks_data
     if not chunks:
@@ -271,7 +273,7 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     if top < 1:
         raise ValueError(f"top must be >= 1, not {top}")
     ctx, chunks = _retrieval_context(settings, k=max(settings["k"], top))
-    records, errors = load_qa_dataset(settings["qa"], settings["format"])
+    records, errors = _cli.load_qa_dataset(settings["qa"], settings["format"])
     results = list(ctx.retrieve_many([r.question for r in records],
                                      [r.query_id for r in records]))
     contexts = []
@@ -295,7 +297,7 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
     ks = _parse_k_list(settings["k"])
     ctx, _ = _retrieval_context(settings, k=max(ks))
     qa_path = settings["qa"]
-    records, _ = load_qa_dataset(qa_path, settings["format"])
+    records, _ = _cli.load_qa_dataset(qa_path, settings["format"])
     report = _cli.sweep(records, ctx, ks,
                         dataset=settings["dataset_name"] or Path(qa_path).stem,
                         variant=settings["variant"],
@@ -308,8 +310,8 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:
-    docs = load_documents(Path(settings["root"]), settings["manifest"])
-    records, errors = load_qa_dataset(settings["qa"], "aus_legal_qa")
+    docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
+    records, errors = _cli.load_qa_dataset(settings["qa"], "aus_legal_qa")
     cfg = AlignConfig(shingle_size=settings["shingle_size"], min_score=settings["min_score"],
                       max_window_slack=settings["slack"])
     aligned, align_report = _cli.reconstruct_dataset(records, docs, cfg)
@@ -322,7 +324,7 @@ def cmd_align_spans(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
-    records, errors = load_qa_dataset(settings["qa"], "aus_legal_qa")
+    records, errors = _cli.load_qa_dataset(settings["qa"], "aus_legal_qa")
     seed = settings["seed"]
     spec = SplitSpec(train=settings["train"], validation=settings["validation"],
                      test=settings["test"], seed=seed)
@@ -355,7 +357,7 @@ def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_eval_answers(settings: dict, out_dir: Path) -> list:
-    records, _ = load_qa_dataset(settings["qa"], settings["format"])
+    records, _ = _cli.load_qa_dataset(settings["qa"], settings["format"])
     references = {r.query_id: r.gold_answer for r in records}
 
     def score_file(path: Path) -> list[tuple[str, float]]:
@@ -500,8 +502,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per ``COMMANDS`` entry and one flag per setting that has one.
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """One subcommand per ``COMMANDS`` entry, and one flag per setting that has one
+    on the subcommand named ``command`` alone: the one that parses its arguments.
 
     Flags default to None, so ``_settings`` can tell a given flag from an
     absent one; the help text shows the table's default. No flag is required
@@ -512,11 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lexrag",
         description="Hybrid retrieval and evaluation pipeline for long legal documents")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        sub = commands.add_parser(name, help=command.help)
+    for name, spec in COMMANDS.items():
+        sub = commands.add_parser(name, help=spec.help)
+        if name != command:
+            continue
         sub.set_defaults(error=sub.error)
         sub.add_argument("--config", help="JSON config file; flags override its keys")
-        for s in filter(lambda s: s.flag, command.settings):
+        for s in filter(lambda s: s.flag, spec.settings):
             default = ("(required)" if s.required else
                        None if s.default is None else f"(default: {s.default})")
             help = " ".join(filter(None, (s.help, default))) or None
@@ -565,7 +570,8 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         settings = _settings(args)
         missing = [_flag(s) for s in COMMANDS[args.command].settings

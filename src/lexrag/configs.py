@@ -1,15 +1,40 @@
 """Configuration records whose defaults the CLI's settings table reads.
 
 They live here, apart from the code that uses them, so the table can be built
-without loading numpy. Each is also importable from the module that uses it:
-``lexrag.retriever.FusionConfig``, ``lexrag.aligner.AlignConfig``,
-``lexrag.preference.SplitSpec`` and the two prompt template names in
-``lexrag.preference``.
+without loading any other lexrag module. Each is also importable from the module
+that uses it: ``lexrag.chunker.ChunkConfig``, ``lexrag.enricher.DEFAULT_WINDOW``,
+``lexrag.remote.RemoteConfig``, ``lexrag.retriever.FusionConfig``,
+``lexrag.aligner.AlignConfig``, ``lexrag.preference.SplitSpec`` and the two
+prompt template names in ``lexrag.preference``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# chunks per enrichment summary window
+DEFAULT_WINDOW = 4
+
+
+@dataclass
+class ChunkConfig:
+    target_tokens: int = 256
+    overlap_tokens: int = 50
+
+    def __post_init__(self) -> None:
+        if self.target_tokens <= 0:
+            raise ValueError("target_tokens must be positive")
+        if not (0 <= self.overlap_tokens < self.target_tokens):
+            raise ValueError("overlap_tokens must satisfy 0 <= overlap < target")
+
+
+@dataclass
+class RemoteConfig:
+    endpoint: str
+    auth_token: str | None = None
+    timeout_seconds: float = 30.0
+    retries: int = 2
+    backoff_seconds: float = 0.5
 
 
 @dataclass

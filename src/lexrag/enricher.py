@@ -20,11 +20,11 @@ from pathlib import Path
 from typing import Protocol
 
 from lexrag.chunker import Chunk, count_tokens, dump_chunks, load_chunks
+from lexrag.configs import DEFAULT_WINDOW
 from lexrag.corpus import DocumentMeta
 from lexrag.textutils import split_sentences
 
 SUMMARY_TOKEN_CAP = 200
-DEFAULT_WINDOW = 4
 
 
 class SummarizerProvider(Protocol):

@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from lexrag.corpus import QueryRecord
-from lexrag.retriever import RetrievalContext, RetrievalResult
 # bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
 # perfbench's tracer wraps them under this module's name.
 from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F401
                           paired_delta_ci, paired_ttest, percentile_ci, shared_bootstrap_means)
+
+if TYPE_CHECKING:  # for annotations alone, so `compare` and `report` load neither module
+    from lexrag.corpus import QueryRecord
+    from lexrag.retriever import RetrievalContext, RetrievalResult
 
 DEFAULT_KS = [1, 2, 4, 8, 16, 32, 64]
 # The metrics every sweep reports and every comparison tests, in output order.
@@ -109,15 +112,28 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
-        """The report a ``to_dict`` payload holds; a missing key is a ValueError
-        naming ``where`` (the report's file) and the key."""
+        """The report a ``to_dict`` payload holds. A missing key, or a per-query
+        value that is not a finite number in its metric's range at exactly the
+        report's ks, is a ValueError naming ``where`` (the report's file) and the
+        key, or the query, metric and k."""
         for key in ("dataset", "variant", "ks", "per_k", "per_query"):
             if key not in d:
                 raise ValueError(f"{where}: key {key!r} is missing")
+        ks = d["ks"]
+        if not isinstance(ks, list) or any(type(k) is not int for k in ks):
+            raise ValueError(f"{where}: key 'ks' must be a list of integers, not {ks!r}")
+        if not isinstance(d["per_query"], dict):
+            raise ValueError(f"{where}: key 'per_query' must be an object")
+        for qid, metrics in d["per_query"].items():
+            for metric in METRICS:
+                by_k = metrics.get(metric) if isinstance(metrics, dict) else None
+                if not isinstance(by_k, dict):
+                    raise ValueError(f"{where}: query {qid!r}, metric {metric!r} is missing")
+                _check_values(by_k, ks, metric, f"{where}: query {qid!r}, metric {metric!r}")
         return cls(
             dataset=d["dataset"],
             variant=d["variant"],
-            ks=list(d["ks"]),
+            ks=list(ks),
             per_k={int(k): v for k, v in d["per_k"].items()},
             per_query={
                 qid: {metric: {int(k): val for k, val in by_k.items()}
@@ -128,6 +144,23 @@ class MetricReport:
             bootstrap_iterations=d.get("bootstrap_iterations", 10000),
             bootstrap_seed=d.get("bootstrap_seed", 0),
         )
+
+
+def _check_values(by_k: dict, ks: list[int], metric: str, where: str) -> None:
+    """One query's values of one metric, keyed by str(k): exactly the ks, each a
+    finite number (JSON true is none), DRM in [0, 1] and span recall >= 0."""
+    extra = sorted(set(by_k) - {str(k) for k in ks})
+    if extra:
+        raise ValueError(f"{where}, k={extra[0]} is not one of the report's ks {ks}")
+    for k in ks:
+        if str(k) not in by_k:
+            raise ValueError(f"{where}, k={k}: value is missing")
+        value = by_k[str(k)]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{where}, k={k}: value must be a finite number, not {value!r}")
+        if (metric == "drm" and not 0 <= value <= 1) or value < 0:
+            wanted = "in [0, 1]" if metric == "drm" else ">= 0"
+            raise ValueError(f"{where}, k={k}: value must be {wanted}, not {value!r}")
 
 
 def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | None = None,

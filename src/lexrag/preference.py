@@ -19,10 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from lexrag.configs import WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, SplitSpec
-from lexrag.corpus import QueryRecord
-from lexrag.stats import bootstrap_ci
+from lexrag.stats import DefaultRng, bootstrap_ci
 from lexrag.textutils import (
     normalize_for_match,
     read_jsonl,
@@ -30,6 +30,9 @@ from lexrag.textutils import (
     tokenize,
     write_jsonl,
 )
+
+if TYPE_CHECKING:  # for annotations alone, so `eval-refusal` does not load it
+    from lexrag.corpus import QueryRecord
 
 REFUSAL_STRING = "Given context is not sufficient to answer."
 
@@ -61,11 +64,10 @@ class PreferencePair:
 def split_dataset(records: list[QueryRecord],
                   spec: SplitSpec) -> tuple[list[QueryRecord], list[QueryRecord], list[QueryRecord]]:
     """Seeded shuffle, then contiguous train/validation/test slices."""
-    import numpy as np
     total = spec.train + spec.validation + spec.test
     if total > len(records):
         raise ValueError(f"split sizes sum to {total} but only {len(records)} records exist")
-    order = np.random.default_rng(spec.seed).permutation(len(records))
+    order = DefaultRng(spec.seed).permutation(len(records))
     shuffled = [records[i] for i in order]
     train = shuffled[:spec.train]
     validation = shuffled[spec.train:spec.train + spec.validation]
@@ -100,7 +102,6 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
     document differs; a corpus with a single source document cannot support
     set 2 and raises.
     """
-    import numpy as np
     for record in records:
         if not record.question or not record.context_text or not record.gold_answer:
             raise ValueError(f"record {record.query_id!r} lacks question/context/answer")
@@ -109,7 +110,7 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
     if len({r.source_doc_id for r in records}) < 2:
         raise ValueError("set 2 needs records from at least two source documents")
 
-    rng = np.random.default_rng(seed)
+    rng = DefaultRng(seed)
     pairs: list[PreferencePair] = []
     for record in records:
         pairs.append(PreferencePair(
@@ -121,7 +122,7 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
             source_query_id=record.query_id,
         ))
         others = [r for r in records if r.source_doc_id != record.source_doc_id]
-        wrong = others[int(rng.integers(0, len(others)))]
+        wrong = others[rng.integers(0, len(others))]
         pairs.append(PreferencePair(
             pair_id=f"{record.query_id}:set2",
             prompt=render_prompt(template, wrong.context_text, record.question),

@@ -8,20 +8,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+
+from lexrag.configs import RemoteConfig
 
 
 class RemoteError(RuntimeError):
     pass
-
-
-@dataclass
-class RemoteConfig:
-    endpoint: str
-    auth_token: str | None = None
-    timeout_seconds: float = 30.0
-    retries: int = 2
-    backoff_seconds: float = 0.5
 
 
 def post_json(cfg: RemoteConfig, payload: dict) -> dict:
@@ -30,9 +22,9 @@ def post_json(cfg: RemoteConfig, payload: dict) -> dict:
     Retries ``cfg.retries`` times on transport errors and 5xx responses with
     linear backoff; anything else raises RemoteError immediately.
     """
-    # Imported here, not at module level: every lexrag command imports this
-    # module, and urllib.request pulls in http.client, ssl and email, which
-    # only the remote backends need (cold start).
+    # Imported here, not at module level: commands that load this module with
+    # the embedding module never call it, and urllib.request pulls in
+    # http.client, ssl and email, which only the remote backends need.
     import urllib.error
     import urllib.request
 

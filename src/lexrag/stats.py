@@ -8,6 +8,9 @@ that share a seed and a sample size share one draw: ``shared_bootstrap_means``
 applies each index block to every value row, which is how a sweep or a
 comparison gets all its metric x k intervals from one resample matrix. numpy is
 imported on first use, so importing this module loads nothing third-party.
+``DefaultRng`` draws what ``numpy.random.default_rng(seed)`` would for a
+permutation or a bounded integer, in stdlib Python, so the preference-pair
+splits load no numpy.
 
 The t-test's two-sided tail is stdlib arithmetic: the regularized incomplete beta
 p = I_x(df/2, 1/2) at x = df/(df + t^2) (Abramowitz & Stegun 26.7.1, 26.5.8),
@@ -190,3 +193,120 @@ def paired_delta_ci(deltas: list[float] | np.ndarray, iterations: int = 10000,
                     seed: int = 0) -> tuple[float, float]:
     """95% percentile CI of the mean of paired per-item deltas."""
     return bootstrap_ci(deltas, iterations=iterations, seed=seed)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``: PCG64's seed and increment words."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    entropy = [0] if seed == 0 else []
+    while seed:  # little-endian 32-bit words
+        entropy.append(seed & _M32)
+        seed >>= 32
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class DefaultRng:
+    """``numpy.random.default_rng(seed)`` in stdlib Python, for the draws lexrag makes
+    without numpy: ``permutation(n)`` and ``integers(low, high)``, bit for bit.
+
+    The generator is PCG64 (XSL-RR 128/64; O'Neill, "PCG", HMC-CS-2014-0905) seeded
+    through numpy's SeedSequence. A 32-bit draw hands out the low half of a 64-bit
+    output and keeps the high half for the next 32-bit draw, across calls, as
+    numpy's bit generator does. ``permutation`` is numpy's Fisher-Yates over its
+    masked-rejection ``random_interval``; ``integers`` is Lemire's bounded draw
+    ("Fast Random Integer Generation in an Interval", ACM TOMACS 2019) on 32 bits
+    when the range fits, as in numpy's ``random_bounded_uint64_fill``. NEP 19 lets
+    numpy change its Generator streams between releases; these stay as they are.
+    """
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _M128
+        self._spare: int | None = None  # the unused high half of the last 64-bit draw
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        rot = state >> 122
+        value = (state >> 64 ^ state) & _M64
+        return (value >> rot | value << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._spare is not None:
+            value, self._spare = self._spare, None
+            return value
+        value = self._next64()
+        self._spare = value >> 32
+        return value & _M32
+
+    def _interval(self, high: int) -> int:
+        """Uniform in [0, high] for high < 2**32: 32-bit draws masked to high's bit
+        length until one fits. (numpy draws 64 bits above that, for arrays no list
+        of records reaches.)"""
+        mask = (1 << high.bit_length()) - 1
+        value = self._next32() & mask
+        while value > high:
+            value = self._next32() & mask
+        return value
+
+    def permutation(self, n: int) -> list[int]:
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self._interval(i)
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def integers(self, low: int, high: int) -> int:
+        """Uniform in [low, high), as numpy's int64 draw for 0 <= low < high <= 2**63."""
+        if not 0 <= low < high <= 1 << 63:
+            raise ValueError(f"integers needs 0 <= low < high <= 2**63, not {low}, {high}")
+        span = high - 1 - low
+        if span == 0:
+            return low
+        if span == _M32:
+            return low + self._next32()
+        draw, bits = (self._next32, 32) if span < _M32 else (self._next64, 64)
+        mask = (1 << bits) - 1
+        scaled = draw() * (span + 1)
+        if scaled & mask <= span:  # below span + 1, the bound on the threshold
+            threshold = (mask - span) % (span + 1)
+            while scaled & mask < threshold:
+                scaled = draw() * (span + 1)
+        return low + (scaled >> bits)

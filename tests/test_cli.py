@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lexrag.chunker import dump_chunks, load_chunks
-from lexrag.cli import main
+from lexrag.cli import COMMANDS, main
 from lexrag.index import INDEX_FORMAT_VERSION, sha256_file
 from lexrag.preference import REFUSAL_STRING
 from tests.conftest import child_env, write_jsonl
@@ -804,6 +804,15 @@ def test_dpo_build_command(tmp_path):
     assert all({"prompt", "chosen", "rejected"} <= set(r) for r in train_rows)
 
 
+def test_dpo_build_negative_seed_rejected(tmp_path, capsys):
+    _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
+    code = run(["dpo-build", "--qa", str(qa_path), "--train", "4", "--validation", "0",
+                "--test", "0", "--seed", "-1", "--out", str(tmp_path / "dpo")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "non-negative integer" in err["message"]
+
+
 def test_ingest_byte_span_conversion(tmp_path):
     root = tmp_path / "corpus"
     root.mkdir()
@@ -1071,10 +1080,71 @@ def test_bad_whole_file_json_input_named_with_its_path(
     assert not any(out.glob("*"))
 
 
+def _hand_written_report(metric: str, k: str | None, value) -> dict:
+    """A two-k, four-query metric report whose query-q2 value of ``metric`` at
+    ``k`` is ``value``, or absent when ``value`` is ``...``; ``k`` None drops the
+    metric from q2 altogether."""
+    per_query = {f"q{i}": {"drm": {"1": i / 4, "4": 0.25}, "span_recall": {"1": 1.0, "4": i + 0.5}}
+                 for i in range(4)}
+    if k is None:
+        del per_query["q2"][metric]
+    elif value is ...:
+        del per_query["q2"][metric][k]
+    elif value is not None:
+        per_query["q2"][metric][k] = value
+    return {"dataset": "hand", "variant": "baseline", "ks": [1, 4], "per_k": {},
+            "per_query": per_query}
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("metric,k,value,problem", [
+    ("drm", "4", None, None),  # the report as written is valid
+    ("drm", "4", math.nan, "'drm', k=4: value must be a finite number, not nan"),
+    ("span_recall", "1", math.inf, "'span_recall', k=1: value must be a finite number, not inf"),
+    ("span_recall", "4", "x", "'span_recall', k=4: value must be a finite number, not 'x'"),
+    ("drm", "1", True, "'drm', k=1: value must be a finite number, not True"),
+    ("drm", "4", ..., "'drm', k=4: value is missing"),
+    ("drm", "4", 1.5, "'drm', k=4: value must be in [0, 1], not 1.5"),
+    ("span_recall", "4", -0.5, "'span_recall', k=4: value must be >= 0, not -0.5"),
+    ("span_recall", "8", 1.0, "'span_recall', k=8 is not one of the report's ks [1, 4]"),
+    ("span_recall", None, None, "'span_recall' is missing"),
+])
+def test_metric_report_value_named_with_query_metric_and_k(tmp_path, capsys, command,
+                                                           metric, k, value, problem):
+    path = tmp_path / "metric_report.json"
+    path.write_text(json.dumps(_hand_written_report(metric, k, value)), encoding="utf-8")
+    argv = {"compare": ["compare", "--baseline", str(path), "--enhanced", str(path),
+                        "--bootstrap-iterations", "20", "--out", str(tmp_path / "out")],
+            "report": ["report", "--report", str(path)]}[command]
+    if problem is None:
+        assert run(argv) == 0
+        return
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{path}: query 'q2', metric {problem}"
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 2
+
+
+def test_help_lists_every_command_and_each_commands_flags(capsys):
+    # main adds flags only to the subcommand it parses
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    listed = capsys.readouterr().out
+    for name, command in COMMANDS.items():
+        assert f"    {name} " in listed and command.help in listed
+        with pytest.raises(SystemExit) as exc_info:
+            main([name, "--help"])
+        assert exc_info.value.code == 0
+        flags = capsys.readouterr().out
+        assert all(f"--{s.key.replace('_', '-')} " in flags
+                   for s in command.settings if s.flag), name
 
 
 def test_failure_emits_error_json(tmp_path, capsys):

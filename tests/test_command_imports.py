@@ -1,8 +1,9 @@
 """What each lexrag command loads, and that wrappers set on ``lexrag.cli`` names fire.
 
-``import lexrag.cli`` loads no numpy: the modules that need it are imported
-when a command first reads one of their names from ``lexrag.cli``. Each load
-check runs its command in a fresh process, since this one has loaded them all.
+``import lexrag.cli`` loads no numpy and no lexrag module but ``configs`` and
+``textutils``: every other module is imported when a command first reads one of
+its names from ``lexrag.cli``. Each load check runs its command in a fresh
+process, since this one has loaded them all.
 """
 
 import importlib
@@ -72,6 +73,8 @@ def inputs(tmp_path_factory):
         "eval-retrieval": ["eval-retrieval", "--index", str(base / "index"), "--qa", str(qa),
                            "--k", "1,4", "--bootstrap-iterations", "50"],
         "align-spans": ["align-spans", "--root", str(aus_root), "--qa", str(aus_qa)],
+        "dpo-build": ["dpo-build", "--qa", str(aus_qa), "--train", "4", "--validation", "0",
+                      "--test", "0"],
         "eval-refusal": ["eval-refusal", "--outputs", str(outputs)],
         "eval-answers": ["eval-answers", "--outputs", str(outputs), "--qa", str(aus_qa),
                          "--format", "aus_legal_qa"],
@@ -90,18 +93,31 @@ def _argv(inputs, command: str, out: str) -> list[str]:
 
 
 def test_cli_import_loads_no_third_party_or_numpy_side_module():
-    # Every lexrag command pays for what importing the CLI loads; numpy and the
-    # modules that need it, scipy, thread pools and the HTTP stack (urllib.request
-    # -> http.client, ssl) are imported by the code that uses them.
+    # Every lexrag command pays for what importing the CLI loads; numpy, every
+    # lexrag module a command runs, scipy, thread pools and the HTTP stack
+    # (urllib.request -> http.client, ssl) are imported by the code that uses them.
     code = ("import sys; before = set(sys.modules); import lexrag.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     new = set(_fresh_process(code)[-1].split())
     assert {m.split(".")[0] for m in new} - set(sys.stdlib_module_names) == {"lexrag"}
-    assert not new & NUMPY_SIDE
+    assert {m for m in new if m.split(".")[0] == "lexrag"} == {
+        "lexrag", "lexrag.cli", "lexrag.configs", "lexrag.textutils"}
     assert not new & {"concurrent.futures", "urllib.request", "http.client", "ssl"}
 
 
-@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "eval-refusal",
+@pytest.mark.parametrize("command,not_loaded", [
+    ("compare", {"index", "retriever", "embedding", "kernels", "chunker", "corpus", "enricher"}),
+    ("ingest", {"chunker", "enricher"}),
+    *((command, {"chunker", "enricher", "index"})
+      for command in ("align-spans", "dpo-build", "eval-answers")),
+    ("eval-refusal", {"chunker", "enricher", "index", "corpus"}),
+])
+def test_commands_skip_modules_they_do_not_run(inputs, command, not_loaded):
+    loaded = _run_in_fresh_process(_argv(inputs, command, f"skipping_{command}"))
+    assert not loaded & {f"lexrag.{name}" for name in not_loaded}
+
+
+@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "dpo-build", "eval-refusal",
                                      "eval-answers"])
 def test_text_commands_never_load_numpy(inputs, command):
     base = inputs[0]
@@ -157,15 +173,17 @@ def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):
 
 def test_python_m_runs_the_cli_module_once(inputs):
     # under -m the module runs as __main__; importing lexrag.cli as well would run
-    # it a second time, which -X importtime would list
-    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "lexrag.cli",
-                          *_argv(inputs, "chunk", "fresh_chunk_m")],
+    # it a second time and leave it in sys.modules, read here at exit.
+    # runpy._run_module_as_main is what `python -m` calls.
+    code = ("import atexit, runpy, sys; "
+            "atexit.register(lambda: print(' '.join(sorted(sys.modules)))); "
+            "runpy._run_module_as_main('lexrag.cli')")
+    out = subprocess.run([sys.executable, "-c", code, *_argv(inputs, "chunk", "fresh_chunk_m")],
                          capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "lexrag.chunker" in imported
-    assert "lexrag.cli" not in imported and "numpy" not in imported
+    loaded = set(out.stdout.splitlines()[-1].split())
+    assert "lexrag.chunker" in loaded
+    assert "lexrag.cli" not in loaded and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("command", ["index", "retrieve"])
@@ -183,6 +201,9 @@ def test_commands_run_under_cprofile(inputs, tmp_path, command):
 
 @pytest.mark.parametrize("name,command", [
     ("reconstruct_dataset", "align-spans"),  # lexrag.aligner
+    ("split_recursive", "chunk"),  # lexrag.chunker
+    ("load_documents", "ingest"),  # lexrag.corpus
+    ("enrich_document_chunks", "enrich"),  # lexrag.enricher
     ("term_rows", "index"),  # lexrag.embedding
     ("sweep", "eval-retrieval"),  # lexrag.evaluator
     ("load_indexes", "retrieve"),  # lexrag.index

@@ -52,6 +52,14 @@ class TestSplitDataset:
         assert [r.query_id for r in a[0]] == [r.query_id for r in b[0]]
         assert [r.query_id for r in a[0]] != [r.query_id for r in c[0]]
 
+    def test_golden_split(self):
+        # literal ids: NEP 19 lets a numpy release change its Generator streams,
+        # and lexrag's splits must not move with them
+        train, val, test = split_dataset(qa_records(20, n_docs=4), SplitSpec(12, 4, 4, seed=5))
+        assert [int(r.query_id[1:]) for r in train] == [9, 18, 3, 7, 1, 16, 19, 13, 11, 2, 4, 17]
+        assert [int(r.query_id[1:]) for r in val] == [10, 12, 6, 15]
+        assert [int(r.query_id[1:]) for r in test] == [0, 5, 14, 8]
+
     def test_oversized_split_rejected(self):
         with pytest.raises(ValueError):
             split_dataset(qa_records(10), SplitSpec(10, 1, 0, seed=0))
@@ -74,6 +82,13 @@ class TestBuildPreferencePairs:
             assert record.question in pair.prompt
             assert pair.chosen == record.gold_answer
             assert pair.rejected == REFUSAL_STRING
+
+    def test_golden_set2_contexts(self):
+        # literal matter numbers of each set-2 context, as in test_golden_split
+        pairs = build_preference_pairs(qa_records(8, n_docs=4), seed=5)
+        sampled = [int(p.prompt.split("In matter ")[1].split()[0]) for p in pairs
+                   if p.set_tag == "set2_incorrect_context"]
+        assert sampled == [6, 6, 0, 5, 3, 4, 4, 1]
 
     def test_set2_context_never_from_own_document(self):
         records = qa_records(40, n_docs=5)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from lexrag.stats import (
+    DefaultRng,
     _two_sided_t_tail,
     bonferroni,
     bootstrap_ci,
@@ -237,3 +238,30 @@ class TestBonferroni:
             bonferroni(1.5, 2)
         with pytest.raises(ValueError):
             bonferroni(0.1, 0)
+
+
+class TestDefaultRng:
+    """The stdlib port of numpy.random.default_rng, draw for draw against numpy."""
+
+    BOUNDS = [1, 2, 3, 2**31 + 11, 2**32 - 1, 2**32, 2**33, 2**63 - 1]
+
+    def test_interleaved_draws_match_numpy(self):
+        # permutation and integers share the spare 32-bit half of a 64-bit output,
+        # so the calls alternate: a half one call leaves must be the next one's
+        for seed in [*range(200), 2**32 + 1, 2**64 + 3, 2**128 + 9]:
+            ours, theirs = DefaultRng(seed), np.random.default_rng(seed)
+            for i, high in enumerate(self.BOUNDS * 2):
+                n = (seed + 7 * i) % 41
+                assert ours.permutation(n) == theirs.permutation(n).tolist(), (seed, n)
+                assert ours.integers(0, high) == int(theirs.integers(0, high)), (seed, high)
+                assert ours.integers(3, 10) == int(theirs.integers(3, 10)), seed
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            DefaultRng(seed)
+
+    @pytest.mark.parametrize("low,high", [(0, 0), (-1, 3), (5, 4), (0, 2**63 + 1)])
+    def test_integers_outside_int64_draws_rejected(self, low, high):
+        with pytest.raises(ValueError, match="0 <= low < high <= 2\\*\\*63"):
+            DefaultRng(0).integers(low, high)

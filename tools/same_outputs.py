@@ -131,6 +131,9 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
          "--test", "4", "--seed", "5", "--out", "dpo"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "5", "--export-style", "conversation", "--out", "dpo_conv"],
+        # a seed of three 32-bit words, so the seeding reads more than one entropy word
+        ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
+         "--test", "4", "--seed", "18446744073709551621", "--out", "dpo_wide_seed"],
         ["eval-refusal", "--outputs", str(i["good"]), "--out", "refusal"],
         ["eval-answers", "--outputs", str(i["good"]), "--qa", str(i["aus_qa"]),
          "--compare-with", str(i["bad"]), "--bootstrap-iterations", "300", "--out", "answers"],
