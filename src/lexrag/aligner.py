@@ -5,9 +5,10 @@ Matching runs in three tiers, cheapest first:
 1. exact substring (verbatim occurrence, score 1.0);
 2. whitespace-insensitive match through a normalized view of the document
    with an offset map back to raw positions (score 1.0);
-3. fuzzy scan: candidate windows with lengths within a slack of the answer
-   length slide across the document at a coarse step, scored by Jaccard
-   similarity of character 3-gram shingles over the normalized text
+3. fuzzy scan: candidate windows of the answer's length and of ±30% of it
+   (``WINDOW_SLACK``) slide across the document at a coarse step, scored by
+   Jaccard similarity of character 3-gram shingles (``SHINGLE``) over the
+   normalized text
    (``normalize_for_match``: lowercased, whitespace-collapsed, final sigma
    folded); the best window is then shrunk greedily from both ends while the
    score does not decrease (ties shrink from the right first).
@@ -39,6 +40,10 @@ from lexrag.configs import AlignConfig
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
 from lexrag.textutils import normalize_for_match, write_json
 
+# characters per shingle, and the fraction of the answer's length that tier-3
+# windows may be shorter or longer by; both are fixed, as in Broder's resemblance
+SHINGLE = 3
+WINDOW_SLACK = 0.3
 # window characters per scoring call in the coarse scan: bounds its temporaries
 # (a 2D pass over all windows at once grows peak memory with document length)
 _SCAN_CELLS = 1 << 15
@@ -50,10 +55,10 @@ class AlignmentFailure:
     reason: str
 
 
-def _shingles(text: str, size: int) -> frozenset[str]:
-    if len(text) <= size:
+def _shingles(text: str) -> frozenset[str]:
+    if len(text) <= SHINGLE:
         return frozenset((text,)) if text else frozenset()
-    return frozenset(text[i:i + size] for i in range(len(text) - size + 1))
+    return frozenset(text[i:i + SHINGLE] for i in range(len(text) - SHINGLE + 1))
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -98,14 +103,13 @@ class DocumentView:
 
     ``normalized`` is ``_normalized_view(text)``. ``shingle_ids`` gives, for each
     normalized position ``p`` that starts a full shingle, the int32 id of
-    ``norm[p:p + shingle_size]`` (equal strings, equal ids), the last earlier
+    ``norm[p:p + SHINGLE]`` (equal strings, equal ids), the last earlier
     position holding the same id (-1 for none) and the first position of each
     id.
     """
 
-    def __init__(self, text: str, shingle_size: int):
+    def __init__(self, text: str):
         self.text = text
-        self.shingle_size = shingle_size
 
     @cached_property
     def normalized(self) -> tuple[str, np.ndarray]:
@@ -113,19 +117,13 @@ class DocumentView:
 
     @cached_property
     def shingle_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        norm, size = self.normalized[0], self.shingle_size
+        norm = self.normalized[0]
         codes = _code_points(norm).astype(np.int64)
-        count = max(0, len(norm) - size + 1)
-        # each shingle as a number, its code points the digits; renumbered densely
-        # whenever the next digit could overflow int64
+        count = max(0, len(norm) - SHINGLE + 1)
+        # each shingle as a number, its three code points the digits: at most
+        # 0x110000 ** 3, 0.15 of 2 ** 63, so one int64 holds it
         base = int(codes.max(initial=0)) + 1
-        keys, bound = codes[:count], base
-        for j in range(1, size):
-            if bound * base >= 2 ** 63:
-                distinct, keys = np.unique(keys, return_inverse=True)
-                bound = len(distinct)
-            keys = keys * base + codes[j:j + count]
-            bound *= base
+        keys = (codes[:count] * base + codes[1:count + 1]) * base + codes[2:count + 2]
         order = np.argsort(keys, kind="stable")
         starts_id = np.ones(count, dtype=bool)  # in sorted order: the first of its id
         starts_id[1:] = keys[order[1:]] != keys[order[:-1]]
@@ -141,8 +139,8 @@ def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
     counted on the view's shingle ids."""
     norm, offsets = view.normalized
     ids, prev, first = view.shingle_ids
-    size, n_answer = view.shingle_size, len(answer_shingles)
-    in_answer = np.fromiter((norm[p:p + size] in answer_shingles for p in first.tolist()),
+    n_answer = len(answer_shingles)
+    in_answer = np.fromiter((norm[p:p + SHINGLE] in answer_shingles for p in first.tolist()),
                             dtype=bool, count=len(first))[ids]
     # one False past the end, so the edge tests below may index len(norm) and -1
     space = np.append(_code_points(norm) == ord(" "), False)
@@ -152,8 +150,8 @@ def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
         b = np.searchsorted(offsets, his)
         a += (a < b) & space[a]  # strip() drops one collapsed space at each edge
         b -= (b > a) & space[b - 1]
-        short = b - a <= size
-        ends = np.where(short, a, b - size + 1)  # full shingles start in [a, ends)
+        short = b - a <= SHINGLE
+        ends = np.where(short, a, b - SHINGLE + 1)  # full shingles start in [a, ends)
         pos = a[:, None] + np.arange(int((ends - a).max(initial=0)))
         new = (pos < ends[:, None]) & (prev.take(pos, mode="clip") < a[:, None])
         distinct = np.count_nonzero(new, axis=1)
@@ -171,8 +169,8 @@ def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
                  view: DocumentView | None = None) -> GoldSpan | AlignmentFailure:
     """Find the minimal contiguous span of ``doc`` best matching ``answer``.
 
-    ``view``, when given, is a ``DocumentView`` of ``doc.text`` at the config's
-    shingle size, shared with other answers in the same document.
+    ``view``, when given, is a ``DocumentView`` of ``doc.text``, shared with
+    other answers in the same document.
     """
     cfg = cfg or AlignConfig()
     if not answer:
@@ -189,9 +187,9 @@ def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
 
     # tier 2: whitespace-insensitive occurrence
     if view is None:
-        view = DocumentView(text, cfg.shingle_size)
-    elif view.text != text or view.shingle_size != cfg.shingle_size:
-        raise ValueError("view is not of this document at this shingle size")
+        view = DocumentView(text)
+    elif view.text != text:
+        raise ValueError("view is not of this document")
     norm_doc, offsets = view.normalized
     norm_answer = normalize_for_match(answer)
     if norm_answer:
@@ -202,13 +200,13 @@ def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
             return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
 
     # tier 3: fuzzy shingle scan
-    score_windows = _array_scorer(view, _shingles(norm_answer, cfg.shingle_size))
+    score_windows = _array_scorer(view, _shingles(norm_answer))
 
     base = len(answer)
     lengths = sorted({
-        max(1, round(base * (1.0 - cfg.max_window_slack))),
+        max(1, round(base * (1.0 - WINDOW_SLACK))),
         base,
-        min(len(text), round(base * (1.0 + cfg.max_window_slack))),
+        min(len(text), round(base * (1.0 + WINDOW_SLACK))),
     })
     step = max(1, base // 10)
     best_score = -1.0
@@ -269,10 +267,9 @@ class AlignmentReport:
                 "failed": self.failed, "entries": [asdict(e) for e in self.entries]}
 
 
-def _alignment_score(doc: Document, span: GoldSpan, cfg: AlignConfig) -> float:
-    return _jaccard(
-        _shingles(normalize_for_match(doc.text[span.start:span.end]), cfg.shingle_size),
-        _shingles(normalize_for_match(span.answer_text), cfg.shingle_size))
+def _alignment_score(doc: Document, span: GoldSpan) -> float:
+    return _jaccard(_shingles(normalize_for_match(doc.text[span.start:span.end])),
+                    _shingles(normalize_for_match(span.answer_text)))
 
 
 def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
@@ -298,14 +295,14 @@ def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
             out_records.append(record)
             continue
         if view is None or view.text is not doc.text:
-            view = DocumentView(doc.text, cfg.shingle_size)
+            view = DocumentView(doc.text)
         aligned = align_answer(doc, record.context_text, cfg, view=view)
         if isinstance(aligned, AlignmentFailure):
             entries.append(AlignmentEntry(record.query_id, "below_threshold",
                                           score=aligned.score))
             out_records.append(record)
             continue
-        score = _alignment_score(doc, aligned, cfg)
+        score = _alignment_score(doc, aligned)
         entries.append(AlignmentEntry(record.query_id, "aligned", score=score,
                                       span=[doc.doc_id, aligned.start, aligned.end]))
         out_records.append(replace(record, gold_spans=[aligned]))

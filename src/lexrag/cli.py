@@ -231,8 +231,8 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
-            window=settings["window"], stride=settings["stride"],
-            max_fraction=settings["max_fraction"], max_workers=settings["workers"]))
+            window=settings["window"], max_fraction=settings["max_fraction"],
+            max_workers=settings["workers"]))
     _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
@@ -312,9 +312,8 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:
     docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     records, errors = _cli.load_qa_dataset(settings["qa"], "aus_legal_qa")
-    cfg = AlignConfig(shingle_size=settings["shingle_size"], min_score=settings["min_score"],
-                      max_window_slack=settings["slack"])
-    aligned, align_report = _cli.reconstruct_dataset(records, docs, cfg)
+    aligned, align_report = _cli.reconstruct_dataset(
+        records, docs, AlignConfig(min_score=settings["min_score"]))
     _cli.save_aligned_dataset([r for r in aligned if r.gold_spans],
                               out_dir / "aligned_dataset.json")
     write_json(align_report.to_dict(), out_dir / "alignment_report.json")
@@ -462,8 +461,8 @@ COMMANDS = {
     "enrich": Command(cmd_enrich, "add metadata headers and window summaries", (
         OUT, *CORPUS, *REMOTE, Setting("chunks", required=True),
         Setting("summarizer", default="extractive", choices=("extractive", "remote")),
-        Setting("window", int, DEFAULT_WINDOW), Setting("stride", int, 1),
-        Setting("max_fraction", float, 0.25), Setting("workers", int, 1))),
+        Setting("window", int, DEFAULT_WINDOW), Setting("max_fraction", float, 0.25),
+        Setting("workers", int, 1))),
     "index": Command(cmd_index, "build sparse and dense indexes over chunks", (
         OUT, *REMOTE, Setting("chunks", required=True),
         Setting("embedder", default="deterministic", choices=("deterministic", "remote")),
@@ -479,9 +478,7 @@ COMMANDS = {
         Setting("variant", default="baseline", choices=("baseline", "enhanced")),
         Setting("dataset_name", help="dataset label (default: the --qa file's stem)"))),
     "align-spans": Command(cmd_align_spans, "reconstruct gold spans from answer text", (
-        OUT, *CORPUS, QA, Setting("min_score", float, AlignConfig.min_score),
-        Setting("shingle_size", int, AlignConfig.shingle_size),
-        Setting("slack", float, AlignConfig.max_window_slack))),
+        OUT, *CORPUS, QA, Setting("min_score", float, AlignConfig.min_score))),
     "dpo-build": Command(cmd_dpo_build, "build preference pairs and dataset splits", (
         OUT, SEED, QA, Setting("train", int, SplitSpec.train),
         Setting("validation", int, SplitSpec.validation), Setting("test", int, SplitSpec.test),

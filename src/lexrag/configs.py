@@ -6,6 +6,10 @@ that uses it: ``lexrag.chunker.ChunkConfig``, ``lexrag.enricher.DEFAULT_WINDOW``
 ``lexrag.remote.RemoteConfig``, ``lexrag.retriever.FusionConfig``,
 ``lexrag.aligner.AlignConfig``, ``lexrag.preference.SplitSpec`` and the two
 prompt template names in ``lexrag.preference``.
+
+A setting no caller varies is a constant of the module that uses it instead:
+the aligner's shingle width and window slack (``lexrag.aligner.SHINGLE`` and
+``WINDOW_SLACK``) and the stride of enrichment's summary windows (one chunk).
 """
 
 from __future__ import annotations
@@ -56,17 +60,12 @@ class FusionConfig:
 
 @dataclass
 class AlignConfig:
-    shingle_size: int = 3
+    """The aligner's one setting: the tier-3 score a span must reach."""
     min_score: float = 0.6
-    max_window_slack: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.shingle_size < 1:
-            raise ValueError("shingle_size must be >= 1")
         if not (0.0 < self.min_score <= 1.0):
             raise ValueError("min_score must be in (0, 1]")
-        if self.max_window_slack < 0.0:
-            raise ValueError("max_window_slack must be >= 0")
 
 
 WITH_REFUSAL_INSTRUCTION = "with_refusal_instruction"

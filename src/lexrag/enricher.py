@@ -2,10 +2,12 @@
 
 Each chunk gets a header of the form ``[DOC] title | jurisdiction | type
 [SUMMARY] <local summary>``, which ``Chunk.full_text`` puts before its text.
-Summaries describe overlapping windows of 4 consecutive chunks; each chunk
-takes the summary of the window whose center is nearest its ordinal. The
-header is truncated from the summary end so it never exceeds the configured
-fraction of the enriched chunk's tokens (default 25%).
+Summaries describe overlapping windows of 4 consecutive chunks, one starting at
+each chunk that leaves a full window (stride 1). Each chunk takes the summary of
+the window whose center is nearest its position in the document's chunk list,
+which in every file ``lexrag chunk`` writes is its ordinal. The header is
+truncated from the summary end so it never exceeds the configured fraction of
+the enriched chunk's tokens (default 25%).
 
 Enrichment returns a copy of the chunk with only the header fields set; it
 never touches offsets or text, so retrieval metrics always score against the
@@ -14,7 +16,6 @@ original document positions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
@@ -38,7 +39,6 @@ class SummarizerProvider(Protocol):
 
 @dataclass
 class WindowSummary:
-    window_start_ordinal: int
     summary_text: str
     fallback: bool = False
 
@@ -103,35 +103,21 @@ def _round_robin_summary(split_texts: list[tuple[list[str], list[int]]],
     return " ".join(tokens[:budget_tokens])
 
 
-def window_positions(n_chunks: int, window: int, stride: int) -> list[int]:
-    """Window start ordinals: 0, stride, ... plus the final full window."""
-    if n_chunks <= 0:
-        return []
-    last = max(n_chunks - window, 0)
-    positions = list(range(0, last + 1, stride))
-    if positions[-1] != last:
-        positions.append(last)
-    return positions
+def window_start(position: int, n_chunks: int, window: int) -> int:
+    """Start of the window whose center is nearest list position ``position``;
+    ties go to the earlier window.
 
-
-def nearest_window_index(ordinal: int, positions: list[int], window: int) -> int:
-    """Index of the window whose center is nearest the ordinal; ties go earlier.
-
-    ``positions`` (window start ordinals) must be ascending. A window's center
-    is its start plus (window - 1) / 2, so the nearest center belongs to the
-    start nearest ``ordinal - (window - 1) / 2``: one of the two around it.
+    Windows start at 0 ... max(n_chunks - window, 0), and a window's center is
+    its start plus (window - 1) / 2: the nearest start is ``position - window // 2``
+    (of two equally near, the lower), clamped to that range.
     """
-    target = ordinal - (window - 1) / 2.0
-    i = bisect_left(positions, target)
-    if i > 0 and (i == len(positions) or target - positions[i - 1] <= positions[i] - target):
-        i = bisect_left(positions, positions[i - 1])  # the first of equal starts
-    return i
+    return min(max(position - window // 2, 0), max(n_chunks - window, 0))
 
 
 def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
-                     window: int = DEFAULT_WINDOW, stride: int = 1,
-                     max_workers: int = 1) -> list[WindowSummary]:
-    """Summarize overlapping windows of consecutive chunks from one document.
+                     window: int = DEFAULT_WINDOW, max_workers: int = 1) -> list[WindowSummary]:
+    """Summarize overlapping windows of consecutive chunks from one document,
+    the i-th summary that of the window starting at list position i.
 
     Provider failures fall back to the extractive summary for that window and
     set the fallback flag; the pipeline always completes. Provider calls may
@@ -146,10 +132,10 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
     ordinals = [c.ordinal for c in chunks]
     if ordinals != sorted(ordinals):
         raise ValueError("chunks must be ordered by ordinal")
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
 
-    positions = window_positions(len(chunks), window, stride)
+    starts = range(max(len(chunks) - window, 0) + 1)
     # each chunk's sentences, split on first use and shared by the windows holding it
     split_texts: list[tuple[list[str], list[int]] | None] = [None] * len(chunks)
 
@@ -172,17 +158,16 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(summarize_at, positions))
+            results = list(pool.map(summarize_at, starts))
     else:
-        results = [summarize_at(p) for p in positions]
+        results = [summarize_at(p) for p in starts]
 
     summaries = []
-    for pos, (text, fell_back) in zip(positions, results):
+    for text, fell_back in results:
         tokens = text.split()
         if len(tokens) > SUMMARY_TOKEN_CAP:
             text = " ".join(tokens[:SUMMARY_TOKEN_CAP])
-        summaries.append(WindowSummary(window_start_ordinal=chunks[pos].ordinal,
-                                       summary_text=text, fallback=fell_back))
+        summaries.append(WindowSummary(summary_text=text, fallback=fell_back))
     return summaries
 
 
@@ -240,20 +225,13 @@ def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None
 
 def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
                            provider: SummarizerProvider,
-                           window: int = DEFAULT_WINDOW, stride: int = 1,
-                           max_fraction: float = 0.25,
+                           window: int = DEFAULT_WINDOW, max_fraction: float = 0.25,
                            max_workers: int = 1) -> list[Chunk]:
     """Full enrichment for one document's chunk list."""
-    if not chunks:
-        return []
-    summaries = window_summaries(chunks, provider, window=window, stride=stride,
-                                 max_workers=max_workers)
-    positions = [s.window_start_ordinal for s in summaries]
-    enriched = []
-    for chunk in chunks:
-        summary = summaries[nearest_window_index(chunk.ordinal, positions, window)]
-        enriched.append(enrich_chunk(chunk, meta, summary, max_fraction=max_fraction))
-    return enriched
+    summaries = window_summaries(chunks, provider, window=window, max_workers=max_workers)
+    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), window)],
+                         max_fraction=max_fraction)
+            for i, chunk in enumerate(chunks)]
 
 
 # The enriched file has its own reader/writer names because perfbench's tracer

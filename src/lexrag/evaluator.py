@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 # bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
 # perfbench's tracer wraps them under this module's name.
 from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F401
@@ -33,7 +31,6 @@ if TYPE_CHECKING:  # for annotations alone, so `compare` and `report` load neith
     from lexrag.corpus import QueryRecord
     from lexrag.retriever import RetrievalContext, RetrievalResult
 
-DEFAULT_KS = [1, 2, 4, 8, 16, 32, 64]
 # The metrics every sweep reports and every comparison tests, in output order.
 METRICS = ("drm", "span_recall")
 
@@ -163,7 +160,7 @@ def _check_values(by_k: dict, ks: list[int], metric: str, where: str) -> None:
             raise ValueError(f"{where}, k={k}: value must be {wanted}, not {value!r}")
 
 
-def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | None = None,
+def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
           dataset: str = "", variant: str = "baseline", seed: int = 0,
           iterations: int = 10000) -> MetricReport:
     """Evaluate DRM and span recall for every query at every k.
@@ -172,7 +169,8 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int] | Non
     retrieval comes back empty, are excluded and logged in the report. The other
     queries are retrieved in blocks (``RetrievalContext.retrieve_many``).
     """
-    ks = sorted(ks or DEFAULT_KS)
+    import numpy as np
+    ks = sorted(ks)
     report = MetricReport(dataset=dataset, variant=variant, ks=ks,
                           bootstrap_iterations=iterations, bootstrap_seed=seed)
     corpus_docs = {doc_id for doc_id, _, _ in ctx.chunk_table.values()}
@@ -226,6 +224,7 @@ def compare_reports(baseline: MetricReport, enhanced: MetricReport,
     p-values are Bonferroni-adjusted with m = (number of shared k settings) x
     (number of metrics); m is recoverable from the output length.
     """
+    import numpy as np
     shared_queries = sorted(set(baseline.per_query) & set(enhanced.per_query))
     shared_ks = sorted(set(baseline.ks) & set(enhanced.ks))
     if not shared_queries or not shared_ks:

@@ -111,6 +111,8 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
         raise ValueError("set 2 needs records from at least two source documents")
 
     rng = DefaultRng(seed)
+    # each source document's candidate list, in record order, built once
+    others: dict[str | None, list[QueryRecord]] = {}
     pairs: list[PreferencePair] = []
     for record in records:
         pairs.append(PreferencePair(
@@ -121,8 +123,11 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
             set_tag="set1_correct_context",
             source_query_id=record.query_id,
         ))
-        others = [r for r in records if r.source_doc_id != record.source_doc_id]
-        wrong = others[rng.integers(0, len(others))]
+        if record.source_doc_id not in others:
+            others[record.source_doc_id] = [r for r in records
+                                            if r.source_doc_id != record.source_doc_id]
+        candidates = others[record.source_doc_id]
+        wrong = candidates[rng.integers(0, len(candidates))]
         pairs.append(PreferencePair(
             pair_id=f"{record.query_id}:set2",
             prompt=render_prompt(template, wrong.context_text, record.question),

@@ -119,10 +119,15 @@ class TestAlignAnswer:
         assert span.start == body.index("THE HOLDING IS X.")
 
 
-def _ref_shingles(text: str, size: int) -> frozenset[str]:
-    if len(text) <= size:
+# the aligner's fixed shingle width and window slack, restated for the oracle
+REF_SHINGLE = 3
+REF_SLACK = 0.3
+
+
+def _ref_shingles(text: str) -> frozenset[str]:
+    if len(text) <= REF_SHINGLE:
         return frozenset((text,)) if text else frozenset()
-    return frozenset(text[i:i + size] for i in range(len(text) - size + 1))
+    return frozenset(text[i:i + REF_SHINGLE] for i in range(len(text) - REF_SHINGLE + 1))
 
 
 def _ref_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -162,17 +167,16 @@ def reference_align_answer(doc: Document, answer: str,
             return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
 
     # tier 3: fuzzy shingle scan
-    answer_shingles = _ref_shingles(norm_answer, cfg.shingle_size)
+    answer_shingles = _ref_shingles(norm_answer)
 
     def score_range(lo: int, hi: int) -> float:
-        return _ref_jaccard(_ref_shingles(normalize_for_match(text[lo:hi]), cfg.shingle_size),
-                            answer_shingles)
+        return _ref_jaccard(_ref_shingles(normalize_for_match(text[lo:hi])), answer_shingles)
 
     base = len(answer)
     lengths = sorted({
-        max(1, round(base * (1.0 - cfg.max_window_slack))),
+        max(1, round(base * (1.0 - REF_SLACK))),
         base,
-        min(len(text), round(base * (1.0 + cfg.max_window_slack))),
+        min(len(text), round(base * (1.0 + REF_SLACK))),
     })
     step = max(1, base // 10)
     best_score = -1.0
@@ -224,9 +228,7 @@ def alignment_cases(draw):
         answer = "".join(chars)
     else:
         answer = draw(st.text(alphabet, min_size=1, max_size=80))
-    cfg = AlignConfig(shingle_size=draw(st.integers(1, 5)),
-                      min_score=draw(st.sampled_from([0.05, 0.3, 0.6, 1.0])),
-                      max_window_slack=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    cfg = AlignConfig(min_score=draw(st.sampled_from([0.05, 0.3, 0.6, 1.0])))
     return make_doc("d", text), answer, cfg
 
 
@@ -246,7 +248,7 @@ class TestShingleIdScorer:
     @settings(max_examples=600, deadline=None)
     @given(alignment_cases())
     # windows of two lengths tie at the best score: the shorter, scanned first, wins
-    @example((make_doc("d", "BAB "), "BB", AlignConfig(shingle_size=1, min_score=0.05)))
+    @example((make_doc("d", "AABbaA "), "BAaB", AlignConfig(min_score=0.05)))
     def test_same_result_as_string_scorer(self, case):
         doc, answer, cfg = case
         assert align_answer(doc, answer, cfg) == reference_align_answer(doc, answer, cfg)
@@ -264,28 +266,51 @@ class TestShingleIdScorer:
             excerpt = " ".join(words) if i % 2 else "\n ".join(words)
             records.append(QueryRecord(f"q{i}", "?", context_text=excerpt,
                                        source_doc_id=doc.doc_id))
-        for cfg in (AlignConfig(), AlignConfig(shingle_size=5, max_window_slack=0.0)):
-            out, _ = reconstruct_dataset(records, DocumentCollection(docs), cfg)
-            for record, result in zip(records, out):
-                expected = reference_align_answer(
-                    docs[int(record.query_id[1:]) // 2], record.context_text, cfg)
-                assert isinstance(expected, GoldSpan)
-                assert result.gold_spans == [expected]
+        out, _ = reconstruct_dataset(records, DocumentCollection(docs))
+        for record, result in zip(records, out):
+            expected = reference_align_answer(docs[int(record.query_id[1:]) // 2],
+                                              record.context_text)
+            assert isinstance(expected, GoldSpan)
+            assert result.gold_spans == [expected]
 
     def test_capital_sigma_document_has_shingle_ids(self):
         # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα"; with "ς" folded to
         # "σ" both match, and the document gets shingle ids like any other
         doc = make_doc("d", "ΑΣΑ ΒΒΒ")
-        cfg = AlignConfig(shingle_size=2)
-        assert DocumentView(doc.text, 2).shingle_ids is not None
-        span = align_answer(doc, "ας", cfg)
-        assert span == reference_align_answer(doc, "ας", cfg)
+        assert DocumentView(doc.text).shingle_ids is not None
+        span = align_answer(doc, "ας")
+        assert span == reference_align_answer(doc, "ας")
         assert (span.start, span.end) == (0, 2)
 
     def test_view_of_another_document_rejected(self):
         doc = make_doc("d", "alpha beta gamma")
         with pytest.raises(ValueError):
-            align_answer(doc, "beta  gamma", view=DocumentView("other text", 3))
+            align_answer(doc, "beta  gamma", view=DocumentView("other text"))
+
+    def test_code_points_near_the_top_share_one_int64_key(self):
+        # three code points near U+10FFFF make keys near 0x110000 ** 3; the ids must
+        # still be equal exactly where the shingle strings are, and tier 3 score
+        # as the string-set scorer does
+        rng = np.random.default_rng(21)
+        alphabet = list("ab .") + [chr(0x10FFFF - i) for i in range(3)]
+        for _ in range(40):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(3, 120))))
+            view = DocumentView(text)
+            norm = view.normalized[0]
+            ids = view.shingle_ids[0].tolist()
+            shingles = [norm[p:p + REF_SHINGLE] for p in range(len(ids))]
+            first = {}
+            assert ids == [first.setdefault(s, ids[p]) for p, s in enumerate(shingles)]
+            assert len(set(ids)) == len(set(shingles))
+            doc = make_doc("d", text)
+            for _ in range(5):
+                lo = int(rng.integers(0, len(text) - 1))
+                chars = list(text[lo:lo + int(rng.integers(2, 40))])
+                chars[int(rng.integers(len(chars)))] = str(rng.choice(alphabet))
+                answer = "".join(chars)
+                for cfg in (AlignConfig(min_score=0.05), AlignConfig()):
+                    assert align_answer(doc, answer, cfg, view=view) == \
+                        reference_align_answer(doc, answer, cfg)
 
 
 class TestNormalizedView:

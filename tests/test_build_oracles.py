@@ -331,7 +331,7 @@ def test_enrich_chunk_equals_pop_loop():
         summary_words = [WORDS[int(rng.integers(len(WORDS)))]
                          for _ in range(int(rng.integers(0, 30)))]
         summary = (None if i % 7 == 0 else
-                   WindowSummary(0, " ".join(summary_words), fallback=bool(i % 2)))
+                   WindowSummary(" ".join(summary_words), fallback=bool(i % 2)))
         meta = metas[i % len(metas)]
         for f in (0.25, 0.1, 1 / 3, 0.5):
             assert enrich_chunk(chunk, meta, summary, f) == \
@@ -345,16 +345,15 @@ def sentence_chunks(rng: np.random.Generator, n: int) -> list:
     return [make_chunk(i, sentence_text(rng)) for i in range(n)]
 
 
-@pytest.mark.parametrize("window,stride", [(4, 1), (4, 2), (4, 3), (4, 5), (1, 1), (2, 1),
-                                           (6, 4)])
-def test_window_summaries_equal_per_window_split(window, stride):
+@pytest.mark.parametrize("window", [1, 2, 4, 6])
+def test_window_summaries_equal_per_window_split(window):
     rng = np.random.default_rng(15)
     for n in (1, 2, 3, 5, 9, 17):  # shorter than one window, and longer
         chunks = sentence_chunks(rng, n)
-        shared = window_summaries(chunks, ExtractiveSummarizer(), window=window, stride=stride)
-        expected = window_summaries(chunks, PerWindowSummarizer(), window=window, stride=stride)
+        shared = window_summaries(chunks, ExtractiveSummarizer(), window=window)
+        expected = window_summaries(chunks, PerWindowSummarizer(), window=window)
         assert shared == expected
-        fell_back = window_summaries(chunks, FailingSummarizer(), window=window, stride=stride)
+        fell_back = window_summaries(chunks, FailingSummarizer(), window=window)
         assert fell_back == [replace(s, fallback=True) for s in expected]
 
 

@@ -80,6 +80,12 @@ def test_chunk_and_enrich_outputs(built_pipeline):
     first = json.loads(enriched[0])
     assert "full_text" in first and "header_text" in first
     assert first["metadata_fraction"] <= 0.25
+    # enrich windows a document's chunks by list position; in a file `chunk`
+    # writes, that position is each chunk's ordinal
+    ordinals: dict[str, list[int]] = {}
+    for row in map(json.loads, chunks):
+        ordinals.setdefault(row["doc_id"], []).append(row["ordinal"])
+    assert all(o == list(range(len(o))) for o in ordinals.values())
 
 
 def test_index_directory_self_contained(built_pipeline):
@@ -1268,6 +1274,38 @@ def test_manifest_config_leaves_out_keys_the_command_does_not_read(tmp_path, wor
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     assert "alpha" not in manifest["config"] and "variant" not in manifest["config"]
     assert manifest["inputs"][str(config_path)] == sha256_file(config_path)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("enrich", "stride", 1), ("align-spans", "shingle_size", 3), ("align-spans", "slack", 0.3)])
+def test_fixed_settings_are_unknown_flags_and_ignored_config_keys(
+        built_pipeline, tmp_path, capsys, command, key, value):
+    # enrichment's stride and the aligner's shingle width and slack are constants:
+    # a flag naming one is a usage error, and a run manifest's config holding the
+    # value every run used replays to the same bytes
+    if command == "enrich":
+        inputs = ["--root", str(built_pipeline["root"]), "--manifest",
+                  str(built_pipeline["manifest"]),
+                  "--chunks", str(built_pipeline["chunks"] / "chunks.jsonl")]
+    else:
+        root, qa_path = build_aus_corpus(tmp_path / "aus", n_records=6, n_docs=3, seed=1)
+        inputs = ["--root", str(root), "--qa", str(qa_path)]
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, *inputs, f"--{key.replace('_', '-')}", str(value),
+              "--out", str(tmp_path / "flag")])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run([command, *inputs, "--out", str(tmp_path / "plain")]) == 0
+    config = json.loads((tmp_path / "plain" / "run_manifest.json").read_text())["config"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, key: value}), encoding="utf-8")
+    assert run([command, *inputs, "--config", str(config_path),
+                "--out", str(tmp_path / "replayed")]) == 0
+    replayed = json.loads((tmp_path / "replayed" / "run_manifest.json").read_text())
+    assert key not in replayed["config"]
+    written = [{p.name: p.read_bytes() for p in (tmp_path / out).iterdir()
+                if p.name != "run_manifest.json"} for out in ("plain", "replayed")]
+    assert written[0] and written[0] == written[1]
 
 
 @pytest.mark.parametrize("command,config,key", [

@@ -18,9 +18,9 @@ from lexrag import cli
 from tests.conftest import child_env, write_jsonl
 from tests.synthcorpus import build_aus_corpus, build_legal_corpus
 
-# every lexrag module that imports numpy
-NUMPY_SIDE = {f"lexrag.{name}" for name in ("aligner", "embedding", "evaluator", "index",
-                                            "kernels", "retriever")}
+# every lexrag module that imports numpy when it loads
+NUMPY_SIDE = {f"lexrag.{name}" for name in ("aligner", "embedding", "index", "kernels",
+                                            "retriever")}
 
 
 def _fresh_process(code: str) -> list[str]:
@@ -82,6 +82,7 @@ def inputs(tmp_path_factory):
                     "--baseline", str(base / "eval_baseline" / "metric_report.json"),
                     "--enhanced", str(base / "eval_enhanced" / "metric_report.json")],
     }
+    argvs["report"] = ["report", "--report", str(base / "eval_baseline" / "metric_report.json")]
     argvs["eval-answers --compare-with"] = [*argvs["eval-answers"], "--bootstrap-iterations",
                                             "50", "--compare-with", str(other_outputs)]
     return base, argvs
@@ -118,11 +119,14 @@ def test_commands_skip_modules_they_do_not_run(inputs, command, not_loaded):
 
 
 @pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "dpo-build", "eval-refusal",
-                                     "eval-answers"])
+                                     "eval-answers", "report"])
 def test_text_commands_never_load_numpy(inputs, command):
     base = inputs[0]
     loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))
     assert "numpy" not in loaded and not loaded & NUMPY_SIDE
+    if command == "report":  # its --out is the table's file, and it writes no manifest
+        assert "DRM (%)" in (base / "fresh_report").read_text()
+        return
     manifest = json.loads((base / f"fresh_{command}" / "run_manifest.json").read_text())
     assert manifest["environment"]["numpy"] is None
 

@@ -13,8 +13,7 @@ from lexrag.enricher import (
     enrich_chunk,
     enrich_document_chunks,
     extractive_fallback_summary,
-    nearest_window_index,
-    window_positions,
+    window_start,
     window_summaries,
 )
 from tests.conftest import make_chunk
@@ -45,13 +44,12 @@ class RecordingSummarizer:
 
 class TestWindowPositions:
     def test_eight_chunks_window4_gives_five_windows(self):
-        assert window_positions(8, 4, 1) == [0, 1, 2, 3, 4]
+        provider = RecordingSummarizer()
+        window_summaries([make_chunk(i, f"c{i}.") for i in range(8)], provider, window=4)
+        assert provider.calls == [[f"c{i}." for i in range(s, s + 4)] for s in range(5)]
 
     def test_single_chunk_degenerate_window(self):
-        assert window_positions(1, 4, 1) == [0]
-
-    def test_stride_includes_final_window(self):
-        assert window_positions(8, 4, 3) == [0, 3, 4]
+        assert len(window_summaries([make_chunk(0, "c0.")], RecordingSummarizer(), window=4)) == 1
 
 
 class TestWindowSummaries:
@@ -59,7 +57,6 @@ class TestWindowSummaries:
         chunks = [make_chunk(i, f"c{i} text.") for i in range(8)]
         result = window_summaries(chunks, RecordingSummarizer())
         assert len(result) == 5
-        assert [s.window_start_ordinal for s in result] == [0, 1, 2, 3, 4]
         assert all(not s.fallback for s in result)
         assert all(1 <= len(s.summary_text.split()) <= 200 for s in result)
 
@@ -97,12 +94,12 @@ class TestWindowSummaries:
         assert serial == threaded
 
 
-def scan_nearest_window_index(ordinal: int, positions: list[int], window: int) -> int:
+def scan_nearest_window_index(position: int, starts: list[int], window: int) -> int:
     """Reference: the linear scan over every window center, first minimum wins."""
     best = 0
     best_dist = None
-    for i, p in enumerate(positions):
-        dist = abs(ordinal - (p + (window - 1) / 2.0))
+    for i, p in enumerate(starts):
+        dist = abs(position - (p + (window - 1) / 2.0))
         if best_dist is None or dist < best_dist:
             best, best_dist = i, dist
     return best
@@ -110,26 +107,35 @@ def scan_nearest_window_index(ordinal: int, positions: list[int], window: int) -
 
 class TestNearestWindow:
     def test_ties_prefer_earlier_window(self):
-        # centers at 1.5, 2.5; ordinal 2 is equidistant
-        assert nearest_window_index(2, [0, 1], 4) == 0
+        # 5 chunks, windows of 4 start at 0 and 1, centers 1.5 and 2.5: position 2
+        # is equidistant
+        assert window_start(2, 5, 4) == 0
 
     def test_each_chunk_maps_to_nearest_center(self):
-        positions = window_positions(8, 4, 1)  # centers 1.5 .. 5.5
-        mapping = [nearest_window_index(o, positions, 4) for o in range(8)]
-        # equidistant ordinals (2, 3, 4, 5) fall to the earlier window
-        assert mapping == [0, 0, 0, 1, 2, 3, 4, 4]
+        # 8 chunks, windows of 4 start at 0 .. 4, centers 1.5 .. 5.5; equidistant
+        # positions (2, 3, 4, 5) fall to the earlier window
+        assert [window_start(i, 8, 4) for i in range(8)] == [0, 0, 0, 1, 2, 3, 4, 4]
 
     def test_matches_linear_scan(self):
-        rng = np.random.default_rng(20)
-        for _ in range(2000):
-            n, window, stride = (int(v) for v in rng.integers(1, [60, 12, 9]))
-            positions = window_positions(n, window, stride)
-            if rng.random() < 0.2:  # ascending starts with repeats
-                positions = sorted(int(v) for v in rng.integers(0, n, rng.integers(1, 8)))
-            for ordinal in range(-2, n + window):
-                assert (nearest_window_index(ordinal, positions, window)
-                        == scan_nearest_window_index(ordinal, positions, window)), \
-                    (ordinal, positions, window)
+        for n in range(1, 61):
+            for window in range(1, 13):
+                starts = list(range(max(n - window, 0) + 1))
+                for position in range(n):
+                    assert (window_start(position, n, window)
+                            == scan_nearest_window_index(position, starts, window)), \
+                        (position, n, window)
+
+    def test_skipped_ordinals_windowed_by_list_position(self):
+        # a hand-edited file whose ordinals skip: windows and nearest centers
+        # follow the chunks' places in the list, not their ordinals
+        provider = RecordingSummarizer()
+        chunks = [make_chunk(o, f"c{o} " + " ".join(["body"] * 60)) for o in (0, 1, 5, 6)]
+        enriched = enrich_document_chunks(chunks, DocumentMeta(), provider, window=2)
+        assert [[t.split()[0] for t in call] for call in provider.calls] == [
+            ["c0", "c1"], ["c1", "c5"], ["c5", "c6"]]
+        assert [e.header_text for e in enriched] == [
+            "[SUMMARY] summary of c0 / c1", "[SUMMARY] summary of c0 / c1",
+            "[SUMMARY] summary of c1 / c5", "[SUMMARY] summary of c5 / c6"]
 
 
 class TestExtractiveFallback:
@@ -151,7 +157,7 @@ class TestExtractiveFallback:
 
 
 def summary_of(text: str) -> WindowSummary:
-    return WindowSummary(window_start_ordinal=0, summary_text=text)
+    return WindowSummary(summary_text=text)
 
 
 class TestEnrichChunk:

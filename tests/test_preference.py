@@ -17,6 +17,7 @@ from lexrag.preference import (
     split_dataset,
     token_f1,
 )
+from lexrag.stats import DefaultRng
 
 
 def qa_records(n: int, n_docs: int = 7) -> list[QueryRecord]:
@@ -89,6 +90,26 @@ class TestBuildPreferencePairs:
         sampled = [int(p.prompt.split("In matter ")[1].split()[0]) for p in pairs
                    if p.set_tag == "set2_incorrect_context"]
         assert sampled == [6, 6, 0, 5, 3, 4, 4, 1]
+
+    def test_set2_contexts_match_per_record_candidate_lists(self):
+        # 500 records over 9 source documents holding 1 to 130 records each, in
+        # shuffled order; the oracle rebuilds every record's candidate list, as
+        # the sampler once did, and draws from the same stream
+        sizes = [130, 1, 97, 64, 2, 88, 41, 7, 70]
+        docs = [doc for doc, size in enumerate(sizes) for _ in range(size)]
+        order = DefaultRng(3).permutation(len(docs))
+        records = [QueryRecord(query_id=f"q{i:05d}", question=f"Question {i}?",
+                               gold_answer=f"Answer {i}.", context_text=f"Context {i}.",
+                               source_doc_id=f"court/case{docs[j]}.txt")
+                   for i, j in enumerate(order)]
+        rng = DefaultRng(11)
+        expected = []
+        for record in records:
+            others = [r for r in records if r.source_doc_id != record.source_doc_id]
+            expected.append(others[rng.integers(0, len(others))].context_text)
+        pairs = build_preference_pairs(records, seed=11)
+        set2 = [p for p in pairs if p.set_tag == "set2_incorrect_context"]
+        assert [p.prompt.split("Context: ")[1].split("\n")[0] for p in set2] == expected
 
     def test_set2_context_never_from_own_document(self):
         records = qa_records(40, n_docs=5)

@@ -108,6 +108,9 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["chunk", *legal, "--target", "48", "--overlap", "10", "--out", "chunks"],
         ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--summarizer", "extractive",
          "--out", "enriched"],
+        # an odd window: its center is a whole chunk, so no tie picks the nearest window
+        ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--window", "3",
+         "--out", "enriched_window3"],
         ["index", "--chunks", "enriched/enriched.jsonl", "--dim", "128", "--out", "index"],
         ["retrieve", "--index", "index", *qa, "--top", "4", "--out", "retrieved"],
         ["eval-retrieval", "--index", "index", *qa, *sweep, "--out", "eval"],
