@@ -231,8 +231,7 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
-            window=settings["window"], max_fraction=settings["max_fraction"],
-            max_workers=settings["workers"]))
+            window=settings["window"], max_workers=settings["workers"]))
     _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
@@ -260,7 +259,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     texts = [c.full_text for c in chunks]
     rows = _cli.term_rows(texts)
     dense = _cli.build_dense(chunks, embedder, rows=rows, texts=texts)
-    sparse = _cli.build_sparse(chunks, k1=settings["k1"], b=settings["b"], rows=rows)
+    sparse = _cli.build_sparse(chunks, rows=rows)
     del rows, texts
     _cli.save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
@@ -461,14 +460,12 @@ COMMANDS = {
     "enrich": Command(cmd_enrich, "add metadata headers and window summaries", (
         OUT, *CORPUS, *REMOTE, Setting("chunks", required=True),
         Setting("summarizer", default="extractive", choices=("extractive", "remote")),
-        Setting("window", int, DEFAULT_WINDOW), Setting("max_fraction", float, 0.25),
-        Setting("workers", int, 1))),
+        Setting("window", int, DEFAULT_WINDOW), Setting("workers", int, 1))),
     "index": Command(cmd_index, "build sparse and dense indexes over chunks", (
         OUT, *REMOTE, Setting("chunks", required=True),
         Setting("embedder", default="deterministic", choices=("deterministic", "remote")),
         Setting("dim", int, 256),
-        Setting("workers", int, 4, help="concurrent remote embedding batches"),
-        Setting("k1", float, 1.2), Setting("b", float, 0.75))),
+        Setting("workers", int, 4, help="concurrent remote embedding batches"))),
     "retrieve": Command(cmd_retrieve, "run hybrid retrieval and emit contexts", (
         OUT, *SEARCH, Setting("k", int, 10),
         Setting("top", int, 4, help="chunks per generated context"))),

@@ -9,7 +9,9 @@ prompt template names in ``lexrag.preference``.
 
 A setting no caller varies is a constant of the module that uses it instead:
 the aligner's shingle width and window slack (``lexrag.aligner.SHINGLE`` and
-``WINDOW_SLACK``) and the stride of enrichment's summary windows (one chunk).
+``WINDOW_SLACK``), the stride of enrichment's summary windows (one chunk), the
+header's share of an enriched chunk (at most a quarter: ``body // 3`` header
+tokens) and BM25's ``lexrag.index.K1`` and ``B``.
 """
 
 from __future__ import annotations

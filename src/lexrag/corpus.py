@@ -211,8 +211,10 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     ``Question``, ``document URL``, ``Context``, and ``Answer`` keys; its
     gold spans start empty and are filled later by alignment.
 
-    Malformed records (a JSON-lines line that does not parse included)
-    become error entries with their index; loading continues. A record whose
+    Malformed records (a JSON-lines line that does not parse, or a field of
+    the wrong type: every field read is a string, ``query_id`` too, and a span
+    two ints, not JSON true) become error entries with their index; loading
+    continues. A record whose
     ``query_id`` (given, or the ``q{i:05d}`` fallback) repeats an earlier one
     is an error entry too; the first keeps the id. Span integers are read as
     character offsets; datasets annotated in UTF-8 byte offsets are converted
@@ -222,93 +224,72 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     if format not in {"snippet_qa", "aus_legal_qa"}:
         raise ValueError(f"unknown dataset format: {format!r}")
     if format == "snippet_qa":
-        return _parse_snippet_qa(read_json(path, list))
+        return _parse_qa(read_json(path, list), format)
     raw_text = read_text(path)
     if raw_text.lstrip().startswith("["):
-        return _parse_aus_legal_qa(read_json(path, list))
+        return _parse_qa(read_json(path, list), format)
     # split at "\n" alone, as read_jsonl does: str.splitlines would also break at
     # U+2028, U+2029 and U+0085, which JSON strings may hold raw
-    return _parse_aus_legal_qa([_json_line(line) for line in raw_text.split("\n")
-                                if line.strip()])
+    return _parse_qa([_json_line(line) for line in raw_text.split("\n") if line.strip()],
+                     format)
 
 
-def _keep_first(records: dict[str, QueryRecord], errors: list[LoadError], where: str,
-                record: QueryRecord) -> None:
-    if record.query_id in records:
-        errors.append(LoadError(where, f"duplicate query_id: {record.query_id!r}"))
-    else:
-        records[record.query_id] = record
+def _field(rec: dict, key: str, kind: type = str, default=None):
+    """``rec[key]``, which must be a ``kind``, or ``default`` where the key is absent
+    and a default is given; anything else is a ValueError naming the key."""
+    if key not in rec and default is None:
+        raise ValueError(f"missing required key: {key!r}")
+    value = rec.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"key {key!r} must be a {'string' if kind is str else kind.__name__}, "
+                         f"not {value!r}")
+    return value
 
 
-def _parse_snippet_qa(payload: list) -> tuple[list[QueryRecord], list[LoadError]]:
+def _gold_span(snip) -> GoldSpan:
+    """One snippet_qa snippet; a span end that is not an int (JSON true included)
+    is a ValueError naming the key, as is any other field of the wrong type."""
+    if not isinstance(snip, dict):
+        raise ValueError(f"key 'snippets' must hold objects, not {snip!r}")
+    span = _field(snip, "span", list)
+    if len(span) != 2 or any(type(v) is not int for v in span):
+        raise ValueError(f"key 'span' must be two integers [start, end], not {span!r}")
+    return GoldSpan(doc_id=_field(snip, "file_path"), start=span[0], end=span[1],
+                    answer_text=_field(snip, "answer", default=""))
+
+
+def _parse_qa(rows: list, format: str) -> tuple[list[QueryRecord], list[LoadError]]:
+    """``load_qa_dataset``'s records and error entries from the file's parsed rows."""
     records: dict[str, QueryRecord] = {}
     errors: list[LoadError] = []
-    for i, rec in enumerate(payload):
-        where = f"record[{i}]"
-        try:
-            question = rec["query"]
-            snippets = rec["snippets"]
-        except (TypeError, KeyError) as exc:
-            errors.append(LoadError(where, f"missing required key: {exc}"))
-            continue
-        if not isinstance(question, str) or not question.strip():
-            errors.append(LoadError(where, "question empty"))
-            continue
-        spans: list[GoldSpan] = []
-        bad = False
-        for j, snip in enumerate(snippets):
-            try:
-                file_path = snip["file_path"]
-                span = snip["span"]
-                answer = snip.get("answer", "")
-                if (not isinstance(span, (list, tuple)) or len(span) != 2
-                        or not all(isinstance(v, int) for v in span)):
-                    raise ValueError(f"malformed span array: {span!r}")
-                spans.append(GoldSpan(doc_id=file_path, start=span[0], end=span[1],
-                                      answer_text=answer))
-            except (TypeError, KeyError, ValueError) as exc:
-                errors.append(LoadError(f"{where}.snippets[{j}]", str(exc)))
-                bad = True
-                break
-        if bad:
-            continue
-        _keep_first(records, errors, where, QueryRecord(
-            query_id=rec.get("query_id", f"q{i:05d}"),
-            question=question,
-            gold_spans=spans,
-            gold_answer=rec.get("answer", ""),
-        ))
-    return list(records.values()), errors
-
-
-def _parse_aus_legal_qa(rows: list) -> tuple[list[QueryRecord], list[LoadError]]:
-    records: dict[str, QueryRecord] = {}
-    errors: list[LoadError] = []
-    required = ("Question", "document URL", "Context", "Answer")
+    question_key = "query" if format == "snippet_qa" else "Question"
     for i, rec in enumerate(rows):
         where = f"record[{i}]"
-        if isinstance(rec, json.JSONDecodeError):
-            errors.append(LoadError(where, f"invalid JSON: {rec}"))
+        try:
+            if isinstance(rec, json.JSONDecodeError):
+                raise ValueError(f"invalid JSON: {rec}")
+            if not isinstance(rec, dict):
+                raise ValueError("record is not an object")
+            record = QueryRecord(query_id=_field(rec, "query_id", default=f"q{i:05d}"),
+                                 question=_field(rec, question_key))
+            if not record.question.strip():
+                raise ValueError(f"key {question_key!r} holds an empty question")
+            if format == "aus_legal_qa":
+                record.gold_answer = _field(rec, "Answer")
+                record.context_text = _field(rec, "Context")
+                record.source_doc_id = url_to_doc_id(_field(rec, "document URL"))
+            else:
+                record.gold_answer = _field(rec, "answer", default="")
+                for j, snip in enumerate(_field(rec, "snippets", list)):
+                    where = f"record[{i}].snippets[{j}]"
+                    record.gold_spans.append(_gold_span(snip))
+        except ValueError as exc:
+            errors.append(LoadError(where, str(exc)))
             continue
-        if not isinstance(rec, dict):
-            errors.append(LoadError(where, "record is not an object"))
-            continue
-        missing = [k for k in required if k not in rec]
-        if missing:
-            errors.append(LoadError(where, f"missing required key(s): {missing}"))
-            continue
-        question = rec["Question"]
-        if not isinstance(question, str) or not question.strip():
-            errors.append(LoadError(where, "question empty"))
-            continue
-        _keep_first(records, errors, where, QueryRecord(
-            query_id=rec.get("query_id", f"q{i:05d}"),
-            question=question,
-            gold_spans=[],
-            gold_answer=rec["Answer"],
-            context_text=rec["Context"],
-            source_doc_id=url_to_doc_id(rec["document URL"]),
-        ))
+        if record.query_id in records:  # the first record keeps the id
+            errors.append(LoadError(f"record[{i}]", f"duplicate query_id: {record.query_id!r}"))
+        else:
+            records[record.query_id] = record
     return list(records.values()), errors
 
 

@@ -6,8 +6,9 @@ Summaries describe overlapping windows of 4 consecutive chunks, one starting at
 each chunk that leaves a full window (stride 1). Each chunk takes the summary of
 the window whose center is nearest its position in the document's chunk list,
 which in every file ``lexrag chunk`` writes is its ordinal. The header is
-truncated from the summary end so it never exceeds the configured fraction of
-the enriched chunk's tokens (default 25%).
+truncated from the summary end to at most a quarter of the enriched chunk's
+tokens: ``h / (h + body) <= 1/4`` holds exactly when ``3h <= body``, so a chunk
+keeps at most ``body // 3`` header tokens.
 
 Enrichment returns a copy of the chunk with only the header fields set; it
 never touches offsets or text, so retrieval metrics always score against the
@@ -181,37 +182,16 @@ def build_header(meta: DocumentMeta, summary_text: str) -> str:
     return " ".join(parts)
 
 
-def header_budget(n_header: int, body_tokens: int, max_fraction: float) -> int:
-    """The most header tokens, at most ``n_header``, that keep the header's share
-    ``h / (h + body_tokens)`` at or below ``max_fraction``, or 0 if none do.
+def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None) -> Chunk:
+    """Set the metadata header, its first ``body_tokens // 3`` tokens at most, so
+    that ``header_tokens / (header_tokens + body_tokens) <= 1/4``.
 
-    Starts from the real-valued bound ``max_fraction * body / (1 - max_fraction)``
-    and settles the boundary with the float test itself. The computed share
-    rises with h (rounding is monotone), so the answer is where the test flips.
-    """
-    h = min(n_header, int(max_fraction * body_tokens / (1 - max_fraction)))
-    while h < n_header and (h + 1) / (h + 1 + body_tokens) <= max_fraction:
-        h += 1
-    while h and h / (h + body_tokens) > max_fraction:
-        h -= 1
-    return h
-
-
-def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None,
-                 max_fraction: float = 0.25) -> Chunk:
-    """Set the metadata header, truncated to the token-fraction budget.
-
-    Header tokens are dropped from the end until
-    ``header_tokens / (header_tokens + body_tokens) <= max_fraction``
-    (``header_budget``).
     An empty header yields full_text identical to the chunk text.
     """
-    if not (0 < max_fraction < 1):
-        raise ValueError("max_fraction must be in (0, 1)")
     summary_text = summary.summary_text if summary is not None else ""
     header_tokens = build_header(meta, summary_text).split()
     body_tokens = count_tokens(chunk.text)
-    n_header = header_budget(len(header_tokens), body_tokens, max_fraction)
+    n_header = min(len(header_tokens), body_tokens // 3)
     if n_header and header_tokens[n_header - 1] in ("[SUMMARY]", "[DOC]"):
         n_header -= 1  # do not leave a dangling section marker
     header = " ".join(header_tokens[:n_header])
@@ -225,12 +205,10 @@ def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None
 
 def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
                            provider: SummarizerProvider,
-                           window: int = DEFAULT_WINDOW, max_fraction: float = 0.25,
-                           max_workers: int = 1) -> list[Chunk]:
+                           window: int = DEFAULT_WINDOW, max_workers: int = 1) -> list[Chunk]:
     """Full enrichment for one document's chunk list."""
     summaries = window_summaries(chunks, provider, window=window, max_workers=max_workers)
-    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), window)],
-                         max_fraction=max_fraction)
+    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), window)])
             for i, chunk in enumerate(chunks)]
 
 

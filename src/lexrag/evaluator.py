@@ -109,18 +109,20 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
-        """The report a ``to_dict`` payload holds. A missing key, or a per-query
-        value that is not a finite number in its metric's range at exactly the
-        report's ks, is a ValueError naming ``where`` (the report's file) and the
-        key, or the query, metric and k."""
+        """The report a ``to_dict`` payload holds. A missing key, a per-query value
+        that is not a finite number in its metric's range at exactly the report's
+        ks, or a bad per-k entry (``_check_per_k``) is a ValueError naming ``where``
+        (the report's file) and the key, or the query, metric and k, or k and key."""
         for key in ("dataset", "variant", "ks", "per_k", "per_query"):
             if key not in d:
                 raise ValueError(f"{where}: key {key!r} is missing")
         ks = d["ks"]
         if not isinstance(ks, list) or any(type(k) is not int for k in ks):
             raise ValueError(f"{where}: key 'ks' must be a list of integers, not {ks!r}")
-        if not isinstance(d["per_query"], dict):
-            raise ValueError(f"{where}: key 'per_query' must be an object")
+        for key in ("per_k", "per_query"):
+            if not isinstance(d[key], dict):
+                raise ValueError(f"{where}: key {key!r} must be an object")
+        _check_per_k(d["per_k"], ks, f"{where}: per_k")
         for qid, metrics in d["per_query"].items():
             for metric in METRICS:
                 by_k = metrics.get(metric) if isinstance(metrics, dict) else None
@@ -143,17 +145,46 @@ class MetricReport:
         )
 
 
-def _check_values(by_k: dict, ks: list[int], metric: str, where: str) -> None:
-    """One query's values of one metric, keyed by str(k): exactly the ks, each a
-    finite number (JSON true is none), DRM in [0, 1] and span recall >= 0."""
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (JSON true is not one)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _values_at(by_k: dict, ks: list[int], where: str) -> list:
+    """The values of ``by_k``, keyed by str(k), at each of exactly the ks."""
     extra = sorted(set(by_k) - {str(k) for k in ks})
     if extra:
         raise ValueError(f"{where}, k={extra[0]} is not one of the report's ks {ks}")
     for k in ks:
         if str(k) not in by_k:
             raise ValueError(f"{where}, k={k}: value is missing")
-        value = by_k[str(k)]
-        if type(value) not in (int, float) or not math.isfinite(value):
+    return [by_k[str(k)] for k in ks]
+
+
+def _check_per_k(per_k: dict, ks: list[int], where: str) -> None:
+    """An object at each of exactly the ks, whose ``<metric>_mean`` is null (or
+    absent: ``render_table`` shows n/a) or a finite number and, where a number,
+    whose ``<metric>_ci`` is two finite numbers."""
+    for k, entry in zip(ks, _values_at(per_k, ks, where)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}, k={k}: value must be an object, not {entry!r}")
+        for metric in METRICS:
+            mean, ci = entry.get(f"{metric}_mean"), entry.get(f"{metric}_ci")
+            if mean is None:
+                continue
+            if not _finite(mean):
+                raise ValueError(f"{where}, k={k}: key '{metric}_mean' must be null "
+                                 f"or a finite number, not {mean!r}")
+            if not (isinstance(ci, list) and len(ci) == 2 and all(map(_finite, ci))):
+                raise ValueError(f"{where}, k={k}: key '{metric}_ci' must be two finite "
+                                 f"numbers, not {ci!r}")
+
+
+def _check_values(by_k: dict, ks: list[int], metric: str, where: str) -> None:
+    """One query's values of one metric, keyed by str(k): exactly the ks, each a
+    finite number, DRM in [0, 1] and span recall >= 0."""
+    for k, value in zip(ks, _values_at(by_k, ks, where)):
+        if not _finite(value):
             raise ValueError(f"{where}, k={k}: value must be a finite number, not {value!r}")
         if (metric == "drm" and not 0 <= value <= 1) or value < 0:
             wanted = "in [0, 1]" if metric == "drm" else ">= 0"

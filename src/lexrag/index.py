@@ -25,20 +25,21 @@ The sparse index is held in the CSR layout it is stored in: the postings of
 ``offsets[i]:offsets[i + 1]``, each array in the narrowest unsigned dtype
 that holds its values; numpy promotes them to float64 exactly wherever BM25
 computes. Chunk lengths (sums of tfs), their mean and the length norms are
-derived from them, on a build and a load alike, so no stored value sets them.
+derived from them, on a build and a load alike, so no stored value sets them;
+nor do BM25's k1 and b, the standard ``K1 = 1.2`` and ``B = 0.75``.
 
-This module alone writes and reads an index directory (format v6): the fixed
+This module alone writes and reads an index directory (format v7): the fixed
 file names ``index.npz`` and ``chunks.jsonl``, and the ``index_meta.json``
 header holding format version, backend tag and each file's sha256, checked on
 the bytes a load parses. ``index.npz`` is uncompressed and holds only what
 cannot be derived: terms and chunk ids, each as one uint8 array of their UTF-8
-with NUL between them, the CSR arrays, the vectors in the narrowest signed
-dtype (float64 for remote vectors) and ``params`` = [k1, b]; the chunk count
-comes from the chunk ids and the dimension from the vectors. Loading never
-unpickles: a checksum recomputed by whoever wrote the directory cannot make a
-load run code. A load also checks the member names, every array's dtype and
-shape, that the strings decode and the CSR invariants, so a tampered file
-fails with a ValueError instead of ranking wrongly.
+with NUL between them, the CSR arrays and the vectors in the narrowest signed
+dtype (float64 for remote vectors); the chunk count comes from the chunk ids
+and the dimension from the vectors. Loading never unpickles: a checksum
+recomputed by whoever wrote the directory cannot make a load run code. A load
+also checks the member names, every array's dtype and shape, that the strings
+decode and the CSR invariants, so a tampered file fails with a ValueError
+instead of ranking wrongly.
 """
 
 from __future__ import annotations
@@ -59,15 +60,18 @@ from lexrag.chunker import Chunk, load_chunks
 from lexrag.embedding import EmbeddingProvider, TermRows, term_rows
 from lexrag.textutils import read_json, sha256_file, tokenize, write_json
 
-INDEX_FORMAT_VERSION = 6
+INDEX_FORMAT_VERSION = 7
 META_FILE = "index_meta.json"
 INDEX_FILE = "index.npz"
 CHUNKS_FILE = "chunks.jsonl"
 REMOTE_BACKEND = "remote"  # the one backend whose vectors are stored as floats
 _CSR_ARRAYS = ("offsets", "refs", "tfs")
-_MEMBERS = frozenset({"terms", "chunk_ids", *_CSR_ARRAYS, "vectors", "params"})
+_MEMBERS = frozenset({"terms", "chunk_ids", *_CSR_ARRAYS, "vectors"})
 _UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
 _SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
+# BM25's term-frequency saturation and length normalization: the standard values
+# (Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009)
+K1, B = 1.2, 0.75
 
 
 def _narrowest(values: np.ndarray, signed: bool = False) -> np.ndarray:
@@ -116,16 +120,14 @@ def top_rows(scores: np.ndarray, n: int, id_rank: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SparseIndex:
-    """Inverted index in CSR form with BM25 parameters (see the module docstring);
-    the fields not taken by the constructor are derived from those it takes."""
+    """Inverted index in CSR form (see the module docstring); the fields not
+    taken by the constructor are derived from those it takes."""
 
     terms: list[str]  # sorted
     offsets: np.ndarray  # len(terms) + 1
     refs: np.ndarray  # chunk rows, ascending within each term
     tfs: np.ndarray
     chunk_ids: list[str]
-    k1: float = 1.2
-    b: float = 0.75
     N: int = field(init=False)
     doc_lengths: np.ndarray = field(init=False, repr=False)  # float64 term counts
     avg_len: float = field(init=False)
@@ -133,12 +135,6 @@ class SparseIndex:
     id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # built or loaded, every index passes here: a negative or infinite k1 zeroes
-        # or breaks every score, and b outside [0, 1] can make a length norm negative
-        if not 0.0 <= self.k1 < math.inf:
-            raise ValueError(f"BM25 k1 must be >= 0 and finite, not {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"BM25 b must be in [0, 1], not {self.b}")
         if not self.chunk_ids:
             raise ValueError("a sparse index holds no chunks")
         if self.offsets.shape[0] != len(self.terms) + 1:
@@ -149,7 +145,7 @@ class SparseIndex:
         self.doc_lengths = np.bincount(self.refs, weights=self.tfs, minlength=self.N)
         self.avg_len = float(self.doc_lengths.mean())
         rel = self.doc_lengths / self.avg_len if self.avg_len > 0 else np.zeros(self.N)
-        self.norms = self.k1 * (1.0 - self.b + self.b * rel)
+        self.norms = K1 * (1.0 - B + B * rel)
         self.id_rank = id_ranks(self.chunk_ids)
 
     @cached_property
@@ -174,8 +170,7 @@ def _idf(n: int, n_t: int) -> float:
     return math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
-def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
-                 rows: TermRows | None = None) -> SparseIndex:
+def build_sparse(chunks: Sequence[Chunk], rows: TermRows | None = None) -> SparseIndex:
     """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text.
 
     ``rows``, when given, is ``term_rows`` of the chunks' full_text, already computed.
@@ -199,14 +194,14 @@ def build_sparse(chunks: Sequence[Chunk], k1: float = 1.2, b: float = 0.75,
     np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
     return SparseIndex(terms=sorted(rows.vocab), offsets=_narrowest(offsets),
                        refs=_narrowest(keys % n), tfs=_narrowest(tfs),
-                       chunk_ids=[c.chunk_id for c in chunks], k1=k1, b=b)
+                       chunk_ids=[c.chunk_id for c in chunks])
 
 
 def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     """Okapi BM25 score of every chunk row for ``query``, as an N-length array.
 
     score(q, d) = sum over query term occurrences of
-    idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * len/avg_len)), with
+    idf(t) * tf * (K1+1) / (tf + K1 * (1 - B + B * len/avg_len)), with
     idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
     term score 0. Returns None when no query term is in the vocabulary.
     ``np.bincount`` sums each chunk's contributions in posting order, so the
@@ -218,7 +213,7 @@ def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
     refs = np.concatenate([index.refs[lo:hi] for lo, hi in spans])
     tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans])
     idfs = np.concatenate([np.full(hi - lo, _idf(index.N, hi - lo)) for lo, hi in spans])
-    contrib = idfs * tfs * (index.k1 + 1.0) / (tfs + index.norms[refs])
+    contrib = idfs * tfs * (K1 + 1.0) / (tfs + index.norms[refs])
     return np.bincount(refs, weights=contrib, minlength=index.norms.shape[0])
 
 
@@ -367,7 +362,7 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     np.savez(directory / INDEX_FILE, terms=_nul_joined(sparse.terms, "term"),
              chunk_ids=_nul_joined(sparse.chunk_ids, "chunk id"),
              **{name: _narrowest(getattr(sparse, name)) for name in _CSR_ARRAYS},
-             vectors=vectors, params=np.asarray([sparse.k1, sparse.b], dtype=np.float64))
+             vectors=vectors)
 
     chunks_copy = directory / CHUNKS_FILE
     if not (chunks_copy.exists() and chunks_copy.samefile(chunks_file)):
@@ -433,7 +428,7 @@ def _nul_split(path: Path, arrays: dict[str, np.ndarray], name: str) -> list[str
 def _check_arrays(path: Path, arrays: dict[str, np.ndarray], n: int, backend: str) -> None:
     """index.npz's numeric members for ``n`` chunks: each CSR array 1-D in its narrowest
     unsigned dtype; offsets start at 0, never decrease and end at len(refs); 0 <= refs
-    < n; tfs >= 1; two finite params; n rows of vectors in the dtype the backend's
+    < n; tfs >= 1; n rows of vectors in the dtype the backend's
     vectors are saved in."""
     for name in _CSR_ARRAYS:
         values = arrays[name]
@@ -449,9 +444,6 @@ def _check_arrays(path: Path, arrays: dict[str, np.ndarray], n: int, backend: st
         raise _invalid(path, f"refs hold a row outside [0, {n})")
     if tfs.size and tfs.min() < 1:
         raise _invalid(path, "tfs hold a term frequency below 1")
-    params = arrays["params"]
-    if params.shape != (2,) or params.dtype != np.float64 or not np.isfinite(params).all():
-        raise _invalid(path, "params is not 2 finite float64 values (k1, b)")
     vectors = arrays["vectors"]
     if not (vectors.dtype == np.float64 if backend == REMOTE_BACKEND else
             vectors.dtype.kind == "i" and _narrowest(vectors, signed=True) is vectors):
@@ -478,10 +470,9 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
         raise _invalid(path, "terms are not strictly ascending")
     if len(set(chunk_ids)) < len(chunk_ids):
         raise _invalid(path, "a chunk id repeats")
-    k1, b = arrays["params"].tolist()
     try:
         sparse = SparseIndex(terms=terms, **{name: arrays[name] for name in _CSR_ARRAYS},
-                             chunk_ids=chunk_ids, k1=k1, b=b)
+                             chunk_ids=chunk_ids)
     except ValueError as exc:
         raise _invalid(path, str(exc)) from None
     dense = DenseIndex(vectors=arrays["vectors"], chunk_ids=chunk_ids,

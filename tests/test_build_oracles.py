@@ -23,7 +23,7 @@ from lexrag.corpus import Document, DocumentMeta
 from lexrag.embedding import HashedBowEmbedder, term_rows
 from lexrag.enricher import (ExtractiveSummarizer, WindowSummary, build_header, enrich_chunk,
                              enrich_document_chunks, extractive_fallback_summary,
-                             header_budget, window_summaries)
+                             window_summaries)
 from lexrag.index import build_dense, build_sparse, embed
 from lexrag.textutils import _WordTable, split_sentences, tokenize
 from tests.conftest import make_chunk, random_document_text
@@ -84,18 +84,18 @@ def reference_spans(doc: Document, cfg: ChunkConfig) -> list[tuple[int, int]]:
     return spans
 
 
-def reference_header_count(n_header: int, body_tokens: int, max_fraction: float) -> int:
-    """Header tokens left after popping one at a time while over the fraction."""
-    tokens = list(range(n_header))
-    while tokens and len(tokens) / (len(tokens) + body_tokens) > max_fraction:
-        tokens.pop()
-    return len(tokens)
+def reference_header_count(n_header: int, body_tokens: int) -> int:
+    """Header tokens left after popping one at a time while over a quarter."""
+    kept = n_header
+    while kept and kept / (kept + body_tokens) > 0.25:
+        kept -= 1
+    return kept
 
 
-def reference_enrich_chunk(chunk, meta, summary, max_fraction):
+def reference_enrich_chunk(chunk, meta, summary):
     header_tokens = build_header(meta, summary.summary_text if summary else "").split()
     body_tokens = count_tokens(chunk.text)
-    while header_tokens and len(header_tokens) / (len(header_tokens) + body_tokens) > max_fraction:
+    while header_tokens and len(header_tokens) / (len(header_tokens) + body_tokens) > 0.25:
         header_tokens.pop()
     if header_tokens and header_tokens[-1] in ("[SUMMARY]", "[DOC]"):
         header_tokens.pop()
@@ -281,43 +281,39 @@ def test_overlap_equals_finditer_on_arbitrary_text(text, target, overlap):
 
 
 # ---------------------------------------------------------------------------
-# (c) header budget in closed form against the pop loop
+# (c) the header budget, body // 3 header tokens, against the pop loop at a quarter
 
-FRACTIONS = [0.25, 0.1, 1 / 3, 0.2, 0.3, 0.5, 2 / 3, 0.05, 0.01, 0.75, 0.9, 0.999]
+def test_header_budget_equals_pop_loop():
+    """``h / (h + body) <= 1/4`` in float64 exactly when ``3h <= body``: every body
+    up to 3000 tokens, at the header sizes around the boundary and small ones."""
+    for body in range(0, 3001):
+        edge = body // 3
+        for n_header in {*range(0, 9), *range(max(edge - 2, 0), edge + 4)}:
+            assert min(n_header, body // 3) == reference_header_count(n_header, body), \
+                (n_header, body)
 
 
-@pytest.mark.parametrize("max_fraction", FRACTIONS)
-def test_header_budget_equals_pop_loop(max_fraction):
-    for body in range(0, 160):
-        for n_header in range(0, 70, 3):
-            assert (header_budget(n_header, body, max_fraction)
-                    == reference_header_count(n_header, body, max_fraction)), (n_header, body)
-
-
-def test_header_budget_on_random_fractions_and_large_bodies():
+def test_header_budget_on_large_bodies():
     rng = np.random.default_rng(13)
     for _ in range(3000):
-        f = float(rng.random()) or 0.5
-        body = int(rng.integers(0, 5000))
-        n_header = int(rng.integers(0, 400))
-        assert header_budget(n_header, body, f) == reference_header_count(n_header, body, f)
+        body = int(rng.integers(0, 10**9))
+        for n_header in range(max(body // 3 - 3, 0), body // 3 + 4):
+            assert min(n_header, body // 3) == reference_header_count(n_header, body), \
+                (n_header, body)
 
 
-@pytest.mark.parametrize("n_header,body,max_fraction,kept", [
-    (1, 3, 0.25, 1),  # 1 / 4 == 0.25 exactly: kept
-    (2, 6, 0.25, 2),
-    (3, 6, 0.25, 2),
-    (1, 9, 0.1, 1),  # 1 / 10 == 0.1 in floats too
-    (2, 9, 0.1, 1),
-    (1, 2, 1 / 3, 1),  # 1 / 3 == 1 / 3
-    (5, 10, 1 / 3, 5),
-    (6, 10, 1 / 3, 5),
-    (4, 0, 0.25, 0),  # no body: no header
-    (0, 10, 0.25, 0),
+@pytest.mark.parametrize("n_header,body,kept", [
+    (1, 3, 1),  # 1 / 4 == 0.25 exactly: kept
+    (2, 6, 2),
+    (3, 6, 2),
+    (1, 2, 0),  # 1 / 3 > 0.25
+    (34, 100, 33),  # 33 / 133 <= 0.25 < 34 / 134
+    (4, 0, 0),  # no body: no header
+    (0, 10, 0),
 ])
-def test_header_budget_at_the_boundary(n_header, body, max_fraction, kept):
-    assert header_budget(n_header, body, max_fraction) == kept
-    assert reference_header_count(n_header, body, max_fraction) == kept
+def test_header_budget_at_the_boundary(n_header, body, kept):
+    assert min(n_header, body // 3) == kept
+    assert reference_header_count(n_header, body) == kept
 
 
 def test_enrich_chunk_equals_pop_loop():
@@ -325,17 +321,17 @@ def test_enrich_chunk_equals_pop_loop():
     metas = [DocumentMeta(), DocumentMeta(title="Smith v Jones"),
              DocumentMeta(title="R v Brown", jurisdiction="NSW", doc_type="decision")]
     for i in range(400):
+        # every fifth chunk long, with a summary up to past the 200-token summary cap
+        body_len, summary_len = (900, 220) if i % 5 == 0 else (40, 30)
         body = " ".join(WORDS[int(rng.integers(len(WORDS)))]
-                        for _ in range(int(rng.integers(0, 40)))) or "x"
+                        for _ in range(int(rng.integers(0, body_len)))) or "x"
         chunk = make_chunk(i, body)
         summary_words = [WORDS[int(rng.integers(len(WORDS)))]
-                         for _ in range(int(rng.integers(0, 30)))]
+                         for _ in range(int(rng.integers(0, summary_len)))]
         summary = (None if i % 7 == 0 else
                    WindowSummary(" ".join(summary_words), fallback=bool(i % 2)))
         meta = metas[i % len(metas)]
-        for f in (0.25, 0.1, 1 / 3, 0.5):
-            assert enrich_chunk(chunk, meta, summary, f) == \
-                reference_enrich_chunk(chunk, meta, summary, f)
+        assert enrich_chunk(chunk, meta, summary) == reference_enrich_chunk(chunk, meta, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_index_directory_self_contained(built_pipeline):
     index_dir = built_pipeline["index_baseline"]
     meta = json.loads((index_dir / "index_meta.json").read_text())
     assert meta["embedder_backend"] == "deterministic-test"
-    assert meta["format_version"] == 6
+    assert meta["format_version"] == 7
     assert sorted(meta) == ["embedder_backend", "format_version", "sha256"]
     assert sorted(meta["sha256"]) == ["chunks.jsonl", "index.npz"]
     with np.load(index_dir / "index.npz") as data:
@@ -128,24 +128,6 @@ def test_retrieve_top_below_one_rejected(built_pipeline, tmp_path, capsys, top):
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": f"top must be >= 1, not {top}"}
     assert not any(out_dir.glob("*"))
-
-
-@pytest.mark.parametrize("flag,value,problem", [
-    ("--k1", "-1", "BM25 k1 must be >= 0"),
-    ("--k1", "inf", "BM25 k1 must be >= 0"),
-    ("--k1", "nan", "BM25 k1 must be >= 0"),
-    ("--b", "3", "BM25 b must be in [0, 1]"),
-    ("--b", "-0.5", "BM25 b must be in [0, 1]"),
-])
-def test_index_bm25_parameter_out_of_range_rejected(built_pipeline, tmp_path, capsys,
-                                                     flag, value, problem):
-    out_dir = tmp_path / "index"
-    code = run(["index", "--chunks", str(built_pipeline["chunks"] / "chunks.jsonl"),
-                "--dim", "16", flag, value, "--out", str(out_dir)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError" and problem in err["message"]
-    assert not (out_dir / "index_meta.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval-retrieval", "compare"])
@@ -348,6 +330,29 @@ def test_version_5_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
     _assert_earlier_version_refused(built_pipeline, tmp_path, capsys, 5)
 
 
+def test_version_6_index_asks_for_rebuild(built_pipeline, tmp_path, capsys):
+    """A v6 directory (BM25's k1 and b stored as index.npz's ``params``, a header
+    otherwise like v7's) is refused by its header."""
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    path = index_dir / "index.npz"
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(path, **arrays, params=np.array([1.2, 0.75]))
+    meta_path = index_dir / "index_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["format_version"] = 6
+    meta["sha256"]["index.npz"] = sha256_file(path)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message":
+                   "unsupported index format version 6 (this lexrag reads version 7); "
+                   "rebuild with `lexrag index`"}
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
+
 def _set(name: str, index, value, dtype=None):
     """An edit that sets ``arrays[name][index] = value``, first widened to ``dtype``."""
     def edit(arrays, meta):
@@ -391,7 +396,7 @@ def _remote_with_inf(arrays, meta):
 
 
 def _avg_len_param(arrays, meta):
-    arrays["params"] = np.array([1.2, 0.75, -1.0])
+    arrays["params"] = np.array([1.2, 0.75, -1.0])  # k1, b and a stored avg_len
 
 
 def _reversed_doc_lengths(arrays, meta):
@@ -418,13 +423,11 @@ _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
                  "refs is not a 1-D array in its narrowest unsigned dtype", id="refs-dtype"),
     pytest.param(_as("tfs", np.float64),
                  "tfs is not a 1-D array in its narrowest unsigned dtype", id="tfs-dtype"),
-    pytest.param(_set("params", 1, np.nan), "params is not 2 finite float64 values",
-                 id="params-nan"),
-    pytest.param(_set("params", 0, -1.0), "BM25 k1 must be >= 0", id="params-k1"),
-    pytest.param(_set("params", 1, 3.0), "BM25 b must be in [0, 1]", id="params-b"),
-    # BM25's chunk lengths and their mean are derived from refs and tfs, never read:
-    # at format v4, both of these loaded and changed every BM25 score
-    pytest.param(_avg_len_param, "params is not 2 finite float64 values", id="params-avg-len"),
+    # BM25's chunk lengths and their mean are derived from refs and tfs, and its k1
+    # and b are constants, so none is read: at format v4, a stored avg_len and
+    # doc_lengths loaded and changed every BM25 score
+    pytest.param(_avg_len_param, "members ['params'] are missing or not part of",
+                 id="params-avg-len"),
     pytest.param(_reversed_doc_lengths, "members ['doc_lengths'] are missing or not part of",
                  id="doc-lengths-member"),
     pytest.param(_no_chunks, "a sparse index holds no chunks", id="no-chunks"),
@@ -444,7 +447,7 @@ _SPARSE_ORDER = "offsets do not start at 0, rise and end at len(refs)"
 def test_tampered_v4_arrays_rejected(built_pipeline, tmp_path, capsys, edit, problem):
     """An index.npz member edited to break the format, its sha256 recomputed in the
     header, fails the load with the error JSON naming the file and the broken
-    invariant. (The name dates from format v4; the cases are format v6's.)"""
+    invariant. (The name dates from format v4; the cases are format v7's.)"""
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     path = index_dir / "index.npz"
@@ -793,6 +796,26 @@ def test_align_spans_command(tmp_path):
     assert all(len(rec["snippets"]) == 1 for rec in aligned)
 
 
+def test_mistyped_qa_records_are_load_errors_not_failures(tmp_path, capsys):
+    """A QA record with a field of the wrong type is listed as a load error, and
+    ingest and align-spans still exit 0 over the records that load."""
+    root, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=1)
+    rows = [json.loads(line) for line in qa_path.read_text(encoding="utf-8").splitlines()]
+    rows[1]["document URL"] = 5
+    qa_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    code = run(["ingest", "--root", str(root), "--qa", str(qa_path),
+                "--format", "aus_legal_qa", "--out", str(tmp_path / "ingest")])
+    assert code == 0
+    report = json.loads((tmp_path / "ingest" / "ingest_report.json").read_text())
+    assert report["qa"]["records"] == 3
+    assert [e["where"] for e in report["qa_errors"]] == ["record[1]"]
+    assert "'document URL'" in report["qa_errors"][0]["message"]
+    code = run(["align-spans", "--root", str(root), "--qa", str(qa_path),
+                "--out", str(tmp_path / "aligned")])
+    assert code == 0
+    assert '"load_errors": 1' in capsys.readouterr().out
+
+
 def test_dpo_build_command(tmp_path):
     _, qa_path = build_aus_corpus(tmp_path, n_records=24, n_docs=6, seed=2)
     out_dir = tmp_path / "dpo"
@@ -1098,8 +1121,12 @@ def _hand_written_report(metric: str, k: str | None, value) -> dict:
         del per_query["q2"][metric][k]
     elif value is not None:
         per_query["q2"][metric][k] = value
-    return {"dataset": "hand", "variant": "baseline", "ks": [1, 4], "per_k": {},
+    return {"dataset": "hand", "variant": "baseline", "ks": [1, 4], "per_k": _PER_K,
             "per_query": per_query}
+
+
+_PER_K = {k: {"drm_mean": 0.5, "drm_ci": [0.0, 1.0], "span_recall_mean": 2.0,
+              "span_recall_ci": [0.5, 3.5]} for k in ("1", "4")}
 
 
 @pytest.mark.parametrize("command", ["compare", "report"])
@@ -1129,6 +1156,53 @@ def test_metric_report_value_named_with_query_metric_and_k(tmp_path, capsys, com
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert err["message"] == f"{path}: query 'q2', metric {problem}"
+
+
+def _per_k_with(k: str, key: str | None, value) -> dict:
+    """``_PER_K`` with ``per_k[k][key]`` set to ``value`` (deleted when ``...``), or,
+    where ``key`` is None, ``per_k[k]`` itself (deleted when ``...``)."""
+    per_k = {name: dict(entry) for name, entry in _PER_K.items()}
+    target, name = (per_k, k) if key is None else (per_k.setdefault(k, {}), key)
+    if value is ...:
+        del target[name]
+    else:
+        target[name] = value
+    return per_k
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("k,key,value,problem", [
+    ("1", "drm_mean", None, None),  # no mean to render: the cell reads n/a
+    ("x", None, {}, "k=x is not one of the report's ks [1, 4]"),
+    ("4", None, ..., "k=4: value is missing"),
+    ("1", None, "s", "k=1: value must be an object, not 's'"),
+    ("1", "drm_ci", 3, "k=1: key 'drm_ci' must be two finite numbers, not 3"),
+    ("4", "span_recall_ci", [0.5], "k=4: key 'span_recall_ci' must be two finite numbers, "
+                                   "not [0.5]"),
+    ("1", "drm_ci", [0, math.inf], "k=1: key 'drm_ci' must be two finite numbers, "
+                                   "not [0, inf]"),
+    ("1", "drm_mean", "0.5", "k=1: key 'drm_mean' must be null or a finite number, not '0.5'"),
+    ("4", "span_recall_mean", True, "k=4: key 'span_recall_mean' must be null or a finite "
+                                    "number, not True"),
+    ("4", "span_recall_mean", ..., None),  # absent is null
+], ids=["mean-null", "k-not-in-ks", "k-missing", "entry-string", "ci-int", "ci-one-value",
+        "ci-inf", "mean-string", "mean-true", "mean-absent"])
+def test_metric_report_per_k_named_with_k_and_key(tmp_path, capsys, command, k, key, value,
+                                                  problem):
+    """A per-k entry that the table cannot render fails with the file, k and key,
+    not with a bare TypeError or AttributeError from the renderer."""
+    path = tmp_path / "metric_report.json"
+    report = {**_hand_written_report("drm", "4", None), "per_k": _per_k_with(k, key, value)}
+    path.write_text(json.dumps(report), encoding="utf-8")
+    argv = {"compare": ["compare", "--baseline", str(path), "--enhanced", str(path),
+                        "--bootstrap-iterations", "20", "--out", str(tmp_path / "out")],
+            "report": ["report", "--report", str(path)]}[command]
+    if problem is None:
+        assert run(argv) == 0
+        return
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{path}: per_k, {problem}"}
 
 
 def test_unknown_command_exits_2(capsys):
@@ -1277,16 +1351,19 @@ def test_manifest_config_leaves_out_keys_the_command_does_not_read(tmp_path, wor
 
 
 @pytest.mark.parametrize("command,key,value", [
-    ("enrich", "stride", 1), ("align-spans", "shingle_size", 3), ("align-spans", "slack", 0.3)])
+    ("enrich", "stride", 1), ("align-spans", "shingle_size", 3), ("align-spans", "slack", 0.3),
+    ("enrich", "max_fraction", 0.25), ("index", "k1", 1.2), ("index", "b", 0.75)])
 def test_fixed_settings_are_unknown_flags_and_ignored_config_keys(
         built_pipeline, tmp_path, capsys, command, key, value):
-    # enrichment's stride and the aligner's shingle width and slack are constants:
-    # a flag naming one is a usage error, and a run manifest's config holding the
-    # value every run used replays to the same bytes
+    # enrichment's stride and header share, the aligner's shingle width and slack
+    # and BM25's k1 and b are constants: a flag naming one is a usage error, and a
+    # run manifest's config holding the value every run used replays to the same bytes
     if command == "enrich":
         inputs = ["--root", str(built_pipeline["root"]), "--manifest",
                   str(built_pipeline["manifest"]),
                   "--chunks", str(built_pipeline["chunks"] / "chunks.jsonl")]
+    elif command == "index":
+        inputs = ["--chunks", str(built_pipeline["chunks"] / "chunks.jsonl"), "--dim", "16"]
     else:
         root, qa_path = build_aus_corpus(tmp_path / "aus", n_records=6, n_docs=3, seed=1)
         inputs = ["--root", str(root), "--qa", str(qa_path)]

@@ -212,6 +212,53 @@ def test_load_aus_legal_qa_duplicate_query_ids_keep_first(tmp_path):
     assert [e.where for e in errors] == ["record[1]", "record[2]"]
 
 
+_SNIPPET = {"file_path": "d", "span": [0, 4], "answer": "a"}
+
+
+@pytest.mark.parametrize("record,where,key", [
+    ({"query": "q?", "snippets": 5}, "record[0]", "snippets"),
+    ({"query": "q?", "snippets": {"file_path": "d"}}, "record[0]", "snippets"),
+    ({"query_id": ["x"], "query": "q?", "snippets": [_SNIPPET]}, "record[0]", "query_id"),
+    ({"query_id": 7, "query": "q?", "snippets": [_SNIPPET]}, "record[0]", "query_id"),
+    ({"query": "q?", "snippets": [_SNIPPET], "answer": 5}, "record[0]", "answer"),
+    ({"query": "q?", "snippets": ["d"]}, "record[0].snippets[0]", "snippets"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "file_path": 5}]},
+     "record[0].snippets[0]", "file_path"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "answer": None}]},
+     "record[0].snippets[0]", "answer"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "span": [True, 4]}]},
+     "record[0].snippets[0]", "span"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "span": [0, 4.0]}]},
+     "record[0].snippets[0]", "span"),
+], ids=["snippets-int", "snippets-object", "query-id-list", "query-id-int", "answer-int",
+        "snippet-string", "file-path-int", "snippet-answer-null", "span-bool", "span-float"])
+def test_load_snippet_qa_mistyped_field_is_a_load_error(tmp_path, record, where, key):
+    """A field of the wrong JSON type fails its record alone, naming the record and
+    the key, and the next record still loads."""
+    path = tmp_path / "qa.json"
+    path.write_text(json.dumps([record, {"query": "fine?", "snippets": [_SNIPPET]}]),
+                    encoding="utf-8")
+    records, errors = load_qa_dataset(path, "snippet_qa")
+    assert [(r.query_id, r.question) for r in records] == [("q00001", "fine?")]
+    assert len(errors) == 1
+    assert errors[0].where == where and repr(key) in errors[0].message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("document URL", 5), ("document URL", None), ("Context", ["c"]), ("Answer", 1.5),
+    ("Question", 3), ("query_id", 7), ("query_id", ["x"]),
+], ids=["url-int", "url-null", "context-list", "answer-float", "question-int", "query-id-int",
+        "query-id-list"])
+def test_load_aus_legal_qa_mistyped_field_is_a_load_error(tmp_path, key, value):
+    path = tmp_path / "aus.jsonl"
+    path.write_text("\n".join(json.dumps(row) for row in [
+        _aus_row("bad?", **{key: value}), _aus_row("fine?")]) + "\n", encoding="utf-8")
+    records, errors = load_qa_dataset(path, "aus_legal_qa")
+    assert [(r.query_id, r.question) for r in records] == [("q00001", "fine?")]
+    assert len(errors) == 1
+    assert errors[0].where == "record[0]" and repr(key) in errors[0].message
+
+
 def test_validate_annotations_clean_and_out_of_bounds():
     docs = DocumentCollection([make_doc("d", "0123456789")])
     clean = QueryRecord("q1", "q?", [GoldSpan("d", 0, 5, "01234")])

@@ -171,9 +171,9 @@ class TestEnrichChunk:
     def test_header_truncated_to_quarter(self):
         chunk = make_chunk(0, " ".join(f"b{i}" for i in range(100)))
         summary = summary_of(" ".join(f"s{i}" for i in range(100)))
-        enriched = enrich_chunk(chunk, DocumentMeta(), summary, max_fraction=0.25)
+        enriched = enrich_chunk(chunk, DocumentMeta(), summary)
         n_header = count_tokens(enriched.header_text)
-        assert n_header <= 33
+        assert n_header == 33  # 100 // 3: 33 / 133 <= 1/4 < 34 / 134
         assert enriched.metadata_fraction <= 0.25
 
     def test_title_appears_verbatim(self):

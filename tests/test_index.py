@@ -298,11 +298,10 @@ class TestPersistence:
         save_indexes(tmp_path, sparse, dense, path, digest)
         with np.load(tmp_path / "index.npz") as data:
             assert sorted(data.files) == [
-                "chunk_ids", "offsets", "params", "refs", "terms", "tfs", "vectors"]
-            assert data["params"].tolist() == [1.2, 0.75]
+                "chunk_ids", "offsets", "refs", "terms", "tfs", "vectors"]
             assert data["chunk_ids"].tobytes() == "\0".join(sparse.chunk_ids).encode()
         meta = json.loads((tmp_path / "index_meta.json").read_text(encoding="utf-8"))
-        assert meta == {"format_version": 6, "embedder_backend": dense.backend,
+        assert meta == {"format_version": 7, "embedder_backend": dense.backend,
                         "sha256": {"index.npz": sha256_file(tmp_path / "index.npz"),
                                    "chunks.jsonl": digest}}
 

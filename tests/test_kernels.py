@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lexrag import kernels, stats
-from lexrag.index import SparseIndex, bm25_score_array
+from lexrag.index import B, K1, SparseIndex, bm25_score_array
 from tests.conftest import child_env
 
 
@@ -69,7 +69,7 @@ def test_hash_tokens_empty_batch():
 
 def test_bm25_score_array_bitwise_matches_posting_loop():
     rng = np.random.default_rng(11)
-    n_chunks, n_terms, k1, b = 80, 40, 1.2, 0.75
+    n_chunks, n_terms = 80, 40
     terms = sorted(f"t{i}" for i in range(n_terms))
     rows = [np.sort(rng.choice(n_chunks, int(rng.integers(1, n_chunks)), replace=False))
             for _ in terms]
@@ -77,7 +77,7 @@ def test_bm25_score_array_bitwise_matches_posting_loop():
     refs = np.concatenate(rows).astype(np.int64)
     tfs = rng.integers(1, 12, refs.shape[0]).astype(np.float64)
     index = SparseIndex(terms=terms, offsets=offsets, refs=refs, tfs=tfs,
-                        chunk_ids=[f"doc#{i:03d}" for i in range(n_chunks)], k1=k1, b=b)
+                        chunk_ids=[f"doc#{i:03d}" for i in range(n_chunks)])
     doc_lengths = [0.0] * n_chunks
     for r, tf in zip(refs, tfs):
         doc_lengths[r] += tf
@@ -91,8 +91,8 @@ def test_bm25_score_array_bitwise_matches_posting_loop():
         n_t = hi - lo
         idf = math.log((n_chunks - n_t + 0.5) / (n_t + 0.5) + 1.0)
         for r, tf in zip(refs[lo:hi], tfs[lo:hi]):
-            norm = k1 * (1.0 - b + b * (doc_lengths[r] / avg_len))
-            expected[r] += idf * tf * (k1 + 1.0) / (tf + norm)
+            norm = K1 * (1.0 - B + B * (doc_lengths[r] / avg_len))
+            expected[r] += idf * tf * (K1 + 1.0) / (tf + norm)
     assert got.shape == (n_chunks,)
     assert np.count_nonzero(got) > n_chunks // 2
     assert np.array_equal(got, expected)
