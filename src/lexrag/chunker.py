@@ -15,6 +15,7 @@ the merged text's token count, which keeps the packing bound safe.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,6 +131,25 @@ class Chunk:
     def _bad(self, key: str, why: str) -> ValueError:
         return ValueError(f"chunk {self.chunk_id!r}: key {key!r} holds "
                           f"{getattr(self, key)!r}, {why}")
+
+
+class FullTexts(Sequence[str]):
+    """The ``full_text`` of each chunk of a list, made when it is read: what an index
+    build embeds and tokenizes, without a list that holds every text at once."""
+
+    def __init__(self, chunks: Sequence[Chunk]):
+        self._chunks = chunks
+
+    def __len__(self) -> int:
+        return len(self._chunks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [chunk.full_text for chunk in self._chunks[i]]
+        return self._chunks[i].full_text
+
+    def __iter__(self) -> Iterator[str]:
+        return (chunk.full_text for chunk in self._chunks)
 
 
 @dataclass
@@ -302,12 +322,13 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
     write_jsonl((chunk.to_dict() for chunk in chunks), path)
 
 
-def load_chunks(path: str | Path, data: bytes | None = None) -> list[Chunk]:
-    """Read a bare or enriched chunk file (from ``data``, its bytes, when given);
-    a bad row or a repeated chunk_id is a ValueError."""
+def load_chunks(path: str | Path, data: bytes | None = None, digest=None) -> list[Chunk]:
+    """Read a bare or enriched chunk file (from ``data``, its bytes, when given, else
+    as a stream that feeds ``digest``, see ``read_jsonl``); a bad row or a repeated
+    chunk_id is a ValueError."""
     chunks = []
     seen: set[str] = set()
-    for number, row in read_jsonl(path, data):
+    for number, row in read_jsonl(path, data, digest):
         try:
             chunk = Chunk.from_dict(row)
         except ValueError as exc:

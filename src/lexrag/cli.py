@@ -64,7 +64,7 @@ if TYPE_CHECKING:
 # module's name, so the name must stay importable from it.
 _LAZY = {name: module for module, names in (
     ("lexrag.aligner", ("reconstruct_dataset", "save_aligned_dataset")),
-    ("lexrag.chunker", ("dump_chunks", "load_chunks", "split_recursive")),
+    ("lexrag.chunker", ("FullTexts", "dump_chunks", "load_chunks", "split_recursive")),
     ("lexrag.corpus", ("convert_spans_to_char", "dataset_counts", "load_documents",
                        "load_qa_dataset", "validate_annotations")),
     ("lexrag.embedding", ("get_embedder", "term_rows")),
@@ -240,12 +240,12 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
 
 def cmd_index(settings: dict, out_dir: Path) -> list:
     chunks_path = Path(settings["chunks"])
-    # the index stores this file as its chunks.jsonl, as given; holding its bytes
-    # only while parsing keeps them out of the build's peak memory
-    chunks_data = chunks_path.read_bytes()
-    chunks = _cli.load_chunks(chunks_path, chunks_data)
-    chunks_sha256 = hashlib.sha256(chunks_data).hexdigest()
-    del chunks_data
+    # the index stores this file as its chunks.jsonl, as given, under the sha256 of
+    # the bytes parsed here: the file is read as a stream that feeds the digest, so
+    # no copy of its bytes is held
+    digest = hashlib.sha256()
+    chunks = _cli.load_chunks(chunks_path, digest=digest)
+    chunks_sha256 = digest.hexdigest()
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
     if settings["embedder"] == "remote":
@@ -254,13 +254,13 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
         embedder.max_workers = settings["workers"]
     else:
         embedder = _cli.get_embedder("deterministic", dim=settings["dim"])
-    # one full_text list and one tokenize pass serve both indexes; building dense
-    # first and dropping the term rows before saving measured the lowest peak memory
-    texts = [c.full_text for c in chunks]
-    rows = _cli.term_rows(texts)
-    dense = _cli.build_dense(chunks, embedder, rows=rows, texts=texts)
+    # one tokenize pass serves both indexes, over each full_text made as it is read;
+    # building dense first and dropping the term rows before saving measured the
+    # lowest peak memory
+    rows = _cli.term_rows(_cli.FullTexts(chunks))
+    dense = _cli.build_dense(chunks, embedder, rows=rows)
     sparse = _cli.build_sparse(chunks, rows=rows)
-    del rows, texts
+    del rows
     _cli.save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))

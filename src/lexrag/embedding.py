@@ -1,14 +1,16 @@
 """Embedding providers: a deterministic offline backend and a remote HTTP backend,
-and ``term_rows``, which tokenizes a batch of texts once into integer term ids
-that the deterministic backend and the sparse index build both read.
+and ``term_rows``, which tokenizes a batch of texts once into int32 term ids
+that the deterministic backend and the sparse index build both read (4 bytes a
+token; a batch of more than 2**31 distinct terms is a ValueError).
 
 The deterministic backend is a hashed bag-of-words (Weinberger et al., 2009):
 every term is hashed to one of D buckets with a ±1 sign from a second hash
 stream, and occurrences are summed. The vector is those integer counts, left
-unnormalized: the dense index divides by the norms when it scores, so every
-dot product it takes is an exact integer. It has no network dependency, is
-bit-stable across runs and platforms, and preserves enough lexical-similarity
-structure for offline evaluation of the retrieval stack. Queries and chunks
+unnormalized and in the narrowest signed dtype that holds them: the dense index
+divides by the norms when it scores, so every dot product it takes is an exact
+integer. It has no network dependency, is bit-stable across runs and
+platforms, and preserves enough lexical-similarity structure for offline
+evaluation of the retrieval stack. Queries and chunks
 take the same path: a block of queries is one batch, and each batch hashes
 its own distinct terms, with no cache kept between calls.
 
@@ -29,15 +31,31 @@ from lexrag import kernels
 from lexrag.remote import RemoteConfig, RemoteError, post_json
 from lexrag.textutils import tokenize
 
-# rows of the count matrix filled per np.bincount call
-_BLOCK_ROWS = 256
+# rows per block wherever a build works through its chunks a block at a time
+# (count matrix, row norms, postings), so its temporaries stay a block's size; at
+# most 256, since build_sparse keeps a row's place in its block in 8 bits
+BLOCK_ROWS = 64
+# term ids are C ints, 32 bits wide on every platform numpy supports
+_ID_CODE = "i"
+_SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
+_UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
+
+
+def narrowest_dtype(lo, hi, signed: bool = False) -> np.dtype | None:
+    """The narrowest unsigned (or signed) integer dtype that holds every integer in
+    [lo, hi]; None if none does."""
+    for dtype in _SIGNED if signed else _UNSIGNED:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return None
 
 
 @dataclass
 class TermRows:
     """A batch of texts as index terms.
 
-    ``vocab`` lists the distinct terms in first-seen order; ``ids`` (int64) holds
+    ``vocab`` lists the distinct terms in first-seen order; ``ids`` (int32) holds
     each text's terms as positions in ``vocab``, text after text; ``lengths``
     (int64) is each text's term count.
     """
@@ -48,15 +66,24 @@ class TermRows:
 
 
 def term_rows(texts: Sequence[str]) -> TermRows:
-    """``tokenize`` each text once and number the terms in first-seen order."""
+    """``tokenize`` each text once and number the terms in first-seen order.
+
+    Ids are int32, 4 bytes per token; a batch with more distinct terms than int32
+    numbers is a ValueError.
+    """
     vocab: defaultdict[str, int] = defaultdict(count().__next__)  # term -> first-seen id
-    ids = array("q")
+    ids = array(_ID_CODE)
     lengths = np.empty(len(texts), dtype=np.int64)
     for row, text in enumerate(texts):
         terms = tokenize(text)
         lengths[row] = len(terms)
-        ids.extend(map(vocab.__getitem__, terms))
-    return TermRows(vocab=list(vocab), ids=np.frombuffer(ids, dtype=np.int64), lengths=lengths)
+        try:
+            ids.extend(map(vocab.__getitem__, terms))
+        except OverflowError:
+            raise ValueError(f"more than {2 ** (8 * ids.itemsize - 1)} distinct terms; "
+                             f"term ids are {8 * ids.itemsize}-bit") from None
+    return TermRows(vocab=list(vocab), ids=np.frombuffer(ids, dtype=f"i{ids.itemsize}"),
+                    lengths=lengths)
 
 
 class EmbeddingError(RuntimeError):
@@ -83,12 +110,14 @@ class HashedBowEmbedder:
     """Deterministic test embedder over hashed bag-of-words term counts.
 
     Each call hashes every distinct term of its batch once, in one
-    ``kernels.hash_tokens`` call, then fills the ``n x dim`` count matrix with
-    one ``np.bincount`` over ``row * dim + bucket`` keys weighted by the term
-    signs. The counts are sums of +-1, integers far below 2**53, so the
-    order of summation cannot change a bit of them. ``embed`` returns them as
-    float64, unnormalized; a text without terms (or whose signs all cancel)
-    gets the fixed vector e0, a count of 1 in bucket 0.
+    ``kernels.hash_tokens`` call, then fills the ``n x dim`` count matrix
+    ``BLOCK_ROWS`` rows at a time, each block with one ``np.bincount`` over
+    ``row * dim + bucket`` keys weighted by the term signs. The counts are sums
+    of +-1, integers far below 2**53, so the order of summation cannot change a
+    bit of them. ``embed`` returns them unnormalized, in the narrowest signed
+    integer dtype that holds them all (the matrix widens when a block needs it),
+    which is how an index stores them; a text without terms (or whose signs all
+    cancel) gets the fixed vector e0, a count of 1 in bucket 0.
     """
 
     backend = "deterministic-test"
@@ -106,18 +135,21 @@ class HashedBowEmbedder:
         np.cumsum([len(e) for e in encoded], dtype=np.int64, out=offsets[1:])
         buckets, signs = kernels.hash_tokens(b"".join(encoded), offsets, self.dim)
         n, dim = rows.lengths.shape[0], self.dim
-        vectors = np.empty((n, dim), dtype=np.float64)
+        vectors = np.zeros((n, dim), dtype=np.int8)
         bounds = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(rows.lengths, out=bounds[1:])
-        for lo in range(0, n, _BLOCK_ROWS):  # blocks bound the keys array's memory
-            hi = min(lo + _BLOCK_ROWS, n)
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n)
             ids = rows.ids[bounds[lo]:bounds[hi]]
             keys = np.repeat(np.arange(0, (hi - lo) * dim, dim, dtype=np.int64),
                              rows.lengths[lo:hi])
             keys += buckets[ids]
-            vectors[lo:hi] = np.bincount(keys, weights=signs[ids],
-                                         minlength=(hi - lo) * dim).reshape(hi - lo, dim)
-        vectors[~vectors.any(axis=1), 0] = 1.0  # degenerate text: fixed vector e0
+            block = np.bincount(keys, weights=signs[ids], minlength=(hi - lo) * dim)
+            needed = narrowest_dtype(block.min(), block.max(), signed=True)
+            if needed.itemsize > vectors.itemsize:
+                vectors = vectors.astype(needed)
+            vectors[lo:hi] = block.reshape(hi - lo, dim)
+        vectors[~vectors.any(axis=1), 0] = 1  # degenerate text: fixed vector e0
         return vectors
 
 

@@ -109,13 +109,22 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
-        """The report a ``to_dict`` payload holds. A missing key, a per-query value
-        that is not a finite number in its metric's range at exactly the report's
-        ks, or a bad per-k entry (``_check_per_k``) is a ValueError naming ``where``
-        (the report's file) and the key, or the query, metric and k, or k and key."""
+        """The report a ``to_dict`` payload holds. A missing key, a dataset or variant
+        that is not a string, an excluded list that is not a list of objects, a
+        per-query value that is not a finite number in its metric's range at exactly
+        the report's ks, or a bad per-k entry (``_check_per_k``) is a ValueError
+        naming ``where`` (the report's file) and the key, or the query, metric and k,
+        or k and key."""
         for key in ("dataset", "variant", "ks", "per_k", "per_query"):
             if key not in d:
                 raise ValueError(f"{where}: key {key!r} is missing")
+        for key in ("dataset", "variant"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"{where}: key {key!r} must be a string, not {d[key]!r}")
+        excluded = d.get("excluded", [])
+        if not isinstance(excluded, list) or not all(isinstance(e, dict) for e in excluded):
+            raise ValueError(f"{where}: key 'excluded' must be a list of objects, "
+                             f"not {excluded!r}")
         ks = d["ks"]
         if not isinstance(ks, list) or any(type(k) is not int for k in ks):
             raise ValueError(f"{where}: key 'ks' must be a list of integers, not {ks!r}")
@@ -139,7 +148,7 @@ class MetricReport:
                       for metric, by_k in metrics.items()}
                 for qid, metrics in d["per_query"].items()
             },
-            excluded=list(d.get("excluded", [])),
+            excluded=list(excluded),
             bootstrap_iterations=d.get("bootstrap_iterations", 10000),
             bootstrap_seed=d.get("bootstrap_seed", 0),
         )

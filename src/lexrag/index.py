@@ -28,6 +28,13 @@ computes. Chunk lengths (sums of tfs), their mean and the length norms are
 derived from them, on a build and a load alike, so no stored value sets them;
 nor do BM25's k1 and b, the standard ``K1 = 1.2`` and ``B = 0.75``.
 
+A build's one array with an entry per token is ``term_rows``' int32 term ids.
+The postings are inverted ``BLOCK_ROWS`` chunk rows at a time (``build_sparse``),
+the count matrix is filled in its narrowest signed dtype and its norms are taken
+a block at a time, and each chunk's full_text is made when it is read
+(``FullTexts``), so no n x dim float64 matrix or list of every text is held. A
+load gives the vectors as float64, so queries multiply them without a cast.
+
 This module alone writes and reads an index directory (format v7): the fixed
 file names ``index.npz`` and ``chunks.jsonl``, and the ``index_meta.json``
 header holding format version, backend tag and each file's sha256, checked on
@@ -56,8 +63,8 @@ from typing import Sequence
 
 import numpy as np
 
-from lexrag.chunker import Chunk, load_chunks
-from lexrag.embedding import EmbeddingProvider, TermRows, term_rows
+from lexrag.chunker import Chunk, FullTexts, load_chunks
+from lexrag.embedding import BLOCK_ROWS, EmbeddingProvider, TermRows, narrowest_dtype, term_rows
 from lexrag.textutils import read_json, sha256_file, tokenize, write_json
 
 INDEX_FORMAT_VERSION = 7
@@ -67,8 +74,8 @@ CHUNKS_FILE = "chunks.jsonl"
 REMOTE_BACKEND = "remote"  # the one backend whose vectors are stored as floats
 _CSR_ARRAYS = ("offsets", "refs", "tfs")
 _MEMBERS = frozenset({"terms", "chunk_ids", *_CSR_ARRAYS, "vectors"})
-_UNSIGNED = tuple(np.dtype(code) for code in ("u1", "u2", "u4", "u8"))
-_SIGNED = tuple(np.dtype(code) for code in ("i1", "i2", "i4", "i8"))
+# postings summed per np.bincount call where chunk lengths are derived
+_POSTINGS_SLICE = 1 << 14
 # BM25's term-frequency saturation and length normalization: the standard values
 # (Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009)
 K1, B = 1.2, 0.75
@@ -78,21 +85,24 @@ def _narrowest(values: np.ndarray, signed: bool = False) -> np.ndarray:
     """``values`` in the narrowest unsigned (or signed) integer dtype that holds each
     one exactly; a ValueError when one is not an integer that any of them holds."""
     lo, hi = (values.min(), values.max()) if values.size else (0, 0)
-    for dtype in _SIGNED if signed else _UNSIGNED:
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            out = values.astype(dtype, copy=False)
-            if values.dtype.kind in "iu" or np.array_equal(out, values):
-                return out
-            break
+    dtype = narrowest_dtype(lo, hi, signed)
+    if dtype is not None:
+        out = values.astype(dtype, copy=False)
+        if values.dtype.kind in "iu" or np.array_equal(out, values):
+            return out
     raise ValueError(f"values in [{lo}, {hi}] do not all fit one "
                      f"{'signed' if signed else 'unsigned'} integer dtype exactly")
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D float64 array; exact-integer rows give
-    exact sums of squares, so the norms do not depend on summation order."""
-    return np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    """Euclidean norm of each row of a 2-D array, in float64, taken ``BLOCK_ROWS``
+    rows at a time so that integer rows are cast a block at a time; exact-integer
+    rows give exact sums of squares, so the norms do not depend on summation order."""
+    norms = np.empty(vectors.shape[0])
+    for lo in range(0, vectors.shape[0], BLOCK_ROWS):
+        block = np.asarray(vectors[lo:lo + BLOCK_ROWS], dtype=np.float64)
+        np.sqrt(np.einsum("ij,ij->i", block, block), out=norms[lo:lo + BLOCK_ROWS])
+    return norms
 
 
 def id_ranks(chunk_ids: Sequence[str]) -> np.ndarray:
@@ -141,8 +151,13 @@ class SparseIndex:
             raise ValueError(f"sparse index holds {len(self.terms)} terms but "
                              f"{self.offsets.shape[0]} offsets")
         self.N = len(self.chunk_ids)
-        # sums and mean of integer counts, exact in float64 in any summation order
-        self.doc_lengths = np.bincount(self.refs, weights=self.tfs, minlength=self.N)
+        # sums and mean of integer counts, exact in float64 in any summation order, so
+        # the postings are summed a slice at a time and cast to float64 a slice at a time
+        self.doc_lengths = np.zeros(self.N)
+        for lo in range(0, self.refs.shape[0], _POSTINGS_SLICE):
+            self.doc_lengths += np.bincount(self.refs[lo:lo + _POSTINGS_SLICE],
+                                            weights=self.tfs[lo:lo + _POSTINGS_SLICE],
+                                            minlength=self.N)
         self.avg_len = float(self.doc_lengths.mean())
         rel = self.doc_lengths / self.avg_len if self.avg_len > 0 else np.zeros(self.N)
         self.norms = K1 * (1.0 - B + B * rel)
@@ -174,27 +189,79 @@ def build_sparse(chunks: Sequence[Chunk], rows: TermRows | None = None) -> Spars
     """Build the BM25 index over the lowercased, punctuation-stripped terms of full_text.
 
     ``rows``, when given, is ``term_rows`` of the chunks' full_text, already computed.
+
+    Single-pass inversion, a block of ``BLOCK_ROWS`` rows at a time (Heinz & Zobel,
+    JASIST 2003): each block's (term, row) keys are sorted and their runs counted
+    into that block's postings, term-major; counting their terms gives the offsets,
+    and each block's postings then go to the next free places of their terms. Blocks
+    come in row order, so each term's rows ascend, as a sort of every posting would
+    leave them; no array is as long as the token count but ``rows.ids`` itself.
     """
-    # first-seen term ids remapped to sorted-term order; sorting the term * N + row
-    # keys then gives the CSR postings, and each distinct key's run length its tf
     if not chunks:
         raise ValueError("cannot build a sparse index over an empty chunk list")
     n = len(chunks)
     if rows is None:
-        rows = term_rows([c.full_text for c in chunks])
-    keys = id_ranks(rows.vocab)[rows.ids]
-    keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), rows.lengths)
-    keys.sort()  # in place: np.unique would sort a copy
-    first = np.ones(keys.shape[0], dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    tfs = np.diff(np.flatnonzero(first), append=keys.shape[0])
-    keys = keys[first]
-    offsets = np.zeros(len(rows.vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
-    return SparseIndex(terms=sorted(rows.vocab), offsets=_narrowest(offsets),
-                       refs=_narrowest(keys % n), tfs=_narrowest(tfs),
+        rows = term_rows(FullTexts(chunks))
+    # the terms sorted (distinct, so any sort gives one order), and each first-seen
+    # term id's position among them
+    vocab = np.array(rows.vocab, dtype=object)
+    order = vocab.argsort()
+    terms = vocab[order].tolist()
+    del vocab
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(rows.lengths, out=bounds[1:])
+    df = np.zeros(len(terms), dtype=np.int64)
+    blocks = []  # per block with terms: its first row and _block_postings
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        if bounds[hi] > bounds[lo]:
+            block = _block_postings(rank[rows.ids[bounds[lo]:bounds[hi]]], rows.lengths[lo:hi])
+            runs, counts = _runs(block[0])
+            df[runs] += counts
+            blocks.append((lo, *block))
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
+    # each array in the dtype _narrowest gives it: refs up to the last row with terms
+    last_row = blocks[-1][0] + int(blocks[-1][2].max()) if blocks else 0
+    max_tf = max((int(block[3].max()) for block in blocks), default=0)
+    refs = np.empty(offsets[-1], dtype=narrowest_dtype(0, last_row))
+    tfs = np.empty(offsets[-1], dtype=narrowest_dtype(0, max_tf))
+    free = offsets[:-1].copy()  # each term's next free place
+    for i, (lo, block_terms, in_block, block_tfs) in enumerate(blocks):
+        blocks[i] = None  # each block's postings are freed once placed
+        runs, counts = _runs(block_terms)
+        # the k-th posting of a term's run in this block goes k places after its next free one
+        places = np.repeat(free[runs] - (np.cumsum(counts) - counts), counts)
+        places += np.arange(block_terms.shape[0])
+        refs[places] = lo + in_block.astype(refs.dtype)
+        tfs[places] = block_tfs
+        free[runs] += counts
+    del rank, df, free, blocks  # before the index derives its chunk lengths
+    return SparseIndex(terms=terms, offsets=_narrowest(offsets), refs=refs, tfs=tfs,
                        chunk_ids=[c.chunk_id for c in chunks])
+
+
+def _block_postings(keys: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One block's postings, by term then row: (term positions as int32, rows within
+    the block as uint8, tfs), from the sorted-term position of each of its tokens,
+    row after row, and each row's token count."""
+    width = lengths.shape[0]
+    keys *= width
+    keys += np.repeat(np.arange(width), lengths)
+    keys.sort()
+    keys, tfs = _runs(keys)
+    terms, in_block = np.divmod(keys, width)
+    return terms.astype(np.int32), in_block.astype(np.uint8), _narrowest(tfs)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, and how many times each occurs."""
+    first = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return values[starts], np.diff(starts, append=values.shape[0])
 
 
 def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
@@ -233,8 +300,13 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
 
 @dataclass
 class DenseIndex:
-    """Embedding matrix (float64; integer counts from the deterministic embedder),
-    its row norms and the row -> chunk_id mapping."""
+    """Embedding matrix, its row norms and the row -> chunk_id mapping.
+
+    The matrix is float64, except that integer vectors are kept as given: a build
+    holds the deterministic embedder's counts in their narrowest signed dtype,
+    which is how they are saved; ``load_indexes`` gives float64 counts, which
+    queries multiply without a cast.
+    """
 
     vectors: np.ndarray
     chunk_ids: list[str]
@@ -243,7 +315,8 @@ class DenseIndex:
     id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = np.asarray(self.vectors)
+        self.vectors = vectors if vectors.dtype.kind == "i" else np.asarray(vectors, np.float64)
         self.norms = _row_norms(self.vectors)
         self.id_rank = id_ranks(self.chunk_ids)
 
@@ -276,18 +349,15 @@ def embed(provider: EmbeddingProvider, texts: Sequence[str],
 
 
 def build_dense(chunks: Sequence[Chunk], provider: EmbeddingProvider,
-                rows: TermRows | None = None,
-                texts: Sequence[str] | None = None) -> DenseIndex:
+                rows: TermRows | None = None) -> DenseIndex:
     """Embed each chunk's full_text, in order, into an exact-search matrix.
 
-    ``texts``, when given, is that list of full_text strings, and ``rows`` its
-    ``term_rows``, already computed.
+    ``rows``, when given, is ``term_rows`` of those texts, already computed. The
+    texts reach the provider as ``FullTexts``, each made when it is read.
     """
     if not chunks:
         raise ValueError("cannot build a dense index over an empty chunk list")
-    if texts is None:
-        texts = [c.full_text for c in chunks]
-    vectors = embed(provider, texts, rows)
+    vectors = embed(provider, FullTexts(chunks), rows)
     return DenseIndex(vectors=vectors, chunk_ids=[c.chunk_id for c in chunks],
                       backend=provider.backend)
 
@@ -475,7 +545,7 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
                              chunk_ids=chunk_ids)
     except ValueError as exc:
         raise _invalid(path, str(exc)) from None
-    dense = DenseIndex(vectors=arrays["vectors"], chunk_ids=chunk_ids,
+    dense = DenseIndex(vectors=np.asarray(arrays["vectors"], np.float64), chunk_ids=chunk_ids,
                        backend=meta["embedder_backend"])
     if not np.all(np.isfinite(dense.norms) & (dense.norms > 0)):
         raise _invalid(path, "a vector is not finite or has norm 0")

@@ -69,13 +69,35 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
 
 
 def percentile_ci(means: np.ndarray) -> tuple[float, float]:
-    """95% percentile interval of resampled means (2.5th/97.5th pct)."""
+    """95% percentile interval of resampled means (2.5th/97.5th pct).
+
+    Bit for bit what ``np.percentile(means, [tail, 100 - tail])`` gives with its
+    default linear method, from one ``np.partition``: the q-th value sits at
+    index (n - 1) * q / 100 of the sorted means, between the order statistics
+    at its floor and the next one (at or past the last index, both are the
+    maximum), and is interpolated with numpy's ``_lerp``, which counts back
+    from the upper value once the weight reaches 0.5. ``np.percentile`` itself
+    imports ``numpy.ma``, ~19 ms of CPU per process.
+    """
     import numpy as np
     # This expression gives 2.500000000000002, not 2.5; every stored CI was
-    # computed with it, and a literal 2.5 can move np.percentile.
+    # computed with it, and a literal 2.5 can move the interval.
     tail = (1.0 - 0.95) / 2.0 * 100.0
-    lo, hi = np.percentile(means, [tail, 100.0 - tail])
-    return float(lo), float(hi)
+    means = np.asarray(means, dtype=np.float64)
+    last = means.shape[0] - 1
+    neighbours = []  # (index below, index above, weight) of each percentile
+    for q in (tail, 100.0 - tail):
+        index = last * (q / 100)
+        # at or past the last index numpy takes index -1 for both, in the weight too
+        below = math.floor(index) if index < last else -1
+        neighbours.append((below, below + 1 if below >= 0 else -1, index - below))
+    ordered = np.partition(means, sorted({i % (last + 1) for below, above, _ in neighbours
+                                          for i in (below, above)}))
+    bounds = []
+    for below, above, weight in neighbours:
+        a, b = float(ordered[below]), float(ordered[above])
+        bounds.append(b - (b - a) * (1 - weight) if weight >= 0.5 else a + (b - a) * weight)
+    return bounds[0], bounds[1]
 
 
 def bootstrap_ci(values: list[float] | np.ndarray, iterations: int = 10000,

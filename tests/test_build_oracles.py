@@ -3,7 +3,8 @@
 The references below are the earlier implementations, kept here only as
 oracles: the per-text embedding loop, the per-chunk ``finditer`` overlap, the
 header truncation that pops one token at a time, the summary that splits
-every window's chunks into sentences again, and the ``\\w+`` regex tokenizer.
+every window's chunks into sentences again, the ``\\w+`` regex tokenizer, and
+the sparse build that sorts one int64 key per token.
 On seeded inputs each rewritten stage must give exactly what its reference
 gives, bit for bit.
 """
@@ -24,7 +25,7 @@ from lexrag.embedding import HashedBowEmbedder, term_rows
 from lexrag.enricher import (ExtractiveSummarizer, WindowSummary, build_header, enrich_chunk,
                              enrich_document_chunks, extractive_fallback_summary,
                              window_summaries)
-from lexrag.index import build_dense, build_sparse, embed
+from lexrag.index import _narrowest, build_dense, build_sparse, embed, id_ranks
 from lexrag.textutils import _WordTable, split_sentences, tokenize
 from tests.conftest import make_chunk, random_document_text
 
@@ -58,6 +59,24 @@ def reference_embed(texts: list[str], dim: int) -> np.ndarray:
         if not vectors[row].any():
             vectors[row, 0] = 1.0
     return vectors
+
+
+def reference_sparse(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, offsets, refs, tfs) of the postings from one sort of a term * N + row
+    int64 key per token: each distinct key's run length is its tf."""
+    rows = term_rows(texts)
+    n = len(texts)
+    keys = id_ranks(rows.vocab)[rows.ids]
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), rows.lengths)
+    keys.sort()
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    tfs = np.diff(np.flatnonzero(first), append=keys.shape[0])
+    keys = keys[first]
+    offsets = np.zeros(len(rows.vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(rows.vocab)), out=offsets[1:])
+    return (sorted(rows.vocab), _narrowest(offsets), _narrowest(keys % n), _narrowest(tfs))
 
 
 def reference_spans(doc: Document, cfg: ChunkConfig) -> list[tuple[int, int]]:
@@ -217,6 +236,20 @@ def test_index_builds_from_shared_term_rows_equal_their_own():
     assert own.terms == shared.terms
     for name in ("offsets", "refs", "tfs", "doc_lengths"):
         assert np.array_equal(getattr(own, name), getattr(shared, name))
+
+
+def test_embed_fills_the_narrowest_signed_dtype():
+    # a term repeated 200 times needs 16 bits; the rows before it fit 8, so the
+    # matrix widens at the block that holds it, and a block of only e0 rows stays 8
+    rng = np.random.default_rng(6)
+    for heavy_row in (0, 70, 199):
+        texts = [random_terms_text(rng, 8) or "..." for _ in range(200)]
+        texts[heavy_row] = "court " * 200
+        vectors = HashedBowEmbedder(dim=8).embed(texts)
+        expected = reference_embed(texts, 8)
+        assert vectors.dtype == np.int16 == _narrowest(expected, signed=True).dtype
+        assert np.array_equal(vectors, expected)
+    assert HashedBowEmbedder(dim=8).embed(["...", "a b"]).dtype == np.int8
 
 
 def test_index_embed_passes_rows_to_the_provider():
@@ -398,3 +431,33 @@ def test_word_table_keeps_exactly_the_regex_word_characters():
 @given(st.text(alphabet=TRICKY, max_size=80) | st.text(max_size=80))
 def test_tokenize_equals_regex_findall(text):
     assert tokenize(text) == reference_tokenize(text)
+
+
+# ---------------------------------------------------------------------------
+# (f) the block-wise sparse build against one sort of an int64 key per token
+
+def assert_sparse_equals_reference(texts: list[str]) -> None:
+    sparse = build_sparse([make_chunk(i, text) for i, text in enumerate(texts)])
+    terms, offsets, refs, tfs = reference_sparse(texts)
+    assert sparse.terms == terms
+    for got, want in zip((sparse.offsets, sparse.refs, sparse.tfs), (offsets, refs, tfs)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([*WORDS, "...", "—"]), max_size=12).map(" ".join),
+                min_size=1, max_size=200))
+def test_sparse_build_equals_one_key_sort(texts):
+    # up to 200 chunks: several blocks of rows, some of them without any term
+    assert_sparse_equals_reference(texts)
+
+
+@pytest.mark.parametrize("texts", [
+    ["court"], ["..."], ["", "...", "—"], ["court " * 300],  # a tf of 300 takes 16 bits
+    ["..."] * 130 + ["court"], ["court"] + ["..."] * 130,  # terms in one block only
+    [f"w{i} shared" for i in range(257)],  # 257 rows: refs need 16 bits
+    [f"w{i} shared" for i in range(256)] + ["..."],  # the last row has no term: 8 bits
+], ids=["single", "single-empty", "all-empty", "tf-300", "last-block-only",
+        "first-block-only", "257-rows", "256-rows-then-empty"])
+def test_sparse_build_equals_one_key_sort_at_the_edges(texts):
+    assert_sparse_equals_reference(texts)

@@ -1205,6 +1205,35 @@ def test_metric_report_per_k_named_with_k_and_key(tmp_path, capsys, command, k, 
     assert err == {"error": "ValueError", "message": f"{path}: per_k, {problem}"}
 
 
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("key,value,problem", [
+    ("excluded", [{"query_id": "q9", "reason": "no gold spans"}], None),
+    ("excluded", 5, "key 'excluded' must be a list of objects, not 5"),
+    ("excluded", ["q9"], "key 'excluded' must be a list of objects, not ['q9']"),
+    ("dataset", ["x"], "key 'dataset' must be a string, not ['x']"),
+    ("variant", 3, "key 'variant' must be a string, not 3"),
+    ("variant", None, "key 'variant' must be a string, not None"),
+], ids=["excluded-listed", "excluded-int", "excluded-strings", "dataset-list", "variant-int",
+        "variant-null"])
+def test_metric_report_header_keys_named_with_file_and_key(tmp_path, capsys, command, key,
+                                                          value, problem):
+    """A report's excluded list, dataset and variant are checked as it loads, so a
+    wrong type fails with the file and key, not a bare TypeError or a list
+    printed as a dataset name."""
+    path = tmp_path / "metric_report.json"
+    report = {**_hand_written_report("drm", "4", None), key: value}
+    path.write_text(json.dumps(report), encoding="utf-8")
+    argv = {"compare": ["compare", "--baseline", str(path), "--enhanced", str(path),
+                        "--bootstrap-iterations", "20", "--out", str(tmp_path / "out")],
+            "report": ["report", "--report", str(path)]}[command]
+    if problem is None:
+        assert run(argv) == 0
+        return
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{path}: {problem}"}
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])

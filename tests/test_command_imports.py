@@ -161,6 +161,14 @@ def test_comparisons_load_numpy_and_no_scipy(inputs, command):
         assert "comparison" in report
 
 
+@pytest.mark.parametrize("command", ["eval-retrieval", "compare", "eval-answers --compare-with"])
+def test_percentile_intervals_load_no_numpy_ma(inputs, command):
+    # np.percentile imports numpy.ma (~19 ms of CPU); stats.percentile_ci does not
+    # call it, and nothing else on these commands' paths does either
+    loaded = _run_in_fresh_process(_argv(inputs, command, f"no_ma_{command.replace(' --', '_')}"))
+    assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
 def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):
     # the pin is set when lexrag.cli is imported and must still size the pool that
     # starts when `index` first loads numpy

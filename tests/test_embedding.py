@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from lexrag.embedding import HashedBowEmbedder, get_embedder
+from lexrag import embedding
+from lexrag.embedding import HashedBowEmbedder, get_embedder, term_rows
 
 
 def test_same_text_same_vector():
@@ -69,3 +70,18 @@ def test_get_embedder_backends():
         get_embedder("nope")
     with pytest.raises(ValueError):
         get_embedder("remote")  # needs a RemoteConfig
+
+
+def test_term_rows_number_terms_first_seen_in_int32():
+    rows = term_rows(["b a b", "...", "c a"])
+    assert rows.vocab == ["b", "a", "c"]
+    assert rows.ids.dtype == np.int32 and rows.ids.tolist() == [0, 1, 0, 2, 1]
+    assert rows.lengths.tolist() == [3, 0, 2]
+
+
+def test_term_rows_reject_more_terms_than_their_ids_number(monkeypatch):
+    # 2**31 distinct terms cannot be made here; with 8-bit ids the 129th term overflows
+    monkeypatch.setattr(embedding, "_ID_CODE", "b")
+    assert term_rows([" ".join(f"t{i}" for i in range(128))]).ids.dtype == np.int8
+    with pytest.raises(ValueError, match="^more than 128 distinct terms; term ids are 8-bit$"):
+        term_rows(["t0 t1", " ".join(f"t{i}" for i in range(129))])

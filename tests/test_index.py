@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 import zipfile
 from collections import Counter
 from dataclasses import replace
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexrag.chunker import dump_chunks
-from lexrag.embedding import HashedBowEmbedder
+from lexrag.embedding import HashedBowEmbedder, term_rows
 from lexrag.index import (
     DenseIndex,
     SparseIndex,
@@ -238,7 +239,7 @@ class TestDenseSearch:
     def test_embed_accepts_finite_nonzero_rows_only(self, scale, accepted):
         class Scaled(HashedBowEmbedder):
             def embed(self, texts, rows=None):
-                vectors = super().embed(texts, rows)
+                vectors = super().embed(texts, rows).astype(np.float64)  # counts, scaled
                 with np.errstate(invalid="ignore"):  # inf * 0 is nan
                     vectors[1] *= scale  # one row scaled, the other left as counts
                 return vectors
@@ -421,3 +422,51 @@ def test_sparse_index_handles_zero_length_corpus_edge():
     assert idx.avg_len == 0.0
     assert bm25_scores(idx, "anything") == []
     assert isinstance(idx, SparseIndex)
+
+
+class TestBuildMemory:
+    """Traced peak bytes per token of each build step, on 300 chunks of 250 words
+    of Zipf(1.15) text over a 20,000-word vocabulary (7,751 distinct terms).
+
+    The bounds sit between the block-wise build (16.3, 15.3 and 11.8 for
+    term_rows, build_dense and build_sparse) and the build that held an int64
+    term id per token, an int64 sort key and row per token for the postings, and
+    an n x dim float64 count matrix (20.3, 36.3 and 21.1).
+    """
+
+    BOUNDS = {"term_rows": 18.0, "build_dense": 24.0, "build_sparse": 16.0}
+
+    @staticmethod
+    def zipf_chunks(n_chunks: int = 300, words: int = 250) -> list:
+        rng = np.random.default_rng(0)
+        weights = 1.0 / np.arange(1, 20001) ** 1.15
+        ids = rng.choice(20000, size=(n_chunks, words), p=weights / weights.sum())
+        return [make_chunk(i, " ".join(f"w{j}" for j in row), doc_id=f"d{i // 30}")
+                for i, row in enumerate(ids)]
+
+    @staticmethod
+    def traced_peak(step):
+        """``step()``'s result and the peak traced bytes it allocated."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = step()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def per_token(self) -> dict[str, float]:
+        chunks = self.zipf_chunks()
+        texts = [c.full_text for c in chunks]
+        peaks = {}
+        rows, peaks["term_rows"] = self.traced_peak(lambda: term_rows(texts))
+        _, peaks["build_dense"] = self.traced_peak(
+            lambda: build_dense(chunks, HashedBowEmbedder(dim=256), rows=rows))
+        _, peaks["build_sparse"] = self.traced_peak(lambda: build_sparse(chunks, rows=rows))
+        tokens = int(rows.lengths.sum())
+        return {step: peak / tokens for step, peak in peaks.items()}
+
+    @pytest.mark.parametrize("step", sorted(BOUNDS))
+    def test_peak_bytes_per_token(self, per_token, step):
+        assert per_token[step] <= self.BOUNDS[step], f"{per_token[step]:.2f} B/token"

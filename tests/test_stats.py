@@ -118,6 +118,38 @@ class TestSharedDraw:
             shared_bootstrap_means(np.ones((2, 3)), iterations, seed=0)
 
 
+class TestPercentileCi:
+    """``percentile_ci`` against ``np.percentile``, which it replaces, bit for bit."""
+
+    TAIL = (1.0 - 0.95) / 2.0 * 100.0
+
+    def expected(self, means: np.ndarray) -> list[str]:
+        return [float(v).hex() for v in np.percentile(means, [self.TAIL, 100.0 - self.TAIL])]
+
+    def test_matches_np_percentile_on_seeded_arrays(self):
+        # uniform draws, steps of k/7 (ties, and interpolation between equal values)
+        # and tiny normals (subnormal differences), n from 1 to 20,000
+        rng = np.random.default_rng(23)
+        for i in range(3000):
+            n = i + 1 if i < 100 else int(np.exp(rng.uniform(0.0, math.log(20000))))
+            kind = i % 3
+            means = (rng.uniform(size=n) if kind == 0 else
+                     rng.integers(-20, 50, n) / 7 if kind == 1 else
+                     rng.normal(0.0, 1e-300, n))
+            assert [v.hex() for v in percentile_ci(means)] == self.expected(means), (i, n)
+
+    @pytest.mark.parametrize("means", [[0.5], [-0.0], [0.0, -0.0], [-0.0, -0.0, -0.0],
+                                       [3.0, 1.0, 2.0], [1e308, -1e308, 0.0]])
+    def test_matches_np_percentile_on_edge_arrays(self, means):
+        means = np.array(means)
+        assert [v.hex() for v in percentile_ci(means)] == self.expected(means)
+
+    def test_leaves_its_input_unsorted(self):
+        means = np.array([3.0, 1.0, 2.0])
+        percentile_ci(means)
+        assert means.tolist() == [3.0, 1.0, 2.0]
+
+
 class TestPairedTtest:
     def test_identical_series_gives_p_one(self):
         a = [0.1, 0.4, 0.3, 0.9]

@@ -9,7 +9,8 @@ Greek decision to both corpora (capital and final sigmas, curly quotes, "§"),
 so the tokenizer and the aligner also see non-ASCII text, a second copy of it
 under a Greek file name to the legal corpus, so the index stores multi-byte doc
 ids and chunk ids, and one Aus-format record whose reworded excerpt of it
-aligns only by the fuzzy tier, then
+aligns only by the fuzzy tier, and a hand-written chunk file with CRLF line
+endings, a blank line and no final newline, then
 runs one fixed sequence of ``lexrag`` commands per tree, each in a fresh
 ``python -m lexrag.cli`` process with that tree's ``src`` alone on
 ``PYTHONPATH``. It compares every file the commands wrote, except
@@ -89,13 +90,24 @@ def make_inputs(base: Path) -> dict[str, Path]:
     for name, rows in (("good", good), ("bad", bad)):
         lines = (json.dumps(row) + "\n" for row in rows)
         (base / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+    # a chunk file as a hand edit on Windows might leave it: CRLF endings, a blank
+    # line, no final newline. `index` parses it as a stream, and `retrieve` parses
+    # the index's byte copy of it, which must give the chunk ids index.npz holds
+    rows = [("hand/a.txt", 0, 0, "The tenant shall pay the rent on the first day of each month."),
+            ("hand/a.txt", 1, 62, "Notice must be served at the address in the lease."),
+            ("hand/β.txt", 0, 0, "Η προθεσμία ερμηνεύεται στενά."),
+            ("hand/β.txt", 1, 31, "... ;;; ...")]
+    lines = [json.dumps({"chunk_id": f"{doc}#{n:06d}", "doc_id": doc, "start": start,
+                         "end": start + len(text), "text": text, "ordinal": n},
+                        ensure_ascii=False).encode("utf-8") for doc, n, start, text in rows]
+    (base / "crlf_chunks.jsonl").write_bytes(b"\r\n".join(lines[:2] + [b""] + lines[2:]))
     # settings for one retrieve run; "index" resolves against the run directory, and the
     # required settings are repeated as flags, which argparse insists on
     config = {"index": "index", "qa": str(qa), "format": "snippet_qa", "top": 8, "alpha": 0.3}
     (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
     return {"root": root, "manifest": manifest, "qa": qa, "aus_root": aus_root,
             "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl",
-            "config": base / "config.json"}
+            "config": base / "config.json", "crlf_chunks": base / "crlf_chunks.jsonl"}
 
 
 def commands(i: dict[str, Path]) -> list[list[str]]:
@@ -126,6 +138,8 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["retrieve", "--config", str(i["config"]), "--index", "index", "--qa", str(i["qa"]),
          "--out", "retrieved_config"],
         ["report", "--report", "eval/metric_report.json", "--out", "report/metric_report.txt"],
+        ["index", "--chunks", str(i["crlf_chunks"]), "--dim", "32", "--out", "index_crlf"],
+        ["retrieve", "--index", "index_crlf", *qa, "--top", "2", "--out", "retrieved_crlf"],
         ["ingest", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
          "--format", "aus_legal_qa", "--out", "ingest_aus"],
         ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
