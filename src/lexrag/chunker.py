@@ -322,13 +322,12 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
     write_jsonl((chunk.to_dict() for chunk in chunks), path)
 
 
-def load_chunks(path: str | Path, data: bytes | None = None, digest=None) -> list[Chunk]:
-    """Read a bare or enriched chunk file (from ``data``, its bytes, when given, else
-    as a stream that feeds ``digest``, see ``read_jsonl``); a bad row or a repeated
-    chunk_id is a ValueError."""
+def load_chunks(path: str | Path, digest=None) -> list[Chunk]:
+    """Read a bare or enriched chunk file as a stream that feeds ``digest`` (see
+    ``read_jsonl``); a bad row or a repeated chunk_id is a ValueError."""
     chunks = []
     seen: set[str] = set()
-    for number, row in read_jsonl(path, data, digest):
+    for number, row in read_jsonl(path, digest):
         try:
             chunk = Chunk.from_dict(row)
         except ValueError as exc:

@@ -29,9 +29,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # it (`_LAZY` below), so the text-only commands never load it. numpy's OpenBLAS
 # starts a worker pool when it loads; starting it and letting its worker spin
 # cost every command 0.07-0.24 s of CPU on a 2-core VM, 31-49% of the command's
-# CPU. The only BLAS call on a command path is one matrix product per block of
-# queries (`index.dense_scores`): at 49,399 x 256 and 200 queries, two threads cut
-# its wall time (78-90 -> 51-53 ms) but spend more CPU (101-109 ms). Over the
+# CPU. The only BLAS calls on a command path are `index.dense_scores`' matrix
+# products, where more threads cut wall time but spend more CPU. Over the
 # deterministic embedder's integer counts the scores are the same bits under any
 # thread count or BLAS kernel; remote vectors are floats, whose scores hold only
 # per kernel and thread count.
@@ -72,8 +71,8 @@ _LAZY = {name: module for module, names in (
                          "enrich_document_chunks", "load_enriched")),
     ("lexrag.evaluator", ("MetricReport", "compare_reports", "render_comparison_table",
                           "render_table", "sweep")),
-    ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "load_index_chunks",
-                      "load_indexes", "save_indexes")),
+    ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "check_chunk_ids",
+                      "load_index_chunks", "load_indexes", "save_indexes")),
     ("lexrag.preference", ("RefusalConfig", "build_preference_pairs", "dump_pairs",
                            "load_model_outputs", "mean_score_with_delta_ci", "refusal_rates",
                            "split_dataset", "token_f1")),
@@ -155,18 +154,11 @@ def _corpus_inputs(settings: dict, docs: DocumentCollection) -> list:
 
 
 def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[str, Chunk]]:
-    """Open the index under --index; also return its chunks by chunk_id.
-
-    The index's chunks.jsonl must hold exactly the chunk ids of its index.npz.
-    """
+    """Open the index under --index; also return its chunks by chunk_id."""
     index_dir = Path(settings["index"])
     sparse, dense = _cli.load_indexes(index_dir)
     chunks = {c.chunk_id: c for c in _cli.load_index_chunks(index_dir)}
-    stray = sorted(chunks.keys() ^ set(sparse.chunk_ids))
-    if stray:
-        where = "only in chunks.jsonl" if stray[0] in chunks else "missing from chunks.jsonl"
-        raise ValueError(f"index directory {index_dir} is inconsistent: chunk id "
-                         f"{stray[0]!r} is {where} ({len(stray)} id(s) differ)")
+    _cli.check_chunk_ids(index_dir, sparse.chunk_ids, chunks)
     remote = (_remote_config(settings, "index was built with the remote embedder; "
                              "pass --endpoint") if dense.backend == "remote" else None)
     ctx = _cli.RetrievalContext(
@@ -240,12 +232,9 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
 
 def cmd_index(settings: dict, out_dir: Path) -> list:
     chunks_path = Path(settings["chunks"])
-    # the index stores this file as its chunks.jsonl, as given, under the sha256 of
-    # the bytes parsed here: the file is read as a stream that feeds the digest, so
-    # no copy of its bytes is held
+    # the index stores this file as given, under the sha256 of the bytes parsed here
     digest = hashlib.sha256()
     chunks = _cli.load_chunks(chunks_path, digest=digest)
-    chunks_sha256 = digest.hexdigest()
     if not chunks:
         raise ValueError(f"no chunks in {chunks_path}")
     if settings["embedder"] == "remote":
@@ -261,7 +250,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     dense = _cli.build_dense(chunks, embedder, rows=rows)
     sparse = _cli.build_sparse(chunks, rows=rows)
     del rows
-    _cli.save_indexes(out_dir, sparse, dense, chunks_path, chunks_sha256)
+    _cli.save_indexes(out_dir, sparse, dense, chunks_path, digest.hexdigest())
     print(json.dumps({"chunks": sparse.N, "dim": dense.dim, "embedder": dense.backend},
                      sort_keys=True))
     return [chunks_path]

@@ -33,12 +33,15 @@ The postings are inverted ``BLOCK_ROWS`` chunk rows at a time (``build_sparse``)
 the count matrix is filled in its narrowest signed dtype and its norms are taken
 a block at a time, and each chunk's full_text is made when it is read
 (``FullTexts``), so no n x dim float64 matrix or list of every text is held. A
-load gives the vectors as float64, so queries multiply them without a cast.
+load keeps the vectors in the dtype they are stored in, as a build does.
 
 This module alone writes and reads an index directory (format v7): the fixed
 file names ``index.npz`` and ``chunks.jsonl``, and the ``index_meta.json``
 header holding format version, backend tag and each file's sha256, checked on
-the bytes a load parses. ``index.npz`` is uncompressed and holds only what
+the bytes a load parses: ``index.npz`` is read whole (a zip reader seeks), and
+``chunks.jsonl`` as a stream that feeds its sha256; a ``chunks.jsonl`` whose parse
+fails is hashed whole first, so any change to it fails its checksum, whatever its
+rows hold. ``index.npz`` is uncompressed and holds only what
 cannot be derived: terms and chunk ids, each as one uint8 array of their UTF-8
 with NUL between them, the CSR arrays and the vectors in the narrowest signed
 dtype (float64 for remote vectors); the chunk count comes from the chunk ids
@@ -76,6 +79,7 @@ _CSR_ARRAYS = ("offsets", "refs", "tfs")
 _MEMBERS = frozenset({"terms", "chunk_ids", *_CSR_ARRAYS, "vectors"})
 # postings summed per np.bincount call where chunk lengths are derived
 _POSTINGS_SLICE = 1 << 14
+SCORE_ROWS = 1024  # rows cast to float64 per product in dense_scores: 2 MB at dim 256, in L2
 # BM25's term-frequency saturation and length normalization: the standard values
 # (Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009)
 K1, B = 1.2, 0.75
@@ -302,10 +306,8 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
 class DenseIndex:
     """Embedding matrix, its row norms and the row -> chunk_id mapping.
 
-    The matrix is float64, except that integer vectors are kept as given: a build
-    holds the deterministic embedder's counts in their narrowest signed dtype,
-    which is how they are saved; ``load_indexes`` gives float64 counts, which
-    queries multiply without a cast.
+    A build and a load alike keep the matrix as an index stores it: integer counts in
+    their narrowest signed dtype, remote vectors as float64.
     """
 
     vectors: np.ndarray
@@ -315,8 +317,6 @@ class DenseIndex:
     id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors)
-        self.vectors = vectors if vectors.dtype.kind == "i" else np.asarray(vectors, np.float64)
         self.norms = _row_norms(self.vectors)
         self.id_rank = id_ranks(self.chunk_ids)
 
@@ -366,15 +366,19 @@ def dense_scores(index: DenseIndex, query_vecs: np.ndarray) -> np.ndarray:
     """Cosine of each query vector (a row of ``query_vecs``) with every chunk row:
     the (queries, N) array ``(Q @ V.T) / (|q| ⊗ norms)``.
 
-    Every dense score comes from here, one query or a block. Over integer counts
-    the products are exact, so each score is one correctly rounded division of
-    exact values: the same bits whatever the block, BLAS kernel or thread count.
-    The scores are the only (queries, N) array; the division runs row by row.
+    Every dense score comes from here, one query or a block, ``V`` cast to float64
+    ``SCORE_ROWS`` rows at a time. Over integer counts the products are exact, so each
+    score is one correctly rounded division of exact values: the same bits whatever
+    the blocks, BLAS kernel or thread count. The scores are the only (queries, N)
+    array; the division runs row by row.
     """
     queries = np.asarray(query_vecs, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError(f"query dimension {queries.shape[-1]} != index dimension {index.dim}")
-    scores = queries @ index.vectors.T
+    scores = np.empty((queries.shape[0], index.N))
+    for lo in range(0, index.N, SCORE_ROWS):
+        block = np.asarray(index.vectors[lo:lo + SCORE_ROWS], dtype=np.float64)
+        np.matmul(queries, block.T, out=scores[:, lo:lo + SCORE_ROWS])
     for row, norm in zip(scores, _row_norms(queries)):
         np.divide(row, norm * index.norms, out=row)
     return scores
@@ -448,11 +452,8 @@ def save_indexes(directory: str | Path, sparse: SparseIndex, dense: DenseIndex,
     return meta_path
 
 
-def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
-    """The index_meta.json header and the bytes of the file ``name`` in ``directory``,
-    after checking the format version, the backend tag, a string sha256 for each
-    fixed file name, and the returned bytes' sha256. A missing file is a ValueError
-    naming it."""
+def _read_meta(directory: Path) -> dict:
+    """The index_meta.json header, its version, backend, sha256s and files checked."""
     meta_path = directory / META_FILE
     try:
         meta = read_json(meta_path)
@@ -468,15 +469,15 @@ def _read_checked(directory: Path, name: str) -> tuple[dict, bytes]:
     for listed in (INDEX_FILE, CHUNKS_FILE):
         if not (isinstance(digests, dict) and isinstance(digests.get(listed), str)):
             raise _invalid(meta_path, f"key 'sha256' gives no string for {listed}")
-    try:
-        data = (directory / name).read_bytes()
-    except FileNotFoundError:
-        raise _invalid(directory / name, "file is missing") from None
-    actual = hashlib.sha256(data).hexdigest()
-    if actual != digests[name]:
+        if not (directory / listed).exists():
+            raise _invalid(directory / listed, "file is missing")
+    return meta
+
+
+def _check_digest(meta: dict, name: str, actual: str) -> None:
+    if actual != meta["sha256"][name]:
         raise ValueError(f"checksum mismatch for {name}: "
-                         f"expected {digests[name]}, got {actual}")
-    return meta, data
+                         f"expected {meta['sha256'][name]}, got {actual}")
 
 
 def _invalid(path: Path, why: str) -> ValueError:
@@ -527,10 +528,13 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
     format (the member names, ``_nul_split``, ``_check_arrays``, terms strictly
     ascending, chunk ids distinct, vectors finite and nonzero); never unpickles."""
     directory = Path(directory)
-    meta, raw = _read_checked(directory, INDEX_FILE)
+    meta = _read_meta(directory)
     path = directory / INDEX_FILE
+    raw = path.read_bytes()
+    _check_digest(meta, INDEX_FILE, hashlib.sha256(raw).hexdigest())
     with np.load(io.BytesIO(raw), allow_pickle=False) as data:
         arrays = dict(data)  # each member read once: an NpzFile reads on every lookup
+    del raw  # before the strings and derived arrays are made
     if arrays.keys() != _MEMBERS:
         odd = sorted(arrays.keys() ^ _MEMBERS)
         raise _invalid(path, f"members {odd} are missing or not part of the format")
@@ -545,14 +549,30 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
                              chunk_ids=chunk_ids)
     except ValueError as exc:
         raise _invalid(path, str(exc)) from None
-    dense = DenseIndex(vectors=np.asarray(arrays["vectors"], np.float64), chunk_ids=chunk_ids,
-                       backend=meta["embedder_backend"])
+    dense = DenseIndex(arrays["vectors"], chunk_ids, meta["embedder_backend"])
     if not np.all(np.isfinite(dense.norms) & (dense.norms > 0)):
         raise _invalid(path, "a vector is not finite or has norm 0")
     return sparse, dense
 
 
 def load_index_chunks(directory: str | Path) -> list[Chunk]:
-    """The chunks saved with the index, in row order, checked against their sha256."""
-    _, raw = _read_checked(Path(directory), CHUNKS_FILE)
-    return load_chunks(Path(directory) / CHUNKS_FILE, raw)
+    """The chunks saved with the index, in row order, checked as the module docstring says."""
+    meta = _read_meta(Path(directory))
+    path = Path(directory) / CHUNKS_FILE
+    digest = hashlib.sha256()
+    try:
+        chunks = load_chunks(path, digest)
+    except ValueError:  # a changed file fails its checksum first, whatever its rows hold
+        _check_digest(meta, CHUNKS_FILE, sha256_file(path))
+        raise
+    _check_digest(meta, CHUNKS_FILE, digest.hexdigest())
+    return chunks
+
+
+def check_chunk_ids(directory: Path, index_ids: list[str], chunks: dict) -> None:
+    """A ValueError unless ``chunks`` (chunks.jsonl's, by id) holds exactly ``index_ids``."""
+    stray = sorted(set(chunks).symmetric_difference(index_ids))
+    if stray:
+        where = "only in" if stray[0] in chunks else "missing from"
+        raise ValueError(f"index directory {directory} is inconsistent: chunk id "
+                         f"{stray[0]!r} is {where} chunks.jsonl ({len(stray)} id(s) differ)")

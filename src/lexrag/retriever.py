@@ -7,7 +7,7 @@ enters that side's min-max as raw 0 rather than being re-scored. The fused
 score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
 
 Queries are retrieved in blocks of ``QUERY_BLOCK``: one embedding call and
-one ``index.dense_scores`` matrix product per block, then BM25 and fusion per
+one ``index.dense_scores`` call per block, then BM25 and fusion per
 query. ``hybrid_retrieve`` is a block of one, and since a query's dense scores
 are the same bits in any block (deterministic embedder), a query gets the
 same result alone or in a batch. Each query's scores stay N-length float64
@@ -34,7 +34,7 @@ from lexrag.index import (DenseIndex, SparseIndex, bm25_score_array, bm25_scores
                           dense_scores, dense_search, embed, top_rows)
 from lexrag.textutils import write_jsonl
 
-# queries per embedding call and dense matrix product; a block's dense scores take
+# queries per embedding call and dense_scores call; a block's dense scores take
 # QUERY_BLOCK x N x 8 bytes (12.8 MB at 50k chunks)
 QUERY_BLOCK = 32
 

@@ -55,6 +55,7 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
         raise ValueError("values must be nonempty")
     if iterations < 1:
         raise ValueError(f"bootstrap iterations must be >= 1, not {iterations}")
+    _check_seed(seed)
     n = rows.shape[1]
     rng = np.random.default_rng(seed)
     out = np.empty((rows.shape[0], iterations), dtype=np.float64)
@@ -225,10 +226,14 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_words(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)``: PCG64's seed and increment words."""
+def _check_seed(seed: int) -> None:
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``: PCG64's seed and increment words."""
+    _check_seed(seed)
     entropy = [0] if seed == 0 else []
     while seed:  # little-endian 32-bit words
         entropy.append(seed & _M32)

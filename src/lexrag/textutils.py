@@ -148,44 +148,31 @@ def read_json(path: str | Path, kind: type = dict):
     return value
 
 
-class _DigestingReader(io.RawIOBase):
-    """A raw byte stream that feeds every byte it reads from ``raw`` to ``digest``."""
+class _DigestingFile(io.FileIO):
+    """A file opened for unbuffered reading that feeds every byte it reads to ``digest``."""
 
-    def __init__(self, raw: io.RawIOBase, digest) -> None:
-        self._raw, self._digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
+    def __init__(self, path: str | Path, digest) -> None:
+        super().__init__(str(path))  # so that errors name a Path as open()'s do
+        self._digest = digest
 
     def readinto(self, buffer) -> int:
-        size = self._raw.readinto(buffer)
+        size = super().readinto(buffer)
         if size:
             self._digest.update(memoryview(buffer)[:size])
         return size
 
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
 
-
-def read_jsonl(path: str | Path, data: bytes | None = None,
-               digest=None) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, digest=None) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for each nonblank line of a JSON-lines file.
 
-    ``data``, when given, is the file's content already read; ``path`` then only
-    names it in errors. Otherwise the file is read as a stream, and ``digest``,
-    when given (a ``hashlib`` object), is fed each of its bytes as they are read,
-    so once every line is read it digests exactly the bytes that were parsed.
-    Either way the bytes are decoded as UTF-8 with universal newlines. A line that
-    is not UTF-8 or not a JSON object is a ValueError naming the path and the line
-    number.
+    The file is read as a stream and decoded as UTF-8 with universal newlines.
+    ``digest``, when given (a ``hashlib`` object), is fed each of its bytes as they
+    are read, so once every line is read it digests exactly the bytes that were
+    parsed. A line that is not UTF-8 or not a JSON object is a ValueError naming
+    the path and the line number.
     """
-    if data is not None:
-        binary = io.BytesIO(data)
-    else:
-        raw = open(path, "rb", buffering=0)
-        binary = io.BufferedReader(raw if digest is None else _DigestingReader(raw, digest),
-                                   1 << 16)
+    raw = open(path, "rb", buffering=0) if digest is None else _DigestingFile(path, digest)
+    binary = io.BufferedReader(raw, 1 << 16)
     with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, 1):
             _check_utf8(line, path, number)

@@ -622,6 +622,39 @@ def test_index_over_key_reordered_chunk_file_retrieves_the_same(built_pipeline, 
                 == (tmp_path / "canonical_out" / name).read_bytes())
 
 
+def test_index_over_row_shuffled_chunk_file_retrieves_the_same(tmp_path):
+    """Row order is storage, not meaning: a chunk file with its rows shuffled gives
+    another index.npz but the same results, contexts and metric report, down to
+    k = 64, past the chunk count, where every row is ranked and every tie broken."""
+    root, manifest, qa, _ = build_legal_corpus(tmp_path / "corpus", n_docs=6, seed=0)
+    legal = ["--root", str(root), "--manifest", str(manifest)]
+    assert run(["chunk", *legal, "--target", "48", "--overlap", "10",
+                "--out", str(tmp_path / "chunks")]) == 0
+    assert run(["enrich", *legal, "--chunks", str(tmp_path / "chunks" / "chunks.jsonl"),
+                "--out", str(tmp_path / "enriched")]) == 0
+    search = ["--qa", str(qa), "--format", "snippet_qa"]
+    for source in (tmp_path / "chunks" / "chunks.jsonl", tmp_path / "enriched" / "enriched.jsonl"):
+        lines = source.read_bytes().splitlines(keepends=True)
+        shuffled = tmp_path / f"shuffled_{source.name}"
+        order = np.random.default_rng(3).permutation(len(lines))
+        shuffled.write_bytes(b"".join(lines[i] for i in order))
+        assert len(lines) < 64 and shuffled.read_bytes() != source.read_bytes()
+        outs = {}
+        for path in (source, shuffled):
+            out = outs[path] = tmp_path / f"run_{path.stem}"
+            assert run(["index", "--chunks", str(path), "--dim", "128",
+                        "--out", str(out / "index")]) == 0
+            assert run(["retrieve", "--index", str(out / "index"), *search, "--k", "64",
+                        "--out", str(out / "retrieved")]) == 0
+            assert run(["eval-retrieval", "--index", str(out / "index"), *search,
+                        "--bootstrap-iterations", "300", "--out", str(out / "eval")]) == 0
+        a, b = outs[source], outs[shuffled]
+        assert (a / "index" / "index.npz").read_bytes() != (b / "index" / "index.npz").read_bytes()
+        for name in ("retrieved/results.jsonl", "retrieved/contexts.jsonl",
+                     "eval/metric_report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (source.name, name)
+
+
 def test_index_rebuilt_in_place_from_its_own_chunk_file(built_pipeline, tmp_path):
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
@@ -752,6 +785,39 @@ def test_index_chunk_text_edited_with_id_kept_rejected(built_pipeline, tmp_path,
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
 
+def _tamper_bytes(lines: list[bytes], how: str) -> bytes:
+    """A chunk file's lines with one fault that its row parse would reject."""
+    if how == "bad-json-line":
+        return b"".join([*lines[:3], b'{"chunk_id": oops}\n', *lines[3:]])
+    if how == "not-utf8-byte":
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "\xe9', 1)
+        return b"".join(lines)
+    if how == "repeated-chunk-id-row":
+        return b"".join([*lines, lines[0]])
+    data = b"".join(lines)  # cut mid-row
+    return data[:len(data) - len(lines[-1]) // 2]
+
+
+@pytest.mark.parametrize("how", ["bad-json-line", "not-utf8-byte", "repeated-chunk-id-row",
+                                 "cut-mid-row"])
+def test_index_chunk_file_that_no_longer_parses_fails_its_checksum(
+        built_pipeline, tmp_path, capsys, how):
+    """A changed chunks.jsonl fails its checksum whatever its rows hold, also when its
+    parse stops on a row first."""
+    index_dir = tmp_path / "index"
+    shutil.copytree(built_pipeline["index_enhanced"], index_dir)
+    chunks_path = index_dir / "chunks.jsonl"
+    chunks_path.write_bytes(_tamper_bytes(chunks_path.read_bytes().splitlines(keepends=True),
+                                          how))
+    with pytest.raises(ValueError):
+        load_chunks(chunks_path)
+    assert _retrieve_from(index_dir, built_pipeline, tmp_path / "out") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("checksum mismatch for chunks.jsonl")
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
+
 def test_index_header_without_chunks_entry_rejected(built_pipeline, tmp_path, capsys):
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
@@ -840,6 +906,34 @@ def test_dpo_build_negative_seed_rejected(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError" and "non-negative integer" in err["message"]
+
+
+def test_bootstrap_commands_negative_seed_rejected(built_pipeline, tmp_path, capsys):
+    """Every command that bootstraps names its --seed when it is negative, as
+    dpo-build does, and writes no report."""
+    _, aus_qa = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
+    outputs = tmp_path / "outputs.jsonl"
+    write_jsonl(outputs, [{"query_id": json.loads(line)["query_id"],
+                           "set_tag": "set1_correct_context", "output": "An answer."}
+                          for line in aus_qa.read_text(encoding="utf-8").splitlines()])
+    search = ["--index", str(built_pipeline["index_baseline"]), "--qa", str(built_pipeline["qa"]),
+              "--format", "snippet_qa", "--k", "1,4", "--bootstrap-iterations", "50"]
+    report = tmp_path / "eval" / "metric_report.json"
+    assert run(["eval-retrieval", *search, "--out", str(report.parent)]) == 0
+    commands = {
+        "eval-retrieval": ["eval-retrieval", *search],
+        "compare": ["compare", "--baseline", str(report), "--enhanced", str(report),
+                    "--bootstrap-iterations", "50"],
+        "eval-answers": ["eval-answers", "--outputs", str(outputs), "--qa", str(aus_qa),
+                         "--compare-with", str(outputs), "--bootstrap-iterations", "50"],
+    }
+    for name, argv in commands.items():
+        out_dir = tmp_path / name
+        assert run([*argv, "--seed", "-3", "--out", str(out_dir)]) == 1, name
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "seed must be a non-negative integer, not -3"}, name
+        assert not any(out_dir.glob("*")), name
 
 
 def test_ingest_byte_span_conversion(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lexrag.index
 from lexrag.chunker import dump_chunks
 from lexrag.embedding import HashedBowEmbedder, term_rows
 from lexrag.index import (
@@ -22,8 +23,10 @@ from lexrag.index import (
     bm25_scores,
     build_dense,
     build_sparse,
+    dense_scores,
     dense_search,
     embed,
+    load_index_chunks,
     load_indexes,
     save_indexes,
     sha256_file,
@@ -215,6 +218,18 @@ class TestDenseSearch:
         brute = sorted(range(5), key=lambda r: (-(vectors[r] @ query), f"c#{r:06d}"))
         assert [r for r, _ in hits] == brute
 
+    def test_scores_are_the_same_bits_in_any_row_block(self, monkeypatch):
+        """The stored int8 counts are cast a row block at a time; over integer counts
+        every product is exact, so the block size moves no bit."""
+        embedder = HashedBowEmbedder(dim=16)
+        chunks = [make_chunk(i, f"alpha beta {'gamma ' * i}delta {i}") for i in range(10)]
+        dense = build_dense(chunks, embedder)
+        assert dense.vectors.dtype == np.int8
+        queries = embed(embedder, ["alpha gamma", "delta 3 beta gamma gamma"])
+        whole = dense_scores(dense, queries)
+        monkeypatch.setattr(lexrag.index, "SCORE_ROWS", 3)
+        assert dense_scores(dense, queries).tobytes() == whole.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         chunks = [make_chunk(0, "text")]
         dense = build_dense(chunks, HashedBowEmbedder(dim=16))
@@ -391,6 +406,7 @@ class TestPersistence:
         sparse2, dense2 = load_indexes(tmp_path)
         assert sparse2.postings["a"][1].tolist() == [300]
         assert np.array_equal(dense2.vectors, dense.vectors)
+        assert dense2.vectors.dtype == dense.vectors.dtype == np.int16  # kept as stored
         assert bm25_scores(sparse2, "a b") == bm25_scores(sparse, "a b")
         query = embed(HashedBowEmbedder(dim=32), ["a b"])[0]
         assert dense_search(dense2, query, 2) == dense_search(dense, query, 2)
@@ -470,3 +486,43 @@ class TestBuildMemory:
     @pytest.mark.parametrize("step", sorted(BOUNDS))
     def test_peak_bytes_per_token(self, per_token, step):
         assert per_token[step] <= self.BOUNDS[step], f"{per_token[step]:.2f} B/token"
+
+
+class TestLoadMemory:
+    """Traced memory of the query side's two loads, on 1,000 chunks of
+    ``TestBuildMemory``'s Zipf text (a 1.1 MB chunk file) indexed at dim 256.
+
+    ``load_index_chunks`` parses chunks.jsonl as a stream: its transient peak (its
+    peak less the chunks it returns) was 0.10 of the file's size, against 1.04
+    when the file was read whole before the parse. ``load_indexes`` keeps the int8
+    vectors as stored and peaked at 8.4 traced bytes per stored vector value,
+    against 18.4 with a float64 copy of them (the figure holds the terms, postings
+    and chunk ids as well).
+    """
+
+    @pytest.fixture(scope="class")
+    def index_dir(self, tmp_path_factory) -> Path:
+        chunks = TestBuildMemory.zipf_chunks(n_chunks=1000)
+        base = tmp_path_factory.mktemp("load_memory")
+        path = base / "input_chunks.jsonl"
+        dump_chunks(chunks, path)
+        save_indexes(base / "index", build_sparse(chunks),
+                     build_dense(chunks, HashedBowEmbedder(dim=256)), path, sha256_file(path))
+        return base / "index"
+
+    def test_chunk_file_is_parsed_without_its_bytes_held(self, index_dir):
+        tracemalloc.start()
+        try:
+            chunks = load_index_chunks(index_dir)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 1000
+        transient = (peak - retained) / (index_dir / "chunks.jsonl").stat().st_size
+        assert transient <= 0.25, f"{transient:.2f} of the file's size"
+
+    def test_vectors_load_without_a_float64_copy(self, index_dir):
+        dense, peak = TestBuildMemory.traced_peak(lambda: load_indexes(index_dir)[1])
+        assert dense.vectors.dtype == np.int8
+        per_value = peak / dense.vectors.size
+        assert per_value <= 12.0, f"{per_value:.1f} B per stored vector value"

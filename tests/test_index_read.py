@@ -91,8 +91,8 @@ def test_index_reads_each_line_ending_and_fault_alike(tmp_path, capsys, name):
     assert (out / "chunks.jsonl").read_bytes() == CASES[name]
     meta = json.loads((out / "index_meta.json").read_text(encoding="utf-8"))
     assert meta["sha256"]["chunks.jsonl"] == hashlib.sha256(CASES[name]).hexdigest()
-    # the index's copy, read from its bytes, holds what the file held
-    assert load_index_chunks(out) == load_chunks(path, CASES[name]) == _CHUNKS
+    # the index's copy, read as a stream, holds what the file held
+    assert load_index_chunks(out) == load_chunks(path) == _CHUNKS
 
 
 def test_index_of_a_missing_chunk_file_names_it(tmp_path, capsys):

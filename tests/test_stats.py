@@ -108,6 +108,23 @@ class TestSharedDraw:
             assert (float(means.min()), float(means.max())) == \
                 bootstrap_minmax(row, iterations=iterations, seed=7)
 
+    def test_golden_stream(self):
+        # literal means, as test_golden_split has literal ids: NEP 19 lets a numpy
+        # release change Generator.integers, and lexrag's intervals must not move
+        # with it. Eight integer values make every mean an exact multiple of 1/8.
+        rows = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [3, 0, 0, 1, 0, 2, 0, 0]], dtype=float)
+        means = shared_bootstrap_means(rows, 2053, seed=11)  # a full block and a partial one
+        assert means[:, :6].tolist() == [[3.0, 2.875, 4.625, 4.0, 4.5, 3.875],
+                                         [0.75, 0.625, 0.0, 0.375, 0.375, 0.125]]
+        assert means[:, 2048:].tolist() == [[2.125, 4.75, 5.25, 5.0, 3.375],
+                                            [1.125, 0.375, 0.0, 0.125, 0.875]]
+        assert percentile_ci(means[0]) == (1.875, 5.0)
+
+    @pytest.mark.parametrize("seed", [-3, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, not {seed}"):
+            shared_bootstrap_means(np.ones((2, 3)), 10, seed=seed)
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             shared_bootstrap_means(np.zeros((3, 0)), 10, seed=0)

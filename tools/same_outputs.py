@@ -10,10 +10,10 @@ so the tokenizer and the aligner also see non-ASCII text, a second copy of it
 under a Greek file name to the legal corpus, so the index stores multi-byte doc
 ids and chunk ids, and one Aus-format record whose reworded excerpt of it
 aligns only by the fuzzy tier, and a hand-written chunk file with CRLF line
-endings, a blank line and no final newline, then
-runs one fixed sequence of ``lexrag`` commands per tree, each in a fresh
-``python -m lexrag.cli`` process with that tree's ``src`` alone on
-``PYTHONPATH``. It compares every file the commands wrote, except
+endings, a blank line and no final newline, which is indexed, retrieved from
+and evaluated. It then runs one fixed sequence of ``lexrag`` commands per
+tree, each in a fresh ``python -m lexrag.cli`` process with that tree's
+``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
 ``run_manifest.json`` (the one artifact allowed to hold a timestamp), plus
 each command's stdout and exit code. It prints what differs (for JSON files,
 the differing keys) and exits 1 if anything does, 0 if nothing does.
@@ -91,8 +91,9 @@ def make_inputs(base: Path) -> dict[str, Path]:
         lines = (json.dumps(row) + "\n" for row in rows)
         (base / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
     # a chunk file as a hand edit on Windows might leave it: CRLF endings, a blank
-    # line, no final newline. `index` parses it as a stream, and `retrieve` parses
-    # the index's byte copy of it, which must give the chunk ids index.npz holds
+    # line, no final newline. `index` parses it as a stream, and `retrieve` and
+    # `eval-retrieval` parse the index's copy of it as a stream too, which must give
+    # the chunk ids index.npz holds
     rows = [("hand/a.txt", 0, 0, "The tenant shall pay the rent on the first day of each month."),
             ("hand/a.txt", 1, 62, "Notice must be served at the address in the lease."),
             ("hand/β.txt", 0, 0, "Η προθεσμία ερμηνεύεται στενά."),
@@ -140,6 +141,7 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["report", "--report", "eval/metric_report.json", "--out", "report/metric_report.txt"],
         ["index", "--chunks", str(i["crlf_chunks"]), "--dim", "32", "--out", "index_crlf"],
         ["retrieve", "--index", "index_crlf", *qa, "--top", "2", "--out", "retrieved_crlf"],
+        ["eval-retrieval", "--index", "index_crlf", *qa, *sweep, "--out", "eval_crlf"],
         ["ingest", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
          "--format", "aus_legal_qa", "--out", "ingest_aus"],
         ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
