@@ -13,7 +13,7 @@ Matching runs in three tiers, cheapest first:
    folded); the best window is then shrunk greedily from both ends while the
    score does not decrease (ties shrink from the right first).
 
-A span is returned only when the final score clears ``min_score``; otherwise
+A span is returned only when the final score reaches ``MIN_SCORE``; otherwise
 the failure carries the best score seen so it can be audited per dataset.
 
 Tiers 2 and 3 read a ``DocumentView``, built the first time a record of the
@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from lexrag.configs import AlignConfig
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
 from lexrag.textutils import normalize_for_match, write_json
 
@@ -44,6 +43,8 @@ from lexrag.textutils import normalize_for_match, write_json
 # windows may be shorter or longer by; both are fixed, as in Broder's resemblance
 SHINGLE = 3
 WINDOW_SLACK = 0.3
+# the tier-3 score a span must reach
+MIN_SCORE = 0.6
 # window characters per scoring call in the coarse scan: bounds its temporaries
 # (a 2D pass over all windows at once grows peak memory with document length)
 _SCAN_CELLS = 1 << 15
@@ -165,14 +166,13 @@ def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
     return score
 
 
-def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
+def align_answer(doc: Document, answer: str, *,
                  view: DocumentView | None = None) -> GoldSpan | AlignmentFailure:
     """Find the minimal contiguous span of ``doc`` best matching ``answer``.
 
     ``view``, when given, is a ``DocumentView`` of ``doc.text``, shared with
     other answers in the same document.
     """
-    cfg = cfg or AlignConfig()
     if not answer:
         raise ValueError("answer must be nonempty")
     text = doc.text
@@ -236,7 +236,7 @@ def align_answer(doc: Document, answer: str, cfg: AlignConfig | None = None, *,
         else:
             break
 
-    if score >= cfg.min_score:
+    if score >= MIN_SCORE:
         return GoldSpan(doc_id=doc.doc_id, start=lo, end=hi, answer_text=answer)
     return AlignmentFailure(score=max(score, 0.0), reason="best window below min_score")
 
@@ -272,15 +272,14 @@ def _alignment_score(doc: Document, span: GoldSpan) -> float:
                     _shingles(normalize_for_match(span.answer_text)))
 
 
-def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
-                        cfg: AlignConfig | None = None) -> tuple[list[QueryRecord], AlignmentReport]:
+def reconstruct_dataset(records: list[QueryRecord],
+                        docs: DocumentCollection) -> tuple[list[QueryRecord], AlignmentReport]:
     """Fill gold spans by aligning each record's context excerpt to its document.
 
     Records whose source document is missing (or that lack a context excerpt)
     are marked failed; other records are unaffected. Successful records carry
     exactly one reconstructed span whose answer_text is the context excerpt.
     """
-    cfg = cfg or AlignConfig()
     out_records: list[QueryRecord] = []
     entries: list[AlignmentEntry] = []
     view = None  # of the last document aligned; at most one is kept
@@ -296,7 +295,7 @@ def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
             continue
         if view is None or view.text is not doc.text:
             view = DocumentView(doc.text)
-        aligned = align_answer(doc, record.context_text, cfg, view=view)
+        aligned = align_answer(doc, record.context_text, view=view)
         if isinstance(aligned, AlignmentFailure):
             entries.append(AlignmentEntry(record.query_id, "below_threshold",
                                           score=aligned.score))
@@ -306,7 +305,7 @@ def reconstruct_dataset(records: list[QueryRecord], docs: DocumentCollection,
         entries.append(AlignmentEntry(record.query_id, "aligned", score=score,
                                       span=[doc.doc_id, aligned.start, aligned.end]))
         out_records.append(replace(record, gold_spans=[aligned]))
-    return out_records, AlignmentReport(entries, cfg.min_score)
+    return out_records, AlignmentReport(entries, MIN_SCORE)
 
 
 def records_to_snippet_json(records: list[QueryRecord]) -> list[dict]:

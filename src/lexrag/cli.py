@@ -41,8 +41,8 @@ BLAS_ENV_IN_EFFECT = "numpy" not in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import lexrag  # noqa: E402
-from lexrag.configs import (DEFAULT_WINDOW, WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION,
-                            AlignConfig, ChunkConfig, FusionConfig, RemoteConfig, SplitSpec)
+from lexrag.configs import (WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, ChunkConfig,
+                            FusionConfig, RemoteConfig, SplitSpec)
 from lexrag.textutils import read_json, sha256_file, write_json, write_jsonl
 
 if TYPE_CHECKING:
@@ -141,7 +141,10 @@ def _remote_config(settings: dict, missing_endpoint: str) -> RemoteConfig:
 
 
 def _parse_k_list(raw: str) -> list[int]:
-    ks = sorted({int(part) for part in raw.split(",") if part.strip()})
+    try:
+        ks = sorted({int(part) for part in raw.split(",") if part.strip()})
+    except ValueError:
+        ks = []
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"invalid k list: {raw!r}")
     return ks
@@ -164,7 +167,7 @@ def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[s
     ctx = _cli.RetrievalContext(
         sparse=sparse, dense=dense,
         embedder=_cli.get_embedder(dense.backend, dim=dense.dim, remote=remote),
-        fusion=FusionConfig(k=k, alpha=settings["alpha"], candidate_pool=settings["pool"]),
+        fusion=FusionConfig(k=k, alpha=settings["alpha"]),
         chunk_table={cid: (c.doc_id, c.start, c.end) for cid, c in chunks.items()},
     )
     return ctx, chunks
@@ -223,7 +226,7 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
-            window=settings["window"], max_workers=settings["workers"]))
+            max_workers=settings["workers"]))
     _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
@@ -300,8 +303,7 @@ def cmd_eval_retrieval(settings: dict, out_dir: Path) -> list:
 def cmd_align_spans(settings: dict, out_dir: Path) -> list:
     docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     records, errors = _cli.load_qa_dataset(settings["qa"], "aus_legal_qa")
-    aligned, align_report = _cli.reconstruct_dataset(
-        records, docs, AlignConfig(min_score=settings["min_score"]))
+    aligned, align_report = _cli.reconstruct_dataset(records, docs)
     _cli.save_aligned_dataset([r for r in aligned if r.gold_spans],
                               out_dir / "aligned_dataset.json")
     write_json(align_report.to_dict(), out_dir / "alignment_report.json")
@@ -435,7 +437,6 @@ REMOTE = (Setting("endpoint"),
           Setting("timeout", float, RemoteConfig.timeout_seconds, flag=False),
           Setting("retries", int, RemoteConfig.retries, flag=False))
 SEARCH = (Setting("index", required=True), Setting("alpha", float, FusionConfig.alpha),
-          Setting("pool", int, FusionConfig.candidate_pool, help="0 means max(100, k)"),
           QA, QA_FORMAT, *REMOTE)
 BOOTSTRAP = Setting("bootstrap_iterations", int, 10000)
 
@@ -449,7 +450,7 @@ COMMANDS = {
     "enrich": Command(cmd_enrich, "add metadata headers and window summaries", (
         OUT, *CORPUS, *REMOTE, Setting("chunks", required=True),
         Setting("summarizer", default="extractive", choices=("extractive", "remote")),
-        Setting("window", int, DEFAULT_WINDOW), Setting("workers", int, 1))),
+        Setting("workers", int, 1))),
     "index": Command(cmd_index, "build sparse and dense indexes over chunks", (
         OUT, *REMOTE, Setting("chunks", required=True),
         Setting("embedder", default="deterministic", choices=("deterministic", "remote")),
@@ -464,7 +465,7 @@ COMMANDS = {
         Setting("variant", default="baseline", choices=("baseline", "enhanced")),
         Setting("dataset_name", help="dataset label (default: the --qa file's stem)"))),
     "align-spans": Command(cmd_align_spans, "reconstruct gold spans from answer text", (
-        OUT, *CORPUS, QA, Setting("min_score", float, AlignConfig.min_score))),
+        OUT, *CORPUS, QA)),
     "dpo-build": Command(cmd_dpo_build, "build preference pairs and dataset splits", (
         OUT, SEED, QA, Setting("train", int, SplitSpec.train),
         Setting("validation", int, SplitSpec.validation), Setting("test", int, SplitSpec.test),

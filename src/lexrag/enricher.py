@@ -2,13 +2,13 @@
 
 Each chunk gets a header of the form ``[DOC] title | jurisdiction | type
 [SUMMARY] <local summary>``, which ``Chunk.full_text`` puts before its text.
-Summaries describe overlapping windows of 4 consecutive chunks, one starting at
-each chunk that leaves a full window (stride 1). Each chunk takes the summary of
-the window whose center is nearest its position in the document's chunk list,
-which in every file ``lexrag chunk`` writes is its ordinal. The header is
-truncated from the summary end to at most a quarter of the enriched chunk's
-tokens: ``h / (h + body) <= 1/4`` holds exactly when ``3h <= body``, so a chunk
-keeps at most ``body // 3`` header tokens.
+Summaries describe overlapping windows of ``WINDOW`` (4) consecutive chunks, one
+starting at each chunk that leaves a full window (stride 1). Each chunk takes the
+summary of the window whose center is nearest its position in the document's
+chunk list, which in every file ``lexrag chunk`` writes is its ordinal. The
+header is truncated from the summary end to at most a quarter of the enriched
+chunk's tokens: ``h / (h + body) <= 1/4`` holds exactly when ``3h <= body``, so
+a chunk keeps at most ``body // 3`` header tokens.
 
 Enrichment returns a copy of the chunk with only the header fields set; it
 never touches offsets or text, so retrieval metrics always score against the
@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import Protocol
 
 from lexrag.chunker import Chunk, count_tokens, dump_chunks, load_chunks
-from lexrag.configs import DEFAULT_WINDOW
 from lexrag.corpus import DocumentMeta
 from lexrag.textutils import split_sentences
 
 SUMMARY_TOKEN_CAP = 200
+# consecutive chunks per summary window
+WINDOW = 4
 
 
 class SummarizerProvider(Protocol):
@@ -116,7 +117,7 @@ def window_start(position: int, n_chunks: int, window: int) -> int:
 
 
 def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
-                     window: int = DEFAULT_WINDOW, max_workers: int = 1) -> list[WindowSummary]:
+                     max_workers: int = 1) -> list[WindowSummary]:
     """Summarize overlapping windows of consecutive chunks from one document,
     the i-th summary that of the window starting at list position i.
 
@@ -133,24 +134,22 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
     ordinals = [c.ordinal for c in chunks]
     if ordinals != sorted(ordinals):
         raise ValueError("chunks must be ordered by ordinal")
-    if window < 1:
-        raise ValueError("window must be >= 1")
 
-    starts = range(max(len(chunks) - window, 0) + 1)
+    starts = range(max(len(chunks) - WINDOW, 0) + 1)
     # each chunk's sentences, split on first use and shared by the windows holding it
     split_texts: list[tuple[list[str], list[int]] | None] = [None] * len(chunks)
 
     def extractive_at(pos: int) -> str:
-        for i in range(pos, min(pos + window, len(chunks))):
+        for i in range(pos, min(pos + WINDOW, len(chunks))):
             if split_texts[i] is None:
                 split_texts[i] = _counted_sentences(chunks[i].text)
-        return _round_robin_summary(split_texts[pos:pos + window], SUMMARY_TOKEN_CAP)
+        return _round_robin_summary(split_texts[pos:pos + WINDOW], SUMMARY_TOKEN_CAP)
 
     def summarize_at(pos: int) -> tuple[str, bool]:
         if isinstance(provider, ExtractiveSummarizer):
             return extractive_at(pos), False
         try:
-            return provider.summarize([c.text for c in chunks[pos:pos + window]],
+            return provider.summarize([c.text for c in chunks[pos:pos + WINDOW]],
                                       SUMMARY_TOKEN_CAP), False
         except Exception:
             return extractive_at(pos), True
@@ -204,11 +203,10 @@ def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None
 
 
 def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
-                           provider: SummarizerProvider,
-                           window: int = DEFAULT_WINDOW, max_workers: int = 1) -> list[Chunk]:
+                           provider: SummarizerProvider, max_workers: int = 1) -> list[Chunk]:
     """Full enrichment for one document's chunk list."""
-    summaries = window_summaries(chunks, provider, window=window, max_workers=max_workers)
-    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), window)])
+    summaries = window_summaries(chunks, provider, max_workers=max_workers)
+    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), WINDOW)])
             for i, chunk in enumerate(chunks)]
 
 

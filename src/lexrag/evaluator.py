@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 # bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
 # perfbench's tracer wraps them under this module's name.
 from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F401
-                          paired_delta_ci, paired_ttest, percentile_ci, shared_bootstrap_means)
+                          check_bootstrap, paired_delta_ci, paired_ttest, percentile_ci,
+                          shared_bootstrap_means)
 
 if TYPE_CHECKING:  # for annotations alone, so `compare` and `report` load neither module
     from lexrag.corpus import QueryRecord
@@ -210,6 +211,7 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
     queries are retrieved in blocks (``RetrievalContext.retrieve_many``).
     """
     import numpy as np
+    check_bootstrap(iterations, seed)
     ks = sorted(ks)
     report = MetricReport(dataset=dataset, variant=variant, ks=ks,
                           bootstrap_iterations=iterations, bootstrap_seed=seed)
@@ -265,6 +267,7 @@ def compare_reports(baseline: MetricReport, enhanced: MetricReport,
     (number of metrics); m is recoverable from the output length.
     """
     import numpy as np
+    check_bootstrap(iterations, seed)
     shared_queries = sorted(set(baseline.per_query) & set(enhanced.per_query))
     shared_ks = sorted(set(baseline.ks) & set(enhanced.ks))
     if not shared_queries or not shared_ks:

@@ -1,7 +1,7 @@
 """Hybrid retrieval: fuse normalized dense and sparse scores into one ranking.
 
 Dense cosines and unbounded BM25 scores are made commensurable by per-query
-min-max normalization over the candidate union (the top ``candidate_pool``
+min-max normalization over the candidate union (the top ``max(POOL, k)``
 dense rows plus every nonzero BM25 row); a candidate missing from one side
 enters that side's min-max as raw 0 rather than being re-scored. The fused
 score is ``alpha * dense_norm + (1 - alpha) * sparse_norm``.
@@ -37,6 +37,8 @@ from lexrag.textutils import write_jsonl
 # queries per embedding call and dense_scores call; a block's dense scores take
 # QUERY_BLOCK x N x 8 bytes (12.8 MB at 50k chunks)
 QUERY_BLOCK = 32
+# dense rows that enter fusion as candidates, or k rows when k is larger
+POOL = 100
 
 
 @dataclass
@@ -94,7 +96,7 @@ def hybrid_retrieve(question: str, sparse: SparseIndex, dense: DenseIndex,
                     query_id: str = "") -> RetrievalResult:
     """Retrieve top-k chunks by fused dense+sparse score (a block of one query).
 
-    Candidates are the union of the top ``candidate_pool`` dense hits and all
+    Candidates are the union of the top ``max(POOL, k)`` dense hits and all
     nonzero BM25 hits. Bitwise-equal fused scores break ties by chunk_id ascending.
     """
     return next(retrieve_many([question], sparse, dense, embedder, cfg, [query_id]))
@@ -104,7 +106,7 @@ def _fuse(question: str, dense_row: np.ndarray, sparse: SparseIndex, dense: Dens
           cfg: FusionConfig, query_id: str) -> RetrievalResult:
     """One query's ranking from its dense scores (``dense_row``) and its BM25 scores."""
     in_pool = np.zeros(dense.N, dtype=bool)
-    in_pool[top_rows(dense_row, min(cfg.candidate_pool, dense.N), dense.id_rank)] = True
+    in_pool[top_rows(dense_row, min(max(POOL, cfg.k), dense.N), dense.id_rank)] = True
     bm25 = bm25_score_array(sparse, question)
     if bm25 is None:
         bm25 = np.zeros(dense.N)

@@ -53,9 +53,7 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("values must be nonempty")
-    if iterations < 1:
-        raise ValueError(f"bootstrap iterations must be >= 1, not {iterations}")
-    _check_seed(seed)
+    check_bootstrap(iterations, seed)
     n = rows.shape[1]
     rng = np.random.default_rng(seed)
     out = np.empty((rows.shape[0], iterations), dtype=np.float64)
@@ -224,6 +222,13 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def check_bootstrap(iterations: int, seed: int) -> None:
+    """Reject a resample count below 1 or a seed that is not a non-negative integer."""
+    if iterations < 1:
+        raise ValueError(f"bootstrap iterations must be >= 1, not {iterations}")
+    _check_seed(seed)
 
 
 def _check_seed(seed: int) -> None:

@@ -21,7 +21,8 @@ from lexrag.embedding import HashedBowEmbedder
 from lexrag.enricher import ExtractiveSummarizer, enrich_document_chunks
 from lexrag.evaluator import span_recall, sweep
 from lexrag.index import bm25_scores, build_dense, build_sparse, dense_search, embed
-from lexrag.retriever import FusionConfig, RankedChunk, RetrievalContext, RetrievalResult, hybrid_retrieve
+from lexrag.retriever import (POOL, FusionConfig, RankedChunk, RetrievalContext, RetrievalResult,
+                              hybrid_retrieve)
 from lexrag.stats import bonferroni, bootstrap_ci, paired_ttest
 from lexrag.aligner import align_answer
 from lexrag.corpus import load_documents
@@ -320,7 +321,7 @@ def test_directional_effect_with_more_chunks_than_the_dense_pool(tmp_path):
     pool enter fusion with a raw dense score of 0; enrichment still lowers DRM."""
     start = time.time()
     n_chunks, baseline, enhanced = _directional_effect(tmp_path, n_docs=48)
-    assert n_chunks > FusionConfig.candidate_pool
+    assert n_chunks > POOL
     for k in (1, 2, 4, 8):
         assert enhanced[k]["drm_mean"] < baseline[k]["drm_mean"], f"DRM not improved at k={k}"
     for k in (4, 8):

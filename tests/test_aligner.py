@@ -1,5 +1,6 @@
 import json
 from itertools import zip_longest
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from lexrag import aligner
 from lexrag.aligner import (
-    AlignConfig,
     AlignmentFailure,
     DocumentView,
     _normalized_view,
@@ -96,7 +96,7 @@ class TestAlignAnswer:
         assert isinstance(again, GoldSpan)
         assert doc.text[again.start:again.end] == doc.text[first.start:first.end]
 
-    def test_fuzzy_path_finds_noisy_region(self):
+    def test_fuzzy_path_finds_noisy_region(self, monkeypatch):
         rng = np.random.default_rng(3)
         body = random_document_text(rng, 400)
         original = body[150:350]
@@ -106,7 +106,8 @@ class TestAlignAnswer:
             noisy[int(pos)] = "q"
         noisy = "".join(noisy)
         doc = make_doc("d", body)
-        result = align_answer(doc, noisy, AlignConfig(min_score=0.5))
+        monkeypatch.setattr(aligner, "MIN_SCORE", 0.5)
+        result = align_answer(doc, noisy)
         assert isinstance(result, GoldSpan)
         # the found window substantially overlaps the true region
         inter = min(result.end, 350) - max(result.start, 150)
@@ -119,9 +120,10 @@ class TestAlignAnswer:
         assert span.start == body.index("THE HOLDING IS X.")
 
 
-# the aligner's fixed shingle width and window slack, restated for the oracle
+# the aligner's fixed shingle width, window slack and threshold, restated for the oracle
 REF_SHINGLE = 3
 REF_SLACK = 0.3
+REF_MIN_SCORE = 0.6
 
 
 def _ref_shingles(text: str) -> frozenset[str]:
@@ -140,10 +142,9 @@ def _ref_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def reference_align_answer(doc: Document, answer: str,
-                           cfg: AlignConfig | None = None) -> GoldSpan | AlignmentFailure:
+                           min_score: float = REF_MIN_SCORE) -> GoldSpan | AlignmentFailure:
     """Oracle for ``align_answer``: tiers 1 and 2 alike, and tier 3 as it was
     before shingle ids, normalizing and shingling the text of every window."""
-    cfg = cfg or AlignConfig()
     if not answer:
         raise ValueError("answer must be nonempty")
     text = doc.text
@@ -204,7 +205,7 @@ def reference_align_answer(doc: Document, answer: str,
         else:
             break
 
-    if score >= cfg.min_score:
+    if score >= min_score:
         return GoldSpan(doc_id=doc.doc_id, start=lo, end=hi, answer_text=answer)
     return AlignmentFailure(score=max(score, 0.0), reason="best window below min_score")
 
@@ -228,8 +229,7 @@ def alignment_cases(draw):
         answer = "".join(chars)
     else:
         answer = draw(st.text(alphabet, min_size=1, max_size=80))
-    cfg = AlignConfig(min_score=draw(st.sampled_from([0.05, 0.3, 0.6, 1.0])))
-    return make_doc("d", text), answer, cfg
+    return make_doc("d", text), answer, draw(st.sampled_from([0.05, 0.3, 0.6, 1.0]))
 
 
 def zipf_document(rng: np.random.Generator, n_chars: int) -> str:
@@ -248,10 +248,11 @@ class TestShingleIdScorer:
     @settings(max_examples=600, deadline=None)
     @given(alignment_cases())
     # windows of two lengths tie at the best score: the shorter, scanned first, wins
-    @example((make_doc("d", "AABbaA "), "BAaB", AlignConfig(min_score=0.05)))
+    @example((make_doc("d", "AABbaA "), "BAaB", 0.05))
     def test_same_result_as_string_scorer(self, case):
-        doc, answer, cfg = case
-        assert align_answer(doc, answer, cfg) == reference_align_answer(doc, answer, cfg)
+        doc, answer, min_score = case
+        with patch.object(aligner, "MIN_SCORE", min_score):
+            assert align_answer(doc, answer) == reference_align_answer(doc, answer, min_score)
 
     def test_same_spans_on_long_zipf_documents(self):
         rng = np.random.default_rng(11)
@@ -308,9 +309,10 @@ class TestShingleIdScorer:
                 chars = list(text[lo:lo + int(rng.integers(2, 40))])
                 chars[int(rng.integers(len(chars)))] = str(rng.choice(alphabet))
                 answer = "".join(chars)
-                for cfg in (AlignConfig(min_score=0.05), AlignConfig()):
-                    assert align_answer(doc, answer, cfg, view=view) == \
-                        reference_align_answer(doc, answer, cfg)
+                for min_score in (0.05, REF_MIN_SCORE):
+                    with patch.object(aligner, "MIN_SCORE", min_score):
+                        assert align_answer(doc, answer, view=view) == \
+                            reference_align_answer(doc, answer, min_score)
 
 
 class TestNormalizedView:
@@ -416,7 +418,7 @@ class TestReconstructDataset:
         records = aus_records(docs, rng, n=3)
         _, report = reconstruct_dataset(records, DocumentCollection(docs))
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["min_score"] == 0.6
+        assert payload["min_score"] == aligner.MIN_SCORE == REF_MIN_SCORE
         assert payload["aligned"] == 3
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexrag import kernels
+from lexrag import enricher, kernels
 from lexrag.chunker import (DEFAULT_SEPARATORS, ChunkConfig, _CorePacker, _emit_cores,
                             count_tokens, split_recursive)
 from lexrag.corpus import Document, DocumentMeta
@@ -375,14 +375,15 @@ def sentence_chunks(rng: np.random.Generator, n: int) -> list:
 
 
 @pytest.mark.parametrize("window", [1, 2, 4, 6])
-def test_window_summaries_equal_per_window_split(window):
+def test_window_summaries_equal_per_window_split(monkeypatch, window):
+    monkeypatch.setattr(enricher, "WINDOW", window)
     rng = np.random.default_rng(15)
     for n in (1, 2, 3, 5, 9, 17):  # shorter than one window, and longer
         chunks = sentence_chunks(rng, n)
-        shared = window_summaries(chunks, ExtractiveSummarizer(), window=window)
-        expected = window_summaries(chunks, PerWindowSummarizer(), window=window)
+        shared = window_summaries(chunks, ExtractiveSummarizer())
+        expected = window_summaries(chunks, PerWindowSummarizer())
         assert shared == expected
-        fell_back = window_summaries(chunks, FailingSummarizer(), window=window)
+        fell_back = window_summaries(chunks, FailingSummarizer())
         assert fell_back == [replace(s, fallback=True) for s in expected]
 
 

@@ -936,6 +936,65 @@ def test_bootstrap_commands_negative_seed_rejected(built_pipeline, tmp_path, cap
         assert not any(out_dir.glob("*")), name
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-3", "seed must be a non-negative integer, not -3"),
+    ("--bootstrap-iterations", "0", "bootstrap iterations must be >= 1, not 0")])
+def test_bootstrap_settings_checked_when_no_bootstrap_runs(
+        workspace, tmp_path, capsys, flag, value, message):
+    """An index holding none of the gold documents excludes every query, and two
+    reports without a query draw no resample; a bad seed or count still fails."""
+    chunks = tmp_path / "chunks.jsonl"
+    write_jsonl(chunks, [{"chunk_id": "hand/a.txt#000000", "doc_id": "hand/a.txt", "start": 0,
+                          "end": 25, "text": "The tenant shall pay rent", "ordinal": 0}])
+    assert run(["index", "--chunks", str(chunks), "--dim", "16",
+                "--out", str(tmp_path / "index")]) == 0
+    search = ["--index", str(tmp_path / "index"), "--qa", str(workspace["qa"]), "--k", "1,2"]
+    report = tmp_path / "eval" / "metric_report.json"
+    assert run(["eval-retrieval", *search, "--bootstrap-iterations", "20",
+                "--out", str(report.parent)]) == 0
+    assert json.loads(report.read_text())["per_query"] == {}
+    commands = {"eval-retrieval": ["eval-retrieval", *search],
+                "compare": ["compare", "--baseline", str(report), "--enhanced", str(report)]}
+    for name, argv in commands.items():
+        out_dir = tmp_path / name
+        assert run([*argv, flag, value, "--out", str(out_dir)]) == 1, name
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": message}, name
+        assert not any(out_dir.glob("*")), name
+
+
+@pytest.mark.parametrize("raw", ["0,2", "1,a", "1.5", ","])
+def test_malformed_k_list_rejected_naming_it(built_pipeline, tmp_path, capsys, raw):
+    out_dir = tmp_path / "out"
+    code = run(["eval-retrieval", "--index", str(built_pipeline["index_baseline"]),
+                "--qa", str(built_pipeline["qa"]), "--k", raw, "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"invalid k list: {raw!r}"}
+    assert not any(out_dir.glob("*"))
+
+
+@pytest.mark.parametrize("key,value", [("retries", -1), ("timeout", -1), ("timeout", 0)])
+@pytest.mark.parametrize("command", ["enrich", "index"])
+def test_remote_settings_out_of_range_rejected_naming_the_key(
+        built_pipeline, tmp_path, capsys, command, key, value):
+    # both settings come from the config file alone; the endpoint is never reached
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    chunks = str(built_pipeline["chunks"] / "chunks.jsonl")
+    if command == "enrich":
+        argv = ["enrich", "--root", str(built_pipeline["root"]), "--manifest",
+                str(built_pipeline["manifest"]), "--chunks", chunks, "--summarizer", "remote"]
+    else:
+        argv = ["index", "--chunks", chunks, "--embedder", "remote", "--dim", "16"]
+    out_dir = tmp_path / "out"
+    assert run([*argv, "--endpoint", "http://127.0.0.1:9/", "--config", str(config_path),
+                "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and key in err["message"], err
+    assert not any(out_dir.glob("*"))
+
+
 def test_ingest_byte_span_conversion(tmp_path):
     root = tmp_path / "corpus"
     root.mkdir()
@@ -1475,18 +1534,26 @@ def test_manifest_config_leaves_out_keys_the_command_does_not_read(tmp_path, wor
 
 @pytest.mark.parametrize("command,key,value", [
     ("enrich", "stride", 1), ("align-spans", "shingle_size", 3), ("align-spans", "slack", 0.3),
-    ("enrich", "max_fraction", 0.25), ("index", "k1", 1.2), ("index", "b", 0.75)])
+    ("enrich", "max_fraction", 0.25), ("index", "k1", 1.2), ("index", "b", 0.75),
+    ("enrich", "window", 4), ("align-spans", "min_score", 0.6), ("retrieve", "pool", 0),
+    ("eval-retrieval", "pool", 0)])
 def test_fixed_settings_are_unknown_flags_and_ignored_config_keys(
         built_pipeline, tmp_path, capsys, command, key, value):
-    # enrichment's stride and header share, the aligner's shingle width and slack
-    # and BM25's k1 and b are constants: a flag naming one is a usage error, and a
-    # run manifest's config holding the value every run used replays to the same bytes
+    # enrichment's window, stride and header share, the aligner's shingle width,
+    # slack and threshold, the fusion's dense pool and BM25's k1 and b are
+    # constants: a flag naming one is a usage error, and a run manifest's config
+    # holding the value every run used replays to the same bytes
     if command == "enrich":
         inputs = ["--root", str(built_pipeline["root"]), "--manifest",
                   str(built_pipeline["manifest"]),
                   "--chunks", str(built_pipeline["chunks"] / "chunks.jsonl")]
     elif command == "index":
         inputs = ["--chunks", str(built_pipeline["chunks"] / "chunks.jsonl"), "--dim", "16"]
+    elif command in ("retrieve", "eval-retrieval"):
+        inputs = ["--index", str(built_pipeline["index_baseline"]),
+                  "--qa", str(built_pipeline["qa"])]
+        if command == "eval-retrieval":
+            inputs += ["--k", "1,4", "--bootstrap-iterations", "50"]
     else:
         root, qa_path = build_aus_corpus(tmp_path / "aus", n_records=6, n_docs=3, seed=1)
         inputs = ["--root", str(root), "--qa", str(qa_path)]

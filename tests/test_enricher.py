@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexrag import enricher
 from lexrag.chunker import count_tokens
 from lexrag.corpus import DocumentMeta
 from lexrag.enricher import (
@@ -44,12 +45,13 @@ class RecordingSummarizer:
 
 class TestWindowPositions:
     def test_eight_chunks_window4_gives_five_windows(self):
+        assert enricher.WINDOW == 4
         provider = RecordingSummarizer()
-        window_summaries([make_chunk(i, f"c{i}.") for i in range(8)], provider, window=4)
+        window_summaries([make_chunk(i, f"c{i}.") for i in range(8)], provider)
         assert provider.calls == [[f"c{i}." for i in range(s, s + 4)] for s in range(5)]
 
     def test_single_chunk_degenerate_window(self):
-        assert len(window_summaries([make_chunk(0, "c0.")], RecordingSummarizer(), window=4)) == 1
+        assert len(window_summaries([make_chunk(0, "c0.")], RecordingSummarizer())) == 1
 
 
 class TestWindowSummaries:
@@ -125,12 +127,13 @@ class TestNearestWindow:
                             == scan_nearest_window_index(position, starts, window)), \
                         (position, n, window)
 
-    def test_skipped_ordinals_windowed_by_list_position(self):
+    def test_skipped_ordinals_windowed_by_list_position(self, monkeypatch):
         # a hand-edited file whose ordinals skip: windows and nearest centers
         # follow the chunks' places in the list, not their ordinals
+        monkeypatch.setattr(enricher, "WINDOW", 2)
         provider = RecordingSummarizer()
         chunks = [make_chunk(o, f"c{o} " + " ".join(["body"] * 60)) for o in (0, 1, 5, 6)]
-        enriched = enrich_document_chunks(chunks, DocumentMeta(), provider, window=2)
+        enriched = enrich_document_chunks(chunks, DocumentMeta(), provider)
         assert [[t.split()[0] for t in call] for call in provider.calls] == [
             ["c0", "c1"], ["c1", "c5"], ["c5", "c6"]]
         assert [e.header_text for e in enriched] == [

@@ -1,6 +1,7 @@
 """Wire-contract tests for the remote embedding and summarizer backends."""
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -70,6 +71,19 @@ def embedding_response(dim):
             vectors.append(v.tolist())
         return {"vectors": vectors}
     return respond
+
+
+class TestRemoteConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("retries", -1), ("timeout_seconds", -1.0), ("timeout_seconds", 0.0),
+        ("timeout_seconds", math.inf), ("timeout_seconds", math.nan)])
+    def test_out_of_range_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RemoteConfig(endpoint="http://127.0.0.1:9/", **{field: value})
+
+    def test_no_retries_and_a_short_timeout_accepted(self):
+        cfg = RemoteConfig(endpoint="http://127.0.0.1:9/", retries=0, timeout_seconds=0.01)
+        assert (cfg.retries, cfg.timeout_seconds) == (0, 0.01)
 
 
 class TestPostJson:

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from lexrag.chunker import Chunk
 from lexrag.embedding import HashedBowEmbedder
+from lexrag import retriever
 from lexrag.index import (DenseIndex, build_dense, build_sparse, bm25_scores, dense_scores,
                           dense_search, embed)
 from lexrag.retriever import (
+    POOL,
     QUERY_BLOCK,
     FusionConfig,
     RankedChunk,
@@ -41,18 +44,24 @@ class TestFusionConfig:
     def test_defaults(self):
         cfg = FusionConfig(k=4)
         assert cfg.alpha == 0.8
-        assert cfg.candidate_pool == 100
+        assert [f.name for f in fields(FusionConfig)] == ["k", "alpha"]
+        assert POOL == 100
 
-    def test_pool_scales_with_k(self):
-        assert FusionConfig(k=200).candidate_pool == 200
+    def test_pool_scales_with_k(self, monkeypatch):
+        # a query sharing no term with the corpus has no BM25 hits, so the dense
+        # pool alone makes the candidates: max(POOL, k) rows
+        monkeypatch.setattr(retriever, "POOL", 2)
+        chunks, sparse, dense, embedder = build_corpus(np.random.default_rng(8))
+        for k, ranked in ((1, 1), (5, 5), (40, 20)):
+            result = hybrid_retrieve("qqqqqqqqqqqqqqqqqqqq", sparse, dense, embedder,
+                                     FusionConfig(k=k, alpha=1.0))
+            assert len(result.ranked) == ranked
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FusionConfig(k=0)
         with pytest.raises(ValueError):
             FusionConfig(k=4, alpha=1.5)
-        with pytest.raises(ValueError):
-            FusionConfig(k=10, candidate_pool=5)
 
 
 def build_corpus(rng, n_chunks=20):
@@ -109,14 +118,20 @@ class TestHybridRetrieve:
         b = hybrid_retrieve("query words", sparse, dense, embedder, cfg)
         assert a == b
 
-    def test_bm25_only_candidates_get_zero_dense(self):
-        # tiny pool forces sparse-only candidates
+    def test_bm25_only_candidates_get_zero_dense(self, monkeypatch):
+        # a pool of k = 12 of 30 rows leaves BM25 hits outside it: they rank with
+        # a dense_norm of exactly 0 (the raw 0 they enter with is the minimum)
+        monkeypatch.setattr(retriever, "POOL", 2)
         rng = np.random.default_rng(4)
         chunks, sparse, dense, embedder = build_corpus(rng, n_chunks=30)
-        cfg = FusionConfig(k=30, alpha=0.5, candidate_pool=30)
+        cfg = FusionConfig(k=12, alpha=0.5)
         query = " ".join(c.text.split()[0] for c in chunks[:10])
         result = hybrid_retrieve(query, sparse, dense, embedder, cfg)
-        assert len(result.ranked) == 30
+        qv = embed(embedder, [query])[0]
+        pool = {dense.chunk_ids[r] for r, _ in dense_search(dense, qv, 12)}
+        outside = [rc for rc in result.ranked if rc.chunk_id not in pool]
+        assert len(result.ranked) == 12 and outside
+        assert all(rc.dense_norm == 0.0 and rc.sparse_norm > 0.0 for rc in outside)
 
     def test_index_size_mismatch_rejected(self):
         rng = np.random.default_rng(5)
@@ -194,17 +209,18 @@ class TestHybridRetrieve:
         assert len(result.ranked) == 4
 
 
-def reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id=""):
+def reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, pool, query_id=""):
     """The dict/list fusion that the array path replaced, kept as its oracle.
 
     Rankings come from Python sorts keyed on chunk_id strings, not from the
     index's id_rank; BM25 hits come from ``bm25_scores``, used as a dict. Dense
     scores come from ``dense_scores`` (pinned by the exact-cosine tie oracle).
+    The top ``max(pool, k)`` dense rows are candidates.
     """
     query_vec = embed(embedder, [question])[0]
     scores = dense_scores(dense, query_vec[None, :])[0]
     by_dense = sorted(range(dense.N), key=lambda r: (-scores[r], dense.chunk_ids[r]))
-    dense_hits = {r: float(scores[r]) for r in by_dense[:min(cfg.candidate_pool, dense.N)]}
+    dense_hits = {r: float(scores[r]) for r in by_dense[:min(max(pool, cfg.k), dense.N)]}
     sparse_hits = dict(bm25_scores(sparse, question))
     candidates = sorted(set(dense_hits) | set(sparse_hits))
 
@@ -263,7 +279,7 @@ def tie_heavy_corpus(rng, n):
     return build_sparse(chunks), dense
 
 
-def test_hybrid_retrieve_matches_reference_fusion():
+def test_hybrid_retrieve_matches_reference_fusion(monkeypatch):
     rng = np.random.default_rng(20)
     queries = ["alpha", "beta gamma", "eps eps delta", "zebra", "alpha zebra beta"]
     for _ in range(300):
@@ -272,24 +288,28 @@ def test_hybrid_retrieve_matches_reference_fusion():
         angle = float(rng.choice([0.0, 0.3, np.pi / 4, 1.2]))
         embedder = FixedEmbedder(np.array([np.cos(angle), np.sin(angle)]))
         k = int(rng.integers(1, n + 6))
-        pool = int(rng.choice([k, k + 1, n, n + 5, 100]))
+        # pools below k, and pools of fewer rows than the corpus holds
+        pool = int(rng.choice([1, k, k + 1, n, n + 5, 100]))
+        monkeypatch.setattr(retriever, "POOL", pool)
         alpha = float(rng.choice([0.0, 0.3, 0.8, 1.0]))
-        cfg = FusionConfig(k=k, alpha=alpha, candidate_pool=max(pool, k))
+        cfg = FusionConfig(k=k, alpha=alpha)
         question = queries[int(rng.integers(0, len(queries)))]
         got = hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id="q")
-        want = reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id="q")
-        assert got == want, (question, dense.chunk_ids, cfg)
+        want = reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, pool,
+                                         query_id="q")
+        assert got == want, (question, dense.chunk_ids, cfg, pool)
 
 
-def test_hybrid_retrieve_matches_reference_on_prose():
+def test_hybrid_retrieve_matches_reference_on_prose(monkeypatch):
     rng = np.random.default_rng(21)
     for _ in range(10):
         chunks, sparse, dense, embedder = build_corpus(rng, n_chunks=40)
-        for pool, k in ((3, 3), (10, 5), (40, 40), (200, 64)):
+        for pool, k in ((3, 3), (10, 5), (2, 5), (40, 40), (POOL, 10), (POOL, 64)):
+            monkeypatch.setattr(retriever, "POOL", pool)
             query = " ".join(chunks[int(rng.integers(0, 40))].text.split()[:4])
-            cfg = FusionConfig(k=k, alpha=0.8, candidate_pool=pool)
+            cfg = FusionConfig(k=k, alpha=0.8)
             assert hybrid_retrieve(query, sparse, dense, embedder, cfg) == \
-                reference_hybrid_retrieve(query, sparse, dense, embedder, cfg)
+                reference_hybrid_retrieve(query, sparse, dense, embedder, cfg, pool)
 
 
 def test_list_scorers_keep_row_score_pairs_ranked_by_score_then_chunk_id():
@@ -334,7 +354,7 @@ def test_tied_cosines_rank_as_the_exact_rational_oracle():
     queries = embed(embedder, questions)
     orthogonal = [q for q in queries if any(row @ q == 0 for row in dense.vectors)]
     assert len(orthogonal) >= 3
-    cfg = FusionConfig(k=dense.N, alpha=1.0, candidate_pool=dense.N)
+    cfg = FusionConfig(k=dense.N, alpha=1.0)
     batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, questions))
     block = dense_scores(dense, queries)
     for question, query, from_batch, scores in zip(questions, queries, batch, block):
@@ -349,7 +369,7 @@ def test_tied_cosines_rank_as_the_exact_rational_oracle():
         assert alone.tobytes() == scores.tobytes()
 
 
-def test_batch_equals_one_query_at_a_time_across_blocks():
+def test_batch_equals_one_query_at_a_time_across_blocks(monkeypatch):
     """retrieve_many over more than two blocks gives each query exactly the result
     hybrid_retrieve gives it alone, and each score row the same bits."""
     rng = np.random.default_rng(23)
@@ -357,7 +377,8 @@ def test_batch_equals_one_query_at_a_time_across_blocks():
     questions = [" ".join(chunks[int(rng.integers(0, 60))].text.split()[:5])
                  for _ in range(2 * QUERY_BLOCK + 7)]
     query_ids = [f"q{i}" for i in range(len(questions))]
-    cfg = FusionConfig(k=10, alpha=0.8, candidate_pool=20)
+    monkeypatch.setattr(retriever, "POOL", 20)
+    cfg = FusionConfig(k=10, alpha=0.8)
     batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, query_ids))
     assert batch == [hybrid_retrieve(q, sparse, dense, embedder, cfg, query_id=i)
                      for q, i in zip(questions, query_ids)]

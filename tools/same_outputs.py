@@ -11,9 +11,11 @@ under a Greek file name to the legal corpus, so the index stores multi-byte doc
 ids and chunk ids, and one Aus-format record whose reworded excerpt of it
 aligns only by the fuzzy tier, and a hand-written chunk file with CRLF line
 endings, a blank line and no final newline, which is indexed, retrieved from
-and evaluated. It then runs one fixed sequence of ``lexrag`` commands per
-tree, each in a fresh ``python -m lexrag.cli`` process with that tree's
-``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
+and evaluated. The legal corpus is also chunked small (16 tokens), so its index
+holds more chunks than fusion's dense pool (``lexrag.retriever.POOL``) and rows
+outside the pool enter fusion. It then runs one fixed sequence of ``lexrag``
+commands per tree, each in a fresh ``python -m lexrag.cli`` process with that
+tree's ``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
 ``run_manifest.json`` (the one artifact allowed to hold a timestamp), plus
 each command's stdout and exit code. It prints what differs (for JSON files,
 the differing keys) and exits 1 if anything does, 0 if nothing does.
@@ -121,9 +123,6 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["chunk", *legal, "--target", "48", "--overlap", "10", "--out", "chunks"],
         ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--summarizer", "extractive",
          "--out", "enriched"],
-        # an odd window: its center is a whole chunk, so no tie picks the nearest window
-        ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--window", "3",
-         "--out", "enriched_window3"],
         ["index", "--chunks", "enriched/enriched.jsonl", "--dim", "128", "--out", "index"],
         ["retrieve", "--index", "index", *qa, "--top", "4", "--out", "retrieved"],
         ["eval-retrieval", "--index", "index", *qa, *sweep, "--out", "eval"],
@@ -135,13 +134,17 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
          "--bootstrap-iterations", "500", "--out", "compare"],
         ["retrieve", "--index", "index", *qa, "--top", "16", "--alpha", "0.5",
          "--out", "retrieved_top16"],
-        ["retrieve", "--index", "index", *qa, "--pool", "10", "--out", "retrieved_pool10"],
         ["retrieve", "--config", str(i["config"]), "--index", "index", "--qa", str(i["qa"]),
          "--out", "retrieved_config"],
         ["report", "--report", "eval/metric_report.json", "--out", "report/metric_report.txt"],
         ["index", "--chunks", str(i["crlf_chunks"]), "--dim", "32", "--out", "index_crlf"],
         ["retrieve", "--index", "index_crlf", *qa, "--top", "2", "--out", "retrieved_crlf"],
         ["eval-retrieval", "--index", "index_crlf", *qa, *sweep, "--out", "eval_crlf"],
+        # more chunks than the dense pool, so the pool does not hold every row
+        ["chunk", *legal, "--target", "16", "--overlap", "4", "--out", "chunks_small"],
+        ["index", "--chunks", "chunks_small/chunks.jsonl", "--dim", "128",
+         "--out", "index_small"],
+        ["retrieve", "--index", "index_small", *qa, "--out", "retrieved_small"],
         ["ingest", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
          "--format", "aus_legal_qa", "--out", "ingest_aus"],
         ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
