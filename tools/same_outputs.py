@@ -1,8 +1,10 @@
-"""Check that two lexrag source trees write the same outputs for the same inputs.
+"""Check that two lexrag source trees write the same outputs for the same inputs,
+or that one tree writes the outputs whose digests are committed.
 
     python3 tools/same_outputs.py PARENT_TREE [CHANGE_TREE]
+    python3 tools/same_outputs.py --check | --write [TREE]
 
-CHANGE_TREE defaults to the tree this script sits in. The script generates
+CHANGE_TREE and TREE default to the tree this script sits in. The script generates
 one set of inputs with ``tests/synthcorpus.py`` (a near-duplicate legal corpus
 with a snippet-QA file, and an Aus-format corpus with model outputs), adds one
 Greek decision to both corpora (capital and final sigmas, curly quotes, "§"),
@@ -27,18 +29,31 @@ its generic SSE3 kernels, whatever the CPU offers) and ``OPENBLAS_NUM_THREADS=4`
 variable). So comparing a tree with itself (``python3 tools/same_outputs.py .``)
 catches outputs that depend on set or hash order, or on which BLAS kernel and how
 many threads summed a dot product.
+
+``--check`` and ``--write`` run the sequence once, in one tree, and compare its
+outputs with ``tools/golden_outputs.json`` or rewrite that file. It holds each
+command's exit code and the sha256 of its stdout, the sha256 of every output file
+but ``run_manifest.json``, and the Python, numpy and Unicode database versions it
+was written under. ``--check`` names each command and file that differs, prints the
+recorded versions next to the running ones, and exits 1; a version mismatch alone
+is not a difference. A change that means to change outputs rewrites the file in the
+same commit, so its diff lists exactly the artifacts that changed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+DIGEST_FILE = HERE / "tools" / "golden_outputs.json"
 
 GREEK_DECISION = """ΑΠΟΦΑΣΗ ΤΟΥ ΔΙΟΙΚΗΤΙΚΟΥ ΕΦΕΤΕΙΟΥ ΑΘΗΝΩΝ
 
@@ -191,9 +206,76 @@ def json_diff(a, b, where: str = "") -> list[str]:
     return [] if a == b else [where or "."]
 
 
+def versions() -> dict[str, str]:
+    """What the outputs may depend on beyond the tree: the versions of Python, numpy
+    and the Unicode database that ``str.isalnum`` reads."""
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "unicode": unicodedata.unidata_version}
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def digest(sequence: list[list[str]], ran: list[tuple[int, str]], run_dir: Path) -> dict:
+    """The committed record of one tree's run: versions, commands and output files."""
+    return {"versions": versions(),
+            "commands": {f"{argv[0]} --out {argv[-1]}": {"exit": code, "stdout_sha256": sha256(out)}
+                         for argv, (code, out) in zip(sequence, ran)},
+            "files": {name: sha256(data) for name, data in outputs(run_dir).items()}}
+
+
+def digest_differences(recorded: dict, current: dict) -> list[str]:
+    """Each command and output file whose digest differs between two ``digest`` records."""
+    differ = []
+    for kind in ("commands", "files"):
+        was, now = recorded[kind], current[kind]
+        for name in sorted(was.keys() | now.keys()):
+            if name not in was or name not in now:
+                differ.append(f"{name}: only in {'this run' if name in now else 'the digest'}")
+            elif was[name] != now[name] and kind == "files":
+                differ.append(f"{name}: differs")
+            elif was[name] != now[name]:
+                what = ([f"exit {was[name]['exit']} -> {now[name]['exit']}"]
+                        if was[name]["exit"] != now[name]["exit"] else [])
+                if was[name]["stdout_sha256"] != now[name]["stdout_sha256"]:
+                    what.append("stdout differs")
+                differ.append(f"lexrag {name}: {', '.join(what)}")
+    return differ
+
+
+def run_one_tree(tree: Path, write: bool) -> int:
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        base = Path(tmp)
+        sequence = commands(make_inputs(base / "inputs"))
+        current = digest(sequence, run_tree(tree, base / "run", sequence), base / "run")
+    if write:
+        DIGEST_FILE.write_text(json.dumps(current, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {DIGEST_FILE.relative_to(HERE)}: {len(current['commands'])} commands, "
+              f"{len(current['files'])} output files")
+        return 0
+    recorded = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    differ = digest_differences(recorded, current)
+    print(f"{len(current['commands'])} commands, {len(current['files'])} output files "
+          f"checked against {DIGEST_FILE.relative_to(HERE)}")
+    for line in differ:
+        print("DIFFERS " + line)
+    if not differ:
+        print("same outputs")
+        return 0
+    for label, record in (("recorded", recorded["versions"]), ("running", current["versions"])):
+        print(f"{label:>9}: " + ", ".join(f"{k} {v}" for k, v in sorted(record.items())))
+    print(f"{len(differ)} difference(s)")
+    return 1
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(argv) in (2, 3) and argv[1] in ("--check", "--write"):
+        return run_one_tree(Path(argv[2] if len(argv) == 3 else HERE).resolve(),
+                            write=argv[1] == "--write")
+    if len(argv) not in (2, 3) or argv[1].startswith("-"):
+        print("\n".join(line.strip() for line in __doc__.splitlines()[3:5]), file=sys.stderr)
         return 2
     trees = [Path(argv[1]).resolve(), Path(argv[2] if len(argv) == 3 else HERE).resolve()]
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
