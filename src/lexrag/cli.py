@@ -140,6 +140,14 @@ def _remote_config(settings: dict, missing_endpoint: str) -> RemoteConfig:
                         timeout_seconds=settings["timeout"], retries=settings["retries"])
 
 
+def _at_least_one(settings: dict, key: str) -> int:
+    """A count setting, rejected by name below 1 (nothing clamps it silently)."""
+    value = settings[key]
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, not {value}")
+    return value
+
+
 def _parse_k_list(raw: str) -> list[int]:
     try:
         ks = sorted({int(part) for part in raw.split(",") if part.strip()})
@@ -208,6 +216,7 @@ def cmd_chunk(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_enrich(settings: dict, out_dir: Path) -> list:
+    workers = _at_least_one(settings, "workers")
     docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     chunks = _cli.load_chunks(Path(settings["chunks"]))
     if settings["summarizer"] == "remote":
@@ -226,7 +235,7 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
-            max_workers=settings["workers"]))
+            max_workers=workers))
     _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
     print(json.dumps({"chunks": len(enriched), "summary_fallbacks": fallbacks}, sort_keys=True))
@@ -234,6 +243,7 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_index(settings: dict, out_dir: Path) -> list:
+    workers = _at_least_one(settings, "workers")
     chunks_path = Path(settings["chunks"])
     # the index stores this file as given, under the sha256 of the bytes parsed here
     digest = hashlib.sha256()
@@ -243,7 +253,7 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
     if settings["embedder"] == "remote":
         embedder = _cli.get_embedder("remote", dim=settings["dim"], remote=_remote_config(
             settings, "remote embedder requires --endpoint"))
-        embedder.max_workers = settings["workers"]
+        embedder.max_workers = workers
     else:
         embedder = _cli.get_embedder("deterministic", dim=settings["dim"])
     # one tokenize pass serves both indexes, over each full_text made as it is read;
@@ -260,10 +270,8 @@ def cmd_index(settings: dict, out_dir: Path) -> list:
 
 
 def cmd_retrieve(settings: dict, out_dir: Path) -> list:
-    top = settings["top"]
-    if top < 1:
-        raise ValueError(f"top must be >= 1, not {top}")
-    ctx, chunks = _retrieval_context(settings, k=max(settings["k"], top))
+    top = _at_least_one(settings, "top")
+    ctx, chunks = _retrieval_context(settings, k=max(_at_least_one(settings, "k"), top))
     records, errors = _cli.load_qa_dataset(settings["qa"], settings["format"])
     results = list(ctx.retrieve_many([r.question for r in records],
                                      [r.query_id for r in records]))

@@ -130,6 +130,34 @@ def test_retrieve_top_below_one_rejected(built_pipeline, tmp_path, capsys, top):
     assert not any(out_dir.glob("*"))
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_retrieve_k_below_one_rejected(built_pipeline, tmp_path, capsys, k):
+    # the fusion depth is max(k, top), so a k below 1 once ranked `top` chunks
+    # while the run manifest recorded the k given
+    out_dir = tmp_path / "out"
+    code = run(["retrieve", "--index", str(built_pipeline["index_baseline"]),
+                "--qa", str(built_pipeline["qa"]), "--format", "snippet_qa",
+                "--top", "4", "--k", k, "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"k must be >= 1, not {k}"}
+    assert not any(out_dir.glob("*"))
+
+
+@pytest.mark.parametrize("command,workers", [("enrich", "0"), ("enrich", "-2"), ("index", "0")])
+def test_workers_below_one_rejected(built_pipeline, tmp_path, capsys, command, workers):
+    # both commands once ran one worker without saying so, and recorded the 0
+    chunks = str(built_pipeline["chunks"] / "chunks.jsonl")
+    args = (["enrich", "--root", str(built_pipeline["root"]),
+             "--manifest", str(built_pipeline["manifest"]), "--chunks", chunks]
+            if command == "enrich" else ["index", "--chunks", chunks, "--dim", "32"])
+    out_dir = tmp_path / "out"
+    assert run([*args, "--workers", workers, "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"workers must be >= 1, not {workers}"}
+    assert not any(out_dir.glob("*"))
+
+
 @pytest.mark.parametrize("command", ["eval-retrieval", "compare"])
 def test_zero_bootstrap_iterations_rejected(built_pipeline, tmp_path, capsys, command):
     search = ["--index", str(built_pipeline["index_baseline"]), "--qa", str(built_pipeline["qa"]),
