@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from lexrag.configs import WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, SplitSpec
-from lexrag.stats import DefaultRng, bootstrap_ci
+from lexrag.stats import bootstrap_ci, draw_below, permutation
 from lexrag.textutils import (
     normalize_for_match,
     read_jsonl,
@@ -63,11 +63,12 @@ class PreferencePair:
 
 def split_dataset(records: list[QueryRecord],
                   spec: SplitSpec) -> tuple[list[QueryRecord], list[QueryRecord], list[QueryRecord]]:
-    """Seeded shuffle, then contiguous train/validation/test slices."""
+    """Seeded shuffle (``lexrag.stats.permutation``), then contiguous
+    train/validation/test slices."""
     total = spec.train + spec.validation + spec.test
     if total > len(records):
         raise ValueError(f"split sizes sum to {total} but only {len(records)} records exist")
-    order = DefaultRng(spec.seed).permutation(len(records))
+    order = permutation(spec.seed, len(records))
     shuffled = [records[i] for i in order]
     train = shuffled[:spec.train]
     validation = shuffled[spec.train:spec.train + spec.validation]
@@ -99,8 +100,9 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
     """Emit one set-1 and one set-2 pair per record (2 x |records| total).
 
     Set-2 contexts are sampled uniformly (seeded) from records whose source
-    document differs; a corpus with a single source document cannot support
-    set 2 and raises.
+    document differs: record i takes candidate ``draw_below(seed, i, len(candidates))``
+    of those records, in record order. A corpus with a single source document
+    cannot support set 2 and raises.
     """
     for record in records:
         if not record.question or not record.context_text or not record.gold_answer:
@@ -110,11 +112,10 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
     if len({r.source_doc_id for r in records}) < 2:
         raise ValueError("set 2 needs records from at least two source documents")
 
-    rng = DefaultRng(seed)
     # each source document's candidate list, in record order, built once
     others: dict[str | None, list[QueryRecord]] = {}
     pairs: list[PreferencePair] = []
-    for record in records:
+    for i, record in enumerate(records):
         pairs.append(PreferencePair(
             pair_id=f"{record.query_id}:set1",
             prompt=render_prompt(template, record.context_text, record.question),
@@ -127,7 +128,7 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
             others[record.source_doc_id] = [r for r in records
                                             if r.source_doc_id != record.source_doc_id]
         candidates = others[record.source_doc_id]
-        wrong = candidates[rng.integers(0, len(candidates))]
+        wrong = candidates[draw_below(seed, i, len(candidates))]
         pairs.append(PreferencePair(
             pair_id=f"{record.query_id}:set2",
             prompt=render_prompt(template, wrong.context_text, record.question),

@@ -1,16 +1,26 @@
-"""Bootstrap confidence intervals, paired t-tests, and multiple-comparison correction.
+"""Bootstrap confidence intervals, paired t-tests, and multiple-comparison correction,
+and the one seeded random stream every lexrag command draws from.
 
-Resampling is driven by a seeded numpy Generator so every interval is exactly
-reproducible; index generation happens in blocks to bound memory, and each
-block's resample means are one numpy gather and pairwise ``mean``, which may
+The stream is lexrag's own, so a seed gives the same draws under any numpy (NEP
+19 lets numpy change its Generator streams between releases). Output i of seed s
+(0 <= s < 2**64) is SplitMix64's finalizer (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014) applied to s + (i + 1) * 0x9E3779B97F4A7C15
+mod 2**64: a pure function of (s, i), so any draw can be computed without the ones
+before it. ``draw_below(s, i, n)`` bounds output i to [0, n) by Lemire's
+multiply-shift with rejection ("Fast Random Integer Generation in an Interval", ACM
+TOMACS 2019) in stdlib Python; ``draws_below`` computes the same values for a block
+of counters with numpy; ``permutation`` is Fisher-Yates over ``draw_below``.
+
+Resample b of a bootstrap over n values takes indices ``draw_below(seed, b * n + j,
+n)``, j < n. ``shared_bootstrap_means`` draws them in blocks to bound memory, and
+each block's resample means are one numpy gather and pairwise ``mean``, which may
 differ from a sequential sum by a few ULPs but is exactly deterministic. Intervals
 that share a seed and a sample size share one draw: ``shared_bootstrap_means``
-applies each index block to every value row, which is how a sweep or a
-comparison gets all its metric x k intervals from one resample matrix. numpy is
-imported on first use, so importing this module loads nothing third-party.
-``DefaultRng`` draws what ``numpy.random.default_rng(seed)`` would for a
-permutation or a bounded integer, in stdlib Python, so the preference-pair
-splits load no numpy.
+applies each index block to every value row, which is how a sweep or a comparison
+gets all its metric x k intervals from one resample matrix. numpy is imported on
+first use, so importing this module loads nothing third-party, and the
+preference-pair splits, which draw through ``permutation`` and ``draw_below``, load
+no numpy.
 
 The t-test's two-sided tail is stdlib arithmetic: the regularized incomplete beta
 p = I_x(df/2, 1/2) at x = df/(df + t^2) (Abramowitz & Stegun 26.7.1, 26.5.8),
@@ -31,7 +41,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-_BLOCK_ITERATIONS = 2048
+# draws per block of resamples: a block's indices and gathers stay in cache
+_BLOCK_DRAWS = 1 << 15
 
 
 def bootstrap_means(values: list[float] | np.ndarray, iterations: int,
@@ -43,10 +54,11 @@ def bootstrap_means(values: list[float] | np.ndarray, iterations: int,
 def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.ndarray:
     """Resampled means of every row of an (m, n) array under one shared draw.
 
-    Each 2048-resample index block is drawn once and applied to every row in
-    turn, so row ``i`` of the (m, iterations) result equals
-    ``bootstrap_means(rows[i], iterations, seed)`` bit for bit. Rows are
-    gathered one at a time: an (m, block, n) gather would hold m times the
+    Index j of resample b is ``draw_below(seed, b * n + j, n)``. Each block of
+    about 2**15 draws is drawn once and applied to every row in turn, so row ``i``
+    of the (m, iterations) result equals ``bootstrap_means(rows[i], iterations,
+    seed)`` bit for bit; the block size bounds memory and changes no draw. Rows
+    are gathered one at a time: an (m, block, n) gather would hold m times the
     memory for no arithmetic saved.
     """
     import numpy as np
@@ -55,15 +67,14 @@ def shared_bootstrap_means(rows: np.ndarray, iterations: int, seed: int) -> np.n
         raise ValueError("values must be nonempty")
     check_bootstrap(iterations, seed)
     n = rows.shape[1]
-    rng = np.random.default_rng(seed)
     out = np.empty((rows.shape[0], iterations), dtype=np.float64)
-    done = 0
-    while done < iterations:
-        block = min(_BLOCK_ITERATIONS, iterations - done)
-        idx = rng.integers(0, n, size=(block, n))
+    step = max(1, _BLOCK_DRAWS // n)
+    for done in range(0, iterations, step):
+        block = min(step, iterations - done)
+        # every draw is below 2**32, so the int64 view is the same integers
+        idx = draws_below(seed, done * n, block * n, n).view(np.int64).reshape(block, n)
         for values, means in zip(rows, out):
             means[done:done + block] = values[idx].mean(axis=1)
-        done += block
     return out
 
 
@@ -216,16 +227,8 @@ def paired_delta_ci(deltas: list[float] | np.ndarray, iterations: int = 10000,
     return bootstrap_ci(deltas, iterations=iterations, seed=seed)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
-# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def check_bootstrap(iterations: int, seed: int) -> None:
-    """Reject a resample count below 1 or a seed that is not a non-negative integer."""
+    """Reject a resample count below 1 or a seed that ``draw_below`` rejects."""
     if iterations < 1:
         raise ValueError(f"bootstrap iterations must be >= 1, not {iterations}")
     _check_seed(seed)
@@ -234,111 +237,83 @@ def check_bootstrap(iterations: int, seed: int) -> None:
 def _check_seed(seed: int) -> None:
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    if seed > _M64:
+        raise ValueError(f"seed must be below 2**64, not {seed}")
 
 
-def _seed_words(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)``: PCG64's seed and increment words."""
-    _check_seed(seed)
-    entropy = [0] if seed == 0 else []
-    while seed:  # little-endian 32-bit words
-        entropy.append(seed & _M32)
-        seed >>= 32
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * hash_const & _M32
-        state.append(value ^ value >> 16)
-    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment and the
+# finalizer's multipliers
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-class DefaultRng:
-    """``numpy.random.default_rng(seed)`` in stdlib Python, for the draws lexrag makes
-    without numpy: ``permutation(n)`` and ``integers(low, high)``, bit for bit.
+def _mix(z: int) -> int:
+    """SplitMix64's finalizer on a 64-bit word."""
+    z = (z ^ z >> 30) * _MIX_A & _M64
+    z = (z ^ z >> 27) * _MIX_B & _M64
+    return z ^ z >> 31
 
-    The generator is PCG64 (XSL-RR 128/64; O'Neill, "PCG", HMC-CS-2014-0905) seeded
-    through numpy's SeedSequence. A 32-bit draw hands out the low half of a 64-bit
-    output and keeps the high half for the next 32-bit draw, across calls, as
-    numpy's bit generator does. ``permutation`` is numpy's Fisher-Yates over its
-    masked-rejection ``random_interval``; ``integers`` is Lemire's bounded draw
-    ("Fast Random Integer Generation in an Interval", ACM TOMACS 2019) on 32 bits
-    when the range fits, as in numpy's ``random_bounded_uint64_fill``. NEP 19 lets
-    numpy change its Generator streams between releases; these stay as they are.
+
+def _check_bound(n: int) -> None:
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"draws need 1 <= n <= 2**32, not {n}")
+
+
+def draw_below(seed: int, i: int, n: int) -> int:
+    """Draw ``i`` of ``seed``'s stream: uniform in [0, n), for 1 <= n <= 2**32.
+
+    Output i is ``_mix(seed + (i + 1) * GAMMA mod 2**64)``. Lemire's multiply-shift
+    takes its high 32 bits x to ``x * n >> 32``, and rejects x when ``x * n mod 2**32``
+    is below ``2**32 mod n``, which keeps the draw exactly uniform. A rejected output z
+    is replaced by ``_mix(z + GAMMA mod 2**64)`` until one is accepted, so the result
+    is a function of (seed, i, n) alone.
     """
+    _check_seed(seed)
+    _check_bound(n)
+    z = _mix((seed + (i + 1) * _GAMMA) & _M64)
+    scaled = (z >> 32) * n
+    if scaled & _M32 < n:  # below n, the bound on the threshold
+        threshold = ((1 << 32) - n) % n
+        while scaled & _M32 < threshold:
+            z = _mix((z + _GAMMA) & _M64)
+            scaled = (z >> 32) * n
+    return scaled >> 32
 
-    def __init__(self, seed: int):
-        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
-        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _M128
-        self._spare: int | None = None  # the unused high half of the last 64-bit draw
 
-    def _next64(self) -> int:
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        rot = state >> 122
-        value = (state >> 64 ^ state) & _M64
-        return (value >> rot | value << (64 - rot)) & _M64
+def draws_below(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """``draw_below(seed, i, n)`` for i in [start, start + count), as a uint64 array.
 
-    def _next32(self) -> int:
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        value = self._next64()
-        self._spare = value >> 32
-        return value & _M32
+    The block is hashed in place; the few rejected entries (each with probability
+    below n / 2**32) are taken from ``draw_below``, which holds the retry rule.
+    """
+    import numpy as np
+    _check_seed(seed)
+    _check_bound(n)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, _MIX_A), (27, _MIX_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(32)
+    z *= np.uint64(n)
+    threshold = ((1 << 32) - n) % n
+    rejected = np.flatnonzero(np.bitwise_and(z, np.uint64(_M32), out=shifted) < threshold)
+    z >>= np.uint64(32)
+    for j in rejected.tolist():
+        z[j] = draw_below(seed, start + j, n)
+    return z
 
-    def _interval(self, high: int) -> int:
-        """Uniform in [0, high] for high < 2**32: 32-bit draws masked to high's bit
-        length until one fits. (numpy draws 64 bits above that, for arrays no list
-        of records reaches.)"""
-        mask = (1 << high.bit_length()) - 1
-        value = self._next32() & mask
-        while value > high:
-            value = self._next32() & mask
-        return value
 
-    def permutation(self, n: int) -> list[int]:
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self._interval(i)
-            order[i], order[j] = order[j], order[i]
-        return order
-
-    def integers(self, low: int, high: int) -> int:
-        """Uniform in [low, high), as numpy's int64 draw for 0 <= low < high <= 2**63."""
-        if not 0 <= low < high <= 1 << 63:
-            raise ValueError(f"integers needs 0 <= low < high <= 2**63, not {low}, {high}")
-        span = high - 1 - low
-        if span == 0:
-            return low
-        if span == _M32:
-            return low + self._next32()
-        draw, bits = (self._next32, 32) if span < _M32 else (self._next64, 64)
-        mask = (1 << bits) - 1
-        scaled = draw() * (span + 1)
-        if scaled & mask <= span:  # below span + 1, the bound on the threshold
-            threshold = (mask - span) % (span + 1)
-            while scaled & mask < threshold:
-                scaled = draw() * (span + 1)
-        return low + (scaled >> bits)
+def permutation(seed: int, n: int) -> list[int]:
+    """A seeded shuffle of ``range(n)``: Fisher-Yates, whose step k (k = 0 .. n - 2)
+    swaps position n - 1 - k with position ``draw_below(seed, k, n - k)``."""
+    _check_seed(seed)
+    order = list(range(n))
+    for k in range(n - 1):
+        i, j = n - 1 - k, draw_below(seed, k, n - k)
+        order[i], order[j] = order[j], order[i]
+    return order

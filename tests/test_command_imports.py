@@ -147,7 +147,7 @@ def test_array_commands_load_only_their_own_modules(inputs, command, needed):
 
 @pytest.mark.parametrize("command", ["compare", "eval-answers --compare-with"])
 def test_comparisons_load_numpy_and_no_scipy(inputs, command):
-    # the paired t-test's tail is stdlib arithmetic; numpy draws the bootstrap
+    # the paired t-test's tail is stdlib arithmetic; numpy hashes the bootstrap's draws
     base = inputs[0]
     out = f"fresh_{command.replace(' --', '_')}"
     loaded = _run_in_fresh_process(_argv(inputs, command, out))
@@ -161,12 +161,18 @@ def test_comparisons_load_numpy_and_no_scipy(inputs, command):
         assert "comparison" in report
 
 
-@pytest.mark.parametrize("command", ["eval-retrieval", "compare", "eval-answers --compare-with"])
-def test_percentile_intervals_load_no_numpy_ma(inputs, command):
+@pytest.mark.parametrize("command", ["eval-retrieval", "compare", "eval-answers --compare-with",
+                                     "index", "retrieve", "align-spans"])
+def test_numpy_commands_load_neither_numpy_ma_nor_numpy_random(inputs, command):
     # np.percentile imports numpy.ma (~19 ms of CPU); stats.percentile_ci does not
-    # call it, and nothing else on these commands' paths does either
+    # call it, and nothing else on these commands' paths does either. Every draw is
+    # lexrag.stats' own stream, so numpy.random (6-11 ms) is never loaded either;
+    # the text commands load no numpy at all (test_text_commands_never_load_numpy).
+    # A numpy before 2.0 loads numpy.random with numpy itself.
     loaded = _run_in_fresh_process(_argv(inputs, command, f"no_ma_{command.replace(' --', '_')}"))
     assert "numpy" in loaded and "numpy.ma" not in loaded
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert "numpy.random" not in loaded
 
 
 def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):

@@ -101,12 +101,12 @@ def test_bm25_score_array_bitwise_matches_posting_loop():
 def test_shared_bootstrap_means_match_loop_reference():
     rng = np.random.default_rng(19)
     values = rng.random((2, 30))
-    iterations, seed = stats._BLOCK_ITERATIONS + 52, 3  # a full block and a partial one
+    # a full block and a partial one, each index from the stdlib form of the stream
+    iterations, seed = stats._BLOCK_DRAWS // 30 + 52, 3
     got = stats.shared_bootstrap_means(values, iterations, seed)
 
-    draw = np.random.default_rng(seed)
-    idx = np.concatenate([draw.integers(0, 30, size=(block, 30))
-                          for block in (stats._BLOCK_ITERATIONS, 52)])
+    idx = [[stats.draw_below(seed, b * 30 + j, 30) for j in range(30)]
+           for b in range(iterations)]
     expected = np.array([[sum(float(row_values[j]) for j in row) / len(row) for row in idx]
                          for row_values in values])
     assert got.shape == (2, iterations)

@@ -17,7 +17,7 @@ from lexrag.preference import (
     split_dataset,
     token_f1,
 )
-from lexrag.stats import DefaultRng
+from lexrag.stats import draw_below, permutation
 
 
 def qa_records(n: int, n_docs: int = 7) -> list[QueryRecord]:
@@ -54,12 +54,12 @@ class TestSplitDataset:
         assert [r.query_id for r in a[0]] != [r.query_id for r in c[0]]
 
     def test_golden_split(self):
-        # literal ids: NEP 19 lets a numpy release change its Generator streams,
-        # and lexrag's splits must not move with them
+        # literal ids: the stream is lexrag's (lexrag.stats.permutation), and a
+        # change of it, or of numpy, must not move a split unannounced
         train, val, test = split_dataset(qa_records(20, n_docs=4), SplitSpec(12, 4, 4, seed=5))
-        assert [int(r.query_id[1:]) for r in train] == [9, 18, 3, 7, 1, 16, 19, 13, 11, 2, 4, 17]
-        assert [int(r.query_id[1:]) for r in val] == [10, 12, 6, 15]
-        assert [int(r.query_id[1:]) for r in test] == [0, 5, 14, 8]
+        assert [int(r.query_id[1:]) for r in train] == [2, 0, 8, 19, 9, 11, 15, 10, 16, 17, 12, 18]
+        assert [int(r.query_id[1:]) for r in val] == [6, 13, 5, 3]
+        assert [int(r.query_id[1:]) for r in test] == [1, 4, 14, 7]
 
     def test_oversized_split_rejected(self):
         with pytest.raises(ValueError):
@@ -89,24 +89,23 @@ class TestBuildPreferencePairs:
         pairs = build_preference_pairs(qa_records(8, n_docs=4), seed=5)
         sampled = [int(p.prompt.split("In matter ")[1].split()[0]) for p in pairs
                    if p.set_tag == "set2_incorrect_context"]
-        assert sampled == [6, 6, 0, 5, 3, 4, 4, 1]
+        assert sampled == [3, 6, 1, 0, 2, 3, 7, 4]
 
     def test_set2_contexts_match_per_record_candidate_lists(self):
         # 500 records over 9 source documents holding 1 to 130 records each, in
         # shuffled order; the oracle rebuilds every record's candidate list, as
-        # the sampler once did, and draws from the same stream
+        # the sampler once did, and takes record i's context from draw i
         sizes = [130, 1, 97, 64, 2, 88, 41, 7, 70]
         docs = [doc for doc, size in enumerate(sizes) for _ in range(size)]
-        order = DefaultRng(3).permutation(len(docs))
+        order = permutation(3, len(docs))
         records = [QueryRecord(query_id=f"q{i:05d}", question=f"Question {i}?",
                                gold_answer=f"Answer {i}.", context_text=f"Context {i}.",
                                source_doc_id=f"court/case{docs[j]}.txt")
                    for i, j in enumerate(order)]
-        rng = DefaultRng(11)
         expected = []
-        for record in records:
+        for i, record in enumerate(records):
             others = [r for r in records if r.source_doc_id != record.source_doc_id]
-            expected.append(others[rng.integers(0, len(others))].context_text)
+            expected.append(others[draw_below(11, i, len(others))].context_text)
         pairs = build_preference_pairs(records, seed=11)
         set2 = [p for p in pairs if p.set_tag == "set2_incorrect_context"]
         assert [p.prompt.split("Context: ")[1].split("\n")[0] for p in set2] == expected

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -6,16 +7,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from scipy.stats import chi2
+
+from lexrag import stats
 from lexrag.stats import (
-    DefaultRng,
     _two_sided_t_tail,
     bonferroni,
     bootstrap_ci,
     bootstrap_means,
     bootstrap_minmax,
+    draw_below,
+    draws_below,
     paired_delta_ci,
     paired_ttest,
     percentile_ci,
+    permutation,
     shared_bootstrap_means,
 )
 
@@ -49,12 +55,13 @@ class TestBootstrap:
         assert bootstrap_ci(values, iterations=2000, seed=7) != \
             bootstrap_ci(values, iterations=2000, seed=8)
 
-    def test_blocked_generation_matches_single_pass(self):
-        # block size is internal; the seeded stream must make output independent of it
+    def test_blocked_generation_matches_single_pass(self, monkeypatch):
+        # block size is internal; the counter stream must make output independent of it
         values = np.arange(10.0)
-        means_a = bootstrap_means(values, 100, seed=5)
-        means_b = bootstrap_means(values, 100, seed=5)
-        assert np.array_equal(means_a, means_b)
+        means = bootstrap_means(values, 100, seed=5)
+        for draws in (10, 30, 1000):  # one resample a block, 3 a block, all in one
+            monkeypatch.setattr(stats, "_BLOCK_DRAWS", draws)
+            assert np.array_equal(bootstrap_means(values, 100, seed=5), means)
 
     def test_minmax_brackets_ci(self):
         rng = np.random.default_rng(6)
@@ -80,15 +87,16 @@ class TestBootstrap:
         assert 0.85 <= hits / trials <= 1.0
 
 
-def reference_bootstrap_means(values, iterations, seed, block_size=2048):
-    """One sample's resampled means, drawn block by block as a per-sample loop would."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < iterations:
-        block = min(block_size, iterations - len(out))
-        idx = rng.integers(0, len(values), size=(block, len(values)))
-        out.extend(np.asarray(values)[idx].mean(axis=1))
-    return np.array(out)
+@functools.lru_cache(maxsize=4)
+def stdlib_indices(n: int, iterations: int, seed: int) -> np.ndarray:
+    """Every resample's indices from the stdlib form: index j of resample b is draw b*n + j."""
+    return np.array([[draw_below(seed, b * n + j, n) for j in range(n)]
+                     for b in range(iterations)]).reshape(iterations, n)
+
+
+def reference_bootstrap_means(values, iterations, seed):
+    """One sample's resampled means, each index drawn by ``draw_below`` alone."""
+    return np.asarray(values)[stdlib_indices(len(values), iterations, seed)].mean(axis=1)
 
 
 class TestSharedDraw:
@@ -109,21 +117,26 @@ class TestSharedDraw:
                 bootstrap_minmax(row, iterations=iterations, seed=7)
 
     def test_golden_stream(self):
-        # literal means, as test_golden_split has literal ids: NEP 19 lets a numpy
-        # release change Generator.integers, and lexrag's intervals must not move
-        # with it. Eight integer values make every mean an exact multiple of 1/8.
+        # literal means, as test_golden_split has literal ids: the stream is
+        # lexrag's, and a change of it (or of numpy) must not move an interval
+        # unannounced. Eight integer values make every mean an exact multiple of 1/8.
         rows = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [3, 0, 0, 1, 0, 2, 0, 0]], dtype=float)
-        means = shared_bootstrap_means(rows, 2053, seed=11)  # a full block and a partial one
-        assert means[:, :6].tolist() == [[3.0, 2.875, 4.625, 4.0, 4.5, 3.875],
-                                         [0.75, 0.625, 0.0, 0.375, 0.375, 0.125]]
-        assert means[:, 2048:].tolist() == [[2.125, 4.75, 5.25, 5.0, 3.375],
-                                            [1.125, 0.375, 0.0, 0.125, 0.875]]
+        means = shared_bootstrap_means(rows, 4101, seed=11)  # a full block and a partial one
+        assert means[:, :6].tolist() == [[3.0, 4.25, 4.75, 4.875, 3.25, 4.25],
+                                         [0.625, 0.0, 0.375, 0.875, 0.75, 1.0]]
+        assert means[:, 4096:].tolist() == [[2.0, 3.375, 2.25, 3.375, 4.875],
+                                            [1.75, 0.875, 0.875, 1.0, 0.5]]
         assert percentile_ci(means[0]) == (1.875, 5.0)
 
     @pytest.mark.parametrize("seed", [-3, 1.0])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, not {seed}"):
             shared_bootstrap_means(np.ones((2, 3)), 10, seed=seed)
+
+    def test_seed_of_64_bits_or_more_rejected(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*64, not 18446744073709551616"):
+            shared_bootstrap_means(np.ones((2, 3)), 10, seed=2**64)
+        shared_bootstrap_means(np.ones((2, 3)), 10, seed=2**64 - 1)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -289,28 +302,78 @@ class TestBonferroni:
             bonferroni(0.1, 0)
 
 
-class TestDefaultRng:
-    """The stdlib port of numpy.random.default_rng, draw for draw against numpy."""
+class TestStream:
+    """``draw_below`` (stdlib) and ``draws_below`` (numpy): one stream, two forms."""
 
-    BOUNDS = [1, 2, 3, 2**31 + 11, 2**32 - 1, 2**32, 2**33, 2**63 - 1]
+    BOUNDS = [1, 2, 3, 100, 2**31 + 1, 2**32 - 1, 2**32]
 
-    def test_interleaved_draws_match_numpy(self):
-        # permutation and integers share the spare 32-bit half of a 64-bit output,
-        # so the calls alternate: a half one call leaves must be the next one's
-        for seed in [*range(200), 2**32 + 1, 2**64 + 3, 2**128 + 9]:
-            ours, theirs = DefaultRng(seed), np.random.default_rng(seed)
-            for i, high in enumerate(self.BOUNDS * 2):
-                n = (seed + 7 * i) % 41
-                assert ours.permutation(n) == theirs.permutation(n).tolist(), (seed, n)
-                assert ours.integers(0, high) == int(theirs.integers(0, high)), (seed, high)
-                assert ours.integers(3, 10) == int(theirs.integers(3, 10)), seed
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_forms_agree(self, n):
+        for seed, start in ((0, 0), (2**64 - 1, 7), (12345, 2**40)):
+            got = draws_below(seed, start, 4000, n)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [draw_below(seed, start + i, n) for i in range(4000)]
+            assert int(got.max()) < n
+
+    def test_forms_agree_where_about_half_the_draws_are_rejected(self):
+        # at n = 2**31 + 1 the multiply-shift rejects a first output with probability
+        # (2**32 mod n) / 2**32, just below 1/2; the retries must match too
+        n = 2**31 + 1
+        first = draws_below(3, 0, 4000, n)
+        unretried = [(stats._mix((3 + (i + 1) * stats._GAMMA) & stats._M64) >> 32) * n >> 32
+                     for i in range(4000)]
+        retried = sum(a != b for a, b in zip(first.tolist(), unretried))
+        assert 1600 < retried < 2400
+        assert first.tolist() == [draw_below(3, i, n) for i in range(4000)]
+
+    def test_an_output_of_zero_is_mixed_again(self):
+        # SplitMix64's finalizer maps 0 to 0, so this seed's output 0 is 0, which
+        # n = 3 rejects; the retry steps the state first, so it ends
+        seed = -stats._GAMMA % 2**64
+        assert stats._mix((seed + stats._GAMMA) & stats._M64) == 0
+        assert draw_below(seed, 0, 3) == draws_below(seed, 0, 1, 3)[0] < 3
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**31 + 1])
+    def test_draws_are_uniform(self, n):
+        # chi-square over 10**6 seeded draws, at most 1000 bins (larger n binned by
+        # value); the fixed bound is the chi-square quantile at 1 - 1e-6
+        bins = min(n, 1000)
+        draws = draws_below(20261020, 0, 10**6, n)
+        counts = np.bincount((draws * np.uint64(bins) // np.uint64(n)).astype(np.int64)
+                             if n > bins else draws.astype(np.int64), minlength=bins)
+        expected = np.array([(n * (b + 1) + bins - 1) // bins - (n * b + bins - 1) // bins
+                             for b in range(bins)]) * 10**6 / n
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+        assert statistic < chi2.ppf(1 - 1e-6, bins - 1)
+
+    def test_permutation(self):
+        for n in (0, 1, 2, 50):
+            assert sorted(permutation(7, n)) == list(range(n))
+        assert permutation(7, 50) == permutation(7, 50) != permutation(8, 50)
+        # step k swaps position n - 1 - k with draw k, bounded by n - k
+        order = list(range(5))
+        for k in range(4):
+            j = draw_below(7, k, 5 - k)
+            order[4 - k], order[j] = order[j], order[4 - k]
+        assert permutation(7, 5) == order
 
     @pytest.mark.parametrize("seed", [-1, 1.0, "1"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            DefaultRng(seed)
+        for draw in (lambda: draw_below(seed, 0, 3), lambda: draws_below(seed, 0, 3, 3),
+                     lambda: permutation(seed, 3)):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                draw()
 
-    @pytest.mark.parametrize("low,high", [(0, 0), (-1, 3), (5, 4), (0, 2**63 + 1)])
-    def test_integers_outside_int64_draws_rejected(self, low, high):
-        with pytest.raises(ValueError, match="0 <= low < high <= 2\\*\\*63"):
-            DefaultRng(0).integers(low, high)
+    def test_seed_of_64_bits_or_more_rejected(self):
+        for draw in (lambda s: draw_below(s, 0, 3), lambda s: draws_below(s, 0, 3, 3),
+                     lambda s: permutation(s, 0)):
+            with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
+                draw(2**64)
+            draw(2**64 - 1)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_bound_outside_32_bits_rejected(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+            draw_below(0, 0, n)
+        with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+            draws_below(0, 0, 3, n)
