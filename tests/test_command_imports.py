@@ -40,6 +40,16 @@ def _run_in_fresh_process(argv: list[str]) -> set[str]:
     return set(modules.split())
 
 
+def assert_no_numpy_random(loaded: set[str]) -> None:
+    """Every draw is lexrag.stats' own stream, so no command loads numpy.random
+    (12-20 ms of CPU to import on a 2-core VM). The commands that load numpy are
+    checked through ``test_percentile_intervals_load_no_numpy_ma`` and
+    ``test_array_commands_load_only_their_own_modules``; the others load no numpy
+    at all. A numpy before 2.0 loads numpy.random with numpy itself."""
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert "numpy.random" not in loaded
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A legal corpus chunked, enriched and indexed, and an aus corpus with model outputs."""
@@ -141,6 +151,7 @@ def test_array_commands_load_only_their_own_modules(inputs, command, needed):
     loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))
     assert loaded & NUMPY_SIDE == needed
     assert "scipy" not in loaded
+    assert_no_numpy_random(loaded)
     manifest = json.loads((base / f"fresh_{command}" / "run_manifest.json").read_text())
     assert manifest["environment"]["numpy"] == np.__version__
 
@@ -161,18 +172,13 @@ def test_comparisons_load_numpy_and_no_scipy(inputs, command):
         assert "comparison" in report
 
 
-@pytest.mark.parametrize("command", ["eval-retrieval", "compare", "eval-answers --compare-with",
-                                     "index", "retrieve", "align-spans"])
-def test_numpy_commands_load_neither_numpy_ma_nor_numpy_random(inputs, command):
+@pytest.mark.parametrize("command", ["eval-retrieval", "compare", "eval-answers --compare-with"])
+def test_percentile_intervals_load_no_numpy_ma(inputs, command):
     # np.percentile imports numpy.ma (~19 ms of CPU); stats.percentile_ci does not
-    # call it, and nothing else on these commands' paths does either. Every draw is
-    # lexrag.stats' own stream, so numpy.random (6-11 ms) is never loaded either;
-    # the text commands load no numpy at all (test_text_commands_never_load_numpy).
-    # A numpy before 2.0 loads numpy.random with numpy itself.
+    # call it, and nothing else on these commands' paths does either
     loaded = _run_in_fresh_process(_argv(inputs, command, f"no_ma_{command.replace(' --', '_')}"))
     assert "numpy" in loaded and "numpy.ma" not in loaded
-    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-        assert "numpy.random" not in loaded
+    assert_no_numpy_random(loaded)
 
 
 def test_command_that_loads_numpy_keeps_blas_to_one_thread(inputs):
