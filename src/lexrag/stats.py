@@ -4,12 +4,13 @@ and the one seeded random stream every lexrag command draws from.
 The stream is lexrag's own, so a seed gives the same draws under any numpy (NEP
 19 lets numpy change its Generator streams between releases). Output i of seed s
 (0 <= s < 2**64) is SplitMix64's finalizer (Steele, Lea & Flood, "Fast Splittable
-Pseudorandom Number Generators", OOPSLA 2014) applied to s + (i + 1) * 0x9E3779B97F4A7C15
-mod 2**64: a pure function of (s, i), so any draw can be computed without the ones
-before it. ``draw_below(s, i, n)`` bounds output i to [0, n) by Lemire's
-multiply-shift with rejection ("Fast Random Integer Generation in an Interval", ACM
-TOMACS 2019) in stdlib Python; ``draws_below`` computes the same values for a block
-of counters with numpy; ``permutation`` is Fisher-Yates over ``draw_below``.
+Pseudorandom Number Generators", OOPSLA 2014) applied to
+s + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64: a pure function of (s, i), so any draw
+can be computed without the ones before it. ``draw_below(s, i, n)`` bounds output
+i to [0, n) by Lemire's multiply-shift with rejection ("Fast Random Integer
+Generation in an Interval", ACM TOMACS 2019) in stdlib Python; ``draws_below``
+computes the same values for a block of counters with numpy; ``permutation`` is
+Fisher-Yates over ``draw_below``.
 
 Resample b of a bootstrap over n values takes indices ``draw_below(seed, b * n + j,
 n)``, j < n. ``shared_bootstrap_means`` draws them in blocks to bound memory, and
@@ -227,6 +228,13 @@ def paired_delta_ci(deltas: list[float] | np.ndarray, iterations: int = 10000,
     return bootstrap_ci(deltas, iterations=iterations, seed=seed)
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment and the
+# finalizer's multipliers
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 def check_bootstrap(iterations: int, seed: int) -> None:
     """Reject a resample count below 1 or a seed that ``draw_below`` rejects."""
     if iterations < 1:
@@ -239,13 +247,6 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     if seed > _M64:
         raise ValueError(f"seed must be below 2**64, not {seed}")
-
-
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment and the
-# finalizer's multipliers
-_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:

@@ -936,6 +936,19 @@ def test_dpo_build_negative_seed_rejected(tmp_path, capsys):
     assert err["error"] == "ValueError" and "non-negative integer" in err["message"]
 
 
+def test_dpo_build_seed_of_64_bits_rejected(tmp_path, capsys):
+    # the stream's seed is one 64-bit word; a wider seed is named, not truncated
+    _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
+    out_dir = tmp_path / "dpo"
+    code = run(["dpo-build", "--qa", str(qa_path), "--train", "4", "--validation", "0",
+                "--test", "0", "--seed", str(2**64 + 5), "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": "seed must be below 2**64, not 18446744073709551621"}
+    assert not any(out_dir.glob("*"))
+
+
 def test_bootstrap_commands_negative_seed_rejected(built_pipeline, tmp_path, capsys):
     """Every command that bootstraps names its --seed when it is negative, as
     dpo-build does, and writes no report."""

@@ -29,7 +29,7 @@ def test_digest_differences_name_each_command_and_file():
                "files": {"index/index.npz": "d", "dpo/train.jsonl": "z", "new.json": "g"}}
     assert digest_differences(recorded, current) == [
         "lexrag dpo-build --out dpo: exit 0 -> 1, stdout differs",
-        "lexrag report --out report: stdout differs",
+        "lexrag report --out report: exit 0 -> 0, stdout differs",
         "dpo/train.jsonl: differs",
         "gone.json: only in the digest",
         "new.json: only in this run",

@@ -237,11 +237,9 @@ def digest_differences(recorded: dict, current: dict) -> list[str]:
             elif was[name] != now[name] and kind == "files":
                 differ.append(f"{name}: differs")
             elif was[name] != now[name]:
-                what = ([f"exit {was[name]['exit']} -> {now[name]['exit']}"]
-                        if was[name]["exit"] != now[name]["exit"] else [])
-                if was[name]["stdout_sha256"] != now[name]["stdout_sha256"]:
-                    what.append("stdout differs")
-                differ.append(f"lexrag {name}: {', '.join(what)}")
+                a, b = was[name], now[name]
+                differ.append(f"lexrag {name}: exit {a['exit']} -> {b['exit']}" + (
+                    "" if a["stdout_sha256"] == b["stdout_sha256"] else ", stdout differs"))
     return differ
 
 
