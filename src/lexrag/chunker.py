@@ -21,17 +21,25 @@ from pathlib import Path
 
 from lexrag.configs import ChunkConfig
 from lexrag.corpus import Document
+from lexrag.schema import BOOLEAN, INTEGER, NUMBER, REQUIRED_STRING, check, invalid
 from lexrag.textutils import read_jsonl, write_jsonl
 
 _NONSPACE = re.compile(r"\S+")
 
 DEFAULT_SEPARATORS = ["\n\n", "\n", ". ", " ", ""]
 
-# the types a chunk row's keys may hold, matched exactly: JSON true is no int
-_ROW_TYPES = {**dict.fromkeys(("chunk_id", "doc_id", "text", "header_text", "full_text"), (str,)),
-              **dict.fromkeys(("start", "end", "ordinal", "core_start"), (int,)),
-              **dict.fromkeys(("hard_split", "summary_fallback"), (bool,)),
-              "metadata_fraction": (int, float)}
+# a chunk row, as ``Chunk.to_dict`` writes it (see ``lexrag.schema``); metadata_fraction last
+CHUNK_ROW = (
+    ("chunk_id", *REQUIRED_STRING), ("doc_id", *REQUIRED_STRING), ("text", *REQUIRED_STRING),
+    ("start", INTEGER, True, None, "an integer"), ("end", INTEGER, True, None, "an integer"),
+    ("ordinal", INTEGER, True, lambda value: value >= 0, "an integer >= 0"),
+    ("core_start", INTEGER, False, None, "an integer"),
+    ("hard_split", BOOLEAN, False, None, "a boolean"),
+    ("summary_fallback", BOOLEAN, False, None, "a boolean"),
+    ("metadata_fraction", NUMBER, False, lambda value: 0 <= value <= 1, "a number in [0, 1]"))
+# an enriched row: the same rows, with the header's keys (metadata_fraction too) required
+ENRICHED_ROW = (*CHUNK_ROW[:-1], ("metadata_fraction", NUMBER, True, *CHUNK_ROW[-1][3:]),
+                ("header_text", *REQUIRED_STRING), ("full_text", *REQUIRED_STRING))
 
 
 def count_tokens(text: str) -> int:
@@ -84,53 +92,40 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
-        """The chunk a ``to_dict`` row holds; a missing key, one holding a value of
-        another type, or one whose value ``_check_values`` rejects is a ValueError
-        naming it."""
-        for key, kinds in _ROW_TYPES.items():
-            if key in d and type(d[key]) not in kinds:
-                raise ValueError(f"chunk {d.get('chunk_id')!r}: key {key!r} holds "
-                                 f"{type(d[key]).__name__}, not {kinds[-1].__name__}")
-        try:
-            chunk = cls(
-                chunk_id=d["chunk_id"], doc_id=d["doc_id"], start=d["start"], end=d["end"],
-                text=d["text"], ordinal=d["ordinal"],
-                core_start=d.get("core_start", d["start"]),
-                hard_split=d.get("hard_split", False),
-            )
-            if "header_text" in d or "full_text" in d:
-                chunk.header_text = d["header_text"]
-                chunk.metadata_fraction = d["metadata_fraction"]
-                chunk.summary_fallback = d.get("summary_fallback", False)
-                if d["full_text"] != chunk.full_text:
-                    raise ValueError(f"chunk {chunk.chunk_id!r}: stored full_text is not "
-                                     f"header_text + newline + text")
-        except KeyError as exc:
-            raise ValueError(f"chunk {d.get('chunk_id')!r}: missing key {exc.args[0]!r}") from None
-        chunk._check_values()
+        """The chunk a ``to_dict`` row holds; a ValueError names its chunk id and the key
+        where ``ENRICHED_ROW`` (for a row with a header_text or a full_text) or
+        ``CHUNK_ROW`` rejects it, or its offsets, text and full_text disagree."""
+        where = f"chunk {d.get('chunk_id')!r}"
+        enriched = "header_text" in d or "full_text" in d
+        check(d, ENRICHED_ROW if enriched else CHUNK_ROW, where)
+        start, end, text = d["start"], d["end"], d["text"]
+        core_start = d.get("core_start", start)
+        if not 0 <= start <= core_start <= end or len(text) != end - start:
+            raise _offsets_error(start, core_start, end, len(text), where)
+        # positional, in field order: keywords cost ~0.4 µs more a row on Python 3.11
+        chunk = cls(d["chunk_id"], d["doc_id"], start, end, text, d["ordinal"], core_start,
+                    d.get("hard_split", False))
+        if enriched:
+            chunk.header_text = d["header_text"]
+            chunk.metadata_fraction = d["metadata_fraction"]
+            chunk.summary_fallback = d.get("summary_fallback", False)
+            if d["full_text"] != chunk.full_text:
+                raise ValueError(f"{where}: key 'full_text' is not header_text + newline "
+                                 f"+ text")
         return chunk
 
-    def _check_values(self) -> None:
-        """Offsets 0 <= start <= core_start <= end, text of length end - start,
-        ordinal >= 0 and metadata_fraction in [0, 1], as the chunker and the
-        enricher write them."""
-        if self.start < 0:
-            raise self._bad("start", "below 0")
-        if self.end < self.start:
-            raise self._bad("end", f"below start {self.start}")
-        if not self.start <= self.core_start <= self.end:
-            raise self._bad("core_start", f"outside [start, end] = [{self.start}, {self.end}]")
-        if len(self.text) != self.end - self.start:
-            raise ValueError(f"chunk {self.chunk_id!r}: key 'text' holds {len(self.text)} "
-                             f"characters, not end - start = {self.end - self.start}")
-        if self.ordinal < 0:
-            raise self._bad("ordinal", "below 0")
-        if not 0.0 <= self.metadata_fraction <= 1.0:  # NaN fails too
-            raise self._bad("metadata_fraction", "not in [0, 1]")
 
-    def _bad(self, key: str, why: str) -> ValueError:
-        return ValueError(f"chunk {self.chunk_id!r}: key {key!r} holds "
-                          f"{getattr(self, key)!r}, {why}")
+def _offsets_error(start: int, core_start: int, end: int, length: int, where: str) -> ValueError:
+    """Which of 0 <= start <= core_start <= end and len(text) == end - start fails."""
+    if start < 0:
+        return invalid(where, "start", "an integer >= 0", start)
+    if end < start:
+        return invalid(where, "end", f"an integer >= start = {start}", end)
+    if not start <= core_start <= end:
+        return invalid(where, "core_start", f"an integer in [start, end] = [{start}, {end}]",
+                       core_start)
+    return ValueError(f"{where}: key 'text' must hold end - start = {end - start} "
+                      f"characters, not {length}")
 
 
 class FullTexts(Sequence[str]):

@@ -327,9 +327,11 @@ def cmd_dpo_build(settings: dict, out_dir: Path) -> list:
                      test=settings["test"], seed=seed)
     train, validation, test = _cli.split_dataset(records, spec)
     counts = {}
+    start = len(records) - 1  # the shuffle read counters 0 to n - 2 of the seed
     for name, split in (("train", train), ("validation", validation), ("test", test)):
-        pairs = (_cli.build_preference_pairs(split, seed=seed, template=settings["template"])
-                 if split else [])
+        pairs = (_cli.build_preference_pairs(split, seed=seed, template=settings["template"],
+                                             start=start) if split else [])
+        start += len(split)
         _cli.dump_pairs(pairs, out_dir / f"{name}.jsonl", style=settings["export_style"])
         counts[name] = {"records": len(split), "pairs": len(pairs)}
     write_json({"splits": counts, "seed": seed, "load_errors": len(errors)},

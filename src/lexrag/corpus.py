@@ -5,6 +5,8 @@ corpus root (POSIX separators) or, for records that reference documents by
 URL, a slug derived from the URL. All span offsets are indexed over Unicode
 code points, matching Python string indexing. A byte-offset compatibility
 switch exists for datasets whose span integers turn out to be byte-based.
+Sidecar entries and QA records and snippets are checked against the specs here
+(``SIDECAR_ENTRY``, ``SNIPPET_QA_RECORD``, ``SNIPPET``, ``AUS_LEGAL_QA_RECORD``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from lexrag.schema import (ARRAY, NULL, OBJECT, OPTIONAL_STRING, REQUIRED_STRING, STRING,
+                           check, invalid)
 from lexrag.textutils import normalize_whitespace, read_json, read_text
 
 _URL_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
@@ -123,22 +127,13 @@ def url_to_doc_id(url: str) -> str:
     return _UNSAFE_ID_CHARS.sub("_", stripped).strip("/")
 
 
-def _sidecar_meta(path: Path, doc_id: str, entry) -> DocumentMeta:
-    """DocumentMeta from one sidecar entry; a mistyped value is a ValueError
-    naming the sidecar, the doc_id and the key."""
-    where = f"{path}: entry {doc_id!r}"
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    title, extra = entry.get("title", ""), entry.get("extra", {})
-    optional = {key: entry.get(key) for key in ("jurisdiction", "doc_type", "source_url")}
-    if not isinstance(title, str):
-        raise ValueError(f"{where}: key 'title' must be a string")
-    for key, value in optional.items():
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{where}: key {key!r} must be a string or null")
-    if not isinstance(extra, dict) or not all(isinstance(v, str) for v in extra.values()):
-        raise ValueError(f"{where}: key 'extra' must map strings to strings")
-    return DocumentMeta(title=title, extra=dict(extra), **optional)
+# one entry of a corpus sidecar, the metadata of one document (see ``lexrag.schema``)
+SIDECAR_ENTRY = (
+    ("title", *OPTIONAL_STRING),
+    *((key, STRING + NULL, False, None, "a string or null")
+      for key in ("jurisdiction", "doc_type", "source_url")),
+    ("extra", OBJECT, False, lambda e: all(type(v) is str for v in e.values()),
+     "an object of strings"))
 
 
 def load_documents(root: str | Path, manifest: str | Path | None = None) -> DocumentCollection:
@@ -147,9 +142,9 @@ def load_documents(root: str | Path, manifest: str | Path | None = None) -> Docu
     doc_id is the POSIX relative path. Unreadable or empty files become
     per-file error entries and loading continues. An optional sidecar
     manifest (JSON object doc_id -> meta fields) populates DocumentMeta;
-    documents without an entry get a default title of their file name. A
-    sidecar entry naming no file under ``root`` is a ValueError naming the
-    sidecar and the doc_id; an empty or unreadable file counts as named.
+    documents without an entry get a default title of their file name. An entry
+    that ``SIDECAR_ENTRY`` rejects, or that names no file under ``root``, is a
+    ValueError naming the sidecar and the doc_id; an empty or unreadable file counts.
     """
     root = Path(root)
     if not root.is_dir():
@@ -159,7 +154,11 @@ def load_documents(root: str | Path, manifest: str | Path | None = None) -> Docu
     manifest_path = Path(manifest).resolve() if manifest else None
     if manifest_path is not None:
         for doc_id, entry in read_json(manifest_path).items():
-            meta_by_id[doc_id] = _sidecar_meta(manifest_path, doc_id, entry)
+            if type(entry) is not dict:
+                raise invalid(str(manifest_path), doc_id, "an object", entry)
+            check(entry, SIDECAR_ENTRY, f"{manifest_path}: entry {doc_id!r}")
+            meta_by_id[doc_id] = DocumentMeta(**{key: entry[key] for key, *_ in SIDECAR_ENTRY
+                                                 if key in entry})
 
     files = {path.relative_to(root).as_posix(): path
              for path in sorted(p for p in root.rglob("*") if p.is_file())
@@ -211,15 +210,12 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
     ``Question``, ``document URL``, ``Context``, and ``Answer`` keys; its
     gold spans start empty and are filled later by alignment.
 
-    Malformed records (a JSON-lines line that does not parse, or a field of
-    the wrong type: every field read is a string, ``query_id`` too, and a span
-    two ints, not JSON true) become error entries with their index; loading
-    continues. A record whose
-    ``query_id`` (given, or the ``q{i:05d}`` fallback) repeats an earlier one
-    is an error entry too; the first keeps the id. Span integers are read as
-    character offsets; datasets annotated in UTF-8 byte offsets are converted
-    afterwards with ``convert_spans_to_char`` (ingest's --span-unit byte),
-    which needs the loaded documents.
+    A JSON-lines line that does not parse, a record or snippet that its spec
+    rejects, or a record whose ``query_id`` (given, or the ``q{i:05d}`` fallback)
+    repeats an earlier one becomes an error entry naming it; loading continues.
+    Spans are read as character offsets. ``convert_spans_to_char`` converts UTF-8 byte
+    offsets (ingest's --span-unit byte), and ``validate_annotations`` finds spans past
+    their document's end: both need the loaded documents.
     """
     if format not in {"snippet_qa", "aus_legal_qa"}:
         raise ValueError(f"unknown dataset format: {format!r}")
@@ -234,60 +230,53 @@ def load_qa_dataset(path: str | Path, format: str) -> tuple[list[QueryRecord], l
                      format)
 
 
-def _field(rec: dict, key: str, kind: type = str, default=None):
-    """``rec[key]``, which must be a ``kind``, or ``default`` where the key is absent
-    and a default is given; anything else is a ValueError naming the key."""
-    if key not in rec and default is None:
-        raise ValueError(f"missing required key: {key!r}")
-    value = rec.get(key, default)
-    if not isinstance(value, kind):
-        raise ValueError(f"key {key!r} must be a {'string' if kind is str else kind.__name__}, "
-                         f"not {value!r}")
-    return value
-
-
-def _gold_span(snip) -> GoldSpan:
-    """One snippet_qa snippet; a span end that is not an int (JSON true included)
-    is a ValueError naming the key, as is any other field of the wrong type."""
-    if not isinstance(snip, dict):
-        raise ValueError(f"key 'snippets' must hold objects, not {snip!r}")
-    span = _field(snip, "span", list)
-    if len(span) != 2 or any(type(v) is not int for v in span):
-        raise ValueError(f"key 'span' must be two integers [start, end], not {span!r}")
-    return GoldSpan(doc_id=_field(snip, "file_path"), start=span[0], end=span[1],
-                    answer_text=_field(snip, "answer", default=""))
+# a snippet_qa record and each of its snippets, and an aus_legal_qa record (see
+# ``lexrag.schema``); a record without a query_id takes q{i:05d}
+_QUESTION = (STRING, True, lambda text: bool(text.strip()), "a string that is not blank")
+SNIPPET_QA_RECORD = (("query_id", *OPTIONAL_STRING), ("query", *_QUESTION),
+                     ("answer", *OPTIONAL_STRING), ("snippets", ARRAY, True, None, "a list"))
+SNIPPET = (("file_path", *REQUIRED_STRING),
+           ("span", ARRAY, True, lambda span: len(span) == 2 and all(type(v) is int for v in span)
+            and 0 <= span[0] < span[1], "two integers [start, end] with 0 <= start < end"),
+           ("answer", *OPTIONAL_STRING))
+AUS_LEGAL_QA_RECORD = (("query_id", *OPTIONAL_STRING), ("Question", *_QUESTION),
+                       *((key, *REQUIRED_STRING) for key in ("Answer", "Context", "document URL")))
 
 
 def _parse_qa(rows: list, format: str) -> tuple[list[QueryRecord], list[LoadError]]:
     """``load_qa_dataset``'s records and error entries from the file's parsed rows."""
     records: dict[str, QueryRecord] = {}
     errors: list[LoadError] = []
-    question_key = "query" if format == "snippet_qa" else "Question"
+    spec, question_key = ((SNIPPET_QA_RECORD, "query") if format == "snippet_qa"
+                          else (AUS_LEGAL_QA_RECORD, "Question"))
     for i, rec in enumerate(rows):
         where = f"record[{i}]"
         try:
             if isinstance(rec, json.JSONDecodeError):
-                raise ValueError(f"invalid JSON: {rec}")
-            if not isinstance(rec, dict):
-                raise ValueError("record is not an object")
-            record = QueryRecord(query_id=_field(rec, "query_id", default=f"q{i:05d}"),
-                                 question=_field(rec, question_key))
-            if not record.question.strip():
-                raise ValueError(f"key {question_key!r} holds an empty question")
+                raise ValueError(f"{where}: invalid JSON: {rec}")
+            if type(rec) is not dict:
+                raise ValueError(f"{where}: not a JSON object")
+            check(rec, spec, where)
+            record = QueryRecord(rec.get("query_id", f"q{i:05d}"), rec[question_key])
             if format == "aus_legal_qa":
-                record.gold_answer = _field(rec, "Answer")
-                record.context_text = _field(rec, "Context")
-                record.source_doc_id = url_to_doc_id(_field(rec, "document URL"))
+                record.gold_answer, record.context_text = rec["Answer"], rec["Context"]
+                record.source_doc_id = url_to_doc_id(rec["document URL"])
             else:
-                record.gold_answer = _field(rec, "answer", default="")
-                for j, snip in enumerate(_field(rec, "snippets", list)):
+                record.gold_answer = rec.get("answer", "")
+                for j, snip in enumerate(rec["snippets"]):
                     where = f"record[{i}].snippets[{j}]"
-                    record.gold_spans.append(_gold_span(snip))
+                    if type(snip) is not dict:
+                        raise invalid(f"record[{i}]", "snippets", "a list of objects",
+                                      rec["snippets"])
+                    check(snip, SNIPPET, where)
+                    record.gold_spans.append(GoldSpan(snip["file_path"], *snip["span"],
+                                                      snip.get("answer", "")))
         except ValueError as exc:
             errors.append(LoadError(where, str(exc)))
             continue
         if record.query_id in records:  # the first record keeps the id
-            errors.append(LoadError(f"record[{i}]", f"duplicate query_id: {record.query_id!r}"))
+            errors.append(LoadError(f"record[{i}]", f"record[{i}]: duplicate query_id: "
+                                                    f"{record.query_id!r}"))
         else:
             records[record.query_id] = record
     return list(records.values()), errors

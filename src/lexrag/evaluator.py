@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from lexrag.schema import (ARRAY, INTEGER, NULL, NUMBER, OBJECT, REQUIRED_OBJECT,
+                           REQUIRED_STRING, check)
 # bootstrap_ci, bootstrap_minmax and paired_delta_ci are unused here, but
 # perfbench's tracer wraps them under this module's name.
 from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F401
@@ -110,95 +112,65 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
-        """The report a ``to_dict`` payload holds. A missing key, a dataset or variant
-        that is not a string, an excluded list that is not a list of objects, a
-        per-query value that is not a finite number in its metric's range at exactly
-        the report's ks, or a bad per-k entry (``_check_per_k``) is a ValueError
-        naming ``where`` (the report's file) and the key, or the query, metric and k,
-        or k and key."""
-        for key in ("dataset", "variant", "ks", "per_k", "per_query"):
-            if key not in d:
-                raise ValueError(f"{where}: key {key!r} is missing")
-        for key in ("dataset", "variant"):
-            if not isinstance(d[key], str):
-                raise ValueError(f"{where}: key {key!r} must be a string, not {d[key]!r}")
-        excluded = d.get("excluded", [])
-        if not isinstance(excluded, list) or not all(isinstance(e, dict) for e in excluded):
-            raise ValueError(f"{where}: key 'excluded' must be a list of objects, "
-                             f"not {excluded!r}")
-        ks = d["ks"]
-        if not isinstance(ks, list) or any(type(k) is not int for k in ks):
-            raise ValueError(f"{where}: key 'ks' must be a list of integers, not {ks!r}")
-        for key in ("per_k", "per_query"):
-            if not isinstance(d[key], dict):
-                raise ValueError(f"{where}: key {key!r} must be an object")
-        _check_per_k(d["per_k"], ks, f"{where}: per_k")
-        for qid, metrics in d["per_query"].items():
+        """The report a ``to_dict`` payload holds. A ValueError names ``where`` (its
+        file) and the key, with the k or the query and metric, where ``REPORT``, a per-k
+        entry's ``PER_K_ENTRY`` (or a mean without its interval), a query's ``QUERY``
+        or a metric's ``VALUES`` rejects it, or per_k or a metric's values are not at
+        exactly the report's ks."""
+        check(d, REPORT, where)
+        ks, per_query = d["ks"], d["per_query"]
+        per_k = _check_at_ks(d["per_k"], REQUIRED_OBJECT, ks, f"{where}: per_k")
+        for k in ks:
+            entry_where = f"{where}: per_k, k={k}"
+            entry = check(per_k[str(k)], PER_K_ENTRY, entry_where)
             for metric in METRICS:
-                by_k = metrics.get(metric) if isinstance(metrics, dict) else None
-                if not isinstance(by_k, dict):
-                    raise ValueError(f"{where}: query {qid!r}, metric {metric!r} is missing")
-                _check_values(by_k, ks, metric, f"{where}: query {qid!r}, metric {metric!r}")
-        return cls(
-            dataset=d["dataset"],
-            variant=d["variant"],
-            ks=list(ks),
-            per_k={int(k): v for k, v in d["per_k"].items()},
-            per_query={
-                qid: {metric: {int(k): val for k, val in by_k.items()}
-                      for metric, by_k in metrics.items()}
-                for qid, metrics in d["per_query"].items()
-            },
-            excluded=list(excluded),
-            bootstrap_iterations=d.get("bootstrap_iterations", 10000),
-            bootstrap_seed=d.get("bootstrap_seed", 0),
-        )
+                if entry.get(f"{metric}_mean") is not None and f"{metric}_ci" not in entry:
+                    raise ValueError(f"{entry_where}: key '{metric}_ci' is missing")
+        check(per_query, tuple((qid, *ANY_QUERY) for qid in per_query), f"{where}: per_query")
+        for qid, metrics in per_query.items():
+            check(metrics, QUERY, f"{where}: query {qid!r}")
+            for metric in METRICS:
+                _check_at_ks(metrics[metric], VALUES[metric], ks,
+                             f"{where}: query {qid!r}, metric {metric!r}")
+        return cls(d["dataset"], d["variant"], list(ks), {k: per_k[str(k)] for k in ks},
+                   {qid: {metric: {k: metrics[metric][str(k)] for k in ks} for metric in METRICS}
+                    for qid, metrics in per_query.items()},
+                   list(d.get("excluded", [])), d.get("bootstrap_iterations", 10000),
+                   d.get("bootstrap_seed", 0))
 
 
-def _finite(value) -> bool:
-    """Whether a JSON value is a finite number (JSON true is not one)."""
-    return type(value) in (int, float) and math.isfinite(value)
+# A metric report's header, as ``MetricReport.to_dict`` writes it (see ``lexrag.schema``):
+# ks as ``sweep`` takes them, and the bootstrap settings ``check_bootstrap`` accepts.
+REPORT = (
+    ("dataset", *REQUIRED_STRING), ("variant", *REQUIRED_STRING),
+    ("ks", ARRAY, True, lambda ks: all(type(k) is int for k in ks)
+     and all(a < b for a, b in zip([0, *ks], ks)), "distinct integers >= 1 in ascending order"),
+    ("per_k", *REQUIRED_OBJECT), ("per_query", *REQUIRED_OBJECT),
+    ("excluded", ARRAY, False, lambda excluded: all(type(e) is dict for e in excluded),
+     "a list of objects"),
+    ("bootstrap_iterations", INTEGER, False, lambda n: n >= 1, "an integer >= 1"),
+    ("bootstrap_seed", INTEGER, False, lambda seed: 0 <= seed < 2**64, "an integer in [0, 2**64)"))
+# one k's entry of per_k: a null or absent mean renders as n/a, a number with its interval
+PER_K_ENTRY = tuple(row for metric in METRICS for row in (
+    (f"{metric}_mean", NUMBER + NULL, False, lambda mean: mean is None or math.isfinite(mean),
+     "null or a finite number"),
+    (f"{metric}_ci", ARRAY, False, lambda ci: len(ci) == 2 and all(
+        type(x) in NUMBER and math.isfinite(x) for x in ci), "two finite numbers")))
+# any query's entry of per_query, what it holds, and each metric's values (``_check_at_ks``)
+ANY_QUERY = (OBJECT, False, None, "an object")
+QUERY = tuple((metric, *REQUIRED_OBJECT) for metric in METRICS)
+VALUES = {"drm": (NUMBER, True, lambda value: 0 <= value <= 1, "a number in [0, 1]"),
+          "span_recall": (NUMBER, True, lambda value: 0 <= value < math.inf,
+                          "a finite number >= 0")}
 
 
-def _values_at(by_k: dict, ks: list[int], where: str) -> list:
-    """The values of ``by_k``, keyed by str(k), at each of exactly the ks."""
+def _check_at_ks(by_k: dict, rule: tuple, ks: list[int], where: str) -> dict:
+    """``by_k`` once it holds a value that ``rule`` accepts at exactly the report's ks."""
+    check(by_k, tuple((str(k), *rule) for k in ks), where)
     extra = sorted(set(by_k) - {str(k) for k in ks})
     if extra:
-        raise ValueError(f"{where}, k={extra[0]} is not one of the report's ks {ks}")
-    for k in ks:
-        if str(k) not in by_k:
-            raise ValueError(f"{where}, k={k}: value is missing")
-    return [by_k[str(k)] for k in ks]
-
-
-def _check_per_k(per_k: dict, ks: list[int], where: str) -> None:
-    """An object at each of exactly the ks, whose ``<metric>_mean`` is null (or
-    absent: ``render_table`` shows n/a) or a finite number and, where a number,
-    whose ``<metric>_ci`` is two finite numbers."""
-    for k, entry in zip(ks, _values_at(per_k, ks, where)):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}, k={k}: value must be an object, not {entry!r}")
-        for metric in METRICS:
-            mean, ci = entry.get(f"{metric}_mean"), entry.get(f"{metric}_ci")
-            if mean is None:
-                continue
-            if not _finite(mean):
-                raise ValueError(f"{where}, k={k}: key '{metric}_mean' must be null "
-                                 f"or a finite number, not {mean!r}")
-            if not (isinstance(ci, list) and len(ci) == 2 and all(map(_finite, ci))):
-                raise ValueError(f"{where}, k={k}: key '{metric}_ci' must be two finite "
-                                 f"numbers, not {ci!r}")
-
-
-def _check_values(by_k: dict, ks: list[int], metric: str, where: str) -> None:
-    """One query's values of one metric, keyed by str(k): exactly the ks, each a
-    finite number, DRM in [0, 1] and span recall >= 0."""
-    for k, value in zip(ks, _values_at(by_k, ks, where)):
-        if not _finite(value):
-            raise ValueError(f"{where}, k={k}: value must be a finite number, not {value!r}")
-        if (metric == "drm" and not 0 <= value <= 1) or value < 0:
-            wanted = "in [0, 1]" if metric == "drm" else ">= 0"
-            raise ValueError(f"{where}, k={k}: value must be {wanted}, not {value!r}")
+        raise ValueError(f"{where}: key {extra[0]!r} is not one of the report's ks {ks}")
+    return by_k
 
 
 def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],

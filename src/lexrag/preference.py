@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from lexrag.configs import WITH_REFUSAL_INSTRUCTION, WITHOUT_REFUSAL_INSTRUCTION, SplitSpec
+from lexrag.schema import OPTIONAL_STRING, REQUIRED_STRING, check
 from lexrag.stats import bootstrap_ci, draw_below, permutation
 from lexrag.textutils import (
     normalize_for_match,
@@ -63,8 +64,8 @@ class PreferencePair:
 
 def split_dataset(records: list[QueryRecord],
                   spec: SplitSpec) -> tuple[list[QueryRecord], list[QueryRecord], list[QueryRecord]]:
-    """Seeded shuffle (``lexrag.stats.permutation``), then contiguous
-    train/validation/test slices."""
+    """Seeded shuffle (``lexrag.stats.permutation``, which reads counters 0 to n - 2
+    of the seed for n records), then contiguous train/validation/test slices."""
     total = spec.train + spec.validation + spec.test
     if total > len(records):
         raise ValueError(f"split sizes sum to {total} but only {len(records)} records exist")
@@ -96,13 +97,14 @@ def render_prompt(template: str, context: str, question: str) -> str:
 
 
 def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
-                           template: str = WITH_REFUSAL_INSTRUCTION) -> list[PreferencePair]:
+                           template: str = WITH_REFUSAL_INSTRUCTION,
+                           start: int = 0) -> list[PreferencePair]:
     """Emit one set-1 and one set-2 pair per record (2 x |records| total).
 
     Set-2 contexts are sampled uniformly (seeded) from records whose source
-    document differs: record i takes candidate ``draw_below(seed, i, len(candidates))``
-    of those records, in record order. A corpus with a single source document
-    cannot support set 2 and raises.
+    document differs: record i takes candidate ``draw_below(seed, start + i, len(
+    candidates))`` of those records, in record order; ``dpo-build`` starts each split
+    past the counters read before it. One source document cannot support set 2: it raises.
     """
     for record in records:
         if not record.question or not record.context_text or not record.gold_answer:
@@ -128,7 +130,7 @@ def build_preference_pairs(records: list[QueryRecord], seed: int = 0,
             others[record.source_doc_id] = [r for r in records
                                             if r.source_doc_id != record.source_doc_id]
         candidates = others[record.source_doc_id]
-        wrong = candidates[draw_below(seed, i, len(candidates))]
+        wrong = candidates[draw_below(seed, start + i, len(candidates))]
         pairs.append(PreferencePair(
             pair_id=f"{record.query_id}:set2",
             prompt=render_prompt(template, wrong.context_text, record.question),
@@ -244,23 +246,23 @@ def dump_pairs(pairs: list[PreferencePair], path: str | Path,
     write_jsonl(rows, path)
 
 
+# one row of a model-output file (see ``lexrag.schema``); set_tag defaults to "set1"
+MODEL_OUTPUT = (("query_id", *REQUIRED_STRING), ("set_tag", *OPTIONAL_STRING),
+                ("output", *REQUIRED_STRING))
+
+
 def load_model_outputs(path: str | Path) -> list[tuple[str, str, str]]:
     """Read model-output JSON-lines: {query_id, set_tag, output}.
 
-    ``query_id`` and ``output`` are required strings; ``set_tag`` is an
-    optional string (default "set1"). A row that breaks this is a ValueError
-    naming the path, the line and the key. Once every row has passed, a
-    repeated (query_id, set_tag) is a ValueError naming the path and both lines.
+    A row that ``MODEL_OUTPUT`` rejects is a ValueError naming the path, the line
+    and the key. Once every row has passed, a repeated (query_id, set_tag) is a
+    ValueError naming the path and both lines.
     """
     outputs = []
     numbers = []
     for number, rec in read_jsonl(path):
-        row = (rec.get("query_id"), rec.get("set_tag", "set1"), rec.get("output"))
-        for key, value in zip(("query_id", "set_tag", "output"), row):
-            if not isinstance(value, str):
-                problem = "not a string" if key in rec else "missing"
-                raise ValueError(f"{path}, line {number}: key {key!r} is {problem}")
-        outputs.append(row)
+        check(rec, MODEL_OUTPUT, f"{path}, line {number}")
+        outputs.append((rec["query_id"], rec.get("set_tag", "set1"), rec["output"]))
         numbers.append(number)
     first_line: dict[tuple[str, str], int] = {}
     for number, (query_id, set_tag, _) in zip(numbers, outputs):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lexrag import preference, stats
 from lexrag.chunker import dump_chunks, load_chunks
 from lexrag.cli import COMMANDS, main
 from lexrag.index import INDEX_FORMAT_VERSION, sha256_file
@@ -927,6 +928,25 @@ def test_dpo_build_command(tmp_path):
     assert all({"prompt", "chosen", "rejected"} <= set(r) for r in train_rows)
 
 
+def test_dpo_build_reads_each_counter_of_its_seed_once(tmp_path, monkeypatch):
+    """One run's draws are distinct counters of --seed: the shuffle of n records reads
+    0 .. n - 2, and the record at shuffled position p takes its set-2 context from
+    n - 1 + p, whichever split it falls in."""
+    _, qa_path = build_aus_corpus(tmp_path, n_records=24, n_docs=6, seed=2)
+    read, draw_below = [], stats.draw_below
+
+    def recording(seed, i, n):
+        read.append(i)
+        return draw_below(seed, i, n)
+
+    monkeypatch.setattr(stats, "draw_below", recording)  # where permutation looks it up
+    monkeypatch.setattr(preference, "draw_below", recording)
+    assert run(["dpo-build", "--qa", str(qa_path), "--train", "18", "--validation", "2",
+                "--test", "3", "--seed", "5", "--out", str(tmp_path / "dpo")]) == 0
+    assert sorted(read) == list(range(23 + 23))
+    assert read[23:] == list(range(23, 23 + 23))
+
+
 def test_dpo_build_negative_seed_rejected(tmp_path, capsys):
     _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
     code = run(["dpo-build", "--qa", str(qa_path), "--train", "4", "--validation", "0",
@@ -1111,9 +1131,10 @@ def test_eval_answers_command(tmp_path):
 
 
 @pytest.mark.parametrize("row,key,problem", [
-    ({"query_id": "q1", "set_tag": "set1_correct_context"}, "output", "missing"),
-    ({"query_id": "q1", "set_tag": "set1_correct_context", "output": 7}, "output", "not a string"),
-])
+    ({"query_id": "q1", "set_tag": "set1_correct_context"}, "output", "is missing"),
+    ({"query_id": "q1", "set_tag": "set1_correct_context", "output": 7}, "output",
+     "must be a string, not 7"),
+], ids=["row0-output-missing", "row1-output-not a string"])
 def test_model_output_row_named_with_file_line_and_key(tmp_path, capsys, row, key, problem):
     _, qa_path = build_aus_corpus(tmp_path, n_records=4, n_docs=2, seed=3)
     good = {"query_id": "q0", "set_tag": "set1_correct_context", "output": "An answer."}
@@ -1125,7 +1146,7 @@ def test_model_output_row_named_with_file_line_and_key(tmp_path, capsys, row, ke
         assert run([*argv, "--out", str(tmp_path / argv[0])]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError", argv[0]
-        assert f"{path}, line 3: key {key!r} is {problem}" in err["message"], argv[0]
+        assert err["message"] == f"{path}, line 3: key {key!r} {problem}", argv[0]
 
 
 @pytest.mark.parametrize("command", ["eval-refusal", "eval-answers"])
@@ -1326,16 +1347,29 @@ _PER_K = {k: {"drm_mean": 0.5, "drm_ci": [0.0, 1.0], "span_recall_mean": 2.0,
 @pytest.mark.parametrize("command", ["compare", "report"])
 @pytest.mark.parametrize("metric,k,value,problem", [
     ("drm", "4", None, None),  # the report as written is valid
-    ("drm", "4", math.nan, "'drm', k=4: value must be a finite number, not nan"),
-    ("span_recall", "1", math.inf, "'span_recall', k=1: value must be a finite number, not inf"),
-    ("span_recall", "4", "x", "'span_recall', k=4: value must be a finite number, not 'x'"),
-    ("drm", "1", True, "'drm', k=1: value must be a finite number, not True"),
-    ("drm", "4", ..., "'drm', k=4: value is missing"),
-    ("drm", "4", 1.5, "'drm', k=4: value must be in [0, 1], not 1.5"),
-    ("span_recall", "4", -0.5, "'span_recall', k=4: value must be >= 0, not -0.5"),
-    ("span_recall", "8", 1.0, "'span_recall', k=8 is not one of the report's ks [1, 4]"),
-    ("span_recall", None, None, "'span_recall' is missing"),
-])
+    ("drm", "4", math.nan, ", metric 'drm': key '4' must be a number in [0, 1], not nan"),
+    ("span_recall", "1", math.inf, ", metric 'span_recall': key '1' must be a finite number "
+                                   ">= 0, not inf"),
+    ("span_recall", "4", "x", ", metric 'span_recall': key '4' must be a finite number >= 0, "
+                              "not 'x'"),
+    ("drm", "1", True, ", metric 'drm': key '1' must be a number in [0, 1], not True"),
+    ("drm", "4", ..., ", metric 'drm': key '4' is missing"),
+    ("drm", "4", 1.5, ", metric 'drm': key '4' must be a number in [0, 1], not 1.5"),
+    ("span_recall", "4", -0.5, ", metric 'span_recall': key '4' must be a finite number >= 0, "
+                               "not -0.5"),
+    ("span_recall", "8", 1.0, ", metric 'span_recall': key '8' is not one of the report's ks "
+                              "[1, 4]"),
+    ("span_recall", None, None, ": key 'span_recall' is missing"),
+], ids=["drm-4-None-None",
+        "drm-4-nan-'drm', k=4: value must be a finite number, not nan",
+        "span_recall-1-inf-'span_recall', k=1: value must be a finite number, not inf",
+        "span_recall-4-x-'span_recall', k=4: value must be a finite number, not 'x'",
+        "drm-1-True-'drm', k=1: value must be a finite number, not True",
+        "drm-4-value5-'drm', k=4: value is missing",
+        "drm-4-1.5-'drm', k=4: value must be in [0, 1], not 1.5",
+        "span_recall-4--0.5-'span_recall', k=4: value must be >= 0, not -0.5",
+        "span_recall-8-1.0-'span_recall', k=8 is not one of the report's ks [1, 4]",
+        "span_recall-None-None-'span_recall' is missing"])
 def test_metric_report_value_named_with_query_metric_and_k(tmp_path, capsys, command,
                                                            metric, k, value, problem):
     path = tmp_path / "metric_report.json"
@@ -1349,7 +1383,7 @@ def test_metric_report_value_named_with_query_metric_and_k(tmp_path, capsys, com
     assert run(argv) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
-    assert err["message"] == f"{path}: query 'q2', metric {problem}"
+    assert err["message"] == f"{path}: query 'q2'{problem}"
 
 
 def _per_k_with(k: str, key: str | None, value) -> dict:
@@ -1367,20 +1401,22 @@ def _per_k_with(k: str, key: str | None, value) -> dict:
 @pytest.mark.parametrize("command", ["compare", "report"])
 @pytest.mark.parametrize("k,key,value,problem", [
     ("1", "drm_mean", None, None),  # no mean to render: the cell reads n/a
-    ("x", None, {}, "k=x is not one of the report's ks [1, 4]"),
-    ("4", None, ..., "k=4: value is missing"),
-    ("1", None, "s", "k=1: value must be an object, not 's'"),
-    ("1", "drm_ci", 3, "k=1: key 'drm_ci' must be two finite numbers, not 3"),
-    ("4", "span_recall_ci", [0.5], "k=4: key 'span_recall_ci' must be two finite numbers, "
+    ("x", None, {}, ": key 'x' is not one of the report's ks [1, 4]"),
+    ("4", None, ..., ": key '4' is missing"),
+    ("1", None, "s", ": key '1' must be an object, not 's'"),
+    ("1", "drm_ci", 3, ", k=1: key 'drm_ci' must be two finite numbers, not 3"),
+    ("4", "span_recall_ci", [0.5], ", k=4: key 'span_recall_ci' must be two finite numbers, "
                                    "not [0.5]"),
-    ("1", "drm_ci", [0, math.inf], "k=1: key 'drm_ci' must be two finite numbers, "
+    ("1", "drm_ci", [0, math.inf], ", k=1: key 'drm_ci' must be two finite numbers, "
                                    "not [0, inf]"),
-    ("1", "drm_mean", "0.5", "k=1: key 'drm_mean' must be null or a finite number, not '0.5'"),
-    ("4", "span_recall_mean", True, "k=4: key 'span_recall_mean' must be null or a finite "
+    ("1", "drm_mean", "0.5", ", k=1: key 'drm_mean' must be null or a finite number, "
+                             "not '0.5'"),
+    ("4", "span_recall_mean", True, ", k=4: key 'span_recall_mean' must be null or a finite "
                                     "number, not True"),
     ("4", "span_recall_mean", ..., None),  # absent is null
+    ("4", "span_recall_ci", ..., ", k=4: key 'span_recall_ci' is missing"),
 ], ids=["mean-null", "k-not-in-ks", "k-missing", "entry-string", "ci-int", "ci-one-value",
-        "ci-inf", "mean-string", "mean-true", "mean-absent"])
+        "ci-inf", "mean-string", "mean-true", "mean-absent", "ci-absent"])
 def test_metric_report_per_k_named_with_k_and_key(tmp_path, capsys, command, k, key, value,
                                                   problem):
     """A per-k entry that the table cannot render fails with the file, k and key,
@@ -1396,7 +1432,7 @@ def test_metric_report_per_k_named_with_k_and_key(tmp_path, capsys, command, k, 
         return
     assert run(argv) == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "ValueError", "message": f"{path}: per_k, {problem}"}
+    assert err == {"error": "ValueError", "message": f"{path}: per_k{problem}"}
 
 
 @pytest.mark.parametrize("command", ["compare", "report"])
@@ -1407,13 +1443,17 @@ def test_metric_report_per_k_named_with_k_and_key(tmp_path, capsys, command, k, 
     ("dataset", ["x"], "key 'dataset' must be a string, not ['x']"),
     ("variant", 3, "key 'variant' must be a string, not 3"),
     ("variant", None, "key 'variant' must be a string, not None"),
+    ("bootstrap_iterations", "many", "key 'bootstrap_iterations' must be an integer >= 1, "
+                                     "not 'many'"),
+    ("bootstrap_iterations", 0, "key 'bootstrap_iterations' must be an integer >= 1, not 0"),
+    ("bootstrap_seed", -1, "key 'bootstrap_seed' must be an integer in [0, 2**64), not -1"),
 ], ids=["excluded-listed", "excluded-int", "excluded-strings", "dataset-list", "variant-int",
-        "variant-null"])
+        "variant-null", "iterations-string", "iterations-0", "seed-negative"])
 def test_metric_report_header_keys_named_with_file_and_key(tmp_path, capsys, command, key,
                                                           value, problem):
-    """A report's excluded list, dataset and variant are checked as it loads, so a
-    wrong type fails with the file and key, not a bare TypeError or a list
-    printed as a dataset name."""
+    """A report's excluded list, dataset, variant and bootstrap settings are checked
+    as it loads, so a wrong type fails with the file and key, not a bare TypeError
+    or a list printed as a dataset name."""
     path = tmp_path / "metric_report.json"
     report = {**_hand_written_report("drm", "4", None), key: value}
     path.write_text(json.dumps(report), encoding="utf-8")
@@ -1426,6 +1466,30 @@ def test_metric_report_header_keys_named_with_file_and_key(tmp_path, capsys, com
     assert run(argv) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": f"{path}: {problem}"}
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("ks", [[0, 1, 4], [1, 1, 4], [4, 1]],
+                         ids=["k-zero", "k-repeated", "k-descending"])
+def test_metric_report_ks_not_as_sweep_writes_them_named(tmp_path, capsys, command, ks):
+    """ks are distinct integers >= 1 in ascending order, as sweep writes them. A k=0
+    with its entries once loaded, so compare tested an empty prefix and counted it
+    in Bonferroni's m; a repeated k printed its column twice."""
+    report = json.loads(json.dumps(_hand_written_report("drm", "4", None)))
+    for by_k in [report["per_k"], *(by_k for metrics in report["per_query"].values()
+                                    for by_k in metrics.values())]:
+        by_k["0"] = by_k["1"]
+    report["ks"] = ks
+    path = tmp_path / "metric_report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    argv = {"compare": ["compare", "--baseline", str(path), "--enhanced", str(path),
+                        "--bootstrap-iterations", "20", "--out", str(tmp_path / "out")],
+            "report": ["report", "--report", str(path)]}[command]
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{path}: key 'ks' must be distinct "
+                                                     f"integers >= 1 in ascending order, "
+                                                     f"not {ks}"}
 
 
 def test_unknown_command_exits_2(capsys):

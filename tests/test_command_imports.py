@@ -116,6 +116,16 @@ def test_cli_import_loads_no_third_party_or_numpy_side_module():
     assert not new & {"concurrent.futures", "urllib.request", "http.client", "ssl"}
 
 
+def test_schema_loads_only_the_stdlib():
+    # every reader checks its records through lexrag.schema, so every command that
+    # reads a file loads it; it must bring nothing else with it
+    code = ("import sys; before = set(sys.modules); import lexrag.schema; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    new = set(_fresh_process(code)[-1].split())
+    assert {m.split(".")[0] for m in new} - set(sys.stdlib_module_names) == {"lexrag"}
+    assert {m for m in new if m.split(".")[0] == "lexrag"} == {"lexrag", "lexrag.schema"}
+
+
 @pytest.mark.parametrize("command,not_loaded", [
     ("compare", {"index", "retriever", "embedding", "kernels", "chunker", "corpus", "enricher"}),
     ("ingest", {"chunker", "enricher"}),

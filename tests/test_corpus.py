@@ -153,7 +153,7 @@ def test_load_aus_legal_qa_missing_key(tmp_path):
     path.write_text(json.dumps([{"Question": "q?", "Answer": "a"}]), encoding="utf-8")
     records, errors = load_qa_dataset(path, "aus_legal_qa")
     assert records == []
-    assert len(errors) == 1 and "missing required key" in errors[0].message
+    assert len(errors) == 1 and errors[0].message == "record[0]: key 'Context' is missing"
 
 
 def _aus_row(question: str, **extra) -> dict:
@@ -230,11 +230,19 @@ _SNIPPET = {"file_path": "d", "span": [0, 4], "answer": "a"}
      "record[0].snippets[0]", "span"),
     ({"query": "q?", "snippets": [{**_SNIPPET, "span": [0, 4.0]}]},
      "record[0].snippets[0]", "span"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "span": [4, 0]}]},
+     "record[0].snippets[0]", "span"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "span": [4, 4]}]},
+     "record[0].snippets[0]", "span"),
+    ({"query": "q?", "snippets": [{**_SNIPPET, "span": [-2, 4]}]},
+     "record[0].snippets[0]", "span"),
 ], ids=["snippets-int", "snippets-object", "query-id-list", "query-id-int", "answer-int",
-        "snippet-string", "file-path-int", "snippet-answer-null", "span-bool", "span-float"])
+        "snippet-string", "file-path-int", "snippet-answer-null", "span-bool", "span-float",
+        "span-reversed", "span-empty", "span-negative"])
 def test_load_snippet_qa_mistyped_field_is_a_load_error(tmp_path, record, where, key):
-    """A field of the wrong JSON type fails its record alone, naming the record and
-    the key, and the next record still loads."""
+    """A field of the wrong JSON type, or a span that is not 0 <= start < end, fails
+    its record alone, naming the record and the key, and the next record still
+    loads. A reversed span once loaded, and scored its query's span recall 0."""
     path = tmp_path / "qa.json"
     path.write_text(json.dumps([record, {"query": "fine?", "snippets": [_SNIPPET]}]),
                     encoding="utf-8")

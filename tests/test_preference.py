@@ -85,11 +85,12 @@ class TestBuildPreferencePairs:
             assert pair.rejected == REFUSAL_STRING
 
     def test_golden_set2_contexts(self):
-        # literal matter numbers of each set-2 context, as in test_golden_split
-        pairs = build_preference_pairs(qa_records(8, n_docs=4), seed=5)
+        # literal matter numbers of each set-2 context, as in test_golden_split, from
+        # the counters dpo-build gives 8 records shuffled into one split: 7 to 14
+        pairs = build_preference_pairs(qa_records(8, n_docs=4), seed=5, start=7)
         sampled = [int(p.prompt.split("In matter ")[1].split()[0]) for p in pairs
                    if p.set_tag == "set2_incorrect_context"]
-        assert sampled == [3, 6, 1, 0, 2, 3, 7, 4]
+        assert sampled == [5, 3, 4, 2, 1, 7, 3, 6]
 
     def test_set2_contexts_match_per_record_candidate_lists(self):
         # 500 records over 9 source documents holding 1 to 130 records each, in
