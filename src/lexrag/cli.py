@@ -67,8 +67,8 @@ _LAZY = {name: module for module, names in (
     ("lexrag.corpus", ("convert_spans_to_char", "dataset_counts", "load_documents",
                        "load_qa_dataset", "validate_annotations")),
     ("lexrag.embedding", ("get_embedder", "term_rows")),
-    ("lexrag.enricher", ("ExtractiveSummarizer", "RemoteSummarizer", "dump_enriched",
-                         "enrich_document_chunks", "load_enriched")),
+    ("lexrag.enricher", ("RemoteSummarizer", "dump_enriched", "enrich_document_chunks",
+                         "load_enriched")),
     ("lexrag.evaluator", ("MetricReport", "compare_reports", "render_comparison_table",
                           "render_table", "sweep")),
     ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "check_chunk_ids",
@@ -219,11 +219,10 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
     workers = _at_least_one(settings, "workers")
     docs = _cli.load_documents(Path(settings["root"]), settings["manifest"])
     chunks = _cli.load_chunks(Path(settings["chunks"]))
+    remote = None
     if settings["summarizer"] == "remote":
-        provider = _cli.RemoteSummarizer(
+        remote = _cli.RemoteSummarizer(
             _remote_config(settings, "remote summarizer requires --endpoint"))
-    else:
-        provider = _cli.ExtractiveSummarizer()
 
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -234,7 +233,7 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
         if doc is None:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
         enriched.extend(_cli.enrich_document_chunks(
-            sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, provider,
+            sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, remote,
             max_workers=workers))
     _cli.dump_enriched(enriched, out_dir / "enriched.jsonl")
     fallbacks = sum(1 for e in enriched if e.summary_fallback)
@@ -460,7 +459,7 @@ COMMANDS = {
     "enrich": Command(cmd_enrich, "add metadata headers and window summaries", (
         OUT, *CORPUS, *REMOTE, Setting("chunks", required=True),
         Setting("summarizer", default="extractive", choices=("extractive", "remote")),
-        Setting("workers", int, 1))),
+        Setting("workers", int, 1, help="concurrent remote summarizer calls"))),
     "index": Command(cmd_index, "build sparse and dense indexes over chunks", (
         OUT, *REMOTE, Setting("chunks", required=True),
         Setting("embedder", default="deterministic", choices=("deterministic", "remote")),

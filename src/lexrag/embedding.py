@@ -180,32 +180,28 @@ class RemoteEmbedder:
         """Embed ``texts`` remotely; ``rows`` is not read, the endpoint gets the texts."""
         batches = [(i, texts[i:i + self.batch_size])
                    for i in range(0, len(texts), self.batch_size)]
-        results: dict[int, np.ndarray] = {}
-        failed: list[int] = []
 
-        def run(entry):
+        def run(entry) -> np.ndarray | RemoteError:
             start, batch = entry
             try:
-                results[start] = self._embed_batch(start // self.batch_size, batch)
-            except RemoteError:
-                failed.extend(range(start, start + len(batch)))
+                return self._embed_batch(start // self.batch_size, batch)
+            except RemoteError as exc:
+                return exc
 
-        if self.max_workers > 1 and len(batches) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        # imported here, not at module level: concurrent.futures loads logging, which
+        # the commands that never embed remotely need not pay for
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                list(pool.map(run, batches))
-        else:
-            for entry in batches:
-                run(entry)
-
+        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+            results = list(pool.map(run, batches))
+        failed = [i for (start, batch), result in zip(batches, results)
+                  if isinstance(result, RemoteError) for i in range(start, start + len(batch))]
         if failed:
-            raise EmbeddingError(
-                f"embedding failed for {len(failed)} text(s) after retries",
-                failed_indices=sorted(failed))
+            raise EmbeddingError(f"embedding failed for {len(failed)} text(s) after retries",
+                                 failed_indices=failed)
         if not batches:
             return np.zeros((0, self.dim), dtype=np.float64)
-        return np.vstack([results[start] for start, _ in batches])
+        return np.vstack(results)
 
 
 def get_embedder(backend: str, dim: int = 256,

@@ -10,6 +10,13 @@ header is truncated from the summary end to at most a quarter of the enriched
 chunk's tokens: ``h / (h + body) <= 1/4`` holds exactly when ``3h <= body``, so
 a chunk keeps at most ``body // 3`` header tokens.
 
+A summary is a list of at most ``SUMMARY_TOKEN_CAP`` whitespace-split tokens, from
+one of two summarizers: the extractive one (leading sentences, round-robin) or a
+remote endpoint, whose failed windows fall back to the extractive summary and are
+flagged. ``[SUMMARY]`` enters the header only before a summary of at least one
+token. Remote calls run in a pool of ``max_workers`` threads; extractive
+summaries run in a plain loop, whatever ``max_workers`` says.
+
 Enrichment returns a copy of the chunk with only the header fields set; it
 never touches offsets or text, so retrieval metrics always score against the
 original document positions.
@@ -17,9 +24,8 @@ original document positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Protocol
 
 from lexrag.chunker import Chunk, count_tokens, dump_chunks, load_chunks
 from lexrag.corpus import DocumentMeta
@@ -28,28 +34,6 @@ from lexrag.textutils import split_sentences
 SUMMARY_TOKEN_CAP = 200
 # consecutive chunks per summary window
 WINDOW = 4
-
-
-class SummarizerProvider(Protocol):
-    """Contract for summary backends: a batch of texts in, one summary out.
-
-    Deterministic backends must return identical output for identical input.
-    """
-
-    def summarize(self, texts: list[str], max_tokens: int) -> str: ...
-
-
-@dataclass
-class WindowSummary:
-    summary_text: str
-    fallback: bool = False
-
-
-class ExtractiveSummarizer:
-    """Deterministic offline summarizer: round-robin leading sentences."""
-
-    def summarize(self, texts: list[str], max_tokens: int) -> str:
-        return extractive_fallback_summary(texts, max_tokens)
 
 
 class RemoteSummarizer:
@@ -68,11 +52,12 @@ class RemoteSummarizer:
         return summary
 
 
-def extractive_fallback_summary(texts: list[str], budget_tokens: int) -> str:
-    """Concatenate leading sentences of each text round-robin, then truncate.
+def extractive_summary(texts: list[str], budget_tokens: int) -> list[str]:
+    """The first ``budget_tokens`` tokens of the texts' leading sentences, taken
+    round-robin.
 
     Round r takes the (r+1)-th sentence of every text that still has one, in
-    input order, until the token budget is reached. Deterministic; returns ""
+    input order, until the token budget is reached. Deterministic; returns []
     when every text is empty.
     """
     return _round_robin_summary([_counted_sentences(t) for t in texts], budget_tokens)
@@ -85,8 +70,8 @@ def _counted_sentences(text: str) -> tuple[list[str], list[int]]:
 
 
 def _round_robin_summary(split_texts: list[tuple[list[str], list[int]]],
-                         budget_tokens: int) -> str:
-    """``extractive_fallback_summary`` over texts already split by ``_counted_sentences``."""
+                         budget_tokens: int) -> list[str]:
+    """``extractive_summary`` over texts already split by ``_counted_sentences``."""
     if budget_tokens < 1:
         raise ValueError("budget_tokens must be >= 1")
     picked: list[str] = []
@@ -101,8 +86,7 @@ def _round_robin_summary(split_texts: list[tuple[list[str], list[int]]],
                 break
         if total >= budget_tokens:
             break
-    tokens = " ".join(picked).split()
-    return " ".join(tokens[:budget_tokens])
+    return " ".join(picked).split()[:budget_tokens]
 
 
 def window_start(position: int, n_chunks: int, window: int) -> int:
@@ -116,15 +100,17 @@ def window_start(position: int, n_chunks: int, window: int) -> int:
     return min(max(position - window // 2, 0), max(n_chunks - window, 0))
 
 
-def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
-                     max_workers: int = 1) -> list[WindowSummary]:
+def window_summaries(chunks: list[Chunk], remote: RemoteSummarizer | None = None,
+                     max_workers: int = 1) -> list[tuple[list[str], bool]]:
     """Summarize overlapping windows of consecutive chunks from one document,
-    the i-th summary that of the window starting at list position i.
+    the i-th ``(tokens, fell_back)`` pair that of the window starting at list
+    position i.
 
-    Provider failures fall back to the extractive summary for that window and
-    set the fallback flag; the pipeline always completes. Provider calls may
-    run concurrently (``max_workers``); results are keyed by window position,
-    so output is independent of completion order.
+    Without ``remote`` every summary is extractive. With it, each window is one
+    ``remote.summarize`` call, up to ``max_workers`` at a time, and its reply keeps
+    its first ``SUMMARY_TOKEN_CAP`` tokens; a call that fails takes the window's
+    extractive summary and sets ``fell_back``, so the pipeline always completes.
+    Results are kept in window order, whatever order the calls finish in.
     """
     if not chunks:
         return []
@@ -139,74 +125,66 @@ def window_summaries(chunks: list[Chunk], provider: SummarizerProvider,
     # each chunk's sentences, split on first use and shared by the windows holding it
     split_texts: list[tuple[list[str], list[int]] | None] = [None] * len(chunks)
 
-    def extractive_at(pos: int) -> str:
+    def extractive_at(pos: int) -> list[str]:
         for i in range(pos, min(pos + WINDOW, len(chunks))):
             if split_texts[i] is None:
                 split_texts[i] = _counted_sentences(chunks[i].text)
         return _round_robin_summary(split_texts[pos:pos + WINDOW], SUMMARY_TOKEN_CAP)
 
-    def summarize_at(pos: int) -> tuple[str, bool]:
-        if isinstance(provider, ExtractiveSummarizer):
-            return extractive_at(pos), False
+    if remote is None:
+        return [(extractive_at(pos), False) for pos in starts]
+
+    def remote_at(pos: int) -> list[str] | None:
         try:
-            return provider.summarize([c.text for c in chunks[pos:pos + WINDOW]],
-                                      SUMMARY_TOKEN_CAP), False
+            return remote.summarize([c.text for c in chunks[pos:pos + WINDOW]],
+                                    SUMMARY_TOKEN_CAP).split()[:SUMMARY_TOKEN_CAP]
         except Exception:
-            return extractive_at(pos), True
+            return None
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(summarize_at, starts))
-    else:
-        results = [summarize_at(p) for p in starts]
-
-    summaries = []
-    for text, fell_back in results:
-        tokens = text.split()
-        if len(tokens) > SUMMARY_TOKEN_CAP:
-            text = " ".join(tokens[:SUMMARY_TOKEN_CAP])
-        summaries.append(WindowSummary(summary_text=text, fallback=fell_back))
-    return summaries
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        replies = list(pool.map(remote_at, starts))
+    return [(extractive_at(pos), True) if tokens is None else (tokens, False)
+            for pos, tokens in zip(starts, replies)]
 
 
-def build_header(meta: DocumentMeta, summary_text: str) -> str:
+def header_tokens(meta: DocumentMeta, summary: list[str]) -> list[str]:
+    """The full header as tokens: ``[DOC]`` and the document fields that are set,
+    then ``[SUMMARY]`` and the summary if it has a token."""
     doc_fields = [f for f in (meta.title, meta.jurisdiction or "", meta.doc_type or "") if f]
-    parts = []
-    if doc_fields:
-        parts.append("[DOC] " + " | ".join(doc_fields))
-    if summary_text:
-        parts.append("[SUMMARY] " + summary_text)
-    return " ".join(parts)
+    tokens = ("[DOC] " + " | ".join(doc_fields)).split() if doc_fields else []
+    if summary:
+        tokens += ["[SUMMARY]", *summary]
+    return tokens
 
 
-def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: WindowSummary | None) -> Chunk:
+def enrich_chunk(chunk: Chunk, meta: DocumentMeta, summary: list[str],
+                 fallback: bool = False) -> Chunk:
     """Set the metadata header, its first ``body_tokens // 3`` tokens at most, so
     that ``header_tokens / (header_tokens + body_tokens) <= 1/4``.
 
     An empty header yields full_text identical to the chunk text.
     """
-    summary_text = summary.summary_text if summary is not None else ""
-    header_tokens = build_header(meta, summary_text).split()
+    tokens = header_tokens(meta, summary)
     body_tokens = count_tokens(chunk.text)
-    n_header = min(len(header_tokens), body_tokens // 3)
-    if n_header and header_tokens[n_header - 1] in ("[SUMMARY]", "[DOC]"):
+    n_header = min(len(tokens), body_tokens // 3)
+    if n_header and tokens[n_header - 1] in ("[SUMMARY]", "[DOC]"):
         n_header -= 1  # do not leave a dangling section marker
-    header = " ".join(header_tokens[:n_header])
     return replace(
         chunk,
-        header_text=header,
+        header_text=" ".join(tokens[:n_header]),
         metadata_fraction=n_header / (n_header + body_tokens) if n_header else 0.0,
-        summary_fallback=summary.fallback if summary is not None else False,
+        summary_fallback=fallback,
     )
 
 
 def enrich_document_chunks(chunks: list[Chunk], meta: DocumentMeta,
-                           provider: SummarizerProvider, max_workers: int = 1) -> list[Chunk]:
+                           remote: RemoteSummarizer | None = None,
+                           max_workers: int = 1) -> list[Chunk]:
     """Full enrichment for one document's chunk list."""
-    summaries = window_summaries(chunks, provider, max_workers=max_workers)
-    return [enrich_chunk(chunk, meta, summaries[window_start(i, len(chunks), WINDOW)])
+    summaries = window_summaries(chunks, remote, max_workers)
+    return [enrich_chunk(chunk, meta, *summaries[window_start(i, len(chunks), WINDOW)])
             for i, chunk in enumerate(chunks)]
 
 

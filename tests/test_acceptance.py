@@ -18,7 +18,7 @@ from lexrag.chunker import ChunkConfig, count_tokens, split_recursive
 from lexrag.cli import main as cli_main
 from lexrag.corpus import Document, GoldSpan, QueryRecord, dataset_counts, load_qa_dataset
 from lexrag.embedding import HashedBowEmbedder
-from lexrag.enricher import ExtractiveSummarizer, enrich_document_chunks
+from lexrag.enricher import enrich_document_chunks
 from lexrag.evaluator import span_recall, sweep
 from lexrag.index import bm25_scores, build_dense, build_sparse, dense_search, embed
 from lexrag.retriever import (POOL, FusionConfig, RankedChunk, RetrievalContext, RetrievalResult,
@@ -283,8 +283,7 @@ def _directional_effect(tmp_path, n_docs: int) -> tuple[int, dict, dict]:
     for doc in docs:
         chunks = split_recursive(doc, cfg)
         baseline_chunks.extend(chunks)
-        enhanced_chunks.extend(
-            enrich_document_chunks(chunks, doc.meta, ExtractiveSummarizer()))
+        enhanced_chunks.extend(enrich_document_chunks(chunks, doc.meta))
     assert len(baseline_chunks) >= 64  # k sweep reaches 64
 
     ks = [1, 2, 4, 8, 16, 32, 64]

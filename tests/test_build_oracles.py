@@ -2,9 +2,9 @@
 
 The references below are the earlier implementations, kept here only as
 oracles: the per-text embedding loop, the per-chunk ``finditer`` overlap, the
-header truncation that pops one token at a time, the summary that splits
-every window's chunks into sentences again, the ``\\w+`` regex tokenizer, and
-the sparse build that sorts one int64 key per token.
+header built as one string and truncated by popping one token at a time, the
+summary that splits every window's chunks into sentences again, the ``\\w+``
+regex tokenizer, and the sparse build that sorts one int64 key per token.
 On seeded inputs each rewritten stage must give exactly what its reference
 gives, bit for bit.
 """
@@ -22,8 +22,7 @@ from lexrag.chunker import (DEFAULT_SEPARATORS, ChunkConfig, _CorePacker, _emit_
                             count_tokens, split_recursive)
 from lexrag.corpus import Document, DocumentMeta
 from lexrag.embedding import HashedBowEmbedder, term_rows
-from lexrag.enricher import (ExtractiveSummarizer, WindowSummary, build_header, enrich_chunk,
-                             enrich_document_chunks, extractive_fallback_summary,
+from lexrag.enricher import (enrich_chunk, enrich_document_chunks, extractive_summary,
                              window_summaries)
 from lexrag.index import _narrowest, build_dense, build_sparse, embed, id_ranks
 from lexrag.textutils import _WordTable, split_sentences, tokenize
@@ -111,8 +110,19 @@ def reference_header_count(n_header: int, body_tokens: int) -> int:
     return kept
 
 
-def reference_enrich_chunk(chunk, meta, summary):
-    header_tokens = build_header(meta, summary.summary_text if summary else "").split()
+def reference_header(meta: DocumentMeta, summary_text: str) -> str:
+    """The header as one string, its parts joined, before it is split into tokens."""
+    doc_fields = [f for f in (meta.title, meta.jurisdiction or "", meta.doc_type or "") if f]
+    parts = []
+    if doc_fields:
+        parts.append("[DOC] " + " | ".join(doc_fields))
+    if summary_text:
+        parts.append("[SUMMARY] " + summary_text)
+    return " ".join(parts)
+
+
+def reference_enrich_chunk(chunk, meta, summary_text, fallback):
+    header_tokens = reference_header(meta, summary_text).split()
     body_tokens = count_tokens(chunk.text)
     while header_tokens and len(header_tokens) / (len(header_tokens) + body_tokens) > 0.25:
         header_tokens.pop()
@@ -121,7 +131,7 @@ def reference_enrich_chunk(chunk, meta, summary):
     n = len(header_tokens)
     return replace(chunk, header_text=" ".join(header_tokens),
                    metadata_fraction=n / (n + body_tokens) if n else 0.0,
-                   summary_fallback=summary.fallback if summary else False)
+                   summary_fallback=fallback)
 
 
 def reference_summary(texts: list[str], budget_tokens: int) -> str:
@@ -143,7 +153,7 @@ def reference_summary(texts: list[str], budget_tokens: int) -> str:
 
 
 class PerWindowSummarizer:
-    """A provider that splits and summarizes each window anew, as the reference does."""
+    """A fake remote that splits and summarizes each window anew, as the reference does."""
 
     def summarize(self, texts, max_tokens):
         return reference_summary(list(texts), max_tokens)
@@ -361,10 +371,11 @@ def test_enrich_chunk_equals_pop_loop():
         chunk = make_chunk(i, body)
         summary_words = [WORDS[int(rng.integers(len(WORDS)))]
                          for _ in range(int(rng.integers(0, summary_len)))]
-        summary = (None if i % 7 == 0 else
-                   WindowSummary(" ".join(summary_words), fallback=bool(i % 2)))
+        summary_text = "" if i % 7 == 0 else " ".join(summary_words)
         meta = metas[i % len(metas)]
-        assert enrich_chunk(chunk, meta, summary) == reference_enrich_chunk(chunk, meta, summary)
+        fallback = bool(i % 2)
+        assert (enrich_chunk(chunk, meta, summary_text.split(), fallback)
+                == reference_enrich_chunk(chunk, meta, summary_text, fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +391,11 @@ def test_window_summaries_equal_per_window_split(monkeypatch, window):
     rng = np.random.default_rng(15)
     for n in (1, 2, 3, 5, 9, 17):  # shorter than one window, and longer
         chunks = sentence_chunks(rng, n)
-        shared = window_summaries(chunks, ExtractiveSummarizer())
+        shared = window_summaries(chunks)
         expected = window_summaries(chunks, PerWindowSummarizer())
         assert shared == expected
         fell_back = window_summaries(chunks, FailingSummarizer())
-        assert fell_back == [replace(s, fallback=True) for s in expected]
+        assert fell_back == [(tokens, True) for tokens, _ in expected]
 
 
 def test_enrich_document_chunks_equal_per_window_split():
@@ -393,9 +404,9 @@ def test_enrich_document_chunks_equal_per_window_split():
     for n in (1, 4, 11):
         chunks = sentence_chunks(rng, n)
         for workers in (1, 3):
-            assert (enrich_document_chunks(chunks, meta, ExtractiveSummarizer(),
-                                           max_workers=workers)
-                    == enrich_document_chunks(chunks, meta, PerWindowSummarizer()))
+            assert (enrich_document_chunks(chunks, meta, max_workers=workers)
+                    == enrich_document_chunks(chunks, meta, PerWindowSummarizer(),
+                                              max_workers=workers))
 
 
 def test_extractive_summary_equals_reference_at_every_budget():
@@ -403,7 +414,7 @@ def test_extractive_summary_equals_reference_at_every_budget():
     for _ in range(60):
         texts = [sentence_text(rng) for _ in range(int(rng.integers(0, 6)))]
         for budget in (1, 2, 7, 40, 200):
-            assert extractive_fallback_summary(texts, budget) == reference_summary(texts, budget)
+            assert extractive_summary(texts, budget) == reference_summary(texts, budget).split()
 
 
 # ---------------------------------------------------------------------------

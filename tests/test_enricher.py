@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +11,9 @@ from lexrag import enricher
 from lexrag.chunker import count_tokens
 from lexrag.corpus import DocumentMeta
 from lexrag.enricher import (
-    ExtractiveSummarizer,
-    WindowSummary,
     enrich_chunk,
     enrich_document_chunks,
-    extractive_fallback_summary,
+    extractive_summary,
     window_start,
     window_summaries,
 )
@@ -33,7 +33,7 @@ class FailingSummarizer:
 
 
 class RecordingSummarizer:
-    """Deterministic provider that tags output with its window content."""
+    """Deterministic fake remote that tags output with its window content."""
 
     def __init__(self):
         self.calls = []
@@ -59,8 +59,8 @@ class TestWindowSummaries:
         chunks = [make_chunk(i, f"c{i} text.") for i in range(8)]
         result = window_summaries(chunks, RecordingSummarizer())
         assert len(result) == 5
-        assert all(not s.fallback for s in result)
-        assert all(1 <= len(s.summary_text.split()) <= 200 for s in result)
+        assert all(not fell_back for _, fell_back in result)
+        assert all(1 <= len(tokens) <= 200 for tokens, _ in result)
 
     def test_single_chunk_window_covers_it(self):
         chunks = [make_chunk(0, "only chunk here.")]
@@ -73,8 +73,8 @@ class TestWindowSummaries:
         chunks = [make_chunk(i, f"sentence {i}.") for i in range(6)]
         result = window_summaries(chunks, FailingSummarizer())
         assert len(result) == 3
-        assert all(s.fallback for s in result)
-        assert all(s.summary_text for s in result)
+        assert all(fell_back for _, fell_back in result)
+        assert all(tokens for tokens, _ in result)
 
     def test_summary_capped_at_200_tokens(self):
         class Verbose:
@@ -82,7 +82,7 @@ class TestWindowSummaries:
                 return " ".join(f"t{i}" for i in range(500))
 
         result = window_summaries([make_chunk(0, "x.")], Verbose())
-        assert len(result[0].summary_text.split()) == 200
+        assert result == [([f"t{i}" for i in range(200)], False)]
 
     def test_mixed_documents_rejected(self):
         chunks = [make_chunk(0, "a", doc_id="d1"), make_chunk(1, "b", doc_id="d2")]
@@ -90,10 +90,32 @@ class TestWindowSummaries:
             window_summaries(chunks, RecordingSummarizer())
 
     def test_workers_do_not_change_output(self):
+        class OutOfOrder:
+            """A fake remote whose later windows answer first, and whose every third
+            window fails."""
+
+            def summarize(self, texts, max_tokens):
+                n = int(texts[0].split()[0][1:])
+                time.sleep(0.002 * (10 - n))
+                if n % 3 == 2:
+                    raise RuntimeError("backend down")
+                return f"  window\t{n}\n"
+
         chunks = [make_chunk(i, f"w{i} text here.") for i in range(10)]
-        serial = window_summaries(chunks, ExtractiveSummarizer(), max_workers=1)
-        threaded = window_summaries(chunks, ExtractiveSummarizer(), max_workers=4)
+        serial = window_summaries(chunks, OutOfOrder(), max_workers=1)
+        threaded = window_summaries(chunks, OutOfOrder(), max_workers=4)
         assert serial == threaded
+        assert [fell_back for _, fell_back in serial] == [n % 3 == 2 for n in range(7)]
+        assert serial[0] == (["window", "0"], False)
+
+    def test_extractive_windows_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        chunks = [make_chunk(i, f"w{i} text here.") for i in range(10)]
+        enriched = enrich_document_chunks(chunks, DocumentMeta(title="T"), None, max_workers=4)
+        assert len(enriched) == 10
 
 
 def scan_nearest_window_index(position: int, starts: list[int], window: int) -> int:
@@ -141,26 +163,24 @@ class TestNearestWindow:
             "[SUMMARY] summary of c1 / c5", "[SUMMARY] summary of c5 / c6"]
 
 
-class TestExtractiveFallback:
+class TestExtractiveSummary:
     def test_round_robin_sentence_pick(self):
-        assert extractive_fallback_summary(["A. B.", "C."], 100) == "A. C. B."
+        assert extractive_summary(["A. B.", "C."], 100) == ["A.", "C.", "B."]
 
     def test_all_empty_texts(self):
-        assert extractive_fallback_summary([""], 10) == ""
+        assert extractive_summary([""], 10) == []
 
     def test_truncates_to_exact_budget(self):
         text = " ".join(f"t{i}." for i in range(500))
-        out = extractive_fallback_summary([text], 200)
-        assert count_tokens(out) == 200
-        assert out.split() == text.split()[:200]
+        assert extractive_summary([text], 200) == text.split()[:200]
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            extractive_fallback_summary(["x"], 0)
+            extractive_summary(["x"], 0)
 
 
-def summary_of(text: str) -> WindowSummary:
-    return WindowSummary(summary_text=text)
+def summary_of(text: str) -> list[str]:
+    return text.split()
 
 
 class TestEnrichChunk:
@@ -199,6 +219,20 @@ class TestEnrichChunk:
         enriched = enrich_chunk(chunk, DocumentMeta(), summary_of("one two three"))
         assert enriched.header_text != "[SUMMARY]"
 
+    @pytest.mark.parametrize("title,header", [("Smith v Jones", "[DOC] Smith v Jones"),
+                                              ("[DOC]", "[DOC]"), ("  ", "")])
+    def test_blank_remote_summary_adds_no_summary_marker(self, title, header):
+        # a whitespace-only reply is a summary of no tokens, so no [SUMMARY] enters the
+        # header; a title that is literally "[DOC]", or blank, then ends the header in a
+        # section marker, which is dropped like any other dangling one
+        class Blank:
+            def summarize(self, texts, max_tokens):
+                return " \t\n "
+
+        chunks = [make_chunk(0, " ".join(["body"] * 60))]
+        enriched = enrich_document_chunks(chunks, DocumentMeta(title=title), Blank())
+        assert [(e.header_text, e.summary_fallback) for e in enriched] == [(header, False)]
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=1, max_value=120), st.integers(min_value=0, max_value=120))
     def test_fraction_bound_holds(self, n_body, n_summary):
@@ -213,8 +247,7 @@ class TestEnrichDocumentChunks:
     def test_offsets_and_text_untouched(self):
         chunks = [replace(make_chunk(i, f"chunk {i} body.", start=i * 20),
                           core_start=i * 20 + 3, hard_split=i % 2 == 1) for i in range(6)]
-        enriched = enrich_document_chunks(chunks, DocumentMeta(title="T"),
-                                          ExtractiveSummarizer())
+        enriched = enrich_document_chunks(chunks, DocumentMeta(title="T"))
         assert [base_fields(e) for e in enriched] == [base_fields(c) for c in chunks]
         assert all(e.header_text is not None for e in enriched)
 
