@@ -232,6 +232,10 @@ def cmd_enrich(settings: dict, out_dir: Path) -> list:
         doc = docs.get(doc_id)
         if doc is None:
             raise ValueError(f"chunked document {doc_id!r} not present under --root")
+        for c in by_doc[doc_id]:
+            if doc.text[c.start:c.end] != c.text:
+                raise ValueError(f"chunk {c.chunk_id!r} is not characters [{c.start}, {c.end}) "
+                                 f"of document {doc_id!r} under --root")
         enriched.extend(_cli.enrich_document_chunks(
             sorted(by_doc[doc_id], key=lambda c: c.ordinal), doc.meta, remote,
             max_workers=workers))

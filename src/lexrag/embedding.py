@@ -194,11 +194,13 @@ class RemoteEmbedder:
 
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             results = list(pool.map(run, batches))
-        failed = [i for (start, batch), result in zip(batches, results)
-                  if isinstance(result, RemoteError) for i in range(start, start + len(batch))]
-        if failed:
-            raise EmbeddingError(f"embedding failed for {len(failed)} text(s) after retries",
-                                 failed_indices=failed)
+        errors = [(start, len(batch), result) for (start, batch), result in zip(batches, results)
+                  if isinstance(result, RemoteError)]
+        if errors:
+            failed = [i for start, n, _ in errors for i in range(start, start + n)]
+            raise EmbeddingError(
+                f"embedding failed for {len(failed)} text(s) after retries: {errors[0][2]}",
+                failed_indices=failed)
         if not batches:
             return np.zeros((0, self.dim), dtype=np.float64)
         return np.vstack(results)

@@ -17,10 +17,11 @@ class RemoteError(RuntimeError):
 
 
 def post_json(cfg: RemoteConfig, payload: dict) -> dict:
-    """POST a JSON payload, returning the decoded JSON response.
+    """POST a JSON payload, returning the decoded JSON object it gets back.
 
-    Retries ``cfg.retries`` times on transport errors and 5xx responses with
-    linear backoff; anything else raises RemoteError immediately.
+    Retries ``cfg.retries`` times with linear backoff on transport errors, 5xx
+    responses and replies that are not a JSON object (malformed, or another JSON
+    value); any other HTTP error raises RemoteError immediately.
     """
     # Imported here, not at module level: commands that load this module with
     # the embedding module never call it, and urllib.request pulls in
@@ -37,7 +38,10 @@ def post_json(cfg: RemoteConfig, payload: dict) -> dict:
         request = urllib.request.Request(cfg.endpoint, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(request, timeout=cfg.timeout_seconds) as response:
-                return json.loads(response.read().decode("utf-8"))
+                decoded = json.loads(response.read().decode("utf-8"))
+            if isinstance(decoded, dict):
+                return decoded
+            last_error = ValueError("response is not a JSON object")
         except urllib.error.HTTPError as exc:
             if exc.code < 500:
                 raise RemoteError(f"{cfg.endpoint}: HTTP {exc.code}") from exc

@@ -694,6 +694,28 @@ def test_index_rebuilt_in_place_from_its_own_chunk_file(built_pipeline, tmp_path
                 == (built_pipeline["index_enhanced"] / name).read_bytes())
 
 
+def test_enrich_rejects_chunks_of_an_edited_document(tmp_path, capsys):
+    # a chunk file made before a document was rewritten: its offsets no longer slice
+    # its text out of the document, so every offset-based metric downstream would
+    # score text the document does not hold
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "a.txt").write_text("The tenant shall pay the rent on the first day of each month.",
+                                encoding="utf-8")
+    (root / "b.txt").write_text("Notice must be served at the address in the lease.",
+                                encoding="utf-8")
+    assert run(["chunk", "--root", str(root), "--out", str(tmp_path / "chunks")]) == 0
+    (root / "a.txt").write_text("The landlord shall pay the rent on the first day of each month.",
+                                encoding="utf-8")
+    out_dir = tmp_path / "enriched"
+    chunks = str(tmp_path / "chunks" / "chunks.jsonl")
+    assert run(["enrich", "--root", str(root), "--chunks", chunks, "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "'a.txt#000000'" in err["message"] and "'a.txt'" in err["message"], err
+    assert not (out_dir / "enriched.jsonl").exists()
+
+
 def test_enriched_full_text_unchanged(built_pipeline):
     chunks = load_chunks(built_pipeline["enriched"] / "enriched.jsonl")
     joined = "\x00".join(c.full_text for c in chunks).encode("utf-8")

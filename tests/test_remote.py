@@ -8,6 +8,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from lexrag import cli
+from lexrag.chunker import dump_chunks
 from lexrag.embedding import EmbeddingError, RemoteEmbedder
 from lexrag.enricher import RemoteSummarizer, window_summaries
 from lexrag.remote import RemoteConfig, RemoteError, post_json
@@ -116,6 +118,40 @@ class TestPostJson:
         bad = RemoteConfig(endpoint="http://127.0.0.1:9/", retries=0, backoff_seconds=0.0)
         with pytest.raises(RemoteError):
             post_json(bad, {})
+
+
+class TestResponseNotAnObject:
+    """A reply that is JSON but no object is retried like malformed JSON, then named."""
+
+    def test_post_json_retries_then_names_the_endpoint(self, stub_server):
+        server, url = stub_server(lambda body: [1, 2])
+        cfg = RemoteConfig(endpoint=url, retries=1, backoff_seconds=0.0)
+        with pytest.raises(RemoteError, match=f"^{url}: failed after 2 attempts: "
+                                              "response is not a JSON object"):
+            post_json(cfg, {})
+        assert server.request_count == 2
+
+    def test_index_names_the_endpoint_and_the_failed_texts(self, stub_server, tmp_path,
+                                                           capsys):
+        server, url = stub_server(lambda body: [1, 2])
+        chunks = tmp_path / "chunks.jsonl"
+        dump_chunks([make_chunk(i, f"text {i}") for i in range(3)], chunks)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retries": 0}), encoding="utf-8")
+        assert cli.main(["index", "--chunks", str(chunks), "--embedder", "remote",
+                         "--endpoint", url, "--dim", "4", "--config", str(config),
+                         "--out", str(tmp_path / "index")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "EmbeddingError"
+        assert err["message"] == (f"embedding failed for 3 text(s) after retries: {url}: "
+                                  "failed after 1 attempts: response is not a JSON object")
+
+    def test_summarizer_falls_back(self, stub_server):
+        server, url = stub_server(lambda body: [1, 2])
+        summarizer = RemoteSummarizer(RemoteConfig(endpoint=url, retries=0))
+        chunks = [make_chunk(i, f"sentence {i}.") for i in range(5)]
+        result = window_summaries(chunks, summarizer)
+        assert result == [(tokens, True) for tokens, _ in window_summaries(chunks)]
 
 
 class TestRemoteEmbedder:
