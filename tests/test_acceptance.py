@@ -39,6 +39,7 @@ from lexrag.textutils import normalize_whitespace
 from tests.conftest import make_chunk, random_document_text
 from tests.synthcorpus import build_legal_corpus
 from tests.test_aligner import rewrap
+from tools import same_outputs
 
 
 def report(name: str, elapsed: float) -> None:
@@ -416,43 +417,26 @@ def test_aligner_criteria():
     report("aligner exact + perturbed alignment", elapsed)
 
 
-def test_full_pipeline_determinism(tmp_path):
+def test_full_pipeline_determinism(tmp_path, monkeypatch, capsys):
+    # tools/same_outputs.py's inputs and command sequence, run twice in this process,
+    # each run from its own directory (the sequence's output paths are relative to it)
     start = time.time()
-    root, manifest, qa_path, _ = build_legal_corpus(tmp_path, n_docs=6, seed=0)
+    sequence = same_outputs.commands(same_outputs.make_inputs(tmp_path / "inputs"))
 
-    def run_once(base: Path) -> dict[str, bytes]:
-        steps = [
-            ["ingest", "--root", str(root), "--manifest", str(manifest),
-             "--qa", str(qa_path), "--format", "snippet_qa", "--out", str(base / "ingest")],
-            ["chunk", "--root", str(root), "--manifest", str(manifest),
-             "--target", "48", "--overlap", "10", "--out", str(base / "chunks")],
-            ["enrich", "--root", str(root), "--manifest", str(manifest),
-             "--chunks", str(base / "chunks" / "chunks.jsonl"),
-             "--summarizer", "extractive", "--out", str(base / "enriched")],
-            ["index", "--chunks", str(base / "enriched" / "enriched.jsonl"),
-             "--embedder", "deterministic", "--dim", "128", "--out", str(base / "index")],
-            ["retrieve", "--index", str(base / "index"), "--qa", str(qa_path),
-             "--format", "snippet_qa", "--top", "4", "--out", str(base / "retrieved")],
-            ["eval-retrieval", "--index", str(base / "index"), "--qa", str(qa_path),
-             "--format", "snippet_qa", "--k", "1,2,4,8", "--seed", "0",
-             "--bootstrap-iterations", "500", "--out", str(base / "eval")],
-            ["index", "--chunks", str(base / "chunks" / "chunks.jsonl"),
-             "--embedder", "deterministic", "--dim", "128", "--out", str(base / "index_baseline")],
-            ["eval-retrieval", "--index", str(base / "index_baseline"), "--qa", str(qa_path),
-             "--format", "snippet_qa", "--k", "1,2,4,8", "--seed", "0", "--variant", "baseline",
-             "--bootstrap-iterations", "500", "--out", str(base / "eval_baseline")],
-            ["compare", "--baseline", str(base / "eval_baseline" / "metric_report.json"),
-             "--enhanced", str(base / "eval" / "metric_report.json"), "--seed", "0",
-             "--bootstrap-iterations", "500", "--out", str(base / "compare")],
-        ]
-        for step in steps:
-            assert cli_main(step) == 0
-        return {str(p.relative_to(base)): p.read_bytes()
-                for p in sorted(base.rglob("*"))
-                if p.is_file() and p.name != "run_manifest.json"}
+    def run_once(base: Path) -> tuple[list[tuple[int, str]], dict[str, bytes]]:
+        base.mkdir()
+        monkeypatch.chdir(base)
+        ran = []
+        for argv in sequence:
+            code = cli_main(argv)
+            ran.append((code, capsys.readouterr().out))
+        return ran, same_outputs.outputs(base)
 
-    first = run_once(tmp_path / "run_a")
-    second = run_once(tmp_path / "run_b")
+    first_ran, first = run_once(tmp_path / "run_a")
+    second_ran, second = run_once(tmp_path / "run_b")
+    # every command succeeds but the one given a seed the stream rejects
+    assert {argv[-1] for argv, (code, _) in zip(sequence, first_ran) if code} == {"dpo_wide_seed"}
+    assert first_ran == second_ran
     assert first.keys() == second.keys()
     for name, payload in first.items():
         assert payload == second[name], f"{name} differs between identical seeded runs"
