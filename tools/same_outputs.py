@@ -13,9 +13,11 @@ under a Greek file name to the legal corpus, so the index stores multi-byte doc
 ids and chunk ids, and one Aus-format record whose reworded excerpt of it
 aligns only by the fuzzy tier, and a hand-written chunk file with CRLF line
 endings, a blank line and no final newline, which is indexed, retrieved from
-and evaluated. The legal corpus is also chunked small (16 tokens), so its index
-holds more chunks than fusion's dense pool (``lexrag.retriever.POOL``) and rows
-outside the pool enter fusion. It then runs one fixed sequence of ``lexrag``
+and evaluated. The legal corpus is also enriched by the remote summarizer at a
+local port nothing listens on, so every window falls back to its extractive
+summary through the summarizer's thread pool, and chunked small (16 tokens), so
+its index holds more chunks than fusion's dense pool (``lexrag.retriever.POOL``)
+and rows outside the pool enter fusion. It then runs one fixed sequence of ``lexrag``
 commands per tree, each in a fresh ``python -m lexrag.cli`` process with that
 tree's ``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
 ``run_manifest.json`` (the one artifact allowed to hold a timestamp), plus
@@ -123,9 +125,12 @@ def make_inputs(base: Path) -> dict[str, Path]:
     # required settings are repeated as flags, which argparse insists on
     config = {"index": "index", "qa": str(qa), "format": "snippet_qa", "top": 8, "alpha": 0.3}
     (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    # no retries for the remote summarizer run, whose endpoint nothing listens on
+    (base / "no_retries.json").write_text(json.dumps({"retries": 0}), encoding="utf-8")
     return {"root": root, "manifest": manifest, "qa": qa, "aus_root": aus_root,
             "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl",
-            "config": base / "config.json", "crlf_chunks": base / "crlf_chunks.jsonl"}
+            "config": base / "config.json", "crlf_chunks": base / "crlf_chunks.jsonl",
+            "no_retries": base / "no_retries.json"}
 
 
 def commands(i: dict[str, Path]) -> list[list[str]]:
@@ -138,6 +143,11 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["chunk", *legal, "--target", "48", "--overlap", "10", "--out", "chunks"],
         ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--summarizer", "extractive",
          "--out", "enriched"],
+        # the discard port, where nothing listens: every window's call fails at once and
+        # falls back to its extractive summary, through the summarizer's thread pool
+        ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--summarizer", "remote",
+         "--endpoint", "http://127.0.0.1:9/", "--workers", "3", "--config",
+         str(i["no_retries"]), "--out", "enriched_remote_fallback"],
         ["index", "--chunks", "enriched/enriched.jsonl", "--dim", "128", "--out", "index"],
         ["retrieve", "--index", "index", *qa, "--top", "4", "--out", "retrieved"],
         ["eval-retrieval", "--index", "index", *qa, *sweep, "--out", "eval"],
