@@ -14,8 +14,8 @@ A summary is a list of at most ``SUMMARY_TOKEN_CAP`` whitespace-split tokens, fr
 one of two summarizers: the extractive one (leading sentences, round-robin) or a
 remote endpoint, whose failed windows fall back to the extractive summary and are
 flagged. ``[SUMMARY]`` enters the header only before a summary of at least one
-token. Remote calls run in a pool of ``max_workers`` threads; extractive
-summaries run in a plain loop, whatever ``max_workers`` says.
+token. Remote calls run in a pool of ``max_workers`` threads (``lexrag enrich
+--workers``); extractive summaries run in a plain loop, whatever it says.
 
 Enrichment returns a copy of the chunk with only the header fields set; it
 never touches offsets or text, so retrieval metrics always score against the
