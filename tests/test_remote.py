@@ -131,8 +131,8 @@ class TestResponseNotAnObject:
             post_json(cfg, {})
         assert server.request_count == 2
 
-    def test_index_names_the_endpoint_and_the_failed_texts(self, stub_server, tmp_path,
-                                                           capsys):
+    def test_index_names_it_and_the_summarizer_falls_back(self, stub_server, tmp_path,
+                                                          capsys):
         server, url = stub_server(lambda body: [1, 2])
         chunks = tmp_path / "chunks.jsonl"
         dump_chunks([make_chunk(i, f"text {i}") for i in range(3)], chunks)
@@ -145,13 +145,10 @@ class TestResponseNotAnObject:
         assert err["error"] == "EmbeddingError"
         assert err["message"] == (f"embedding failed for 3 text(s) after retries: {url}: "
                                   "failed after 1 attempts: response is not a JSON object")
-
-    def test_summarizer_falls_back(self, stub_server):
-        server, url = stub_server(lambda body: [1, 2])
         summarizer = RemoteSummarizer(RemoteConfig(endpoint=url, retries=0))
-        chunks = [make_chunk(i, f"sentence {i}.") for i in range(5)]
-        result = window_summaries(chunks, summarizer)
-        assert result == [(tokens, True) for tokens, _ in window_summaries(chunks)]
+        window = [make_chunk(i, f"sentence {i}.") for i in range(5)]
+        result = window_summaries(window, summarizer)
+        assert result == [(tokens, True) for tokens, _ in window_summaries(window)]
 
 
 class TestRemoteEmbedder:
