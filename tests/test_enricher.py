@@ -163,7 +163,7 @@ class TestNearestWindow:
             "[SUMMARY] summary of c1 / c5", "[SUMMARY] summary of c5 / c6"]
 
 
-class TestExtractiveSummary:
+class TestExtractiveFallback:
     def test_round_robin_sentence_pick(self):
         assert extractive_summary(["A. B.", "C."], 100) == ["A.", "C.", "B."]
 
