@@ -71,11 +71,11 @@ _LAZY = {name: module for module, names in (
                          "load_enriched")),
     ("lexrag.evaluator", ("MetricReport", "compare_reports", "render_comparison_table",
                           "render_table", "sweep")),
-    ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "check_chunk_ids",
-                      "load_index_chunks", "load_indexes", "save_indexes")),
-    ("lexrag.preference", ("RefusalConfig", "build_preference_pairs", "dump_pairs",
-                           "load_model_outputs", "mean_score_with_delta_ci", "refusal_rates",
-                           "split_dataset", "token_f1")),
+    ("lexrag.index", ("META_FILE", "build_dense", "build_sparse", "load_index_chunks",
+                      "load_indexes", "save_indexes")),
+    ("lexrag.preference", ("build_preference_pairs", "dump_pairs", "load_model_outputs",
+                           "mean_score_with_delta_ci", "refusal_rates", "split_dataset",
+                           "token_f1")),
     ("lexrag.retriever", ("RetrievalContext", "dump_results")),
 ) for name in names}
 
@@ -164,19 +164,18 @@ def _corpus_inputs(settings: dict, docs: DocumentCollection) -> list:
     return [settings["manifest"], *(root / doc.doc_id for doc in docs)]
 
 
-def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, dict[str, Chunk]]:
-    """Open the index under --index; also return its chunks by chunk_id."""
+def _retrieval_context(settings: dict, k: int) -> tuple[RetrievalContext, list[Chunk]]:
+    """Open the index under --index; also return its chunks, in row order."""
     index_dir = Path(settings["index"])
     sparse, dense = _cli.load_indexes(index_dir)
-    chunks = {c.chunk_id: c for c in _cli.load_index_chunks(index_dir)}
-    _cli.check_chunk_ids(index_dir, sparse.chunk_ids, chunks)
+    chunks = _cli.load_index_chunks(index_dir, sparse.chunk_ids)
     remote = (_remote_config(settings, "index was built with the remote embedder; "
                              "pass --endpoint") if dense.backend == "remote" else None)
     ctx = _cli.RetrievalContext(
         sparse=sparse, dense=dense,
         embedder=_cli.get_embedder(dense.backend, dim=dense.dim, remote=remote),
         fusion=FusionConfig(k=k, alpha=settings["alpha"]),
-        chunk_table={cid: (c.doc_id, c.start, c.end) for cid, c in chunks.items()},
+        chunk_table=[(c.doc_id, c.start, c.end) for c in chunks],
     )
     return ctx, chunks
 
@@ -282,14 +281,14 @@ def cmd_retrieve(settings: dict, out_dir: Path) -> list:
     for record, result in zip(records, results):
         # the top chunks' body text in rank order, each under its document id,
         # for downstream QA; enriched headers never enter generated contexts
-        used = [chunks[rc.chunk_id] for rc in result.ranked[:top]]
+        used = [chunks[row] for row in result.ranked[:top]]
         contexts.append({
             "query_id": record.query_id,
             "context": "\n\n".join(f"[{c.doc_id}]\n{c.text}" for c in used),
             "short_context": len(used) < top,
             "n_used": len(used),
         })
-    _cli.dump_results(results, out_dir / "results.jsonl")
+    _cli.dump_results(results, ctx.sparse.chunk_ids, out_dir / "results.jsonl")
     write_jsonl(contexts, out_dir / "contexts.jsonl")
     print(json.dumps({"queries": len(results), "load_errors": len(errors)}, sort_keys=True))
     return [settings["qa"], Path(settings["index"]) / _cli.META_FILE]
@@ -348,7 +347,7 @@ def cmd_eval_refusal(settings: dict, out_dir: Path) -> list:
     mode = settings["mode"]
     report: dict = {"outputs": len(outputs)}
     for m in (("strict", "soft") if mode == "both" else (mode,)):
-        rates = _cli.refusal_rates(outputs, _cli.RefusalConfig(mode=m))
+        rates = _cli.refusal_rates(outputs, m)
         report[m] = {
             key: (None if value is None else {"exact": value, "rendered": f"{value:.1f}%"})
             for key, value in rates.items()

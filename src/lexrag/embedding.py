@@ -14,11 +14,12 @@ evaluation of the retrieval stack. Queries and chunks
 take the same path: a block of queries is one batch, and each batch hashes
 its own distinct terms, with no cache kept between calls.
 
-Remote wire contract: POST {"texts": [...]} -> {"vectors": [[...], ...]}.
+Remote wire contract: POST {"texts": [...]} -> ``VECTORS_REPLY``.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ import numpy as np
 
 from lexrag import kernels
 from lexrag.remote import RemoteConfig, RemoteError, post_json
+from lexrag.schema import ARRAY, NUMBER, check
 from lexrag.textutils import tokenize
 
 # rows per block wherever a build works through its chunks a block at a time
@@ -153,6 +155,13 @@ class HashedBowEmbedder:
         return vectors
 
 
+# a remote embedding reply (see ``lexrag.schema``): each value one that float64 holds
+VECTORS_REPLY = (("vectors", ARRAY, True, lambda vectors: all(
+    type(row) is list and len(row) == len(vectors[0]) and all(
+        type(x) in NUMBER and -sys.float_info.max <= x <= sys.float_info.max for x in row)
+    for row in vectors), "a list of equal-length lists of finite numbers"),)
+
+
 class RemoteEmbedder:
     """HTTP embedding backend; batches requests with bounded concurrency."""
 
@@ -166,12 +175,16 @@ class RemoteEmbedder:
         self.max_workers = max_workers
 
     def _embed_batch(self, batch_index: int, texts: Sequence[str]) -> np.ndarray:
+        where = f"{self.config.endpoint}: batch {batch_index}"
         response = post_json(self.config, {"texts": list(texts)})
-        vectors = np.asarray(response.get("vectors", []), dtype=np.float64)
+        try:
+            check(response, VECTORS_REPLY, where)
+        except ValueError as exc:
+            raise RemoteError(str(exc)) from None
+        vectors = np.asarray(response["vectors"], dtype=np.float64)
         if vectors.shape != (len(texts), self.dim):
-            raise RemoteError(
-                f"batch {batch_index}: expected shape {(len(texts), self.dim)}, "
-                f"got {vectors.shape}")
+            raise RemoteError(f"{where}: expected shape {(len(texts), self.dim)}, "
+                              f"got {vectors.shape}")
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vectors / norms

@@ -5,9 +5,10 @@ that do not originate from any gold-evidence document; a query-level variant
 (share of queries with at least one mismatched chunk) is emitted alongside.
 Span recall counts (gold span, retrieved chunk) pairs with same-document
 character overlap, divided by the number of gold spans; multiple chunks
-covering one span push it above 1.0 by design. Both metrics read a ranked
-chunk's document and character offsets only from the chunk table,
-``chunk_id -> (doc_id, start, end)``, that the index's ``chunks.jsonl`` fills.
+covering one span push it above 1.0 by design. Both metrics take a ranking as
+index rows and read each row's document and character offsets only from the
+chunk table, ``(doc_id, start, end)`` by row, that the index's ``chunks.jsonl``
+fills.
 
 Sweeps evaluate nested ranking prefixes, so one retrieval pass per query
 serves every k. Confidence intervals come from seeded percentile bootstrap;
@@ -32,30 +33,26 @@ from lexrag.stats import (bonferroni, bootstrap_ci, bootstrap_minmax,  # noqa: F
 
 if TYPE_CHECKING:  # for annotations alone, so `compare` and `report` load neither module
     from lexrag.corpus import QueryRecord
-    from lexrag.retriever import RetrievalContext, RetrievalResult
+    from lexrag.retriever import RetrievalContext
 
 # The metrics every sweep reports and every comparison tests, in output order.
 METRICS = ("drm", "span_recall")
 
 
-def drm(result: RetrievalResult, gold_docs: set[str],
-        chunk_table: dict[str, tuple[str, int, int]], k: int) -> float:
-    """Proportion of the top-min(k, |ranked|) chunks from non-gold documents."""
+def drm(rows: list[int], gold_docs: set[str],
+        chunk_table: list[tuple[str, int, int]], k: int) -> float:
+    """Proportion of the top-min(k, |rows|) ranked chunk rows from non-gold documents."""
     if not gold_docs:
         raise ValueError("gold_docs must be nonempty")
-    if not result.ranked:
+    if not rows:
         raise ValueError("DRM is undefined for an empty ranking")
-    top = result.ranked[:k]
-    mismatched = 0
-    for ranked_chunk in top:
-        if chunk_table[ranked_chunk.chunk_id][0] not in gold_docs:
-            mismatched += 1
-    return mismatched / len(top)
+    top = rows[:k]
+    return sum(chunk_table[row][0] not in gold_docs for row in top) / len(top)
 
 
-def span_recall(result: RetrievalResult, gold_spans,
-                chunk_table: dict[str, tuple[str, int, int]], k: int) -> float:
-    """Overlapping (gold span, top-k chunk) pair count divided by span count.
+def span_recall(rows: list[int], gold_spans,
+                chunk_table: list[tuple[str, int, int]], k: int) -> float:
+    """Overlapping (gold span, top-k chunk row) pair count divided by span count.
 
     A pair overlaps when span and chunk share a document and at least one
     character.
@@ -63,8 +60,8 @@ def span_recall(result: RetrievalResult, gold_spans,
     if not gold_spans:
         raise ValueError("gold_spans must be nonempty")
     pairs = 0
-    for ranked_chunk in result.ranked[:k]:
-        doc_id, start, end = chunk_table[ranked_chunk.chunk_id]
+    for row in rows[:k]:
+        doc_id, start, end = chunk_table[row]
         for span in gold_spans:
             if span.doc_id == doc_id and min(span.end, end) - max(span.start, start) >= 1:
                 pairs += 1
@@ -187,7 +184,7 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
     ks = sorted(ks)
     report = MetricReport(dataset=dataset, variant=variant, ks=ks,
                           bootstrap_iterations=iterations, bootstrap_seed=seed)
-    corpus_docs = {doc_id for doc_id, _, _ in ctx.chunk_table.values()}
+    corpus_docs = {doc_id for doc_id, _, _ in ctx.chunk_table}
 
     def exclusion(record: QueryRecord) -> str | None:
         if not record.gold_spans:
@@ -207,8 +204,8 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
             report.excluded.append({"query_id": record.query_id, "reason": reason})
             continue
         gold_docs = {s.doc_id for s in record.gold_spans}
-        drm_by_k = {k: drm(result, gold_docs, ctx.chunk_table, k) for k in ks}
-        recall_by_k = {k: span_recall(result, record.gold_spans, ctx.chunk_table, k)
+        drm_by_k = {k: drm(result.ranked, gold_docs, ctx.chunk_table, k) for k in ks}
+        recall_by_k = {k: span_recall(result.ranked, record.gold_spans, ctx.chunk_table, k)
                        for k in ks}
         report.per_query[record.query_id] = {"drm": drm_by_k, "span_recall": recall_by_k}
 

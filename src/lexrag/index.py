@@ -41,15 +41,17 @@ header holding format version, backend tag and each file's sha256, checked on
 the bytes a load parses: ``index.npz`` is read whole (a zip reader seeks), and
 ``chunks.jsonl`` as a stream that feeds its sha256; a ``chunks.jsonl`` whose parse
 fails is hashed whole first, so any change to it fails its checksum, whatever its
-rows hold. ``index.npz`` is uncompressed and holds only what
-cannot be derived: terms and chunk ids, each as one uint8 array of their UTF-8
-with NUL between them, the CSR arrays and the vectors in the narrowest signed
-dtype (float64 for remote vectors); the chunk count comes from the chunk ids
-and the dimension from the vectors. Loading never unpickles: a checksum
-recomputed by whoever wrote the directory cannot make a load run code. A load
-also checks the member names, every array's dtype and shape, that the strings
-decode and the CSR invariants, so a tampered file fails with a ValueError
-instead of ranking wrongly.
+rows hold. Row i of ``chunks.jsonl`` must then hold the chunk id of the index's
+row i, since queries read a ranked row's chunk by row: the same ids in another
+order are rejected, naming the first row that differs. ``index.npz`` is
+uncompressed and holds only what cannot be derived: terms and chunk ids, each as
+one uint8 array of their UTF-8 with NUL between them, the CSR arrays and the
+vectors in the narrowest signed dtype (float64 for remote vectors); the chunk
+count comes from the chunk ids and the dimension from the vectors. Loading never
+unpickles: a checksum recomputed by whoever wrote the directory cannot make a
+load run code. A load also checks the member names, every array's dtype and
+shape, that the strings decode and the CSR invariants, so a tampered file fails
+with a ValueError instead of ranking wrongly.
 """
 
 from __future__ import annotations
@@ -555,10 +557,12 @@ def load_indexes(directory: str | Path) -> tuple[SparseIndex, DenseIndex]:
     return sparse, dense
 
 
-def load_index_chunks(directory: str | Path) -> list[Chunk]:
-    """The chunks saved with the index, in row order, checked as the module docstring says."""
-    meta = _read_meta(Path(directory))
-    path = Path(directory) / CHUNKS_FILE
+def load_index_chunks(directory: str | Path, chunk_ids: list[str]) -> list[Chunk]:
+    """The chunks saved with the index, checked as the module docstring says: row i of
+    chunks.jsonl must hold ``chunk_ids[i]``, the index's chunk id of row i."""
+    directory = Path(directory)
+    meta = _read_meta(directory)
+    path = directory / CHUNKS_FILE
     digest = hashlib.sha256()
     try:
         chunks = load_chunks(path, digest)
@@ -566,13 +570,12 @@ def load_index_chunks(directory: str | Path) -> list[Chunk]:
         _check_digest(meta, CHUNKS_FILE, sha256_file(path))
         raise
     _check_digest(meta, CHUNKS_FILE, digest.hexdigest())
-    return chunks
-
-
-def check_chunk_ids(directory: Path, index_ids: list[str], chunks: dict) -> None:
-    """A ValueError unless ``chunks`` (chunks.jsonl's, by id) holds exactly ``index_ids``."""
-    stray = sorted(set(chunks).symmetric_difference(index_ids))
-    if stray:
-        where = "only in" if stray[0] in chunks else "missing from"
+    file_ids = [c.chunk_id for c in chunks]
+    if file_ids != chunk_ids:  # name the first row that differs
+        row = next((i for i, (a, b) in enumerate(zip(chunk_ids, file_ids)) if a != b),
+                   min(len(chunk_ids), len(file_ids)))
+        stray, where = ((chunk_ids[row], "missing from") if row < len(chunk_ids)
+                        else (file_ids[row], "only in"))
         raise ValueError(f"index directory {directory} is inconsistent: chunk id "
-                         f"{stray[0]!r} is {where} chunks.jsonl ({len(stray)} id(s) differ)")
+                         f"{stray!r} is {where} chunks.jsonl at row {row}")
+    return chunks

@@ -20,8 +20,8 @@ def post_json(cfg: RemoteConfig, payload: dict) -> dict:
     """POST a JSON payload, returning the decoded JSON object it gets back.
 
     Retries ``cfg.retries`` times with linear backoff on transport errors, 5xx
-    responses and replies that are not a JSON object (malformed, or another JSON
-    value); any other HTTP error raises RemoteError immediately.
+    responses and replies that are not a JSON object (not UTF-8, malformed, or
+    another JSON value); any other HTTP error raises RemoteError immediately.
     """
     # Imported here, not at module level: commands that load this module with
     # the embedding module never call it, and urllib.request pulls in
@@ -46,7 +46,8 @@ def post_json(cfg: RemoteConfig, payload: dict) -> dict:
             if exc.code < 500:
                 raise RemoteError(f"{cfg.endpoint}: HTTP {exc.code}") from exc
             last_error = exc
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, TimeoutError, UnicodeDecodeError,
+                json.JSONDecodeError) as exc:
             last_error = exc
         if attempt < cfg.retries:
             time.sleep(cfg.backoff_seconds * (attempt + 1))

@@ -14,8 +14,8 @@ same result alone or in a batch. Each query's scores stay N-length float64
 arrays from scoring to top-k: the candidate union is a boolean mask, both
 sides are normalized over the masked rows, and only the rows tied at or above
 the k-th fused score are sorted, by score descending then the index's integer
-``id_rank`` (chunk_id ascending). ``RankedChunk`` objects are built for the
-top k alone.
+``id_rank`` (chunk_id ascending). A result holds its top k rows and their
+scores as lists; only ``dump_results`` maps rows to chunk ids.
 """
 
 from __future__ import annotations
@@ -42,25 +42,15 @@ POOL = 100
 
 
 @dataclass
-class RankedChunk:
-    chunk_id: str
-    fused: float
-    dense_norm: float
-    sparse_norm: float
-
-    def to_list(self) -> list:
-        return [self.chunk_id, self.fused, self.dense_norm, self.sparse_norm]
-
-
-@dataclass
 class RetrievalResult:
-    query_id: str
-    ranked: list[RankedChunk]
-    k: int
+    """One query's top chunk rows, best first, and each one's scores, as plain lists."""
 
-    def to_dict(self) -> dict:
-        return {"query_id": self.query_id, "k": self.k,
-                "ranked": [r.to_list() for r in self.ranked]}
+    query_id: str
+    ranked: list[int]
+    fused: list[float]
+    dense_norm: list[float]
+    sparse_norm: list[float]
+    k: int
 
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -124,12 +114,8 @@ def _fuse(question: str, dense_row: np.ndarray, sparse: SparseIndex, dense: Dens
     fused = cfg.alpha * dense_norm + (1.0 - cfg.alpha) * sparse_norm
 
     top = top_rows(fused, cfg.k, dense.id_rank[rows])
-    ranked = [
-        RankedChunk(chunk_id=dense.chunk_ids[row], fused=f, dense_norm=d, sparse_norm=s)
-        for row, f, d, s in zip(rows[top].tolist(), fused[top].tolist(),
-                                dense_norm[top].tolist(), sparse_norm[top].tolist())
-    ]
-    return RetrievalResult(query_id=query_id, ranked=ranked, k=cfg.k)
+    return RetrievalResult(query_id, rows[top].tolist(), fused[top].tolist(),
+                           dense_norm[top].tolist(), sparse_norm[top].tolist(), cfg.k)
 
 
 @dataclass
@@ -140,7 +126,7 @@ class RetrievalContext:
     dense: DenseIndex
     embedder: EmbeddingProvider
     fusion: FusionConfig
-    chunk_table: dict[str, tuple[str, int, int]] = field(default_factory=dict)
+    chunk_table: list[tuple[str, int, int]] = field(default_factory=list)  # by row
 
     def retrieve_many(self, questions: Sequence[str],
                       query_ids: Sequence[str]) -> Iterator[RetrievalResult]:
@@ -148,6 +134,11 @@ class RetrievalContext:
                              self.fusion, query_ids)
 
 
-def dump_results(results: Sequence[RetrievalResult], path: str | Path) -> None:
-    """JSON-lines, one RetrievalResult per query with per-component scores."""
-    write_jsonl((result.to_dict() for result in results), path)
+def dump_results(results: Sequence[RetrievalResult], chunk_ids: Sequence[str],
+                 path: str | Path) -> None:
+    """JSON-lines, one line per query: its id, k and ranked
+    ``[chunk_id, fused, dense_norm, sparse_norm]`` rows, each row's id from ``chunk_ids``."""
+    write_jsonl(({"query_id": r.query_id, "k": r.k,
+                  "ranked": [[chunk_ids[row], *scores] for row, *scores in
+                             zip(r.ranked, r.fused, r.dense_norm, r.sparse_norm)]}
+                 for r in results), path)

@@ -521,10 +521,23 @@ def _rehash_chunks(index_dir: Path) -> None:
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _swap_rows(path: Path) -> str:
+    """Swap the second and fourth lines of a chunk file; return the chunk_id moved off
+    the second."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1], lines[3] = lines[3], lines[1]
+    path.write_text("".join(lines), encoding="utf-8")
+    return json.loads(lines[3])["chunk_id"]
+
+
 @pytest.mark.parametrize("tamper,where", [(_drop_first_row, "missing from chunks.jsonl"),
-                                          (_add_renamed_row, "only in chunks.jsonl")])
+                                          (_add_renamed_row, "only in chunks.jsonl"),
+                                          (_swap_rows, "missing from chunks.jsonl at row 1")])
 def test_index_chunks_file_disagreeing_with_index_rejected(
         built_pipeline, tmp_path, capsys, tamper, where):
+    """Both query commands read a ranked chunk by its index row, so chunks.jsonl must
+    hold the index's ids in the index's order: other ids, or the same ids reordered,
+    are rejected naming the first row that differs."""
     index_dir = tmp_path / "index"
     shutil.copytree(built_pipeline["index_enhanced"], index_dir)
     chunk_id = tamper(index_dir / "chunks.jsonl")
@@ -534,6 +547,10 @@ def test_index_chunks_file_disagreeing_with_index_rejected(
     assert err["error"] == "ValueError"
     assert repr(chunk_id) in err["message"] and where in err["message"]
     assert not (tmp_path / "out" / "contexts.jsonl").exists()
+    assert run(["eval-retrieval", "--index", str(index_dir), "--qa", str(built_pipeline["qa"]),
+                "--bootstrap-iterations", "20", "--out", str(tmp_path / "eval")]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == err
+    assert not (tmp_path / "eval" / "metric_report.json").exists()
 
 
 def _repeat_first_row(path: Path) -> str:

@@ -15,82 +15,73 @@ from lexrag.evaluator import (
     sweep,
 )
 from lexrag.index import build_dense, build_sparse
-from lexrag.retriever import FusionConfig, RankedChunk, RetrievalContext, RetrievalResult
+from lexrag.retriever import FusionConfig, RetrievalContext
 from tests.conftest import make_chunk, random_document_text
 
 
-def ranked(*chunk_ids: str) -> RetrievalResult:
-    return RetrievalResult(
-        query_id="q", k=len(chunk_ids),
-        ranked=[RankedChunk(cid, 1.0 - 0.01 * i, 0.0, 0.0)
-                for i, cid in enumerate(chunk_ids)])
-
-
-def table_for(*chunk_ids: str) -> dict[str, tuple[str, int, int]]:
-    """Chunk table whose document is the id part before "#"."""
-    return {cid: (cid.split("#")[0], 0, 100) for cid in chunk_ids}
+def ranked(ids: tuple[str, ...], *chunk_ids: str) -> list[int]:
+    """The rows of ``chunk_ids``, best first, in a chunk table whose rows hold ``ids``."""
+    return [ids.index(cid) for cid in chunk_ids]
 
 
 class TestDrm:
-    table = table_for("g#000000", "g#000001", "g#000002", "g#000003",
-                      "a#000000", "b#000001", "c#000000", "d#000000", "x#000000")
+    ids = ("g#000000", "g#000001", "g#000002", "g#000003",
+           "a#000000", "b#000001", "c#000000", "d#000000", "x#000000")
+    table = [(cid.split("#")[0], 0, 100) for cid in ids]  # the id part before "#"
 
     def test_all_top_chunks_from_gold_doc(self):
-        result = ranked("g#000000", "g#000001", "g#000002", "g#000003")
+        result = ranked(self.ids, "g#000000", "g#000001", "g#000002", "g#000003")
         assert drm(result, {"g"}, self.table, 4) == 0.0
 
     def test_no_top_chunks_from_gold_docs(self):
-        result = ranked("a#000000", "b#000001", "c#000000", "d#000000")
+        result = ranked(self.ids, "a#000000", "b#000001", "c#000000", "d#000000")
         assert drm(result, {"g"}, self.table, 4) == 1.0
 
     def test_one_of_four_mismatched(self):
-        result = ranked("g#000000", "g#000001", "x#000000", "g#000002")
+        result = ranked(self.ids, "g#000000", "g#000001", "x#000000", "g#000002")
         assert drm(result, {"g"}, self.table, 4) == 0.25
 
     def test_k_larger_than_ranking_uses_available(self):
-        result = ranked("g#000000", "x#000000")
+        result = ranked(self.ids, "g#000000", "x#000000")
         assert drm(result, {"g"}, self.table, 10) == 0.5
 
     def test_empty_ranking_is_undefined(self):
         with pytest.raises(ValueError):
-            drm(RetrievalResult("q", [], 4), {"g"}, self.table, 4)
+            drm([], {"g"}, self.table, 4)
 
 
 class TestSpanRecall:
-    table = {
-        "g#000000": ("g", 0, 100),
-        "g#000001": ("g", 80, 200),
-        "x#000000": ("x", 0, 100),
-    }
+    ids = ("g#000000", "g#000001", "x#000000")
+    table = [("g", 0, 100), ("g", 80, 200), ("x", 0, 100)]
 
     def test_span_inside_single_chunk(self):
-        result = ranked("g#000000")
+        result = ranked(self.ids, "g#000000")
         spans = [GoldSpan("g", 10, 50, "a")]
         assert span_recall(result, spans, self.table, 1) == 1.0
 
     def test_two_spans_one_overlapped(self):
-        result = ranked("g#000000")
+        result = ranked(self.ids, "g#000000")
         spans = [GoldSpan("g", 10, 50, "a"), GoldSpan("g", 150, 180, "b")]
         assert span_recall(result, spans, self.table, 1) == 0.5
 
     def test_one_span_two_chunks_exceeds_one(self):
-        result = ranked("g#000000", "g#000001")
+        result = ranked(self.ids, "g#000000", "g#000001")
         spans = [GoldSpan("g", 85, 95, "a")]
         assert span_recall(result, spans, self.table, 2) == 2.0
 
     def test_wrong_document_no_credit(self):
-        result = ranked("x#000000")
+        result = ranked(self.ids, "x#000000")
         spans = [GoldSpan("g", 0, 100, "a")]
         assert span_recall(result, spans, self.table, 1) == 0.0
 
     def test_touching_intervals_do_not_overlap(self):
-        result = ranked("g#000000")
+        result = ranked(self.ids, "g#000000")
         spans = [GoldSpan("g", 100, 120, "a")]  # starts exactly at chunk end
         assert span_recall(result, spans, self.table, 1) == 0.0
 
     def test_empty_gold_spans_rejected(self):
         with pytest.raises(ValueError):
-            span_recall(ranked("g#000000"), [], self.table, 1)
+            span_recall(ranked(self.ids, "g#000000"), [], self.table, 1)
 
     def test_random_intervals_match_brute_force(self):
         rng = np.random.default_rng(13)
@@ -102,8 +93,7 @@ class TestSpanRecall:
         c_end = c_start + rng.integers(1, 120, 50)
         spans = [GoldSpan(f"d{s_doc[i]}", int(s_start[i]), int(s_end[i]), "a")
                  for i in range(30)]
-        table = {f"d{c_doc[j]}#{j:06d}": (f"d{c_doc[j]}", int(c_start[j]), int(c_end[j]))
-                 for j in range(50)}
+        table = [(f"d{c_doc[j]}", int(c_start[j]), int(c_end[j])) for j in range(50)]
 
         brute = sum(
             1
@@ -111,11 +101,11 @@ class TestSpanRecall:
             for j in range(50)
             if s_doc[i] == c_doc[j] and min(s_end[i], c_end[j]) - max(s_start[i], c_start[j]) >= 1
         )
-        assert span_recall(ranked(*table), spans, table, 50) == brute / 30
+        assert span_recall(list(range(50)), spans, table, 50) == brute / 30
 
     def test_empty_ranking_gives_zero(self):
         spans = [GoldSpan("g", 10, 50, "a")]
-        assert span_recall(RetrievalResult("q", [], 4), spans, self.table, 4) == 0.0
+        assert span_recall([], spans, self.table, 4) == 0.0
 
 
 def build_context(rng, n_docs=5, chunks_per_doc=6, dim=96):
@@ -132,7 +122,7 @@ def build_context(rng, n_docs=5, chunks_per_doc=6, dim=96):
         dense=build_dense(chunks, embedder),
         embedder=embedder,
         fusion=FusionConfig(k=8, alpha=0.8),
-        chunk_table={c.chunk_id: (c.doc_id, c.start, c.end) for c in chunks},
+        chunk_table=[(c.doc_id, c.start, c.end) for c in chunks],
     )
     return chunks, ctx
 
@@ -175,12 +165,12 @@ class TestSweep:
             for k in ks:
                 top = result.ranked[:min(k, len(result.ranked))]
                 expect_drm = sum(
-                    1 for rc in top
-                    if ctx.chunk_table[rc.chunk_id][0] not in gold_docs) / len(top)
+                    1 for row in top
+                    if ctx.chunk_table[row][0] not in gold_docs) / len(top)
                 expect_pairs = 0
                 for span in record.gold_spans:
-                    for rc in top:
-                        doc_id, start, end = ctx.chunk_table[rc.chunk_id]
+                    for row in top:
+                        doc_id, start, end = ctx.chunk_table[row]
                         if doc_id == span.doc_id and min(span.end, end) - max(span.start, start) >= 1:
                             expect_pairs += 1
                 expect_recall = expect_pairs / len(record.gold_spans)

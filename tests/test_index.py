@@ -511,9 +511,10 @@ class TestLoadMemory:
         return base / "index"
 
     def test_chunk_file_is_parsed_without_its_bytes_held(self, index_dir):
+        chunk_ids = load_indexes(index_dir)[0].chunk_ids
         tracemalloc.start()
         try:
-            chunks = load_index_chunks(index_dir)
+            chunks = load_index_chunks(index_dir, chunk_ids)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

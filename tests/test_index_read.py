@@ -92,7 +92,8 @@ def test_index_reads_each_line_ending_and_fault_alike(tmp_path, capsys, name):
     meta = json.loads((out / "index_meta.json").read_text(encoding="utf-8"))
     assert meta["sha256"]["chunks.jsonl"] == hashlib.sha256(CASES[name]).hexdigest()
     # the index's copy, read as a stream, holds what the file held
-    assert load_index_chunks(out) == load_chunks(path) == _CHUNKS
+    ids = [c.chunk_id for c in _CHUNKS]
+    assert load_index_chunks(out, ids) == load_chunks(path) == _CHUNKS
 
 
 def test_index_of_a_missing_chunk_file_names_it(tmp_path, capsys):

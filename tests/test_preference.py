@@ -5,7 +5,6 @@ import pytest
 from lexrag.corpus import QueryRecord
 from lexrag.preference import (
     REFUSAL_STRING,
-    RefusalConfig,
     SplitSpec,
     build_preference_pairs,
     detect_refusal,
@@ -178,23 +177,29 @@ class TestDetectRefusal:
 
     def test_soft_refusal_differs_by_mode(self):
         text = "The context does not provide the specific expenses mentioned in the question."
-        assert not detect_refusal(text, RefusalConfig(mode="strict"))
-        assert detect_refusal(text, RefusalConfig(mode="soft"))
+        assert not detect_refusal(text, "strict")
+        assert detect_refusal(text, "soft")
 
     def test_second_soft_pattern(self):
         text = "There is no information in the context that specifies the required details."
-        assert not detect_refusal(text, RefusalConfig(mode="strict"))
-        assert detect_refusal(text, RefusalConfig(mode="soft"))
+        assert not detect_refusal(text, "strict")
+        assert detect_refusal(text, "soft")
 
     def test_case_whitespace_punctuation_robust(self):
         for mode in ("strict", "soft"):
-            cfg = RefusalConfig(mode=mode)
-            assert detect_refusal("  given   CONTEXT is not sufficient to answer ", cfg)
-            assert detect_refusal("Given context is not sufficient to answer!!!", cfg)
+            assert detect_refusal("  given   CONTEXT is not sufficient to answer ", mode)
+            assert detect_refusal("Given context is not sufficient to answer!!!", mode)
 
     def test_embedded_in_longer_output(self):
         text = "I reviewed it. Given context is not sufficient to answer. Sorry."
         assert detect_refusal(text)
+
+    def test_unknown_mode_rejected_by_name(self):
+        message = "refusal mode must be 'strict' or 'soft', not 'both'"
+        with pytest.raises(ValueError, match=message):
+            detect_refusal(REFUSAL_STRING, "both")
+        with pytest.raises(ValueError, match=message):
+            refusal_rates([], "both")
 
 
 class TestRefusalRates:

@@ -10,10 +10,11 @@ import pytest
 
 from lexrag import cli
 from lexrag.chunker import dump_chunks
-from lexrag.embedding import EmbeddingError, RemoteEmbedder
+from lexrag.embedding import VECTORS_REPLY, EmbeddingError, RemoteEmbedder
 from lexrag.enricher import RemoteSummarizer, window_summaries
 from lexrag.remote import RemoteConfig, RemoteError, post_json
 from tests.conftest import make_chunk
+from tests.test_schema import DELETE, hostile_cases
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -30,8 +31,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
 
-        payload = server.respond(body)
-        encoded = json.dumps(payload).encode("utf-8")
+        payload = server.respond(body)  # bytes are sent as they are
+        encoded = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
@@ -53,7 +54,9 @@ def stub_server():
         server.fail_status = fail_status
         server.request_count = 0
         server.requests = []
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll: 0.5 s at the default interval
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                                  daemon=True)
         thread.start()
         servers.append(server)
         return server, f"http://127.0.0.1:{server.server_port}/"
@@ -151,6 +154,26 @@ class TestResponseNotAnObject:
         assert result == [(tokens, True) for tokens, _ in window_summaries(window)]
 
 
+class TestResponseNotUtf8:
+    """A reply that is not UTF-8 is retried like malformed JSON, then named."""
+
+    def test_post_json_retries_then_names_the_endpoint(self, stub_server):
+        server, url = stub_server(lambda body: b"\xff\xfe{}")
+        cfg = RemoteConfig(endpoint=url, retries=1, backoff_seconds=0.0)
+        with pytest.raises(RemoteError, match=f"^{url}: failed after 2 attempts: "
+                                              "'utf-8' codec can't decode byte 0xff"):
+            post_json(cfg, {})
+        assert server.request_count == 2
+
+    def test_embedder_counts_the_batch_as_failed(self, stub_server):
+        server, url = stub_server(lambda body: b"\xff\xfe{}")
+        emb = RemoteEmbedder(RemoteConfig(endpoint=url, retries=0), dim=4, batch_size=2,
+                             max_workers=1)
+        with pytest.raises(EmbeddingError, match=url) as exc_info:
+            emb.embed(["a", "b", "c"])
+        assert exc_info.value.failed_indices == [0, 1, 2]
+
+
 class TestRemoteEmbedder:
     def test_contract_and_normalization(self, stub_server):
         server, url = stub_server(embedding_response(dim=8))
@@ -169,6 +192,28 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbeddingError) as exc_info:
             emb.embed(["a", "b", "c"])
         assert exc_info.value.failed_indices == [0, 1, 2]
+
+    @pytest.mark.parametrize("reply", [
+        *({"vectors": vectors} for vectors in (
+            [["a", "b"], [1.0, 0.0]], [[1.0, 0.0], [1.0]], [[math.nan, 1.0], [1.0, 0.0]],
+            [[math.inf, 1.0], [1.0, 0.0]], [[10 ** 400, 1.0], [1.0, 0.0]],
+            [[True, 1.0], [1.0, 0.0]], [[1.0, 0.0], 5])),
+        *({} if value is DELETE else {key: value}
+          for key, value in hostile_cases(VECTORS_REPLY))])
+    def test_reply_that_is_not_vectors_of_finite_numbers_fails_its_batch(
+            self, stub_server, reply):
+        # batch 0 gets the bad reply and batch 1 a good one
+        server, url = stub_server(lambda body: reply if len(body["texts"]) == 2
+                                  else {"vectors": [[0.0, 1.0]]})
+        emb = RemoteEmbedder(RemoteConfig(endpoint=url, retries=0), dim=2, batch_size=2,
+                             max_workers=1)
+        with pytest.raises(EmbeddingError) as exc_info:
+            emb.embed(["one", "two", "three"])
+        assert exc_info.value.failed_indices == [0, 1]
+        fault = ("is missing" if reply == {} else
+                 "must be a list of equal-length lists of finite numbers, not ")
+        assert str(exc_info.value).startswith(
+            f"embedding failed for 2 text(s) after retries: {url}: batch 0: key 'vectors' {fault}")
 
     def test_shape_mismatch_is_error(self, stub_server):
         server, url = stub_server(lambda body: {"vectors": [[1.0, 0.0]]})

@@ -9,13 +9,14 @@ from lexrag.embedding import HashedBowEmbedder
 from lexrag import retriever
 from lexrag.index import (DenseIndex, build_dense, build_sparse, bm25_scores, dense_scores,
                           dense_search, embed)
+from lexrag.textutils import read_jsonl
 from lexrag.retriever import (
     POOL,
     QUERY_BLOCK,
     FusionConfig,
-    RankedChunk,
     RetrievalContext,
     RetrievalResult,
+    dump_results,
     hybrid_retrieve,
     minmax_normalize,
     retrieve_many,
@@ -85,8 +86,7 @@ class TestHybridRetrieve:
             result = hybrid_retrieve(query, sparse, dense, embedder,
                                      FusionConfig(k=k, alpha=1.0))
             qv = embed(embedder, [query])[0]
-            expected = [dense.chunk_ids[r] for r, _ in dense_search(dense, qv, k)]
-            assert [r.chunk_id for r in result.ranked] == expected
+            assert result.ranked == [r for r, _ in dense_search(dense, qv, k)]
 
     def test_alpha_zero_matches_bm25_ranking(self):
         rng = np.random.default_rng(1)
@@ -96,19 +96,18 @@ class TestHybridRetrieve:
             k = int(rng.integers(1, len(chunks) + 1))
             result = hybrid_retrieve(query, sparse, dense, embedder,
                                      FusionConfig(k=k, alpha=0.0))
-            bm25 = [sparse.chunk_ids[r] for r, _ in bm25_scores(sparse, query)]
+            bm25 = [r for r, _ in bm25_scores(sparse, query)]
             m = min(k, len(bm25))
-            assert [r.chunk_id for r in result.ranked][:m] == bm25[:m]
+            assert result.ranked[:m] == bm25[:m]
 
     def test_fused_scores_in_unit_interval(self):
         rng = np.random.default_rng(2)
         chunks, sparse, dense, embedder = build_corpus(rng)
         result = hybrid_retrieve(chunks[3].text, sparse, dense, embedder,
                                  FusionConfig(k=10, alpha=0.8))
-        for rc in result.ranked:
-            assert 0.0 <= rc.fused <= 1.0
-            assert 0.0 <= rc.dense_norm <= 1.0
-            assert 0.0 <= rc.sparse_norm <= 1.0
+        assert len(result.fused) == len(result.dense_norm) == len(result.sparse_norm) == 10
+        for column in (result.fused, result.dense_norm, result.sparse_norm):
+            assert all(0.0 <= score <= 1.0 for score in column)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -128,10 +127,11 @@ class TestHybridRetrieve:
         query = " ".join(c.text.split()[0] for c in chunks[:10])
         result = hybrid_retrieve(query, sparse, dense, embedder, cfg)
         qv = embed(embedder, [query])[0]
-        pool = {dense.chunk_ids[r] for r, _ in dense_search(dense, qv, 12)}
-        outside = [rc for rc in result.ranked if rc.chunk_id not in pool]
+        pool = {r for r, _ in dense_search(dense, qv, 12)}
+        outside = [i for i, row in enumerate(result.ranked) if row not in pool]
         assert len(result.ranked) == 12 and outside
-        assert all(rc.dense_norm == 0.0 and rc.sparse_norm > 0.0 for rc in outside)
+        assert all(result.dense_norm[i] == 0.0 and result.sparse_norm[i] > 0.0
+                   for i in outside)
 
     def test_index_size_mismatch_rejected(self):
         rng = np.random.default_rng(5)
@@ -140,16 +140,22 @@ class TestHybridRetrieve:
         with pytest.raises(ValueError, match="mismatch"):
             hybrid_retrieve("q", short_sparse, dense, embedder, FusionConfig(k=2))
 
-    def test_result_to_dict_keys(self):
+    def test_dump_results_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         chunks, sparse, dense, embedder = build_corpus(rng)
-        result = hybrid_retrieve(chunks[0].text, sparse, dense, embedder,
-                                 FusionConfig(k=5), query_id="q1")
-        assert result.to_dict() == {
-            "query_id": "q1", "k": 5,
-            "ranked": [[r.chunk_id, r.fused, r.dense_norm, r.sparse_norm]
-                       for r in result.ranked]}
-        assert len(result.ranked) == 5
+        results = [hybrid_retrieve(chunks[i].text, sparse, dense, embedder,
+                                   FusionConfig(k=5), query_id=f"q{i}") for i in (0, 1)]
+        dump_results(results, dense.chunk_ids, tmp_path / "results.jsonl")
+        rows = [row for _, row in read_jsonl(tmp_path / "results.jsonl")]
+        assert rows == [{"query_id": r.query_id, "k": 5,
+                         "ranked": [[dense.chunk_ids[row], f, d, s] for row, f, d, s in
+                                    zip(r.ranked, r.fused, r.dense_norm, r.sparse_norm)]}
+                        for r in results]
+        for row, result in zip(rows, results):
+            ids, *columns = zip(*row["ranked"])
+            assert RetrievalResult(row["query_id"], [dense.chunk_ids.index(c) for c in ids],
+                                   *map(list, columns), row["k"]) == result
+            assert len(result.ranked) == 5
 
     def test_raising_dense_score_never_causes_inversion(self):
         # fixed query direction; chunk vectors with controlled cosines
@@ -179,31 +185,29 @@ class TestHybridRetrieve:
 
             cfg = FusionConfig(k=n, alpha=0.8)
             before = hybrid_retrieve("q", sparse, dense_for(cosines), embedder, cfg)
-            rank_before = {rc.chunk_id: pos for pos, rc in enumerate(before.ranked)}
-            comp_before = {rc.chunk_id: (rc.dense_norm, rc.sparse_norm)
-                           for rc in before.ranked}
+            rank_before = {row: pos for pos, row in enumerate(before.ranked)}
+            comp_before = dict(zip(before.ranked, zip(before.dense_norm, before.sparse_norm)))
 
             target = int(rng.integers(0, n))
             raised = cosines.copy()
             raised[target] = min(1.0, raised[target] + float(rng.random()) * 0.5)
             after = hybrid_retrieve("q", sparse, dense_for(raised), embedder, cfg)
-            rank_after = {rc.chunk_id: pos for pos, rc in enumerate(after.ranked)}
+            rank_after = {row: pos for pos, row in enumerate(after.ranked)}
 
-            target_id = chunks[target].chunk_id
-            td, ts = comp_before[target_id]
-            for other_id, (od, os_) in comp_before.items():
-                if other_id == target_id:
+            td, ts = comp_before[target]
+            for other, (od, os_) in comp_before.items():
+                if other == target:
                     continue
                 beat_on_both = td >= od and ts >= os_ and (td, ts) != (od, os_)
-                if beat_on_both and rank_before[target_id] < rank_before[other_id]:
-                    assert rank_after[target_id] < rank_after[other_id]
+                if beat_on_both and rank_before[target] < rank_before[other]:
+                    assert rank_after[target] < rank_after[other]
 
     def test_context_helper(self):
         rng = np.random.default_rng(7)
         chunks, sparse, dense, embedder = build_corpus(rng)
         ctx = RetrievalContext(
             sparse=sparse, dense=dense, embedder=embedder, fusion=FusionConfig(k=4),
-            chunk_table={c.chunk_id: (c.doc_id, c.start, c.end) for c in chunks})
+            chunk_table=[(c.doc_id, c.start, c.end) for c in chunks])
         result, = ctx.retrieve_many([chunks[0].text], ["q9"])
         assert result.query_id == "q9"
         assert len(result.ranked) == 4
@@ -235,14 +239,12 @@ def reference_hybrid_retrieve(question, sparse, dense, embedder, cfg, pool, quer
 
     dense_norm = side_norms(dense_hits)
     sparse_norm = side_norms(sparse_hits)
-    fused = [
-        RankedChunk(chunk_id=dense.chunk_ids[row],
-                    fused=cfg.alpha * dense_norm[row] + (1.0 - cfg.alpha) * sparse_norm[row],
-                    dense_norm=dense_norm[row], sparse_norm=sparse_norm[row])
-        for row in candidates
-    ]
-    fused.sort(key=lambda rc: (-rc.fused, rc.chunk_id))
-    return RetrievalResult(query_id=query_id, ranked=fused[:cfg.k], k=cfg.k)
+    fused = {row: cfg.alpha * dense_norm[row] + (1.0 - cfg.alpha) * sparse_norm[row]
+             for row in candidates}
+    top = sorted(candidates, key=lambda row: (-fused[row], dense.chunk_ids[row]))[:cfg.k]
+    return RetrievalResult(query_id, top, [fused[row] for row in top],
+                           [dense_norm[row] for row in top],
+                           [sparse_norm[row] for row in top], cfg.k)
 
 
 class FixedEmbedder:
@@ -363,8 +365,8 @@ def test_tied_cosines_rank_as_the_exact_rational_oracle():
         want = [dense.chunk_ids[r] for r in oracle]
         assert [dense.chunk_ids[r] for r, _ in dense_search(dense, query, dense.N)] == want
         alone_result = hybrid_retrieve(question, sparse, dense, embedder, cfg, query_id=question)
-        assert [r.chunk_id for r in alone_result.ranked] == want
-        assert [r.chunk_id for r in from_batch.ranked] == want
+        assert [dense.chunk_ids[r] for r in alone_result.ranked] == want
+        assert [dense.chunk_ids[r] for r in from_batch.ranked] == want
         alone = dense_scores(dense, query[None, :])[0]
         assert alone.tobytes() == scores.tobytes()
 
