@@ -5,36 +5,39 @@ Matching runs in three tiers, cheapest first:
 1. exact substring (verbatim occurrence, score 1.0);
 2. whitespace-insensitive match through a normalized view of the document
    with an offset map back to raw positions (score 1.0);
-3. fuzzy scan: candidate windows of the answer's length and of ±30% of it
-   (``WINDOW_SLACK``) slide across the document at a coarse step, scored by
-   Jaccard similarity of character 3-gram shingles (``SHINGLE``) over the
-   normalized text
-   (``normalize_for_match``: lowercased, whitespace-collapsed, final sigma
-   folded); the best window is then shrunk greedily from both ends while the
-   score does not decrease (ties shrink from the right first).
+3. seed and extend, over the normalized texts (``normalize_for_match``:
+   lowercased, whitespace-collapsed, final sigma folded). The answer's
+   ``ANCHOR``-character pieces at a stride of ``ANCHOR``, and the piece that
+   ends it, are anchors. Each occurrence of an anchor (``str.find``) votes for
+   its diagonal, document position minus answer position, unless the anchor
+   has more than ``ANCHOR_HITS``. From the earliest diagonal with the most
+   votes a chain runs out both ways: each anchor joins at its occurrence
+   nearest the chain's diagonal, within ``ANCHOR_DRIFT``, and a moved diagonal
+   holds only if the next anchor out occurs on it too. The first and last
+   chained anchors place the window. An edge placed by the answer's own first
+   or last anchor stays; any other climbs one token boundary at a time,
+   outward when that strictly raises the score, else inward when that does,
+   keeping the window within ±30% of the answer's length (``WINDOW_SLACK``),
+   the right edge first, until neither moves. The score is the multiset
+   Jaccard similarity of character 3-gram shingles (``SHINGLE``), its counts
+   updated as an edge moves.
 
 A span is returned only when the final score reaches ``MIN_SCORE``; otherwise
-the failure carries the best score seen so it can be audited per dataset.
+the failure carries that score, or says why no window was seeded.
 
-Tiers 2 and 3 read a ``DocumentView``, built the first time a record of the
-document misses tier 1 and shared by the document's later records. It holds
-the normalized text, its raw-offset map and, for tier 3, one integer id per
-shingle position. A raw window maps to a normalized range by two binary
-searches on the offsets, and its distinct shingles are the positions whose
-previous occurrence of the same id lies before the range, so a window is
-scored without building any string. ``normalize_for_match`` treats each
-character alone, so a window's normalized text is its slice of the document's;
-the score is therefore the same integer ratio as the Jaccard of that text,
-hence the same float, for every document.
+Tiers 2 and 3 read a ``DocumentView`` of the normalized text and its
+normalized->raw offsets, built the first time a record of the document misses
+tier 1 and shared by the document's later records.
 """
 
 from __future__ import annotations
 
+import re
+from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from lexrag.corpus import Document, DocumentCollection, GoldSpan, QueryRecord
 from lexrag.textutils import normalize_for_match, write_json
@@ -45,9 +48,15 @@ SHINGLE = 3
 WINDOW_SLACK = 0.3
 # the tier-3 score a span must reach
 MIN_SCORE = 0.6
-# window characters per scoring call in the coarse scan: bounds its temporaries
-# (a 2D pass over all windows at once grows peak memory with document length)
-_SCAN_CELLS = 1 << 15
+# characters per anchor, and the stride between anchors; an answer shorter than
+# one is not seeded, so tier-3 windows hold more than one shingle
+ANCHOR = 8
+# an anchor found more often than this in the document casts no votes
+ANCHOR_HITS = 8
+# how far, in characters, the chain's diagonal may move from one anchor to the next
+ANCHOR_DRIFT = 16
+
+_SPACE_RUN = re.compile(r"\s\s+")
 
 
 @dataclass
@@ -56,119 +65,139 @@ class AlignmentFailure:
     reason: str
 
 
-def _shingles(text: str) -> frozenset[str]:
+def _shingles(text: str) -> Counter:
+    """The multiset of ``text``'s shingles; a text no longer than one is its own."""
     if len(text) <= SHINGLE:
-        return frozenset((text,)) if text else frozenset()
-    return frozenset(text[i:i + SHINGLE] for i in range(len(text) - SHINGLE + 1))
+        return Counter((text,) if text else ())
+    return Counter(text[i:i + SHINGLE] for i in range(len(text) - SHINGLE + 1))
 
 
-def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+def _jaccard(a: Counter, b: Counter) -> float:
     if not a and not b:
         return 1.0
-    if not a or not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
+    inter = (a & b).total()
+    return inter / (a.total() + b.total() - inter)
 
 
-def _normalized_view(text: str) -> tuple[str, np.ndarray]:
-    """Lowercased whitespace-collapsed text plus normalized->raw offset map.
-
-    The text is ``normalize_for_match(text)``. Each non-space character maps to
-    its raw offset, each collapsed space to the first character of its run, and
-    a character that lowers to several code points ("İ") maps each of them to
-    its offset.
-    """
+def _normalized_view(text: str) -> tuple[str, array]:
+    """``normalize_for_match(text)`` and its normalized->raw offset map (int64): a
+    non-space character maps to its raw offset, a collapsed space to the first
+    character of its run, and each code point a character lowers to ("İ") to it."""
     norm = normalize_for_match(text)
-    codes = _code_points(text)
-    space = np.zeros(len(codes), dtype=bool)
-    for ch in set(text):
-        if ch.isspace():
-            space |= codes == ord(ch)
-    keep = ~space
-    keep[1:] |= space[1:] & ~space[:-1]
-    offsets = np.flatnonzero(keep)
-    if len(offsets) and space[offsets[-1]]:  # trailing whitespace collapses to nothing
-        offsets = offsets[:-1]
+    lo, hi = len(text) - len(text.lstrip()), len(text.rstrip())
+    offsets = array("q")
+    for run in _SPACE_RUN.finditer(text, lo, hi):  # a single space keeps its place
+        offsets.extend(range(lo, run.start() + 1))
+        lo = run.end()
+    offsets.extend(range(lo, hi))
     if len(offsets) != len(norm):
-        offsets = np.repeat(offsets, [len(text[i].lower()) for i in offsets.tolist()])
+        offsets = array("q", [i for i in offsets for _ in text[i].lower()])
     return norm, offsets
 
 
-def _code_points(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-
-
 class DocumentView:
-    """What tiers 2 and 3 read of one document, each part built on first use.
-
-    ``normalized`` is ``_normalized_view(text)``. ``shingle_ids`` gives, for each
-    normalized position ``p`` that starts a full shingle, the int32 id of
-    ``norm[p:p + SHINGLE]`` (equal strings, equal ids), the last earlier
-    position holding the same id (-1 for none) and the first position of each
-    id.
-    """
+    """What tiers 2 and 3 read of one document: ``normalized`` is
+    ``_normalized_view(text)``, built on first use."""
 
     def __init__(self, text: str):
         self.text = text
 
     @cached_property
-    def normalized(self) -> tuple[str, np.ndarray]:
+    def normalized(self) -> tuple[str, array]:
         return _normalized_view(self.text)
 
-    @cached_property
-    def shingle_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        norm = self.normalized[0]
-        codes = _code_points(norm).astype(np.int64)
-        count = max(0, len(norm) - SHINGLE + 1)
-        # each shingle as a number, its three code points the digits: at most
-        # 0x110000 ** 3, 0.15 of 2 ** 63, so one int64 holds it
-        base = int(codes.max(initial=0)) + 1
-        keys = (codes[:count] * base + codes[1:count + 1]) * base + codes[2:count + 2]
-        order = np.argsort(keys, kind="stable")
-        starts_id = np.ones(count, dtype=bool)  # in sorted order: the first of its id
-        starts_id[1:] = keys[order[1:]] != keys[order[:-1]]
-        ids = np.empty(count, dtype=np.int32)
-        ids[order] = np.cumsum(starts_id) - 1
-        prev = np.full(count, -1, dtype=np.int32)
-        prev[order[1:][~starts_id[1:]]] = order[:-1][~starts_id[1:]]
-        return ids, prev, order[starts_id].astype(np.int32)
+
+def _occurrences(norm: str, anchor: str, start: int, end: int, most: int) -> list[int]:
+    """Where ``anchor`` occurs in ``norm[start:end]``, in order, stopping at ``most + 1``."""
+    found = []
+    pos = norm.find(anchor, start, end)
+    while pos != -1 and len(found) <= most:
+        found.append(pos)
+        pos = norm.find(anchor, pos + 1, end)
+    return found
 
 
-def _array_scorer(view: DocumentView, answer_shingles: frozenset[str]):
-    """Jaccard of each raw window's normalized text with ``answer_shingles``,
-    counted on the view's shingle ids."""
-    norm, offsets = view.normalized
-    ids, prev, first = view.shingle_ids
-    n_answer = len(answer_shingles)
-    in_answer = np.fromiter((norm[p:p + SHINGLE] in answer_shingles for p in first.tolist()),
-                            dtype=bool, count=len(first))[ids]
-    # one False past the end, so the edge tests below may index len(norm) and -1
-    space = np.append(_code_points(norm) == ord(" "), False)
+def _chain(norm_doc: str, norm_answer: str) -> list[tuple[int, int]]:
+    """The chained anchors as (answer position, diagonal), in answer order; empty
+    when no anchor votes."""
+    last = len(norm_answer) - ANCHOR  # where the anchor that ends the answer starts
+    anchors = [(at, norm_answer[at:at + ANCHOR])
+               for at in sorted({*range(0, last + 1, ANCHOR), last})]
+    votes, voted = Counter(), []
+    for at, anchor in anchors:
+        hits = _occurrences(norm_doc, anchor, 0, len(norm_doc), ANCHOR_HITS)
+        voted.append([pos - at for pos in hits] if len(hits) <= ANCHOR_HITS else [])
+        votes.update(voted[-1])
+    if not votes:
+        return []
+    best = min(votes, key=lambda diagonal: (-votes[diagonal], diagonal))
+    first = next(i for i, diagonals in enumerate(voted) if best in diagonals)
+    chain = {}
+    for order in (anchors[first::-1], anchors[first:]):
+        diagonal = best
+        for k, (at, anchor) in enumerate(order):
+            band = at + diagonal - ANCHOR_DRIFT  # a negative end would count from the back
+            hits = _occurrences(norm_doc, anchor, max(0, band),
+                                max(0, band + 2 * ANCHOR_DRIFT + ANCHOR), len(norm_doc))
+            near = min((pos - at for pos in hits), key=lambda d: abs(d - diagonal), default=None)
+            # a move holds only if the next anchor out occurs on the new diagonal too
+            if near == diagonal or near is not None and any(
+                    after + near >= 0 and norm_doc.startswith(piece, after + near)
+                    for after, piece in order[k + 1:k + 2]):
+                chain[at] = diagonal = near
+    return sorted(chain.items())
 
-    def score(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        a = np.searchsorted(offsets, los)
-        b = np.searchsorted(offsets, his)
-        a += (a < b) & space[a]  # strip() drops one collapsed space at each edge
-        b -= (b > a) & space[b - 1]
-        short = b - a <= SHINGLE
-        ends = np.where(short, a, b - SHINGLE + 1)  # full shingles start in [a, ends)
-        pos = a[:, None] + np.arange(int((ends - a).max(initial=0)))
-        new = (pos < ends[:, None]) & (prev.take(pos, mode="clip") < a[:, None])
-        distinct = np.count_nonzero(new, axis=1)
-        inter = np.count_nonzero(new & in_answer.take(pos, mode="clip"), axis=1)
-        for i in np.flatnonzero(short):  # the whole window is one shingle, or none
-            window = norm[a[i]:b[i]]
-            distinct[i], inter[i] = bool(window), window in answer_shingles
-        if not n_answer:
-            return (distinct == 0).astype(np.float64)
-        return np.where(distinct == 0, 0.0, inter / (n_answer + distinct - inter))
-    return score
+
+def _neighbours(norm: str, edge: int, right: bool) -> list[int]:
+    """The token boundaries one token outward and one token inward of ``edge``,
+    outward first: token ends (before a space, or the text's end) for a right
+    edge, token starts (after a space, or the text's start) for a left one."""
+    if right:
+        outer = norm.find(" ", edge + 1)
+        return [p for p in (len(norm) if outer == -1 else outer, norm.rfind(" ", 0, edge))
+                if 0 < p != edge]
+    return [p for p in (norm.rfind(" ", 0, edge - 1) + 1 if edge else -1,
+                        norm.find(" ", edge) + 1 or -1) if p >= 0]
+
+
+def _extend(norm: str, want: Counter, lo: int, hi: int, lengths: range,
+            moving: list[bool]) -> tuple[int, int, float]:
+    """Climb the ``moving`` edges of the window ``[lo, hi)`` (True: the right one)
+    in turn, each one token outward when that strictly raises the score, else one
+    token inward when that does, keeping the length in ``lengths``, until neither
+    moves; the final window and its score."""
+    counts = _shingles(norm[lo:hi])
+    inter = (counts & want).total()
+
+    def score(lo: int, hi: int, inter: int) -> float:  # windows are longer than a shingle
+        return inter / (hi - lo - SHINGLE + 1 + want.total() - inter)
+
+    current, moved = score(lo, hi, inter), True
+    while moved:
+        moved = False
+        for right in moving:
+            for new in _neighbours(norm, hi if right else lo, right):
+                new_lo, new_hi = (lo, new) if right else (new, hi)
+                if new_hi - new_lo not in lengths:
+                    continue
+                # the shingles starting in [first, last) join the window (sign 1) or leave it
+                sign = 1 if new_hi - new_lo > hi - lo else -1
+                first, last = sorted((hi - SHINGLE + 1, new - SHINGLE + 1) if right else (lo, new))
+                change = Counter(norm[p:p + SHINGLE] for p in range(first, last))
+                new_inter = inter + sum(min(counts[s] + sign * k, want[s]) - min(counts[s], want[s])
+                                        for s, k in change.items())
+                new_score = score(new_lo, new_hi, new_inter)
+                if new_score > current:
+                    current, lo, hi, inter = new_score, new_lo, new_hi, new_inter
+                    counts.update({s: sign * k for s, k in change.items()})
+                    moved = True
+                    break
+    return lo, hi, current
 
 
 def align_answer(doc: Document, answer: str, *,
                  view: DocumentView | None = None) -> GoldSpan | AlignmentFailure:
-    """Find the minimal contiguous span of ``doc`` best matching ``answer``.
+    """Find the contiguous span of ``doc`` best matching ``answer``.
 
     ``view``, when given, is a ``DocumentView`` of ``doc.text``, shared with
     other answers in the same document.
@@ -195,50 +224,28 @@ def align_answer(doc: Document, answer: str, *,
     if norm_answer:
         npos = norm_doc.find(norm_answer)
         if npos != -1:
-            start = int(offsets[npos])
-            end = int(offsets[npos + len(norm_answer) - 1]) + 1
-            return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
+            return GoldSpan(doc_id=doc.doc_id, start=offsets[npos],
+                            end=offsets[npos + len(norm_answer) - 1] + 1, answer_text=answer)
 
-    # tier 3: fuzzy shingle scan
-    score_windows = _array_scorer(view, _shingles(norm_answer))
-
-    base = len(answer)
-    lengths = sorted({
-        max(1, round(base * (1.0 - WINDOW_SLACK))),
-        base,
-        min(len(text), round(base * (1.0 + WINDOW_SLACK))),
-    })
-    step = max(1, base // 10)
-    best_score = -1.0
-    best_lo, best_hi = 0, min(base, len(text))
-    for length in lengths:
-        last_start = max(0, len(text) - length)
-        starts = np.arange(0, last_start + 1, step)
-        if starts[-1] != last_start:
-            starts = np.append(starts, last_start)
-        block = max(1, _SCAN_CELLS // length)
-        for first in range(0, len(starts), block):
-            los = starts[first:first + block]
-            scores = score_windows(los, los + length)
-            i = int(np.argmax(scores))  # the first best window, as a scan in order keeps it
-            if scores[i] > best_score:
-                best_score, best_lo, best_hi = float(scores[i]), int(los[i]), int(los[i]) + length
-
-    lo, hi, score = best_lo, best_hi, best_score
-    while hi - lo > 1:
-        score_right, score_left = score_windows(np.array([lo, lo + 1]), np.array([hi - 1, hi]))
-        if score_right >= score and score_right >= score_left:
-            hi -= 1
-            score = float(score_right)
-        elif score_left >= score:
-            lo += 1
-            score = float(score_left)
-        else:
-            break
+    # tier 3: seed a window on the anchor chain, then climb its free edges
+    if len(norm_answer) < ANCHOR:
+        return AlignmentFailure(score=0.0, reason="answer shorter than an anchor")
+    chain = _chain(norm_doc, norm_answer)
+    if not chain:
+        return AlignmentFailure(score=0.0, reason="no anchor of the answer in the document")
+    base = len(norm_answer)
+    (first_at, first), (last_at, last) = chain[0], chain[-1]
+    lo, hi = max(0, first), min(len(norm_doc), last + base)
+    if hi - lo < ANCHOR:  # the chain drifted back over a short answer
+        hi, last_at = min(len(norm_doc), lo + base), -1
+    moving = [True] * (last_at != base - ANCHOR) + [False] * (first_at > 0)  # unpinned edges
+    lengths = range(round(base * (1.0 - WINDOW_SLACK)), round(base * (1.0 + WINDOW_SLACK)) + 1)
+    lo, hi, score = _extend(norm_doc, _shingles(norm_answer), lo, hi, lengths, moving)
 
     if score >= MIN_SCORE:
-        return GoldSpan(doc_id=doc.doc_id, start=lo, end=hi, answer_text=answer)
-    return AlignmentFailure(score=max(score, 0.0), reason="best window below min_score")
+        return GoldSpan(doc_id=doc.doc_id, start=offsets[lo], end=offsets[hi - 1] + 1,
+                        answer_text=answer)
+    return AlignmentFailure(score=score, reason="best window below min_score")
 
 
 @dataclass
@@ -284,13 +291,10 @@ def reconstruct_dataset(records: list[QueryRecord],
     entries: list[AlignmentEntry] = []
     view = None  # of the last document aligned; at most one is kept
     for record in records:
-        if not record.context_text:
-            entries.append(AlignmentEntry(record.query_id, "missing_context"))
-            out_records.append(record)
-            continue
         doc = docs.get(record.source_doc_id) if record.source_doc_id else None
-        if doc is None:
-            entries.append(AlignmentEntry(record.query_id, "missing_document"))
+        if not record.context_text or doc is None:
+            status = "missing_document" if record.context_text else "missing_context"
+            entries.append(AlignmentEntry(record.query_id, status))
             out_records.append(record)
             continue
         if view is None or view.text is not doc.text:
@@ -312,14 +316,9 @@ def records_to_snippet_json(records: list[QueryRecord]) -> list[dict]:
     """Re-emit aligned records in the snippet QA schema for uniform evaluation."""
     out = []
     for record in records:
-        entry = {
-            "query_id": record.query_id,
-            "query": record.question,
-            "snippets": [
-                {"file_path": s.doc_id, "span": [s.start, s.end], "answer": s.answer_text}
-                for s in record.gold_spans
-            ],
-        }
+        entry = {"query_id": record.query_id, "query": record.question, "snippets": [
+            {"file_path": s.doc_id, "span": [s.start, s.end], "answer": s.answer_text}
+            for s in record.gold_spans]}
         if record.gold_answer:
             entry["answer"] = record.gold_answer
         out.append(entry)

@@ -7,12 +7,14 @@ that uses it: ``lexrag.chunker.ChunkConfig``, ``lexrag.remote.RemoteConfig``,
 prompt template names in ``lexrag.preference``.
 
 A setting no caller varies is a constant of the module that uses it instead:
-the aligner's shingle width, window slack and tier-3 threshold
-(``lexrag.aligner.SHINGLE``, ``WINDOW_SLACK`` and ``MIN_SCORE``), the width of
-enrichment's summary windows (``lexrag.enricher.WINDOW``) and their stride (one
-chunk), the header's share of an enriched chunk (at most a quarter: ``body // 3``
-header tokens), the fusion's dense candidate pool (``lexrag.retriever.POOL``)
-and BM25's ``lexrag.index.K1`` and ``B``.
+the aligner's shingle width, window slack, tier-3 threshold, anchor length,
+anchor occurrence cap and chain drift (``lexrag.aligner.SHINGLE``,
+``WINDOW_SLACK``, ``MIN_SCORE``, ``ANCHOR``, ``ANCHOR_HITS`` and
+``ANCHOR_DRIFT``), the width of enrichment's summary windows
+(``lexrag.enricher.WINDOW``) and their stride (one chunk), the header's share of
+an enriched chunk (at most a quarter: ``body // 3`` header tokens), the fusion's
+dense candidate pool (``lexrag.retriever.POOL``) and BM25's ``lexrag.index.K1``
+and ``B``.
 """
 
 from __future__ import annotations

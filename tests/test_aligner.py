@@ -1,10 +1,13 @@
 import json
+import re
+from array import array
+from collections import Counter
 from itertools import zip_longest
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexrag import aligner
@@ -120,31 +123,36 @@ class TestAlignAnswer:
         assert span.start == body.index("THE HOLDING IS X.")
 
 
-# the aligner's fixed shingle width, window slack and threshold, restated for the oracle
+# the aligner's fixed shingle width, window slack, threshold, anchor length,
+# anchor occurrence cap and chain drift, restated for the oracle
 REF_SHINGLE = 3
 REF_SLACK = 0.3
 REF_MIN_SCORE = 0.6
+REF_ANCHOR = 8
+REF_ANCHOR_HITS = 8
+REF_DRIFT = 16
 
 
-def _ref_shingles(text: str) -> frozenset[str]:
+def _ref_shingles(text: str) -> Counter:
     if len(text) <= REF_SHINGLE:
-        return frozenset((text,)) if text else frozenset()
-    return frozenset(text[i:i + REF_SHINGLE] for i in range(len(text) - REF_SHINGLE + 1))
+        return Counter((text,) if text else ())
+    return Counter(text[i:i + REF_SHINGLE] for i in range(len(text) - REF_SHINGLE + 1))
 
 
-def _ref_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+def _ref_jaccard(a: Counter, b: Counter) -> float:
+    """Multiset Jaccard: shared counts over the counts of either."""
     if not a and not b:
         return 1.0
-    if not a or not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
+    inter = sum(min(count, b[s]) for s, count in a.items())
+    return inter / (sum(a.values()) + sum(b.values()) - inter)
 
 
 def reference_align_answer(doc: Document, answer: str,
                            min_score: float = REF_MIN_SCORE) -> GoldSpan | AlignmentFailure:
-    """Oracle for ``align_answer``: tiers 1 and 2 alike, and tier 3 as it was
-    before shingle ids, normalizing and shingling the text of every window."""
+    """Oracle for ``align_answer``: tiers 1 and 2 alike, and tier 3 by brute force.
+    Anchors are looked up in a table of every anchor-long substring of the
+    document, token boundaries are listed in full, and each window is scored by
+    shingling its own text."""
     if not answer:
         raise ValueError("answer must be nonempty")
     text = doc.text
@@ -167,47 +175,79 @@ def reference_align_answer(doc: Document, answer: str,
             end = int(offsets[npos + len(norm_answer) - 1]) + 1
             return GoldSpan(doc_id=doc.doc_id, start=start, end=end, answer_text=answer)
 
-    # tier 3: fuzzy shingle scan
-    answer_shingles = _ref_shingles(norm_answer)
+    # tier 3, votes: anchors at a stride of one anchor, and the one ending the answer
+    base = len(norm_answer)
+    if base < REF_ANCHOR:
+        return AlignmentFailure(score=0.0, reason="answer shorter than an anchor")
+    table = {}
+    for p in range(len(norm_doc) - REF_ANCHOR + 1):
+        table.setdefault(norm_doc[p:p + REF_ANCHOR], []).append(p)
+    starts = list(range(0, base - REF_ANCHOR + 1, REF_ANCHOR))
+    if starts[-1] != base - REF_ANCHOR:
+        starts.append(base - REF_ANCHOR)
+    anchors = [(at, norm_answer[at:at + REF_ANCHOR]) for at in starts]
+    votes = Counter()
+    for at, piece in anchors:
+        if len(table.get(piece, [])) <= REF_ANCHOR_HITS:
+            votes.update(p - at for p in table.get(piece, []))
+    if not votes:
+        return AlignmentFailure(score=0.0, reason="no anchor of the answer in the document")
+    most = max(votes.values())
+    best = min(d for d, count in votes.items() if count == most)
 
-    def score_range(lo: int, hi: int) -> float:
-        return _ref_jaccard(_ref_shingles(normalize_for_match(text[lo:hi])), answer_shingles)
+    # tier 3, chain: out from the first anchor on the winning diagonal, both ways
+    first = next(i for i, (at, piece) in enumerate(anchors)
+                 if len(table.get(piece, [])) <= REF_ANCHOR_HITS
+                 and best + at in table.get(piece, []))
+    chain = {}
+    for order in (anchors[first::-1], anchors[first:]):
+        diagonal = best
+        for k, (at, piece) in enumerate(order):
+            near = [p - at for p in table.get(piece, []) if abs(p - at - diagonal) <= REF_DRIFT]
+            if not near:
+                continue
+            nearest = min(near, key=lambda d: abs(d - diagonal))
+            confirmed = k + 1 < len(order) and nearest + order[k + 1][0] in table.get(
+                order[k + 1][1], [])
+            if nearest == diagonal or confirmed:
+                chain[at] = diagonal = nearest
+    chained = sorted(chain.items())
+    (first_at, first_diagonal), (last_at, last_diagonal) = chained[0], chained[-1]
+    lo, hi = max(0, first_diagonal), min(len(norm_doc), last_diagonal + base)
+    if hi - lo < REF_ANCHOR:
+        hi, last_at = min(len(norm_doc), lo + base), -1
+    moving = []
+    if last_at != base - REF_ANCHOR:
+        moving.append(True)
+    if first_at != 0:
+        moving.append(False)
 
-    base = len(answer)
-    lengths = sorted({
-        max(1, round(base * (1.0 - REF_SLACK))),
-        base,
-        min(len(text), round(base * (1.0 + REF_SLACK))),
-    })
-    step = max(1, base // 10)
-    best_score = -1.0
-    best_lo, best_hi = 0, min(base, len(text))
-    for length in lengths:
-        last_start = max(0, len(text) - length)
-        starts = list(range(0, last_start + 1, step))
-        if starts[-1] != last_start:
-            starts.append(last_start)
-        for lo in starts:
-            s = score_range(lo, lo + length)
-            if s > best_score:
-                best_score, best_lo, best_hi = s, lo, lo + length
-
-    lo, hi, score = best_lo, best_hi, best_score
-    while hi - lo > 1:
-        score_right = score_range(lo, hi - 1)
-        score_left = score_range(lo + 1, hi)
-        if score_right >= score and score_right >= score_left:
-            hi -= 1
-            score = score_right
-        elif score_left >= score:
-            lo += 1
-            score = score_left
-        else:
-            break
+    # tier 3, climb: each unpinned edge in turn, one token outward while that
+    # strictly raises the score, else one token inward while that does
+    ends = [e for e in range(1, len(norm_doc) + 1) if e == len(norm_doc) or norm_doc[e] == " "]
+    token_starts = [s for s in range(len(norm_doc)) if s == 0 or norm_doc[s - 1] == " "]
+    lengths = range(round(base * (1.0 - REF_SLACK)), round(base * (1.0 + REF_SLACK)) + 1)
+    want = _ref_shingles(norm_answer)
+    score = _ref_jaccard(_ref_shingles(norm_doc[lo:hi]), want)
+    moved = True
+    while moved:
+        moved = False
+        for right in moving:
+            edge, boundaries = (hi, ends) if right else (lo, token_starts)
+            below = [b for b in boundaries if b < edge][-1:]
+            above = [b for b in boundaries if b > edge][:1]
+            for new in above + below if right else below + above:
+                new_lo, new_hi = (lo, new) if right else (new, hi)
+                if new_hi - new_lo in lengths:
+                    new_score = _ref_jaccard(_ref_shingles(norm_doc[new_lo:new_hi]), want)
+                    if new_score > score:
+                        score, lo, hi, moved = new_score, new_lo, new_hi, True
+                        break
 
     if score >= min_score:
-        return GoldSpan(doc_id=doc.doc_id, start=lo, end=hi, answer_text=answer)
-    return AlignmentFailure(score=max(score, 0.0), reason="best window below min_score")
+        return GoldSpan(doc_id=doc.doc_id, start=int(offsets[lo]), end=int(offsets[hi - 1]) + 1,
+                        answer_text=answer)
+    return AlignmentFailure(score=score, reason="best window below min_score")
 
 
 # lowercase and uppercase letters, characters whose lowercase differs in length
@@ -232,6 +272,30 @@ def alignment_cases(draw):
     return make_doc("d", text), answer, draw(st.sampled_from([0.05, 0.3, 0.6, 1.0]))
 
 
+@st.composite
+def tier3_cases(draw):
+    """A document of words drawn from a small vocabulary over ``_ALPHABET``'s
+    letters, and an answer made of a run of its words with up to three words
+    substituted, inserted or deleted, rejoined with single spaces."""
+    letters = st.sampled_from("aAbBcİßﬁ\u212aσςΣ")
+    vocabulary = draw(st.lists(st.text(letters, min_size=1, max_size=7), min_size=3,
+                               max_size=30, unique=True))
+    words = draw(st.lists(st.sampled_from(vocabulary), min_size=4, max_size=150))
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\n", "\u00a0", " \t", ". "]),
+                         min_size=len(words), max_size=len(words)))
+    lo = draw(st.integers(0, len(words) - 2))
+    answer = words[lo:draw(st.integers(lo + 2, len(words)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(answer) - 1))
+        edit = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        if edit == "delete" and len(answer) > 1:
+            del answer[at]
+        else:
+            answer[at:at + (edit == "substitute")] = [draw(st.sampled_from(vocabulary))]
+    text = "".join(word + gap for word, gap in zip(words, gaps))
+    return make_doc("d", text), " ".join(answer), draw(st.sampled_from([0.05, 0.3, 0.6, 1.0]))
+
+
 def zipf_document(rng: np.random.Generator, n_chars: int) -> str:
     """Zipf(1.15) words over a 3,000-word vocabulary, with sentence and line breaks."""
     vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=int(rng.integers(2, 10))))
@@ -242,14 +306,28 @@ def zipf_document(rng: np.random.Generator, n_chars: int) -> str:
     return "".join(vocab[w] + b for w, b in zip(picks, breaks))[:n_chars]
 
 
-class TestShingleIdScorer:
-    """Tier 3 on shingle ids returns exactly what scoring window strings returns."""
+class TestTier3AgainstReference:
+    """Tier 3 returns exactly what the brute-force reference of its rule returns."""
+
+    def test_constants_restated(self):
+        assert (aligner.SHINGLE, aligner.WINDOW_SLACK, aligner.MIN_SCORE, aligner.ANCHOR,
+                aligner.ANCHOR_HITS, aligner.ANCHOR_DRIFT) == \
+            (REF_SHINGLE, REF_SLACK, REF_MIN_SCORE, REF_ANCHOR, REF_ANCHOR_HITS, REF_DRIFT)
 
     @settings(max_examples=600, deadline=None)
     @given(alignment_cases())
-    # windows of two lengths tie at the best score: the shorter, scanned first, wins
-    @example((make_doc("d", "AABbaA "), "BAaB", 0.05))
-    def test_same_result_as_string_scorer(self, case):
+    def test_same_result_as_reference(self, case):
+        doc, answer, min_score = case
+        with patch.object(aligner, "MIN_SCORE", min_score):
+            assert align_answer(doc, answer) == reference_align_answer(doc, answer, min_score)
+
+    @settings(max_examples=600, deadline=None)
+    @given(tier3_cases())
+    # the chain's band around a diagonal far before the text must not wrap to its end
+    @example((make_doc("d", "bbΣßİBς  bbΣßİBς \tİbA ΣςßσK \tAbİΣB\u00a0bbΣßİBς\nbbΣßİBς\n"
+                            "AςAßcΣB. İbA\nİςσBßİσ bbΣßİBς  İςσBßİσ\nbbΣßİBς  İςσBßİσ\n"),
+              "bbΣßİBς AςAßcΣB AςAßcΣB İςσBßİσ bbΣßİBς bbΣßİBς bbΣßİBς", 0.05))
+    def test_same_result_as_reference_on_edited_word_runs(self, case):
         doc, answer, min_score = case
         with patch.object(aligner, "MIN_SCORE", min_score):
             assert align_answer(doc, answer) == reference_align_answer(doc, answer, min_score)
@@ -274,11 +352,11 @@ class TestShingleIdScorer:
             assert isinstance(expected, GoldSpan)
             assert result.gold_spans == [expected]
 
-    def test_capital_sigma_document_has_shingle_ids(self):
+    def test_capital_sigma_document_normalizes_per_character(self):
         # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα"; with "ς" folded to
-        # "σ" both match, and the document gets shingle ids like any other
+        # "σ" both match, and each character keeps its own offset
         doc = make_doc("d", "ΑΣΑ ΒΒΒ")
-        assert DocumentView(doc.text).shingle_ids is not None
+        assert DocumentView(doc.text).normalized == ("ασα βββ", array("q", range(7)))
         span = align_answer(doc, "ας")
         assert span == reference_align_answer(doc, "ας")
         assert (span.start, span.end) == (0, 2)
@@ -288,31 +366,104 @@ class TestShingleIdScorer:
         with pytest.raises(ValueError):
             align_answer(doc, "beta  gamma", view=DocumentView("other text"))
 
-    def test_code_points_near_the_top_share_one_int64_key(self):
-        # three code points near U+10FFFF make keys near 0x110000 ** 3; the ids must
-        # still be equal exactly where the shingle strings are, and tier 3 score
-        # as the string-set scorer does
-        rng = np.random.default_rng(21)
-        alphabet = list("ab .") + [chr(0x10FFFF - i) for i in range(3)]
-        for _ in range(40):
-            text = "".join(rng.choice(alphabet, size=int(rng.integers(3, 120))))
-            view = DocumentView(text)
-            norm = view.normalized[0]
-            ids = view.shingle_ids[0].tolist()
-            shingles = [norm[p:p + REF_SHINGLE] for p in range(len(ids))]
-            first = {}
-            assert ids == [first.setdefault(s, ids[p]) for p, s in enumerate(shingles)]
-            assert len(set(ids)) == len(set(shingles))
-            doc = make_doc("d", text)
-            for _ in range(5):
-                lo = int(rng.integers(0, len(text) - 1))
-                chars = list(text[lo:lo + int(rng.integers(2, 40))])
-                chars[int(rng.integers(len(chars)))] = str(rng.choice(alphabet))
-                answer = "".join(chars)
-                for min_score in (0.05, REF_MIN_SCORE):
-                    with patch.object(aligner, "MIN_SCORE", min_score):
-                        assert align_answer(doc, answer, view=view) == \
-                            reference_align_answer(doc, answer, min_score)
+    def test_answer_shorter_than_an_anchor_fails(self):
+        doc = make_doc("d", "the tenant shall pay rent monthly")
+        answer = "tenamt"  # one letter off, and shorter than an anchor
+        assert len(answer) < aligner.ANCHOR == REF_ANCHOR
+        result = align_answer(doc, answer)
+        assert result == AlignmentFailure(score=0.0, reason="answer shorter than an anchor")
+        assert result == reference_align_answer(doc, answer)
+
+    def test_answer_with_no_anchor_in_the_document_fails(self):
+        doc = make_doc("d", "the tenant shall pay rent monthly to the landlord")
+        answer = "tha tenamt shal pey rant monthy to"  # each anchor holds a changed letter
+        result = align_answer(doc, answer)
+        assert result == AlignmentFailure(score=0.0,
+                                          reason="no anchor of the answer in the document")
+        assert result == reference_align_answer(doc, answer)
+
+    def test_anchor_found_too_often_casts_no_votes(self):
+        # the answer's only anchor that occurs in the document occurs ANCHOR_HITS + 1
+        # times; below the cap it votes and the answer aligns on its first occurrence
+        assert aligner.ANCHOR_HITS == REF_ANCHOR_HITS
+        doc = make_doc("d", "rent due " * (aligner.ANCHOR_HITS + 1) + "end")
+        answer = "rent due zz"
+        result = align_answer(doc, answer)
+        assert result == AlignmentFailure(score=0.0,
+                                          reason="no anchor of the answer in the document")
+        with patch.object(aligner, "ANCHOR_HITS", aligner.ANCHOR_HITS + 1):
+            span = align_answer(doc, answer)
+        assert (span.start, span.end) == (0, 8)
+
+
+def _words(text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in re.finditer(r"\S+", text)]
+
+
+# one Zipf document for the boundary property, and the words edits draw from
+BOUNDARY_DOC = zipf_document(np.random.default_rng(31), 28_000)
+BOUNDARY_WORDS = sorted({w.strip(".") for w in BOUNDARY_DOC.split()} - {""})
+
+
+@st.composite
+def edited_excerpts(draw):
+    """A unique excerpt of ``BOUNDARY_DOC`` from a word's start to a word's end,
+    300-600 chars long, with one or two interior words substituted or one word
+    inserted; its span, the edited answer, the longest word the edit touched and
+    the excerpt's word indices the edit lies between or on."""
+    text, words = BOUNDARY_DOC, _words(BOUNDARY_DOC)
+    first = draw(st.integers(0, len(words) - 200))
+    last = first
+    length = draw(st.integers(300, 600))
+    while words[last][1] - words[first][0] < length:
+        last += 1
+    start, end = words[first][0], words[last][1]
+    excerpt = text[start:end]
+    assume(text.count(excerpt) == 1)
+    assume(normalize_for_match(text).count(normalize_for_match(excerpt)) == 1)
+    spans = _words(excerpt)
+    new = draw(st.lists(st.sampled_from(BOUNDARY_WORDS), min_size=1, max_size=2))
+    if draw(st.booleans()):  # insert one word between two words
+        i = draw(st.integers(1, len(spans) - 2))
+        answer = excerpt[:spans[i][0]] + new[0] + " " + excerpt[spans[i][0]:]
+        edited, touched = [new[0]], [i - 1, i]
+    else:  # substitute one or two interior words
+        touched = draw(st.lists(st.integers(1, len(spans) - 2), min_size=len(new),
+                                max_size=len(new), unique=True))
+        answer, edited = excerpt, []
+        for i, word in sorted(zip(touched, new), reverse=True):
+            lo, hi = spans[i]
+            assume(word != excerpt[lo:hi].lower().strip("."))
+            answer = answer[:lo] + word + answer[hi:]
+            edited += [word, excerpt[lo:hi]]
+    return (start, end), answer, max(map(len, edited)), spans, (min(touched), max(touched))
+
+
+class TestTier3Boundaries:
+    """Tier-3 edges land within one edited word of the true ones (ROADMAP item 1)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edited_excerpts())
+    def test_edges_stay_within_the_longest_edited_word(self, case):
+        # An edit among an edge's three words widens that edge's bound by those
+        # words: a score over shingle counts cannot tell a short or repeated edge
+        # word from an edited neighbour ("w w x" against "w y x" reads as either
+        # an insertion or a substitution).
+        (start, end), answer, longest, spans, (first, last) = case
+        doc = make_doc("d", BOUNDARY_DOC)
+        view = DocumentView(doc.text)
+        span = align_answer(doc, answer, view=view)
+        assert isinstance(span, GoldSpan)
+        widen_start = spans[2][1] + 1 if first < 3 else 0
+        widen_end = spans[-1][1] - spans[-3][0] + 1 if last > len(spans) - 4 else 0
+        assert abs(span.start - start) <= longest + 1 + widen_start
+        assert abs(span.end - end) <= longest + 1 + widen_end
+        # the excerpt itself, and with its spaces reflowed, align exactly (tiers 1 and 2)
+        excerpt = BOUNDARY_DOC[start:end]
+        reflowed = excerpt.replace(" ", "\n  ", 3)
+        for exact in (excerpt, reflowed):
+            span = align_answer(doc, exact, view=view)
+            assert (span.start, span.end) == (start, end)
 
 
 class TestNormalizedView:
@@ -332,6 +483,19 @@ class TestNormalizedView:
     @given(st.text("aΑΣσς İ\u00a0\t\nb.", max_size=60))
     def test_text_is_normalize_for_match(self, text):
         assert _normalized_view(text)[0] == normalize_for_match(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("aΑΣσς İ\u00a0\t\nb.", max_size=60))
+    def test_offsets_map_each_normalized_character_to_its_source(self, text):
+        # character by character: a kept one maps to its offset once per code point
+        # it lowers to, an inner whitespace run to its first character
+        lead, expected = len(text) - len(text.lstrip()), []
+        for i, ch in enumerate(text.strip(), lead):
+            if not ch.isspace():
+                expected += [i] * len(ch.lower())
+            elif not text[i - 1].isspace():
+                expected.append(i)
+        assert _normalized_view(text)[1].tolist() == expected
 
     def test_reflowed_greek_excerpt_found_by_whitespace_tier(self, monkeypatch):
         def no_fuzzy_scan(*args):

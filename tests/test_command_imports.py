@@ -19,8 +19,7 @@ from tests.conftest import child_env, write_jsonl
 from tests.synthcorpus import build_aus_corpus, build_legal_corpus
 
 # every lexrag module that imports numpy when it loads
-NUMPY_SIDE = {f"lexrag.{name}" for name in ("aligner", "embedding", "index", "kernels",
-                                            "retriever")}
+NUMPY_SIDE = {f"lexrag.{name}" for name in ("embedding", "index", "kernels", "retriever")}
 
 
 def _fresh_process(code: str) -> list[str]:
@@ -138,8 +137,8 @@ def test_commands_skip_modules_they_do_not_run(inputs, command, not_loaded):
     assert not loaded & {f"lexrag.{name}" for name in not_loaded}
 
 
-@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "dpo-build", "eval-refusal",
-                                     "eval-answers", "report"])
+@pytest.mark.parametrize("command", ["ingest", "chunk", "enrich", "align-spans", "dpo-build",
+                                     "eval-refusal", "eval-answers", "report"])
 def test_text_commands_never_load_numpy(inputs, command):
     base = inputs[0]
     loaded = _run_in_fresh_process(_argv(inputs, command, f"fresh_{command}"))
@@ -154,7 +153,6 @@ def test_text_commands_never_load_numpy(inputs, command):
 @pytest.mark.parametrize("command,needed", [
     ("index", {"lexrag.embedding", "lexrag.index", "lexrag.kernels"}),
     ("retrieve", {"lexrag.embedding", "lexrag.index", "lexrag.kernels", "lexrag.retriever"}),
-    ("align-spans", {"lexrag.aligner"}),
 ])
 def test_array_commands_load_only_their_own_modules(inputs, command, needed):
     base = inputs[0]
