@@ -42,6 +42,10 @@ DEFAULT_SOFT_PATTERNS = [
     "no information in the context",
 ]
 
+# the forms ``detect_refusal`` looks for, normalized once
+_CANONICAL_REFUSAL = strip_terminal_punctuation(normalize_for_match(REFUSAL_STRING))
+_SOFT_FORMS = [normalize_for_match(p) for p in DEFAULT_SOFT_PATTERNS]
+
 
 @dataclass
 class PreferencePair:
@@ -147,9 +151,8 @@ def detect_refusal(output: str, mode: str = "strict") -> bool:
     """
     _check_mode(mode)
     normalized = strip_terminal_punctuation(normalize_for_match(output))
-    canonical = strip_terminal_punctuation(normalize_for_match(REFUSAL_STRING))
-    return canonical in normalized or mode == "soft" and any(
-        normalize_for_match(p) in normalized for p in DEFAULT_SOFT_PATTERNS)
+    return _CANONICAL_REFUSAL in normalized or mode == "soft" and any(
+        form in normalized for form in _SOFT_FORMS)
 
 
 def refusal_rates(outputs: list[tuple[str, str, str]],

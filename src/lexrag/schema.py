@@ -5,7 +5,8 @@ object, after JSON Schema (IETF draft 2020-12): the Python types ``json`` parses
 to, matched exactly (JSON true is a bool, never an int), whether the key must be present,
 a predicate the value must also pass (or None), and what the value must be, in words.
 ``check`` raises ``{where}: key 'k' is missing`` or ``{where}: key 'k' must be {phrase},
-not {value!r}``. Each reader keeps its specs beside it. Stdlib only.
+not {value!r}``, the repr cut at ``REPR_CHARS``. Each reader keeps its specs beside it.
+Stdlib only.
 """
 
 STRING = (str,)
@@ -20,6 +21,8 @@ OBJECT = (dict,)
 REQUIRED_STRING = (STRING, True, None, "a string")
 OPTIONAL_STRING = (STRING, False, None, "a string")
 REQUIRED_OBJECT = (OBJECT, True, None, "an object")
+# the most characters of a rejected value's repr that an error message shows
+REPR_CHARS = 200
 
 
 def check(record: dict, spec: tuple, where: str) -> dict:
@@ -35,5 +38,9 @@ def check(record: dict, spec: tuple, where: str) -> dict:
 
 
 def invalid(where: str, key: str, phrase: str, value) -> ValueError:
-    """``check``'s error for a value, which the checks that relate keys raise too."""
-    return ValueError(f"{where}: key {key!r} must be {phrase}, not {value!r}")
+    """``check``'s error for a value, which the checks that relate keys raise too; the
+    value's repr is cut to ``REPR_CHARS`` characters and "…"."""
+    shown = repr(value)
+    if len(shown) > REPR_CHARS:
+        shown = shown[:REPR_CHARS] + "…"
+    return ValueError(f"{where}: key {key!r} must be {phrase}, not {shown}")

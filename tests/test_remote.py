@@ -215,6 +215,20 @@ class TestRemoteEmbedder:
         assert str(exc_info.value).startswith(
             f"embedding failed for 2 text(s) after retries: {url}: batch 0: key 'vectors' {fault}")
 
+    def test_one_nan_in_a_full_batch_gives_a_short_message(self, stub_server):
+        # one NaN in a 32 x 256 reply (the default batch size at --dim 256): the
+        # message names the key, and the rejected value's repr is cut
+        rows = [[0.5] * 256 for _ in range(32)]
+        rows[17][100] = math.nan
+        server, url = stub_server(lambda body: {"vectors": rows})
+        emb = RemoteEmbedder(RemoteConfig(endpoint=url, retries=0), dim=256, max_workers=1)
+        with pytest.raises(EmbeddingError) as exc_info:
+            emb.embed([f"text {i}" for i in range(32)])
+        message = str(exc_info.value)
+        assert f"{url}: batch 0: key 'vectors' must be a list of equal-length lists of " \
+            "finite numbers, not [[0.5, 0.5" in message
+        assert "\n" not in message and len(message) < 400
+
     def test_shape_mismatch_is_error(self, stub_server):
         server, url = stub_server(lambda body: {"vectors": [[1.0, 0.0]]})
         emb = RemoteEmbedder(RemoteConfig(endpoint=url, retries=0), dim=8, batch_size=4)

@@ -58,6 +58,13 @@ class TestCheck:
             schema.check(record, self.SPEC, "here")
         assert str(exc_info.value) == message
 
+    def test_long_rejected_value_is_cut(self):
+        value = ["x" * 40] * 50
+        with pytest.raises(ValueError) as exc_info:
+            schema.check({"name": value}, self.SPEC, "here")
+        assert str(exc_info.value) == (
+            "here: key 'name' must be a string, not " + repr(value)[:schema.REPR_CHARS] + "…")
+
     def test_cases_cover_every_other_type_and_required_deletion(self):
         cases = list(hostile_cases(self.SPEC))
         assert ("name", DELETE) in cases and ("count", DELETE) not in cases
