@@ -13,7 +13,11 @@ under a Greek file name to the legal corpus, so the index stores multi-byte doc
 ids and chunk ids, and one Aus-format record whose reworded excerpt of it
 aligns only by the fuzzy tier, and a hand-written chunk file with CRLF line
 endings, a blank line and no final newline, which is indexed, retrieved from
-and evaluated. The legal corpus is also enriched by the remote summarizer at a
+and evaluated. A third, one-document Aus-format corpus has its own
+``align-spans`` run: its document holds CRLF line endings, runs of mixed
+whitespace (ideographic space, tab, the separator "\x1c") inside and at both
+ends, and "İ", which lowers to two code points, before and inside excerpts that
+align by each tier. The legal corpus is also enriched by the remote summarizer at a
 local port nothing listens on, so every window falls back to its extractive
 summary through the summarizer's thread pool, and chunked small (16 tokens), so
 its index holds more chunks than fusion's dense pool (``lexrag.retriever.POOL``)
@@ -79,6 +83,29 @@ SECOND_TREE_BLAS = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "4"
 GREEK_EXCERPT = ("Ο εναγόμενος ισχυρίστηκε ότι η ‘ειδοποίηση’ επιδόθηκε νομίμως. ΟΙ ΙΣΧΥΡΙΣΜΟΙ "
                  "ΤΟΥ ΕΝΑΓΟΜΕΝΟΥ ΑΠΟΡΡΙΠΤΟΝΤΑΙ, διότι η επίδοση έγινε σε άλλη διεύθυνση και "
                  "ο ΟΡΟΣ ΤΗΣ ΣΥΜΒΑΣΕΩΣ για τις κοινοποιήσεις δεν τηρήθηκε.")
+# a document whose whitespace runs and "İ"s move normalized offsets off raw ones
+SPACES_DOC = "spaces.txt"
+SPACES_DECISION = ("\r\n \u3000\tİSTANBUL REGIONAL COURT\r\n\r\n"
+                   "1.  The tenant shall pay the rent\u3000\tmonthly to the landlord\x1cat the "
+                   "İzmir office of the agent.\r\nNotice of any breach must be served in writing "
+                   "within fourteen days, and the İnspector's report on the premises is "
+                   "admissible  evidence of the breach.\r\n2. The lease ends on the day the "
+                   "İzmir office closes.\t \r\n \u3000")
+SPACES_EXCERPTS = [
+    # tier 1: verbatim
+    "The lease ends on the day the İzmir office closes.",
+    # tier 2: whitespace collapsed; from the first "İ", across "İ"s, and to the first
+    # code point of one
+    "İSTANBUL REGIONAL COURT 1. The tenant",
+    "The tenant shall pay the rent monthly to the landlord at the İzmir office of the agent.",
+    "the İnspector's\nreport",
+    "landlord at the i",
+    # tier 3: "fourteen" reworded, an "İ" inside
+    "Notice of any breach must be served in writing within fifteen days, and the "
+    "İnspector's report on the premises is admissible evidence",
+    # below the threshold
+    "The landlord may enter the premises at any reasonable hour of the day.",
+]
 
 
 def make_inputs(base: Path) -> dict[str, Path]:
@@ -90,6 +117,15 @@ def make_inputs(base: Path) -> dict[str, Path]:
     for cases in (root / "cases", aus_root / "courts.example.au" / "cases"):
         (cases / GREEK_DOC).write_text(GREEK_DECISION, encoding="utf-8")
     (root / "cases" / GREEK_NAMED_DOC).write_text(GREEK_DECISION, encoding="utf-8")
+    spaces_root = base / "spaces" / "aus_corpus"
+    (spaces_root / "courts.example.au").mkdir(parents=True)
+    (spaces_root / "courts.example.au" / SPACES_DOC).write_bytes(SPACES_DECISION.encode("utf-8"))
+    spaces_qa = base / "spaces" / "aus_qa.jsonl"
+    spaces_qa.write_text("".join(json.dumps(
+        {"query_id": f"spaces-{i}", "Question": "What does the decision say?",
+         "document URL": f"https://courts.example.au/{SPACES_DOC}", "Context": excerpt,
+         "Answer": "It says so."}, ensure_ascii=False) + "\n"
+        for i, excerpt in enumerate(SPACES_EXCERPTS)), encoding="utf-8")
     records = [json.loads(line) for line in aus_qa.read_text(encoding="utf-8").splitlines()]
     records.append({"query_id": "aus-greek", "Question": "Γιατί απορρίφθηκαν οι ισχυρισμοί;",
                     "document URL": f"https://courts.example.au/cases/{GREEK_DOC}",
@@ -130,7 +166,8 @@ def make_inputs(base: Path) -> dict[str, Path]:
     return {"root": root, "manifest": manifest, "qa": qa, "aus_root": aus_root,
             "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl",
             "config": base / "config.json", "crlf_chunks": base / "crlf_chunks.jsonl",
-            "no_retries": base / "no_retries.json"}
+            "no_retries": base / "no_retries.json", "spaces_root": spaces_root,
+            "spaces_qa": spaces_qa}
 
 
 def commands(i: dict[str, Path]) -> list[list[str]]:
@@ -174,6 +211,8 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
          "--format", "aus_legal_qa", "--out", "ingest_aus"],
         ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["aus_qa"]),
          "--out", "aligned"],
+        ["align-spans", "--root", str(i["spaces_root"]), "--qa", str(i["spaces_qa"]),
+         "--out", "aligned_spaces"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "5", "--out", "dpo"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
