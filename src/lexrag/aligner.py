@@ -26,14 +26,21 @@ A span is returned only when the final score reaches ``MIN_SCORE``; otherwise
 the failure carries that score, or says why no window was seeded.
 
 Tiers 2 and 3 read a ``DocumentView`` of the normalized text and its
-normalized->raw offsets, built the first time a record of the document misses
-tier 1 and shared by the document's later records.
+normalized->raw offset map, built the first time a record of the document misses
+tier 1 and shared by the document's later records. The map is a run table, not
+one entry per character: normalized and raw offsets differ by a shift that
+changes only after a collapsed whitespace run and at "İ", which lowers to two
+code points, so the table holds one entry for each of those and an offset's
+entry is found with ``bisect``.
+
+A span that tier 1 or 2 returns has the answer's normalized text, so its
+``alignment_report.json`` score is 1.0 with no shingling.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -56,7 +63,13 @@ ANCHOR_HITS = 8
 # how far, in characters, the chain's diagonal may move from one anchor to the next
 ANCHOR_DRIFT = 16
 
+# the characters that lower to more than one code point: "İ", to "i" and a combining dot
+LOWERS_TO_TWO = "İ"
+# where normalized and raw offsets move apart: a run of two or more whitespace
+# characters collapses to one space, a character of LOWERS_TO_TWO becomes two;
+# a text holding none of those characters needs only the faster first pattern
 _SPACE_RUN = re.compile(r"\s\s+")
+_SHIFT = re.compile(rf"\s\s+|[{LOWERS_TO_TWO}]")
 
 
 @dataclass
@@ -79,20 +92,42 @@ def _jaccard(a: Counter, b: Counter) -> float:
     return inter / (a.total() + b.total() - inter)
 
 
-def _normalized_view(text: str) -> tuple[str, array]:
-    """``normalize_for_match(text)`` and its normalized->raw offset map (int64): a
-    non-space character maps to its raw offset, a collapsed space to the first
-    character of its run, and each code point a character lowers to ("İ") to it."""
+class RawOffsets:
+    """A normalized->raw offset map as a run table: from normalized offset
+    ``starts[k]`` up to the next start, the raw offset is the normalized one plus
+    ``shifts[k]``. ``offsets[i]`` looks ``i`` up with ``bisect``."""
+
+    __slots__ = ("starts", "shifts", "size")
+
+    def __init__(self, starts: list[int], shifts: list[int], size: int):
+        self.starts, self.shifts, self.size = starts, shifts, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.size:
+            raise IndexError(f"normalized offset {i} not in [0, {self.size})")
+        return i + self.shifts[bisect_right(self.starts, i) - 1]
+
+
+def _normalized_view(text: str) -> tuple[str, RawOffsets]:
+    """``normalize_for_match(text)`` and its normalized->raw offset map: a non-space
+    character maps to its raw offset, a collapsed space to the first character of
+    its run, and each code point a character lowers to ("İ") to it. One entry
+    starts the table, and each ``_SHIFT`` match inside the trimmed text adds one."""
     norm = normalize_for_match(text)
-    lo, hi = len(text) - len(text.lstrip()), len(text.rstrip())
-    offsets = array("q")
-    for run in _SPACE_RUN.finditer(text, lo, hi):  # a single space keeps its place
-        offsets.extend(range(lo, run.start() + 1))
-        lo = run.end()
-    offsets.extend(range(lo, hi))
-    if len(offsets) != len(norm):
-        offsets = array("q", [i for i in offsets for _ in text[i].lower()])
-    return norm, offsets
+    shift = len(text) - len(text.lstrip())
+    starts, shifts = [0], [shift]
+    pattern = _SHIFT if any(char in text for char in LOWERS_TO_TWO) else _SPACE_RUN
+    for match in pattern.finditer(text, shift, len(text.rstrip())):
+        start, end = match.span()
+        # the match's first character keeps the shift; what follows it moves by
+        # the run's extra characters, or back by the second code point of an "İ"
+        starts.append(start - shift + 1)
+        shift += end - start - 1 if end - start > 1 else -1
+        shifts.append(shift)
+    return norm, RawOffsets(starts, shifts, len(norm))
 
 
 class DocumentView:
@@ -103,7 +138,7 @@ class DocumentView:
         self.text = text
 
     @cached_property
-    def normalized(self) -> tuple[str, array]:
+    def normalized(self) -> tuple[str, RawOffsets]:
         return _normalized_view(self.text)
 
 
@@ -275,8 +310,11 @@ class AlignmentReport:
 
 
 def _alignment_score(doc: Document, span: GoldSpan) -> float:
-    return _jaccard(_shingles(normalize_for_match(doc.text[span.start:span.end])),
-                    _shingles(normalize_for_match(span.answer_text)))
+    """The Jaccard of the span's and its answer's shingles, each of its normalized
+    text; 1.0, without shingling, when the two texts are equal."""
+    found = normalize_for_match(doc.text[span.start:span.end])
+    wanted = normalize_for_match(span.answer_text)
+    return 1.0 if found == wanted else _jaccard(_shingles(found), _shingles(wanted))
 
 
 def reconstruct_dataset(records: list[QueryRecord],

@@ -31,7 +31,6 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
-_WS_RUN = re.compile(r"\s+")
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
 _TERMINAL_PUNCT = re.compile(r"[\s.,;:!?'\"…]+$")
 # what errors="surrogateescape" decodes a byte that is not UTF-8 to
@@ -39,8 +38,10 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def normalize_whitespace(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim. Case-preserving."""
-    return _WS_RUN.sub(" ", text).strip()
+    """Collapse whitespace runs to single spaces and trim, in one ``str.split`` pass.
+    Case-preserving. Whitespace is what ``str.isspace`` accepts, the same set that
+    ``str.strip`` removes and ``re``'s ``\\s`` matches."""
+    return " ".join(text.split())
 
 
 class _WordTable(dict):

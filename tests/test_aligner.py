@@ -1,6 +1,6 @@
 import json
 import re
-from array import array
+import unicodedata
 from collections import Counter
 from itertools import zip_longest
 from unittest.mock import patch
@@ -250,6 +250,13 @@ def reference_align_answer(doc: Document, answer: str,
     return AlignmentFailure(score=score, reason="best window below min_score")
 
 
+def reference_alignment_score(doc: Document, span: GoldSpan) -> float:
+    """The report score, always shingled: the Jaccard of the span's and its answer's
+    shingles, each of its normalized text."""
+    return _ref_jaccard(_ref_shingles(normalize_for_match(doc.text[span.start:span.end])),
+                        _ref_shingles(normalize_for_match(span.answer_text)))
+
+
 # lowercase and uppercase letters, characters whose lowercase differs in length
 # ("İ") or that are already lowercase ligatures ("ß", "ﬁ"), the Kelvin sign,
 # both Greek sigmas, and four kinds of whitespace
@@ -356,7 +363,9 @@ class TestTier3AgainstReference:
         # "ΑΣ" alone lowers to "ας", but inside "ΑΣΑ" to "ασα"; with "ς" folded to
         # "σ" both match, and each character keeps its own offset
         doc = make_doc("d", "ΑΣΑ ΒΒΒ")
-        assert DocumentView(doc.text).normalized == ("ασα βββ", array("q", range(7)))
+        norm, offsets = DocumentView(doc.text).normalized
+        assert norm == "ασα βββ"
+        assert [offsets[i] for i in range(len(norm))] == list(range(7))
         span = align_answer(doc, "ας")
         assert span == reference_align_answer(doc, "ας")
         assert (span.start, span.end) == (0, 2)
@@ -495,7 +504,30 @@ class TestNormalizedView:
                 expected += [i] * len(ch.lower())
             elif not text[i - 1].isspace():
                 expected.append(i)
-        assert _normalized_view(text)[1].tolist() == expected
+        norm, offsets = _normalized_view(text)
+        assert len(offsets) == len(norm)
+        assert [offsets[i] for i in range(len(norm))] == expected
+        with pytest.raises(IndexError):
+            offsets[len(norm)]
+
+    def test_normalize_whitespace_is_the_regex_form_on_every_code_point(self):
+        # each code point as an inner character, as a run of three, and at both
+        # ends, against the form that collapsed "\s+" runs with re and stripped
+        chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+
+        def regex_form(text: str) -> str:
+            return re.sub(r"\s+", " ", text).strip()
+
+        for text in ("a" + "a".join(chars) + "a", "a" + "a".join(c * 3 for c in chars) + "a"):
+            assert normalize_whitespace(text) == regex_form(text)
+        ends = [c + "a" + c * 2 for c in chars]
+        assert list(map(normalize_whitespace, ends)) == list(map(regex_form, ends))
+
+    def test_lowers_to_two_is_every_character_lowering_to_more_than_one(self):
+        # the run table shifts by one code point at each of these characters
+        longer = {chr(c): len(chr(c).lower()) for c in range(0x110000)
+                  if not 0xD800 <= c <= 0xDFFF and len(chr(c).lower()) > 1}
+        assert longer == dict.fromkeys(aligner.LOWERS_TO_TWO, 2), unicodedata.unidata_version
 
     def test_reflowed_greek_excerpt_found_by_whitespace_tier(self, monkeypatch):
         def no_fuzzy_scan(*args):
@@ -567,6 +599,18 @@ class TestReconstructDataset:
             assert piece != rec.context_text
             assert normalize_whitespace(piece) == normalize_whitespace(rec.context_text)
             assert by_id[f"q{i:03d}"].score >= 0.9
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(alignment_cases(), tier3_cases()))
+    def test_report_score_is_the_shingled_score_bitwise(self, case):
+        # tiers 1 and 2 score 1.0 without shingling; the shingled score must agree
+        doc, answer, min_score = case
+        record = QueryRecord("q", "?", context_text=answer, source_doc_id=doc.doc_id)
+        with patch.object(aligner, "MIN_SCORE", min_score):
+            out, report = reconstruct_dataset([record], DocumentCollection([doc]))
+        if report.aligned:
+            expected = reference_alignment_score(doc, out[0].gold_spans[0])
+            assert report.entries[0].score.hex() == expected.hex()
 
     def test_missing_context_flagged(self):
         rng = np.random.default_rng(7)
