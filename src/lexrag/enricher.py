@@ -29,15 +29,18 @@ from pathlib import Path
 
 from lexrag.chunker import Chunk, count_tokens, dump_chunks, load_chunks
 from lexrag.corpus import DocumentMeta
+from lexrag.schema import REQUIRED_STRING, check
 from lexrag.textutils import split_sentences
 
 SUMMARY_TOKEN_CAP = 200
 # consecutive chunks per summary window
 WINDOW = 4
+# a remote summarizer reply (see ``lexrag.schema``)
+SUMMARY_REPLY = (("summary", *REQUIRED_STRING),)
 
 
 class RemoteSummarizer:
-    """HTTP summarizer: {"texts": [...], "max_tokens": N} -> {"summary": "..."}."""
+    """HTTP summarizer: {"texts": [...], "max_tokens": N} -> ``SUMMARY_REPLY``."""
 
     def __init__(self, config):
         self.config = config
@@ -46,10 +49,7 @@ class RemoteSummarizer:
         from lexrag.remote import post_json
 
         response = post_json(self.config, {"texts": list(texts), "max_tokens": max_tokens})
-        summary = response.get("summary")
-        if not isinstance(summary, str):
-            raise ValueError(f"summarizer returned no summary field: {response!r}")
-        return summary
+        return check(response, SUMMARY_REPLY, self.config.endpoint)["summary"]
 
 
 def extractive_summary(texts: list[str], budget_tokens: int) -> list[str]:

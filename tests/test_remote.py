@@ -11,7 +11,7 @@ import pytest
 from lexrag import cli
 from lexrag.chunker import dump_chunks
 from lexrag.embedding import VECTORS_REPLY, EmbeddingError, RemoteEmbedder
-from lexrag.enricher import RemoteSummarizer, window_summaries
+from lexrag.enricher import SUMMARY_REPLY, RemoteSummarizer, window_summaries
 from lexrag.remote import RemoteConfig, RemoteError, post_json
 from tests.conftest import make_chunk
 from tests.test_schema import DELETE, hostile_cases
@@ -255,8 +255,23 @@ class TestRemoteSummarizer:
         assert result == [(tokens, True) for tokens, _ in window_summaries(chunks)]
         assert all(tokens for tokens, _ in result)
 
-    def test_missing_summary_field_is_error(self, stub_server):
-        server, url = stub_server(lambda body: {"nope": 1})
+    @pytest.mark.parametrize("reply", [
+        {"nope": 1}, *({} if value is DELETE else {key: value}
+                       for key, value in hostile_cases(SUMMARY_REPLY))])
+    def test_reply_without_a_string_summary_is_named_and_falls_back(self, stub_server, reply):
+        server, url = stub_server(lambda body: reply)
         summarizer = RemoteSummarizer(RemoteConfig(endpoint=url, retries=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc_info:
             summarizer.summarize(["text"], 100)
+        fault = "is missing" if "summary" not in reply else "must be a string, not "
+        assert str(exc_info.value).startswith(f"{url}: key 'summary' {fault}")
+        chunks = [make_chunk(i, f"sentence {i}.") for i in range(5)]
+        result = window_summaries(chunks, summarizer)
+        assert result == [(tokens, True) for tokens, _ in window_summaries(chunks)]
+
+    def test_long_bad_reply_gives_a_short_message(self, stub_server):
+        server, url = stub_server(lambda body: {"summary": ["word"] * 10_000})
+        summarizer = RemoteSummarizer(RemoteConfig(endpoint=url, retries=0))
+        with pytest.raises(ValueError) as exc_info:
+            summarizer.summarize(["text"], 100)
+        assert len(str(exc_info.value)) < 400
