@@ -33,8 +33,9 @@ changes only after a collapsed whitespace run and at "İ", which lowers to two
 code points, so the table holds one entry for each of those and an offset's
 entry is found with ``bisect``.
 
-A span that tier 1 or 2 returns has the answer's normalized text, so its
-``alignment_report.json`` score is 1.0 with no shingling.
+A span whose normalized text equals its answer's (any tier-1 span, and a tier-2
+span unless its match ends inside an "İ") scores 1.0 in ``alignment_report.json``
+without shingling: equal texts have equal shingles.
 """
 
 from __future__ import annotations
