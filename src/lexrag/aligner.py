@@ -67,9 +67,7 @@ ANCHOR_DRIFT = 16
 # the characters that lower to more than one code point: "İ", to "i" and a combining dot
 LOWERS_TO_TWO = "İ"
 # where normalized and raw offsets move apart: a run of two or more whitespace
-# characters collapses to one space, a character of LOWERS_TO_TWO becomes two;
-# a text holding none of those characters needs only the faster first pattern
-_SPACE_RUN = re.compile(r"\s\s+")
+# characters collapses to one space, a character of LOWERS_TO_TWO becomes two
 _SHIFT = re.compile(rf"\s\s+|[{LOWERS_TO_TWO}]")
 
 
@@ -120,8 +118,7 @@ def _normalized_view(text: str) -> tuple[str, RawOffsets]:
     norm = normalize_for_match(text)
     shift = len(text) - len(text.lstrip())
     starts, shifts = [0], [shift]
-    pattern = _SHIFT if any(char in text for char in LOWERS_TO_TWO) else _SPACE_RUN
-    for match in pattern.finditer(text, shift, len(text.rstrip())):
+    for match in _SHIFT.finditer(text, shift, len(text.rstrip())):
         start, end = match.span()
         # the match's first character keeps the shift; what follows it moves by
         # the run's extra characters, or back by the second code point of an "İ"
