@@ -21,9 +21,15 @@ align by each tier. The legal corpus is also enriched by the remote summarizer a
 local port nothing listens on, so every window falls back to its extractive
 summary through the summarizer's thread pool, and chunked small (16 tokens), so
 its index holds more chunks than fusion's dense pool (``lexrag.retriever.POOL``)
-and rows outside the pool enter fusion. It then runs one fixed sequence of ``lexrag``
-commands per tree, each in a fresh ``python -m lexrag.cli`` process with that
-tree's ``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
+and rows outside the pool enter fusion. Three more small input files reach branches
+the corpora alone do not: a snippet-QA file of one query whose terms the index never
+saw and one of punctuation alone, so BM25 scores no chunk; one whose spans are UTF-8
+byte offsets into the Greek decision (``ingest --span-unit byte``), one crossing
+multi-byte characters and one splitting a character; and an Aus-format file of one
+record whose document URL names no file and one with an empty ``Context``. ``dpo-build``
+also runs with the prompt template that has no refusal instruction. It then runs one
+fixed sequence of ``lexrag`` commands per tree, each in a fresh ``python -m
+lexrag.cli`` process with that tree's ``src`` alone on ``PYTHONPATH``. It compares every file the commands wrote, except
 ``run_manifest.json`` (the one artifact allowed to hold a timestamp), plus
 each command's stdout and exit code. It prints what differs (for JSON files,
 the differing keys) and exits 1 if anything does, 0 if nothing does.
@@ -157,6 +163,36 @@ def make_inputs(base: Path) -> dict[str, Path]:
                          "end": start + len(text), "text": text, "ordinal": n},
                         ensure_ascii=False).encode("utf-8") for doc, n, start, text in rows]
     (base / "crlf_chunks.jsonl").write_bytes(b"\r\n".join(lines[:2] + [b""] + lines[2:]))
+    # queries that no BM25 posting matches: words the index never saw, and no word at all
+    greek_span = {"file_path": f"cases/{GREEK_DOC}", "span": [0, 40]}
+    unmatched = [{"query_id": "unindexed", "query": "zyzzyva quixotry xylograph",
+                  "snippets": [greek_span]},
+                 {"query_id": "punctuation", "query": "?! ... ;; --", "snippets": [greek_span]}]
+    (base / "unmatched_qa.json").write_text(json.dumps(unmatched), encoding="utf-8")
+    # UTF-8 byte spans into the Greek decision: one over two-byte letters, «» and a
+    # space, and one whose start falls inside a two-byte letter
+    encoded = GREEK_DECISION.encode("utf-8")
+    phrase = "«αίτηση ακυρώσεως»".encode("utf-8")
+    start = encoded.index(phrase)
+    byte_spans = [{"query_id": "bytes-whole", "query": "Τι κατατίθεται εντός της προθεσμίας;",
+                   "snippets": [{"file_path": f"cases/{GREEK_DOC}",
+                                 "span": [start, start + len(phrase)],
+                                 "answer": "«αίτηση ακυρώσεως»"}]},
+                  {"query_id": "bytes-split", "query": "Ποιος νόμος ορίζει την προθεσμία;",
+                   "snippets": [{"file_path": f"cases/{GREEK_DOC}",
+                                 "span": [encoded.index("ΝΟΜΟΣ".encode("utf-8")) + 1,
+                                          start]}]}]
+    (base / "byte_span_qa.json").write_text(json.dumps(byte_spans, ensure_ascii=False),
+                                            encoding="utf-8")
+    # records align-spans cannot align: a document URL naming no file, an empty Context
+    missing = [{"query_id": "no-document", "Question": "What was decided?",
+                "document URL": "https://courts.example.au/cases/no_such_decision.txt",
+                "Context": "The appeal is dismissed.", "Answer": "The appeal was dismissed."},
+               {"query_id": "no-context", "Question": "What was decided?",
+                "document URL": f"https://courts.example.au/cases/{GREEK_DOC}",
+                "Context": "", "Answer": "The application was allowed."}]
+    (base / "missing_qa.jsonl").write_text("".join(json.dumps(r) + "\n" for r in missing),
+                                           encoding="utf-8")
     # settings for one retrieve run; "index" resolves against the run directory, and the
     # required settings are repeated as flags, which argparse insists on
     config = {"index": "index", "qa": str(qa), "format": "snippet_qa", "top": 8, "alpha": 0.3}
@@ -167,16 +203,20 @@ def make_inputs(base: Path) -> dict[str, Path]:
             "aus_qa": aus_qa, "good": base / "good.jsonl", "bad": base / "bad.jsonl",
             "config": base / "config.json", "crlf_chunks": base / "crlf_chunks.jsonl",
             "no_retries": base / "no_retries.json", "spaces_root": spaces_root,
-            "spaces_qa": spaces_qa}
+            "spaces_qa": spaces_qa, "unmatched_qa": base / "unmatched_qa.json",
+            "byte_span_qa": base / "byte_span_qa.json", "missing_qa": base / "missing_qa.jsonl"}
 
 
 def commands(i: dict[str, Path]) -> list[list[str]]:
     """The command sequence; output paths are relative to the tree's run directory."""
     legal = ["--root", str(i["root"]), "--manifest", str(i["manifest"])]
     qa = ["--qa", str(i["qa"]), "--format", "snippet_qa"]
+    unmatched = ["--qa", str(i["unmatched_qa"]), "--format", "snippet_qa"]
     sweep = ["--k", "1,2,4,8", "--seed", "0", "--bootstrap-iterations", "500"]
     return [
         ["ingest", *legal, *qa, "--out", "ingest"],
+        ["ingest", *legal, "--qa", str(i["byte_span_qa"]), "--format", "snippet_qa",
+         "--span-unit", "byte", "--out", "ingest_byte_spans"],
         ["chunk", *legal, "--target", "48", "--overlap", "10", "--out", "chunks"],
         ["enrich", *legal, "--chunks", "chunks/chunks.jsonl", "--summarizer", "extractive",
          "--out", "enriched"],
@@ -188,6 +228,9 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
         ["index", "--chunks", "enriched/enriched.jsonl", "--dim", "128", "--out", "index"],
         ["retrieve", "--index", "index", *qa, "--top", "4", "--out", "retrieved"],
         ["eval-retrieval", "--index", "index", *qa, *sweep, "--out", "eval"],
+        # no query term is indexed, so every candidate's BM25 score is 0
+        ["retrieve", "--index", "index", *unmatched, "--top", "4", "--out", "retrieved_unmatched"],
+        ["eval-retrieval", "--index", "index", *unmatched, *sweep, "--out", "eval_unmatched"],
         ["index", "--chunks", "chunks/chunks.jsonl", "--dim", "128", "--out", "index_baseline"],
         ["eval-retrieval", "--index", "index_baseline", *qa, *sweep, "--variant", "baseline",
          "--out", "eval_baseline"],
@@ -213,10 +256,15 @@ def commands(i: dict[str, Path]) -> list[list[str]]:
          "--out", "aligned"],
         ["align-spans", "--root", str(i["spaces_root"]), "--qa", str(i["spaces_qa"]),
          "--out", "aligned_spaces"],
+        ["align-spans", "--root", str(i["aus_root"]), "--qa", str(i["missing_qa"]),
+         "--out", "aligned_missing"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "5", "--out", "dpo"],
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "5", "--export-style", "conversation", "--out", "dpo_conv"],
+        ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
+         "--test", "4", "--seed", "5", "--template", "without_refusal_instruction",
+         "--out", "dpo_without_refusal"],
         # a seed of 2**64 or more, which the stream rejects: the command exits 1
         ["dpo-build", "--qa", str(i["aus_qa"]), "--train", "18", "--validation", "2",
          "--test", "4", "--seed", "18446744073709551621", "--out", "dpo_wide_seed"],
