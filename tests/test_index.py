@@ -158,6 +158,25 @@ class TestBm25Scores:
         ids = [idx.chunk_ids[r] for r, _ in scores]
         assert ids == sorted(ids)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["same words", "same same", "words only", "other", "..."]),
+                    min_size=1, max_size=14).flatmap(
+               lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))),
+           st.sampled_from(["same", "words", "same words", "other same", "unknown", "?!"]))
+    @example((["same words"] * 12, list(range(12))), "same")
+    def test_order_is_score_then_chunk_id_not_row(self, texts_and_numbers, query):
+        """Ids ``doc#<n>`` unpadded, so ``doc#10`` sorts before ``doc#2`` and row order
+        is not id order; duplicate texts tie. Every chunk holding a query term is a hit."""
+        texts, numbers = texts_and_numbers
+        chunks = [replace(make_chunk(row, text), chunk_id=f"doc#{n}")
+                  for row, (text, n) in enumerate(zip(texts, numbers))]
+        idx = build_sparse(chunks)
+        hits = bm25_scores(idx, query)
+        assert hits == sorted(hits, key=lambda hit: (-hit[1], idx.chunk_ids[hit[0]]))
+        terms = set(tokenize(query))
+        assert {row for row, _ in hits} == {row for row, c in enumerate(chunks)
+                                            if terms & set(tokenize(c.text))}
+
     def test_scores_non_negative_and_monotone_in_tf(self):
         # same length docs, increasing tf of the query term
         idx = build_sparse([
