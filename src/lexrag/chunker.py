@@ -182,16 +182,13 @@ class _CorePacker:
         return max(1, self.target - self.overlap)
 
     def add(self, start: int, end: int, weight: int, hard: bool) -> None:
+        # a flush here emits a region holding a token, so it leaves no region open
+        if self._weight > 0 and weight > 0 and self._weight + weight > self._capacity():
+            self.flush()
         if self._start is None:
             self._start, self._end = start, end
             self._weight, self._hard = weight, hard
             return
-        if self._weight > 0 and weight > 0 and self._weight + weight > self._capacity():
-            self.flush()
-            if self._start is None:
-                self._start, self._end = start, end
-                self._weight, self._hard = weight, hard
-                return
         self._end = end
         self._weight += weight
         self._hard = self._hard or hard

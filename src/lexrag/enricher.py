@@ -60,33 +60,26 @@ def extractive_summary(texts: list[str], budget_tokens: int) -> list[str]:
     input order, until the token budget is reached. Deterministic; returns []
     when every text is empty.
     """
-    return _round_robin_summary([_counted_sentences(t) for t in texts], budget_tokens)
+    return _round_robin_summary([_sentence_tokens(t) for t in texts], budget_tokens)
 
 
-def _counted_sentences(text: str) -> tuple[list[str], list[int]]:
-    """A text's sentences and the token count of each."""
-    sentences = split_sentences(text)
-    return sentences, [count_tokens(s) for s in sentences]
+def _sentence_tokens(text: str) -> list[list[str]]:
+    """A text's sentences, each as its whitespace-split tokens."""
+    return [sentence.split() for sentence in split_sentences(text)]
 
 
-def _round_robin_summary(split_texts: list[tuple[list[str], list[int]]],
-                         budget_tokens: int) -> list[str]:
-    """``extractive_summary`` over texts already split by ``_counted_sentences``."""
+def _round_robin_summary(split_texts: list[list[list[str]]], budget_tokens: int) -> list[str]:
+    """``extractive_summary`` over texts already split by ``_sentence_tokens``."""
     if budget_tokens < 1:
         raise ValueError("budget_tokens must be >= 1")
     picked: list[str] = []
-    total = 0
-    for round_idx in range(max((len(s) for s, _ in split_texts), default=0)):
-        for sentences, counts in split_texts:
-            if round_idx >= len(sentences):
-                continue
-            picked.append(sentences[round_idx])
-            total += counts[round_idx]
-            if total >= budget_tokens:
-                break
-        if total >= budget_tokens:
-            break
-    return " ".join(picked).split()[:budget_tokens]
+    for round_idx in range(max(map(len, split_texts), default=0)):
+        for sentences in split_texts:
+            if round_idx < len(sentences):
+                picked += sentences[round_idx]
+                if len(picked) >= budget_tokens:
+                    return picked[:budget_tokens]
+    return picked
 
 
 def window_start(position: int, n_chunks: int, window: int) -> int:
@@ -123,12 +116,12 @@ def window_summaries(chunks: list[Chunk], remote: RemoteSummarizer | None = None
 
     starts = range(max(len(chunks) - WINDOW, 0) + 1)
     # each chunk's sentences, split on first use and shared by the windows holding it
-    split_texts: list[tuple[list[str], list[int]] | None] = [None] * len(chunks)
+    split_texts: list[list[list[str]] | None] = [None] * len(chunks)
 
     def extractive_at(pos: int) -> list[str]:
         for i in range(pos, min(pos + WINDOW, len(chunks))):
             if split_texts[i] is None:
-                split_texts[i] = _counted_sentences(chunks[i].text)
+                split_texts[i] = _sentence_tokens(chunks[i].text)
         return _round_robin_summary(split_texts[pos:pos + WINDOW], SUMMARY_TOKEN_CAP)
 
     if remote is None:

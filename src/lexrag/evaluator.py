@@ -175,9 +175,10 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
           iterations: int = 10000) -> MetricReport:
     """Evaluate DRM and span recall for every query at every k.
 
-    Queries whose gold documents never appear in the indexed corpus, or whose
-    retrieval comes back empty, are excluded and logged in the report. The other
-    queries are retrieved in blocks (``RetrievalContext.retrieve_many``).
+    Queries without gold spans, or whose gold documents never appear in the indexed
+    corpus, are excluded and logged in the report. The other queries are retrieved
+    in blocks (``RetrievalContext.retrieve_many``); each ranking holds at least the
+    top row of the dense pool, so none is empty.
     """
     import numpy as np
     check_bootstrap(iterations, seed)
@@ -197,12 +198,10 @@ def sweep(records: list[QueryRecord], ctx: RetrievalContext, ks: list[int],
     kept = [record for record, reason in zip(records, reasons) if reason is None]
     results = ctx.retrieve_many([r.question for r in kept], [r.query_id for r in kept])
     for record, reason in zip(records, reasons):
-        result = next(results) if reason is None else None
-        if result is not None and not result.ranked:
-            reason = "empty_ranking"
         if reason is not None:
             report.excluded.append({"query_id": record.query_id, "reason": reason})
             continue
+        result = next(results)
         gold_docs = {s.doc_id for s in record.gold_spans}
         drm_by_k = {k: drm(result.ranked, gold_docs, ctx.chunk_table, k) for k in ks}
         recall_by_k = {k: span_recall(result.ranked, record.gold_spans, ctx.chunk_table, k)

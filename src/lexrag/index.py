@@ -6,7 +6,9 @@ hundreds of thousands of chunks, and exactness keeps metric results
 reproducible.
 
 Scores are float64 arrays indexed by chunk row (``bm25_score_array``,
-``dense_scores``); ``bm25_scores`` and ``dense_search`` are list views of them.
+``dense_scores``), N long for every query, all zeros for a query with no indexed
+term; ``bm25_scores`` and ``dense_search`` are list views of them, each ordered
+by ``top_rows``.
 Dense scores come from one expression, ``(Q @ V.T) / (|q| ⊗ norms)``, for one
 query or a block of them. The deterministic embedder's vectors are integer
 term counts, so every product and partial sum is an exact integer: a query's
@@ -270,19 +272,19 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], np.diff(starts, append=values.shape[0])
 
 
-def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray | None:
+def bm25_score_array(index: SparseIndex, query: str) -> np.ndarray:
     """Okapi BM25 score of every chunk row for ``query``, as an N-length array.
 
     score(q, d) = sum over query term occurrences of
     idf(t) * tf * (K1+1) / (tf + K1 * (1 - B + B * len/avg_len)), with
     idf(t) = ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Chunks matching no query
-    term score 0. Returns None when no query term is in the vocabulary.
+    term score 0, so every chunk does when no query term is in the vocabulary.
     ``np.bincount`` sums each chunk's contributions in posting order, so the
     result is bitwise equal to a per-posting loop.
     """
     spans = [span for span in map(index.term_span, tokenize(query)) if span is not None]
     if not spans:
-        return None
+        return np.zeros(index.N)
     refs = np.concatenate([index.refs[lo:hi] for lo, hi in spans])
     tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans])
     idfs = np.concatenate([np.full(hi - lo, _idf(index.N, hi - lo)) for lo, hi in spans])
@@ -294,13 +296,11 @@ def bm25_scores(index: SparseIndex, query: str) -> list[tuple[int, float]]:
     """(row, score) for every chunk matching at least one query term.
 
     Scores are ``bm25_score_array``'s; zero-score chunks are omitted and the
-    list is sorted by score descending, ties by chunk_id ascending.
+    list is in ``top_rows`` order: score descending, ties by chunk_id ascending.
     """
     scores = bm25_score_array(index, query)
-    if scores is None:
-        return []
     hit_rows = np.flatnonzero(scores)
-    order = hit_rows[np.lexsort((index.id_rank[hit_rows], -scores[hit_rows]))]
+    order = hit_rows[top_rows(scores[hit_rows], hit_rows.shape[0], index.id_rank[hit_rows])]
     return [(int(r), float(scores[r])) for r in order]
 
 
@@ -336,11 +336,12 @@ def embed(provider: EmbeddingProvider, texts: Sequence[str],
     """Embed texts through a provider: one row per text, each with a finite,
     nonzero norm (so NaN, inf and all-zero rows are rejected).
 
-    ``rows``, when given, is ``term_rows(texts)``, passed on to the provider.
+    ``rows``, when given, is ``term_rows(texts)``, passed on to the provider as the
+    ``EmbeddingProvider`` protocol declares.
     """
     if any(not isinstance(t, str) or not t for t in texts):
         raise ValueError("texts must be nonempty strings")
-    vectors = provider.embed(texts) if rows is None else provider.embed(texts, rows)
+    vectors = provider.embed(texts, rows)
     if vectors.shape != (len(texts), provider.dim):
         raise ValueError(f"provider returned shape {vectors.shape}, "
                          f"expected {(len(texts), provider.dim)}")

@@ -448,7 +448,7 @@ class TestIdfSmoothing:
 
     def test_idf_zero_for_unknown_term(self):
         idx = build_sparse([make_chunk(0, "a")])
-        assert bm25_score_array(idx, "unknown") is None
+        assert np.array_equal(bm25_score_array(idx, "unknown"), np.zeros(idx.N))
 
 
 def test_sparse_index_handles_zero_length_corpus_edge():

@@ -19,7 +19,6 @@ from lexrag.retriever import (
     dump_results,
     hybrid_retrieve,
     minmax_normalize,
-    retrieve_many,
 )
 from tests.conftest import make_chunk, random_document_text
 
@@ -163,7 +162,7 @@ class TestHybridRetrieve:
             backend = "deterministic-test"
             dim = 2
 
-            def embed(self, texts):
+            def embed(self, texts, rows=None):
                 return np.array([[1.0, 0.0] for _ in texts])
 
         rng = np.random.default_rng(12)
@@ -256,7 +255,7 @@ class FixedEmbedder:
         self.vector = vector
         self.dim = vector.shape[0]
 
-    def embed(self, texts):
+    def embed(self, texts, rows=None):
         return np.tile(self.vector, (len(texts), 1))
 
 
@@ -357,7 +356,7 @@ def test_tied_cosines_rank_as_the_exact_rational_oracle():
     orthogonal = [q for q in queries if any(row @ q == 0 for row in dense.vectors)]
     assert len(orthogonal) >= 3
     cfg = FusionConfig(k=dense.N, alpha=1.0)
-    batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, questions))
+    batch = list(RetrievalContext(sparse, dense, embedder, cfg).retrieve_many(questions, questions))
     block = dense_scores(dense, queries)
     for question, query, from_batch, scores in zip(questions, queries, batch, block):
         keys = [_cosine_key(row, query) for row in dense.vectors]
@@ -381,7 +380,7 @@ def test_batch_equals_one_query_at_a_time_across_blocks(monkeypatch):
     query_ids = [f"q{i}" for i in range(len(questions))]
     monkeypatch.setattr(retriever, "POOL", 20)
     cfg = FusionConfig(k=10, alpha=0.8)
-    batch = list(retrieve_many(questions, sparse, dense, embedder, cfg, query_ids))
+    batch = list(RetrievalContext(sparse, dense, embedder, cfg).retrieve_many(questions, query_ids))
     assert batch == [hybrid_retrieve(q, sparse, dense, embedder, cfg, query_id=i)
                      for q, i in zip(questions, query_ids)]
     queries = embed(embedder, questions)
